@@ -1,16 +1,19 @@
 """Decision procedures for basic / generically basic / principal sets.
 
-The pipeline shares one sphere model (both charts) per scene: openness and
-set-meets-boundary prechecks, the curve-level sign criterion over both charts,
-then blow-up analysis of every non-normal-crossing boundary point with the
-lifted distributions.  Negative verdicts carry an independently verifiable
+The pipeline shares one sphere model per scene: openness and set-meets-boundary
+prechecks, the curve-level sign criterion over both charts, then blow-up
+analysis of every non-normal-crossing boundary point with the lifted
+distributions.  The model builds its infinity chart on first access; only the
+basic-open pipeline reads it, once its prechecks and the affine sign criterion
+have passed, so the other checks never invert the scene.  Each exceptional
+component is sampled once and then classified against every lifted
+distribution.  Negative verdicts carry an independently verifiable
 fan witness whenever one exists (set-theoretic prechecks carry none).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -46,7 +49,6 @@ class CheckRequest:
     property: str
     want_witness: bool = True
     trace_level: int = 0
-    jobs: int = 1
 
 
 @dataclass
@@ -80,7 +82,7 @@ def run_check(req: CheckRequest) -> Verdict:
         "principal_closed": check_principal_closed,
     }[req.property]
     try:
-        return fn(req.scene, want_witness=req.want_witness, jobs=req.jobs)
+        return fn(req.scene, want_witness=req.want_witness)
     except Unsupported as exc:
         return Verdict(req.property, "Unsupported", reason=f"{exc.reason}: {exc.detail}")
 
@@ -88,12 +90,15 @@ def run_check(req: CheckRequest) -> Verdict:
 # ----------------------------------------------------------------- basic open
 
 
-def check_basic_open(
-    scene: Scene, want_witness: bool = True, jobs: int = 1, _allow_finite_meet: bool = False
-) -> Verdict:
-    prop = "generically_basic" if _allow_finite_meet else "basic_open"
-    marks, mark = _timer()
+def check_basic_open(scene: Scene, want_witness: bool = True) -> Verdict:
     validate_scene(scene)
+    return _basic_open(scene, want_witness)
+
+
+def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = False) -> Verdict:
+    """check_basic_open on a scene whose factors are already validated."""
+    prop = "generically_basic" if allow_finite_meet else "basic_open"
+    marks, mark = _timer()
     model = build_sphere_model(scene)
     mark("model")
     d = model.affine.decomposition
@@ -114,7 +119,7 @@ def check_basic_open(
             " finitely many points cannot make it basic open"
         )
         return v
-    if d.s_meets_boundary == "finite" and not _allow_finite_meet:
+    if d.s_meets_boundary == "finite" and not allow_finite_meet:
         v.answer, v.reason = "No", "SetMeetsBoundary"
         v.diagnostics["note"] = "finite boundary contact; the set is at best generically basic"
         v.diagnostics["meet_points"] = _meet_points(d)
@@ -147,7 +152,7 @@ def check_basic_open(
         return v
 
     # blow-up criterion at every non-normal-crossing boundary point, both charts
-    failure = _condition_b(model, v, jobs)
+    failure = _condition_b(model, v)
     mark("condition_b")
     if failure is not None:
         chart_name, D, cls = failure
@@ -162,7 +167,8 @@ def check_basic_open(
             )
             o2 = cls.omega2_plus()
             o1 = cls.omega1()
-            assert o2 is not None and o1 is not None
+            if o2 is None or o1 is None:
+                raise BasixError("positive type-changing component without an omega1 and an omega2+ arc")
             fan = witness_point_fan(D, o2.v_mid, o1.v_mid, dec, expected_count=3)
             count = fan_count_in_S(fan, dec.arrangement.scene)
             if count != 3:
@@ -197,7 +203,7 @@ def _analysis_points_both_charts(model: SphereModel) -> list[tuple[str, Analysis
     return pts
 
 
-def _condition_b(model: SphereModel, v: Verdict, jobs: int = 1):
+def _condition_b(model: SphereModel, v: Verdict):
     exc_table: list = []
     v.diagnostics["resolution_points"] = []
     v.diagnostics["exceptional_table"] = exc_table
@@ -226,56 +232,58 @@ def _condition_b(model: SphereModel, v: Verdict, jobs: int = 1):
             continue
         tree = resolve_point(boundary_polys, ap.point)
         v.trace.extend(tree.trace)
-        pairs = [(D, i) for D in tree.components for i in range(len(dec.a_components))]
-
-        def job(pair):
-            D, i = pair
-            return D, i, classify_exceptional(D, dec, i)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as ex:
-                results = list(ex.map(job, pairs))
-        else:
-            results = [job(p) for p in pairs]
-        for D, i, cls in results:
-            exc_table.append(
-                {"chart": chart_name, "level": D.level, "sigma": i, "verdict": cls.verdict}
-            )
-            if cls.verdict == "PositiveTypeChanging":
-                return chart_name, D, cls
+        if not dec.a_components:
+            continue
+        # every component is sampled before any row is read, so that an
+        # Unsupported raised for a later component wins over an earlier failure
+        sides = [classify_exceptional(D, dec) for D in tree.components]
+        for D, arcs in zip(tree.components, sides):
+            for i in range(len(dec.a_components)):
+                cls = arcs.against(i)
+                exc_table.append(
+                    {"chart": chart_name, "level": D.level, "sigma": i, "verdict": cls.verdict}
+                )
+                if cls.verdict == "PositiveTypeChanging":
+                    return chart_name, D, cls
     return None
 
 
 # ----------------------------------------------------------------- variants
 
 
-def check_generically_basic(scene: Scene, want_witness: bool = True, jobs: int = 1) -> Verdict:
-    return check_basic_open(scene, want_witness=want_witness, jobs=jobs, _allow_finite_meet=True)
+def check_generically_basic(scene: Scene, want_witness: bool = True) -> Verdict:
+    validate_scene(scene)
+    return _basic_open(scene, want_witness, allow_finite_meet=True)
 
 
-def check_basic_closed(scene: Scene, want_witness: bool = True, jobs: int = 1) -> Verdict:
+def check_basic_closed(scene: Scene, want_witness: bool = True) -> Verdict:
     marks, mark = _timer()
     validate_scene(scene)
-    arr = decompose_set(build_sphere_model(scene).affine.arrangement)
+    d = build_sphere_model(scene).affine.decomposition
     mark("closedness")
-    if not is_closed_cellwise(arr):
+    if not is_closed_cellwise(d):
         v = Verdict("basic_closed", "No", reason="NotClosed")
         v.timings = marks
         return v
-    reduced = scene.minus_factor_zeros(arr.zariski_boundary)
-    inner = check_basic_open(reduced, want_witness=want_witness, jobs=jobs)
+    # the reduced scene has the same factors, so it is not validated again
+    reduced = scene.minus_factor_zeros(d.zariski_boundary)
+    inner = _basic_open(reduced, want_witness)
     v = Verdict("basic_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.witness_count = inner.witness_count
-    v.diagnostics = {"reduced_check": inner.diagnostics, "zariski_boundary": sorted(arr.zariski_boundary)}
+    v.diagnostics = {"reduced_check": inner.diagnostics, "zariski_boundary": sorted(d.zariski_boundary)}
     v.timings = {**marks, **{f"open.{k}": t for k, t in inner.timings.items()}}
     return v
 
 
-def check_principal_open(scene: Scene, want_witness: bool = True, jobs: int = 1) -> Verdict:
-    marks, mark = _timer()
+def check_principal_open(scene: Scene, want_witness: bool = True) -> Verdict:
     validate_scene(scene)
-    model = build_sphere_model(scene)
-    d = model.affine.decomposition
+    return _principal_open(scene, want_witness)
+
+
+def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
+    """check_principal_open on a scene whose factors are already validated."""
+    marks, mark = _timer()
+    d = build_sphere_model(scene).affine.decomposition
     mark("model")
     v = Verdict("principal_open", "Yes")
     v.timings = marks
@@ -294,13 +302,15 @@ def check_principal_open(scene: Scene, want_witness: bool = True, jobs: int = 1)
     if dim_s == "one_dimensional":
         v.reason = "principal-set-side"
         fail = condition_a_check(d)
-        assert fail is not None, "dimension test and sign criterion disagree"
+        if fail is None:
+            raise BasixError("dimension test and sign criterion disagree")
         expected = 3
         dd = d
     else:
         v.reason = "principal-complement-side"
         fail = condition_a_check(dc)
-        assert fail is not None, "dimension test and sign criterion disagree"
+        if fail is None:
+            raise BasixError("dimension test and sign criterion disagree")
         expected = 1
         dd = dc
     if want_witness:
@@ -336,10 +346,10 @@ def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, i
     return None
 
 
-def check_principal_closed(scene: Scene, want_witness: bool = True, jobs: int = 1) -> Verdict:
+def check_principal_closed(scene: Scene, want_witness: bool = True) -> Verdict:
     marks, mark = _timer()
     validate_scene(scene)
-    d = decompose_set(build_sphere_model(scene).affine.arrangement)
+    d = build_sphere_model(scene).affine.decomposition
     mark("precheck")
     # the Zariski boundary must avoid the complement
     meets = any(
@@ -356,8 +366,9 @@ def check_principal_closed(scene: Scene, want_witness: bool = True, jobs: int = 
                 v.witness, v.witness_count = found
         v.timings = marks
         return v
+    # the complement scene has the same factors, so it is not validated again
     comp = scene.complement()
-    inner = check_principal_open(comp, want_witness=want_witness, jobs=jobs)
+    inner = _principal_open(comp, want_witness)
     v = Verdict("principal_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.diagnostics = {"complement_check": inner.diagnostics}
     if inner.witness is not None:

@@ -53,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     chk.add_argument("--witness", action="store_true", help="construct a fan witness on negative verdicts")
     chk.add_argument("--format", choices=("text", "json"), default="text")
     chk.add_argument("--trace", action="store_true", help="stream blow-up traces")
-    chk.add_argument("--jobs", type=int, default=1)
     chk.add_argument("--out", help="write the report here instead of stdout")
 
     plot = sub.add_parser("plot", help="emit an SVG drawing of the arrangement")
@@ -94,7 +93,6 @@ def _dispatch(args) -> int:
             _PROPS[args.property],
             want_witness=args.witness,
             trace_level=1 if args.trace else 0,
-            jobs=max(1, args.jobs),
         )
         if os.environ.get("BASIX_MAX_DEPTH"):
             from . import resolution

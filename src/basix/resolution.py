@@ -6,10 +6,12 @@ plus all exceptional lines) has only smooth transversal crossings with at
 most two branches per point.  Every chart is rational: an irrational centre
 that would need resolution aborts with Unsupported.
 
-Each exceptional component is classified against a lifted sign distribution
-twice: by pushing rational sample points down the chart word (the path of
-record) and independently by transversal-arc families evaluated without
-performing any blow-up; the two verdicts must agree.
+The region verdicts on both sides of each arc of an exceptional component
+are found twice: by pushing rational sample points down the chart word (the
+path of record) and independently by transversal-arc families evaluated
+without performing any blow-up; the two must agree.  This happens once per
+component; classifying it against each lifted sign distribution then only
+reads those verdicts.
 """
 
 from __future__ import annotations
@@ -189,9 +191,14 @@ def _has_vertical_branch(curves: list[tuple[object, BiPoly]]) -> bool:
 def resolve_point(
     curves: dict[str, BiPoly],
     p: tuple[Fraction, Fraction],
-    depth_cap: int = _DEFAULT_DEPTH_CAP,
+    depth_cap: int | None = None,
 ) -> ResolutionTree:
-    """Standard resolution of the given curve set at a rational point."""
+    """Standard resolution of the given curve set at a rational point.
+
+    ``depth_cap`` defaults to the module's ``_DEFAULT_DEPTH_CAP`` as it reads
+    at call time."""
+    if depth_cap is None:
+        depth_cap = _DEFAULT_DEPTH_CAP
     px, py = F(p[0]), F(p[1])
     through = [(n, poly.translate(px, py)) for n, poly in curves.items() if poly.eval(px, py) == 0]
     if not through:
@@ -350,14 +357,22 @@ def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -
 
 
 @dataclass
-class ArcSideSigns:
+class ArcSides:
+    """Certified region verdicts on both sides of D along one open arc."""
+
     vlo: Fraction | None
     vhi: Fraction | None
     v_mid: Fraction
-    sign_pos_u: int
-    sign_neg_u: int
     verdict_pos: tuple
     verdict_neg: tuple
+
+
+@dataclass
+class ArcSideSigns(ArcSides):
+    """An arc's side verdicts read as signs of one lifted distribution."""
+
+    sign_pos_u: int
+    sign_neg_u: int
 
 
 @dataclass
@@ -377,6 +392,41 @@ class ExcClassification:
             if a.sign_pos_u == 1 and a.sign_neg_u == 1:
                 return a
         return None
+
+
+@dataclass
+class ExcArcs:
+    """The sigma-independent part of classifying one exceptional component:
+    its arc-side verdicts, sampled and cross-checked once."""
+
+    component_level: int
+    arcs: list[ArcSides] = field(default_factory=list)
+
+    def against(self, minus_component: int) -> ExcClassification:
+        """Classify against sigma = (+1 on S, -1 on the given complement component)."""
+        out = ExcClassification(self.component_level, "Silent")
+        for a in self.arcs:
+            out.arcs.append(
+                ArcSideSigns(
+                    a.vlo,
+                    a.vhi,
+                    a.v_mid,
+                    a.verdict_pos,
+                    a.verdict_neg,
+                    _verdict_sign(a.verdict_pos, minus_component),
+                    _verdict_sign(a.verdict_neg, minus_component),
+                )
+            )
+        has_o1 = any({a.sign_pos_u, a.sign_neg_u} == {1, -1} for a in out.arcs)
+        has_o2p = any(a.sign_pos_u == 1 and a.sign_neg_u == 1 for a in out.arcs)
+        has_o2m = any(a.sign_pos_u == -1 and a.sign_neg_u == -1 for a in out.arcs)
+        if has_o1 and has_o2p:
+            out.verdict = "PositiveTypeChanging"
+        elif has_o1 and has_o2m:
+            out.verdict = "NegativeTypeChanging"
+        elif has_o1:
+            out.verdict = "ChangeOnly"
+        return out
 
 
 def _verdict_sign(verdict: tuple, minus_component: int) -> int:
@@ -441,15 +491,13 @@ def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fr
 def classify_exceptional(
     D: ExceptionalComponent,
     decomp: SetDecomposition,
-    minus_component: int,
     q_cap: int = 24,
     alt_cap: int = 12,
-) -> ExcClassification:
-    """Classify D against sigma = (+1 on S, -1 on the chosen component of the
-    complement), by chart-point sampling cross-checked against the arc path."""
-    arr = decomp.arrangement
-    scene = arr.scene
-    out = ExcClassification(D.level, "Silent")
+) -> ExcArcs:
+    """Region verdicts on both sides of every arc of D, by chart-point sampling
+    cross-checked against the arc path.  They do not depend on the lifted
+    distribution; ``ExcArcs.against`` classifies them for one."""
+    out = ExcArcs(D.level)
 
     for vlo, vhi, v_default in D.arcs():
         signs: dict[int, tuple] = {}
@@ -474,29 +522,7 @@ def classify_exceptional(
                 f"dual-path divergence on D{D.level} at v={v_mid}: chart {signs}, arcs {(v_pos, v_neg)}"
             )
 
-        out.arcs.append(
-            ArcSideSigns(
-                vlo,
-                vhi,
-                v_mid,
-                _verdict_sign(signs[1], minus_component),
-                _verdict_sign(signs[-1], minus_component),
-                signs[1],
-                signs[-1],
-            )
-        )
-
-    has_o1 = any({a.sign_pos_u, a.sign_neg_u} == {1, -1} for a in out.arcs)
-    has_o2p = any(a.sign_pos_u == 1 and a.sign_neg_u == 1 for a in out.arcs)
-    has_o2m = any(a.sign_pos_u == -1 and a.sign_neg_u == -1 for a in out.arcs)
-    if has_o1 and has_o2p:
-        out.verdict = "PositiveTypeChanging"
-    elif has_o1 and has_o2m:
-        out.verdict = "NegativeTypeChanging"
-    elif has_o1:
-        out.verdict = "ChangeOnly"
-    else:
-        out.verdict = "Silent"
+        out.arcs.append(ArcSides(vlo, vhi, v_mid, signs[1], signs[-1]))
     return out
 
 

@@ -5,16 +5,20 @@ stereographic chart is realised by the inversion substitution.  Complement
 components are computed in the affine chart (they are sphere components, since
 the compactification adds one point) and transported to the other chart by
 sample-point inversion.
+
+Only the affine chart is built up front.  The infinity chart and the transport
+map are built on first access, so checks that never look past the affine
+chart never invert the scene.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .arrangement import Arrangement, build_arrangement
 from .decompose import SetDecomposition, decompose_set
-from .errors import Unsupported
 from .scene import Scene, invert_scene
 
 F = Fraction
@@ -27,49 +31,47 @@ class ChartData:
     decomposition: SetDecomposition
 
 
+def _build_chart(scene: Scene) -> ChartData:
+    arr = build_arrangement(scene)
+    return ChartData(scene, arr, decompose_set(arr))
+
+
 @dataclass
 class SphereModel:
     affine: ChartData
-    infinity: ChartData
-    # region id in the infinity chart -> ('S',) | ('A', affine component) | ('none',)
-    transport: dict[int, tuple] = field(default_factory=dict)
-    pole_in_closure: bool = False
-    pole_on_boundary_curve: bool = False
+
+    @cached_property
+    def infinity(self) -> ChartData:
+        """The opposite chart, built from the inverted scene on first access."""
+        return _build_chart(invert_scene(self.affine.scene))
+
+    @cached_property
+    def transport(self) -> dict[int, tuple]:
+        """Region id in the infinity chart -> ('S',) | ('A', affine component) | ('none',)."""
+        arr, dec = self.affine.arrangement, self.affine.decomposition
+        arr_i = self.infinity.arrangement
+        out: dict[int, tuple] = {}
+        for r in arr_i.regions:
+            x, y = r.sample
+            if x == 0 and y == 0:
+                x, y = _nonpole_sample(arr_i, r)
+            q = x * x + y * y
+            px, py = x / q, y / q
+            rid = arr.region_of_point(px, py)
+            if rid in dec.s_regions:
+                out[r.rid] = ("S",)
+            elif rid in dec.a_of_region:
+                out[r.rid] = ("A", dec.a_of_region[rid])
+            else:
+                out[r.rid] = ("none",)
+        return out
 
     def chart(self, name: str) -> ChartData:
         return self.affine if name == "affine" else self.infinity
 
 
 def build_sphere_model(scene: Scene) -> SphereModel:
-    arr = build_arrangement(scene)
-    dec = decompose_set(arr)
-    inv = invert_scene(scene)
-    arr_i = build_arrangement(inv)
-    dec_i = decompose_set(arr_i)
-    model = SphereModel(ChartData(scene, arr, dec), ChartData(inv, arr_i, dec_i))
-
-    # transport infinity-chart regions through the inversion
-    for r in arr_i.regions:
-        x, y = r.sample
-        if x == 0 and y == 0:
-            x, y = _nonpole_sample(arr_i, r)
-        q = x * x + y * y
-        px, py = x / q, y / q
-        rid = arr.region_of_point(px, py)
-        if rid in dec.s_regions:
-            model.transport[r.rid] = ("S",)
-        elif rid in dec.a_of_region:
-            model.transport[r.rid] = ("A", dec.a_of_region[rid])
-        else:
-            model.transport[r.rid] = ("none",)
-
-    model.pole_in_closure = any(
-        arr.regions[rid].unbounded for rid in dec.s_regions
-    ) or any(arr.edges[eid].unbounded for eid in dec.s_edges)
-    model.pole_on_boundary_curve = any(
-        arr.edges[eid].unbounded for eid in range(len(arr.edges)) if arr.edges[eid].factor in dec.zariski_boundary
-    )
-    return model
+    return SphereModel(_build_chart(scene))
 
 
 def _nonpole_sample(arr, region) -> tuple[Fraction, Fraction]:

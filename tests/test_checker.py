@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from basix import checker, cli, resolution, sphere
 from basix.checker import (
     CheckRequest,
     check_basic_closed,
@@ -130,7 +132,7 @@ def test_whole_plane_principal():
 def test_run_check_dispatch():
     req = CheckRequest(fixture_scene("half"), "basic_open")
     assert run_check(req).answer == "Yes"
-    req = CheckRequest(fixture_scene("cubic"), "basic_open", jobs=2)
+    req = CheckRequest(fixture_scene("cubic"), "basic_open")
     assert run_check(req).answer == "No"
 
 
@@ -159,3 +161,57 @@ def test_chart_swap_invariance_bounded():
             a = fn(sc, want_witness=False).answer
             b = fn(inv2, want_witness=False).answer
             assert a == b, (t, fn.__name__, a, b)
+
+
+# cubic basic_open's exceptional table: 3 exceptional components x 5 complement
+# components, ending at the first positive type-changing row
+CUBIC_EXCEPTIONAL_TABLE = [
+    {"chart": "affine", "level": level, "sigma": i, "verdict": "PositiveTypeChanging" if (level, i) == (3, 4) else "Silent"}
+    for level in (1, 2, 3)
+    for i in range(5)
+]
+
+
+def _record_charts(monkeypatch) -> list[str]:
+    """Monkeypatch the sphere model's arrangement builder to log each chart it builds."""
+    charts: list[str] = []
+    build = sphere.build_arrangement
+
+    def recording(scene):
+        charts.append(scene.chart)
+        return build(scene)
+
+    monkeypatch.setattr(sphere, "build_arrangement", recording)
+    return charts
+
+
+@pytest.mark.parametrize("check", [check_principal_open, check_basic_closed, check_principal_closed])
+def test_affine_only_checks_build_no_infinity_chart(monkeypatch, check):
+    charts = _record_charts(monkeypatch)
+    check(fixture_scene("cubic"))
+    assert charts and "infinity" not in charts
+
+
+def test_cubic_basic_open_builds_each_part_once(monkeypatch):
+    charts = _record_charts(monkeypatch)
+    classified = []
+    classify = checker.classify_exceptional
+
+    def counting(D, decomp):
+        classified.append(D)
+        return classify(D, decomp)
+
+    monkeypatch.setattr(checker, "classify_exceptional", counting)
+    v = check_basic_open(fixture_scene("cubic"))
+    assert charts.count("infinity") == 1
+    assert len(classified) == 3 == len({id(D) for D in classified})
+    assert v.diagnostics["exceptional_table"] == CUBIC_EXCEPTIONAL_TABLE
+
+
+def test_basix_max_depth_env_caps_resolution(monkeypatch, capsys):
+    # the CLI sets the module default; registering it first makes monkeypatch restore it
+    monkeypatch.setattr(resolution, "_DEFAULT_DEPTH_CAP", resolution._DEFAULT_DEPTH_CAP)
+    monkeypatch.setenv("BASIX_MAX_DEPTH", "1")
+    cubic = Path(__file__).resolve().parent.parent / "fixtures" / "cubic.bsx"
+    assert cli.main(["check", str(cubic), "--property", "basic-open"]) == cli.EXIT_UNSUPPORTED
+    assert "DepthCap" in capsys.readouterr().out

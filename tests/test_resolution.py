@@ -78,7 +78,7 @@ def test_cubic_classification_and_dual_path():
         if x > 0 and sc.factors["f3"].sign_at(x, y) < 0 < sc.factors["f2"].sign_at(x, y):
             target = i
     assert target is not None
-    cls = classify_exceptional(E3, d, target)
+    cls = classify_exceptional(E3, d).against(target)
     assert cls.verdict == "PositiveTypeChanging"
     o2 = cls.omega2_plus()
     o1 = cls.omega1()
@@ -86,7 +86,7 @@ def test_cubic_classification_and_dual_path():
     assert o1 is not None and (o1.vlo, o1.vhi) == (F(2), F(3))
     # the earlier components stay harmless for this distribution
     for D in tree.components[:-1]:
-        assert classify_exceptional(D, d, target).verdict != "PositiveTypeChanging"
+        assert classify_exceptional(D, d).against(target).verdict != "PositiveTypeChanging"
 
 
 def test_basic_set_never_positive_on_exceptionals():
@@ -96,8 +96,9 @@ def test_basic_set_never_positive_on_exceptionals():
     tree = resolve_point({n: sc.factors[n] for n in ("l", "p")}, (F(0), F(0)))
     assert tree.components  # tangential contact needs at least one blow-up
     for D in tree.components:
+        arcs = classify_exceptional(D, d)
         for i in range(len(d.a_components)):
-            assert classify_exceptional(D, d, i).verdict != "PositiveTypeChanging"
+            assert arcs.against(i).verdict != "PositiveTypeChanging"
 
 
 def test_local_analysis_points_cubic():
