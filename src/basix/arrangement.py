@@ -333,7 +333,8 @@ class Arrangement:
 
     def _analyse_exact_wall(self, wi: int, wall: Wall, cx: Fraction | None = None) -> None:
         cx = wall.exact_x() if cx is None else cx
-        assert cx is not None
+        if cx is None:
+            raise AssertionError("exact wall analysis on a wall with no rational abscissa")
         roots_by_factor: dict[str, list[RootLocator]] = {}
         for n, f in self.curvy.items():
             u = f.specialize_x(cx)
@@ -458,7 +459,8 @@ class Arrangement:
     # .......................................................... irrational walls
 
     def _analyse_irrational_wall(self, wi: int, wall: Wall) -> None:
-        assert wall.line_factor is None
+        if wall.line_factor is not None:
+            raise AssertionError("irrational wall analysis on a vertical-line wall")
         xl, xr = self.slab_samples[wi], self.slab_samples[wi + 1]
 
         for _round in range(_MATCH_ROUNDS):
@@ -890,7 +892,8 @@ class Arrangement:
     def vertical_edge_sample(self, e: Edge) -> tuple[Fraction, Fraction]:
         wall = self.walls[e.wall_index]  # type: ignore[index]
         cx = wall.exact_x()
-        assert cx is not None and e.seg is not None
+        if cx is None or e.seg is None:
+            raise AssertionError("vertical edge sample off an exact wall segment")
         a, b = e.seg
         if a == -1 and b == len(wall.points):
             return cx, F(0)
@@ -988,7 +991,8 @@ class Arrangement:
 
     def _locate_on_wall(self, wi: int, wall: Wall, y: Fraction) -> tuple[str, int]:
         cx = wall.exact_x()
-        assert cx is not None
+        if cx is None:
+            raise AssertionError("point location on a wall with no rational abscissa")
         for k, p in enumerate(wall.points):
             loc = p.y
             if isinstance(loc, Fraction):
@@ -1044,7 +1048,8 @@ class Arrangement:
 
 def _as_y_poly(p: BiPoly) -> UniPoly:
     """A bivariate polynomial with deg_x = 0 as a univariate in y."""
-    assert p.deg_x == 0
+    if p.deg_x != 0:
+        raise AssertionError("_as_y_poly on a polynomial that depends on x")
     return p.swap_xy().y_coeffs()[0] if p.deg_y == 0 else UniPoly(
         [p.t.get((0, j), F(0)) for j in range(p.deg_y + 1)]
     )

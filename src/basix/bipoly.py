@@ -5,6 +5,11 @@ products, e.g. ``y^2 - x^3``.  Resultants are computed as Sylvester
 determinants, evaluated by specialisation at integer abscissae and recovered
 by Lagrange interpolation (determinants commute with specialisation, so no
 leading-coefficient caveats apply).
+
+A `BiPoly` is never mutated after construction.  Its coefficient rows in y
+(``y_coeffs``) and its x/y-swapped polynomial (read by ``specialize_y``) are
+therefore computed once, on first use, and cached on the instance;
+``y_coeffs`` hands out a fresh list so that no caller can alias the cache.
 """
 
 from __future__ import annotations
@@ -22,10 +27,12 @@ Term = tuple[int, int]  # (i, j) exponents of x^i y^j
 class BiPoly:
     """Finite map (i, j) -> nonzero rational coefficient of x^i y^j."""
 
-    __slots__ = ("t",)
+    __slots__ = ("t", "_yc", "_sw")
 
     def __init__(self, terms: dict[Term, Fraction] | None = None):
         self.t: dict[Term, Fraction] = {}
+        self._yc: tuple[UniPoly, ...] | None = None
+        self._sw: BiPoly | None = None
         if terms:
             for k, v in terms.items():
                 v = Fraction(v)
@@ -140,7 +147,7 @@ class BiPoly:
         x, y = Fraction(x), Fraction(y)
         # Horner in y with x-evaluated coefficients
         acc = Fraction(0)
-        for p in reversed(self.y_coeffs()):
+        for p in reversed(self._y_rows()):
             acc = acc * y + p.eval(x)
         return acc
 
@@ -150,8 +157,16 @@ class BiPoly:
 
     def y_coeffs(self) -> list[UniPoly]:
         """Coefficients as polynomials in x, indexed by y-power."""
+        return list(self._y_rows())
+
+    def _y_rows(self) -> tuple[UniPoly, ...]:
+        if self._yc is None:
+            self._yc = self._build_y_rows()
+        return self._yc
+
+    def _build_y_rows(self) -> tuple[UniPoly, ...]:
         if not self.t:
-            return []
+            return ()
         dy = self.deg_y
         rows: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
         for (i, j), v in self.t.items():
@@ -163,19 +178,18 @@ class BiPoly:
                 out.append(UniPoly([row.get(i, Fraction(0)) for i in range(n + 1)]))
             else:
                 out.append(UniPoly.zero())
-        return out
-
-    def x_coeffs(self) -> list[UniPoly]:
-        return self.swap_xy().y_coeffs()
+        return tuple(out)
 
     def specialize_x(self, x0: Fraction | int) -> UniPoly:
         """p(x0, y) as a univariate polynomial in y."""
         x0 = Fraction(x0)
-        return UniPoly([p.eval(x0) for p in self.y_coeffs()])
+        return UniPoly([p.eval(x0) for p in self._y_rows()])
 
     def specialize_y(self, y0: Fraction | int) -> UniPoly:
         """p(x, y0) as a univariate polynomial in x."""
-        return self.swap_xy().specialize_x(y0)
+        if self._sw is None:
+            self._sw = self.swap_xy()
+        return self._sw.specialize_x(y0)
 
     def swap_xy(self) -> "BiPoly":
         return BiPoly({(j, i): v for (i, j), v in self.t.items()})
@@ -251,7 +265,8 @@ class BiPoly:
             qterm = BiPoly({(i, shift): v for i, v in enumerate(q.c) if v})
             quo = quo + qterm
             rem = rem - qterm * d
-            assert rem.is_zero() or rem.deg_y < ddeg + shift
+            if not (rem.is_zero() or rem.deg_y < ddeg + shift):
+                raise AssertionError("divmod_y failed to reduce the y-degree")
         return quo, rem
 
     def divides(self, other: "BiPoly") -> bool:

@@ -5,6 +5,18 @@ polynomial; a Sturm chain is kept as an independent certification path.  All
 interval endpoints are rational, and every locator can be refined on demand to
 arbitrary width.  Rational roots are recognised exactly (simplest rational in
 the isolating interval, probed against the polynomial).
+
+The hot kernels run on integers: signs at a rational ``num/den`` come from
+homogenised Horner on the primitive integer coefficients, ``simplest_in``
+descends the continued fraction on integer numerators and denominators, and
+a bisection step builds its midpoint as one ``Fraction`` from integers.
+
+``try_rational`` probes each candidate once.  The simplest rational of an
+open interval (smallest denominator, then smallest absolute numerator) is
+unique, so if it lies in a subinterval it is that subinterval's simplest
+too.  Refinement only shrinks the interval, so while the last candidate
+stays inside, the simplest rational is the same number and already known
+not to be a root; it is recomputed and probed only once it has left.
 """
 
 from __future__ import annotations
@@ -13,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .unipoly import UniPoly, poly_gcd, squarefree_part
+from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
 
@@ -36,19 +48,11 @@ def _descartes_bound(c: list) -> int:
 
 
 def _int_sign_at(c: list[int], x: Fraction) -> int:
-    """Sign of the integer polynomial at a rational point, all-integer:
-    sign(sum c_i num^i den^(n-i))."""
-    num, den = x.numerator, x.denominator
-    n = len(c) - 1
-    acc = 0
-    npow = 1
-    dpows = [1] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        dpows[i] = dpows[i + 1] * den
-    for i, v in enumerate(c):
-        if v:
-            acc += v * npow * dpows[i]
-        npow *= num
+    """Sign of the integer polynomial at a rational point, all-integer
+    (den^n p(num/den) has the sign of p(num/den))."""
+    if not c:
+        return 0
+    acc = homogeneous_horner(c, x.numerator, x.denominator)[0]
     return (acc > 0) - (acc < 0)
 
 
@@ -113,6 +117,10 @@ class RootLocator:
         if self.exact is None and not (self.lo < self.hi):
             raise ValueError("empty isolating interval")
         self._ip: list[int] | None = None
+        # sign of p at lo, valid while lo is the object _slo_at: refine moves
+        # lo only to a point of the same sign
+        self._slo_at: Fraction | None = None
+        self._slo = 0
 
     def _ints(self) -> list[int]:
         if self._ip is None:
@@ -131,19 +139,23 @@ class RootLocator:
     def mid(self) -> Fraction:
         if self.exact is not None:
             return self.exact
-        return (self.lo + self.hi) / 2
+        return _midpoint(self.lo, self.hi)
 
     def refine(self) -> None:
         if self.exact is not None:
             return
-        m = (self.lo + self.hi) / 2
+        lo = self.lo
+        m = _midpoint(lo, self.hi)
         sm = self._sign(m)
         if sm == 0:
             self.exact = m
             self.lo = self.hi = m
             return
-        if sm == self._sign(self.lo):
-            self.lo = m
+        if self._slo_at is not lo:
+            self._slo = self._sign(lo)
+            self._slo_at = lo
+        if sm == self._slo:
+            self.lo = self._slo_at = m
         else:
             self.hi = m
 
@@ -162,12 +174,16 @@ class RootLocator:
         only means the root has a large denominator (or is irrational)."""
         if self.exact is not None:
             return self.exact
+        cand = None
         for _ in range(rounds):
-            cand = simplest_in(self.lo, self.hi)
-            if self._sign(cand) == 0:
-                self.exact = cand
-                self.lo = self.hi = cand
-                return cand
+            # a candidate still inside (lo, hi) is still the simplest there
+            # and already known not to be a root (see the module docstring)
+            if cand is None or not _inside(cand, self.lo, self.hi):
+                cand = simplest_in(self.lo, self.hi)
+                if self._sign(cand) == 0:
+                    self.exact = cand
+                    self.lo = self.hi = cand
+                    return cand
             self.refine()
             if self.exact is not None:
                 return self.exact
@@ -179,25 +195,53 @@ class RootLocator:
         return f"Root({self.lo}..{self.hi})"
 
 
+def _inside(x: Fraction, lo: Fraction, hi: Fraction) -> bool:
+    """lo < x < hi, on integer cross products."""
+    xn, xd = x.numerator, x.denominator
+    return lo.numerator * xd < xn * lo.denominator and xn * hi.denominator < hi.numerator * xd
+
+
+def _midpoint(lo: Fraction, hi: Fraction) -> Fraction:
+    ld, hd = lo.denominator, hi.denominator
+    if ld == hd:
+        return Fraction(lo.numerator + hi.numerator, 2 * ld)
+    return Fraction(lo.numerator * hd + hi.numerator * ld, 2 * ld * hd)
+
+
 def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
-    """A low-complexity rational strictly inside (lo, hi) (continued-fraction
-    descent; returns the interval's simplest element up to ties)."""
-    if lo >= hi:
+    """The simplest rational strictly inside (lo, hi): smallest denominator,
+    then smallest absolute numerator (this element is unique).
+
+    Continued-fraction descent on integers: while (a/b, c/d) lies in
+    (t, t + 1] with t = floor(a/b) < a/b, the next term is t and the
+    interval becomes (d/(c - t d), b/(a - t b)); the descent stops at the
+    first interval that holds an integer or has an integer left end.
+    """
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a * d >= c * b:
         raise ValueError("empty interval")
-    if lo < 0 < hi:
+    if a < 0 < c:
         return Fraction(0)
-    if hi <= 0:
-        return -simplest_in(-hi, -lo)
-    # now 0 <= lo < hi
-    fl = lo.numerator // lo.denominator
-    if fl + 1 < hi:
-        return Fraction(fl + 1)
-    if lo == fl:
-        # interval (fl, hi) with hi <= fl + 1: take fl + 1/m, smallest valid m
-        inv = 1 / (hi - fl)
-        m = inv.numerator // inv.denominator + 1
-        return fl + Fraction(1, m)
-    return fl + 1 / simplest_in(1 / (hi - fl), 1 / (lo - fl))
+    neg = c <= 0
+    if neg:
+        a, b, c, d = -c, d, -a, b
+    terms = []
+    while True:
+        t, r = divmod(a, b)
+        if (t + 1) * d < c:
+            terms.append(t + 1)
+            break
+        if r == 0:
+            # (t, c/d) with c/d <= t + 1: t + 1/m for the smallest valid m
+            terms.append(t)
+            terms.append(d // (c - t * d) + 1)
+            break
+        terms.append(t)
+        a, b, c, d = d, c - t * d, b, r
+    num, den = terms.pop(), 1
+    while terms:
+        num, den = terms.pop() * num + den, num
+    return Fraction(-num if neg else num, den)
 
 
 def isolate_real_roots(
@@ -234,7 +278,7 @@ def isolate_real_roots(
             # refinement certificate (sf itself may vanish at an endpoint)
             out.append(RootLocator(q, a, b))
             return
-        m = (a + b) / 2
+        m = _midpoint(a, b)
         if _int_sign_at(ic, m) == 0:
             q2 = q.exact_div(UniPoly([-m, 1]))
             ic2 = q2.int_primitive()

@@ -1,8 +1,14 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`; arithmetic is exact everywhere.  The
-gcd / squarefree machinery runs on primitive integer coefficient lists to keep
-intermediate growth under control, then re-normalises to monic rational form.
+gcd / squarefree machinery runs on primitive integer coefficient lists (the
+pseudo-remainder is pure integer) to keep intermediate growth under control,
+then re-normalises to monic rational form.
+
+A `UniPoly` is never mutated after construction, so its integer form, the
+coefficients times their common denominator, is computed once on first use
+and cached.  Evaluation at a rational ``num/den`` runs homogenised integer
+Horner on that form and builds a single `Fraction`.
 """
 
 from __future__ import annotations
@@ -25,10 +31,11 @@ def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
 class UniPoly:
     """p(x) = sum(c[i] * x**i); c has no trailing zeros."""
 
-    __slots__ = ("c",)
+    __slots__ = ("c", "_ic")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.c: tuple[Fraction, ...] = _trim([Fraction(v) for v in coeffs])
+        self.c: tuple[Fraction, ...] = _trim([v if type(v) is Fraction else Fraction(v) for v in coeffs])
+        self._ic: tuple[list[int], int] | None = None
 
     # -- constructors -------------------------------------------------------
 
@@ -110,12 +117,6 @@ class UniPoly:
         k = Fraction(k)
         return UniPoly([v * k for v in self.c])
 
-    def shift_up(self, n: int) -> "UniPoly":
-        """Multiply by x**n."""
-        if not self.c:
-            return UniPoly()
-        return UniPoly([Fraction(0)] * n + list(self.c))
-
     def __pow__(self, n: int) -> "UniPoly":
         r = UniPoly.one()
         b = self
@@ -161,11 +162,22 @@ class UniPoly:
     def derivative(self) -> "UniPoly":
         return UniPoly([self.c[i] * i for i in range(1, len(self.c))])
 
+    def _int_form(self) -> tuple[list[int], int]:
+        """(ints, l) with p = sum(ints[i] x**i) / l, l the least common
+        denominator of the coefficients; cached."""
+        if self._ic is None:
+            l = 1
+            for v in self.c:
+                l = l * v.denominator // _igcd(l, v.denominator)
+            self._ic = ([v.numerator * (l // v.denominator) for v in self.c], l)
+        return self._ic
+
     def eval(self, x: Fraction | int) -> Fraction:
-        acc = Fraction(0)
-        for v in reversed(self.c):
-            acc = acc * x + v
-        return acc
+        if not self.c:
+            return Fraction(0)
+        ints, l = self._int_form()
+        acc, dn = homogeneous_horner(ints, x.numerator, x.denominator)
+        return Fraction(acc, l * dn)
 
     def compose_linear(self, a: Fraction, b: Fraction) -> "UniPoly":
         """p(a + b*x)."""
@@ -174,10 +186,6 @@ class UniPoly:
         for v in reversed(self.c):
             acc = acc * lin + UniPoly.const(v)
         return acc
-
-    def reverse(self) -> "UniPoly":
-        """x**deg * p(1/x)."""
-        return UniPoly(list(reversed(self.c)))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -190,18 +198,14 @@ class UniPoly:
         """Primitive integer coefficient list (positive leading coefficient)."""
         if not self.c:
             return []
-        l = 1
-        for v in self.c:
-            l = l * v.denominator // _igcd(l, v.denominator)
-        ints = [int(v * l) for v in self.c]
+        ints = self._int_form()[0]
         g = 0
         for v in ints:
-            g = _igcd(g, abs(v))
-        if g > 1:
-            ints = [v // g for v in ints]
+            g = _igcd(g, v)
         if ints[-1] < 0:
-            ints = [-v for v in ints]
-        return ints
+            g = -g
+        # a new list even when g == 1: the cached form must not be aliased
+        return [v // g for v in ints]
 
     # -- display --------------------------------------------------------------
 
@@ -226,19 +230,26 @@ class UniPoly:
 # -- integer-list helpers (fast paths) ----------------------------------------
 
 
-def _ilist_divmod_exact(a: list[int], b: list[int]) -> list[int] | None:
-    """Exact division of integer polynomials, or None if not exact over Q."""
-    pa = UniPoly(a)
-    pb = UniPoly(b)
-    q, r = pa.divmod(pb)
-    if not r.is_zero():
-        return None
-    return q.int_primitive()
+def homogeneous_horner(c: list[int], num: int, den: int) -> tuple[int, int]:
+    """(sum c_i num^i den^(n-i), den^n) for a nonempty integer coefficient
+    list c of degree n; the first value over the second is p(num/den)."""
+    acc = c[-1]
+    dn = 1
+    for i in range(len(c) - 2, -1, -1):
+        dn *= den
+        acc = acc * num + c[i] * dn
+    return acc, dn
 
 
 def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive pseudo-remainder of integer coefficient lists."""
-    r = [Fraction(v) for v in a]
+    """Primitive remainder of a by b, integer coefficient lists.
+
+    Each step cancels the leading term of r with a multiple of b, scaling r
+    by ``blc / gcd(blc, lead)`` instead of blc; the result is a nonzero
+    integer multiple of the remainder over Q, normalised like
+    ``UniPoly.int_primitive`` (content 1, positive leading coefficient).
+    """
+    r = list(a)
     d = len(b) - 1
     blc = b[-1]
     while len(r) - 1 >= d:
@@ -247,11 +258,23 @@ def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         if len(r) - 1 < d:
             break
         k = len(r) - 1 - d
-        f = r[-1] / blc
+        g = _igcd(blc, r[-1])
+        s, f = blc // g, r[-1] // g
+        if s != 1:
+            r = [v * s for v in r]
         for i, v in enumerate(b):
             r[k + i] -= f * v
         r.pop()
-    return UniPoly(r).int_primitive()
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return []
+    g = 0
+    for v in r:
+        g = _igcd(g, v)
+    if r[-1] < 0:
+        g = -g
+    return [v // g for v in r]
 
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:

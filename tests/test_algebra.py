@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from basix.bipoly import BiPoly, are_coprime, discriminant_y, is_squarefree, resultant
 from basix.errors import DegreeZero
 from basix.parser import parse_polynomial
+from basix import realroots
 from basix.realroots import (
     RootLocator,
     compare_roots,
@@ -15,7 +17,7 @@ from basix.realroots import (
     simplest_in,
     sturm_count,
 )
-from basix.unipoly import UniPoly, poly_gcd, squarefree_part
+from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
 
 F = Fraction
 
@@ -239,3 +241,260 @@ def test_discriminant_circle():
     d = discriminant_y(parse_polynomial("x^2 + y^2 - 1"))
     roots = sorted(l.try_rational() for l in isolate_real_roots(d))
     assert roots == [F(-1), F(1)]
+
+
+# ------------------------------------- integer kernels against Fraction references
+#
+# The references below are the plain Fraction versions of the integer kernels
+# in unipoly and realroots; the properties check that both give the same
+# values and, for locators, end in the same (lo, hi, exact).
+
+
+def _ref_eval(coeffs, x):
+    acc = F(0)
+    for v in reversed(coeffs):
+        acc = acc * x + v
+    return acc
+
+
+def _ref_sign(p, x):
+    v = _ref_eval(p.c, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_simplest_in(lo, hi):
+    """Recursive continued-fraction descent on Fractions."""
+    if lo >= hi:
+        raise ValueError("empty interval")
+    if lo < 0 < hi:
+        return F(0)
+    if hi <= 0:
+        return -_ref_simplest_in(-hi, -lo)
+    fl = lo.numerator // lo.denominator
+    if fl + 1 < hi:
+        return F(fl + 1)
+    if lo == fl:
+        inv = 1 / (hi - fl)
+        return fl + F(1, inv.numerator // inv.denominator + 1)
+    return fl + 1 / _ref_simplest_in(1 / (hi - fl), 1 / (lo - fl))
+
+
+def _brute_simplest(lo, hi):
+    """Smallest denominator, then smallest |numerator|, by direct search."""
+    q = 1
+    while True:
+        p_lo = math.floor(lo * q) + 1  # smallest p with p/q > lo
+        p_hi = math.ceil(hi * q) - 1  # largest p with p/q < hi
+        if p_lo <= p_hi:
+            p = 0 if p_lo <= 0 <= p_hi else (p_lo if p_lo > 0 else p_hi)
+            return F(p, q)
+        q += 1
+
+
+def _ref_primitive(fracs):
+    r = list(fracs)
+    while r and r[-1] == 0:
+        r.pop()
+    if not r:
+        return []
+    l = math.lcm(*(v.denominator for v in r))
+    ints = [int(v * l) for v in r]
+    g = math.gcd(*ints)
+    return [v // g if ints[-1] > 0 else -v // g for v in ints]
+
+
+def _ref_pseudo_rem(a, b):
+    r = [F(v) for v in a]
+    d = len(b) - 1
+    while len(r) - 1 >= d:
+        while r and r[-1] == 0:
+            r.pop()
+        if len(r) - 1 < d:
+            break
+        k = len(r) - 1 - d
+        f = r[-1] / b[-1]
+        for i, v in enumerate(b):
+            r[k + i] -= f * v
+        r.pop()
+    return _ref_primitive(r)
+
+
+class _RefLocator:
+    """Bisection with a fresh sign at lo and a fresh candidate every round."""
+
+    def __init__(self, loc):
+        self.p, self.lo, self.hi, self.exact = loc.p, loc.lo, loc.hi, loc.exact
+
+    def refine(self):
+        if self.exact is not None:
+            return
+        m = (self.lo + self.hi) / 2
+        sm = _ref_sign(self.p, m)
+        if sm == 0:
+            self.exact = m
+            self.lo = self.hi = m
+        elif sm == _ref_sign(self.p, self.lo):
+            self.lo = m
+        else:
+            self.hi = m
+
+    def try_rational(self, rounds):
+        if self.exact is not None:
+            return self.exact
+        for _ in range(rounds):
+            cand = _ref_simplest_in(self.lo, self.hi)
+            if _ref_sign(self.p, cand) == 0:
+                self.exact = cand
+                self.lo = self.hi = cand
+                return cand
+            self.refine()
+            if self.exact is not None:
+                return self.exact
+        return None
+
+
+def _state(loc):
+    return (loc.lo, loc.hi, loc.exact)
+
+
+small_fracs = st.fractions(min_value=-20, max_value=20, max_denominator=30)
+int_coeffs = st.lists(st.integers(-9, 9), min_size=2, max_size=6).filter(lambda c: c[-1] != 0)
+
+
+@given(small_fracs, small_fracs)
+@settings(max_examples=300, deadline=None)
+def test_simplest_in_is_smallest_denominator(a, b):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    s = simplest_in(lo, hi)
+    assert type(s) is Fraction
+    assert s == _brute_simplest(lo, hi) == _ref_simplest_in(lo, hi)
+
+
+@given(small_fracs, small_fracs, st.fractions(0, 1), st.fractions(0, 1))
+@settings(max_examples=200, deadline=None)
+def test_simplest_in_nesting(a, b, u, v):
+    # the simplest element of an interval is the simplest of every
+    # subinterval that still contains it
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    s = simplest_in(lo, hi)
+    sub_lo = lo + (s - lo) * u
+    sub_hi = s + (hi - s) * v
+    if sub_lo < s < sub_hi:
+        assert simplest_in(sub_lo, sub_hi) == s
+
+
+def test_simplest_in_rejects_empty():
+    for lo, hi in ((F(1), F(1)), (F(2), F(1, 2)), (F(-1, 3), F(-1, 2))):
+        with pytest.raises(ValueError):
+            simplest_in(lo, hi)
+
+
+@given(
+    st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=40), max_size=7),
+    st.one_of(st.integers(-30, 30), st.fractions(min_value=-9, max_value=9, max_denominator=60)),
+)
+@settings(max_examples=150, deadline=None)
+def test_unipoly_eval_matches_fraction_horner(coeffs, x):
+    p = UniPoly(coeffs)
+    v = p.eval(x)
+    assert type(v) is Fraction
+    assert v == _ref_eval(p.c, F(x))
+    assert p.eval(x) == v  # second call reads the cached integer form
+
+
+@given(int_coeffs, int_coeffs)
+@settings(max_examples=200, deadline=None)
+def test_pseudo_rem_and_gcd_match_fraction_reference(ca, cb):
+    assert _ilist_pseudo_rem(ca, cb) == _ref_pseudo_rem(ca, cb)
+    ia, ib = _ref_primitive([F(v) for v in ca]), _ref_primitive([F(v) for v in cb])
+    while ib:
+        ia, ib = ib, _ref_pseudo_rem(ia, ib)
+    assert poly_gcd(UniPoly(ca), UniPoly(cb)) == UniPoly(ia).monic()
+
+
+@given(int_coeffs, st.integers(1, 7), st.integers(-9, 9), st.integers(0, 30), st.integers(1, 64))
+@settings(max_examples=120, deadline=None)
+def test_locators_end_like_fraction_reference(coeffs, q, p0, steps, rounds):
+    # a rational root p0/q next to the roots of a random integer polynomial
+    poly = UniPoly(coeffs) * P(-p0, q)
+    for loc in isolate_real_roots(poly, detect_rational=False):
+        new, ref = RootLocator(loc.p, loc.lo, loc.hi, loc.exact), _RefLocator(loc)
+        for _ in range(steps):
+            new.refine()
+            ref.refine()
+        assert _state(new) == _state(ref)
+        assert new.try_rational(rounds) == ref.try_rational(rounds)
+        assert _state(new) == _state(ref)
+
+
+def test_try_rational_probes_a_candidate_once(monkeypatch):
+    # sqrt 2 in (1, 2): every round still refines, but simplest_in runs only
+    # when the previous candidate has left the interval
+    candidates, intervals = [], []
+    real_simplest, real_refine = realroots.simplest_in, RootLocator.refine
+
+    def counting_simplest(lo, hi):
+        candidates.append(real_simplest(lo, hi))
+        return candidates[-1]
+
+    def counting_refine(self):
+        intervals.append((self.lo, self.hi))
+        real_refine(self)
+
+    monkeypatch.setattr(realroots, "simplest_in", counting_simplest)
+    monkeypatch.setattr(RootLocator, "refine", counting_refine)
+    loc = RootLocator(P(-2, 0, 1), F(1), F(2))
+    assert loc.try_rational(rounds=24) is None
+    assert len(intervals) == 24
+    expected, cand = 0, None
+    for lo, hi in intervals:
+        if cand is None or not lo < cand < hi:
+            expected += 1
+            cand = _ref_simplest_in(lo, hi)
+    assert len(candidates) == expected < 24
+
+
+def test_specialize_y_swaps_once(monkeypatch):
+    f = parse_polynomial("x^3*y^2 - 2*x*y + y^3 - 1/3")
+    swaps = []
+    real_swap = BiPoly.swap_xy
+
+    def counting_swap(self):
+        swaps.append(self)
+        return real_swap(self)
+
+    monkeypatch.setattr(BiPoly, "swap_xy", counting_swap)
+    for y0 in (F(0), F(1), F(-2, 3), F(5)):
+        g = f.specialize_y(y0)
+        for x0 in (F(-1), F(1, 2), F(3)):
+            assert g.eval(x0) == f.eval(x0, y0)
+    assert len(swaps) == 1
+
+
+def test_y_coeffs_returns_a_fresh_list():
+    f = parse_polynomial("x^2*y - y^2 + 3*x")
+    rows = f.y_coeffs()
+    rows.append(UniPoly.one())
+    rows[0] = UniPoly.zero()
+    assert f.y_coeffs() == [P(0, 3), P(0, 0, 1), P(-1)]
+    assert f.y_coeffs() is not f.y_coeffs()
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: any(c[1:])))
+@settings(max_examples=60, deadline=None)
+def test_isolation_agrees_with_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    sp = sympy.Poly(list(reversed(coeffs)), x)
+    rational = set()
+    for fac, _mult in sp.factor_list()[1]:
+        if fac.degree() == 1:
+            a, b = fac.all_coeffs()
+            rational.add(F(int(-b), int(a)))
+    locs = isolate_real_roots(UniPoly(coeffs))
+    assert len(locs) == len(sp.intervals())
+    assert {l.exact for l in locs if l.exact is not None} == rational
