@@ -25,7 +25,7 @@ from .decompose import (
     is_open_cellwise,
     s_star_boundary_dim,
 )
-from .errors import BasixError, CountMismatch, Unsupported
+from .errors import BasixError, CountMismatch, InternalError, Unsupported
 from .fans import Fan, fan_count_in_S, witness_curve_fan, witness_point_fan
 from .resolution import AnalysisPoint, classify_exceptional, local_analysis_points, resolve_point
 from .scene import Scene, validate_scene
@@ -135,7 +135,7 @@ def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = Fals
         v.diagnostics["condition_a_table_infinity"] = condition_a_table(inf_view)
         inf_fail = condition_a_check(inf_view)
         if inf_fail is not None:
-            raise BasixError("curve criterion failed only at infinity: adjacency bug")
+            raise InternalError("curve criterion failed only at infinity: adjacency bug")
     mark("condition_a")
     if fail is not None:
         v.answer, v.reason = "No", "condition-a"
@@ -168,7 +168,7 @@ def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = Fals
             o2 = cls.omega2_plus()
             o1 = cls.omega1()
             if o2 is None or o1 is None:
-                raise BasixError("positive type-changing component without an omega1 and an omega2+ arc")
+                raise InternalError("positive type-changing component without an omega1 and an omega2+ arc")
             fan = witness_point_fan(D, o2.v_mid, o1.v_mid, dec, expected_count=3)
             count = fan_count_in_S(fan, dec.arrangement.scene)
             if count != 3:
@@ -303,14 +303,14 @@ def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
         v.reason = "principal-set-side"
         fail = condition_a_check(d)
         if fail is None:
-            raise BasixError("dimension test and sign criterion disagree")
+            raise InternalError("dimension test and sign criterion disagree")
         expected = 3
         dd = d
     else:
         v.reason = "principal-complement-side"
         fail = condition_a_check(dc)
         if fail is None:
-            raise BasixError("dimension test and sign criterion disagree")
+            raise InternalError("dimension test and sign criterion disagree")
         expected = 1
         dd = dc
     if want_witness:

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: check, plot, resolve, verify-fan.  Exit codes for `check`:
-0 = Yes, 1 = No, 2 = Unsupported, 3 = input error.
+0 = Yes, 1 = No, 2 = Unsupported, 3 = input error, 4 = internal error (an
+engine invariant failed; the input is not at fault).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from .checker import CheckRequest, run_check
-from .errors import BasixError, ParseError, SceneError, Unsupported
+from .errors import BasixError, InternalError, ParseError, SceneError, Unsupported
 from .fans import fan_count_in_S, fan_from_json, fan_to_json, verify_fan
 from .report import verdict_to_json, verdict_to_text
 from .scene import Scene, validate_scene
@@ -32,6 +33,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_UNSUPPORTED = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 def parse_scene_file(text: str) -> Scene:
@@ -80,6 +82,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ParseError, SceneError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except InternalError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except BasixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -60,5 +60,9 @@ class ParseError(BasixError):
         super().__init__(f"line {line}, column {column}: expected {expected}")
 
 
-class CountMismatch(BasixError):
+class InternalError(BasixError):
+    """An internal invariant failed: a bug in the engine, not in the input."""
+
+
+class CountMismatch(InternalError):
     """Internal consistency sentinel: a constructed witness failed re-verification."""

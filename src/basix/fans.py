@@ -278,7 +278,8 @@ def component_family(D: ExceptionalComponent) -> ArcFamily:
 def _const_term(s: TSeries) -> Fraction:
     for e, zc in s.coeff:
         if e == 0:
-            assert len(zc.c) == 1
+            if len(zc.c) != 1:
+                raise AssertionError("the constant term of a pushed-down family is z-free")
             return zc.c[0]
     return F(0)
 
@@ -460,7 +461,8 @@ def fan_to_json(fan: Fan) -> str:
         "pair_structure": "alpha1,alpha2 -> tau1; alpha3,alpha4 -> tau2",
     }
     if fan.kind == "point_centered":
-        assert fan.center is not None
+        if fan.center is None:
+            raise AssertionError("a point-centred fan has a centre")
         d["center"] = [str(fan.center[0]), str(fan.center[1])]
         d.update(
             {

@@ -85,15 +85,6 @@ class PuiseuxArc:
     def first_exponent(self) -> int | None:
         return self.terms[0][0] if self.terms else None
 
-    def eval_concrete(self, t0: Fraction, z0: Fraction | None = None) -> tuple[Fraction, Fraction]:
-        xs, ys = self.xy_series()
-        if z0 is not None:
-            xs, ys = xs.eval_z(z0), ys.eval_z(z0)
-        xv = xs.eval_t(t0)
-        yv = ys.eval_t(t0)
-        assert len(xv.c) <= 1 and len(yv.c) <= 1, "symbolic slot needs a z value"
-        return (xv.c[0] if xv.c else F(0), yv.c[0] if yv.c else F(0))
-
     def with_slot(self, m: int, eta: int, a: Fraction, form: str = "z+a") -> "PuiseuxArc":
         return replace(self, slot=Slot(m, eta, F(a), form))
 
@@ -140,20 +131,31 @@ def _divide_y_power(p: BiPoly) -> tuple[BiPoly, int]:
 
 
 def _hensel(Fp: BiPoly, K: int) -> dict[int, Fraction]:
-    """The unique series root y(x) with y(0) = 0 of a y-regular polynomial."""
+    """The unique series root y(x) with y(0) = 0 of a y-regular polynomial,
+    exact below t^K.
+
+    Each Newton step only needs ``Fp(t, y)`` and ``Fy(t, y)`` below ``t^p``:
+    ``Fy(0, 0) != 0`` makes the denominator a unit, so ``series_div_unit``
+    up to ``p`` reads no numerator or denominator term at or above ``t^p``.
+    Composing with ``y`` truncated at ``p`` therefore gives the same
+    quotient as composing with the exact polynomial, without expanding the
+    products to full degree.
+    """
     xs = TSeries.make({1: ZPoly.const(1)}, None)
     y = TSeries.zero(None)
     Fy = Fp.partial_y()
     p = 1
     while p < K:
         p = min(2 * p, K)
-        num = compose_bipoly(Fp, xs, y)
-        den = compose_bipoly(Fy, xs, y)
+        yp = TSeries(y.coeff, p)
+        num = compose_bipoly(Fp, xs, yp)
+        den = compose_bipoly(Fy, xs, yp)
         q = series_div_unit(num, den, p)
         y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
     out: dict[int, Fraction] = {}
     for e, v in y.coeff:
-        assert len(v.c) <= 1
+        if len(v.c) > 1:
+            raise AssertionError("a Hensel lift of a z-free polynomial is z-free")
         if v.c:
             out[e] = v.c[0]
     return out
@@ -192,7 +194,16 @@ def _rational_roots(psi: UniPoly) -> list[Fraction]:
 
 def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fraction], int | None]]:
     """Branches (N, {exponent: coefficient}, exact-order) of Fp at the origin,
-    with x = t^N and y = sum of the terms."""
+    with x = t^N and y = sum of the terms, exact below t^K.
+
+    A sub-branch found through an edge of slope p/q enters the parent's
+    terms shifted by ``base = p*N1 >= p``, so the recursion is asked only
+    for ``K - p``: its terms at ``n >= K - p`` would land at ``base + n >= K``,
+    which ``branch_set`` drops.  The exact-order stays at least ``K``
+    (``base + (K - p) >= K``), the leading term ``{base: c}`` is kept at
+    every level, and the recursion runs as before, so the arcs and every
+    ``Unsupported`` raised are those of expanding with ``K`` throughout.
+    """
     if depth > _DEPTH_CAP:
         raise Unsupported("DepthCap", "branch expansion recursion too deep")
     out: list[tuple[int, dict[int, Fraction], int | None]] = []
@@ -232,7 +243,7 @@ def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fra
             yp = BiPoly({(p, 0): c, (p, 1): F(1)})
             G = Fp.subst(xp, yp)
             G, _m = _divide_x_power(G)
-            for (N1, terms1, upto1) in _expand(G, K, depth + 1):
+            for (N1, terms1, upto1) in _expand(G, K - p, depth + 1):
                 N = q * N1
                 base = p * N1
                 terms = {base: c}
@@ -421,7 +432,8 @@ def arc_sign(g: BiPoly, arc: Arc, side: int, on_poly: BiPoly | None = None) -> i
         if s == 0:
             return 0
         lead = comp.leading()
-        assert lead is not None
+        if lead is None:
+            raise AssertionError("a series with a nonzero sign has a leading term")
         return _lead_sign(lead[1], getattr(arc, "reciprocal", False))
     # unresolved: strip the branch's own factor if it divides g
     if on_poly is not None and not on_poly.is_const():

@@ -9,6 +9,7 @@ from __future__ import annotations
 import json
 
 from .checker import Verdict
+from .errors import Unsupported
 from .fans import Fan, fan_to_json
 
 
@@ -21,7 +22,11 @@ def verdict_to_dict(v: Verdict) -> dict:
         "timings": v.timings,
     }
     if v.witness is not None:
-        d["witness"] = json.loads(fan_to_json(v.witness))
+        try:
+            d["witness"] = json.loads(fan_to_json(v.witness))
+        except Unsupported as exc:
+            # the verdict stands; only the witness lacks a rational JSON form
+            d["witness_unserializable"] = str(exc)
         d["witness_count"] = v.witness_count
     return d
 

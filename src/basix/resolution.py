@@ -6,6 +6,11 @@ plus all exceptional lines) has only smooth transversal crossings with at
 most two branches per point.  Every chart is rational: an irrational centre
 that would need resolution aborts with Unsupported.
 
+The normal-crossing tests read branch sets of the local curves at each site.
+One ``resolve_point`` call expands each distinct local polynomial once and
+keeps the sets in a dict that it passes down its sites; the dict is dropped
+when the call returns, so nothing is cached between resolutions.
+
 The region verdicts on both sides of each arc of an exceptional component
 are found twice: by pushing rational sample points down the chart word (the
 path of record) and independently by transversal-arc families evaluated
@@ -22,7 +27,7 @@ from fractions import Fraction
 from .arrangement import Box, Loc, bipoly_sign_on_box, loc_bounds, loc_refine
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
-from .errors import BasixError, Unsupported
+from .errors import BasixError, InternalError, Unsupported
 from .puiseux import ParamArc, PuiseuxArc, arc_region_membership, branch_set
 from .realroots import RootLocator, isolate_real_roots, refine_disjoint, roots_equal, simplest_in
 from .series import TSeries, ZPoly
@@ -44,13 +49,6 @@ class Step:
         if self.kind == "x":
             return self.tx + u, self.ty + u * v
         return self.tx + u * v, self.ty + u
-
-    def down_series(self, u: TSeries, v: TSeries) -> tuple[TSeries, TSeries]:
-        cu = TSeries.const(self.tx, None)
-        cv = TSeries.const(self.ty, None)
-        if self.kind == "x":
-            return cu + u, cv + u * v
-        return cu + u * v, cv + u
 
 
 @dataclass
@@ -131,11 +129,21 @@ class ResolutionTree:
 
 # ----------------------------------------------------------------- NC testing
 
+# Branch sets at the origin, keyed by local polynomial, for one resolve_point.
+Branches = dict[BiPoly, list[PuiseuxArc]]
 
-def _branch_tangents(p: BiPoly, name: object) -> list[tuple[bool, tuple[Fraction, Fraction]]]:
+
+def _branches(p: BiPoly, branches: Branches) -> list[PuiseuxArc]:
+    arcs = branches.get(p)
+    if arcs is None:
+        arcs = branches[p] = branch_set(p, (F(0), F(0)), _NC_K)
+    return arcs
+
+
+def _branch_tangents(p: BiPoly, branches: Branches) -> list[tuple[bool, tuple[Fraction, Fraction]]]:
     """(smooth, tangent direction) per real branch of p at the origin."""
     out = []
-    for a in branch_set(p, (F(0), F(0)), _NC_K):
+    for a in _branches(p, branches):
         smooth = a.N == 1
         n1 = a.first_exponent()
         slope = dict(a.terms).get(a.N, F(0)) if n1 is not None else F(0)
@@ -151,17 +159,17 @@ def _dir_eq(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
     return a[0] * b[1] - a[1] * b[0] == 0
 
 
-def is_normal_crossing(curves: list[tuple[object, BiPoly]]) -> bool:
+def is_normal_crossing(curves: list[tuple[object, BiPoly]], branches: Branches) -> bool:
     """Total-transform normal crossing at the origin of the given local curves:
     at most two real branches, all smooth, pairwise transversal."""
-    branches: list[tuple[bool, tuple[Fraction, Fraction]]] = []
-    for tag, p in curves:
-        branches.extend(_branch_tangents(p, tag))
-        if len(branches) > 2:
+    tangents: list[tuple[bool, tuple[Fraction, Fraction]]] = []
+    for _tag, p in curves:
+        tangents.extend(_branch_tangents(p, branches))
+        if len(tangents) > 2:
             return False
-    if any(not sm for sm, _d in branches):
+    if any(not sm for sm, _d in tangents):
         return False
-    if len(branches) == 2 and _dir_eq(branches[0][1], branches[1][1]):
+    if len(tangents) == 2 and _dir_eq(tangents[0][1], tangents[1][1]):
         return False
     return True
 
@@ -177,9 +185,9 @@ def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     return BiPoly({(i - m, j): v for (i, j), v in q.t.items()})
 
 
-def _has_vertical_branch(curves: list[tuple[object, BiPoly]]) -> bool:
+def _has_vertical_branch(curves: list[tuple[object, BiPoly]], branches: Branches) -> bool:
     for _tag, p in curves:
-        for a in branch_set(p, (F(0), F(0)), _NC_K):
+        for a in _branches(p, branches):
             if a.swapped:
                 return True
     return False
@@ -204,7 +212,7 @@ def resolve_point(
     if not through:
         raise BasixError(f"({px}, {py}) lies on none of the given curves")
     tree = ResolutionTree((px, py))
-    _resolve_site(tree, tuple(), (px, py), [(n, q) for n, q in through], depth_cap)
+    _resolve_site(tree, tuple(), (px, py), [(n, q) for n, q in through], depth_cap, {})
     return tree
 
 
@@ -214,16 +222,17 @@ def _resolve_site(
     trans: tuple[Fraction, Fraction],
     curves: list[tuple[object, BiPoly]],
     depth_cap: int,
+    branches: Branches,
 ) -> None:
     """Blow up (translated) local curves at the origin until normal crossing."""
-    if is_normal_crossing(curves):
+    if is_normal_crossing(curves, branches):
         tree.certificate.append(f"site depth {len(word)}: normal crossing, no blow-up")
         return
     if len(word) >= depth_cap:
         raise Unsupported("DepthCap", f"resolution exceeded depth {depth_cap}")
 
     level = len(tree.components) + 1
-    has_vert = _has_vertical_branch(curves)
+    has_vert = _has_vertical_branch(curves, branches)
 
     # x-chart: covers every direction except the vertical one
     step = Step("x", trans[0], trans[1])
@@ -274,7 +283,7 @@ def _resolve_site(
             )
         translated = [(tag, sc.translate(F(0), vex)) for tag, sc in stricts if sc.eval(F(0), vex) == 0]
         translated.append((("exc", level), BiPoly.x()))
-        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap)
+        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, branches)
 
     # the point of D at infinity: handled in the y-chart when something meets it
     if has_vert:
@@ -286,8 +295,8 @@ def _resolve_site(
         D.inf_tags = [tag for tag, _sc in ytag_curves]
         ytag_curves.append((("exc", level), BiPoly.x()))
         yword = word + (Step("y", trans[0], trans[1]),)
-        if not is_normal_crossing(ytag_curves):
-            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap)
+        if not is_normal_crossing(ytag_curves, branches):
+            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap, branches)
         else:
             tree.certificate.append(f"D{level} at v=inf: normal crossing")
     return
@@ -308,7 +317,8 @@ def _vanishes_at(p: BiPoly, v: Loc) -> bool:
         return True
     if u0.degree < 1:
         return False
-    assert isinstance(v, RootLocator)
+    if not isinstance(v, RootLocator):
+        raise AssertionError("a marked point without an exact value has a root locator")
     return any(roots_equal(v, loc) for loc in isolate_real_roots(u0))
 
 
@@ -343,7 +353,8 @@ def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -
         # the full gradient must not vanish for the branch to be smooth;
         # d/dv nonzero already implies it
         return True
-    assert isinstance(mp.v, RootLocator)
+    if not isinstance(mp.v, RootLocator):
+        raise AssertionError("a marked point without an exact value has a root locator")
     # simple root iff v is not a root of gcd(u0, u0')
     from .unipoly import poly_gcd
 
@@ -518,7 +529,7 @@ def classify_exceptional(
         v_pos = arc_region_membership(fam, 1, decomp)
         v_neg = arc_region_membership(fam, -1, decomp)
         if v_pos != signs[1] or v_neg != signs[-1]:
-            raise BasixError(
+            raise InternalError(
                 f"dual-path divergence on D{D.level} at v={v_mid}: chart {signs}, arcs {(v_pos, v_neg)}"
             )
 

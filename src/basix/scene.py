@@ -236,16 +236,20 @@ def _reducibility_probe(p: BiPoly) -> str | None:
         cont2 = p.swap_xy().content_x()
         if cont2.degree >= 1:
             return "content in y"
-    # probe linear factors y - (m x + c) and x - a
+    # probe linear factors y - (m x + c) and x - a; p vanishes on a line that
+    # divides it, so only lines through a zero (0, c) or (a, 0) are tried
+    axis_zeros = [cnum for cnum in range(-3, 4) if p.eval(0, cnum) == 0]
     for mnum in range(-3, 4):
         for mden in (1, 2):
-            for cnum in range(-3, 4):
+            for cnum in axis_zeros:
                 m = Fraction(mnum, mden)
                 c = Fraction(cnum)
                 line = BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c})
                 if line.divides(p) and p.deg_y >= 1:
                     return f"divisible by {line.to_text()}"
     for anum in range(-3, 4):
+        if p.eval(anum, 0) != 0:
+            continue
         vert = BiPoly({(1, 0): Fraction(1), (0, 0): -Fraction(anum)})
         if p.deg_x >= 1 and vert.divides(p):
             return f"divisible by {vert.to_text()}"

@@ -22,7 +22,7 @@ class ZPoly:
     __slots__ = ("c",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [F(v) for v in coeffs]
+        cs = [v if type(v) is F else F(v) for v in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.c = tuple(cs)
@@ -30,10 +30,6 @@ class ZPoly:
     @staticmethod
     def const(v: Fraction | int) -> "ZPoly":
         return ZPoly([F(v)])
-
-    @staticmethod
-    def z() -> "ZPoly":
-        return ZPoly([0, 1])
 
     @staticmethod
     def linear(a: Fraction | int, eta: int) -> "ZPoly":
@@ -140,14 +136,6 @@ class TSeries:
     def const(v: Fraction | int, trunc: int | None = None) -> "TSeries":
         return TSeries.make({0: ZPoly.const(v)}, trunc)
 
-    @staticmethod
-    def monomial(e: int, v: ZPoly | Fraction | int, trunc: int | None = None) -> "TSeries":
-        zv = v if isinstance(v, ZPoly) else ZPoly.const(v)
-        return TSeries.make({e: zv}, trunc)
-
-    def terms(self) -> dict[int, ZPoly]:
-        return dict(self.coeff)
-
     def is_zero(self) -> bool:
         return not self.coeff
 
@@ -201,13 +189,6 @@ class TSeries:
     def scale(self, k: Fraction | int) -> "TSeries":
         return TSeries(tuple((e, v.scale(k)) for e, v in self.coeff), self.trunc)
 
-    def shift(self, n: int) -> "TSeries":
-        """Multiply by t^n."""
-        return TSeries(
-            tuple((e + n, v) for e, v in self.coeff),
-            None if self.trunc is None else self.trunc + n,
-        )
-
     def __pow__(self, n: int) -> "TSeries":
         r = TSeries.const(1, None)
         b = self
@@ -223,10 +204,6 @@ class TSeries:
         return TSeries(
             tuple((e, v if e % 2 == 0 else -v) for e, v in self.coeff), self.trunc
         )
-
-    def truncate(self, k: int) -> "TSeries":
-        t = k if self.trunc is None else min(self.trunc, k)
-        return TSeries(tuple((e, v) for e, v in self.coeff if e < t), t)
 
     def eval_z(self, z0: Fraction) -> "TSeries":
         d = {e: ZPoly.const(v.eval(z0)) for e, v in self.coeff}

@@ -1,6 +1,11 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from basix import puiseux
+from basix.bipoly import BiPoly, is_squarefree
 
 from basix.arrangement import build_arrangement
 from basix.decompose import decompose_set
@@ -21,7 +26,7 @@ from basix.puiseux import (
     simulate_branch_blowups,
 )
 from basix.scene import Scene
-from basix.series import TSeries, ZPoly, compose_bipoly
+from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
 
 F = Fraction
 P = parse_polynomial
@@ -225,6 +230,135 @@ def test_family_instances_cross_at_distinct_points():
     w1 = simulate_branch_blowups(c1, 3)
     w2 = simulate_branch_blowups(c2, 3)
     assert w1[-1][1] == F(1, 2) and w2[-1][1] == F(5, 2)
+
+
+# ------------------------------------------------------------------ truncated expansion
+
+
+def _hensel_reference(Fp, K):
+    """The Hensel lift composing with the exact, untruncated y."""
+    xs = TSeries.make({1: ZPoly.const(1)}, None)
+    y = TSeries.zero(None)
+    Fy = Fp.partial_y()
+    p = 1
+    while p < K:
+        p = min(2 * p, K)
+        num = compose_bipoly(Fp, xs, y)
+        den = compose_bipoly(Fy, xs, y)
+        q = series_div_unit(num, den, p)
+        y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
+    return {e: v.c[0] for e, v in y.coeff if v.c}
+
+
+def _expand_reference(Fp, K, depth=0):
+    """The Newton recursion passing the same K to every level."""
+    if depth > puiseux._DEPTH_CAP:
+        raise Unsupported("DepthCap", "branch expansion recursion too deep")
+    out = []
+    Fp, _ = puiseux._divide_x_power(Fp)
+    Fp, ymult = puiseux._divide_y_power(Fp)
+    if ymult > 0:
+        out.append((1, {}, None))
+    if Fp.eval(0, 0) != 0 or Fp.deg_y == 0:
+        return out
+    if Fp.partial_y().eval(0, 0) != 0:
+        out.append((1, _hensel_reference(Fp, K), K))
+        return out
+    sup = [(i, j, a) for (i, j), a in Fp.t.items()]
+    pts = {}
+    for i, j, _a in sup:
+        pts[j] = min(pts.get(j, i), i)
+    hull = []
+    for j in sorted(pts):
+        i = pts[j]
+        while len(hull) >= 2:
+            (j0, i0), (j1, i1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) >= (i - i0) * (j1 - j0):
+                hull.pop()
+            else:
+                break
+        hull.append((j, i))
+    for (j1, i1), (j2, i2) in zip(hull, hull[1:]):
+        if i2 >= i1:
+            continue
+        mu = F(i1 - i2, j2 - j1)
+        p, q = mu.numerator, mu.denominator
+        psi = puiseux._edge_polynomial(sup, j1, i1, j2, i2, q)
+        for c in puiseux._rational_roots(psi):
+            G = Fp.subst(BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
+            G, _m = puiseux._divide_x_power(G)
+            for N1, terms1, upto1 in _expand_reference(G, K, depth + 1):
+                terms = {p * N1: c}
+                for n, b in terms1.items():
+                    terms[p * N1 + n] = b
+                out.append((q * N1, terms, None if upto1 is None else p * N1 + upto1))
+    return out
+
+
+def _branch_outcome(f, K):
+    try:
+        arcs = branch_set(f, (F(0), F(0)), K)
+    except Unsupported as exc:
+        return ("Unsupported", exc.reason, exc.detail)
+    return [(a.N, a.delta, a.terms, a.truncation, a.swapped) for a in arcs]
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_nonzero = _small.filter(lambda v: v != 0)
+
+
+@st.composite
+def _curves_through_origin(draw):
+    kind = draw(st.sampled_from(("cusp", "tacnode", "parabolas", "random")))
+    x, y = BiPoly.x(), BiPoly.y()
+    if kind == "cusp":
+        # y^a - c*x^k, optionally with a higher-order perturbation
+        f = y ** draw(st.integers(2, 3)) - (x ** draw(st.integers(2, 7))).scale(draw(_nonzero))
+        f = f + (x ** draw(st.integers(3, 8)) * y).scale(draw(_small))
+    elif kind == "tacnode":
+        k = draw(st.integers(2, 4))
+        a, b = draw(_nonzero), draw(_nonzero)
+        f = (y - (x**k).scale(a)) * (y - (x**k).scale(b) - (x ** (k + 1)).scale(draw(_small)))
+    elif kind == "parabolas":
+        # osculating parabolas y = a*x + b*x^2 + c*x^3 sharing low-order terms
+        a, b = draw(_small), draw(_small)
+        f = BiPoly.const(1)
+        for _ in range(draw(st.integers(1, 3))):
+            f = f * (y - x.scale(a) - (x**2).scale(b) - (x**3).scale(draw(_small)))
+    else:
+        terms = draw(
+            st.dictionaries(
+                st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda ij: ij != (0, 0)),
+                _nonzero,
+                min_size=1,
+                max_size=5,
+            )
+        )
+        f = BiPoly(terms)
+    return f
+
+
+@given(_curves_through_origin(), st.sampled_from((2, 8, 10, 12)))
+@settings(max_examples=60, deadline=None)
+def test_branch_set_matches_untruncated_expansion(f, K):
+    # the engine expands squarefree curves only; a repeated branch recurses to the depth cap
+    assume(not f.is_const() and is_squarefree(f))
+    got = _branch_outcome(f, K)
+    with mock.patch.object(puiseux, "_expand", _expand_reference):
+        want = _branch_outcome(f, K)
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["y^2 - x^3", "y^3 - x^4 + x^3*y", "y^2 - x^5", "(y - x^2)*(y + x^2)", "(y - x^2)*(y - x^2 - x^3)", "(y^2 - x^3)*(y - x^2)"],
+)
+@pytest.mark.parametrize("K", [2, 8, 10, 12])
+def test_branch_set_matches_untruncated_expansion_examples(text, K):
+    f = P(text)
+    got = _branch_outcome(f, K)
+    with mock.patch.object(puiseux, "_expand", _expand_reference):
+        assert got == _branch_outcome(f, K)
 
 
 # ------------------------------------------------------------------ membership

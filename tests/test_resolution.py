@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from basix import resolution
 from basix.arrangement import build_arrangement
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
@@ -9,7 +10,6 @@ from basix.parser import parse_polynomial
 from basix.resolution import (
     classify_exceptional,
     family_arc_for,
-    is_normal_crossing,
     local_analysis_points,
     resolve_point,
 )
@@ -156,3 +156,28 @@ def test_irrational_tangency_unsupported():
     )
     with pytest.raises(Unsupported):
         build_arrangement(Scene.from_text(sc_text))
+
+
+def test_resolve_point_expands_each_branch_set_once(monkeypatch):
+    # contact(3) of the blowup benchmark: y = x^2 against y = x^2 + x^3
+    calls = []
+    expand = resolution.branch_set
+
+    def counting(p, center, K):
+        calls.append(p)
+        return expand(p, center, K)
+
+    monkeypatch.setattr(resolution, "branch_set", counting)
+    tree = resolve_point({"f": P("y - x^2"), "g": P("y - x^2 - x^3")}, (F(0), F(0)))
+    assert len(calls) == len(set(calls)) == 6
+    assert tree.trace == [
+        "blow-up 1: centre (0, 0) at depth 0, chart x",
+        "blow-up 2: centre (0, 0) at depth 1, chart x",
+        "blow-up 3: centre (0, 1) at depth 2, chart x",
+    ]
+    assert tree.certificate == [
+        "D3 at v=0: transversal simple crossing",
+        "D3 at v=1: transversal simple crossing",
+        "D3 at v=inf: normal crossing",
+        "D2 at v=inf: normal crossing",
+    ]

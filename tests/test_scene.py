@@ -2,11 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from basix.bipoly import BiPoly
 from basix.errors import NotSquarefree, ParseError, SharedComponent
 from basix.parser import parse_polynomial
-from basix.scene import Scene, invert_poly, invert_scene, validate_scene
+from basix.scene import Scene, _reducibility_probe, invert_poly, invert_scene, validate_scene
 
 F = Fraction
 
@@ -61,6 +62,53 @@ def test_validate_shared_component():
 def test_validate_reducible_warning():
     rep = validate_scene(S("factor a = x*y; set S = { a > 0 };"))
     assert rep.warnings
+
+
+def _reducibility_probe_reference(p):
+    """The probe dividing by every candidate line, with no zero screen."""
+    if p.total_degree <= 1:
+        return None
+    if p.deg_y >= 1:
+        cont = p.content_x()
+        if cont.degree >= 1:
+            return f"content in x of degree {cont.degree}"
+    if p.deg_x >= 1:
+        if p.swap_xy().content_x().degree >= 1:
+            return "content in y"
+    for mnum in range(-3, 4):
+        for mden in (1, 2):
+            for cnum in range(-3, 4):
+                m, c = Fraction(mnum, mden), Fraction(cnum)
+                line = BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c})
+                if line.divides(p) and p.deg_y >= 1:
+                    return f"divisible by {line.to_text()}"
+    for anum in range(-3, 4):
+        vert = BiPoly({(1, 0): Fraction(1), (0, 0): -Fraction(anum)})
+        if p.deg_x >= 1 and vert.divides(p):
+            return f"divisible by {vert.to_text()}"
+    return None
+
+
+_coef = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+_conics = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), _coef, min_size=1, max_size=6
+).map(BiPoly)
+# the probed lines y - (m x + c) and x - a, plus lines the probe never tries
+_lines = st.one_of(
+    st.builds(
+        lambda m, c: BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c}),
+        st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]),
+        st.integers(-4, 4).map(Fraction),
+    ),
+    st.integers(-4, 4).map(lambda a: BiPoly({(1, 0): Fraction(1), (0, 0): Fraction(-a)})),
+    st.builds(lambda a, b: BiPoly({(1, 0): a, (0, 1): b, (0, 0): Fraction(1, 3)}), _coef, _coef),
+)
+
+
+@given(st.one_of(_conics, st.builds(lambda l, q: l * q, _lines, _conics)))
+@settings(max_examples=80, deadline=None)
+def test_reducibility_probe_screen_keeps_the_warning(p):
+    assert _reducibility_probe(p) == _reducibility_probe_reference(p)
 
 
 # ----------------------------------------------------------- chart inversion
