@@ -134,9 +134,6 @@ class Vertex:
     def box(self) -> Box:
         return Box(self.x, self.y)
 
-    def is_rational(self) -> bool:
-        return self.box().exact_point() is not None
-
     def point(self) -> tuple[Fraction, Fraction] | None:
         return self.box().exact_point()
 

@@ -1,10 +1,16 @@
 """Sparse bivariate polynomials over the rationals.
 
 The canonical text form uses variables x and y, ``^`` for powers and ``*`` for
-products, e.g. ``y^2 - x^3``.  Resultants are computed as Sylvester
-determinants, evaluated by specialisation at integer abscissae and recovered
-by Lagrange interpolation (determinants commute with specialisation, so no
-leading-coefficient caveats apply).
+products, e.g. ``y^2 - x^3``.  Resultants are Sylvester determinants, computed
+entirely on integers: both polynomials are scaled once to integer
+y-coefficient rows, the rows are specialised by integer Horner at the
+consecutive integer abscissae ``lo .. lo + N - 1`` (N one more than the
+x-degree bound), each specialised determinant is taken by fraction-free
+Bareiss elimination, and the polynomial is recovered from the values by
+forward differences in the binomial basis, accumulated over the common
+factor ``(N - 1)!``.  Rationals are built only for the final coefficients.
+Determinants commute with specialisation, so no leading-coefficient caveats
+apply.
 
 A `BiPoly` is never mutated after construction.  Its coefficient rows in y
 (``y_coeffs``) and its x/y-swapped polynomial (read by ``specialize_y``) are
@@ -15,10 +21,11 @@ therefore computed once, on first use, and cached on the instance;
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd as _igcd
 from typing import Iterable, Iterator
 
 from .errors import DegreeZero, ZeroPolynomial
-from .unipoly import UniPoly, poly_gcd, squarefree_part, sylvester_resultant
+from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
 Term = tuple[int, int]  # (i, j) exponents of x^i y^j
@@ -158,6 +165,15 @@ class BiPoly:
     def y_coeffs(self) -> list[UniPoly]:
         """Coefficients as polynomials in x, indexed by y-power."""
         return list(self._y_rows())
+
+    def int_y_rows(self) -> tuple[list[list[int]], int]:
+        """(rows, l): rows[j] holds the integer coefficients in x of y^j in
+        l * self, l the least common denominator of all coefficients."""
+        forms = [p._int_form() for p in self._y_rows()]
+        l = 1
+        for _ints, d in forms:
+            l = l * d // _igcd(l, d)
+        return [[v * (l // d) for v in ints] for ints, d in forms], l
 
     def _y_rows(self) -> tuple[UniPoly, ...]:
         if self._yc is None:
@@ -365,51 +381,54 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str = "y") -> UniPoly:
     m, n = f.deg_y, g.deg_y
     if m <= 0 or n <= 0:
         raise DegreeZero(f"resultant: y-degrees {m}, {n}")
-    # degree bound of Res_y(f, g) in x
-    bound = f.deg_x * n + g.deg_x * m
-    xs: list[Fraction] = []
-    vals: list[Fraction] = []
-    k = 0
-    fc, gc = f.y_coeffs(), g.y_coeffs()
-    while len(xs) < bound + 1:
-        x0 = Fraction(k)
-        k = -k if k > 0 else -k + 1  # 0, 1, -1, 2, -2, ...
-        fa = UniPoly([p.eval(x0) for p in fc])
-        ga = UniPoly([p.eval(x0) for p in gc])
-        # the specialised Sylvester matrix must keep its shape: pad rows by
-        # using the ORIGINAL degrees, i.e. treat missing leading coeffs as 0.
-        vals.append(_sylvester_det_fixed(fa, m, ga, n))
-        xs.append(x0)
-    return _lagrange(xs, vals)
+    # F = lf*f and G = lg*g have integer rows; their Sylvester matrix has n
+    # rows of F and m rows of G, so Res(f, g) = Res(F, G) / (lf^n * lg^m)
+    fr, lf = f.int_y_rows()
+    gr, lg = g.int_y_rows()
+    fr.reverse()
+    gr.reverse()
+    # N = bound + 1 values determine Res_y in x; the first N nodes of
+    # 0, 1, -1, 2, -2, ... are the consecutive integers lo .. lo + N - 1
+    N = f.deg_x * n + g.deg_x * m + 1
+    lo = -((N - 1) // 2)
+    d = [_sylvester_det_fixed(_int_values(fr, x0), m, _int_values(gr, x0), n) for x0 in range(lo, lo + N)]
+    # forward differences: d[j] becomes the j-th difference at lo
+    for j in range(1, N):
+        for i in range(N - 1, j - 1, -1):
+            d[i] -= d[i - 1]
+    # (N-1)! * P(x) = sum_j d[j] * (N-1)!/j! * prod_{i<j} (x - lo - i),
+    # expanded by Horner from the top term; w runs through (N-1)!/j!
+    acc = [d[N - 1]]
+    w = 1
+    for j in range(N - 2, -1, -1):
+        w *= j + 1
+        a = lo + j
+        nxt = [0] * (len(acc) + 1)
+        for k, c in enumerate(acc):
+            nxt[k + 1] += c
+            nxt[k] -= a * c
+        nxt[0] += d[j] * w
+        acc = nxt
+    denom = w * lf**n * lg**m
+    return UniPoly([Fraction(c, denom) for c in acc])
 
 
-def _sylvester_det_fixed(a: UniPoly, m: int, b: UniPoly, n: int) -> Fraction:
-    """Determinant of the Sylvester matrix of shapes (m, n) with coefficients
-    taken from a (deg <= m) and b (deg <= n); vanished leading coefficients
-    keep their zero entries.  Rows are scaled to integers and eliminated with
-    the fraction-free Bareiss scheme."""
-    from math import gcd as _igcd
+def _int_values(rows: list[list[int]], x0: int) -> list[int]:
+    """Each integer row evaluated at the integer x0."""
+    return [homogeneous_horner(r, x0, 1)[0] if r else 0 for r in rows]
 
+
+def _sylvester_det_fixed(ra: list[int], m: int, rb: list[int], n: int) -> int:
+    """Determinant of the Sylvester matrix of shapes (m, n) with the integer
+    coefficients ra (m + 1 of them) and rb (n + 1), leading first; vanished
+    leading coefficients keep their zero entries.  Eliminated with the
+    fraction-free Bareiss scheme."""
     size = m + n
-    ra = [a.c[i] if i < len(a.c) else Fraction(0) for i in range(m + 1)][::-1]
-    rb = [b.c[i] if i < len(b.c) else Fraction(0) for i in range(n + 1)][::-1]
-
-    def int_row(vals: list[Fraction]) -> tuple[list[int], int]:
-        l = 1
-        for v in vals:
-            l = l * v.denominator // _igcd(l, v.denominator)
-        return [int(v * l) for v in vals], l
-
-    ia, la = int_row(ra)
-    ib, lb = int_row(rb)
     rows: list[list[int]] = []
-    denom = 1
     for i in range(n):
-        rows.append([0] * i + ia + [0] * (size - m - 1 - i))
-        denom *= la
+        rows.append([0] * i + ra + [0] * (size - m - 1 - i))
     for i in range(m):
-        rows.append([0] * i + ib + [0] * (size - n - 1 - i))
-        denom *= lb
+        rows.append([0] * i + rb + [0] * (size - n - 1 - i))
     sign = 1
     prev = 1
     for kk in range(size - 1):
@@ -420,7 +439,7 @@ def _sylvester_det_fixed(a: UniPoly, m: int, b: UniPoly, n: int) -> Fraction:
                     sign = -sign
                     break
             else:
-                return Fraction(0)
+                return 0
         pk = rows[kk][kk]
         for i2 in range(kk + 1, size):
             ri, rk = rows[i2], rows[kk]
@@ -429,21 +448,7 @@ def _sylvester_det_fixed(a: UniPoly, m: int, b: UniPoly, n: int) -> Fraction:
                 ri[j2] = (ri[j2] * pk - lik * rk[j2]) // prev
             ri[kk] = 0
         prev = pk
-    return Fraction(sign * rows[size - 1][size - 1], denom)
-
-
-def _lagrange(xs: list[Fraction], vals: list[Fraction]) -> UniPoly:
-    """Interpolating polynomial through (xs[i], vals[i]) (Newton form)."""
-    n = len(xs)
-    coeffs = list(vals)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    # Horner expansion of the Newton form
-    p = UniPoly.zero()
-    for i in range(n - 1, -1, -1):
-        p = p * UniPoly([-xs[i], 1]) + UniPoly.const(coeffs[i])
-    return p
+    return sign * rows[size - 1][size - 1]
 
 
 def discriminant_y(f: BiPoly) -> UniPoly:

@@ -326,7 +326,8 @@ def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
 
 def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, int] | None:
     """Best-effort curve-centered fan with membership count 1 or 3, used when a
-    set-theoretic precheck already settles the verdict."""
+    set-theoretic precheck already settles the verdict.  A candidate that
+    fails with an engine error is skipped; an `InternalError` propagates."""
     arr = d.arrangement
     for factor in sorted(d.zariski_boundary):
         eids = [e.eid for e in arr.edges_of_factor(factor)]
@@ -339,7 +340,9 @@ def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, i
                 try:
                     fan = witness_curve_fan(d, factor, eids[i], eids[j])
                     count = fan_count_in_S(fan, scene)
-                except (Unsupported, BasixError):
+                except InternalError:
+                    raise  # a broken invariant, not a failed candidate
+                except BasixError:
                     continue
                 if count in (1, 3):
                     return fan, count

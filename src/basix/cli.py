@@ -36,13 +36,9 @@ EXIT_INPUT = 3
 EXIT_INTERNAL = 4
 
 
-def parse_scene_file(text: str) -> Scene:
-    return Scene.from_text(text)
-
-
 def _load_scene(path: str) -> Scene:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene_file(fh.read())
+        return Scene.from_text(fh.read())
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -146,15 +146,6 @@ def complement_flags(d: SetDecomposition) -> tuple[dict[int, bool], dict[int, bo
     return rf, ef, vf
 
 
-def set_complement_flags(d: SetDecomposition) -> tuple[dict[int, bool], dict[int, bool], dict[int, bool]]:
-    """Cell flags of X minus S (the plain complement)."""
-    arr = d.arrangement
-    rf = {r.rid: r.rid not in d.s_regions for r in arr.regions}
-    ef = {e.eid: e.eid not in d.s_edges for e in arr.edges}
-    vf = {v.vid: v.vid not in d.s_vertices for v in arr.vertices}
-    return rf, ef, vf
-
-
 def is_open_cellwise(d: SetDecomposition) -> bool:
     """S is open iff every member cell has its full neighbourhood in S."""
     arr = d.arrangement

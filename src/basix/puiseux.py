@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import gcd as _igcd
 
 from .bipoly import BiPoly
 from .errors import BasixError, Unsupported
@@ -134,30 +135,72 @@ def _hensel(Fp: BiPoly, K: int) -> dict[int, Fraction]:
     """The unique series root y(x) with y(0) = 0 of a y-regular polynomial,
     exact below t^K.
 
-    Each Newton step only needs ``Fp(t, y)`` and ``Fy(t, y)`` below ``t^p``:
-    ``Fy(0, 0) != 0`` makes the denominator a unit, so ``series_div_unit``
-    up to ``p`` reads no numerator or denominator term at or above ``t^p``.
-    Composing with ``y`` truncated at ``p`` therefore gives the same
-    quotient as composing with the exact polynomial, without expanding the
-    products to full degree.
+    Newton's step ``y <- y - Fp(t, y) / Fy(t, y)`` doubles the exact order
+    ``p``.  The lift is exact on dense z-free lists: ``x = t`` exactly, so
+    ``Fp(t, y)`` below ``t^p`` is Horner in ``y`` over the coefficient rows
+    of ``Fp`` (each a polynomial in t), every product truncated at ``t^p``,
+    and ``Fy`` is the same over the derivative rows.  ``Fy(0, 0) != 0``
+    makes the denominator a unit series, so the quotient below ``t^p`` reads
+    no term of either at or above ``t^p``.  The root is unique, so these
+    coefficients are exactly those of any other exact lift.  All of it runs
+    on integers: the rows are taken over their common denominator, which
+    cancels in the quotient, and ``y`` is ``Y / D`` with ``Y`` an integer
+    list and ``D > 0``, reduced to lowest terms after each step.
     """
-    xs = TSeries.make({1: ZPoly.const(1)}, None)
-    y = TSeries.zero(None)
-    Fy = Fp.partial_y()
+    rows = Fp.int_y_rows()[0]
+    m = len(rows) - 1
+    Y: list[int] = []
+    D = 1
     p = 1
     while p < K:
         p = min(2 * p, K)
-        yp = TSeries(y.coeff, p)
-        num = compose_bipoly(Fp, xs, yp)
-        den = compose_bipoly(Fy, xs, yp)
-        q = series_div_unit(num, den, p)
-        y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
-    out: dict[int, Fraction] = {}
-    for e, v in y.coeff:
-        if len(v.c) > 1:
-            raise AssertionError("a Hensel lift of a z-free polynomial is z-free")
-        if v.c:
-            out[e] = v.c[0]
+        Y.extend([0] * (p - len(Y)))
+        Dpow = [D**k for k in range(m + 1)]
+        # num = D^m * Fp(t, y) and den = D^(m-1) * Fy(t, y), homogenised Horner
+        num, den = [0] * p, [0] * p
+        _add_scaled(num, rows[m], 1)
+        _add_scaled(den, rows[m], m)
+        for j in range(m - 1, -1, -1):
+            num = _mul_trunc(num, Y, p)
+            _add_scaled(num, rows[j], Dpow[m - j])
+            if j:
+                den = _mul_trunc(den, Y, p)
+                _add_scaled(den, rows[j], j * Dpow[m - j])
+        # s = num / den below t^p as S[e] = s_e * c^(e+1), c = den[0] != 0;
+        # then y - num / (D * den) = (Y - s) / D
+        cpow = [den[0] ** k for k in range(p + 1)]
+        S: list[int] = []
+        for e in range(p):
+            acc = num[e] * cpow[e]
+            for k in range(1, e + 1):
+                if den[k]:
+                    acc -= den[k] * S[e - k] * cpow[k - 1]
+            S.append(acc)
+        Y = [Y[e] * cpow[p] - S[e] * cpow[p - 1 - e] for e in range(p)]
+        D *= cpow[p]
+        g = _igcd(D, *Y)
+        if D < 0:
+            g = -g
+        Y = [v // g for v in Y]
+        D //= g
+    return {e: F(v, D) for e, v in enumerate(Y) if v}
+
+
+def _add_scaled(acc: list[int], row: list[int], k: int) -> None:
+    """acc += k * row below t^len(acc), in place."""
+    for i, v in enumerate(row[: len(acc)]):
+        acc[i] += k * v
+
+
+def _mul_trunc(a: list[int], b: list[int], p: int) -> list[int]:
+    """a * b truncated at t^p."""
+    out = [0] * p
+    for i, u in enumerate(a):
+        if u:
+            for j in range(min(len(b), p - i)):
+                v = b[j]
+                if v:
+                    out[i + j] += u * v
     return out
 
 

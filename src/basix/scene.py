@@ -161,17 +161,11 @@ class Scene:
 
     # -- queries -----------------------------------------------------------------
 
-    def factor_polys(self) -> list[BiPoly]:
-        return [self.factors[n] for n in self.order]
-
     def signs_at(self, x: Fraction | int, y: Fraction | int) -> dict[str, int]:
         return {n: self.factors[n].sign_at(x, y) for n in self.order}
 
     def member(self, x: Fraction | int, y: Fraction | int) -> bool:
         return self.formula.holds(self.signs_at(x, y))
-
-    def max_total_degree(self) -> int:
-        return max(p.total_degree for p in self.factors.values())
 
     # -- complement ----------------------------------------------------------------
 

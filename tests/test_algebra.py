@@ -498,3 +498,162 @@ def test_isolation_agrees_with_sympy(coeffs):
     locs = isolate_real_roots(UniPoly(coeffs))
     assert len(locs) == len(sp.intervals())
     assert {l.exact for l in locs if l.exact is not None} == rational
+
+
+# ---------------------------------------------------------------- resultant kernels
+
+
+def _ref_resultant(f, g, eliminate="y"):
+    """Sylvester resultant on Fractions: determinants at the nodes
+    0, 1, -1, 2, -2, ... with row scaling, then Lagrange interpolation."""
+    if eliminate == "x":
+        return _ref_resultant(f.swap_xy(), g.swap_xy(), "y")
+    m, n = f.deg_y, g.deg_y
+    if m <= 0 or n <= 0:
+        raise DegreeZero(f"resultant: y-degrees {m}, {n}")
+    bound = f.deg_x * n + g.deg_x * m
+    xs, vals, k = [], [], 0
+    fc, gc = f.y_coeffs(), g.y_coeffs()
+    while len(xs) < bound + 1:
+        x0 = F(k)
+        k = -k if k > 0 else -k + 1
+        fa = [p.eval(x0) for p in fc]
+        ga = [p.eval(x0) for p in gc]
+        vals.append(_ref_sylvester_det(fa, m, ga, n))
+        xs.append(x0)
+    return _ref_lagrange(xs, vals)
+
+
+def _ref_sylvester_det(a, m, b, n):
+    size = m + n
+    ra = (list(a) + [F(0)] * (m + 1 - len(a)))[::-1]
+    rb = (list(b) + [F(0)] * (n + 1 - len(b)))[::-1]
+
+    def int_row(vals):
+        l = 1
+        for v in vals:
+            l = l * v.denominator // math.gcd(l, v.denominator)
+        return [int(v * l) for v in vals], l
+
+    ia, la = int_row(ra)
+    ib, lb = int_row(rb)
+    rows = [[0] * i + ia + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + ib + [0] * (size - n - 1 - i) for i in range(m)]
+    denom = la**n * lb**m
+    sign, prev = 1, 1
+    for kk in range(size - 1):
+        if rows[kk][kk] == 0:
+            for j in range(kk + 1, size):
+                if rows[j][kk] != 0:
+                    rows[kk], rows[j] = rows[j], rows[kk]
+                    sign = -sign
+                    break
+            else:
+                return F(0)
+        pk = rows[kk][kk]
+        for i2 in range(kk + 1, size):
+            ri, rk = rows[i2], rows[kk]
+            lik = ri[kk]
+            for j2 in range(kk + 1, size):
+                ri[j2] = (ri[j2] * pk - lik * rk[j2]) // prev
+            ri[kk] = 0
+        prev = pk
+    return F(sign * rows[size - 1][size - 1], denom)
+
+
+def _ref_lagrange(xs, vals):
+    n = len(xs)
+    coeffs = list(vals)
+    for j in range(1, n):
+        for i in range(n - 1, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
+    p = UniPoly.zero()
+    for i in range(n - 1, -1, -1):
+        p = p * UniPoly([-xs[i], 1]) + UniPoly.const(coeffs[i])
+    return p
+
+
+_res_coeffs = st.one_of(st.integers(-6, 6).map(F), st.fractions(min_value=-4, max_value=4, max_denominator=6))
+_res_nonzero = _res_coeffs.filter(lambda v: v != 0)
+
+
+@st.composite
+def _res_bipolys(draw, min_dy=1, max_dy=3):
+    """y-degree min_dy..max_dy, x-degree 0..3; the leading y-coefficient is
+    sometimes c*(x - k), which vanishes at the interpolation node k."""
+    dy = draw(st.integers(min_dy, max_dy))
+    rows = [draw(st.lists(_res_coeffs, min_size=1, max_size=4)) for _ in range(dy + 1)]
+    if draw(st.booleans()):
+        k, c = draw(st.integers(-2, 2)), draw(_res_nonzero)
+        rows[dy] = [-k * c, c]
+    else:
+        rows[dy][-1] = draw(_res_nonzero)
+    return BiPoly({(i, j): v for j, row in enumerate(rows) for i, v in enumerate(row)})
+
+
+def _res_outcome(fn, f, g, eliminate):
+    try:
+        return fn(f, g, eliminate).c
+    except DegreeZero:
+        return "DegreeZero"
+
+
+@given(_res_bipolys(), _res_bipolys(), st.booleans(), st.sampled_from(["y", "x"]))
+@settings(max_examples=150, deadline=None)
+def test_resultant_matches_fraction_reference(f, g, common, eliminate):
+    if common:
+        # a shared factor y + a*x + b makes the resultant vanish identically
+        h = BiPoly({(0, 1): F(1), (1, 0): f.t.get((0, 0), F(1)), (0, 0): g.t.get((0, 0), F(2))})
+        f, g = f * h, g * h
+    got = _res_outcome(resultant, f, g, eliminate)
+    assert got == _res_outcome(_ref_resultant, f, g, eliminate)
+    if common:
+        assert got in ((), "DegreeZero")
+
+
+def test_resultant_reference_cases():
+    # leading y-coefficient x vanishes at the first node; a common factor
+    f = parse_polynomial("x*y^2 - y + 3")
+    g = parse_polynomial("y^3 - 2*x^2*y + 1/2")
+    assert resultant(f, g, "y").c == _ref_resultant(f, g, "y").c != ()
+    assert resultant(f, g, "x").c == _ref_resultant(f, g, "x").c
+    h = parse_polynomial("y - x - 1")
+    assert resultant(f * h, g * h, "y").is_zero()
+
+
+def _sympy_expr(sympy, p, x, y):
+    return sum(sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.t.items())
+
+
+def _sympy_coeffs(sympy, expr, x):
+    expr = sympy.expand(expr)
+    if expr == 0:
+        return ()
+    return tuple(F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs()))
+
+
+@given(_res_bipolys(), _res_bipolys())
+@settings(max_examples=60, deadline=None)
+def test_resultant_agrees_with_sympy(f, g):
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    fe, ge = _sympy_expr(sympy, f, x, y), _sympy_expr(sympy, g, x, y)
+    # sympy 1.14 agrees with the Sylvester determinant (f-rows first) only when
+    # deg_y f >= deg_y g: it gives 1 for Res_y(y + 1, y^3), whose determinant is -1
+    if f.deg_y >= g.deg_y:
+        want = sympy.resultant(fe, ge, y)
+    else:
+        want = (-1) ** (f.deg_y * g.deg_y) * sympy.resultant(ge, fe, y)
+    assert resultant(f, g, "y").c == _sympy_coeffs(sympy, want, x)
+
+
+@given(_res_bipolys(min_dy=2))
+@settings(max_examples=60, deadline=None)
+def test_discriminant_form_agrees_with_sympy(f):
+    # discriminant_y returns Res_y(f, df/dy), which sympy.discriminant normalises differently
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    fe = _sympy_expr(sympy, f, x, y)
+    want = _sympy_coeffs(sympy, sympy.resultant(fe, sympy.diff(fe, y), y), x)
+    assert resultant(f, f.partial_y(), "y").c == want
+    assert discriminant_y(f).c == want

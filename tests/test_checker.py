@@ -14,8 +14,8 @@ from basix.checker import (
     check_principal_open,
     run_check,
 )
+from basix.errors import InternalError, Unsupported
 from basix.fans import fan_count_in_S, verify_fan
-from basix.fixtures import fixture_scene
 from basix.scene import Scene
 
 F = Fraction
@@ -25,12 +25,12 @@ def S(text):
     return Scene.from_text(text)
 
 
-def test_half_yes_and_principal():
+def test_half_yes_and_principal(fixture_scene):
     assert check_basic_open(fixture_scene("half")).answer == "Yes"
     assert check_principal_open(fixture_scene("half")).answer == "Yes"
 
 
-def test_quad_basic_yes_principal_no():
+def test_quad_basic_yes_principal_no(fixture_scene):
     v = check_basic_open(fixture_scene("quad"))
     assert v.answer == "Yes"
     p = check_principal_open(fixture_scene("quad"))
@@ -40,18 +40,18 @@ def test_quad_basic_yes_principal_no():
     assert rep.product_law_ok and rep.distinct
 
 
-def test_saddle_principal_yes():
+def test_saddle_principal_yes(fixture_scene):
     assert check_principal_open(fixture_scene("saddle")).answer == "Yes"
 
 
-def test_para_no_condition_a():
+def test_para_no_condition_a(fixture_scene):
     v = check_basic_open(fixture_scene("para"))
     assert (v.answer, v.reason) == ("No", "condition-a")
     assert v.witness is not None and v.witness_count == 3
     assert v.witness.kind == "curve_centered"
 
 
-def test_cubic_no_condition_b():
+def test_cubic_no_condition_b(fixture_scene):
     v = check_basic_open(fixture_scene("cubic"))
     assert (v.answer, v.reason) == ("No", "condition-b")
     assert v.witness is not None and v.witness_count == 3
@@ -80,7 +80,7 @@ def test_basic_closed_with_line_component():
     assert v.answer == "Yes"
 
 
-def test_generically_basic_examples():
+def test_generically_basic_examples(fixture_scene):
     assert check_generically_basic(fixture_scene("half")).answer == "Yes"
     assert check_generically_basic(S("factor f = y; factor c = x^2 + y^2; set S = { f > 0, c != 0 };")).answer == "Yes"
     assert check_generically_basic(fixture_scene("para")).answer == "No"
@@ -129,14 +129,14 @@ def test_whole_plane_principal():
     assert v.answer == "Yes"
 
 
-def test_run_check_dispatch():
+def test_run_check_dispatch(fixture_scene):
     req = CheckRequest(fixture_scene("half"), "basic_open")
     assert run_check(req).answer == "Yes"
     req = CheckRequest(fixture_scene("cubic"), "basic_open")
     assert run_check(req).answer == "No"
 
 
-def test_monotone_consistency_on_fixtures():
+def test_monotone_consistency_on_fixtures(fixture_scene):
     for name in ("half", "quad", "saddle", "para", "cubic"):
         sc = fixture_scene(name)
         p = check_principal_open(sc, want_witness=False)
@@ -186,13 +186,13 @@ def _record_charts(monkeypatch) -> list[str]:
 
 
 @pytest.mark.parametrize("check", [check_principal_open, check_basic_closed, check_principal_closed])
-def test_affine_only_checks_build_no_infinity_chart(monkeypatch, check):
+def test_affine_only_checks_build_no_infinity_chart(monkeypatch, check, fixture_scene):
     charts = _record_charts(monkeypatch)
     check(fixture_scene("cubic"))
     assert charts and "infinity" not in charts
 
 
-def test_cubic_basic_open_builds_each_part_once(monkeypatch):
+def test_cubic_basic_open_builds_each_part_once(monkeypatch, fixture_scene):
     charts = _record_charts(monkeypatch)
     classified = []
     classify = checker.classify_exceptional
@@ -215,3 +215,26 @@ def test_basix_max_depth_env_caps_resolution(monkeypatch, capsys):
     cubic = Path(__file__).resolve().parent.parent / "fixtures" / "cubic.bsx"
     assert cli.main(["check", str(cubic), "--property", "basic-open"]) == cli.EXIT_UNSUPPORTED
     assert "DepthCap" in capsys.readouterr().out
+
+
+QUAD_CLOSED = "factor a = x;\nfactor b = y;\nset S = { a >= 0, b >= 0 };\n"
+
+
+def test_principal_witness_search_reraises_internal_error(monkeypatch):
+    # the boundary of the closed quadrant meets its complement, so
+    # principal_closed answers No and searches for a curve-centered witness
+    def broken(fan, scene):
+        raise InternalError("broken invariant")
+
+    monkeypatch.setattr(checker, "fan_count_in_S", broken)
+    with pytest.raises(InternalError, match="broken invariant"):
+        run_check(CheckRequest(S(QUAD_CLOSED), "principal_closed"))
+
+
+def test_principal_witness_search_skips_failed_candidates(monkeypatch):
+    def unsupported(fan, scene):
+        raise Unsupported("NonRationalWitnessBase", "no candidate works")
+
+    monkeypatch.setattr(checker, "fan_count_in_S", unsupported)
+    v = run_check(CheckRequest(S(QUAD_CLOSED), "principal_closed"))
+    assert (v.answer, v.reason, v.witness) == ("No", "BoundaryMeetsComplement", None)

@@ -349,6 +349,29 @@ def test_branch_set_matches_untruncated_expansion(f, K):
     assert got == want
 
 
+@st.composite
+def _y_regular(draw):
+    """Fp(0, 0) = 0 and Fy(0, 0) != 0, with rational coefficients."""
+    terms = draw(
+        st.dictionaries(
+            st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda ij: ij not in ((0, 0), (0, 1))),
+            st.fractions(min_value=-5, max_value=5, max_denominator=7),
+            max_size=7,
+        )
+    )
+    terms[(0, 1)] = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(lambda v: v != 0))
+    return BiPoly(terms)
+
+
+@given(_y_regular(), st.sampled_from((1, 2, 3, 8, 12, 16)))
+@settings(max_examples=80, deadline=None)
+def test_hensel_matches_series_lift(Fp, K):
+    got = puiseux._hensel(Fp, K)
+    want = _hensel_reference(Fp, K)
+    assert list(got.items()) == list(want.items())
+    assert all(type(v) is Fraction for v in got.values())
+
+
 @pytest.mark.parametrize(
     "text",
     ["y^2 - x^3", "y^3 - x^4 + x^3*y", "y^2 - x^5", "(y - x^2)*(y + x^2)", "(y - x^2)*(y - x^2 - x^3)", "(y^2 - x^3)*(y - x^2)"],
