@@ -8,6 +8,11 @@ which points.  Cells are then merged across transparent walls, so regions are
 true connected components of the complement of the curves and edges are
 maximal smooth curve pieces between vertices.
 
+The arrangement depends on the factors only.  Each region, edge and vertex
+stores its factor sign vector; which cells a formula selects is decided on
+top of it, by `decompose.decompose_set`, so sets with the same curves share
+one arrangement.
+
 Everything is exact: interval data is refinable on demand, rational data is
 exact, and any configuration that cannot be certified within the refinement
 caps raises Unsupported instead of guessing.
@@ -130,6 +135,7 @@ class Vertex:
     factors: set[str]
     wall_index: int
     item_index: int
+    signs: dict[str, int] = field(default_factory=dict)
 
     def box(self) -> Box:
         return Box(self.x, self.y)
@@ -155,7 +161,7 @@ class Edge:
     side_above: int = -1  # region above (curve) / left (vertical)
     side_below: int = -1  # region below (curve) / right (vertical)
     ends: tuple[tuple, tuple] = ((), ())
-    member: bool = False
+    signs: dict[str, int] = field(default_factory=dict)
     unbounded: bool = False
 
     def sides(self) -> tuple[int, int]:
@@ -167,7 +173,7 @@ class Region:
     rid: int
     gaps: list[tuple[int, int]]
     sample: tuple[Fraction, Fraction]
-    member: bool = False
+    signs: dict[str, int] = field(default_factory=dict)
     unbounded: bool = False
 
 
@@ -201,10 +207,13 @@ class Wall:
 
 
 class Arrangement:
-    """Vertices, edges and regions of the curve arrangement, with adjacency."""
+    """Vertices, edges and regions of the curve arrangement, with adjacency
+    and sign vectors; only the scene's factors, order and chart are kept."""
 
     def __init__(self, scene: Scene):
-        self.scene = scene
+        self.factors = dict(scene.factors)
+        self.order = list(scene.order)
+        self.chart = scene.chart
         self.walls: list[Wall] = []
         self.slab_samples: list[Fraction] = []
         # per slab: bottom-up list of (factor, per-factor branch index, locator)
@@ -224,9 +233,8 @@ class Arrangement:
     # ---------------------------------------------------------------- stage 1
 
     def _build(self) -> None:
-        scene = self.scene
-        for name in scene.order:
-            p = scene.factors[name]
+        for name in self.order:
+            p = self.factors[name]
             if p.deg_y >= 1:
                 self.curvy[name] = p
             else:
@@ -824,9 +832,11 @@ class Arrangement:
                     self._edges_at_vertex[end[1]].append(e.eid)
 
         for r in self.regions:
-            r.member = self.scene.member(*r.sample)
+            r.signs = {n: self.factors[n].sign_at(*r.sample) for n in self.order}
         for e in self.edges:
-            e.member = self.scene.formula.holds(self.edge_signs(e))
+            e.signs = self._edge_signs(e)
+        for v in self.vertices:
+            v.signs = self._vertex_signs(v)
 
     def _chain_end(self, piece: tuple[int, str, int], side: str, vid_of) -> tuple:
         s, n, i = piece
@@ -867,11 +877,11 @@ class Arrangement:
 
     # -------------------------------------------------------------- cell queries
 
-    def edge_signs(self, e: Edge) -> dict[str, int]:
+    def _edge_signs(self, e: Edge) -> dict[str, int]:
         signs: dict[str, int] = {e.factor: 0}
         if e.vertical:
             x, y = self.vertical_edge_sample(e)
-            for n, p in self.scene.factors.items():
+            for n, p in self.factors.items():
                 if n == e.factor:
                     continue
                 s = p.sign_at(x, y)
@@ -881,7 +891,7 @@ class Arrangement:
             return signs
         s0, _i, loc = e.pieces[0]
         box = Box(self.slab_samples[s0], loc)
-        for n, p in self.scene.factors.items():
+        for n, p in self.factors.items():
             if n != e.factor:
                 signs[n] = bipoly_sign_on_box(p, box)
         return signs
@@ -912,10 +922,10 @@ class Arrangement:
         s0, _i, loc = e.pieces[0]
         return self.slab_samples[s0], loc
 
-    def vertex_signs(self, v: Vertex) -> dict[str, int]:
+    def _vertex_signs(self, v: Vertex) -> dict[str, int]:
         signs: dict[str, int] = {}
         pt = v.point()
-        for n, p in self.scene.factors.items():
+        for n, p in self.factors.items():
             if n in v.factors:
                 signs[n] = 0
             elif pt is not None:
@@ -923,9 +933,6 @@ class Arrangement:
             else:
                 signs[n] = bipoly_sign_on_box(p, v.box())
         return signs
-
-    def vertex_member(self, v: Vertex) -> bool:
-        return self.scene.formula.holds(self.vertex_signs(v))
 
     def edges_of_factor(self, factor: str) -> list[Edge]:
         return [e for e in self.edges if e.factor == factor]

@@ -1,14 +1,18 @@
 """Decision procedures for basic / generically basic / principal sets.
 
-The pipeline shares one sphere model per scene: openness and set-meets-boundary
-prechecks, the curve-level sign criterion over both charts, then blow-up
-analysis of every non-normal-crossing boundary point with the lifted
-distributions.  The model builds its infinity chart on first access; only the
-basic-open pipeline reads it, once its prechecks and the affine sign criterion
-have passed, so the other checks never invert the scene.  Each exceptional
-component is sampled once and then classified against every lifted
-distribution.  Negative verdicts carry an independently verifiable
-fan witness whenever one exists (set-theoretic prechecks carry none).
+`run_check` validates the scene and builds one sphere model per check; every
+check reads that model.  The closed checks decompose their reduced scene (S
+minus its Zariski boundary) or complement scene over the affine arrangement
+already built, since these scenes have the same factors.  The open pipeline
+runs openness and set-meets-boundary prechecks, the curve-level sign
+criterion over both charts, then blow-up analysis of every non-normal-crossing
+boundary point with the lifted distributions.  The model builds its infinity
+chart on first access; only the basic-open pipeline reads it, once its
+prechecks and the affine sign criterion have passed, so the other checks
+never invert the scene.  Each exceptional component is sampled once and then
+classified against every lifted distribution.  Negative verdicts carry an
+independently verifiable fan witness whenever one exists (set-theoretic
+prechecks carry none).  Validation warnings ride on the verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from fractions import Fraction
 
 from .decompose import (
     SetDecomposition,
-    complement_flags,
     decompose_set,
     is_closed_cellwise,
     is_open_cellwise,
@@ -27,7 +30,7 @@ from .decompose import (
 )
 from .errors import BasixError, CountMismatch, InternalError, Unsupported
 from .fans import Fan, fan_count_in_S, witness_curve_fan, witness_point_fan
-from .resolution import AnalysisPoint, classify_exceptional, local_analysis_points, resolve_point
+from .resolution import DEFAULT_DEPTH_CAP, AnalysisPoint, classify_exceptional, local_analysis_points, resolve_point
 from .scene import Scene, validate_scene
 from .signdist import condition_a_check, condition_a_table
 from .sphere import SphereModel, build_sphere_model, infinity_sigma_decomposition
@@ -49,6 +52,7 @@ class CheckRequest:
     property: str
     want_witness: bool = True
     trace_level: int = 0
+    depth_cap: int = DEFAULT_DEPTH_CAP  # blow-ups per chart word in resolution
 
 
 @dataclass
@@ -74,36 +78,57 @@ def _timer():
 
 
 def run_check(req: CheckRequest) -> Verdict:
-    fn = {
-        "basic_open": check_basic_open,
-        "basic_closed": check_basic_closed,
-        "generically_basic": check_generically_basic,
-        "principal_open": check_principal_open,
-        "principal_closed": check_principal_closed,
+    """Validate the scene, build its sphere model and decide the property.
+    An `Unsupported` raised on the way becomes an Unsupported verdict."""
+    decide = {
+        "basic_open": _basic_open,
+        "basic_closed": _basic_closed,
+        "generically_basic": _generically_basic,
+        "principal_open": _principal_open,
+        "principal_closed": _principal_closed,
     }[req.property]
+    marks, mark = _timer()
+    warnings: list[str] = []
     try:
-        return fn(req.scene, want_witness=req.want_witness)
+        warnings = validate_scene(req.scene)
+        model = build_sphere_model(req.scene)
+        mark("model")
+        v = decide(model, req, mark)
+        v.timings = marks
     except Unsupported as exc:
-        return Verdict(req.property, "Unsupported", reason=f"{exc.reason}: {exc.detail}")
+        v = Verdict(req.property, "Unsupported", reason=f"{exc.reason}: {exc.detail}")
+    if warnings:
+        v.diagnostics["validation_warnings"] = warnings
+    return v
+
+
+def check_basic_open(scene: Scene, want_witness: bool = True) -> Verdict:
+    return run_check(CheckRequest(scene, "basic_open", want_witness))
+
+
+def check_basic_closed(scene: Scene, want_witness: bool = True) -> Verdict:
+    return run_check(CheckRequest(scene, "basic_closed", want_witness))
+
+
+def check_generically_basic(scene: Scene, want_witness: bool = True) -> Verdict:
+    return run_check(CheckRequest(scene, "generically_basic", want_witness))
+
+
+def check_principal_open(scene: Scene, want_witness: bool = True) -> Verdict:
+    return run_check(CheckRequest(scene, "principal_open", want_witness))
+
+
+def check_principal_closed(scene: Scene, want_witness: bool = True) -> Verdict:
+    return run_check(CheckRequest(scene, "principal_closed", want_witness))
 
 
 # ----------------------------------------------------------------- basic open
 
 
-def check_basic_open(scene: Scene, want_witness: bool = True) -> Verdict:
-    validate_scene(scene)
-    return _basic_open(scene, want_witness)
-
-
-def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = False) -> Verdict:
-    """check_basic_open on a scene whose factors are already validated."""
+def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: bool = False) -> Verdict:
     prop = "generically_basic" if allow_finite_meet else "basic_open"
-    marks, mark = _timer()
-    model = build_sphere_model(scene)
-    mark("model")
-    d = model.affine.decomposition
+    d = model.affine
     v = Verdict(prop, "Yes")
-    v.timings = marks
     v.diagnostics["s_meets_boundary"] = d.s_meets_boundary
     v.diagnostics["zariski_boundary"] = sorted(d.zariski_boundary)
     v.diagnostics["components"] = len(d.a_components)
@@ -141,10 +166,10 @@ def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = Fals
         v.answer, v.reason = "No", "condition-a"
         v.diagnostics["failing_factor"] = fail.factor
         v.diagnostics["failing_sigma"] = fail.sigma_index
-        if want_witness:
+        if req.want_witness:
             cc = fail.classification
             fan = witness_curve_fan(d, fail.factor, cc.omega1_edges[0], cc.omega2_plus_edges[0])
-            count = fan_count_in_S(fan, scene)
+            count = fan_count_in_S(fan, d.scene)
             if count != 3:
                 raise CountMismatch(f"curve witness count {count} != 3")
             v.witness, v.witness_count = fan, count
@@ -152,25 +177,21 @@ def _basic_open(scene: Scene, want_witness: bool, allow_finite_meet: bool = Fals
         return v
 
     # blow-up criterion at every non-normal-crossing boundary point, both charts
-    failure = _condition_b(model, v)
+    failure = _condition_b(model, v, req.depth_cap)
     mark("condition_b")
     if failure is not None:
         chart_name, D, cls = failure
         v.answer, v.reason = "No", "condition-b"
         v.diagnostics["failing_component_level"] = D.level
         v.diagnostics["failing_chart"] = chart_name
-        if want_witness:
-            dec = (
-                model.affine.decomposition
-                if chart_name == "affine"
-                else infinity_sigma_decomposition(model)
-            )
+        if req.want_witness:
+            dec = model.affine if chart_name == "affine" else infinity_sigma_decomposition(model)
             o2 = cls.omega2_plus()
             o1 = cls.omega1()
             if o2 is None or o1 is None:
                 raise InternalError("positive type-changing component without an omega1 and an omega2+ arc")
             fan = witness_point_fan(D, o2.v_mid, o1.v_mid, dec, expected_count=3)
-            count = fan_count_in_S(fan, dec.arrangement.scene)
+            count = fan_count_in_S(fan, dec.scene)
             if count != 3:
                 raise CountMismatch(f"point witness count {count} != 3")
             v.witness, v.witness_count = fan, count
@@ -192,18 +213,17 @@ def _meet_points(d: SetDecomposition) -> list[list[str]]:
 
 def _analysis_points_both_charts(model: SphereModel) -> list[tuple[str, AnalysisPoint]]:
     pts: list[tuple[str, AnalysisPoint]] = []
-    aff = local_analysis_points(model.affine.decomposition)
+    aff = local_analysis_points(model.affine)
     aff.sort(key=lambda ap: (ap.point is None, ap.point or (F(0), F(0))))
     pts.extend(("affine", ap) for ap in aff)
     # the only genuinely new point of the opposite chart is the pole (origin)
-    inf_dec = model.infinity.decomposition
-    for ap in local_analysis_points(inf_dec):
+    for ap in local_analysis_points(model.infinity):
         if ap.point == (F(0), F(0)):
             pts.append(("infinity", ap))
     return pts
 
 
-def _condition_b(model: SphereModel, v: Verdict):
+def _condition_b(model: SphereModel, v: Verdict, depth_cap: int):
     exc_table: list = []
     v.diagnostics["resolution_points"] = []
     v.diagnostics["exceptional_table"] = exc_table
@@ -214,8 +234,7 @@ def _condition_b(model: SphereModel, v: Verdict):
                 "NonRationalSingularPoint",
                 f"boundary point with factors {ap.factors} has irrational coordinates",
             )
-        chart = model.chart(chart_name)
-        dec = chart.decomposition
+        dec = model.affine
         if chart_name == "infinity":
             if inf_view is None:
                 inf_view = infinity_sigma_decomposition(model)
@@ -223,14 +242,15 @@ def _condition_b(model: SphereModel, v: Verdict):
         v.diagnostics["resolution_points"].append(
             {"chart": chart_name, "point": [str(ap.point[0]), str(ap.point[1])], "factors": ap.factors}
         )
+        factors = dec.arrangement.factors
         boundary_polys = {
-            n: chart.scene.factors[n]
-            for n in chart.scene.order
-            if n in model.affine.decomposition.zariski_boundary and chart.scene.factors[n].eval(*ap.point) == 0
+            n: factors[n]
+            for n in dec.arrangement.order
+            if n in model.affine.zariski_boundary and factors[n].eval(*ap.point) == 0
         }
         if not boundary_polys:
             continue
-        tree = resolve_point(boundary_polys, ap.point)
+        tree = resolve_point(boundary_polys, ap.point, depth_cap)
         v.trace.extend(tree.trace)
         if not dec.a_components:
             continue
@@ -251,47 +271,30 @@ def _condition_b(model: SphereModel, v: Verdict):
 # ----------------------------------------------------------------- variants
 
 
-def check_generically_basic(scene: Scene, want_witness: bool = True) -> Verdict:
-    validate_scene(scene)
-    return _basic_open(scene, want_witness, allow_finite_meet=True)
+def _generically_basic(model: SphereModel, req: CheckRequest, mark) -> Verdict:
+    return _basic_open(model, req, mark, allow_finite_meet=True)
 
 
-def check_basic_closed(scene: Scene, want_witness: bool = True) -> Verdict:
-    marks, mark = _timer()
-    validate_scene(scene)
-    d = build_sphere_model(scene).affine.decomposition
-    mark("closedness")
+def _basic_closed(model: SphereModel, req: CheckRequest, mark) -> Verdict:
+    d = model.affine
     if not is_closed_cellwise(d):
-        v = Verdict("basic_closed", "No", reason="NotClosed")
-        v.timings = marks
-        return v
-    # the reduced scene has the same factors, so it is not validated again
-    reduced = scene.minus_factor_zeros(d.zariski_boundary)
-    inner = _basic_open(reduced, want_witness)
+        return Verdict("basic_closed", "No", reason="NotClosed")
+    reduced = d.scene.minus_factor_zeros(d.zariski_boundary)
+    inner = _basic_open(model.for_scene(reduced), req, mark)
     v = Verdict("basic_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.witness_count = inner.witness_count
     v.diagnostics = {"reduced_check": inner.diagnostics, "zariski_boundary": sorted(d.zariski_boundary)}
-    v.timings = {**marks, **{f"open.{k}": t for k, t in inner.timings.items()}}
     return v
 
 
-def check_principal_open(scene: Scene, want_witness: bool = True) -> Verdict:
-    validate_scene(scene)
-    return _principal_open(scene, want_witness)
-
-
-def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
-    """check_principal_open on a scene whose factors are already validated."""
-    marks, mark = _timer()
-    d = build_sphere_model(scene).affine.decomposition
-    mark("model")
+def _principal_open(model: SphereModel, req: CheckRequest, mark) -> Verdict:
+    d = model.affine
     v = Verdict("principal_open", "Yes")
-    v.timings = marks
     if d.s_meets_boundary != "empty":
         v.answer, v.reason = "No", "SetMeetsBoundary"
         return v
     dim_s = s_star_boundary_dim(d)
-    dc = decompose_set(d.arrangement, *complement_flags(d))
+    dc = decompose_set(d.arrangement, d.scene.open_complement(d.zariski_boundary))
     dim_c = s_star_boundary_dim(dc)
     mark("dim_tests")
     v.diagnostics["interior_closure_dim"] = dim_s
@@ -313,10 +316,10 @@ def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
             raise InternalError("dimension test and sign criterion disagree")
         expected = 1
         dd = dc
-    if want_witness:
+    if req.want_witness:
         cc = fail.classification
         fan = witness_curve_fan(dd, fail.factor, cc.omega1_edges[0], cc.omega2_plus_edges[0])
-        count = fan_count_in_S(fan, scene)
+        count = fan_count_in_S(fan, d.scene)
         if count != expected:
             raise CountMismatch(f"principal witness count {count} != {expected}")
         v.witness, v.witness_count = fan, count
@@ -324,7 +327,7 @@ def _principal_open(scene: Scene, want_witness: bool) -> Verdict:
     return v
 
 
-def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, int] | None:
+def _principal_witness_search(d: SetDecomposition) -> tuple[Fan, int] | None:
     """Best-effort curve-centered fan with membership count 1 or 3, used when a
     set-theoretic precheck already settles the verdict.  A candidate that
     fails with an engine error is skipped; an `InternalError` propagates."""
@@ -339,7 +342,7 @@ def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, i
                 tried += 1
                 try:
                     fan = witness_curve_fan(d, factor, eids[i], eids[j])
-                    count = fan_count_in_S(fan, scene)
+                    count = fan_count_in_S(fan, d.scene)
                 except InternalError:
                     raise  # a broken invariant, not a failed candidate
                 except BasixError:
@@ -349,11 +352,8 @@ def _principal_witness_search(d: SetDecomposition, scene: Scene) -> tuple[Fan, i
     return None
 
 
-def check_principal_closed(scene: Scene, want_witness: bool = True) -> Verdict:
-    marks, mark = _timer()
-    validate_scene(scene)
-    d = build_sphere_model(scene).affine.decomposition
-    mark("precheck")
+def _principal_closed(model: SphereModel, req: CheckRequest, mark) -> Verdict:
+    d = model.affine
     # the Zariski boundary must avoid the complement
     meets = any(
         e.factor in d.zariski_boundary and e.eid not in d.s_edges for e in d.arrangement.edges
@@ -363,18 +363,14 @@ def check_principal_closed(scene: Scene, want_witness: bool = True) -> Verdict:
     )
     if meets:
         v = Verdict("principal_closed", "No", reason="BoundaryMeetsComplement")
-        if want_witness:
-            found = _principal_witness_search(d, scene)
+        if req.want_witness:
+            found = _principal_witness_search(d)
             if found is not None:
                 v.witness, v.witness_count = found
-        v.timings = marks
         return v
-    # the complement scene has the same factors, so it is not validated again
-    comp = scene.complement()
-    inner = _principal_open(comp, want_witness)
+    inner = _principal_open(model.for_scene(d.scene.complement()), req, mark)
     v = Verdict("principal_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.diagnostics = {"complement_check": inner.diagnostics}
     if inner.witness is not None:
-        v.witness_count = fan_count_in_S(inner.witness, scene)
-    v.timings = {**marks, **{f"comp.{k}": t for k, t in inner.timings.items()}}
+        v.witness_count = fan_count_in_S(inner.witness, d.scene)
     return v

@@ -96,9 +96,7 @@ def _dispatch(args) -> int:
             trace_level=1 if args.trace else 0,
         )
         if os.environ.get("BASIX_MAX_DEPTH"):
-            from . import resolution
-
-            resolution._DEFAULT_DEPTH_CAP = int(os.environ["BASIX_MAX_DEPTH"])
+            req.depth_cap = int(os.environ["BASIX_MAX_DEPTH"])
         verdict = run_check(req)
         body = verdict_to_json(verdict) if args.format == "json" else verdict_to_text(verdict)
         if args.trace and verdict.trace:
@@ -117,7 +115,7 @@ def _dispatch(args) -> int:
 
         scene = _load_scene(args.scene)
         validate_scene(scene)
-        svg = render_svg(decompose_set(build_arrangement(scene)), width=args.width, window=args.window)
+        svg = render_svg(decompose_set(build_arrangement(scene), scene), width=args.width, window=args.window)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
         print(f"wrote {args.out}")

@@ -1,9 +1,12 @@
 """Set-level structure on top of an arrangement.
 
-Splits the cells of an arrangement by membership, computes the Zariski
-boundary (factors carrying boundary edges), the connected components of the
-complement of S union its Zariski boundary, and the cell-wise interior /
-closure operators used by the dimension prechecks.
+An arrangement stores a sign vector per cell; `decompose_set` flags the cells
+whose vectors satisfy a scene's formula.  Every set with the same curves (S,
+its reduction S minus Z, the complement of S union Z) is decomposed over the
+same arrangement this way.  On top of the flags it computes the Zariski
+boundary Z (factors carrying boundary edges), the connected components of the
+complement of S union Z, and the cell-wise openness, closedness and
+interior-of-closure tests used by the dimension prechecks.
 """
 
 from __future__ import annotations
@@ -12,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arrangement import Arrangement, Edge
+from .errors import InternalError
+from .scene import Scene
 
 F = Fraction
 
@@ -19,6 +24,7 @@ F = Fraction
 @dataclass
 class SetDecomposition:
     arrangement: Arrangement
+    scene: Scene  # the formula the cells were flagged with
     # membership flags by cell
     s_regions: set[int] = field(default_factory=set)
     s_edges: set[int] = field(default_factory=set)
@@ -49,27 +55,16 @@ class SetDecomposition:
         return e.eid in self.s_edges and e.side_above in self.s_regions and e.side_below in self.s_regions
 
 
-def decompose_set(
-    arr: Arrangement,
-    region_flags: dict[int, bool] | None = None,
-    edge_flags: dict[int, bool] | None = None,
-    vertex_flags: dict[int, bool] | None = None,
-) -> SetDecomposition:
-    """Decompose the scene's set (or an explicit cell-flag assignment).
-
-    Passing explicit flags supports derived sets (complements, reductions)
-    over the same arrangement without re-evaluating formulas.
-    """
-    d = SetDecomposition(arr)
-    if region_flags is None:
-        region_flags = {r.rid: r.member for r in arr.regions}
-    if edge_flags is None:
-        edge_flags = {e.eid: e.member for e in arr.edges}
-    if vertex_flags is None:
-        vertex_flags = {v.vid: arr.vertex_member(v) for v in arr.vertices}
-    d.s_regions = {rid for rid, m in region_flags.items() if m}
-    d.s_edges = {eid for eid, m in edge_flags.items() if m}
-    d.s_vertices = {vid for vid, m in vertex_flags.items() if m}
+def decompose_set(arr: Arrangement, scene: Scene) -> SetDecomposition:
+    """Flag the cells whose sign vectors satisfy the scene's formula and derive
+    the set-level structure.  The scene must have the arrangement's factors."""
+    if scene.order != arr.order or scene.chart != arr.chart:
+        raise InternalError("scene and arrangement have different factors")
+    holds = scene.formula.holds
+    d = SetDecomposition(arr, scene)
+    d.s_regions = {r.rid for r in arr.regions if holds(r.signs)}
+    d.s_edges = {e.eid for e in arr.edges if holds(e.signs)}
+    d.s_vertices = {v.vid for v in arr.vertices if holds(v.signs)}
 
     # boundary edges: in the closure of S but not in its interior
     for e in arr.edges:
@@ -131,21 +126,6 @@ def decompose_set(
     return d
 
 
-def complement_flags(d: SetDecomposition) -> tuple[dict[int, bool], dict[int, bool], dict[int, bool]]:
-    """Cell flags of the OPEN complement X minus (S union zariski boundary)."""
-    arr = d.arrangement
-    rf = {r.rid: r.rid not in d.s_regions for r in arr.regions}
-    ef = {
-        e.eid: (e.eid not in d.s_edges) and (e.factor not in d.zariski_boundary)
-        for e in arr.edges
-    }
-    vf = {
-        v.vid: (v.vid not in d.s_vertices) and not (v.factors & d.zariski_boundary)
-        for v in arr.vertices
-    }
-    return rf, ef, vf
-
-
 def is_open_cellwise(d: SetDecomposition) -> bool:
     """S is open iff every member cell has its full neighbourhood in S."""
     arr = d.arrangement
@@ -165,21 +145,15 @@ def is_closed_cellwise(d: SetDecomposition) -> bool:
     """S is closed (in the affine chart) iff it contains the boundary cells of
     all its cells.  The pole is deliberately not considered."""
     arr = d.arrangement
-    for rid in d.s_regions:
-        for e in arr.edges:
-            if rid in e.sides() and e.eid not in d.s_edges:
+    for e in arr.edges:
+        if e.eid in d.s_edges:
+            if any(end and end[0] == "vertex" and end[1] not in d.s_vertices for end in e.ends):
                 return False
-    touched: set[int] = set()
-    for eid in d.s_edges:
-        e = arr.edges[eid]
-        for end in e.ends:
-            if end and end[0] == "vertex":
-                touched.add(end[1])
-    for rid in d.s_regions:
-        for v in arr.vertices:
-            if rid in arr.regions_at_vertex(v.vid):
-                touched.add(v.vid)
-    return all(vid in d.s_vertices for vid in touched)
+        elif e.side_above in d.s_regions or e.side_below in d.s_regions:
+            return False
+    return all(
+        v.vid in d.s_vertices or not (arr.regions_at_vertex(v.vid) & d.s_regions) for v in arr.vertices
+    )
 
 
 def s_star_flags(d: SetDecomposition) -> tuple[set[int], set[int], set[int]]:

@@ -192,7 +192,7 @@ def witness_curve_fan(
     """Fan along the factor with tau_1 on the sign-change edge and tau_2 on the
     same-sign edge; the +-z tails make four orderings in the curve normal form."""
     arr = decomp.arrangement
-    poly = arr.scene.factors[factor]
+    poly = arr.factors[factor]
     bases = []
     for eid in (omega1_edge, omega2_edge):
         e = arr.edges[eid]
@@ -236,7 +236,7 @@ def witness_curve_fan(
     fan = Fan(
         kind="curve_centered",
         form_tag="4.1-1",
-        chart=arr.scene.chart,
+        chart=arr.chart,
         orderings=slots,  # shared list: deepening replaces entries in place
         factor=factor,
         meta={
@@ -303,7 +303,7 @@ def witness_point_fan(
     fan = Fan(
         kind="point_centered",
         form_tag=form,
-        chart=decomp.arrangement.scene.chart,
+        chart=decomp.arrangement.chart,
         orderings=[
             ArcOrdering(g1, 1),
             ArcOrdering(g1, -1),
@@ -324,7 +324,7 @@ def witness_point_fan(
             "component_level": D.level,
         },
     )
-    count = fan.count_in_set(decomp.arrangement.scene)
+    count = fan.count_in_set(decomp.scene)
     if count != expected_count:
         raise CountMismatch(f"point fan count {count} != expected {expected_count}")
     return fan

@@ -688,21 +688,21 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
     for the local region entered by the half-arc."""
     arr = decomp.arrangement
-    scene = arr.scene
+    factors = arr.factors
     signs: dict[str, int] = {}
-    for n in scene.order:
-        s = arc_sign(scene.factors[n], arc, side, on_poly=_on_poly(arc, scene))
+    for n in arr.order:
+        s = arc_sign(factors[n], arc, side, on_poly=_on_poly(arc, factors))
         if s is None:
             raise Unsupported("TruncationCap", f"sign of {n} unresolved along arc")
         if s == 0:
             return ("on_curve", n)
         signs[n] = s
     z0 = F(1, 8)
-    polys = [scene.factors[n] for n in scene.order]
+    polys = [factors[n] for n in arr.order]
     has_slot = isinstance(arc, ParamArc) or (isinstance(arc, PuiseuxArc) and arc.slot is not None)
     for _ in range(24):
         pt = certified_point(arc, side, polys, z0 if has_slot else None)
-        if all(scene.factors[n].sign_at(*pt) == signs[n] for n in scene.order):
+        if all(factors[n].sign_at(*pt) == signs[n] for n in arr.order):
             rid = arr.region_of_point(*pt)
             if rid in decomp.s_regions:
                 return ("in_S",)
@@ -714,6 +714,6 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     raise Unsupported("TruncationCap", "could not certify a concrete arc point")
 
 
-def _on_poly(arc: Arc, scene) -> BiPoly | None:
+def _on_poly(arc: Arc, factors: dict[str, BiPoly]) -> BiPoly | None:
     name = getattr(arc, "on_factor", None)
-    return scene.factors.get(name) if name else None
+    return factors.get(name) if name else None

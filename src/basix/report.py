@@ -39,6 +39,8 @@ def verdict_to_text(v: Verdict) -> str:
     lines = [f"property : {v.property}", f"answer   : {v.answer}"]
     if v.reason:
         lines.append(f"reason   : {v.reason}")
+    for w in v.diagnostics.get("validation_warnings", []):
+        lines.append(f"warning  : {w}")
     if v.witness is not None:
         lines.append(f"witness  : {v.witness.kind} fan ({v.witness.form_tag}), membership count {v.witness_count}")
         if v.witness.factor:

@@ -35,7 +35,7 @@ from .unipoly import UniPoly
 
 F = Fraction
 
-_DEFAULT_DEPTH_CAP = 24
+DEFAULT_DEPTH_CAP = 24
 _NC_K = 10
 
 
@@ -199,14 +199,10 @@ def _has_vertical_branch(curves: list[tuple[object, BiPoly]], branches: Branches
 def resolve_point(
     curves: dict[str, BiPoly],
     p: tuple[Fraction, Fraction],
-    depth_cap: int | None = None,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
 ) -> ResolutionTree:
-    """Standard resolution of the given curve set at a rational point.
-
-    ``depth_cap`` defaults to the module's ``_DEFAULT_DEPTH_CAP`` as it reads
-    at call time."""
-    if depth_cap is None:
-        depth_cap = _DEFAULT_DEPTH_CAP
+    """Standard resolution of the given curve set at a rational point, with
+    at most ``depth_cap`` blow-ups along any chart word."""
     px, py = F(p[0]), F(p[1])
     through = [(n, poly.translate(px, py)) for n, poly in curves.items() if poly.eval(px, py) == 0]
     if not through:
@@ -544,7 +540,6 @@ def _sample_arc_sides(
     via down-pushed samples certified by a crossing-free segment.  None when
     the down-images persistently land on scene curves (caller perturbs)."""
     arr = decomp.arrangement
-    scene = arr.scene
     # reject positions on a marked point outright
     for _tag, sc in D.curves:
         g = _sub_v(sc, v_mid)
@@ -577,7 +572,7 @@ def _sample_arc_sides(
                 break
             u0 = q if side > 0 else -q
             x0, y0 = D.chart.down_point(u0, v_mid)
-            if any(p.eval(x0, y0) == 0 for p in scene.factors.values()):
+            if any(p.eval(x0, y0) == 0 for p in arr.factors.values()):
                 ok = False
                 hit_curve += 1
                 break
@@ -622,7 +617,6 @@ def local_analysis_points(decomp: SetDecomposition) -> list[AnalysisPoint]:
 
 def analysis_table(decomp: SetDecomposition) -> list[AnalysisPoint]:
     arr = decomp.arrangement
-    scene = arr.scene
     out: list[AnalysisPoint] = []
     for v in arr.vertices:
         bfs = sorted(v.factors & decomp.zariski_boundary)
@@ -642,12 +636,12 @@ def analysis_table(decomp: SetDecomposition) -> list[AnalysisPoint]:
             # exceptional circle with no sign change, so it never obstructs
             out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "isolated point"))
             continue
-        if len(bfs) == 1 and ends[bfs[0]] == 2 and _smooth_at(scene.factors[bfs[0]], v):
+        if len(bfs) == 1 and ends[bfs[0]] == 2 and _smooth_at(arr.factors[bfs[0]], v):
             continue  # regular curve point
-        if len(bfs) == 2 and all(c == 2 for c in ends.values()) and _transversal_pair(scene, bfs, v):
+        if len(bfs) == 2 and all(c == 2 for c in ends.values()) and _transversal_pair(arr.factors, bfs, v):
             out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "transversal crossing"))
             continue
-        if len(bfs) == 1 and ends[bfs[0]] == 4 and _certified_node(scene.factors[bfs[0]], v):
+        if len(bfs) == 1 and ends[bfs[0]] == 4 and _certified_node(arr.factors[bfs[0]], v):
             out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "ordinary node"))
             continue
         if not rational:
@@ -674,8 +668,8 @@ def _smooth_at(p: BiPoly, v) -> bool:
     return False
 
 
-def _transversal_pair(scene, bfs: list[str], v) -> bool:
-    f, g = scene.factors[bfs[0]], scene.factors[bfs[1]]
+def _transversal_pair(factors: dict[str, BiPoly], bfs: list[str], v) -> bool:
+    f, g = factors[bfs[0]], factors[bfs[1]]
     if not (_smooth_at(f, v) and _smooth_at(g, v)):
         return False
     jac = f.partial_x() * g.partial_y() - f.partial_y() * g.partial_x()

@@ -9,7 +9,7 @@ transform realises the second stereographic chart of the sphere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -89,6 +89,19 @@ class Formula:
         return Formula(tuple(Clause(c.atoms + extra) for c in self.clauses))
 
 
+@dataclass(frozen=True)
+class OpenComplement:
+    """Sign condition of X minus (S union the zero sets of `zeros`): the
+    formula fails and none of those factors vanishes.  It is evaluated as is,
+    never expanded to a DNF, whose size can grow exponentially."""
+
+    formula: Formula
+    zeros: frozenset[str]
+
+    def holds(self, signs: dict[str, int]) -> bool:
+        return not self.formula.holds(signs) and all(signs[n] != 0 for n in self.zeros)
+
+
 def _canonical_sign(p: BiPoly) -> int:
     """+1 if the canonical-order leading coefficient is positive else -1."""
     keys = sorted(p.t, key=lambda k: (-(k[1]), -(k[0])))
@@ -101,7 +114,7 @@ class Scene:
 
     factors: dict[str, BiPoly]
     order: list[str]
-    formula: Formula
+    formula: Formula | OpenComplement
     chart: str = "affine"  # or "infinity"
 
     # -- construction -----------------------------------------------------------
@@ -177,22 +190,19 @@ class Scene:
         extra = tuple(Atom(n, "!=") for n in names)
         return Scene(dict(self.factors), list(self.order), self.formula.with_extra_atoms(extra), self.chart)
 
+    def open_complement(self, zeros: Iterable[str]) -> "Scene":
+        """Scene of X minus (S union the zero sets of the given factors)."""
+        return Scene(dict(self.factors), list(self.order), OpenComplement(self.formula, frozenset(zeros)), self.chart)
+
 
 # -- validation ---------------------------------------------------------------------
 
 
-@dataclass
-class ValidationReport:
-    ok: bool = True
-    warnings: list[str] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-
-
-def validate_scene(scene: Scene) -> ValidationReport:
+def validate_scene(scene: Scene) -> list[str]:
     """Hard checks: squarefree factors, pairwise coprime, atoms well-formed.
     Soft check: a best-effort reducibility probe (degree <= 2 rational factor
-    search) that emits warnings only."""
-    rep = ValidationReport()
+    search) whose findings are returned as warnings."""
+    warnings: list[str] = []
     used = scene.formula.factors_used()
     for n in used:
         if n not in scene.factors:
@@ -208,8 +218,8 @@ def validate_scene(scene: Scene) -> ValidationReport:
     for n in names:
         w = _reducibility_probe(scene.factors[n])
         if w:
-            rep.warnings.append(f"factor {n!r} looks reducible: {w}")
-    return rep
+            warnings.append(f"factor {n!r} looks reducible: {w}")
+    return warnings
 
 
 def _reducibility_probe(p: BiPoly) -> str | None:

@@ -61,7 +61,7 @@ def classify_component(
     factor: str, sigma: SignDistribution, arr: Arrangement
 ) -> ComponentClassification:
     """Aggregate the adjacent-region sign pairs over every edge of the factor."""
-    if factor not in arr.scene.factors:
+    if factor not in arr.factors:
         raise BasixError(f"unknown factor {factor!r}")
     cc = ComponentClassification(factor, "Silent")
     for e in arr.edges_of_factor(factor):
@@ -98,7 +98,7 @@ def condition_a_check(d: SetDecomposition) -> ConditionAFailure | None:
     arr = d.arrangement
     for i in range(len(d.a_components)):
         sigma = make_sigma(d, i)
-        for factor in arr.scene.order:
+        for factor in arr.order:
             if factor not in d.zariski_boundary:
                 continue
             cc = classify_component(factor, sigma, arr)
@@ -113,7 +113,7 @@ def condition_a_table(d: SetDecomposition) -> list[tuple[str, int, str]]:
     out = []
     for i in range(len(d.a_components)):
         sigma = make_sigma(d, i)
-        for factor in arr.scene.order:
+        for factor in arr.order:
             if factor in d.zariski_boundary:
                 out.append((factor, i, classify_component(factor, sigma, arr).verdict))
     return out

@@ -6,9 +6,12 @@ components are computed in the affine chart (they are sphere components, since
 the compactification adds one point) and transported to the other chart by
 sample-point inversion.
 
-Only the affine chart is built up front.  The infinity chart and the transport
-map are built on first access, so checks that never look past the affine
-chart never invert the scene.
+Each chart is a `SetDecomposition`: an arrangement of the factors plus the
+cells the scene's formula selects.  Only the affine chart is built up front.
+The infinity chart and the transport map are built on first access, so checks
+that never look past the affine chart never invert the scene.  A scene with
+the same factors (a reduction or a complement) is decomposed over the affine
+arrangement already built, by `SphereModel.for_scene`.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .arrangement import Arrangement, build_arrangement
+from .arrangement import build_arrangement
 from .decompose import SetDecomposition, decompose_set
 from .scene import Scene, invert_scene
 
@@ -25,31 +28,20 @@ F = Fraction
 
 
 @dataclass
-class ChartData:
-    scene: Scene
-    arrangement: Arrangement
-    decomposition: SetDecomposition
-
-
-def _build_chart(scene: Scene) -> ChartData:
-    arr = build_arrangement(scene)
-    return ChartData(scene, arr, decompose_set(arr))
-
-
-@dataclass
 class SphereModel:
-    affine: ChartData
+    affine: SetDecomposition
 
     @cached_property
-    def infinity(self) -> ChartData:
+    def infinity(self) -> SetDecomposition:
         """The opposite chart, built from the inverted scene on first access."""
-        return _build_chart(invert_scene(self.affine.scene))
+        inverted = invert_scene(self.affine.scene)
+        return decompose_set(build_arrangement(inverted), inverted)
 
     @cached_property
     def transport(self) -> dict[int, tuple]:
         """Region id in the infinity chart -> ('S',) | ('A', affine component) | ('none',)."""
-        arr, dec = self.affine.arrangement, self.affine.decomposition
-        arr_i = self.infinity.arrangement
+        dec = self.affine
+        arr, arr_i = dec.arrangement, self.infinity.arrangement
         out: dict[int, tuple] = {}
         for r in arr_i.regions:
             x, y = r.sample
@@ -66,12 +58,14 @@ class SphereModel:
                 out[r.rid] = ("none",)
         return out
 
-    def chart(self, name: str) -> ChartData:
-        return self.affine if name == "affine" else self.infinity
+    def for_scene(self, scene: Scene) -> "SphereModel":
+        """The model of a scene with the same factors, over the same affine
+        arrangement; its infinity chart is built on first access."""
+        return SphereModel(decompose_set(self.affine.arrangement, scene))
 
 
 def build_sphere_model(scene: Scene) -> SphereModel:
-    return SphereModel(_build_chart(scene))
+    return SphereModel(decompose_set(build_arrangement(scene), scene))
 
 
 def _nonpole_sample(arr, region) -> tuple[Fraction, Fraction]:
@@ -95,19 +89,19 @@ def _nonpole_sample(arr, region) -> tuple[Fraction, Fraction]:
 def infinity_sigma_decomposition(model: SphereModel) -> SetDecomposition:
     """A decomposition-like view of the infinity chart whose component indices
     agree with the affine complement components (for lifted distributions)."""
-    dec_i = model.infinity.decomposition
+    dec_i = model.infinity
     # remap a_of_region to affine component ids
     remap: dict[int, int] = {}
     for rid, tag in model.transport.items():
         if tag[0] == "A":
             remap[rid] = tag[1]
-    view = SetDecomposition(dec_i.arrangement)
+    view = SetDecomposition(dec_i.arrangement, dec_i.scene)
     view.s_regions = {rid for rid, tag in model.transport.items() if tag[0] == "S"}
     view.s_edges = dec_i.s_edges
     view.s_vertices = dec_i.s_vertices
     view.boundary_edges = dec_i.boundary_edges
     view.zariski_boundary = dec_i.zariski_boundary
-    n_aff = len(model.affine.decomposition.a_components)
+    n_aff = len(model.affine.a_components)
     comps: list[set[int]] = [set() for _ in range(n_aff)]
     for rid, i in remap.items():
         comps[i].add(rid)

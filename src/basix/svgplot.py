@@ -1,4 +1,4 @@
-"""SVG rendering of an arrangement: curves, shaded member regions, labels.
+"""SVG rendering of a set decomposition: curves, shaded member regions, labels.
 
 Coordinates are rendered at fixed decimal precision; the numbers here are for
 display only and never feed back into any decision logic.
@@ -23,8 +23,7 @@ def _px(v: Fraction, scale: float, off: float) -> float:
 def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> str:
     """A window [-w, w]^2 view: member-region shading by point grid, curve
     polylines traced from the stacks, component labels at region samples."""
-    arr = d.arrangement
-    scene = arr.scene
+    arr, scene = d.arrangement, d.scene
     scale = width / (2 * window)
     off = width / 2
 
@@ -66,7 +65,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
                 f'points="{pts[0][0]},{pts[0][1]} {pts[1][0]},{pts[1][1]}"/>'
             )
             continue
-        poly = scene.factors[e.factor]
+        poly = arr.factors[e.factor]
         pts2 = []
         for (s, _i, loc) in e.pieces:
             xs = arr.slab_samples[s]

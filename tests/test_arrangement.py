@@ -17,6 +17,10 @@ def counts(arr):
     return len(arr.vertices), len(arr.edges), len(arr.regions)
 
 
+def member_regions(arr, sc):
+    return [reg for reg in arr.regions if sc.formula.holds(reg.signs)]
+
+
 def test_cross():
     arr = build_arrangement(S("factor a = x; factor b = y; set S = { a > 0, b > 0 };"))
     assert counts(arr) == (1, 4, 4)
@@ -30,12 +34,13 @@ def test_single_line():
 
 
 def test_circle():
-    arr = build_arrangement(S("set S = { x^2 + y^2 - 1 < 0 };"))
+    sc = S("set S = { x^2 + y^2 - 1 < 0 };")
+    arr = build_arrangement(sc)
     v, e, r = counts(arr)
     assert r == 2
     assert v == 2 and e == 2  # turning points at x = +-1
     assert arr.euler_characteristic_sphere() == 2
-    inside = [reg for reg in arr.regions if reg.member]
+    inside = member_regions(arr, sc)
     assert len(inside) == 1 and not inside[0].unbounded
 
 
@@ -57,37 +62,38 @@ def test_para_fixture_geometry():
 
 
 def test_cubic_fixture_geometry():
-    arr = build_arrangement(
-        S(
-            "factor a = x; factor f0 = y - x^2; factor f1 = y - x^2 - x^3;"
-            "factor f2 = y - x^2 - 2*x^3; factor f3 = y - x^2 - 3*x^3;"
-            "set S = { f0 > 0, f1 < 0 } | { f0 < 0, f1 > 0 } | { a < 0, f2 < 0, f3 > 0 };"
-        )
+    sc = S(
+        "factor a = x; factor f0 = y - x^2; factor f1 = y - x^2 - x^3;"
+        "factor f2 = y - x^2 - 2*x^3; factor f3 = y - x^2 - 3*x^3;"
+        "set S = { f0 > 0, f1 < 0 } | { f0 < 0, f1 > 0 } | { a < 0, f2 < 0, f3 > 0 };"
     )
+    arr = build_arrangement(sc)
     assert counts(arr) == (1, 10, 10)
     assert arr.euler_characteristic_sphere() == 2
-    assert sum(1 for r in arr.regions if r.member) == 3
+    assert len(member_regions(arr, sc)) == 3
 
 
 def test_hyperbola_lc_escape():
-    arr = build_arrangement(S("set S = { x*y - 1 > 0 };"))
+    sc = S("set S = { x*y - 1 > 0 };")
+    arr = build_arrangement(sc)
     v, e, r = counts(arr)
     assert v == 0
     assert e == 2
     assert r == 3
     assert arr.euler_characteristic_sphere() == 2
-    members = [reg for reg in arr.regions if reg.member]
+    members = member_regions(arr, sc)
     assert len(members) == 2  # both hyperbola lobes satisfy xy > 1
 
 
 def test_two_circles_tangent_rational():
     # externally tangent at the rational point (1, 0)
-    arr = build_arrangement(S("set S = { x^2 + y^2 - 1 < 0, (x - 2)^2 + y^2 - 1 < 0 };"))
+    sc = S("set S = { x^2 + y^2 - 1 < 0, (x - 2)^2 + y^2 - 1 < 0 };")
+    arr = build_arrangement(sc)
     v, e, r = counts(arr)
     # the tangency point coincides with both adjacent turning points
     assert (v, e, r) == (3, 4, 3)
     assert arr.euler_characteristic_sphere() == 2
-    assert not any(reg.member for reg in arr.regions)  # interiors only touch
+    assert not member_regions(arr, sc)  # interiors only touch
 
 
 def test_irrational_crossings():
@@ -108,17 +114,18 @@ def test_irrational_turning_points():
 
 
 def test_membership_sampling_agreement():
+    # every cell's stored sign vector is the sign vector at any of its points
     sc = S("factor l = y; factor p = y - x^2; set S = { l > 0, p < 0 };")
     arr = build_arrangement(sc)
+    cells = {"region": arr.regions, "edge": arr.edges, "vertex": arr.vertices}
     rng = random.Random(11)
     for _ in range(400):
         x = F(rng.randint(-40, 40), rng.randint(1, 9))
         y = F(rng.randint(-40, 40), rng.randint(1, 9))
         kind, idx = arr.locate(x, y)
-        if kind == "region":
-            assert arr.regions[idx].member == sc.member(x, y)
-        elif kind == "edge":
-            assert arr.edges[idx].member == sc.member(x, y)
+        assert cells[kind][idx].signs == sc.signs_at(x, y)
+    kind, idx = arr.locate(F(0), F(0))
+    assert kind == "vertex" and arr.vertices[idx].signs == {"l": 0, "p": 0}
 
 
 def test_locate_on_cells():
@@ -141,7 +148,7 @@ def test_edge_sides_consistent():
     above = arr.regions[e.side_above]
     below = arr.regions[e.side_below]
     assert above.sample[1] > 0 > below.sample[1]
-    assert above.member and not below.member
+    assert (above.signs, e.signs, below.signs) == ({"l": 1}, {"l": 0}, {"l": -1})
 
 
 def test_isolated_point_vertex():

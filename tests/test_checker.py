@@ -1,10 +1,11 @@
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from basix import checker, cli, resolution, sphere
+from basix import checker, cli, sphere
 from basix.checker import (
     CheckRequest,
     check_basic_closed,
@@ -15,7 +16,7 @@ from basix.checker import (
     run_check,
 )
 from basix.errors import InternalError, Unsupported
-from basix.fans import fan_count_in_S, verify_fan
+from basix.fans import fan_count_in_S, fan_to_json, verify_fan
 from basix.scene import Scene
 
 F = Fraction
@@ -189,7 +190,59 @@ def _record_charts(monkeypatch) -> list[str]:
 def test_affine_only_checks_build_no_infinity_chart(monkeypatch, check, fixture_scene):
     charts = _record_charts(monkeypatch)
     check(fixture_scene("cubic"))
-    assert charts and "infinity" not in charts
+    assert charts == ["affine"]
+
+
+@pytest.mark.parametrize(
+    "check, text, reason, charts",
+    [
+        # both closed scenes pass their precheck, so the inner open check runs
+        (check_basic_closed, "factor a = x; factor b = y; set S = { a >= 0, b >= 0 };", "", ["affine", "infinity"]),
+        (check_principal_closed, "factor f = y; set S = { f >= 0 };", "", ["affine"]),
+    ],
+)
+def test_closed_checks_build_one_affine_arrangement(monkeypatch, check, text, reason, charts):
+    built = _record_charts(monkeypatch)
+    v = check(S(text))
+    assert (v.answer, v.reason) == ("Yes", reason)
+    assert built == charts
+
+
+def _closed_twin(text: str) -> str:
+    """Strict atoms relaxed to non-strict ones, != atoms dropped."""
+    return re.sub(r"([<>]) 0", r"\1= 0", re.sub(r", \w+ != 0", "", text))
+
+
+def test_closed_checks_agree_with_the_open_check_on_their_derived_scene():
+    # basic_closed answers as basic_open on S minus its Zariski boundary;
+    # principal_closed as principal_open on the complement, whose witness
+    # counts 4 - k orderings in S when it counts k in the complement
+    texts = ["factor a = x; factor b = y; set S = { a <= 0 } | { b <= 0 };"]  # not principal
+    for path in sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.bsx")):
+        texts += [path.read_text(encoding="utf-8"), _closed_twin(path.read_text(encoding="utf-8"))]
+    reached, witnesses = 0, 0
+    for text in texts:
+        sc = S(text)
+        closed = check_basic_closed(sc)
+        if closed.reason != "NotClosed":
+            reached += 1
+            inner = check_basic_open(sc.minus_factor_zeros(closed.diagnostics["zariski_boundary"]))
+            assert _outcome(closed) == _outcome(inner), text
+            witnesses += inner.witness is not None
+        closed = check_principal_closed(sc)
+        if closed.reason != "BoundaryMeetsComplement":
+            reached += 1
+            inner = check_principal_open(sc.complement())
+            assert _outcome(closed)[:3] == _outcome(inner)[:3], text
+            if inner.witness is not None:
+                witnesses += 1
+                assert closed.witness_count == 4 - inner.witness_count
+    assert reached >= 6 and witnesses >= 3
+
+
+def _outcome(v):
+    witness = fan_to_json(v.witness) if v.witness is not None else None
+    return v.answer, v.reason, witness, v.witness_count
 
 
 def test_cubic_basic_open_builds_each_part_once(monkeypatch, fixture_scene):
@@ -209,12 +262,24 @@ def test_cubic_basic_open_builds_each_part_once(monkeypatch, fixture_scene):
 
 
 def test_basix_max_depth_env_caps_resolution(monkeypatch, capsys):
-    # the CLI sets the module default; registering it first makes monkeypatch restore it
-    monkeypatch.setattr(resolution, "_DEFAULT_DEPTH_CAP", resolution._DEFAULT_DEPTH_CAP)
     monkeypatch.setenv("BASIX_MAX_DEPTH", "1")
     cubic = Path(__file__).resolve().parent.parent / "fixtures" / "cubic.bsx"
     assert cli.main(["check", str(cubic), "--property", "basic-open"]) == cli.EXIT_UNSUPPORTED
     assert "DepthCap" in capsys.readouterr().out
+
+
+def test_basix_max_depth_does_not_outlive_the_cli_call(monkeypatch, fixture_scene):
+    monkeypatch.setenv("BASIX_MAX_DEPTH", "1")
+    cubic = Path(__file__).resolve().parent.parent / "fixtures" / "cubic.bsx"
+    assert cli.main(["check", str(cubic), "--property", "basic-open"]) == cli.EXIT_UNSUPPORTED
+    monkeypatch.delenv("BASIX_MAX_DEPTH")
+    v = run_check(CheckRequest(fixture_scene("cubic"), "basic_open"))
+    assert (v.answer, v.reason) == ("No", "condition-b")
+
+
+def test_depth_cap_is_read_from_the_request(fixture_scene):
+    v = run_check(CheckRequest(fixture_scene("cubic"), "basic_open", depth_cap=1))
+    assert v.answer == "Unsupported" and v.reason.startswith("DepthCap")
 
 
 QUAD_CLOSED = "factor a = x;\nfactor b = y;\nset S = { a >= 0, b >= 0 };\n"

@@ -1,4 +1,8 @@
+import hashlib
 import json
+from pathlib import Path
+
+import pytest
 
 from basix import cli
 from basix.errors import BasixError, CountMismatch, InternalError
@@ -44,3 +48,75 @@ def test_unserializable_witness_keeps_the_no(tmp_path, capsys):
     assert d["witness_count"] == 1
     assert cli.main(args) == cli.EXIT_NO
     assert "answer   : No" in capsys.readouterr().out
+
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+
+def _check(capsys, path, prop, *extra):
+    code = cli.main(["check", str(path), "--property", prop, *extra])
+    return code, capsys.readouterr()
+
+
+def test_exit_codes_yes_unsupported_and_input_error(tmp_path, capsys):
+    assert _check(capsys, FIXTURES / "half.bsx", "basic-open")[0] == cli.EXIT_YES == 0
+    code, out = _check(capsys, _scene(tmp_path, "factor a = x^2 - 2; set S = { a > 0 };"), "basic-open")
+    assert code == cli.EXIT_UNSUPPORTED == 2
+    assert "reason   : NonRationalShearNeeded" in out.out
+    for text in ("set S = { y > };", "factor a = y^2; set S = { a > 0 };"):
+        code, out = _check(capsys, _scene(tmp_path, text), "basic-open")
+        assert code == cli.EXIT_INPUT == 3
+        assert out.err.startswith("error: ")
+    assert _check(capsys, tmp_path / "missing.bsx", "basic-open")[0] == cli.EXIT_INPUT
+
+
+def test_json_report_keys(capsys):
+    code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open", "--format", "json")
+    assert code == cli.EXIT_YES
+    assert set(json.loads(out.out)) == {"property", "answer", "reason", "diagnostics", "timings"}
+    code, out = _check(capsys, FIXTURES / "para.bsx", "basic-open", "--format", "json", "--witness")
+    assert code == cli.EXIT_NO
+    d = json.loads(out.out)
+    assert set(d) == {"property", "answer", "reason", "diagnostics", "timings", "witness", "witness_count"}
+    assert set(d["witness"]) == {"kind", "form_tag", "chart", "factor", "orderings", "pair_structure"}
+
+
+def test_validation_warnings_reach_json_and_text(tmp_path, capsys):
+    path = _scene(tmp_path, "factor a = x*y; set S = { a > 0 };")
+    warning = "factor 'a' looks reducible: content in x of degree 1"
+    code, out = _check(capsys, path, "basic-open", "--format", "json")
+    assert json.loads(out.out)["diagnostics"]["validation_warnings"] == [warning]
+    code, out = _check(capsys, path, "basic-open")
+    assert f"warning  : {warning}" in out.out.splitlines()
+    # a scene that validates cleanly carries no warning key
+    code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open", "--format", "json")
+    assert "validation_warnings" not in json.loads(out.out)["diagnostics"]
+
+
+@pytest.mark.parametrize("name, prop, count", [("para", "basic-open", 3), ("quad", "principal-open", 1)])
+def test_verify_fan_round_trip(tmp_path, capsys, name, prop, count):
+    report = tmp_path / "report.json"
+    code, _out = _check(capsys, FIXTURES / f"{name}.bsx", prop, "--witness", "--format", "json", "--out", str(report))
+    assert code == cli.EXIT_NO
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(json.loads(report.read_text(encoding="utf-8"))["witness"]), encoding="utf-8")
+    assert cli.main(["verify-fan", str(fan), str(FIXTURES / f"{name}.bsx")]) == cli.EXIT_YES
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"membership count: {count}"
+    assert lines[1].startswith("product law: pass") and lines[2] == "distinctness: pass"
+
+
+# sha256 of `basix plot fixtures/<name>.bsx` with the default window and width
+PLOT_SHA256 = {
+    "half": "67cd989d5360c9e6cfd373c600f9590fac2cfce3507f9fb2da087d34df3ba6bc",
+    "cubic": "8b076bfe14edc11f60c6113aa215c6c8750c5591807e75bd4a3e138dfaefe4a2",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLOT_SHA256))
+def test_plot_svg_is_stable(tmp_path, capsys, name):
+    out = tmp_path / f"{name}.svg"
+    assert cli.main(["plot", str(FIXTURES / f"{name}.bsx"), "--out", str(out)]) == cli.EXIT_YES
+    svg = out.read_bytes()
+    assert svg.startswith(b"<svg") and svg.rstrip().endswith(b"</svg>")
+    assert hashlib.sha256(svg).hexdigest() == PLOT_SHA256[name]

@@ -1,15 +1,17 @@
+import functools
 import random
 from fractions import Fraction
 
+from hypothesis import given, settings, strategies as st
+
 from basix.arrangement import build_arrangement
 from basix.decompose import (
-    complement_flags,
     decompose_set,
     is_closed_cellwise,
     is_open_cellwise,
     s_star_boundary_dim,
 )
-from basix.scene import Scene
+from basix.scene import RELS, Scene
 from basix.signdist import (
     classify_component,
     condition_a_check,
@@ -35,8 +37,8 @@ CUBIC = (
 
 
 def D(text):
-    arr = build_arrangement(Scene.from_text(text))
-    return decompose_set(arr)
+    sc = Scene.from_text(text)
+    return decompose_set(build_arrangement(sc), sc)
 
 
 def test_half_decomposition():
@@ -88,7 +90,7 @@ def test_cubic_components_and_silence():
     for i, comp in enumerate(d.a_components):
         rid = next(iter(comp))
         x, y = arr.regions[rid].sample
-        sc = arr.scene
+        sc = d.scene
         if (
             len(comp) == 1
             and sc.factors["f3"].sign_at(x, y) < 0 < sc.factors["f2"].sign_at(x, y)
@@ -135,8 +137,7 @@ def test_no_negative_type_changing_on_fixtures():
 
 def test_complement_decomposition_quad():
     d = D(QUAD)
-    rf, ef, vf = complement_flags(d)
-    dc = decompose_set(d.arrangement, rf, ef, vf)
+    dc = decompose_set(d.arrangement, d.scene.open_complement(d.zariski_boundary))
     # complement of closed Q1: interior closure contains the negative axes
     assert s_star_boundary_dim(dc) == "one_dimensional"
 
@@ -147,3 +148,46 @@ def test_closedness():
     assert not is_open_cellwise(d)
     d2 = D(HALF)
     assert not is_closed_cellwise(d2)
+
+
+def _is_closed_cellwise_reference(d):
+    """The closedness test as a loop over every edge and every vertex per
+    member region; `is_closed_cellwise` must agree with it."""
+    arr = d.arrangement
+    for rid in d.s_regions:
+        for e in arr.edges:
+            if rid in e.sides() and e.eid not in d.s_edges:
+                return False
+    touched: set[int] = set()
+    for eid in d.s_edges:
+        for end in arr.edges[eid].ends:
+            if end and end[0] == "vertex":
+                touched.add(end[1])
+    for rid in d.s_regions:
+        for v in arr.vertices:
+            if rid in arr.regions_at_vertex(v.vid):
+                touched.add(v.vid)
+    return all(vid in d.s_vertices for vid in touched)
+
+
+@functools.lru_cache(maxsize=None)
+def _fixture_arrangement(text):
+    return build_arrangement(Scene.from_text(text))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from([HALF, QUAD, PARA, CUBIC, "factor o = x^2 + y^2; factor l = y - 1; set S = { l > 0 };"]),
+    st.lists(
+        st.lists(st.tuples(st.integers(0, 4), st.sampled_from(RELS)), min_size=1, max_size=3),
+        min_size=1,
+        max_size=3,
+    ),
+)
+def test_is_closed_cellwise_matches_reference(text, clauses):
+    # random formulas over the factors of one arrangement, decomposed on it
+    arr = _fixture_arrangement(text)
+    atoms = [[(arr.order[i % len(arr.order)], rel) for i, rel in clause] for clause in clauses]
+    sc = Scene.build(arr.factors, arr.order, atoms)
+    d = decompose_set(arr, sc)
+    assert is_closed_cellwise(d) == _is_closed_cellwise_reference(d)

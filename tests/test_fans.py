@@ -41,7 +41,8 @@ CUBIC = (
 
 
 def D_of(text):
-    return decompose_set(build_arrangement(Scene.from_text(text)))
+    sc = Scene.from_text(text)
+    return decompose_set(build_arrangement(sc), sc)
 
 
 def quad_fan():
@@ -67,7 +68,7 @@ def test_quad_fan_signs():
 
 def test_quad_fan_count_one():
     d, fan = quad_fan()
-    assert fan_count_in_S(fan, d.arrangement.scene) == 1
+    assert fan_count_in_S(fan, d.scene) == 1
 
 
 def test_para_curve_fan_count_three():
@@ -76,7 +77,7 @@ def test_para_curve_fan_count_three():
     assert fail is not None and fail.factor == "p"
     cc = fail.classification
     fan = witness_curve_fan(d, "p", cc.omega1_edges[0], cc.omega2_plus_edges[0])
-    scene = d.arrangement.scene
+    scene = d.scene
     assert fan_count_in_S(fan, scene) == 3
     rep = verify_fan(fan, scene)
     assert rep.product_law_ok and rep.distinct
@@ -84,7 +85,7 @@ def test_para_curve_fan_count_three():
 
 def test_cubic_point_fan():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     E3 = tree.components[-1]
@@ -100,7 +101,7 @@ def test_cubic_point_fan():
 
 def test_cubic_point_fan_flipped_etas():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     E3 = tree.components[-1]
@@ -110,7 +111,7 @@ def test_cubic_point_fan_flipped_etas():
 
 def test_product_law_random_polys():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     fan = witness_point_fan(tree.components[-1], F(1, 2), F(5, 2), d)
@@ -138,7 +139,7 @@ def test_corrupted_fan_fails():
         factor=fan.factor,
         meta=fan.meta,
     )
-    rep = verify_fan(bad, d.arrangement.scene)
+    rep = verify_fan(bad, d.scene)
     assert not (rep.product_law_ok and rep.distinct)
 
 
@@ -146,13 +147,13 @@ def test_trivial_fan_distinctness_fails():
     d, fan = quad_fan()
     o = fan.orderings[0]
     triv = Fan(fan.kind, fan.form_tag, fan.chart, [o, o, o, o], factor=fan.factor)
-    rep = verify_fan(triv, d.arrangement.scene)
+    rep = verify_fan(triv, d.scene)
     assert not rep.distinct
 
 
 def test_fan_json_roundtrip_point():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     fan = witness_point_fan(tree.components[-1], F(1, 2), F(5, 2), d)
@@ -165,7 +166,7 @@ def test_fan_json_roundtrip_point():
 
 def test_fan_json_roundtrip_curve():
     d, fan = quad_fan()
-    sc = d.arrangement.scene
+    sc = d.scene
     text = fan_to_json(fan)
     back = fan_from_json(text, sc)
     for g in [sc.factors[n] for n in sc.order] + [P("x + y"), P("x*y - 3")]:
@@ -174,10 +175,10 @@ def test_fan_json_roundtrip_curve():
 
 def test_independent_count_check():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     fan = witness_point_fan(tree.components[-1], F(1, 2), F(5, 2), d)
     assert independent_count_check(fan, sc) == 3
     dq, fanq = quad_fan()
-    assert independent_count_check(fanq, dq.arrangement.scene) == 1
+    assert independent_count_check(fanq, dq.scene) == 1

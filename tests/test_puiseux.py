@@ -29,6 +29,11 @@ from basix.scene import Scene
 from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
 
 F = Fraction
+
+
+def decompose_text(text):
+    sc = Scene.from_text(text)
+    return decompose_set(build_arrangement(sc), sc)
 P = parse_polynomial
 
 
@@ -394,7 +399,7 @@ CUBIC = (
 
 
 def test_arc_region_membership_cubic():
-    d = decompose_set(build_arrangement(Scene.from_text(CUBIC)))
+    d = decompose_text(CUBIC)
     arc_half = mkarc([(2, 1), (3, F(1, 2))])  # a = 1/2, z dropped
     assert arc_region_membership(arc_half, 1, d) == ("in_S",)
     assert arc_region_membership(arc_half, -1, d) == ("in_S",)
@@ -410,7 +415,7 @@ def test_arc_region_membership_cubic():
 
 
 def test_arc_on_curve_detected():
-    d = decompose_set(build_arrangement(Scene.from_text(CUBIC)))
+    d = decompose_text(CUBIC)
     on_f0 = mkarc([(2, 1)])
     got = arc_region_membership(on_f0, 1, d)
     assert got[0] == "on_curve" and got[1] == "f0"

@@ -16,6 +16,11 @@ from basix.resolution import (
 from basix.scene import Scene
 
 F = Fraction
+
+
+def decompose_text(text):
+    sc = Scene.from_text(text)
+    return decompose_set(build_arrangement(sc), sc)
 P = parse_polynomial
 
 CUBIC = (
@@ -66,7 +71,7 @@ def test_cubic_fixture_marked_points():
 
 def test_cubic_classification_and_dual_path():
     sc = Scene.from_text(CUBIC)
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     factors = {n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}
     tree = resolve_point(factors, (F(0), F(0)))
     E3 = tree.components[-1]
@@ -92,7 +97,7 @@ def test_cubic_classification_and_dual_path():
 def test_basic_set_never_positive_on_exceptionals():
     # S = {y > 0, y < x^2} is basic by definition
     sc = Scene.from_text("factor l = y; factor p = y - x^2; set S = { l > 0, p < 0 };")
-    d = decompose_set(build_arrangement(sc))
+    d = decompose_set(build_arrangement(sc), sc)
     tree = resolve_point({n: sc.factors[n] for n in ("l", "p")}, (F(0), F(0)))
     assert tree.components  # tangential contact needs at least one blow-up
     for D in tree.components:
@@ -102,7 +107,7 @@ def test_basic_set_never_positive_on_exceptionals():
 
 
 def test_local_analysis_points_cubic():
-    d = decompose_set(build_arrangement(Scene.from_text(CUBIC)))
+    d = decompose_text(CUBIC)
     pts = local_analysis_points(d)
     assert len(pts) == 1
     ap = pts[0]
@@ -111,12 +116,12 @@ def test_local_analysis_points_cubic():
 
 
 def test_local_analysis_cross_empty():
-    d = decompose_set(build_arrangement(Scene.from_text("set S = { x > 0, y > 0 };")))
+    d = decompose_text("set S = { x > 0, y > 0 };")
     assert local_analysis_points(d) == []
 
 
 def test_local_analysis_cusp():
-    d = decompose_set(build_arrangement(Scene.from_text("set S = { y^2 - x^3 > 0 };")))
+    d = decompose_text("set S = { y^2 - x^3 > 0 };")
     pts = local_analysis_points(d)
     assert len(pts) == 1 and pts[0].point == (F(0), F(0))
 
@@ -142,9 +147,10 @@ def test_down_map_consistency_random_points():
 def test_transversal_irrational_crossing_supported():
     # the parabolas cross transversally at (+-sqrt2, 0): fully supported
     sc_text = "factor f = y - x^2 + 2; factor g = y + x^2 - 2; set S = { f > 0, g < 0 };"
-    arr = build_arrangement(Scene.from_text(sc_text))
+    sc = Scene.from_text(sc_text)
+    arr = build_arrangement(sc)
     assert len(arr.vertices) == 2
-    d = decompose_set(arr)
+    d = decompose_set(arr, sc)
     assert local_analysis_points(d) == []  # transversal crossings are exempt
 
 

@@ -45,8 +45,7 @@ def test_sign_normalisation_merges_negated_factors():
 
 
 def test_validate_ok():
-    rep = validate_scene(S("factor a = y; factor b = y - x^2; set S = { a > 0, b < 0 };"))
-    assert rep.ok and not rep.warnings
+    assert validate_scene(S("factor a = y; factor b = y - x^2; set S = { a > 0, b < 0 };")) == []
 
 
 def test_validate_not_squarefree():
@@ -60,8 +59,7 @@ def test_validate_shared_component():
 
 
 def test_validate_reducible_warning():
-    rep = validate_scene(S("factor a = x*y; set S = { a > 0 };"))
-    assert rep.warnings
+    assert validate_scene(S("factor a = x*y; set S = { a > 0 };")) == ["factor 'a' looks reducible: content in x of degree 1"]
 
 
 def _reducibility_probe_reference(p):
@@ -173,3 +171,12 @@ def test_minus_factor_zeros():
     red = sc.minus_factor_zeros(["f"])
     assert red.member(0, 1)
     assert not red.member(0, 0)
+
+
+def test_open_complement():
+    # X minus (S union Z(g)) for S = {f >= 0, g > 0}, checked against its definition
+    sc = S("factor f = y; factor g = x - 1; set S = { f >= 0, g > 0 };")
+    oc = sc.open_complement(["g"])
+    for x in range(-2, 3):
+        for y in range(-2, 3):
+            assert oc.member(x, y) == (not sc.member(x, y) and x != 1)

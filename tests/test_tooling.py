@@ -1,4 +1,7 @@
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 from basix.scene import Scene, validate_scene
@@ -24,3 +27,24 @@ def test_shipped_fixtures_parse_and_validate():
         validate_scene(Scene.from_text(path.read_text(encoding="utf-8")))
     # the fixtures that tests load by name through conftest.load_fixture
     assert {"half", "quad", "saddle", "para", "cubic"} <= {p.stem for p in paths}
+
+
+def test_benchmark_tracer_targets_resolve(monkeypatch):
+    # bench/tracer.py wraps engine functions by name; a rename in src/ must
+    # fail here, in tier-1, and not only in the benchmark's own tests
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for modname, attr, _by_chart, _info in tracer.TARGETS:
+        assert modname.startswith("basix.")
+        obj = importlib.import_module(modname)
+        for part in attr.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{modname}.{attr}"
+    # the sphere model's builds are traced through the name it imported
+    from basix import arrangement, sphere
+
+    assert sphere.build_arrangement is arrangement.build_arrangement
