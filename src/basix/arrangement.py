@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bipoly import BiPoly, discriminant_y, resultant
-from .errors import Unsupported
+from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
     count_roots_below,
@@ -227,7 +227,7 @@ class Arrangement:
         self.vlines: dict[str, Fraction] = {}
         self.pole_touched = False
         self._edges_at_vertex: dict[int, list[int]] = {}
-        self._elim_cache: dict[tuple, UniPoly | None] = {}
+        self._elim_cache: dict[tuple, UniPoly] = {}
         self._build()
 
     # ---------------------------------------------------------------- stage 1
@@ -509,17 +509,14 @@ class Arrangement:
                 return self._split_cluster(cl[:cut], xl, xr) + self._split_cluster(cl[cut:], xl, xr)
         return [cl]
 
-    def _elim_x(self, f: BiPoly, g: BiPoly) -> UniPoly | None:
+    def _elim_x(self, f: BiPoly, g: BiPoly) -> UniPoly:
         """Polynomial in y whose roots contain the y-coordinates of common
-        zeros of f and g (None when unavailable)."""
+        zeros of f and g."""
         if f.deg_x == 0:
             return _as_y_poly(f)
         if g.deg_x == 0:
             return _as_y_poly(g)
-        try:
-            return resultant(f, g, "x")
-        except Exception:
-            return None
+        return resultant(f, g, "x")
 
     def _vertex_y_locator(
         self, factors: set[str], lo: Fraction, hi: Fraction, wall: Wall
@@ -540,7 +537,7 @@ class Arrangement:
             else:
                 r = self._elim_x(self.curvy[fs[0]], self.curvy[fs[1]])
             self._elim_cache[key] = r
-        if r is None or r.is_zero() or r.degree < 1:
+        if r.is_zero() or r.degree < 1:
             return None
         cands = list(isolate_real_roots(r, lo, hi))
         if not cands:
@@ -934,6 +931,21 @@ class Arrangement:
                 signs[n] = bipoly_sign_on_box(p, v.box())
         return signs
 
+    def pole_end_sides(self, e: Edge) -> list[int]:
+        """The sign of x along each end of the edge that runs to the pole: -1
+        or +1, and 0 on the line x = 0.  Inversion keeps the sign of x, so
+        this is the side from which the end reaches the inverted origin."""
+        if e.vertical:
+            return [_sign_of(self.walls[e.wall_index].x)] * e.ends.count(("pole",))
+        out = []
+        first, last = e.pieces[0][0], e.pieces[-1][0]
+        if e.ends[0] == ("pole",):
+            # out of the leftmost slab, or up or down a wall from its right
+            out.append(-1 if first == 0 or _sign_of(self.walls[first - 1].x) < 0 else 1)
+        if e.ends[1] == ("pole",):
+            out.append(1 if last == len(self.walls) or _sign_of(self.walls[last].x) > 0 else -1)
+        return out
+
     def edges_of_factor(self, factor: str) -> list[Edge]:
         return [e for e in self.edges if e.factor == factor]
 
@@ -1046,8 +1058,21 @@ class Arrangement:
     def region_of_point(self, x: Fraction, y: Fraction) -> int:
         kind, idx = self.locate(x, y)
         if kind != "region":
-            raise ValueError(f"point ({x}, {y}) lies on a curve cell")
+            raise InternalError(f"point ({x}, {y}) lies on a curve cell")
         return idx
+
+
+def _sign_of(loc: Loc) -> int:
+    """The sign of a located number; an irrational one is never 0."""
+    while True:
+        lo, hi = loc_bounds(loc)
+        if lo == hi:
+            return (lo > 0) - (lo < 0)
+        if lo >= 0:
+            return 1
+        if hi <= 0:
+            return -1
+        loc_refine(loc)
 
 
 def _as_y_poly(p: BiPoly) -> UniPoly:

@@ -1,18 +1,18 @@
 """Decision procedures for basic / generically basic / principal sets.
 
 `run_check` validates the scene and builds one sphere model per check; every
-check reads that model.  The closed checks decompose their reduced scene (S
-minus its Zariski boundary) or complement scene over the affine arrangement
-already built, since these scenes have the same factors.  The open pipeline
+check reads its one affine arrangement.  The closed checks decompose their
+reduced scene (S minus its Zariski boundary) or complement scene over that
+arrangement, since these scenes have the same factors.  The open pipeline
 runs openness and set-meets-boundary prechecks, the curve-level sign
-criterion over both charts, then blow-up analysis of every non-normal-crossing
-boundary point with the lifted distributions.  The model builds its infinity
-chart on first access; only the basic-open pipeline reads it, once its
-prechecks and the affine sign criterion have passed, so the other checks
-never invert the scene.  Each exceptional component is sampled once and then
-classified against every lifted distribution.  Negative verdicts carry an
-independently verifiable fan witness whenever one exists (set-theoretic
-prechecks carry none).  Validation warnings ride on the verdict.
+criterion, then blow-up analysis of every non-normal-crossing boundary point
+with the lifted distributions.  The pole is analysed in the inverted chart
+through the model's pole view, whose lookups go to the affine
+decomposition; no check builds a second arrangement.  Each exceptional
+component is sampled once and then classified against every lifted
+distribution.  Negative verdicts carry an independently verifiable fan
+witness whenever one exists (set-theoretic prechecks carry none).
+Validation warnings ride on the verdict.
 """
 
 from __future__ import annotations
@@ -30,10 +30,17 @@ from .decompose import (
 )
 from .errors import BasixError, CountMismatch, InternalError, Unsupported
 from .fans import Fan, fan_count_in_S, witness_curve_fan, witness_point_fan
-from .resolution import DEFAULT_DEPTH_CAP, AnalysisPoint, classify_exceptional, local_analysis_points, resolve_point
+from .resolution import (
+    DEFAULT_DEPTH_CAP,
+    AnalysisPoint,
+    classify_exceptional,
+    local_analysis_points,
+    pole_analysis_point,
+    resolve_point,
+)
 from .scene import Scene, validate_scene
 from .signdist import condition_a_check, condition_a_table
-from .sphere import SphereModel, build_sphere_model, infinity_sigma_decomposition
+from .sphere import PoleView, SphereModel, build_sphere_model, infinity_sigma_decomposition
 
 F = Fraction
 
@@ -51,7 +58,6 @@ class CheckRequest:
     scene: Scene
     property: str
     want_witness: bool = True
-    trace_level: int = 0
     depth_cap: int = DEFAULT_DEPTH_CAP  # blow-ups per chart word in resolution
 
 
@@ -152,15 +158,14 @@ def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: 
     if d.s_meets_boundary == "finite":
         v.diagnostics["removed_points"] = _meet_points(d)
 
-    # curve-level criterion over both charts
+    # curve-level criterion
     fail = condition_a_check(d)
     v.diagnostics["condition_a_table"] = condition_a_table(d)
     if fail is None:
-        inf_view = infinity_sigma_decomposition(model)
-        v.diagnostics["condition_a_table_infinity"] = condition_a_table(inf_view)
-        inf_fail = condition_a_check(inf_view)
-        if inf_fail is not None:
-            raise InternalError("curve criterion failed only at infinity: adjacency bug")
+        # the pole adds no curve arc, and each arc of the inverted chart has
+        # the same regions on its two sides as in the affine chart, so the
+        # opposite chart's table is the affine one (kept as a report key)
+        v.diagnostics["condition_a_table_infinity"] = v.diagnostics["condition_a_table"]
     mark("condition_a")
     if fail is not None:
         v.answer, v.reason = "No", "condition-a"
@@ -180,12 +185,11 @@ def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: 
     failure = _condition_b(model, v, req.depth_cap)
     mark("condition_b")
     if failure is not None:
-        chart_name, D, cls = failure
+        dec, D, cls = failure
         v.answer, v.reason = "No", "condition-b"
         v.diagnostics["failing_component_level"] = D.level
-        v.diagnostics["failing_chart"] = chart_name
+        v.diagnostics["failing_chart"] = dec.scene.chart
         if req.want_witness:
-            dec = model.affine if chart_name == "affine" else infinity_sigma_decomposition(model)
             o2 = cls.omega2_plus()
             o1 = cls.omega1()
             if o2 is None or o1 is None:
@@ -211,15 +215,16 @@ def _meet_points(d: SetDecomposition) -> list[list[str]]:
     return out
 
 
-def _analysis_points_both_charts(model: SphereModel) -> list[tuple[str, AnalysisPoint]]:
-    pts: list[tuple[str, AnalysisPoint]] = []
+def _analysis_points_both_charts(model: SphereModel) -> list[tuple[SetDecomposition | PoleView, AnalysisPoint]]:
+    """The affine points needing blow-up analysis, then the pole if it does;
+    each with the decomposition or view its chart reads."""
     aff = local_analysis_points(model.affine)
     aff.sort(key=lambda ap: (ap.point is None, ap.point or (F(0), F(0))))
-    pts.extend(("affine", ap) for ap in aff)
-    # the only genuinely new point of the opposite chart is the pole (origin)
-    for ap in local_analysis_points(model.infinity):
-        if ap.point == (F(0), F(0)):
-            pts.append(("infinity", ap))
+    pts: list[tuple[SetDecomposition | PoleView, AnalysisPoint]] = [(model.affine, ap) for ap in aff]
+    pole = infinity_sigma_decomposition(model)
+    ap = pole_analysis_point(pole)
+    if ap is not None and not ap.exempt:
+        pts.append((pole, ap))
     return pts
 
 
@@ -227,44 +232,40 @@ def _condition_b(model: SphereModel, v: Verdict, depth_cap: int):
     exc_table: list = []
     v.diagnostics["resolution_points"] = []
     v.diagnostics["exceptional_table"] = exc_table
-    inf_view: SetDecomposition | None = None
-    for chart_name, ap in _analysis_points_both_charts(model):
+    n_comps = len(model.affine.a_components)  # the pole view's are the affine ones
+    for dec, ap in _analysis_points_both_charts(model):
         if not ap.rational:
             raise Unsupported(
                 "NonRationalSingularPoint",
                 f"boundary point with factors {ap.factors} has irrational coordinates",
             )
-        dec = model.affine
-        if chart_name == "infinity":
-            if inf_view is None:
-                inf_view = infinity_sigma_decomposition(model)
-            dec = inf_view
+        chart_name = dec.scene.chart
         v.diagnostics["resolution_points"].append(
             {"chart": chart_name, "point": [str(ap.point[0]), str(ap.point[1])], "factors": ap.factors}
         )
-        factors = dec.arrangement.factors
+        factors = dec.scene.factors
         boundary_polys = {
             n: factors[n]
-            for n in dec.arrangement.order
+            for n in dec.scene.order
             if n in model.affine.zariski_boundary and factors[n].eval(*ap.point) == 0
         }
         if not boundary_polys:
             continue
         tree = resolve_point(boundary_polys, ap.point, depth_cap)
         v.trace.extend(tree.trace)
-        if not dec.a_components:
+        if not n_comps:
             continue
         # every component is sampled before any row is read, so that an
         # Unsupported raised for a later component wins over an earlier failure
         sides = [classify_exceptional(D, dec) for D in tree.components]
         for D, arcs in zip(tree.components, sides):
-            for i in range(len(dec.a_components)):
+            for i in range(n_comps):
                 cls = arcs.against(i)
                 exc_table.append(
                     {"chart": chart_name, "level": D.level, "sigma": i, "verdict": cls.verdict}
                 )
                 if cls.verdict == "PositiveTypeChanging":
-                    return chart_name, D, cls
+                    return dec, D, cls
     return None
 
 

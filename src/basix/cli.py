@@ -89,14 +89,14 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args) -> int:
     if args.command == "check":
         scene = _load_scene(args.scene)
-        req = CheckRequest(
-            scene,
-            _PROPS[args.property],
-            want_witness=args.witness,
-            trace_level=1 if args.trace else 0,
-        )
-        if os.environ.get("BASIX_MAX_DEPTH"):
-            req.depth_cap = int(os.environ["BASIX_MAX_DEPTH"])
+        req = CheckRequest(scene, _PROPS[args.property], want_witness=args.witness)
+        depth = os.environ.get("BASIX_MAX_DEPTH")
+        if depth:
+            try:
+                req.depth_cap = int(depth)
+            except ValueError:
+                print(f"error: BASIX_MAX_DEPTH must be an integer, got {depth!r}", file=sys.stderr)
+                return EXIT_INPUT
         verdict = run_check(req)
         body = verdict_to_json(verdict) if args.format == "json" else verdict_to_text(verdict)
         if args.trace and verdict.trace:
@@ -114,7 +114,7 @@ def _dispatch(args) -> int:
         from .svgplot import render_svg
 
         scene = _load_scene(args.scene)
-        validate_scene(scene)
+        _warn(validate_scene(scene))
         svg = render_svg(decompose_set(build_arrangement(scene), scene), width=args.width, window=args.window)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
@@ -125,7 +125,7 @@ def _dispatch(args) -> int:
         from .resolution import resolve_point
 
         scene = _load_scene(args.scene)
-        validate_scene(scene)
+        _warn(validate_scene(scene))
         try:
             xs, ys = args.point.split(",")
             p = (F(xs), F(ys))
@@ -160,7 +160,7 @@ def _dispatch(args) -> int:
         with open(args.fan, "r", encoding="utf-8") as fh:
             fan_text = fh.read()
         scene = _load_scene(args.scene)
-        validate_scene(scene)
+        _warn(validate_scene(scene))
         fan = fan_from_json(fan_text, scene)
         rep = verify_fan(fan, scene)
         count = fan_count_in_S(fan, scene)
@@ -174,6 +174,11 @@ def _dispatch(args) -> int:
         return EXIT_YES if rep.product_law_ok and rep.distinct else EXIT_NO
 
     raise AssertionError(f"unknown command {args.command!r}")
+
+
+def _warn(warnings: list[str]) -> None:
+    for w in warnings:
+        print(f"warning: {w}", file=sys.stderr)
 
 
 def _fmt_loc(v) -> str:

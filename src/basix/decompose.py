@@ -35,18 +35,19 @@ class SetDecomposition:
     a_components: list[set[int]] = field(default_factory=list)  # region ids per component
     a_of_region: dict[int, int] = field(default_factory=dict)
     s_meets_boundary: str = "empty"  # 'empty' | 'finite' | 'one_dimensional'
-    boundary_vertex_ids: set[int] = field(default_factory=set)
-    isolated_boundary_factors: set[str] = field(default_factory=set)
 
     # ---------------------------------------------------------------- queries
 
-    def region_sign(self, rid: int, a_index: int) -> int:
-        """+1 on S, -1 on the chosen complement component, 0 otherwise."""
+    def tag_at(self, x: Fraction, y: Fraction) -> tuple:
+        """('in_S',) | ('in_A', component) | ('unsigned', region) for the
+        region holding a rational point off the curves."""
+        rid = self.arrangement.region_of_point(x, y)
         if rid in self.s_regions:
-            return 1
-        if self.a_of_region.get(rid) == a_index:
-            return -1
-        return 0
+            return ("in_S",)
+        i = self.a_of_region.get(rid)
+        if i is not None:
+            return ("in_A", i)
+        return ("unsigned", rid)
 
     def edge_in_closure(self, e: Edge) -> bool:
         return e.eid in self.s_edges or e.side_above in self.s_regions or e.side_below in self.s_regions
@@ -73,23 +74,6 @@ def decompose_set(arr: Arrangement, scene: Scene) -> SetDecomposition:
         if closure and not interior:
             d.boundary_edges.add(e.eid)
     d.zariski_boundary = {arr.edges[eid].factor for eid in d.boundary_edges}
-
-    # boundary vertices (diagnostic; includes isolated boundary points)
-    for v in arr.vertices:
-        in_closure = (
-            v.vid in d.s_vertices
-            or any(eid in d.s_edges for eid in arr.edges_at_vertex(v.vid))
-            or any(r in d.s_regions for r in arr.regions_at_vertex(v.vid))
-        )
-        interior = (
-            v.vid in d.s_vertices
-            and all(eid in d.s_edges for eid in arr.edges_at_vertex(v.vid))
-            and all(r in d.s_regions for r in arr.regions_at_vertex(v.vid))
-        )
-        if in_closure and not interior:
-            d.boundary_vertex_ids.add(v.vid)
-            if not (v.factors & d.zariski_boundary):
-                d.isolated_boundary_factors.update(v.factors)
 
     # S meets its Zariski boundary: cells of S on boundary factors
     one_dim = any(arr.edges[eid].factor in d.zariski_boundary for eid in d.s_edges)

@@ -28,6 +28,7 @@ from .realroots import RootLocator
 from .resolution import ExceptionalComponent, family_arc_for
 from .scene import Scene, rel_holds
 from .series import TSeries, ZPoly
+from .sphere import PoleView
 
 F = Fraction
 
@@ -288,7 +289,7 @@ def witness_point_fan(
     D: ExceptionalComponent,
     omega2_mid: Fraction,
     omega1_mid: Fraction,
-    decomp: SetDecomposition,
+    decomp: SetDecomposition | PoleView,
     eta: int = 1,
     eta_prime: int = 1,
     expected_count: int = 3,
@@ -303,7 +304,7 @@ def witness_point_fan(
     fan = Fan(
         kind="point_centered",
         form_tag=form,
-        chart=decomp.arrangement.chart,
+        chart=decomp.scene.chart,
         orderings=[
             ArcOrdering(g1, 1),
             ArcOrdering(g1, -1),

@@ -687,10 +687,9 @@ def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | Non
 def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
     for the local region entered by the half-arc."""
-    arr = decomp.arrangement
-    factors = arr.factors
+    factors, order = decomp.scene.factors, decomp.scene.order
     signs: dict[str, int] = {}
-    for n in arr.order:
+    for n in order:
         s = arc_sign(factors[n], arc, side, on_poly=_on_poly(arc, factors))
         if s is None:
             raise Unsupported("TruncationCap", f"sign of {n} unresolved along arc")
@@ -698,18 +697,12 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
             return ("on_curve", n)
         signs[n] = s
     z0 = F(1, 8)
-    polys = [factors[n] for n in arr.order]
+    polys = [factors[n] for n in order]
     has_slot = isinstance(arc, ParamArc) or (isinstance(arc, PuiseuxArc) and arc.slot is not None)
     for _ in range(24):
         pt = certified_point(arc, side, polys, z0 if has_slot else None)
-        if all(factors[n].sign_at(*pt) == signs[n] for n in arr.order):
-            rid = arr.region_of_point(*pt)
-            if rid in decomp.s_regions:
-                return ("in_S",)
-            i = decomp.a_of_region.get(rid)
-            if i is not None:
-                return ("in_A", i)
-            return ("unsigned", rid)
+        if all(factors[n].sign_at(*pt) == signs[n] for n in order):
+            return decomp.tag_at(*pt)
         z0 = z0 / 2
     raise Unsupported("TruncationCap", "could not certify a concrete arc point")
 

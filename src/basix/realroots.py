@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
+from .errors import InternalError
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
@@ -433,7 +434,7 @@ def refine_disjoint(locs: list[RootLocator]) -> None:
             if not (ahi <= blo) or (a.exact is not None and b.exact is not None and a.exact == b.exact):
                 if a.exact is not None and b.exact is not None:
                     if a.exact == b.exact:
-                        raise ValueError("coincident roots passed to refine_disjoint")
+                        raise InternalError("coincident roots passed to refine_disjoint")
                     continue
                 a.refine()
                 b.refine()

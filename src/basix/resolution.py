@@ -31,6 +31,7 @@ from .errors import BasixError, InternalError, Unsupported
 from .puiseux import ParamArc, PuiseuxArc, arc_region_membership, branch_set
 from .realroots import RootLocator, isolate_real_roots, refine_disjoint, roots_equal, simplest_in
 from .series import TSeries, ZPoly
+from .sphere import PoleView
 from .unipoly import UniPoly
 
 F = Fraction
@@ -497,7 +498,7 @@ def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fr
 
 def classify_exceptional(
     D: ExceptionalComponent,
-    decomp: SetDecomposition,
+    decomp: SetDecomposition | PoleView,
     q_cap: int = 24,
     alt_cap: int = 12,
 ) -> ExcArcs:
@@ -534,12 +535,12 @@ def classify_exceptional(
 
 
 def _sample_arc_sides(
-    D: ExceptionalComponent, decomp: SetDecomposition, v_mid: Fraction, q_cap: int
+    D: ExceptionalComponent, decomp: SetDecomposition | PoleView, v_mid: Fraction, q_cap: int
 ) -> dict[int, tuple] | None:
     """Region verdicts on both sides of the component at the chosen position,
     via down-pushed samples certified by a crossing-free segment.  None when
     the down-images persistently land on scene curves (caller perturbs)."""
-    arr = decomp.arrangement
+    factors = decomp.scene.factors.values()
     # reject positions on a marked point outright
     for _tag, sc in D.curves:
         g = _sub_v(sc, v_mid)
@@ -572,17 +573,11 @@ def _sample_arc_sides(
                 break
             u0 = q if side > 0 else -q
             x0, y0 = D.chart.down_point(u0, v_mid)
-            if any(p.eval(x0, y0) == 0 for p in arr.factors.values()):
+            if any(p.eval(x0, y0) == 0 for p in factors):
                 ok = False
                 hit_curve += 1
                 break
-            rid = arr.region_of_point(x0, y0)
-            if rid in decomp.s_regions:
-                signs[side] = ("in_S",)
-            elif rid in decomp.a_of_region:
-                signs[side] = ("in_A", decomp.a_of_region[rid])
-            else:
-                signs[side] = ("unsigned", rid)
+            signs[side] = decomp.tag_at(x0, y0)
         if ok:
             return signs
         q = q / 2
@@ -601,7 +596,7 @@ def _sub_v(p: BiPoly, v0: Fraction) -> UniPoly:
 
 @dataclass
 class AnalysisPoint:
-    vertex_id: int
+    vertex_id: int | None  # None for the pole
     point: tuple[Fraction, Fraction] | None  # None when irrational
     factors: list[str]
     rational: bool
@@ -616,82 +611,109 @@ def local_analysis_points(decomp: SetDecomposition) -> list[AnalysisPoint]:
 
 
 def analysis_table(decomp: SetDecomposition) -> list[AnalysisPoint]:
+    """Every vertex on the Zariski boundary except regular curve points, with
+    its exemption.  A boundary factor's branch ends at a vertex are the ends
+    of its edges there; `_classify_point` applies the rules."""
     arr = decomp.arrangement
     out: list[AnalysisPoint] = []
     for v in arr.vertices:
         bfs = sorted(v.factors & decomp.zariski_boundary)
         if not bfs:
             continue
-        ends: dict[str, int] = {n: 0 for n in bfs}
+        ends = dict.fromkeys(bfs, 0)
         for eid in arr.edges_at_vertex(v.vid):
             e = arr.edges[eid]
             if e.factor in ends:
-                ends[e.factor] += 2 if _both_ends_here(e, v.vid) else 1
-        total = sum(ends.values())
-        pt = v.point()
-        rational = pt is not None
-
-        if total == 0:
-            # isolated real point of the boundary: blowing it up yields an
-            # exceptional circle with no sign change, so it never obstructs
-            out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "isolated point"))
-            continue
-        if len(bfs) == 1 and ends[bfs[0]] == 2 and _smooth_at(arr.factors[bfs[0]], v):
-            continue  # regular curve point
-        if len(bfs) == 2 and all(c == 2 for c in ends.values()) and _transversal_pair(arr.factors, bfs, v):
-            out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "transversal crossing"))
-            continue
-        if len(bfs) == 1 and ends[bfs[0]] == 4 and _certified_node(arr.factors[bfs[0]], v):
-            out.append(AnalysisPoint(v.vid, pt, bfs, rational, True, "ordinary node"))
-            continue
-        if not rational:
-            out.append(AnalysisPoint(v.vid, None, bfs, False, False, "irrational centre"))
-            continue
-        out.append(AnalysisPoint(v.vid, pt, bfs, True, False, "needs resolution"))
+                ends[e.factor] += e.ends.count(("vertex", v.vid))
+        ap = _classify_point(v.vid, v.box(), bfs, ends, arr.factors)
+        if ap is not None:
+            out.append(ap)
     return out
 
 
-def _both_ends_here(e, vid: int) -> bool:
-    return sum(1 for end in e.ends if end and end[0] == "vertex" and end[1] == vid) == 2
+def pole_analysis_point(view: PoleView) -> AnalysisPoint | None:
+    """The pole, as the origin of the inverted chart, classified by the same
+    rules as a vertex.  Its boundary factors are those whose inverted
+    polynomial vanishes at the origin; a factor's branch ends there are the
+    ends of its affine edges that run to the pole.  A single curve arc that
+    crosses x = 0 at the origin makes no vertex there (as in the affine
+    chart), so it is no analysis point either."""
+    origin = (F(0), F(0))
+    factors = view.scene.factors
+    through = [n for n in view.scene.order if factors[n].eval(*origin) == 0]
+    bfs = sorted(n for n in through if n in view.affine.zariski_boundary)
+    if not bfs:
+        return None
+    arr = view.affine.arrangement
+    sides: dict[str, list[int]] = {n: [] for n in bfs}
+    for e in arr.edges:
+        if e.factor in sides:
+            sides[e.factor] += arr.pole_end_sides(e)
+    if len(through) == 1 and sorted(sides[bfs[0]]) == [-1, 1]:
+        return None
+    ends = {n: len(s) for n, s in sides.items()}
+    return _classify_point(None, Box(*origin), bfs, ends, factors)
 
 
-def _smooth_at(p: BiPoly, v) -> bool:
-    pt = v.point()
+def _classify_point(
+    vid: int | None, box: Box, bfs: list[str], ends: dict[str, int], factors: dict[str, BiPoly]
+) -> AnalysisPoint | None:
+    """Exemption rules at a point of the boundary factors ``bfs``, given the
+    branch ends of each there; None for a regular curve point."""
+    pt = box.exact_point()
+    rational = pt is not None
+    if sum(ends.values()) == 0:
+        # isolated real point of the boundary: blowing it up yields an
+        # exceptional circle with no sign change, so it never obstructs
+        return AnalysisPoint(vid, pt, bfs, rational, True, "isolated point")
+    if len(bfs) == 1 and ends[bfs[0]] == 2 and _smooth_at(factors[bfs[0]], box):
+        return None  # regular curve point
+    if len(bfs) == 2 and all(c == 2 for c in ends.values()) and _transversal_pair(factors, bfs, box):
+        return AnalysisPoint(vid, pt, bfs, rational, True, "transversal crossing")
+    if len(bfs) == 1 and ends[bfs[0]] == 4 and _certified_node(factors[bfs[0]], box):
+        return AnalysisPoint(vid, pt, bfs, rational, True, "ordinary node")
+    if not rational:
+        return AnalysisPoint(vid, None, bfs, False, False, "irrational centre")
+    return AnalysisPoint(vid, pt, bfs, True, False, "needs resolution")
+
+
+def _smooth_at(p: BiPoly, box: Box) -> bool:
+    pt = box.exact_point()
     if pt is not None:
         return p.partial_x().eval(*pt) != 0 or p.partial_y().eval(*pt) != 0
     for g in (p.partial_x(), p.partial_y()):
         try:
-            if bipoly_sign_on_box(g, v.box(), cap=48) != 0:
+            if bipoly_sign_on_box(g, box, cap=48) != 0:
                 return True
         except Unsupported:
             continue
     return False
 
 
-def _transversal_pair(factors: dict[str, BiPoly], bfs: list[str], v) -> bool:
+def _transversal_pair(factors: dict[str, BiPoly], bfs: list[str], box: Box) -> bool:
     f, g = factors[bfs[0]], factors[bfs[1]]
-    if not (_smooth_at(f, v) and _smooth_at(g, v)):
+    if not (_smooth_at(f, box) and _smooth_at(g, box)):
         return False
     jac = f.partial_x() * g.partial_y() - f.partial_y() * g.partial_x()
-    pt = v.point()
+    pt = box.exact_point()
     if pt is not None:
         return jac.eval(*pt) != 0
     try:
-        return bipoly_sign_on_box(jac, v.box(), cap=48) != 0
+        return bipoly_sign_on_box(jac, box, cap=48) != 0
     except Unsupported:
         return False
 
 
-def _certified_node(p: BiPoly, v) -> bool:
+def _certified_node(p: BiPoly, box: Box) -> bool:
     """Hessian-determinant certificate for an ordinary double point."""
     hxx = p.partial_x().partial_x()
     hyy = p.partial_y().partial_y()
     hxy = p.partial_x().partial_y()
     det = hxx * hyy - hxy * hxy
-    pt = v.point()
+    pt = box.exact_point()
     if pt is not None:
         return det.eval(*pt) < 0
     try:
-        return bipoly_sign_on_box(det, v.box(), cap=48) < 0
+        return bipoly_sign_on_box(det, box, cap=48) < 0
     except Unsupported:
         return False

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basix.bipoly import BiPoly, are_coprime, discriminant_y, is_squarefree, resultant
-from basix.errors import DegreeZero
+from basix.errors import DegreeZero, InternalError
 from basix.parser import parse_polynomial
 from basix import realroots
 from basix.realroots import (
@@ -13,6 +13,7 @@ from basix.realroots import (
     compare_roots,
     count_roots_below,
     isolate_real_roots,
+    refine_disjoint,
     roots_equal,
     simplest_in,
     sturm_count,
@@ -657,3 +658,10 @@ def test_discriminant_form_agrees_with_sympy(f):
     want = _sympy_coeffs(sympy, sympy.resultant(fe, sympy.diff(fe, y), y), x)
     assert resultant(f, f.partial_y(), "y").c == want
     assert discriminant_y(f).c == want
+
+
+def test_refine_disjoint_rejects_coincident_roots():
+    # x - 1 and x^2 - 1 share the root 1; callers pass distinct roots only
+    locs = isolate_real_roots(UniPoly([-1, 1])) + isolate_real_roots(UniPoly([-1, 0, 1]))
+    with pytest.raises(InternalError, match="coincident roots"):
+        refine_disjoint(locs)

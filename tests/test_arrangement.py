@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from basix import arrangement
 from basix.arrangement import build_arrangement
+from basix.errors import InternalError
 from basix.scene import Scene
 
 F = Fraction
@@ -157,3 +159,25 @@ def test_isolated_point_vertex():
     vs = [v for v in arr.vertices if v.point() == (F(0), F(0))]
     assert len(vs) == 1
     assert arr.regions_at_vertex(vs[0].vid)  # sits inside the lower region
+
+
+def test_elim_x_lets_internal_errors_through(monkeypatch):
+    # the vertices at these irrational crossings are located through a
+    # resultant in x; an engine fault there must not read as "no polynomial"
+    real = arrangement.resultant
+
+    def broken(f, g, var):
+        if var == "x":
+            raise InternalError("broken resultant")
+        return real(f, g, var)
+
+    monkeypatch.setattr(arrangement, "resultant", broken)
+    with pytest.raises(InternalError, match="broken resultant"):
+        build_arrangement(S("factor a = x^2 + y^2 - 3; factor b = x^2 - y^2 + x*y - 1; set S = { a < 0 };"))
+
+
+def test_region_of_point_on_a_curve_is_an_internal_error():
+    # callers certify their points off the curves first
+    arr = build_arrangement(S("factor f = y; set S = { f > 0 };"))
+    with pytest.raises(InternalError, match="lies on a curve cell"):
+        arr.region_of_point(F(0), F(0))

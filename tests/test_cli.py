@@ -5,7 +5,10 @@ from pathlib import Path
 import pytest
 
 from basix import cli
+from basix.arrangement import build_arrangement
 from basix.errors import BasixError, CountMismatch, InternalError
+from basix.realroots import isolate_real_roots, refine_disjoint
+from basix.unipoly import UniPoly
 
 # classify_exceptional's two paths disagree on D2 at v=0 here (an open defect);
 # the failure must be reported as internal, not as bad input
@@ -120,3 +123,37 @@ def test_plot_svg_is_stable(tmp_path, capsys, name):
     svg = out.read_bytes()
     assert svg.startswith(b"<svg") and svg.rstrip().endswith(b"</svg>")
     assert hashlib.sha256(svg).hexdigest() == PLOT_SHA256[name]
+
+
+def _locate_on_a_curve(req):
+    build_arrangement(req.scene).region_of_point(0, 0)
+
+
+def _coincident_roots(req):
+    refine_disjoint(isolate_real_roots(UniPoly([-1, 1])) + isolate_real_roots(UniPoly([-1, 1])))
+
+
+@pytest.mark.parametrize("broken", [_locate_on_a_curve, _coincident_roots])
+def test_broken_invariants_exit_4(monkeypatch, capsys, broken):
+    monkeypatch.setattr(cli, "run_check", broken)
+    code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open")
+    assert code == cli.EXIT_INTERNAL
+    assert out.err.startswith("internal error: ")
+
+
+def test_malformed_max_depth_is_an_input_error(monkeypatch, capsys):
+    monkeypatch.setenv("BASIX_MAX_DEPTH", "abc")
+    code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open")
+    assert code == cli.EXIT_INPUT
+    assert out.err == "error: BASIX_MAX_DEPTH must be an integer, got 'abc'\n"
+    assert out.out == ""
+
+
+def test_resolve_prints_validation_warnings_on_stderr(tmp_path, capsys):
+    path = _scene(tmp_path, "factor a = x*y; set S = { a > 0 };")
+    assert cli.main(["resolve", path, "--point", "0,0"]) == cli.EXIT_YES
+    out = capsys.readouterr()
+    assert out.err == "warning: factor 'a' looks reducible: content in x of degree 1\n"
+    # stdout is the report alone, as for a scene without warnings
+    assert out.out.startswith("resolution at (0, 0): ")
+    assert "warning" not in out.out
