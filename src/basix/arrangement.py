@@ -330,6 +330,10 @@ class Arrangement:
         return sum(1 for (n, _i, _l) in self.stacks[slab] if n == factor)
 
     def _branch_positions(self, slab: int, factor: str, x_at: Fraction) -> list[RootLocator]:
+        if x_at == self.slab_samples[slab]:
+            # stage 2 isolated these roots already; copies keep the stack's
+            # intervals, which the gap samples read, as they are
+            return [RootLocator(l.p, l.lo, l.hi, l.exact) for (n, _i, l) in self.stacks[slab] if n == factor]
         u = self.curvy[factor].specialize_x(x_at)
         locs = isolate_real_roots(u) if u.degree >= 1 else []
         if len(locs) != self._branch_count(slab, factor):
@@ -339,7 +343,7 @@ class Arrangement:
     def _analyse_exact_wall(self, wi: int, wall: Wall, cx: Fraction | None = None) -> None:
         cx = wall.exact_x() if cx is None else cx
         if cx is None:
-            raise AssertionError("exact wall analysis on a wall with no rational abscissa")
+            raise InternalError("exact wall analysis on a wall with no rational abscissa")
         roots_by_factor: dict[str, list[RootLocator]] = {}
         for n, f in self.curvy.items():
             u = f.specialize_x(cx)
@@ -384,7 +388,7 @@ class Arrangement:
                     if fate[0] == "point":
                         k = fate[1]
                         if n not in points[k].factors:
-                            raise AssertionError("branch matched to a foreign wall point")
+                            raise InternalError("branch matched to a foreign wall point")
                         (points[k].left if side == "L" else points[k].right).append((n, idx))
                     wall.fates[(side, n, idx)] = fate
 
@@ -465,7 +469,7 @@ class Arrangement:
 
     def _analyse_irrational_wall(self, wi: int, wall: Wall) -> None:
         if wall.line_factor is not None:
-            raise AssertionError("irrational wall analysis on a vertical-line wall")
+            raise InternalError("irrational wall analysis on a vertical-line wall")
         xl, xr = self.slab_samples[wi], self.slab_samples[wi + 1]
 
         for _round in range(_MATCH_ROUNDS):
@@ -851,7 +855,7 @@ class Arrangement:
             return ("pole",)
         wi = s - 1 if side == "L" else s
         if wall.points[fate[1]].is_pass:
-            raise AssertionError("chain end at a pass point")
+            raise InternalError("chain end at a pass point")
         return ("vertex", vid_of[(wi, fate[1])])
 
     def _gap_sample(self, s: int, g: int) -> tuple[Fraction, Fraction]:
@@ -897,7 +901,7 @@ class Arrangement:
         wall = self.walls[e.wall_index]  # type: ignore[index]
         cx = wall.exact_x()
         if cx is None or e.seg is None:
-            raise AssertionError("vertical edge sample off an exact wall segment")
+            raise InternalError("vertical edge sample off an exact wall segment")
         a, b = e.seg
         if a == -1 and b == len(wall.points):
             return cx, F(0)
@@ -1008,7 +1012,7 @@ class Arrangement:
     def _locate_on_wall(self, wi: int, wall: Wall, y: Fraction) -> tuple[str, int]:
         cx = wall.exact_x()
         if cx is None:
-            raise AssertionError("point location on a wall with no rational abscissa")
+            raise InternalError("point location on a wall with no rational abscissa")
         for k, p in enumerate(wall.points):
             loc = p.y
             if isinstance(loc, Fraction):
@@ -1040,11 +1044,11 @@ class Arrangement:
             for e in self.edges:
                 if e.vertical and e.wall_index == wi and e.seg == seg:
                     return ("edge", e.eid)
-            raise AssertionError("vertical edge segment not found")
+            raise InternalError("vertical edge segment not found")
         for g, (lo, hi) in enumerate(wall.expo_left):
             if lo <= below - 1 and below <= hi:
                 return ("region", self.region_of_gap[(wi, g)])
-        raise AssertionError("wall segment not covered by any gap exposure")
+        raise InternalError("wall segment not covered by any gap exposure")
 
     def _wall_point_cell(self, wi: int, k: int, p: WallPoint) -> tuple[str, int]:
         if p.is_pass:
@@ -1053,7 +1057,7 @@ class Arrangement:
         for v in self.vertices:
             if v.wall_index == wi and v.item_index == k:
                 return ("vertex", v.vid)
-        raise AssertionError("wall point without a vertex")
+        raise InternalError("wall point without a vertex")
 
     def region_of_point(self, x: Fraction, y: Fraction) -> int:
         kind, idx = self.locate(x, y)
@@ -1078,7 +1082,7 @@ def _sign_of(loc: Loc) -> int:
 def _as_y_poly(p: BiPoly) -> UniPoly:
     """A bivariate polynomial with deg_x = 0 as a univariate in y."""
     if p.deg_x != 0:
-        raise AssertionError("_as_y_poly on a polynomial that depends on x")
+        raise InternalError("_as_y_poly on a polynomial that depends on x")
     return p.swap_xy().y_coeffs()[0] if p.deg_y == 0 else UniPoly(
         [p.t.get((0, j), F(0)) for j in range(p.deg_y + 1)]
     )

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Iterator
 
-from .errors import DegreeZero, ZeroPolynomial
+from .errors import DegreeZero, InternalError, ZeroPolynomial
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
@@ -282,7 +282,7 @@ class BiPoly:
             quo = quo + qterm
             rem = rem - qterm * d
             if not (rem.is_zero() or rem.deg_y < ddeg + shift):
-                raise AssertionError("divmod_y failed to reduce the y-degree")
+                raise InternalError("divmod_y failed to reduce the y-degree")
         return quo, rem
 
     def divides(self, other: "BiPoly") -> bool:
@@ -363,7 +363,7 @@ def _pseudo_rem_y(a: BiPoly, b: BiPoly) -> BiPoly:
         shift = rem.deg_y - ddeg
         rem = rem * blc - b * lead * BiPoly({(0, shift): Fraction(1)})
         if not rem.is_zero() and rem.deg_y >= ddeg + shift + 1:
-            raise AssertionError("pseudo-division failed to reduce degree")
+            raise InternalError("pseudo-division failed to reduce degree")
     return rem
 
 

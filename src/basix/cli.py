@@ -173,7 +173,7 @@ def _dispatch(args) -> int:
             print(f"  problem: {msg}")
         return EXIT_YES if rep.product_law_ok and rep.distinct else EXIT_NO
 
-    raise AssertionError(f"unknown command {args.command!r}")
+    raise InternalError(f"unknown command {args.command!r}")
 
 
 def _warn(warnings: list[str]) -> None:

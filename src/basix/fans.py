@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly, parse_poly
 from .decompose import SetDecomposition
-from .errors import BasixError, CountMismatch, Unsupported
+from .errors import BasixError, CountMismatch, InternalError, Unsupported
 from .puiseux import (
     ArcFamily,
     PuiseuxArc,
@@ -280,7 +280,7 @@ def _const_term(s: TSeries) -> Fraction:
     for e, zc in s.coeff:
         if e == 0:
             if len(zc.c) != 1:
-                raise AssertionError("the constant term of a pushed-down family is z-free")
+                raise InternalError("the constant term of a pushed-down family is z-free")
             return zc.c[0]
     return F(0)
 
@@ -387,6 +387,8 @@ def verify_fan(fan: Fan, scene: Scene, extra_polys: list[BiPoly] | None = None) 
             continue
         try:
             fan.sign_vector(g)
+        except InternalError:
+            raise  # a broken invariant, not a failed product law
         except BasixError as exc:
             rep.product_law_ok = False
             rep.failures.append(str(exc))
@@ -418,6 +420,8 @@ def verify_fan(fan: Fan, scene: Scene, extra_polys: list[BiPoly] | None = None) 
                     continue
                 try:
                     sv = fan.sign_vector(g)
+                except InternalError:
+                    raise
                 except BasixError:
                     continue
                 if sv[i] != sv[j]:
@@ -463,7 +467,7 @@ def fan_to_json(fan: Fan) -> str:
     }
     if fan.kind == "point_centered":
         if fan.center is None:
-            raise AssertionError("a point-centred fan has a centre")
+            raise InternalError("a point-centred fan has a centre")
         d["center"] = [str(fan.center[0]), str(fan.center[1])]
         d.update(
             {

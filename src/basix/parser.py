@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bipoly import BiPoly
-from .errors import ParseError
+from .errors import InternalError, ParseError
 
 
 @dataclass
@@ -184,7 +184,7 @@ def _atom_poly(p: _P, stop: tuple[str, ...]) -> BiPoly:
             return BiPoly.y()
         p.fail("polynomial in x, y")
     p.fail("polynomial")
-    raise AssertionError
+    raise InternalError("Parser.fail returned")
 
 
 def parse_polynomial(text: str) -> BiPoly:

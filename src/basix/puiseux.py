@@ -11,12 +11,13 @@ optionally carrying a symbolic tail (eta*z + a)*t^m whose sign semantics are
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from fractions import Fraction
 from math import gcd as _igcd
 
 from .bipoly import BiPoly
-from .errors import BasixError, Unsupported
+from .errors import BasixError, InternalError, Unsupported
 from .realroots import isolate_real_roots
 from .series import TSeries, ZPoly, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
@@ -43,8 +44,26 @@ class Slot:
         return ZPoly([0, F(self.eta)])
 
 
+class _Composing:
+    """The composition memo shared by both arc kinds: ``g∘arc`` is computed
+    once per polynomial and kept on the arc instance (side +1; side -1 is
+    its ``negate_t``)."""
+
+    def composed(self, g: BiPoly) -> TSeries:
+        comp = self._comp.get(g)
+        if comp is None:
+            xs, ys = self.xy_series()
+            comp = self._comp[g] = compose_bipoly(g, xs, ys)
+        return comp
+
+    @cached_property
+    def z_free(self) -> bool:
+        """True when no coefficient of x(t), y(t) involves z."""
+        return all(len(v.c) <= 1 for s in self.xy_series() for _e, v in s.coeff)
+
+
 @dataclass(frozen=True)
-class PuiseuxArc:
+class PuiseuxArc(_Composing):
     """Truncated parametrization of an analytic half-branch pair.
 
     For swapped arcs the series describe x as a function of y; xy_series()
@@ -59,6 +78,7 @@ class PuiseuxArc:
     slot: Slot | None = None
     swapped: bool = False
     on_factor: str | None = None
+    _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @property
     def reciprocal(self) -> bool:
@@ -72,6 +92,10 @@ class PuiseuxArc:
         return TSeries.make(d, self.truncation)
 
     def xy_series(self) -> tuple[TSeries, TSeries]:
+        return self._xy
+
+    @cached_property
+    def _xy(self) -> tuple[TSeries, TSeries]:
         cx, cy = self.center
         param = TSeries.make({0: ZPoly.const(0), self.N: ZPoly.const(self.delta)}, None)
         body = self.body_series()
@@ -91,13 +115,14 @@ class PuiseuxArc:
 
 
 @dataclass(frozen=True)
-class ParamArc:
+class ParamArc(_Composing):
     """A raw parametric arc (x(t), y(t)) with polynomial-in-z coefficients."""
 
     xs: TSeries
     ys: TSeries
     reciprocal: bool = False
     on_factor: str | None = None
+    _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def xy_series(self) -> tuple[TSeries, TSeries]:
         return self.xs, self.ys
@@ -353,9 +378,7 @@ def newton_puiseux(
 def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:
     """Order of the first certain nonzero term of f composed with the arc,
     None if all certain terms vanish (the residual invariant holds)."""
-    xs, ys = arc.xy_series()
-    comp = compose_bipoly(f, xs, ys)
-    lead = comp.leading()
+    lead = arc.composed(f).leading()
     return None if lead is None else lead[0]
 
 
@@ -466,8 +489,7 @@ def arc_sign(g: BiPoly, arc: Arc, side: int, on_poly: BiPoly | None = None) -> i
     """
     if g.is_zero():
         return 0
-    xs, ys = arc.xy_series()
-    comp = compose_bipoly(g, xs, ys)
+    comp = arc.composed(g)
     if side < 0:
         comp = comp.negate_t()
     s = comp.sign_small_pos_t()
@@ -476,7 +498,7 @@ def arc_sign(g: BiPoly, arc: Arc, side: int, on_poly: BiPoly | None = None) -> i
             return 0
         lead = comp.leading()
         if lead is None:
-            raise AssertionError("a series with a nonzero sign has a leading term")
+            raise InternalError("a series with a nonzero sign has a leading term")
         return _lead_sign(lead[1], getattr(arc, "reciprocal", False))
     # unresolved: strip the branch's own factor if it divides g
     if on_poly is not None and not on_poly.is_const():
@@ -662,13 +684,19 @@ def _is_clean_param(s: TSeries) -> bool:
 
 def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | None) -> tuple[Fraction, Fraction]:
     """A rational point on the (z-instantiated) arc close enough to the centre
-    that every polynomial keeps its small-t sign on the whole sub-arc."""
+    that every polynomial keeps its small-t sign on the whole sub-arc.
+
+    Without z0, or on a z-free arc (where instantiating z changes nothing),
+    the compositions are the arc's memo.  Otherwise z is instantiated before
+    composing: a coefficient vanishing at z0 can lower a truncation order,
+    so composing first and instantiating after would give another point."""
     xs, ys = arc.xy_series()
-    if z0 is not None:
+    use_memo = z0 is None or arc.z_free
+    if not use_memo:
         xs, ys = xs.eval_z(z0), ys.eval_z(z0)
     r = F(1)
     for g in polys:
-        comp = compose_bipoly(g, xs, ys)
+        comp = arc.composed(g) if use_memo else compose_bipoly(g, xs, ys)
         if side < 0:
             comp = comp.negate_t()
         lead = comp.leading()

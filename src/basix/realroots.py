@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import InternalError
+from .errors import InternalError, ZeroPolynomial
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
@@ -361,10 +361,9 @@ def sturm_count(p: UniPoly, lo: Fraction | None = None, hi: Fraction | None = No
 
 def count_roots_below(p: UniPoly, x: Fraction) -> int:
     """Number of distinct real roots of p in (-inf, x)."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    return len(isolate_real_roots(sf, None, x, detect_rational=False))
+    if p.is_zero():
+        raise ZeroPolynomial("squarefree_part(0)")
+    return len(isolate_real_roots(p, None, x, detect_rational=False))
 
 
 def definitely_no_roots(p: UniPoly, a: Fraction, b: Fraction) -> bool:

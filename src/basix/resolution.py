@@ -315,7 +315,7 @@ def _vanishes_at(p: BiPoly, v: Loc) -> bool:
     if u0.degree < 1:
         return False
     if not isinstance(v, RootLocator):
-        raise AssertionError("a marked point without an exact value has a root locator")
+        raise InternalError("a marked point without an exact value has a root locator")
     return any(roots_equal(v, loc) for loc in isolate_real_roots(u0))
 
 
@@ -351,7 +351,7 @@ def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -
         # d/dv nonzero already implies it
         return True
     if not isinstance(mp.v, RootLocator):
-        raise AssertionError("a marked point without an exact value has a root locator")
+        raise InternalError("a marked point without an exact value has a root locator")
     # simple root iff v is not a root of gcd(u0, u0')
     from .unipoly import poly_gcd
 

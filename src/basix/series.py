@@ -5,12 +5,20 @@ evaluated for arbitrarily small z > 0, i.e. by the lowest-degree nonzero
 z-term of a coefficient.  t is the running parameter of an arc and dominates
 z in the ordering (z is a small but fixed constant while t tends to 0), so a
 series sign is decided by its lowest nonzero t-coefficient.
+
+`TSeries` and `ZPoly` hold `Fraction` coefficients.  The hot kernel,
+`compose_bipoly`, does not run on them: it takes each series once to integer
+rows (per t-exponent, the integer z-coefficients) over the series' least
+common denominator, runs homogenised Horner on those rows with the
+truncation rules of `TSeries.__mul__` and `TSeries.__add__`, and builds one
+`Fraction` per output coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _igcd
 from typing import Iterable
 
 F = Fraction
@@ -242,15 +250,107 @@ class TSeries:
 
 
 def compose_bipoly(p, xs: TSeries, ys: TSeries) -> TSeries:
-    """p(xs(t), ys(t)) for a BiPoly p, by Horner in y then x."""
-    acc = TSeries.zero(None)
-    for ypoly in reversed(p.y_coeffs()):
-        # evaluate the UniPoly-in-x coefficient at xs
-        cx = TSeries.zero(None)
-        for v in reversed(ypoly.c):
-            cx = cx * xs + TSeries.const(v)
-        acc = acc * ys + cx
-    return acc
+    """p(xs(t), ys(t)) for a BiPoly p, by Horner in y then x.
+
+    The steps are those of ``acc = acc * ys + (... (cx * xs + v) ...)`` on
+    `TSeries`, run on integer rows: with ``xs = X / dx``, ``ys = Y / dy`` and
+    ``L * p`` integral, every intermediate is a nonzero integer multiple of
+    the rational one, so orders, truncations and the zero pattern agree, and
+    the result is the final rows over ``L * dx^n * dy^m``.
+    """
+    rows, l = p.int_y_rows()
+    if not rows:
+        return TSeries.zero(None)
+    X, dx = _int_terms(xs)
+    Y, dy = _int_terms(ys)
+    tx, ty = xs.trunc, ys.trunc
+    m = len(rows) - 1
+    n = max(len(r) for r in rows) - 1
+    dxp = [dx**k for k in range(n + 1)]
+    acc: list[tuple[int, list[int]]] = []
+    at: int | None = None
+    for j in range(m, -1, -1):
+        row = rows[j]
+        cx: list[tuple[int, list[int]]] = []
+        ct: int | None = None
+        ky = dy ** (m - j)
+        for i in range(len(row) - 1, -1, -1):
+            cx, ct = _mul_terms(cx, ct, X, tx)
+            if row[i]:
+                cx, ct = _add_terms(cx, ct, [(0, [row[i] * ky * dxp[n - i]])], None)
+        acc, at = _mul_terms(acc, at, Y, ty)
+        acc, at = _add_terms(acc, at, cx, ct)
+    den = l * dxp[n] * dy**m
+    return TSeries(tuple((e, ZPoly([F(v, den) for v in zr])) for e, zr in acc), at)
+
+
+def _int_terms(s: TSeries) -> tuple[list[tuple[int, list[int]]], int]:
+    """(terms, d): s = terms / d, each term an exponent and the integer
+    z-coefficients of its coefficient, d the least common denominator."""
+    d = 1
+    for _e, v in s.coeff:
+        for c in v.c:
+            d = d * c.denominator // _igcd(d, c.denominator)
+    return [(e, [c.numerator * (d // c.denominator) for c in v.c]) for e, v in s.coeff], d
+
+
+def _mul_terms(a, ta, b, tb):
+    """Integer-row `TSeries.__mul__`: the product of (a, ta) and (b, tb)."""
+    t: int | None = None
+    if ta is not None:
+        t = ta + (b[0][0] if b else 0)
+    if tb is not None:
+        u = tb + (a[0][0] if a else 0)
+        if t is None or u < t:
+            t = u
+    d: dict[int, list[int]] = {}
+    for e1, v1 in a:
+        for e2, v2 in b:
+            e = e1 + e2
+            if t is not None and e >= t:
+                break  # b is sorted by exponent
+            acc = d.get(e)
+            if acc is None:
+                d[e] = acc = [0] * (len(v1) + len(v2) - 1)
+            elif len(acc) < len(v1) + len(v2) - 1:
+                acc.extend([0] * (len(v1) + len(v2) - 1 - len(acc)))
+            for i, u in enumerate(v1):
+                for k, w in enumerate(v2):
+                    acc[i + k] += u * w
+    return _collect(d, t), t
+
+
+def _add_terms(a, ta, b, tb):
+    """Integer-row `TSeries.__add__` of two series over the same scale."""
+    t = tb if ta is None else ta if tb is None else min(ta, tb)
+    d = dict(a)
+    for e, v in b:
+        w = d.get(e)
+        if w is None:
+            d[e] = v
+        else:
+            if len(w) < len(v):
+                w, v = v, w
+            w = list(w)
+            for i, x in enumerate(v):
+                w[i] += x
+            d[e] = w
+    return _collect(d, t), t
+
+
+def _collect(d: dict[int, list[int]], t: int | None) -> list[tuple[int, list[int]]]:
+    """Sorted nonzero terms below t, each z-row trimmed.  Rows shared with
+    an operand are trimmed already, so only rows built here are shortened."""
+    out = []
+    for e in sorted(d):
+        if t is not None and e >= t:
+            break
+        v = d[e]
+        while v and not v[-1]:
+            v.pop()
+        if v:
+            out.append((e, v))
+    return out
 
 
 def series_div_unit(num: TSeries, den: TSeries, upto: int) -> TSeries:

@@ -1,9 +1,10 @@
 """Dense univariate polynomials over the rationals.
 
 Coefficients are `fractions.Fraction`; arithmetic is exact everywhere.  The
-gcd / squarefree machinery runs on primitive integer coefficient lists (the
-pseudo-remainder is pure integer) to keep intermediate growth under control,
-then re-normalises to monic rational form.
+gcd / squarefree machinery runs on primitive integer coefficient lists: the
+pseudo-remainder, the gcd and the exact quotient of `squarefree_part` are
+pure integer, which keeps intermediate growth under control, and the monic
+rational result is built once at the end.
 
 A `UniPoly` is never mutated after construction, so its integer form, the
 coefficients times their common denominator, is computed once on first use
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Sequence
 
-from .errors import ZeroPolynomial
+from .errors import InternalError, ZeroPolynomial
 
 Frac = Fraction
 
@@ -196,16 +197,8 @@ class UniPoly:
 
     def int_primitive(self) -> list[int]:
         """Primitive integer coefficient list (positive leading coefficient)."""
-        if not self.c:
-            return []
-        ints = self._int_form()[0]
-        g = 0
-        for v in ints:
-            g = _igcd(g, v)
-        if ints[-1] < 0:
-            g = -g
-        # a new list even when g == 1: the cached form must not be aliased
-        return [v // g for v in ints]
+        # a new list even when the content is 1: the cached form must not be aliased
+        return _ilist_primitive(self._int_form()[0])
 
     # -- display --------------------------------------------------------------
 
@@ -267,6 +260,11 @@ def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         r.pop()
     while r and r[-1] == 0:
         r.pop()
+    return _ilist_primitive(r)
+
+
+def _ilist_primitive(r: list[int]) -> list[int]:
+    """r over its content, with a positive leading coefficient (r trimmed)."""
     if not r:
         return []
     g = 0
@@ -288,15 +286,45 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p."""
+    """Monic product of the distinct irreducible factors of p.
+
+    With ``a = int_primitive(p)`` and ``g`` the primitive gcd of ``a`` and
+    ``a'``, the quotient ``a / g`` is an integer list (Gauss's lemma: ``g``
+    is primitive), primitive with a positive leading coefficient ``lc``; the
+    monic result is that list over ``lc``, and that list is its integer form.
+    """
     if p.is_zero():
         raise ZeroPolynomial("squarefree_part(0)")
     if p.degree == 0:
         return UniPoly.one()
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return p.exact_div(g).monic()
+    a = p.int_primitive()
+    g, r = a, _ilist_primitive([i * v for i, v in enumerate(a)][1:])
+    while r:
+        g, r = r, _ilist_pseudo_rem(g, r)
+    q = _ilist_exact_div(a, g) if len(g) > 1 else a
+    lc = q[-1]
+    out = UniPoly([Fraction(v, lc) for v in q])
+    out._ic = (q, lc)
+    return out
+
+
+def _ilist_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists where b divides a in Z[x]."""
+    r = list(a)
+    blc = b[-1]
+    d = len(b) - 1
+    q = [0] * (len(a) - d)
+    for k in range(len(q) - 1, -1, -1):
+        c, rem = divmod(r[k + d], blc)
+        if rem:
+            raise InternalError("inexact integer polynomial division")
+        q[k] = c
+        if c:
+            for i, v in enumerate(b):
+                r[k + i] -= c * v
+    if any(r[:d]):
+        raise InternalError("inexact integer polynomial division")
+    return q
 
 
 def sylvester_resultant(a: UniPoly, b: UniPoly) -> Fraction:

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from basix.realroots import (
     simplest_in,
     sturm_count,
 )
+from basix.series import TSeries, ZPoly, compose_bipoly
 from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
 
 F = Fraction
@@ -665,3 +667,135 @@ def test_refine_disjoint_rejects_coincident_roots():
     locs = isolate_real_roots(UniPoly([-1, 1])) + isolate_real_roots(UniPoly([-1, 0, 1]))
     with pytest.raises(InternalError, match="coincident roots"):
         refine_disjoint(locs)
+
+
+# ------------------------------------ composition and squarefree on integer rows
+
+
+def _ref_compose(p, xs, ys):
+    """The Fraction Horner that compose_bipoly replaced: TSeries operators
+    throughout, in y then x."""
+    acc = TSeries.zero(None)
+    for ypoly in reversed(p.y_coeffs()):
+        cx = TSeries.zero(None)
+        for v in reversed(ypoly.c):
+            cx = cx * xs + TSeries.const(v)
+        acc = acc * ys + cx
+    return acc
+
+
+def _ref_squarefree_part(p):
+    """The Fraction squarefree part that the integer one replaced."""
+    g = poly_gcd(p, p.derivative())
+    if g.degree == 0:
+        return p.monic()
+    return p.exact_div(g).monic()
+
+
+# z-linear coefficients a + b*z, often z-free, sometimes zero
+_zlin = st.tuples(_res_coeffs, st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(3)])).map(
+    lambda ab: ZPoly(list(ab))
+)
+
+
+@st.composite
+def _tseries(draw):
+    terms = draw(st.dictionaries(st.integers(0, 6), _zlin, max_size=4))
+    trunc = draw(st.one_of(st.none(), st.integers(0, 9)))
+    return TSeries.make(terms, trunc)
+
+
+@given(
+    st.one_of(_res_bipolys(min_dy=0), st.just(BiPoly())),
+    _tseries(),
+    _tseries(),
+    st.sampled_from(["free", "same", "neg"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_compose_bipoly_matches_fraction_reference(p, xs, ys, tie):
+    if tie == "same":
+        ys = xs  # products of equal series: cancelling cross terms
+    elif tie == "neg":
+        p = p * BiPoly({(1, 0): F(1), (0, 1): F(1)})  # a factor x + y
+        ys = -xs  # ... that vanishes along the arc: every term cancels
+    got = compose_bipoly(p, xs, ys)
+    assert got == _ref_compose(p, xs, ys)
+    assert got.trunc == _ref_compose(p, xs, ys).trunc
+
+
+def test_compose_bipoly_reference_cases():
+    # y - x^2 along its own branch, exact and truncated, and along a z-arc
+    p = parse_polynomial("y - x^2")
+    t = TSeries.make({1: ZPoly.const(1)})
+    for trunc in (None, 3):
+        xs, ys = t, TSeries.make({2: ZPoly.const(1)}, trunc)
+        assert compose_bipoly(p, xs, ys) == _ref_compose(p, xs, ys) == TSeries.zero(trunc)
+    ys = TSeries.make({2: ZPoly.const(1), 3: ZPoly.linear(F(1, 3), -1)}, 7)
+    got = compose_bipoly(p, t, ys)
+    assert got == _ref_compose(p, t, ys) and got.leading() == (3, ZPoly.linear(F(1, 3), -1))
+    assert compose_bipoly(BiPoly(), t, ys) == TSeries.zero(None)
+
+
+_sqf_factors = st.lists(st.integers(-6, 6).map(F) | st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=3)
+
+
+@given(
+    st.lists(st.tuples(_sqf_factors, st.integers(1, 3)), min_size=1, max_size=3),
+    st.fractions(-5, 5, max_denominator=7).filter(lambda c: c != 0),
+)
+@settings(max_examples=200, deadline=None)
+def test_squarefree_part_matches_fraction_reference(parts, c):
+    p = UniPoly.const(c)
+    for coeffs, k in parts:
+        if UniPoly(coeffs).is_zero():
+            continue
+        p = p * UniPoly(coeffs) ** k
+    got = squarefree_part(p)
+    if p.degree == 0:
+        assert got == UniPoly.one()
+        return
+    assert got == _ref_squarefree_part(p)
+    # the cached integer form is the one a fresh polynomial computes
+    assert got._int_form() == UniPoly(got.c)._int_form()
+
+
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: any(c[1:])))
+@settings(max_examples=60, deadline=None)
+def test_squarefree_part_agrees_with_sympy(coeffs):
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    p = UniPoly(coeffs) ** 2 * UniPoly(coeffs[:2])
+    want = sympy.Poly(sympy.sqf_part(sympy.Poly(list(reversed(p.c)), x, domain="QQ").as_expr()), x, domain="QQ")
+    want = want.monic()
+    assert squarefree_part(p).c == tuple(F(int(v.p), int(v.q)) for v in reversed(want.all_coeffs()))
+
+
+def test_classification_composes_each_factor_once_per_arc(monkeypatch):
+    # contact of order 2 at the origin needs blow-ups; classify_exceptional
+    # reads every factor on both sides of each family arc and certifies a
+    # point on each side, all from one composition per (factor, arc)
+    from basix import checker, puiseux
+    from basix.scene import Scene
+
+    calls = Counter()
+    inside = [False]
+    compose, classify = puiseux.compose_bipoly, checker.classify_exceptional
+
+    def counted_compose(g, xs, ys):
+        if inside[0]:
+            calls[(g, xs, ys)] += 1
+        return compose(g, xs, ys)
+
+    def counted_classify(*args, **kwargs):
+        inside[0] = True
+        try:
+            return classify(*args, **kwargs)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(puiseux, "compose_bipoly", counted_compose)
+    monkeypatch.setattr(checker, "classify_exceptional", counted_classify)
+    text = "factor f = y - x^2;\nfactor g = y - x^2 - x^2;\nset S = { f > 0, g < 0 } | { f < 0, g > 0 };\n"
+    v = checker.run_check(checker.CheckRequest(Scene.from_text(text), "basic_open"))
+    assert v.answer == "Yes"
+    assert calls and max(calls.values()) == 1

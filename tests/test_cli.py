@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from basix import cli
-from basix.arrangement import build_arrangement
+from basix.arrangement import Wall, build_arrangement
 from basix.errors import BasixError, CountMismatch, InternalError
 from basix.realroots import isolate_real_roots, refine_disjoint
 from basix.unipoly import UniPoly
@@ -139,6 +139,15 @@ def test_broken_invariants_exit_4(monkeypatch, capsys, broken):
     code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open")
     assert code == cli.EXIT_INTERNAL
     assert out.err.startswith("internal error: ")
+
+
+def test_broken_arrangement_invariant_exits_4(monkeypatch, capsys):
+    # every wall reads as irrational, so the vertical line x = 0 of quad.bsx
+    # reaches the irrational-wall analysis, whose invariant refuses it
+    monkeypatch.setattr(Wall, "exact_x", lambda self: None)
+    code, out = _check(capsys, FIXTURES / "quad.bsx", "basic-open")
+    assert code == cli.EXIT_INTERNAL
+    assert out.err.startswith("internal error: irrational wall analysis on a vertical-line wall")
 
 
 def test_malformed_max_depth_is_an_input_error(monkeypatch, capsys):

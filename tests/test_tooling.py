@@ -10,13 +10,22 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "basix"
 
 
+def _raises_assertion_error(node: ast.AST) -> bool:
+    if not isinstance(node, ast.Raise) or node.exc is None:
+        return False
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_no_bare_asserts_in_src():
-    # python -O strips assert statements; invariants raise AssertionError instead
+    # python -O strips assert statements, and an AssertionError would leave
+    # the CLI as a traceback with exit code 1 (a "No"); invariants raise
+    # InternalError, which exits 4
     found = [
         f"{path.name}:{node.lineno}"
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.Assert)
+        if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
 
