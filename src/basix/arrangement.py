@@ -29,10 +29,10 @@ from .realroots import (
     RootLocator,
     count_roots_below,
     isolate_real_roots,
+    open_count,
     refine_disjoint,
     roots_equal,
     simplest_in,
-    sturm_count,
 )
 from .scene import Scene
 from .unipoly import UniPoly, squarefree_part
@@ -75,16 +75,36 @@ def _strict_separation(locs: list[Loc], cap: int = 512) -> None:
     raise Unsupported("SeparationCap", "could not strictly separate wall points")
 
 
-def _open_count(p: UniPoly, a: Fraction, b: Fraction) -> int:
-    """Roots of p in the open interval (a, b); endpoints must not be roots."""
-    from .realroots import definitely_no_roots
+class UnionFind:
+    """Disjoint sets over hashable items.  `union(a, b)` hangs a's root under
+    b's, so the root a class ends with depends only on the order of unions."""
 
-    if definitely_no_roots(p, a, b):
-        return 0
-    n = sturm_count(p, a, b)  # counts (a, b]
-    if p.eval(b) == 0:
-        n -= 1
-    return n
+    def __init__(self, items):
+        self.parent = {a: a for a in items}
+
+    def __contains__(self, a) -> bool:
+        return a in self.parent
+
+    def find(self, a):
+        parent = self.parent
+        root = a
+        while parent[root] != root:
+            root = parent[root]
+        while parent[a] != root:
+            parent[a], a = root, parent[a]
+        return root
+
+    def union(self, a, b) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def classes(self) -> dict:
+        """root -> members, both in the order the items were given."""
+        out: dict = {}
+        for a in self.parent:
+            out.setdefault(self.find(a), []).append(a)
+        return out
 
 
 class Box:
@@ -426,20 +446,13 @@ class Arrangement:
         """Fate of each branch of `factor` in `slab` approaching `wall`:
         ('point', k) for convergence into the k-th level gap (= wall point k),
         ('up',) / ('down',) for escapes beyond the outermost levels."""
-        f = self.curvy[factor]
         x_at = self.slab_samples[slab]
         n_br = self._branch_count(slab, factor)
 
         for _round in range(_MATCH_ROUNDS):
             wlo, whi = wall.x_bounds()
             span = (x_at, whi) if side == "L" else (wlo, x_at)
-            ok = True
-            for lv in levels:
-                g = f.specialize_y(lv)
-                if g.is_zero() or g.eval(span[0]) == 0 or g.eval(span[1]) == 0 or _open_count(g, span[0], span[1]) != 0:
-                    ok = False
-                    break
-            if ok:
+            if all(self._level_clear(factor, lv, *span) for lv in levels):
                 positions = self._branch_positions(slab, factor, x_at)
                 fates: list[tuple | None] = [None] * n_br
                 done = True
@@ -498,7 +511,7 @@ class Arrangement:
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
         g = self.curvy[factor].specialize_y(lv)
-        return (not g.is_zero()) and g.eval(a) != 0 and g.eval(b) != 0 and _open_count(g, a, b) == 0
+        return (not g.is_zero()) and g.eval(a) != 0 and g.eval(b) != 0 and open_count(g, a, b) == 0
 
     def _split_cluster(self, cl: list, xl: Fraction, xr: Fraction) -> list[list]:
         if len(cl) <= 1:
@@ -700,40 +713,8 @@ class Arrangement:
         n_slabs = len(self.slab_samples)
         gap_counts = [len(st) + 1 for st in self.stacks]
 
-        parent: dict[tuple[int, int], tuple[int, int]] = {
-            (s, g): (s, g) for s in range(n_slabs) for g in range(gap_counts[s])
-        }
-
-        def find(a):
-            root = a
-            while parent[root] != root:
-                root = parent[root]
-            while parent[a] != root:
-                parent[a], a = root, parent[a]
-            return root
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-
-        eparent: dict[tuple[int, str, int], tuple[int, str, int]] = {}
-        for s, st in enumerate(self.stacks):
-            for n, i, _l in st:
-                eparent[(s, n, i)] = (s, n, i)
-
-        def efind(a):
-            root = a
-            while eparent[root] != root:
-                root = eparent[root]
-            while eparent[a] != root:
-                eparent[a], a = root, eparent[a]
-            return root
-
-        def eunion(a, b):
-            ra, rb = efind(a), efind(b)
-            if ra != rb:
-                eparent[ra] = rb
+        gaps = UnionFind((s, g) for s in range(n_slabs) for g in range(gap_counts[s]))
+        pieces = UnionFind((s, n, i) for s, st in enumerate(self.stacks) for n, i, _l in st)
 
         vertical_edges: list[tuple[int, int, int]] = []
         for wi, wall in enumerate(self.walls):
@@ -743,7 +724,7 @@ class Arrangement:
                 for gl, (a, b) in enumerate(wall.expo_left):
                     for gr, (c, d) in enumerate(wall.expo_right):
                         if max(a, c) < min(b, d):
-                            union((wi, gl), (wi + 1, gr))
+                            gaps.union((wi, gl), (wi + 1, gr))
             else:
                 for seg in range(-1, len(wall.points)):
                     vertical_edges.append((wi, seg, seg + 1))
@@ -751,22 +732,18 @@ class Arrangement:
                 if p.is_pass:
                     nf, il = p.left[0]
                     _, ir = p.right[0]
-                    eunion((wi, nf, il), (wi + 1, nf, ir))
+                    pieces.union((wi, nf, il), (wi + 1, nf, ir))
 
         # regions
-        classes: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for s in range(n_slabs):
-            for g in range(gap_counts[s]):
-                classes.setdefault(find((s, g)), []).append((s, g))
         self.regions = []
-        for _root, gaps in sorted(classes.items()):
-            gaps.sort()
+        for _root, members in sorted(gaps.classes().items()):
+            members.sort()
             rid = len(self.regions)
             unbounded = any(
-                s == 0 or s == n_slabs - 1 or g == 0 or g == gap_counts[s] - 1 for s, g in gaps
+                s == 0 or s == n_slabs - 1 or g == 0 or g == gap_counts[s] - 1 for s, g in members
             )
-            self.regions.append(Region(rid, gaps, self._gap_sample(*gaps[0]), unbounded=unbounded))
-            for sg in gaps:
+            self.regions.append(Region(rid, members, self._gap_sample(*members[0]), unbounded=unbounded))
+            for sg in members:
                 self.region_of_gap[sg] = rid
 
         # vertices
@@ -784,26 +761,22 @@ class Arrangement:
                 self.vertices.append(v)
 
         # curve edges
-        chains: dict[tuple[int, str, int], list[tuple[int, str, int]]] = {}
-        for s, st in enumerate(self.stacks):
-            for n, i, _l in st:
-                chains.setdefault(efind((s, n, i)), []).append((s, n, i))
         self.edges = []
-        for _root, pieces in sorted(chains.items()):
-            pieces.sort()
-            factor = pieces[0][1]
+        for _root, chain in sorted(pieces.classes().items()):
+            chain.sort()
+            factor = chain[0][1]
             e = Edge(eid=len(self.edges), factor=factor, vertical=False)
-            for s, n, i in pieces:
+            for s, n, i in chain:
                 loc = next(l for (nn, ii, l) in self.stacks[s] if nn == n and ii == i)
                 e.pieces.append((s, i, loc))
                 self.edge_of_piece[(s, n, i)] = e.eid
-            s0, n0, i0 = pieces[0]
+            s0, n0, i0 = chain[0]
             stack_pos = next(k for k, (nn, ii, _l) in enumerate(self.stacks[s0]) if nn == n0 and ii == i0)
             e.side_below = self.region_of_gap[(s0, stack_pos)]
             e.side_above = self.region_of_gap[(s0, stack_pos + 1)]
             e.ends = (
-                self._chain_end(pieces[0], "L", vid_of),
-                self._chain_end(pieces[-1], "R", vid_of),
+                self._chain_end(chain[0], "L", vid_of),
+                self._chain_end(chain[-1], "R", vid_of),
             )
             e.unbounded = ("pole",) in e.ends
             self.edges.append(e)

@@ -39,7 +39,7 @@ from .resolution import (
     resolve_point,
 )
 from .scene import Scene, validate_scene
-from .signdist import condition_a_check, condition_a_table
+from .signdist import ConditionAFailure, condition_a_check, condition_a_table
 from .sphere import PoleView, SphereModel, build_sphere_model, infinity_sigma_decomposition
 
 F = Fraction
@@ -172,12 +172,7 @@ def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: 
         v.diagnostics["failing_factor"] = fail.factor
         v.diagnostics["failing_sigma"] = fail.sigma_index
         if req.want_witness:
-            cc = fail.classification
-            fan = witness_curve_fan(d, fail.factor, cc.omega1_edges[0], cc.omega2_plus_edges[0])
-            count = fan_count_in_S(fan, d.scene)
-            if count != 3:
-                raise CountMismatch(f"curve witness count {count} != 3")
-            v.witness, v.witness_count = fan, count
+            _attach_witness(v, "curve", d.scene, 3, lambda: _curve_fan(d, fail))
         mark("witness")
         return v
 
@@ -190,18 +185,34 @@ def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: 
         v.diagnostics["failing_component_level"] = D.level
         v.diagnostics["failing_chart"] = dec.scene.chart
         if req.want_witness:
-            o2 = cls.omega2_plus()
-            o1 = cls.omega1()
-            if o2 is None or o1 is None:
-                raise InternalError("positive type-changing component without an omega1 and an omega2+ arc")
-            fan = witness_point_fan(D, o2.v_mid, o1.v_mid, dec, expected_count=3)
-            count = fan_count_in_S(fan, dec.scene)
-            if count != 3:
-                raise CountMismatch(f"point witness count {count} != 3")
-            v.witness, v.witness_count = fan, count
+            o2, o1 = cls.omega2_plus[0], cls.omega1[0]
+            _attach_witness(v, "point", dec.scene, 3, lambda: witness_point_fan(D, o2.v_mid, o1.v_mid, dec))
         mark("witness")
         return v
     return v
+
+
+def _attach_witness(v: Verdict, kind: str, scene: Scene, expected: int, build) -> None:
+    """Attach the fan ``build()`` returns, whose membership count in the scene
+    must be ``expected``.  A fan that cannot be built or counted leaves the
+    decided answer standing and is reported as ``witness_unsupported``; an
+    engine invariant failure still propagates."""
+    try:
+        fan = build()
+        count = fan_count_in_S(fan, scene)
+    except Unsupported as exc:
+        v.diagnostics["witness_unsupported"] = f"{exc.reason}: {exc.detail}"
+        return
+    if count != expected:
+        raise CountMismatch(f"{kind} witness count {count} != {expected}")
+    v.witness, v.witness_count = fan, count
+
+
+def _curve_fan(d: SetDecomposition, fail: ConditionAFailure) -> Fan:
+    """The curve witness of a condition-a failure: on its first sign-change
+    edge and its first edge with S on both sides."""
+    cc = fail.classification
+    return witness_curve_fan(d, fail.factor, cc.omega1[0], cc.omega2_plus[0])
 
 
 def _meet_points(d: SetDecomposition) -> list[list[str]]:
@@ -285,6 +296,7 @@ def _basic_closed(model: SphereModel, req: CheckRequest, mark) -> Verdict:
     v = Verdict("basic_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.witness_count = inner.witness_count
     v.diagnostics = {"reduced_check": inner.diagnostics, "zariski_boundary": sorted(d.zariski_boundary)}
+    _lift_witness_note(v, inner)
     return v
 
 
@@ -318,12 +330,7 @@ def _principal_open(model: SphereModel, req: CheckRequest, mark) -> Verdict:
         expected = 1
         dd = dc
     if req.want_witness:
-        cc = fail.classification
-        fan = witness_curve_fan(dd, fail.factor, cc.omega1_edges[0], cc.omega2_plus_edges[0])
-        count = fan_count_in_S(fan, d.scene)
-        if count != expected:
-            raise CountMismatch(f"principal witness count {count} != {expected}")
-        v.witness, v.witness_count = fan, count
+        _attach_witness(v, "principal", d.scene, expected, lambda: _curve_fan(dd, fail))
     mark("witness")
     return v
 
@@ -372,6 +379,13 @@ def _principal_closed(model: SphereModel, req: CheckRequest, mark) -> Verdict:
     inner = _principal_open(model.for_scene(d.scene.complement()), req, mark)
     v = Verdict("principal_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.diagnostics = {"complement_check": inner.diagnostics}
+    _lift_witness_note(v, inner)
     if inner.witness is not None:
         v.witness_count = fan_count_in_S(inner.witness, d.scene)
     return v
+
+
+def _lift_witness_note(v: Verdict, inner: Verdict) -> None:
+    """A closed check reports why its derived check has no witness."""
+    if "witness_unsupported" in inner.diagnostics:
+        v.diagnostics["witness_unsupported"] = inner.diagnostics["witness_unsupported"]

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Arrangement, Edge
+from .arrangement import Arrangement, Edge, UnionFind
 from .errors import InternalError
 from .scene import Scene
 
@@ -84,26 +84,15 @@ def decompose_set(arr: Arrangement, scene: Scene) -> SetDecomposition:
 
     # components of X minus (S union zariski boundary): merge complement
     # regions across edges neither in S nor on a boundary factor
-    parent: dict[int, int] = {r.rid: r.rid for r in arr.regions if r.rid not in d.s_regions}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
+    complement = UnionFind(r.rid for r in arr.regions if r.rid not in d.s_regions)
     for e in arr.edges:
         if e.eid in d.s_edges or e.factor in d.zariski_boundary:
             continue
         a, b = e.side_above, e.side_below
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    comps: dict[int, set[int]] = {}
-    for rid in parent:
-        comps.setdefault(find(rid), set()).add(rid)
-    d.a_components = [comps[k] for k in sorted(comps, key=lambda k: min(comps[k]))]
+        if a in complement and b in complement:
+            complement.union(a, b)
+    comps = [set(members) for members in complement.classes().values()]
+    d.a_components = sorted(comps, key=min)
     for i, comp in enumerate(d.a_components):
         for rid in comp:
             d.a_of_region[rid] = i

@@ -13,8 +13,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Box, bipoly_sign_on_box
-from .bipoly import BiPoly, parse_poly
+from .arrangement import Box, bipoly_sign_on_box, loc_bounds
+from .bipoly import BiPoly
 from .decompose import SetDecomposition
 from .errors import BasixError, CountMismatch, InternalError, Unsupported
 from .puiseux import (
@@ -22,12 +22,13 @@ from .puiseux import (
     PuiseuxArc,
     Slot,
     arc_sign,
+    certified_point,
     newton_puiseux,
+    simulate_branch_blowups,
 )
-from .realroots import RootLocator
-from .resolution import ExceptionalComponent, family_arc_for
-from .scene import Scene, rel_holds
-from .series import TSeries, ZPoly
+from .realroots import RootLocator, isolate_real_roots, roots_equal
+from .resolution import ExceptionalComponent, component_family
+from .scene import Scene
 from .sphere import PoleView
 
 F = Fraction
@@ -51,8 +52,6 @@ class ArcOrdering:
         return arc_sign(g, self.arc, self.side, on_poly=self.on_poly)
 
     def concretize(self, z0: Fraction, polys: list[BiPoly]) -> tuple[Fraction, Fraction]:
-        from .puiseux import certified_point
-
         return certified_point(self.arc, self.side, polys, z0 if self.arc.slot else None)
 
 
@@ -96,8 +95,6 @@ class CurvePointOrdering:
         return s * sr
 
     def _vanishes(self, u) -> bool:
-        from .realroots import isolate_real_roots, roots_equal
-
         if u.degree < 1:
             return u.is_zero()
         return any(roots_equal(self.yloc, loc) for loc in isolate_real_roots(u))
@@ -251,40 +248,6 @@ def witness_curve_fan(
     return fan
 
 
-def component_family(D: ExceptionalComponent) -> ArcFamily:
-    """The transversal-arc family of an exceptional component, in normal form."""
-    from .puiseux import _family_from_push
-    from .series import TSeries
-
-    u = TSeries.make({1: ZPoly.const(1)}, None)
-    v = TSeries.make({1: ZPoly([0, 1])}, None)  # slope placeholder
-    steps = D.chart.steps
-    last = steps[-1]
-    if last.kind == "y":
-        u, v = v, u
-    u = u + TSeries.const(last.tx, None)
-    v = v + TSeries.const(last.ty, None)
-    for s in reversed(steps[:-1]):
-        if s.kind == "x":
-            u, v = TSeries.const(s.tx, None) + u, TSeries.const(s.ty, None) + u * v
-        else:
-            u, v = TSeries.const(s.tx, None) + u * v, TSeries.const(s.ty, None) + u
-    # recover the base point: the constant terms
-    cx = _const_term(u)
-    cy = _const_term(v)
-    probe = PuiseuxArc((cx, cy), 1, 1, (), None)
-    return _family_from_push(probe, u, v)
-
-
-def _const_term(s: TSeries) -> Fraction:
-    for e, zc in s.coeff:
-        if e == 0:
-            if len(zc.c) != 1:
-                raise InternalError("the constant term of a pushed-down family is z-free")
-            return zc.c[0]
-    return F(0)
-
-
 def witness_point_fan(
     D: ExceptionalComponent,
     omega2_mid: Fraction,
@@ -334,9 +297,6 @@ def witness_point_fan(
 def _validate_star_property(D: ExceptionalComponent, fam: ArcFamily, mids: tuple[Fraction, ...]) -> None:
     """The lifted instances must cross the component transversally at the
     prescribed, distinct, unmarked positions."""
-    from .arrangement import loc_bounds
-    from .puiseux import simulate_branch_blowups
-
     if mids[0] == mids[1]:
         raise BasixError("witness gaps must give distinct crossing points")
     for v_ in mids:
@@ -514,8 +474,8 @@ def fan_from_json(text: str, scene: Scene) -> Fan:
         center = (F(d["center"][0]), F(d["center"][1]))
         kept = tuple((int(n), F(c)) for n, c in d["terms"])
         fam = ArcFamily(center, int(d["delta"]), int(d["N"]), kept, int(d["m"]), bool(d.get("swapped", False)))
-        g1 = fam.make(int(d["eta"]), F(d["a1"]))
-        g2 = fam.make(int(d["eta_prime"]), F(d["a2"]))
+        g1 = fam.make_at(int(d["eta"]), F(d["a1"]))
+        g2 = fam.make_at(int(d["eta_prime"]), F(d["a2"]))
         return Fan(
             kind="point_centered",
             form_tag=d["form_tag"],

@@ -526,8 +526,8 @@ def arc_sign(g: BiPoly, arc: Arc, side: int, on_poly: BiPoly | None = None) -> i
 @dataclass(frozen=True)
 class ArcFamily:
     """One-parameter family x = cx + delta*t^N, y = cy + kept + (eta*z + a)*t^m
-    (or the axes swapped); instances meet the level-rho exceptional curve of the
-    base branch's resolution transversally at distinct points."""
+    (or the axes swapped); its instances meet one exceptional component
+    transversally at distinct points."""
 
     center: tuple[Fraction, Fraction]
     delta: int
@@ -540,24 +540,13 @@ class ArcFamily:
     # this exact factor
     zscale: Fraction = F(1)
 
-    def make(self, eta: int, a: Fraction) -> PuiseuxArc:
-        return PuiseuxArc(
-            self.center,
-            self.delta,
-            self.N,
-            self.kept,
-            None,
-            slot=Slot(self.m, eta, F(a), "z+a" if eta > 0 else "-z+a"),
-            swapped=self.swapped,
-        )
-
     def make_at(self, eta: int, v_target: Fraction) -> PuiseuxArc:
         """The instance whose lift crosses the exceptional curve at v_target,
         perturbed by eta*z in the slope parameter; exact (the scale factor is
         folded into both the rational part and the z-coefficient)."""
         a = self.zscale * v_target
         eff = eta if self.zscale > 0 else -eta
-        arc = PuiseuxArc(
+        return PuiseuxArc(
             self.center,
             self.delta,
             self.N,
@@ -566,7 +555,6 @@ class ArcFamily:
             slot=Slot(self.m, eff, F(a), "z+a" if eff > 0 else "-z+a"),
             swapped=self.swapped,
         )
-        return arc
 
 
 def simulate_branch_blowups(arc: PuiseuxArc, levels: int) -> list[tuple[str, Fraction]]:
@@ -601,41 +589,10 @@ def simulate_branch_blowups(arc: PuiseuxArc, levels: int) -> list[tuple[str, Fra
     return word
 
 
-def push_down_line(
-    word: list[tuple[str, Fraction]],
-    center: tuple[Fraction, Fraction],
-    slope: ZPoly,
-) -> tuple[TSeries, TSeries]:
-    """Push the site-local line (t, slope*t) down through the chart word."""
-    u = TSeries.make({1: ZPoly.const(1)}, None)
-    v = TSeries.make({1: slope}, None)
-    for kind, c in reversed(word):
-        if kind == "x":
-            v = (v + TSeries.const(c, None)) * u
-            # down-map of the x-chart: (u, v) -> (u, u * v_full)
-            u, v = u, v
-        else:
-            u = (u + TSeries.const(c, None)) * v
-            u, v = u, v
+def family_normal_form(center: tuple[Fraction, Fraction], xs: TSeries, ys: TSeries) -> ArcFamily:
+    """The family x = xs(t), y = ys(t) through the centre, whose coefficients
+    are linear in the family parameter z, in the normal form of `ArcFamily`."""
     cx, cy = center
-    return TSeries.const(cx, None) + u, TSeries.const(cy, None) + v
-
-
-def arc_family_A1(branch: PuiseuxArc, rho: int) -> ArcFamily:
-    """The transversal-arc family at level rho of the branch's resolution."""
-    if rho < 1:
-        raise BasixError("LevelOutOfRange")
-    if rho == 1:
-        return ArcFamily(branch.center, 1, 1, (), 1, swapped=False)
-    word = simulate_branch_blowups(branch, rho - 1)
-    xs, ys = push_down_line(word, branch.center, ZPoly([0, 1]))  # slope = a' placeholder z
-    # substitute the placeholder: coefficients are linear in z, where z stands
-    # for the family parameter a' = a + eta*z; examine the shape
-    return _family_from_push(branch, xs, ys)
-
-
-def _family_from_push(branch: PuiseuxArc, xs: TSeries, ys: TSeries) -> ArcFamily:
-    cx, cy = branch.center
     xs = xs - TSeries.const(cx, None)
     ys = ys - TSeries.const(cy, None)
     swapped = False

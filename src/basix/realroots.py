@@ -359,6 +359,16 @@ def sturm_count(p: UniPoly, lo: Fraction | None = None, hi: Fraction | None = No
     return va - vb
 
 
+def open_count(p: UniPoly, a: Fraction, b: Fraction) -> int:
+    """Roots of p in the open interval (a, b); endpoints must not be roots."""
+    if definitely_no_roots(p, a, b):
+        return 0
+    n = sturm_count(p, a, b)  # counts (a, b]
+    if p.eval(b) == 0:
+        n -= 1
+    return n
+
+
 def count_roots_below(p: UniPoly, x: Fraction) -> int:
     """Number of distinct real roots of p in (-inf, x)."""
     if p.is_zero():

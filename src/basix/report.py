@@ -47,6 +47,8 @@ def verdict_to_text(v: Verdict) -> str:
             lines.append(f"           centred on factor {v.witness.factor}")
         if v.witness.center:
             lines.append(f"           centred at ({v.witness.center[0]}, {v.witness.center[1]}) [{v.witness.chart} chart]")
+    elif "witness_unsupported" in v.diagnostics:
+        lines.append(f"witness  : unavailable ({v.diagnostics['witness_unsupported']})")
     table = v.diagnostics.get("condition_a_table")
     if table:
         lines.append("curve-criterion table (factor, component, verdict):")

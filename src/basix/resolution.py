@@ -11,12 +11,17 @@ One ``resolve_point`` call expands each distinct local polynomial once and
 keeps the sets in a dict that it passes down its sites; the dict is dropped
 when the call returns, so nothing is cached between resolutions.
 
+`BlowupChart.down` is the one chart map: points, the polynomial down map
+and the transversal lines of a component (as series arcs) are all pushed to
+the base chart through it.
+
 The region verdicts on both sides of each arc of an exceptional component
 are found twice: by pushing rational sample points down the chart word (the
 path of record) and independently by transversal-arc families evaluated
 without performing any blow-up; the two must agree.  This happens once per
 component; classifying it against each lifted sign distribution then only
-reads those verdicts.
+reads those verdicts, through the same type-changing rule that classifies
+the curves (`signdist.classify_sides`).
 """
 
 from __future__ import annotations
@@ -28,11 +33,12 @@ from .arrangement import Box, Loc, bipoly_sign_on_box, loc_bounds, loc_refine
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
 from .errors import BasixError, InternalError, Unsupported
-from .puiseux import ParamArc, PuiseuxArc, arc_region_membership, branch_set
-from .realroots import RootLocator, isolate_real_roots, refine_disjoint, roots_equal, simplest_in
+from .puiseux import ArcFamily, ParamArc, PuiseuxArc, arc_region_membership, branch_set, family_normal_form
+from .realroots import RootLocator, isolate_real_roots, open_count, roots_equal, simplest_in
 from .series import TSeries, ZPoly
+from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import UniPoly
+from .unipoly import poly_gcd
 
 F = Fraction
 
@@ -46,30 +52,39 @@ class Step:
     tx: Fraction
     ty: Fraction
 
-    def down_point(self, u: Fraction, v: Fraction) -> tuple[Fraction, Fraction]:
-        if self.kind == "x":
-            return self.tx + u, self.ty + u * v
-        return self.tx + u * v, self.ty + u
-
 
 @dataclass
 class BlowupChart:
+    """A chart word: the blow-ups, outermost first, leading to a component."""
+
     steps: tuple[Step, ...]
 
-    def down_point(self, u: Fraction, v: Fraction) -> tuple[Fraction, Fraction]:
+    def down(self, u, v, const):
+        """The composite of the steps' chart maps applied to (u, v).
+
+        This is the one place the chart convention is written: the x-chart
+        of a step centred at (tx, ty) maps (u, v) to (tx + u, ty + u*v), the
+        y-chart to (tx + u*v, ty + u).  ``u`` and ``v`` may lie in any ring
+        (``Fraction``, ``BiPoly``, ``TSeries``); ``const`` lifts a centre
+        coordinate into it."""
         for s in reversed(self.steps):
-            u, v = s.down_point(u, v)
+            if s.kind == "x":
+                u, v = const(s.tx) + u, const(s.ty) + u * v
+            else:
+                u, v = const(s.tx) + u * v, const(s.ty) + u
         return u, v
+
+    def down_point(self, u: Fraction, v: Fraction) -> tuple[Fraction, Fraction]:
+        return self.down(u, v, F)
 
     def down_map(self) -> tuple[BiPoly, BiPoly]:
         """The composite as a pair of polynomials in the chart coordinates."""
-        xs, ys = BiPoly.x(), BiPoly.y()
-        for s in reversed(self.steps):
-            if s.kind == "x":
-                xs, ys = BiPoly.const(s.tx) + xs, BiPoly.const(s.ty) + xs * ys
-            else:
-                xs, ys = BiPoly.const(s.tx) + xs * ys, BiPoly.const(s.ty) + xs
-        return xs, ys
+        return self.down(BiPoly.x(), BiPoly.y(), BiPoly.const)
+
+    def down_line(self, slope: ZPoly) -> tuple[TSeries, TSeries]:
+        """The transversal line u = t, v = slope, pushed down to the base
+        chart: the arc crossing the last component at v = slope."""
+        return self.down(TSeries.make({1: ZPoly.const(1)}), TSeries.make({0: slope}), TSeries.const)
 
 
 @dataclass
@@ -353,8 +368,6 @@ def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -
     if not isinstance(mp.v, RootLocator):
         raise InternalError("a marked point without an exact value has a root locator")
     # simple root iff v is not a root of gcd(u0, u0')
-    from .unipoly import poly_gcd
-
     g = poly_gcd(u0, du)
     if g.degree < 1:
         return True
@@ -376,65 +389,18 @@ class ArcSides:
 
 
 @dataclass
-class ArcSideSigns(ArcSides):
-    """An arc's side verdicts read as signs of one lifted distribution."""
-
-    sign_pos_u: int
-    sign_neg_u: int
-
-
-@dataclass
-class ExcClassification:
-    component_level: int
-    verdict: str
-    arcs: list[ArcSideSigns] = field(default_factory=list)
-
-    def omega1(self) -> ArcSideSigns | None:
-        for a in self.arcs:
-            if {a.sign_pos_u, a.sign_neg_u} == {1, -1}:
-                return a
-        return None
-
-    def omega2_plus(self) -> ArcSideSigns | None:
-        for a in self.arcs:
-            if a.sign_pos_u == 1 and a.sign_neg_u == 1:
-                return a
-        return None
-
-
-@dataclass
 class ExcArcs:
     """The sigma-independent part of classifying one exceptional component:
     its arc-side verdicts, sampled and cross-checked once."""
 
-    component_level: int
     arcs: list[ArcSides] = field(default_factory=list)
 
-    def against(self, minus_component: int) -> ExcClassification:
+    def against(self, minus_component: int) -> Classification:
         """Classify against sigma = (+1 on S, -1 on the given complement component)."""
-        out = ExcClassification(self.component_level, "Silent")
-        for a in self.arcs:
-            out.arcs.append(
-                ArcSideSigns(
-                    a.vlo,
-                    a.vhi,
-                    a.v_mid,
-                    a.verdict_pos,
-                    a.verdict_neg,
-                    _verdict_sign(a.verdict_pos, minus_component),
-                    _verdict_sign(a.verdict_neg, minus_component),
-                )
-            )
-        has_o1 = any({a.sign_pos_u, a.sign_neg_u} == {1, -1} for a in out.arcs)
-        has_o2p = any(a.sign_pos_u == 1 and a.sign_neg_u == 1 for a in out.arcs)
-        has_o2m = any(a.sign_pos_u == -1 and a.sign_neg_u == -1 for a in out.arcs)
-        if has_o1 and has_o2p:
-            out.verdict = "PositiveTypeChanging"
-        elif has_o1 and has_o2m:
-            out.verdict = "NegativeTypeChanging"
-        elif has_o1:
-            out.verdict = "ChangeOnly"
-        return out
+        return classify_sides(
+            (a, _verdict_sign(a.verdict_pos, minus_component), _verdict_sign(a.verdict_neg, minus_component))
+            for a in self.arcs
+        )
 
 
 def _verdict_sign(verdict: tuple, minus_component: int) -> int:
@@ -448,23 +414,14 @@ def _verdict_sign(verdict: tuple, minus_component: int) -> int:
 def family_arc_for(D: ExceptionalComponent, v_mid: Fraction) -> ParamArc:
     """The transversal family instance crossing D at v_mid, pushed down to the
     base chart without performing any blow-up on it."""
-    u = TSeries.make({1: ZPoly.const(1)}, None)
-    v = TSeries.make({1: ZPoly.const(v_mid)}, None)
-    steps = D.chart.steps
-    last = steps[-1]
-    # the line lives in the site coordinates of the last step
-    if last.kind == "x":
-        pass
-    else:
-        u, v = v, u
-    u = u + TSeries.const(last.tx, None)
-    v = v + TSeries.const(last.ty, None)
-    for s in reversed(steps[:-1]):
-        if s.kind == "x":
-            u, v = TSeries.const(s.tx, None) + u, TSeries.const(s.ty, None) + u * v
-        else:
-            u, v = TSeries.const(s.tx, None) + u * v, TSeries.const(s.ty, None) + u
-    return ParamArc(u, v)
+    return ParamArc(*D.chart.down_line(ZPoly.const(v_mid)))
+
+
+def component_family(D: ExceptionalComponent) -> ArcFamily:
+    """The transversal-arc family of D in normal form: the pushed-down line
+    whose slope is the family parameter z."""
+    xs, ys = D.chart.down_line(ZPoly([0, 1]))
+    return family_normal_form(D.chart.down_point(F(0), F(0)), xs, ys)
 
 
 def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fraction):
@@ -505,7 +462,7 @@ def classify_exceptional(
     """Region verdicts on both sides of every arc of D, by chart-point sampling
     cross-checked against the arc path.  They do not depend on the lifted
     distribution; ``ExcArcs.against`` classifies them for one."""
-    out = ExcArcs(D.level)
+    out = ExcArcs()
 
     for vlo, vhi, v_default in D.arcs():
         signs: dict[int, tuple] = {}
@@ -541,14 +498,13 @@ def _sample_arc_sides(
     via down-pushed samples certified by a crossing-free segment.  None when
     the down-images persistently land on scene curves (caller perturbs)."""
     factors = decomp.scene.factors.values()
+    gs = [sc.specialize_y(v_mid) for _tag, sc in D.curves]
     # reject positions on a marked point outright
-    for _tag, sc in D.curves:
-        g = _sub_v(sc, v_mid)
+    for g in gs:
         if g.is_zero():
             raise Unsupported("DegenerateArcSample", "curve contains the sample line")
         if g.eval(F(0)) == 0:
             return None
-    from .realroots import sturm_count
 
     q = F(1, 2)
     hit_curve = 0
@@ -556,23 +512,11 @@ def _sample_arc_sides(
         signs: dict[int, tuple] = {}
         ok = True
         for side in (1, -1):
-            for _tag, sc in D.curves:
-                g = _sub_v(sc, v_mid)
-                lo, hi = (F(0), q) if side > 0 else (-q, F(0))
-                from .realroots import definitely_no_roots
-
-                if definitely_no_roots(g, lo, hi):
-                    continue
-                n = sturm_count(g, lo, hi)
-                if g.eval(hi) == 0:
-                    n -= 1
-                if n != 0:
-                    ok = False
-                    break
-            if not ok:
+            lo, hi = (F(0), q) if side > 0 else (-q, F(0))
+            if any(open_count(g, lo, hi) != 0 for g in gs):
+                ok = False
                 break
-            u0 = q if side > 0 else -q
-            x0, y0 = D.chart.down_point(u0, v_mid)
+            x0, y0 = D.chart.down_point(side * q, v_mid)
             if any(p.eval(x0, y0) == 0 for p in factors):
                 ok = False
                 hit_curve += 1
@@ -584,11 +528,6 @@ def _sample_arc_sides(
         if hit_curve >= 6:
             return None  # a curve outside the resolved set tracks the samples
     return None
-
-
-def _sub_v(p: BiPoly, v0: Fraction) -> UniPoly:
-    """p(u, v0) as a univariate in u."""
-    return p.specialize_y(v0)
 
 
 # ----------------------------------------------------------------- analysis points

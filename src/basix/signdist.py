@@ -2,14 +2,18 @@
 
 A distribution assigns +1 to the regions of S and -1 to the regions of one
 complement component (or to the whole complement for the total distribution).
-A curve factor is classified by scanning its edges and reading the signs of
-the two adjacent regions: a (+,-) edge witnesses a sign change, a (+,+) edge
-an interior-of-closure arc, a (-,-) edge the negative counterpart.
+One rule, `classify_sides`, classifies both kinds of curve the criterion
+reads: a boundary factor by the signs on the two sides of each of its edges
+(condition a), and an exceptional component of a blow-up by the signs on the
+two sides of each of its arcs (condition b).  A (+,-) arc witnesses a sign
+change, a (+,+) arc an interior-of-closure arc, a (-,-) arc the negative
+counterpart.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable
 
 from .arrangement import Arrangement
 from .decompose import SetDecomposition
@@ -32,12 +36,33 @@ class SignDistribution:
 
 
 @dataclass
-class ComponentClassification:
-    factor: str
+class Classification:
     verdict: str  # 'PositiveTypeChanging' | 'NegativeTypeChanging' | 'ChangeOnly' | 'Silent'
-    omega1_edges: list[int] = field(default_factory=list)  # (+,-) edges
-    omega2_plus_edges: list[int] = field(default_factory=list)  # (+,+) edges
-    omega2_minus_edges: list[int] = field(default_factory=list)  # (-,-) edges
+    omega1: list = field(default_factory=list)  # (+,-) arcs
+    omega2_plus: list = field(default_factory=list)  # (+,+) arcs
+    omega2_minus: list = field(default_factory=list)  # (-,-) arcs
+
+
+def classify_sides(triples: Iterable[tuple[object, int, int]]) -> Classification:
+    """The type-changing rule over (arc, sign on one side, sign on the other)
+    triples: positive type changing when some arc changes sign and some arc
+    has S on both sides, negative with a (-,-) arc instead; arcs are kept in
+    input order."""
+    cls = Classification("Silent")
+    for arc, s1, s2 in triples:
+        if {s1, s2} == {1, -1}:
+            cls.omega1.append(arc)
+        elif s1 == s2 == 1:
+            cls.omega2_plus.append(arc)
+        elif s1 == s2 == -1:
+            cls.omega2_minus.append(arc)
+    if cls.omega1 and cls.omega2_plus:
+        cls.verdict = "PositiveTypeChanging"
+    elif cls.omega1 and cls.omega2_minus:
+        cls.verdict = "NegativeTypeChanging"
+    elif cls.omega1:
+        cls.verdict = "ChangeOnly"
+    return cls
 
 
 def make_sigma(d: SetDecomposition, i: int) -> SignDistribution:
@@ -57,39 +82,22 @@ def make_delta(d: SetDecomposition) -> SignDistribution:
     return SignDistribution(frozenset(d.s_regions), minus, "delta")
 
 
-def classify_component(
-    factor: str, sigma: SignDistribution, arr: Arrangement
-) -> ComponentClassification:
-    """Aggregate the adjacent-region sign pairs over every edge of the factor."""
+def classify_component(factor: str, sigma: SignDistribution, arr: Arrangement) -> Classification:
+    """Classify the factor by the signs above and below each of its edges;
+    the arcs are edge ids."""
     if factor not in arr.factors:
         raise BasixError(f"unknown factor {factor!r}")
-    cc = ComponentClassification(factor, "Silent")
-    for e in arr.edges_of_factor(factor):
-        sa = sigma.region_sign(e.side_above)
-        sb = sigma.region_sign(e.side_below)
-        pair = {sa, sb}
-        if pair == {1, -1}:
-            cc.omega1_edges.append(e.eid)
-        elif sa == 1 and sb == 1:
-            cc.omega2_plus_edges.append(e.eid)
-        elif sa == -1 and sb == -1:
-            cc.omega2_minus_edges.append(e.eid)
-    if cc.omega1_edges and cc.omega2_plus_edges:
-        cc.verdict = "PositiveTypeChanging"
-    elif cc.omega1_edges and cc.omega2_minus_edges:
-        cc.verdict = "NegativeTypeChanging"
-    elif cc.omega1_edges:
-        cc.verdict = "ChangeOnly"
-    else:
-        cc.verdict = "Silent"
-    return cc
+    return classify_sides(
+        (e.eid, sigma.region_sign(e.side_above), sigma.region_sign(e.side_below))
+        for e in arr.edges_of_factor(factor)
+    )
 
 
 @dataclass
 class ConditionAFailure:
     factor: str
     sigma_index: int
-    classification: ComponentClassification
+    classification: Classification
 
 
 def condition_a_check(d: SetDecomposition) -> ConditionAFailure | None:

@@ -1,0 +1,80 @@
+"""Differential output of the checker over a fixed set of scenes.
+
+Prints one line per (scene, property): the verdict as `verdict_to_dict`
+gives it, without its wall-clock `timings`, or the class and message of the
+error the check raised.  Two trees decide the same way exactly when their
+runs print the same text, so a change is compared with its parent by
+
+    PYTHONPATH=src python3 tests/differential.py > new.txt
+    # the same command in a checkout of the parent, into old.txt
+    diff old.txt new.txt
+
+The scenes are the shipped fixtures, each fixture's inversion read back as
+an affine scene, the scene on which the two paths of exceptional
+classification diverge, and ``--random`` scenes drawn by
+`test_sphere.random_scene_text` from ``--seed``.  The file name has no
+``test_`` prefix, so pytest does not collect it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import sys
+from pathlib import Path
+
+from basix.checker import PROPERTIES, CheckRequest, run_check
+from basix.report import verdict_to_dict
+from basix.scene import Scene, invert_scene
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_sphere import random_scene_text  # noqa: E402
+
+FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+DIVERGENT = (
+    "factor f0 = x^2 + 1/3*y^2 - x - 2; factor f1 = y - x^2 - x + 1; "
+    "factor f2 = y^2 - 2*x^3 + 1/2*x^2; set S = { f1 < 0, f0 < 0 };\n"
+)
+
+
+def scenes(n_random: int, seed: int):
+    """(label, scene or the error raised building it), in a fixed order."""
+    for path in sorted(FIXTURE_DIR.glob("*.bsx")):
+        sc = Scene.from_text(path.read_text(encoding="utf-8"))
+        yield path.stem, sc
+        inv = invert_scene(sc)
+        yield f"{path.stem}-inverted", Scene(inv.factors, inv.order, inv.formula, "affine")
+    yield "divergent", Scene.from_text(DIVERGENT)
+    rng = random.Random(seed)
+    for k in range(n_random):
+        text = random_scene_text(rng)
+        try:
+            yield f"random{k}", Scene.from_text(text)
+        except Exception as exc:  # noqa: BLE001 - recorded, not judged
+            yield f"random{k}", exc
+
+
+def outcome(scene: Scene, prop: str) -> str:
+    try:
+        d = verdict_to_dict(run_check(CheckRequest(scene, prop)))
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return f"{type(exc).__name__}: {exc}"
+    d.pop("timings", None)
+    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+
+
+def main(argv: list[str] | None = None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--random", type=int, default=120, help="number of random scenes")
+    ap.add_argument("--seed", type=int, default=20261018)
+    args = ap.parse_args(argv)
+    for label, sc in scenes(args.random, args.seed):
+        for prop in PROPERTIES:
+            line = f"{type(sc).__name__}: {sc}" if isinstance(sc, Exception) else outcome(sc, prop)
+            print(f"{label}\t{prop}\t{line}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

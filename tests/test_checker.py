@@ -17,7 +17,8 @@ from basix.checker import (
 )
 from basix.errors import InternalError, Unsupported
 from basix.fans import fan_count_in_S, fan_to_json, verify_fan
-from basix.scene import Scene
+from basix.report import verdict_to_text
+from basix.scene import Scene, invert_scene
 
 F = Fraction
 
@@ -60,6 +61,27 @@ def test_cubic_no_condition_b(fixture_scene):
     # condition (a) recorded as passing
     table = v.diagnostics["condition_a_table"]
     assert table and all(verdict != "PositiveTypeChanging" for _f, _i, verdict in table)
+
+
+@pytest.mark.parametrize("prop", ["basic_open", "basic_closed"])
+def test_unsupported_witness_keeps_the_decided_no(fixture_scene, prop):
+    # the inverted cubic, read as an affine scene, fails condition (b) at a
+    # component whose transversal family has no normal form (its closed twin
+    # fails the same way on its reduced scene): the "No" stands with the
+    # witness on or off, and the missing witness is reported
+    text = (Path(__file__).resolve().parent.parent / "fixtures" / "cubic.bsx").read_text(encoding="utf-8")
+    if prop == "basic_closed":
+        text = text.replace(">", ">=").replace("<", "<=")
+    inv = invert_scene(S(text))
+    sc = Scene(inv.factors, inv.order, inv.formula, "affine")
+    off = run_check(CheckRequest(sc, prop, want_witness=False))
+    on = run_check(CheckRequest(sc, prop, want_witness=True))
+    assert (off.answer, off.reason) == (on.answer, on.reason) == ("No", "condition-b")
+    assert on.witness is None and "witness_unsupported" not in off.diagnostics
+    assert on.diagnostics["witness_unsupported"].startswith("A1FormUnsupported: ")
+    assert verdict_to_text(on).count("witness  : unavailable (A1FormUnsupported: ") == 1
+    if prop == "basic_open":
+        assert {k: x for k, x in on.diagnostics.items() if k != "witness_unsupported"} == off.diagnostics
 
 
 def test_basic_closed_examples():
@@ -308,3 +330,15 @@ def test_principal_witness_search_skips_failed_candidates(monkeypatch):
     monkeypatch.setattr(checker, "fan_count_in_S", unsupported)
     v = run_check(CheckRequest(S(QUAD_CLOSED), "principal_closed"))
     assert (v.answer, v.reason, v.witness) == ("No", "BoundaryMeetsComplement", None)
+
+
+@pytest.mark.parametrize("check", ["basic_open", "principal_open"])
+def test_witness_errors_other_than_unsupported_propagate(monkeypatch, fixture_scene, check):
+    # para fails condition (a) and its interior-of-closure test, so both
+    # checks build a curve witness; only Unsupported may leave the "No" bare
+    def broken(fan, scene):
+        raise InternalError("broken invariant")
+
+    monkeypatch.setattr(checker, "fan_count_in_S", broken)
+    with pytest.raises(InternalError, match="broken invariant"):
+        run_check(CheckRequest(fixture_scene("para"), check))

@@ -14,6 +14,7 @@ from basix.decompose import (
 from basix.scene import RELS, Scene
 from basix.signdist import (
     classify_component,
+    classify_sides,
     condition_a_check,
     make_delta,
     make_sigma,
@@ -110,7 +111,27 @@ def test_para_condition_a_fails():
     assert fail is not None
     assert fail.factor == "p"
     cc = fail.classification
-    assert cc.omega1_edges and cc.omega2_plus_edges
+    assert cc.omega1 and cc.omega2_plus
+
+
+def test_classify_sides_table():
+    # (arc, sign on one side, sign on the other) -> verdict and the arcs kept
+    rows = [
+        ([("a", 1, -1), ("b", 1, 1), ("c", -1, -1)], "PositiveTypeChanging"),
+        ([("a", 0, 1), ("b", -1, 1), ("c", -1, -1)], "NegativeTypeChanging"),
+        ([("a", 1, -1), ("b", 0, 0), ("c", 1, 0)], "ChangeOnly"),
+        ([("a", 1, 1), ("b", -1, -1), ("c", 0, -1)], "Silent"),
+        ([], "Silent"),
+    ]
+    for triples, verdict in rows:
+        cls = classify_sides(triples)
+        assert cls.verdict == verdict, triples
+        assert cls.omega1 == [a for a, s1, s2 in triples if {s1, s2} == {1, -1}]
+        assert cls.omega2_plus == [a for a, s1, s2 in triples if s1 == s2 == 1]
+        assert cls.omega2_minus == [a for a, s1, s2 in triples if s1 == s2 == -1]
+    # ordered: the first sign-change arc and the first (+,+) arc lead
+    cls = classify_sides([("p", 1, 1), ("q", -1, 1), ("r", 1, 1), ("s", 1, -1)])
+    assert (cls.omega1, cls.omega2_plus) == (["q", "s"], ["p", "r"])
 
 
 def test_s_star_dims():

@@ -76,7 +76,7 @@ def test_para_curve_fan_count_three():
     fail = condition_a_check(d)
     assert fail is not None and fail.factor == "p"
     cc = fail.classification
-    fan = witness_curve_fan(d, "p", cc.omega1_edges[0], cc.omega2_plus_edges[0])
+    fan = witness_curve_fan(d, "p", cc.omega1[0], cc.omega2_plus[0])
     scene = d.scene
     assert fan_count_in_S(fan, scene) == 3
     rep = verify_fan(fan, scene)

@@ -15,7 +15,6 @@ from basix.puiseux import (
     NotOnCurve,
     PuiseuxArc,
     Slot,
-    arc_family_A1,
     arc_region_membership,
     arc_sign,
     branch_set,
@@ -25,6 +24,7 @@ from basix.puiseux import (
     residual_order,
     simulate_branch_blowups,
 )
+from basix.resolution import component_family, resolve_point
 from basix.scene import Scene
 from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
 
@@ -195,46 +195,49 @@ def test_simulate_blowups_parabola():
     assert [c for _k, c in word] == [F(0), F(1), F(0)]
 
 
+# the transversal families of real resolution components
+
+CUBIC_TREE = {"f0": "y - x^2", "f1": "y - x^2 - x^3", "f2": "y - x^2 - 2*x^3", "f3": "y - x^2 - 3*x^3"}
+
+
+def components_of(factors):
+    return resolve_point({n: P(s) for n, s in factors.items()}, (F(0), F(0))).components
+
+
 def test_family_level_3_cubic():
-    arcs = arcs_of("y - x^2", K=12)
-    fam = arc_family_A1(arcs[0], 3)
+    fam = component_family(components_of(CUBIC_TREE)[2])
     assert (fam.N, fam.m, fam.delta, fam.swapped) == (1, 3, 1, False)
     assert fam.kept == ((2, F(1)),)
-    arc = fam.make(1, F(1, 2))
+    arc = fam.make_at(1, F(1, 2))
     assert arc.slot is not None and arc.slot.m == 3
 
 
 def test_family_level_1_trivial():
-    arcs = arcs_of("y - x^2", K=12)
-    fam = arc_family_A1(arcs[0], 1)
+    fam = component_family(components_of(CUBIC_TREE)[0])
     assert (fam.N, fam.m, fam.kept) == (1, 1, ())
 
 
 def test_family_level_1_cusp():
-    arcs = arcs_of("y^2 - x^3", K=12)
-    fam = arc_family_A1(arcs[0], 1)
+    fam = component_family(components_of({"c": "y^2 - x^3"})[0])
     assert (fam.N, fam.m, fam.kept) == (1, 1, ())
 
 
 def test_family_level_2_cusp():
-    arcs = arcs_of("y^2 - x^3", K=12)
-    fam = arc_family_A1(arcs[0], 2)
+    fam = component_family(components_of({"c": "y^2 - x^3"})[1])
     assert (fam.N, fam.m) == (1, 2)
     assert fam.kept == ()
 
 
 def test_family_instances_cross_at_distinct_points():
-    arcs = arcs_of("y - x^2", K=12)
-    fam = arc_family_A1(arcs[0], 3)
-    a1 = fam.make_at(1, F(1, 2))
-    a2 = fam.make_at(1, F(5, 2))
-    w1 = simulate_branch_blowups(a1.with_slot(3, 1, a1.slot.a, a1.slot.form), 3) if False else None
-    # lift concrete instances (z = 0 limit representative) through 3 levels
-    c1 = PuiseuxArc(a1.center, a1.delta, a1.N, a1.terms + ((3, F(1, 2)),), None)
-    c2 = PuiseuxArc(a2.center, a2.delta, a2.N, a2.terms + ((3, F(5, 2)),), None)
-    w1 = simulate_branch_blowups(c1, 3)
-    w2 = simulate_branch_blowups(c2, 3)
-    assert w1[-1][1] == F(1, 2) and w2[-1][1] == F(5, 2)
+    D = components_of(CUBIC_TREE)[2]
+    fam = component_family(D)
+    # lift the z = 0 representative of each instance through the component's levels
+    for v in (F(1, 2), F(5, 2)):
+        a = fam.make_at(1, v)
+        rep = PuiseuxArc(a.center, a.delta, a.N, a.terms + ((a.slot.m, a.slot.a),), None)
+        word = simulate_branch_blowups(rep, D.level)
+        assert [k for k, _c in word] == [s.kind for s in D.chart.steps]
+        assert word[-1][1] == v
 
 
 # ------------------------------------------------------------------ truncated expansion

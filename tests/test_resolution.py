@@ -14,6 +14,7 @@ from basix.resolution import (
     resolve_point,
 )
 from basix.scene import Scene
+from basix.series import ZPoly
 
 F = Fraction
 
@@ -85,10 +86,10 @@ def test_cubic_classification_and_dual_path():
     assert target is not None
     cls = classify_exceptional(E3, d).against(target)
     assert cls.verdict == "PositiveTypeChanging"
-    o2 = cls.omega2_plus()
-    o1 = cls.omega1()
-    assert o2 is not None and (o2.vlo, o2.vhi) == (F(0), F(1))
-    assert o1 is not None and (o1.vlo, o1.vhi) == (F(2), F(3))
+    o2 = cls.omega2_plus[0]
+    o1 = cls.omega1[0]
+    assert (o2.vlo, o2.vhi) == (F(0), F(1))
+    assert (o1.vlo, o1.vhi) == (F(2), F(3))
     # the earlier components stay harmless for this distribution
     for D in tree.components[:-1]:
         assert classify_exceptional(D, d).against(target).verdict != "PositiveTypeChanging"
@@ -127,21 +128,23 @@ def test_local_analysis_cusp():
 
 
 def test_down_map_consistency_random_points():
+    # the chart map read on points, on polynomials and on the transversal
+    # line through (t0, v) must agree, on the cusp's tree and the cubic's
     import random
 
-    factors = {"c": P("y^2 - x^3")}
-    tree = resolve_point(factors, (F(0), F(0)))
-    sc = Scene.from_text("set S = { y^2 - x^3 > 0 };")
+    cusp = resolve_point({"c": P("y^2 - x^3")}, (F(0), F(0)))
+    sc = Scene.from_text(CUBIC)
+    cubic = resolve_point({n: sc.factors[n] for n in ("f0", "f1", "f2", "f3")}, (F(0), F(0)))
     rng = random.Random(5)
-    for D in tree.components:
+    for D in cusp.components + cubic.components:
+        X, Y = D.chart.down_map()
         for _ in range(60):
-            u = F(rng.randint(-50, 50), 64)
+            t0 = F(rng.randint(-50, 50), 64)
             v = F(rng.randint(-50, 50), 16)
-            if u == 0:
-                continue
-            x, y = D.chart.down_point(u, v)
-            X, Y = D.chart.down_map()
-            assert X.eval(u, v) == x and Y.eval(u, v) == y
+            x, y = D.chart.down_point(t0, v)
+            assert X.eval(t0, v) == x and Y.eval(t0, v) == y
+            xs, ys = family_arc_for(D, v).xy_series()
+            assert xs.eval_t(t0) == ZPoly.const(x) and ys.eval_t(t0) == ZPoly.const(y)
 
 
 def test_transversal_irrational_crossing_supported():
