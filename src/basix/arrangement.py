@@ -13,9 +13,11 @@ stores its factor sign vector; which cells a formula selects is decided on
 top of it, by `decompose.decompose_set`, so sets with the same curves share
 one arrangement.
 
-Everything is exact: interval data is refinable on demand, rational data is
-exact, and any configuration that cannot be certified within the refinement
-caps raises Unsupported instead of guessing.
+Everything is exact.  Every located coordinate (a wall abscissa, a branch
+or wall-point ordinate, a vertex) is a `RootLocator`, refinable on demand;
+a rational one is an exact locator with ``lo == hi``.  Any configuration
+that cannot be certified within the refinement caps raises Unsupported
+instead of guessing.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from .bipoly import BiPoly, discriminant_y, resultant
 from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
+    between,
     count_roots_below,
     isolate_real_roots,
     open_count,
     refine_disjoint,
     roots_equal,
+    separate,
     simplest_in,
 )
 from .scene import Scene
@@ -42,37 +46,7 @@ F = Fraction
 _MATCH_ROUNDS = 64
 _SIGN_ROUNDS = 160
 
-Loc = RootLocator | Fraction
-
-
 # --------------------------------------------------------------------------- helpers
-
-
-def loc_bounds(loc: Loc) -> tuple[Fraction, Fraction]:
-    if isinstance(loc, Fraction):
-        return loc, loc
-    if loc.exact is not None:
-        return loc.exact, loc.exact
-    return loc.lo, loc.hi
-
-
-def loc_refine(loc: Loc) -> None:
-    if isinstance(loc, RootLocator):
-        loc.refine()
-
-
-def _strict_separation(locs: list[Loc], cap: int = 512) -> None:
-    """Refine until bounds are strictly increasing between consecutive locators."""
-    for _ in range(cap):
-        ok = True
-        for a, b in zip(locs, locs[1:]):
-            if loc_bounds(a)[1] >= loc_bounds(b)[0]:
-                loc_refine(a)
-                loc_refine(b)
-                ok = False
-        if ok:
-            return
-    raise Unsupported("SeparationCap", "could not strictly separate wall points")
 
 
 class UnionFind:
@@ -110,24 +84,21 @@ class UnionFind:
 class Box:
     """Refinable rectangle around a point with algebraic coordinates."""
 
-    def __init__(self, x: Loc, y: Loc):
+    def __init__(self, x: RootLocator, y: RootLocator):
         self.x = x
         self.y = y
 
     def bounds(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-        xlo, xhi = loc_bounds(self.x)
-        ylo, yhi = loc_bounds(self.y)
-        return xlo, xhi, ylo, yhi
+        return self.x.lo, self.x.hi, self.y.lo, self.y.hi
 
     def refine(self) -> None:
-        loc_refine(self.x)
-        loc_refine(self.y)
+        self.x.refine()
+        self.y.refine()
 
     def exact_point(self) -> tuple[Fraction, Fraction] | None:
-        xlo, xhi, ylo, yhi = self.bounds()
-        if xlo == xhi and ylo == yhi:
-            return xlo, ylo
-        return None
+        if self.x.exact is None or self.y.exact is None:
+            return None
+        return self.x.exact, self.y.exact
 
 
 def bipoly_sign_on_box(g: BiPoly, box: Box, cap: int = _SIGN_ROUNDS) -> int:
@@ -150,8 +121,8 @@ def bipoly_sign_on_box(g: BiPoly, box: Box, cap: int = _SIGN_ROUNDS) -> int:
 @dataclass
 class Vertex:
     vid: int
-    x: Loc
-    y: Loc
+    x: RootLocator
+    y: RootLocator
     factors: set[str]
     wall_index: int
     item_index: int
@@ -199,7 +170,7 @@ class Region:
 
 @dataclass
 class WallPoint:
-    y: Loc
+    y: RootLocator
     factors: set[str]
     left: list[tuple[str, int]]
     right: list[tuple[str, int]]
@@ -208,19 +179,15 @@ class WallPoint:
 
 @dataclass
 class Wall:
-    x: Loc
+    x: RootLocator
     line_factor: str | None
     points: list[WallPoint] = field(default_factory=list)
     fates: dict[tuple[str, str, int], tuple] = field(default_factory=dict)
     expo_left: list[tuple[int, int]] = field(default_factory=list)
     expo_right: list[tuple[int, int]] = field(default_factory=list)
 
-    def x_bounds(self) -> tuple[Fraction, Fraction]:
-        return loc_bounds(self.x)
-
     def exact_x(self) -> Fraction | None:
-        lo, hi = self.x_bounds()
-        return lo if lo == hi else None
+        return self.x.exact
 
 
 # --------------------------------------------------------------------------- build
@@ -294,7 +261,7 @@ class Arrangement:
                 prod = prod * sf
         locs = isolate_real_roots(prod) if prod.degree >= 1 else []
         refine_disjoint(locs)
-        _strict_separation(list(locs))
+        separate(locs)
 
         for loc in locs:
             lf = None
@@ -303,19 +270,17 @@ class Arrangement:
                     lf = n
                     loc.exact = v
                     loc.lo = loc.hi = v
-            self.walls.append(Wall(x=(loc.exact if loc.exact is not None else loc), line_factor=lf))
+            self.walls.append(Wall(x=loc, line_factor=lf))
 
         # ------------------------------------------------------------ stage 2
 
-        bounds = [w.x_bounds() for w in self.walls]
         samples: list[Fraction] = []
         if not self.walls:
             samples.append(F(0))
         else:
-            samples.append(bounds[0][0] - 1)
-            for i in range(len(self.walls) - 1):
-                samples.append(simplest_in(bounds[i][1], bounds[i + 1][0]))
-            samples.append(bounds[-1][1] + 1)
+            samples.append(locs[0].lo - 1)
+            samples += [between(a, b) for a, b in zip(locs, locs[1:])]
+            samples.append(locs[-1].hi + 1)
         self.slab_samples = samples
 
         for s in samples:
@@ -329,7 +294,7 @@ class Arrangement:
                 for i, loc in enumerate(isolate_real_roots(u)):
                     per_factor.append((n, i, loc))
             refine_disjoint([t[2] for t in per_factor])
-            per_factor.sort(key=lambda t: loc_bounds(t[2])[0])
+            per_factor.sort(key=lambda t: t[2].lo)
             self.stacks.append(per_factor)
 
         # ------------------------------------------------------------ stage 3
@@ -380,23 +345,11 @@ class Arrangement:
                         break
                 else:
                     clusters.append((loc, {n}))
-        reps: list[Loc] = [c[0] for c in clusters]
-        if reps:
-            refine_disjoint([r for r in reps if isinstance(r, RootLocator)])
-        clusters.sort(key=lambda c: loc_bounds(c[0])[0])
-        reps = [c[0] for c in clusters]
-        _strict_separation(reps)
+        refine_disjoint([c[0] for c in clusters])
+        clusters.sort(key=lambda c: c[0].lo)
+        separate([c[0] for c in clusters])
 
-        points = [
-            WallPoint(
-                y=(rep.exact if isinstance(rep, RootLocator) and rep.exact is not None else rep),
-                factors=set(fs),
-                left=[],
-                right=[],
-                is_pass=False,
-            )
-            for rep, fs in clusters
-        ]
+        points = [WallPoint(y=rep, factors=set(fs), left=[], right=[], is_pass=False) for rep, fs in clusters]
 
         levels = self._levels_between(points)
         for side, slab in (("L", wi), ("R", wi + 1)):
@@ -427,12 +380,9 @@ class Arrangement:
         sentinels beyond the extremes; levels avoid every curve at the wall."""
         if not points:
             return [F(0)]
-        out = [loc_bounds(points[0].y)[0] - 1]
-        for a, b in zip(points, points[1:]):
-            hi = loc_bounds(a.y)[1]
-            lo = loc_bounds(b.y)[0]
-            out.append(simplest_in(hi, lo) if hi < lo else hi)  # strict after separation
-        out.append(loc_bounds(points[-1].y)[1] + 1)
+        out = [points[0].y.lo - 1]
+        out += [between(a.y, b.y) for a, b in zip(points, points[1:])]
+        out.append(points[-1].y.hi + 1)
         return out
 
     def _match_side(
@@ -450,14 +400,14 @@ class Arrangement:
         n_br = self._branch_count(slab, factor)
 
         for _round in range(_MATCH_ROUNDS):
-            wlo, whi = wall.x_bounds()
+            wlo, whi = wall.x.lo, wall.x.hi
             span = (x_at, whi) if side == "L" else (wlo, x_at)
             if all(self._level_clear(factor, lv, *span) for lv in levels):
                 positions = self._branch_positions(slab, factor, x_at)
                 fates: list[tuple | None] = [None] * n_br
                 done = True
                 for i, pos in enumerate(positions):
-                    plo, phi = loc_bounds(pos)
+                    plo, phi = pos.lo, pos.hi
                     fate: tuple | None = None
                     if plo > levels[-1]:
                         fate = ("up",)
@@ -475,8 +425,8 @@ class Arrangement:
                 if done:
                     return fates  # type: ignore[return-value]
             x_at = (x_at + (whi if side == "L" else wlo)) / 2
-            loc_refine(wall.x)
-        raise Unsupported("WallMatchCap", f"{factor} near wall x in {wall.x_bounds()}")
+            wall.x.refine()
+        raise Unsupported("WallMatchCap", f"{factor} near wall x in {(wall.x.lo, wall.x.hi)}")
 
     # .......................................................... irrational walls
 
@@ -486,7 +436,7 @@ class Arrangement:
         xl, xr = self.slab_samples[wi], self.slab_samples[wi + 1]
 
         for _round in range(_MATCH_ROUNDS):
-            wlo, whi = wall.x_bounds()
+            wlo, whi = wall.x.lo, wall.x.hi
             width = xr - xl
             items: list[tuple[str, str, int, RootLocator]] = []
             for n in self.curvy:
@@ -496,7 +446,7 @@ class Arrangement:
                     items.append(("R", n, i, l))
             for t in items:
                 t[3].refine_below(width / 16)
-            items.sort(key=lambda t: loc_bounds(t[3])[0])
+            items.sort(key=lambda t: t[3].lo)
 
             # clusters = maximal groups of branch ends not separable by a level
             # line that is certifiably clear of their curves over the span
@@ -506,8 +456,8 @@ class Arrangement:
                 return
             xl = (xl + wlo) / 2
             xr = (xr + whi) / 2
-            loc_refine(wall.x)
-        raise Unsupported("IrrationalTangency", f"wall x in {wall.x_bounds()} unresolved")
+            wall.x.refine()
+        raise Unsupported("IrrationalTangency", f"wall x in {(wall.x.lo, wall.x.hi)} unresolved")
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
         g = self.curvy[factor].specialize_y(lv)
@@ -517,8 +467,8 @@ class Arrangement:
         if len(cl) <= 1:
             return [cl]
         for cut in range(1, len(cl)):
-            lo = max(loc_bounds(t[3])[1] for t in cl[:cut])
-            hi = min(loc_bounds(t[3])[0] for t in cl[cut:])
+            lo = max(t[3].hi for t in cl[:cut])
+            hi = min(t[3].lo for t in cl[cut:])
             if lo >= hi:
                 continue
             m = simplest_in(lo, hi)
@@ -537,7 +487,7 @@ class Arrangement:
 
     def _vertex_y_locator(
         self, factors: set[str], lo: Fraction, hi: Fraction, wall: Wall
-    ) -> Loc | None:
+    ) -> RootLocator | None:
         """A refinable locator for a vertex ordinate inside the trapping window
         (lo, hi): among the roots of the elimination polynomial there, foreign
         ones (ordinates of critical or crossing points elsewhere on the curves)
@@ -566,15 +516,12 @@ class Arrangement:
             system = (self.curvy[fs[0]], self.curvy[fs[1]])
         for _ in range(24):
             if len(cands) == 1:
-                c = cands[0]
-                return c.exact if c.exact is not None else c
-            xlo, xhi = wall.x_bounds()
+                return cands[0]
             kept = []
             for c in cands:
-                ylo, yhi = loc_bounds(c)
                 excluded = False
                 for g in system:
-                    glo, ghi = g.interval_eval(xlo, xhi, ylo, yhi)
+                    glo, ghi = g.interval_eval(wall.x.lo, wall.x.hi, c.lo, c.hi)
                     if glo > 0 or ghi < 0:
                         excluded = True
                         break
@@ -584,8 +531,8 @@ class Arrangement:
                 return None
             cands = kept
             for c in cands:
-                loc_refine(c)
-            loc_refine(wall.x)
+                c.refine()
+            wall.x.refine()
         return None
 
     def _legalize_clusters(self, wi: int, wall: Wall, clusters: list[list], xl: Fraction, xr: Fraction) -> bool:
@@ -594,7 +541,7 @@ class Arrangement:
             wall.fates = {}
             return True
         hulls = [
-            (min(loc_bounds(t[3])[0] for t in cl), max(loc_bounds(t[3])[1] for t in cl))
+            (min(t[3].lo for t in cl), max(t[3].hi for t in cl))
             for cl in clusters
         ]
         # trapping levels must sit in the gaps BETWEEN clusters (distinct limit
@@ -660,8 +607,8 @@ class Arrangement:
                 and nR == 2
                 and all(sum(1 for t in side if t[1] == n) == 1 for side in (sidesL, sidesR) for n in factors)
             ):
-                orderL = [t[1] for t in sorted(sidesL, key=lambda t: loc_bounds(t[3])[0])]
-                orderR = [t[1] for t in sorted(sidesR, key=lambda t: loc_bounds(t[3])[0])]
+                orderL = [t[1] for t in sorted(sidesL, key=lambda t: t[3].lo)]
+                orderR = [t[1] for t in sorted(sidesR, key=lambda t: t[3].lo)]
                 if orderL == orderR:
                     return False
                 yloc = self._vertex_y_locator(factors, lo, hi, wall)
@@ -837,17 +784,10 @@ class Arrangement:
         if not st:
             return x, F(0)
         if g == 0:
-            return x, loc_bounds(st[0][2])[0] - 1
+            return x, st[0][2].lo - 1
         if g == len(st):
-            return x, loc_bounds(st[-1][2])[1] + 1
-        below, above = st[g - 1][2], st[g][2]
-        while True:
-            bhi = loc_bounds(below)[1]
-            alo = loc_bounds(above)[0]
-            if bhi < alo:
-                return x, simplest_in(bhi, alo)
-            loc_refine(below)
-            loc_refine(above)
+            return x, st[-1][2].hi + 1
+        return x, between(st[g - 1][2], st[g][2])
 
     # -------------------------------------------------------------- cell queries
 
@@ -864,7 +804,7 @@ class Arrangement:
                 signs[n] = s
             return signs
         s0, _i, loc = e.pieces[0]
-        box = Box(self.slab_samples[s0], loc)
+        box = Box(RootLocator.at(self.slab_samples[s0]), loc)
         for n, p in self.factors.items():
             if n != e.factor:
                 signs[n] = bipoly_sign_on_box(p, box)
@@ -879,18 +819,12 @@ class Arrangement:
         if a == -1 and b == len(wall.points):
             return cx, F(0)
         if a == -1:
-            return cx, loc_bounds(wall.points[b].y)[0] - 1
+            return cx, wall.points[b].y.lo - 1
         if b == len(wall.points):
-            return cx, loc_bounds(wall.points[a].y)[1] + 1
-        while True:
-            ylo = loc_bounds(wall.points[a].y)[1]
-            yhi = loc_bounds(wall.points[b].y)[0]
-            if ylo < yhi:
-                return cx, simplest_in(ylo, yhi)
-            loc_refine(wall.points[a].y)
-            loc_refine(wall.points[b].y)
+            return cx, wall.points[a].y.hi + 1
+        return cx, between(wall.points[a].y, wall.points[b].y)
 
-    def edge_sample(self, e: Edge) -> tuple[Fraction, Loc]:
+    def edge_sample(self, e: Edge) -> tuple[Fraction, Fraction | RootLocator]:
         if e.vertical:
             return self.vertical_edge_sample(e)
         s0, _i, loc = e.pieces[0]
@@ -913,14 +847,14 @@ class Arrangement:
         or +1, and 0 on the line x = 0.  Inversion keeps the sign of x, so
         this is the side from which the end reaches the inverted origin."""
         if e.vertical:
-            return [_sign_of(self.walls[e.wall_index].x)] * e.ends.count(("pole",))
+            return [self.walls[e.wall_index].x.sign()] * e.ends.count(("pole",))
         out = []
         first, last = e.pieces[0][0], e.pieces[-1][0]
         if e.ends[0] == ("pole",):
             # out of the leftmost slab, or up or down a wall from its right
-            out.append(-1 if first == 0 or _sign_of(self.walls[first - 1].x) < 0 else 1)
+            out.append(-1 if first == 0 or self.walls[first - 1].x.sign() < 0 else 1)
         if e.ends[1] == ("pole",):
-            out.append(1 if last == len(self.walls) or _sign_of(self.walls[last].x) > 0 else -1)
+            out.append(1 if last == len(self.walls) or self.walls[last].x.sign() > 0 else -1)
         return out
 
     def edges_of_factor(self, factor: str) -> list[Edge]:
@@ -960,14 +894,11 @@ class Arrangement:
                 if x == cx:
                     return self._locate_on_wall(wi, wall, y)
             else:
-                while True:
-                    lo, hi = wall.x_bounds()
-                    if not (lo < x < hi):
-                        break
-                    loc_refine(wall.x)
+                while wall.x.lo < x < wall.x.hi:
+                    wall.x.refine()
         slab = 0
         for wall in self.walls:
-            if x > wall.x_bounds()[1]:
+            if x > wall.x.hi:
                 slab += 1
             else:
                 break
@@ -988,10 +919,6 @@ class Arrangement:
             raise InternalError("point location on a wall with no rational abscissa")
         for k, p in enumerate(wall.points):
             loc = p.y
-            if isinstance(loc, Fraction):
-                if y == loc:
-                    return self._wall_point_cell(wi, k, p)
-                continue
             if loc.exact is not None:
                 if y == loc.exact:
                     return self._wall_point_cell(wi, k, p)
@@ -1005,12 +932,9 @@ class Arrangement:
                     return self._wall_point_cell(wi, k, p)
         below = 0
         for p in wall.points:
-            while True:
-                lo, hi = loc_bounds(p.y)
-                if hi < y or lo > y:
-                    break
-                loc_refine(p.y)
-            if loc_bounds(p.y)[1] < y:
+            while p.y.lo <= y <= p.y.hi:
+                p.y.refine()
+            if p.y.hi < y:
                 below += 1
         if wall.line_factor is not None:
             seg = (below - 1, below)
@@ -1037,19 +961,6 @@ class Arrangement:
         if kind != "region":
             raise InternalError(f"point ({x}, {y}) lies on a curve cell")
         return idx
-
-
-def _sign_of(loc: Loc) -> int:
-    """The sign of a located number; an irrational one is never 0."""
-    while True:
-        lo, hi = loc_bounds(loc)
-        if lo == hi:
-            return (lo > 0) - (lo < 0)
-        if lo >= 0:
-            return 1
-        if hi <= 0:
-            return -1
-        loc_refine(loc)
 
 
 def _as_y_poly(p: BiPoly) -> UniPoly:

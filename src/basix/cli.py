@@ -182,10 +182,7 @@ def _warn(warnings: list[str]) -> None:
 
 
 def _fmt_loc(v) -> str:
-    from .arrangement import loc_bounds
-
-    lo, hi = loc_bounds(v)
-    return str(lo) if lo == hi else f"~{float((lo + hi) / 2):.4f}"
+    return str(v.lo) if v.lo == v.hi else f"~{float((v.lo + v.hi) / 2):.4f}"
 
 
 def _tag(t) -> str:

@@ -25,7 +25,6 @@ from .unipoly import UniPoly
 F = Fraction
 
 _DEPTH_CAP = 64
-_K_CAP = 128
 
 W_FORMS = ("z+a", "-z+a", "1/z", "-1/z")
 
@@ -380,92 +379,6 @@ def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:
     None if all certain terms vanish (the residual invariant holds)."""
     lead = arc.composed(f).leading()
     return None if lead is None else lead[0]
-
-
-# ------------------------------------------------------------------ separation
-
-
-def expand_scene_branches(
-    factors: dict[str, BiPoly],
-    center: tuple[Fraction, Fraction],
-    K0: int | None = None,
-) -> dict[str, list[PuiseuxArc]]:
-    """Branches of every factor through the center, truncated deep enough that
-    distinct branches are pairwise distinguished on their common sides."""
-    through = {n: p for n, p in factors.items() if p.eval(*center) == 0}
-    maxdeg = max((p.total_degree for p in through.values()), default=1)
-    K = K0 or max(8, 2 * maxdeg)
-    while True:
-        sets = {n: newton_puiseux(p, center, K, n) for n, p in through.items()}
-        flat = [(n, a) for n, arcs in sets.items() for a in arcs]
-        ok = True
-        for i in range(len(flat)):
-            for j in range(i + 1, len(flat)):
-                a, b = flat[i][1], flat[j][1]
-                if a.swapped != b.swapped:
-                    continue
-                for side in (1, -1):
-                    try:
-                        r = compare_arcs(a, b, side)
-                    except BasixError:
-                        continue
-                    if r == "Undistinguished":
-                        ok = False
-        if ok:
-            return sets
-        K *= 2
-        if K > _K_CAP:
-            raise Unsupported("TruncationCap", f"branches not separated below t^{_K_CAP}")
-
-
-# ------------------------------------------------------------------ comparison
-
-
-def _x_side(arc: PuiseuxArc, side: int) -> int:
-    """Sign of x - cx on the chosen parameter side (0 if the arc is vertical)."""
-    if arc.swapped:
-        return 0
-    return arc.delta if (arc.N % 2 == 0 or side > 0) else -arc.delta
-
-
-def _puiseux_key(arc: PuiseuxArc, side: int) -> list[tuple[Fraction, ZPoly]]:
-    """(exponent, coefficient) pairs of y - cy as a series in |x - cx|."""
-    out = []
-    for e, zc in arc.body_series().coeff:
-        c = zc if (side > 0 or e % 2 == 0) else -zc
-        out.append((F(e, arc.N), c))
-    return out
-
-
-def compare_arcs(a: PuiseuxArc, b: PuiseuxArc, side: int) -> str:
-    """'Above' | 'Below' | 'Undistinguished' comparing y-values near the
-    common center on the given parameter side (for small z > 0 when symbolic)."""
-    if a.center != b.center:
-        raise BasixError("IncompatibleCenters")
-    if a.swapped or b.swapped:
-        raise BasixError("IncompatibleCenters: vertical branches are not y-comparable")
-    if _x_side(a, side) != _x_side(b, side):
-        raise BasixError("IncompatibleCenters: arcs lie on opposite x-sides")
-    ka = _puiseux_key(a, side)
-    kb = _puiseux_key(b, side)
-    bound: Fraction | None = None
-    if a.truncation is not None:
-        bound = F(a.truncation, a.N)
-    if b.truncation is not None:
-        bb = F(b.truncation, b.N)
-        bound = bb if bound is None else min(bound, bb)
-    da, db = dict(ka), dict(kb)
-    exps = sorted(set(da) | set(db))
-    for e in exps:
-        if bound is not None and e >= bound:
-            break
-        d = da.get(e, ZPoly()) - db.get(e, ZPoly())
-        s = d.sign_small_pos()
-        if s > 0:
-            return "Above"
-        if s < 0:
-            return "Below"
-    return "Undistinguished"
 
 
 # ------------------------------------------------------------------ signs

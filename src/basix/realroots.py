@@ -1,10 +1,17 @@
 """Real root isolation and refinable root locators.
 
-Primary isolation is bisection driven by Descartes' rule on the interval-mapped
-polynomial; a Sturm chain is kept as an independent certification path.  All
-interval endpoints are rational, and every locator can be refined on demand to
-arbitrary width.  Rational roots are recognised exactly (simplest rational in
-the isolating interval, probed against the polynomial).
+Isolation is bisection driven by Descartes' rule on the interval-mapped
+polynomial (Collins & Akritas 1976), and roots are counted the same way:
+``open_count`` is the number of isolating intervals in a window.  All
+interval endpoints are rational, and every locator can be refined on demand
+to arbitrary width.  Rational roots are recognised exactly (simplest
+rational in the isolating interval, probed against the polynomial).
+
+`RootLocator` is the one type for a located real number: a rational enters
+as the exact locator ``RootLocator.at(x)``.  An exact locator keeps
+``lo == hi == exact``, so bounds are always read from ``lo`` and ``hi``, and
+refining an exact locator does nothing.  `separate`, `between` and
+`RootLocator.sign` are the refinement loops the geometry runs on locators.
 
 The hot kernels run on integers: signs at a rational ``num/den`` come from
 homogenised Horner on the primitive integer coefficients, ``simplest_in``
@@ -21,22 +28,19 @@ not to be a root; it is recomputed and probed only once it has left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import InternalError, ZeroPolynomial
+from .errors import InternalError, Unsupported, ZeroPolynomial
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 Frac = Fraction
 
 
+_SEPARATION_ROUNDS = 512
+
+
 # -- integer polynomial helpers ------------------------------------------------
-
-
-def _sign_at(p: UniPoly, x: Fraction) -> int:
-    v = p.eval(x)
-    return (v > 0) - (v < 0)
 
 
 def _descartes_bound(c: list) -> int:
@@ -105,8 +109,9 @@ def root_bound(p: UniPoly) -> Fraction:
 class RootLocator:
     """One real root of a squarefree polynomial, isolated in (lo, hi).
 
-    ``exact`` is set when the root is a known rational; otherwise p changes
-    sign across (lo, hi) and the interval can be halved indefinitely.
+    ``exact`` is set when the root is a known rational, and then
+    ``lo == hi == exact``; otherwise p changes sign across (lo, hi) and the
+    interval can be halved indefinitely.
     """
 
     p: UniPoly
@@ -123,6 +128,12 @@ class RootLocator:
         self._slo_at: Fraction | None = None
         self._slo = 0
 
+    @classmethod
+    def at(cls, x: Fraction | int) -> "RootLocator":
+        """The exact locator of a rational number."""
+        x = Fraction(x)
+        return cls(UniPoly([-x, 1]), x, x, x)
+
     def _ints(self) -> list[int]:
         if self._ip is None:
             self._ip = self.p.int_primitive()
@@ -130,17 +141,6 @@ class RootLocator:
 
     def _sign(self, x: Fraction) -> int:
         return _int_sign_at(self._ints(), x)
-
-    @property
-    def width(self) -> Fraction:
-        if self.exact is not None:
-            return Fraction(0)
-        return self.hi - self.lo
-
-    def mid(self) -> Fraction:
-        if self.exact is not None:
-            return self.exact
-        return _midpoint(self.lo, self.hi)
 
     def refine(self) -> None:
         if self.exact is not None:
@@ -162,6 +162,17 @@ class RootLocator:
 
     def refine_below(self, width: Fraction) -> None:
         while self.exact is None and self.hi - self.lo >= width:
+            self.refine()
+
+    def sign(self) -> int:
+        """The sign of the located number; an irrational one is never 0."""
+        while True:
+            if self.lo == self.hi:
+                return (self.lo > 0) - (self.lo < 0)
+            if self.lo >= 0:
+                return 1
+            if self.hi <= 0:
+                return -1
             self.refine()
 
     def contains(self, x: Fraction) -> bool:
@@ -297,15 +308,11 @@ def isolate_real_roots(
             q = q.exact_div(UniPoly([-e, 1]))
     if q.degree > 0:
         walk(a, b, q, q.int_primitive())
-    out.sort(key=lambda r: r.mid() if r.exact is not None else r.lo)
+    out.sort(key=lambda r: r.lo)
     # ensure pairwise disjoint (Descartes bisection already guarantees it,
     # but exact roots found mid-walk may touch interval endpoints)
     for r1, r2 in zip(out, out[1:]):
-        while not (
-            (r1.exact is not None and (r2.exact is not None or r1.exact <= r2.lo))
-            or (r1.exact is None and r2.exact is not None and r1.hi <= r2.exact)
-            or (r1.exact is None and r2.exact is None and r1.hi <= r2.lo)
-        ):
+        while r1.hi > r2.lo:
             r1.refine()
             r2.refine()
     if detect_rational:
@@ -315,58 +322,14 @@ def isolate_real_roots(
     return out
 
 
-# -- Sturm certification --------------------------------------------------------
-
-
-def sturm_chain(p: UniPoly) -> list[UniPoly]:
-    chain = [p, p.derivative()]
-    while not chain[-1].is_zero() and chain[-1].degree > 0:
-        chain.append(-(chain[-2] % chain[-1]))
-    if chain[-1].is_zero():
-        chain.pop()
-    return chain
-
-
-def _variations_at(chain: list[UniPoly], x: Fraction) -> int:
-    signs = []
-    for q in chain:
-        s = _sign_at(q, x)
-        if s != 0:
-            signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def _variations_at_inf(chain: list[UniPoly], positive: bool) -> int:
-    signs = []
-    for q in chain:
-        if q.is_zero():
-            continue
-        s = 1 if q.lc() > 0 else -1
-        if not positive and q.degree % 2 == 1:
-            s = -s
-        signs.append(s)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def sturm_count(p: UniPoly, lo: Fraction | None = None, hi: Fraction | None = None) -> int:
-    """Number of distinct real roots of p in (lo, hi] (whole line by default)."""
-    sf = squarefree_part(p)
-    if sf.degree <= 0:
-        return 0
-    chain = sturm_chain(sf)
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
+# -- counting and comparison ----------------------------------------------------
 
 
 def open_count(p: UniPoly, a: Fraction, b: Fraction) -> int:
-    """Roots of p in the open interval (a, b); endpoints must not be roots."""
+    """Number of distinct real roots of p in the open interval (a, b)."""
     if definitely_no_roots(p, a, b):
         return 0
-    n = sturm_count(p, a, b)  # counts (a, b]
-    if p.eval(b) == 0:
-        n -= 1
-    return n
+    return len(isolate_real_roots(p, a, b, detect_rational=False))
 
 
 def count_roots_below(p: UniPoly, x: Fraction) -> int:
@@ -410,24 +373,7 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
         hi = min(r1.hi, r2.hi)
         if lo >= hi or r1.exact is not None or r2.exact is not None:
             return roots_equal(r1, r2)
-    return sturm_count(g, lo, hi) > 0
-
-
-def compare_roots(r1: RootLocator, r2: RootLocator) -> int:
-    """-1, 0, +1 ordering of two root locators; exact."""
-    if roots_equal(r1, r2):
-        return 0
-    while True:
-        hi1 = r1.exact if r1.exact is not None else r1.hi
-        lo1 = r1.exact if r1.exact is not None else r1.lo
-        hi2 = r2.exact if r2.exact is not None else r2.hi
-        lo2 = r2.exact if r2.exact is not None else r2.lo
-        if hi1 <= lo2:
-            return -1
-        if hi2 <= lo1:
-            return 1
-        r1.refine()
-        r2.refine()
+    return open_count(g, lo, hi) > 0
 
 
 def refine_disjoint(locs: list[RootLocator]) -> None:
@@ -436,15 +382,36 @@ def refine_disjoint(locs: list[RootLocator]) -> None:
     changed = True
     while changed:
         changed = False
-        locs.sort(key=lambda r: r.exact if r.exact is not None else r.lo)
+        locs.sort(key=lambda r: r.lo)
         for a, b in zip(locs, locs[1:]):
-            ahi = a.exact if a.exact is not None else a.hi
-            blo = b.exact if b.exact is not None else b.lo
-            if not (ahi <= blo) or (a.exact is not None and b.exact is not None and a.exact == b.exact):
-                if a.exact is not None and b.exact is not None:
-                    if a.exact == b.exact:
-                        raise InternalError("coincident roots passed to refine_disjoint")
-                    continue
+            if a.exact is not None and b.exact is not None:
+                if a.exact == b.exact:
+                    raise InternalError("coincident roots passed to refine_disjoint")
+            elif a.hi > b.lo:
                 a.refine()
                 b.refine()
                 changed = True
+
+
+def separate(locs: list[RootLocator]) -> None:
+    """Refine the ordered locators until each interval ends strictly below
+    the next one begins."""
+    for _ in range(_SEPARATION_ROUNDS):
+        ok = True
+        for a, b in zip(locs, locs[1:]):
+            if a.hi >= b.lo:
+                a.refine()
+                b.refine()
+                ok = False
+        if ok:
+            return
+    raise Unsupported("SeparationCap", "could not strictly separate located points")
+
+
+def between(a: RootLocator, b: RootLocator) -> Fraction:
+    """The simplest rational strictly between the located numbers a < b,
+    refining both until their intervals part."""
+    while a.hi >= b.lo:
+        a.refine()
+        b.refine()
+    return simplest_in(a.hi, b.lo)

@@ -11,6 +11,9 @@ One ``resolve_point`` call expands each distinct local polynomial once and
 keeps the sets in a dict that it passes down its sites; the dict is dropped
 when the call returns, so nothing is cached between resolutions.
 
+Marked points on an exceptional component are `RootLocator`s, exact ones
+for rational positions, as every located coordinate of the arrangement is.
+
 `BlowupChart.down` is the one chart map: points, the polynomial down map
 and the transversal lines of a component (as series arcs) are all pushed to
 the base chart through it.
@@ -29,12 +32,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arrangement import Box, Loc, bipoly_sign_on_box, loc_bounds, loc_refine
+from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
 from .errors import BasixError, InternalError, Unsupported
 from .puiseux import ArcFamily, ParamArc, PuiseuxArc, arc_region_membership, branch_set, family_normal_form
-from .realroots import RootLocator, isolate_real_roots, open_count, roots_equal, simplest_in
+from .realroots import RootLocator, between, isolate_real_roots, open_count, roots_equal, separate, simplest_in
 from .series import TSeries, ZPoly
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
@@ -44,6 +47,9 @@ F = Fraction
 
 DEFAULT_DEPTH_CAP = 24
 _NC_K = 10
+# chart-point sampling: halvings of the sample segment, alternate positions
+_Q_CAP = 24
+_ALT_CAP = 12
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class BlowupChart:
 
 @dataclass
 class MarkedPoint:
-    v: Loc
+    v: RootLocator
     tags: list  # curve tags crossing here
     simple: bool  # certified normal crossing without recursion
 
@@ -108,31 +114,14 @@ class ExceptionalComponent:
         the point at infinity of the component (always marked)."""
         if not self.marked:
             return [(None, None, F(0))]
-        bounds: list[Loc] = [m.v for m in self.marked]
-        _separate(bounds)
-        out: list[tuple[Fraction | None, Fraction | None, Fraction]] = []
-        lo0 = loc_bounds(bounds[0])[0]
-        out.append((None, lo0, lo0 - 1))
-        for a, b in zip(bounds, bounds[1:]):
-            hi_a = loc_bounds(a)[1]
-            lo_b = loc_bounds(b)[0]
-            out.append((hi_a, lo_b, simplest_in(hi_a, lo_b)))
-        hiN = loc_bounds(bounds[-1])[1]
-        out.append((hiN, None, hiN + 1))
+        vs = [m.v for m in self.marked]
+        separate(vs)
+        out: list[tuple[Fraction | None, Fraction | None, Fraction]] = [(None, vs[0].lo, vs[0].lo - 1)]
+        for a, b in zip(vs, vs[1:]):
+            mid = between(a, b)
+            out.append((a.hi, b.lo, mid))
+        out.append((vs[-1].hi, None, vs[-1].hi + 1))
         return out
-
-
-def _separate(locs: list[Loc], cap: int = 256) -> None:
-    for _ in range(cap):
-        ok = True
-        for a, b in zip(locs, locs[1:]):
-            if loc_bounds(a)[1] >= loc_bounds(b)[0]:
-                loc_refine(a)
-                loc_refine(b)
-                ok = False
-        if ok:
-            return
-    raise Unsupported("SeparationCap", "marked points could not be separated")
 
 
 @dataclass
@@ -271,13 +260,13 @@ def _resolve_site(
         for loc in isolate_real_roots(u0):
             placed = False
             for mp in marks:
-                if roots_equal_loc(mp.v, loc):
+                if roots_equal(mp.v, loc):
                     mp.tags.append(tag)
                     placed = True
                     break
             if not placed:
-                marks.append(MarkedPoint(v=(loc.exact if loc.exact is not None else loc), tags=[tag], simple=False))
-    marks.sort(key=lambda m: loc_bounds(m.v)[0])
+                marks.append(MarkedPoint(v=loc, tags=[tag], simple=False))
+    marks.sort(key=lambda m: m.v.lo)
     D.marked = marks
 
     # recurse into non-normal-crossing marked points
@@ -287,7 +276,7 @@ def _resolve_site(
         if simple:
             tree.certificate.append(f"D{level} at v={_vstr(mp.v)}: transversal simple crossing")
             continue
-        vex = _exact_of(mp.v)
+        vex = mp.v.try_rational(rounds=48)
         if vex is None:
             raise Unsupported(
                 "NonRationalSingularPoint",
@@ -314,14 +303,8 @@ def _resolve_site(
     return
 
 
-def roots_equal_loc(a: Loc, b: RootLocator) -> bool:
-    if isinstance(a, Fraction):
-        return b.contains(a) and b.p.eval(a) == 0 if b.exact is None else a == b.exact
-    return roots_equal(a, b)
-
-
-def _vanishes_at(p: BiPoly, v: Loc) -> bool:
-    ex = _exact_of(v)
+def _vanishes_at(p: BiPoly, v: RootLocator) -> bool:
+    ex = v.try_rational(rounds=48)
     if ex is not None:
         return p.eval(F(0), ex) == 0
     u0 = p.specialize_x(F(0))
@@ -329,23 +312,11 @@ def _vanishes_at(p: BiPoly, v: Loc) -> bool:
         return True
     if u0.degree < 1:
         return False
-    if not isinstance(v, RootLocator):
-        raise InternalError("a marked point without an exact value has a root locator")
     return any(roots_equal(v, loc) for loc in isolate_real_roots(u0))
 
 
-def _exact_of(v: Loc) -> Fraction | None:
-    if isinstance(v, Fraction):
-        return v
-    if v.exact is not None:
-        return v.exact
-    v.try_rational(rounds=48)
-    return v.exact
-
-
-def _vstr(v: Loc) -> str:
-    lo, hi = loc_bounds(v)
-    return str(lo) if lo == hi else f"({lo}..{hi})"
+def _vstr(v: RootLocator) -> str:
+    return str(v.lo) if v.lo == v.hi else f"({v.lo}..{v.hi})"
 
 
 def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -> bool:
@@ -358,15 +329,13 @@ def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -
     _tag, sc = crossing[0]
     u0 = sc.specialize_x(F(0))
     du = u0.derivative()
-    ex = _exact_of(mp.v)
+    ex = mp.v.try_rational(rounds=48)
     if ex is not None:
         if du.eval(ex) == 0:
             return False
         # the full gradient must not vanish for the branch to be smooth;
         # d/dv nonzero already implies it
         return True
-    if not isinstance(mp.v, RootLocator):
-        raise InternalError("a marked point without an exact value has a root locator")
     # simple root iff v is not a root of gcd(u0, u0')
     g = poly_gcd(u0, du)
     if g.degree < 1:
@@ -453,12 +422,7 @@ def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fr
             hi = m
 
 
-def classify_exceptional(
-    D: ExceptionalComponent,
-    decomp: SetDecomposition | PoleView,
-    q_cap: int = 24,
-    alt_cap: int = 12,
-) -> ExcArcs:
+def classify_exceptional(D: ExceptionalComponent, decomp: SetDecomposition | PoleView) -> ExcArcs:
     """Region verdicts on both sides of every arc of D, by chart-point sampling
     cross-checked against the arc path.  They do not depend on the lifted
     distribution; ``ExcArcs.against`` classifies them for one."""
@@ -468,9 +432,9 @@ def classify_exceptional(
         signs: dict[int, tuple] = {}
         v_mid: Fraction | None = None
         alternates = _arc_sample_candidates(vlo, vhi, v_default)
-        for _alt in range(alt_cap):
+        for _alt in range(_ALT_CAP):
             v_try = next(alternates)
-            got = _sample_arc_sides(D, decomp, v_try, q_cap)
+            got = _sample_arc_sides(D, decomp, v_try)
             if got is not None:
                 v_mid = v_try
                 signs = got
@@ -492,7 +456,7 @@ def classify_exceptional(
 
 
 def _sample_arc_sides(
-    D: ExceptionalComponent, decomp: SetDecomposition | PoleView, v_mid: Fraction, q_cap: int
+    D: ExceptionalComponent, decomp: SetDecomposition | PoleView, v_mid: Fraction
 ) -> dict[int, tuple] | None:
     """Region verdicts on both sides of the component at the chosen position,
     via down-pushed samples certified by a crossing-free segment.  None when
@@ -508,7 +472,7 @@ def _sample_arc_sides(
 
     q = F(1, 2)
     hit_curve = 0
-    for _ in range(q_cap):
+    for _ in range(_Q_CAP):
         signs: dict[int, tuple] = {}
         ok = True
         for side in (1, -1):
@@ -577,9 +541,8 @@ def pole_analysis_point(view: PoleView) -> AnalysisPoint | None:
     ends of its affine edges that run to the pole.  A single curve arc that
     crosses x = 0 at the origin makes no vertex there (as in the affine
     chart), so it is no analysis point either."""
-    origin = (F(0), F(0))
     factors = view.scene.factors
-    through = [n for n in view.scene.order if factors[n].eval(*origin) == 0]
+    through = [n for n in view.scene.order if factors[n].eval(F(0), F(0)) == 0]
     bfs = sorted(n for n in through if n in view.affine.zariski_boundary)
     if not bfs:
         return None
@@ -591,7 +554,7 @@ def pole_analysis_point(view: PoleView) -> AnalysisPoint | None:
     if len(through) == 1 and sorted(sides[bfs[0]]) == [-1, 1]:
         return None
     ends = {n: len(s) for n, s in sides.items()}
-    return _classify_point(None, Box(*origin), bfs, ends, factors)
+    return _classify_point(None, Box(RootLocator.at(0), RootLocator.at(0)), bfs, ends, factors)
 
 
 def _classify_point(

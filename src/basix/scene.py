@@ -20,7 +20,6 @@ from .unipoly import UniPoly
 RELS = (">", "<", ">=", "<=", "==", "!=")
 
 _REL_FLIP = {">": "<", "<": ">", ">=": "<=", "<=": ">=", "==": "==", "!=": "!="}
-_REL_NEG = {">": "<=", "<": ">=", ">=": "<", "<=": ">", "==": "!=", "!=": "=="}
 
 
 def rel_holds(rel: str, sign: int) -> bool:
@@ -62,28 +61,6 @@ class Formula:
     def factors_used(self) -> set[str]:
         return {a.factor for c in self.clauses for a in c.atoms}
 
-    def negation(self) -> "Formula":
-        """DNF of the complement (De Morgan + distribution)."""
-        neg_clauses: list[tuple[Atom, ...]] = [()]
-        for c in self.clauses:
-            options = [Atom(a.factor, _REL_NEG[a.rel]) for a in c.atoms]
-            neg_clauses = [base + (opt,) for base in neg_clauses for opt in options]
-        # prune clauses with contradictory atoms on one factor
-        out = []
-        for atoms in neg_clauses:
-            by_factor: dict[str, set[str]] = {}
-            for a in atoms:
-                by_factor.setdefault(a.factor, set()).add(a.rel)
-            ok = True
-            for rels in by_factor.values():
-                feasible = [s for s in (-1, 0, 1) if all(rel_holds(r, s) for r in rels)]
-                if not feasible:
-                    ok = False
-                    break
-            if ok:
-                out.append(Clause(tuple(dict.fromkeys(atoms))))
-        return Formula(tuple(out))
-
     def with_extra_atoms(self, extra: Iterable[Atom]) -> "Formula":
         extra = tuple(extra)
         return Formula(tuple(Clause(c.atoms + extra) for c in self.clauses))
@@ -95,11 +72,14 @@ class OpenComplement:
     formula fails and none of those factors vanishes.  It is evaluated as is,
     never expanded to a DNF, whose size can grow exponentially."""
 
-    formula: Formula
+    formula: "Formula | OpenComplement"
     zeros: frozenset[str]
 
     def holds(self, signs: dict[str, int]) -> bool:
         return not self.formula.holds(signs) and all(signs[n] != 0 for n in self.zeros)
+
+    def factors_used(self) -> set[str]:
+        return self.formula.factors_used() | self.zeros
 
 
 def _canonical_sign(p: BiPoly) -> int:
@@ -183,7 +163,8 @@ class Scene:
     # -- complement ----------------------------------------------------------------
 
     def complement(self) -> "Scene":
-        return Scene(dict(self.factors), list(self.order), self.formula.negation(), self.chart)
+        """Scene of X minus S, as a predicate on the formula."""
+        return self.open_complement(())
 
     def minus_factor_zeros(self, names: Iterable[str]) -> "Scene":
         """Scene of S minus the zero sets of the given factors."""

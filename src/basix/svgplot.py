@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .arrangement import Arrangement, loc_bounds
+from .arrangement import Arrangement
 from .decompose import SetDecomposition
 
 F = Fraction
@@ -69,8 +69,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
         pts2 = []
         for (s, _i, loc) in e.pieces:
             xs = arr.slab_samples[s]
-            lo, hi = loc_bounds(loc)
-            pts2.append((X(xs), Y((lo + hi) / 2)))
+            pts2.append((X(xs), Y((loc.lo + loc.hi) / 2)))
             # refine with intermediate samples across the slab
             span = _slab_span(arr, s, window)
             for k in range(1, 8):
@@ -83,8 +82,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
                 roots = isolate_real_roots(u)
                 if e.pieces[0][1] < len(roots):
                     r = roots[e.pieces[0][1]]
-                    rl, rh = loc_bounds(r)
-                    pts2.append((X(xq), Y((rl + rh) / 2)))
+                    pts2.append((X(xq), Y((r.lo + r.hi) / 2)))
         pts2.sort()
         body = " ".join(f"{a},{b}" for a, b in pts2)
         out.append(f'<polyline fill="none" stroke="#d62728" stroke-width="1.4" points="{body}"/>')
@@ -105,9 +103,9 @@ def _slab_span(arr: Arrangement, s: int, window: float) -> tuple[Fraction, Fract
     lo = -F(int(window * 100), 100)
     hi = F(int(window * 100), 100)
     if s > 0:
-        lo = max(lo, arr.walls[s - 1].x_bounds()[1])
+        lo = max(lo, arr.walls[s - 1].x.hi)
     if s < len(arr.walls):
-        hi = min(hi, arr.walls[s].x_bounds()[0])
+        hi = min(hi, arr.walls[s].x.lo)
     if lo >= hi:
         return lo, lo + F(1, 100)
     return lo, hi

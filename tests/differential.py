@@ -11,8 +11,9 @@ runs print the same text, so a change is compared with its parent by
 
 The scenes are the shipped fixtures, each fixture's inversion read back as
 an affine scene, the scene on which the two paths of exceptional
-classification diverge, and ``--random`` scenes drawn by
-`test_sphere.random_scene_text` from ``--seed``.  The file name has no
+classification diverge, unions of 3, 5, 7 and 9 clauses whose complement
+would be a large DNF (`test_scene.union_scene_text`), and ``--random``
+scenes drawn by `test_sphere.random_scene_text` from ``--seed``.  The file name has no
 ``test_`` prefix, so pytest does not collect it.
 """
 
@@ -29,6 +30,7 @@ from basix.report import verdict_to_dict
 from basix.scene import Scene, invert_scene
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from test_scene import union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,6 +49,8 @@ def scenes(n_random: int, seed: int):
         inv = invert_scene(sc)
         yield f"{path.stem}-inverted", Scene(inv.factors, inv.order, inv.formula, "affine")
     yield "divergent", Scene.from_text(DIVERGENT)
+    for n in (3, 5, 7, 9):
+        yield f"union{n}", Scene.from_text(union_scene_text(n))
     rng = random.Random(seed)
     for k in range(n_random):
         text = random_scene_text(rng)

@@ -11,13 +11,14 @@ from basix.parser import parse_polynomial
 from basix import realroots
 from basix.realroots import (
     RootLocator,
-    compare_roots,
+    between,
     count_roots_below,
     isolate_real_roots,
+    open_count,
     refine_disjoint,
     roots_equal,
+    separate,
     simplest_in,
-    sturm_count,
 )
 from basix.series import TSeries, ZPoly, compose_bipoly
 from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
@@ -163,6 +164,33 @@ def test_isolate_in_range():
     assert [l.try_rational() for l in locs] == [F(0), F(1)]
 
 
+def _sturm_count(p, lo=None, hi=None):
+    """Reference: distinct real roots of p in (lo, hi] by a Sturm chain
+    (the whole line by default)."""
+    sf = squarefree_part(p)
+    if sf.degree <= 0:
+        return 0
+    chain = [sf, sf.derivative()]
+    while not chain[-1].is_zero() and chain[-1].degree > 0:
+        chain.append(-(chain[-2] % chain[-1]))
+    if chain[-1].is_zero():
+        chain.pop()
+
+    def variations(signs):
+        signs = [v for v in signs if v != 0]
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    def at(x):
+        return variations([(v > 0) - (v < 0) for v in (q.eval(x) for q in chain)])
+
+    def at_inf(positive):
+        return variations([(1 if q.lc() > 0 else -1) * (1 if positive or q.degree % 2 == 0 else -1) for q in chain])
+
+    va = at(lo) if lo is not None else at_inf(False)
+    vb = at(hi) if hi is not None else at_inf(True)
+    return va - vb
+
+
 def test_isolation_counts_match_sturm():
     polys = [
         P(-2, 0, 1),
@@ -174,7 +202,7 @@ def test_isolation_counts_match_sturm():
     ]
     for p in polys:
         locs = isolate_real_roots(p)
-        assert len(locs) == sturm_count(p)
+        assert len(locs) == _sturm_count(p)
 
 
 def test_count_roots_below():
@@ -189,11 +217,8 @@ def test_roots_equal_and_compare():
     a = isolate_real_roots(P(-2, 0, 1))[1]  # sqrt 2
     c = isolate_real_roots(P(-2, 0, 1) * P(-3, 1))[1]  # same number, bigger poly
     assert roots_equal(a, c)
-    assert compare_roots(a, c) == 0
     d = isolate_real_roots(P(-3, 0, 1))[1]  # sqrt 3
     assert not roots_equal(a, d)
-    assert compare_roots(a, d) == -1
-    assert compare_roots(d, a) == 1
 
 
 def test_simplest_in():
@@ -432,6 +457,55 @@ def test_locators_end_like_fraction_reference(coeffs, q, p0, steps, rounds):
         assert _state(new) == _state(ref)
         assert new.try_rational(rounds) == ref.try_rational(rounds)
         assert _state(new) == _state(ref)
+
+
+@given(int_coeffs, small_fracs, small_fracs, st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_open_count_matches_sturm_reference(coeffs, a, b, roots_at_ends):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    p = UniPoly(coeffs)
+    if roots_at_ends:
+        p = p * P(-lo, 1) * P(-hi, 1)
+    # the reference counts (lo, hi]
+    assert open_count(p, lo, hi) == _sturm_count(p, lo, hi) - (p.eval(hi) == 0)
+
+
+@given(small_fracs)
+@settings(max_examples=50, deadline=None)
+def test_exact_locator(x):
+    loc = RootLocator.at(x)
+    assert loc.lo == loc.hi == loc.exact == x
+    loc.refine()
+    assert _state(loc) == (x, x, x)
+    assert loc.sign() == (x > 0) - (x < 0)
+
+
+@given(int_coeffs, st.lists(small_fracs, max_size=3))
+@settings(max_examples=80, deadline=None)
+def test_separate_between_and_sign(coeffs, rationals):
+    poly = UniPoly(coeffs)
+    locs = isolate_real_roots(poly)
+    locs += [RootLocator.at(r) for r in set(rationals) if poly.eval(r) != 0]
+    refine_disjoint(locs)
+    separate(locs)
+    for a, b in zip(locs, locs[1:]):
+        assert a.hi < b.lo
+    for a, b in zip(locs, locs[1:]):
+        m = between(a, b)
+        assert a.hi < m < b.lo
+    for loc in locs:
+        if loc.exact is not None:
+            want = (loc.exact > 0) - (loc.exact < 0)
+        elif loc.lo >= 0 or loc.hi <= 0:
+            want = 1 if loc.lo >= 0 else -1
+        else:
+            # a root found inexact is not 0 (0 is the simplest rational of an
+            # interval around it); it is positive iff p changes sign in (0, hi)
+            s0, shi = (loc.p.eval(v) > 0 for v in (F(0), loc.hi))
+            want = 1 if s0 != shi else -1
+        assert loc.sign() == want
 
 
 def test_try_rational_probes_a_candidate_once(monkeypatch):

@@ -16,7 +16,7 @@ from basix.checker import (
     run_check,
 )
 from basix.errors import InternalError, Unsupported
-from basix.fans import fan_count_in_S, fan_to_json, verify_fan
+from basix.fans import Fan, fan_count_in_S, fan_to_json, verify_fan
 from basix.report import verdict_to_text
 from basix.scene import Scene, invert_scene
 
@@ -61,6 +61,20 @@ def test_cubic_no_condition_b(fixture_scene):
     # condition (a) recorded as passing
     table = v.diagnostics["condition_a_table"]
     assert table and all(verdict != "PositiveTypeChanging" for _f, _i, verdict in table)
+
+
+def test_point_witness_is_counted_once(monkeypatch, fixture_scene):
+    kinds = []
+    real_count = Fan.count_in_set
+
+    def counting(fan, scene):
+        kinds.append(fan.kind)
+        return real_count(fan, scene)
+
+    monkeypatch.setattr(Fan, "count_in_set", counting)
+    v = check_basic_open(fixture_scene("cubic"))
+    assert v.witness.kind == "point_centered" and v.witness_count == 3
+    assert kinds == ["point_centered"]
 
 
 @pytest.mark.parametrize("prop", ["basic_open", "basic_closed"])

@@ -18,8 +18,6 @@ from basix.puiseux import (
     arc_region_membership,
     arc_sign,
     branch_set,
-    compare_arcs,
-    expand_scene_branches,
     newton_puiseux,
     residual_order,
     simulate_branch_blowups,
@@ -100,18 +98,6 @@ def test_irrational_characteristic_root_unsupported():
         newton_puiseux(P("y^2 - 2*x^2 + x^3"), (F(0), F(0)), 8)
 
 
-def test_quartic_tacnode_separation():
-    sets = expand_scene_branches(
-        {"f": P("y - x^2"), "g": P("y - x^2 - x^5")}, (F(0), F(0))
-    )
-    a, b = sets["f"][0], sets["g"][0]
-    assert compare_arcs(a, b, 1) == "Below"  # x^2 < x^2 + x^5 for x > 0
-    assert compare_arcs(a, b, -1) == "Above"
-
-
-# ------------------------------------------------------------------ comparison
-
-
 def mkarc(terms, N=1, delta=1, trunc=None, center=(0, 0), slot=None):
     return PuiseuxArc(
         (F(center[0]), F(center[1])),
@@ -121,24 +107,6 @@ def mkarc(terms, N=1, delta=1, trunc=None, center=(0, 0), slot=None):
         trunc,
         slot=slot,
     )
-
-
-def test_compare_simple():
-    a = mkarc([(2, 1)])
-    b = mkarc([(2, 2)])
-    assert compare_arcs(a, b, 1) == "Below"
-    assert compare_arcs(b, a, 1) == "Above"
-
-
-def test_compare_odd_flip():
-    a = mkarc([(3, 1)])
-    b = mkarc([(3, 2)])
-    assert compare_arcs(a, b, -1) == "Above"
-
-
-def test_compare_undistinguished():
-    a = mkarc([(2, 1)], trunc=4)
-    assert compare_arcs(a, a, 1) == "Undistinguished"
 
 
 # ------------------------------------------------------------------ signs

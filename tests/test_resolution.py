@@ -62,7 +62,7 @@ def test_cubic_fixture_marked_points():
     tree = resolve_point(factors, (F(0), F(0)))
     assert len(tree.components) == 3
     last = tree.components[-1]
-    vs = sorted(m.v for m in last.marked)
+    vs = sorted(m.v.exact for m in last.marked)
     assert vs == [F(0), F(1), F(2), F(3)]
     # the down map of the final chart is x = u, y = u^2 + u^3 v
     X, Y = last.chart.down_map()

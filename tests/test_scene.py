@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from basix.bipoly import BiPoly
+from basix.checker import check_principal_closed
 from basix.errors import NotSquarefree, ParseError, SharedComponent
 from basix.parser import parse_polynomial
-from basix.scene import Scene, _reducibility_probe, invert_poly, invert_scene, validate_scene
+from basix.scene import OpenComplement, Scene, _reducibility_probe, invert_poly, invert_scene, validate_scene
 
 F = Fraction
 
@@ -164,6 +165,41 @@ def test_complement_formula():
     comp = sc.complement()
     for pt in [(1, 1), (-1, 1), (1, -1), (-1, -1), (0, 1), (1, 0), (0, 0)]:
         assert comp.member(*pt) == (not sc.member(*pt))
+
+
+_UNION_TAIL = (
+    "{ a >= 0, b < 0, c < 0 }",
+    "{ a >= 0, b < 0, c > 0 }",
+    "{ a >= 0, b > 0, c > 0 }",
+    "{ a >= 0, b < 0, c < 0 }",
+    "{ a >= 0, b > 0, c < 0 }",
+    "{ a >= 0, b > 0, c < 0 }",
+    "{ a >= 0, b > 0, c < 0 }",
+    "{ a >= 0, b < 0, c > 0 }",
+    "{ a >= 0, b > 0, c > 0 }",
+)
+
+
+def union_scene_text(n_clauses: int) -> str:
+    """A union of `{ a >= 0 }` and n_clauses - 1 three-atom clauses over
+    three lines; the DNF of its negation has 3^(n_clauses - 1) clauses."""
+    clauses = ("{ a >= 0 }",) + _UNION_TAIL[: n_clauses - 1]
+    return "factor a = y; factor b = x - 1; factor c = x + y - 3; set S = " + " | ".join(clauses) + ";\n"
+
+
+def test_complement_keeps_the_formula():
+    sc = S(union_scene_text(10))
+    comp = sc.complement()
+    assert comp.formula == OpenComplement(sc.formula, frozenset())
+    assert validate_scene(comp) == validate_scene(sc)
+    for x in range(-1, 5):
+        for y in range(-2, 4):
+            assert comp.member(x, y) == (not sc.member(x, y))
+    v = check_principal_closed(sc)
+    assert (v.answer, v.reason, v.witness) == ("Yes", "", None)
+    assert v.diagnostics == {
+        "complement_check": {"complement_interior_closure_dim": "empty", "interior_closure_dim": "empty"}
+    }
 
 
 def test_minus_factor_zeros():
