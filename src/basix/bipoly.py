@@ -286,17 +286,12 @@ class BiPoly:
         return quo, rem
 
     def divides(self, other: "BiPoly") -> bool:
-        """Exact divisibility self | other over Q[x, y]."""
+        """Exact divisibility self | other over Q[x, y]: the division in y
+        over Q(x) stays in Q[x][y] and leaves no remainder."""
         if self.is_zero():
             return other.is_zero()
-        if other.is_zero():
-            return True
-        if self.deg_y == 0:
-            # polynomial in x only
-            p = self.y_coeffs()[0]
-            return all(c.divmod(p)[1].is_zero() for c in other.y_coeffs())
-        res = _pseudo_rem_y(other, self)
-        return res.is_zero()
+        out = other.divmod_y(self)
+        return out is not None and out[1].is_zero()
 
     def exact_div(self, d: "BiPoly") -> "BiPoly":
         if d.deg_y == 0:
@@ -349,22 +344,6 @@ def _pow_range(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
     if n % 2 == 0 and lo < 0 < hi:
         return Fraction(0), max(a, b)
     return min(a, b), max(a, b)
-
-
-def _pseudo_rem_y(a: BiPoly, b: BiPoly) -> BiPoly:
-    """Pseudo-remainder of a by b as polynomials in y with UniPoly coefficients."""
-    bc = b.y_coeffs()
-    blc = BiPoly({(i, 0): v for i, v in enumerate(bc[-1].c) if v})
-    ddeg = b.deg_y
-    rem = a
-    while not rem.is_zero() and rem.deg_y >= ddeg:
-        rc = rem.y_coeffs()
-        lead = BiPoly({(i, 0): v for i, v in enumerate(rc[-1].c) if v})
-        shift = rem.deg_y - ddeg
-        rem = rem * blc - b * lead * BiPoly({(0, shift): Fraction(1)})
-        if not rem.is_zero() and rem.deg_y >= ddeg + shift + 1:
-            raise InternalError("pseudo-division failed to reduce degree")
-    return rem
 
 
 # -- resultants -------------------------------------------------------------------

@@ -3,8 +3,14 @@
 A fan is four orderings of the rational function field, each the product of
 the other three.  Curve-centered fans attach +-z tails to two half-branches of
 a factor; point-centered fans take the two half-branches of each of two
-transversal-family arcs.  Signs are evaluated exactly along the stored arcs;
-the product law is asserted on every evaluation.
+transversal-family arcs.
+
+Every sign is decided once, at the precision the fan was built with.  A
+curve-fan arc carries its z-slot at t^0 over an exact x(t), so the leading
+term of any nonzero g along it is certain; point-fan arcs and vertical lines
+are exact polynomials.  A sign that is still undecided (only a hand-written
+fan can have one) raises ``Unsupported("TruncationCap")``.  `Fan.sign_vector`
+checks the product law on every polynomial it signs.
 """
 
 from __future__ import annotations
@@ -34,7 +40,6 @@ from .sphere import PoleView
 F = Fraction
 
 _K0 = 12
-_K_CAP = 192
 
 
 # ------------------------------------------------------------------ orderings
@@ -46,10 +51,12 @@ class ArcOrdering:
 
     arc: PuiseuxArc
     side: int  # +1 / -1 parameter side
-    on_poly: BiPoly | None = None
 
-    def sign(self, g: BiPoly) -> int | None:
-        return arc_sign(g, self.arc, self.side, on_poly=self.on_poly)
+    def sign(self, g: BiPoly) -> int:
+        s = arc_sign(g, self.arc, self.side)
+        if s is None:
+            raise Unsupported("TruncationCap", "fan sign undecided at the precision of its arc")
+        return s
 
     def concretize(self, z0: Fraction, polys: list[BiPoly]) -> tuple[Fraction, Fraction]:
         return certified_point(self.arc, self.side, polys, z0 if self.arc.slot else None)
@@ -69,7 +76,7 @@ class CurvePointOrdering:
     yloc: RootLocator
     eta: int
 
-    def sign(self, g: BiPoly) -> int | None:
+    def sign(self, g: BiPoly) -> int:
         h = self.factor_poly
         k = 0
         r = g
@@ -99,9 +106,6 @@ class CurvePointOrdering:
             return u.is_zero()
         return any(roots_equal(self.yloc, loc) for loc in isolate_real_roots(u))
 
-    def concretize(self, z0: Fraction, polys: list[BiPoly]):
-        raise Unsupported("NonRationalWitnessBase", "cannot concretize an irrational base point")
-
 
 Ordering = ArcOrdering | CurvePointOrdering
 
@@ -113,53 +117,34 @@ Ordering = ArcOrdering | CurvePointOrdering
 class Fan:
     """Orderings are indexed alpha_1..alpha_4, grouped by specialization pair:
     (alpha_1, alpha_2) share the first half-branch family and (alpha_3,
-    alpha_4) the second."""
+    alpha_4) the second.  A curve-centred fan names its ``factor``; a
+    point-centred fan keeps the transversal ``family`` whose two instances
+    it takes, and its centre is the family's."""
 
     kind: str  # 'curve_centered' | 'point_centered'
     form_tag: str
     chart: str
     orderings: list[Ordering]
     factor: str | None = None
-    center: tuple[Fraction, Fraction] | None = None
-    meta: dict = field(default_factory=dict)
-    _deepen_state: dict = field(default_factory=dict)
+    family: ArcFamily | None = None
+
+    @property
+    def center(self) -> tuple[Fraction, Fraction] | None:
+        return self.family.center if self.family is not None else None
 
     def sign_vector(self, g: BiPoly) -> tuple[int, int, int, int]:
         if g.is_zero():
             raise BasixError("sign of the zero polynomial")
-        while True:
-            signs = [o.sign(g) for o in self.orderings]
-            if all(s is not None for s in signs):
-                s1, s2, s3, s4 = signs  # type: ignore[misc]
-                if 0 not in signs and s1 * s2 * s3 != s4:
-                    raise BasixError(f"product law failed on {g.to_text()}: {signs}")
-                return (s1, s2, s3, s4)  # type: ignore[return-value]
-            self._deepen()
-
-    def _deepen(self) -> None:
-        st = self._deepen_state
-        if not st:
-            raise Unsupported("TruncationCap", "fan arcs cannot be deepened")
-        K = st["K"] * 2
-        if K > _K_CAP:
-            raise Unsupported("TruncationCap", "fan arc truncation cap reached")
-        st["K"] = K
-        st["rebuild"](K)
+        s1, s2, s3, s4 = signs = tuple(o.sign(g) for o in self.orderings)
+        if 0 not in signs and s1 * s2 * s3 != s4:
+            raise BasixError(f"product law failed on {g.to_text()}: {list(signs)}")
+        return signs
 
     def count_in_set(self, scene: Scene) -> int:
-        count = 0
-        for o in self.orderings:
-            signs = {}
-            for n in scene.order:
-                s = None
-                while s is None:
-                    s = o.sign(scene.factors[n])
-                    if s is None:
-                        self._deepen()
-                signs[n] = s
-            if scene.formula.holds(signs):
-                count += 1
-        return count
+        return sum(
+            scene.formula.holds({n: o.sign(scene.factors[n]) for n in scene.order})
+            for o in self.orderings
+        )
 
 
 def fan_count_in_S(fan: Fan, scene: Scene) -> int:
@@ -169,8 +154,8 @@ def fan_count_in_S(fan: Fan, scene: Scene) -> int:
 # ------------------------------------------------------------------ construction
 
 
-def _branch_arc_at(poly: BiPoly, factor: str, point: tuple[Fraction, Fraction], K: int) -> PuiseuxArc:
-    arcs = [a for a in newton_puiseux(poly, point, K, factor) if not a.swapped]
+def _branch_arc_at(poly: BiPoly, point: tuple[Fraction, Fraction]) -> PuiseuxArc:
+    arcs = [a for a in newton_puiseux(poly, point, _K0) if not a.swapped]
     if len(arcs) != 1:
         raise BasixError(f"expected one smooth branch at {point}, found {len(arcs)}")
     return arcs[0]
@@ -181,7 +166,6 @@ def witness_curve_fan(
     factor: str,
     omega1_edge: int,
     omega2_edge: int,
-    K: int = _K0,
 ) -> Fan:
     """Fan along the factor with tau_1 on the sign-change edge and tau_2 on the
     same-sign edge; the +-z tails make four orderings in the curve normal form."""
@@ -199,45 +183,18 @@ def witness_curve_fan(
         x0, yloc = arr.edge_sample(e)
         bases.append((x0, yloc.try_rational(rounds=64), yloc, False))
 
-    slots: list[Ordering] = [None] * 4  # type: ignore[list-item]
-    state: dict = {"K": K}
-
-    def build(KK: int) -> None:
-        for pi, (x0, y0, yloc, vertical) in enumerate(bases):
-            if vertical:
-                # the line x = x0, parametrized by y; the z-tail perturbs x
-                base = PuiseuxArc((x0, y0), 1, 1, (), None, swapped=True, on_factor=factor)
-                op: Ordering = ArcOrdering(base.with_slot(0, 1, F(0), "z+a"), 1, on_poly=poly)
-                om: Ordering = ArcOrdering(base.with_slot(0, -1, F(0), "-z+a"), 1, on_poly=poly)
-            elif y0 is not None:
-                b = _branch_arc_at(poly, factor, (x0, y0), KK)
-                op = ArcOrdering(b.with_slot(0, 1, F(0), "z+a"), 1, on_poly=poly)
-                om = ArcOrdering(b.with_slot(0, -1, F(0), "-z+a"), 1, on_poly=poly)
-            else:
-                op = CurvePointOrdering(poly, x0, yloc, 1)
-                om = CurvePointOrdering(poly, x0, yloc, -1)
-            if pi == 0:
-                slots[0], slots[1] = op, om
-            else:
-                slots[2], slots[3] = op, om
-
-    build(K)
-    state["rebuild"] = build
-    fan = Fan(
-        kind="curve_centered",
-        form_tag="4.1-1",
-        chart=arr.chart,
-        orderings=slots,  # shared list: deepening replaces entries in place
-        factor=factor,
-        meta={
-            "base_points": [
-                [str(x0), str(y0) if y0 is not None else "algebraic"] for (x0, y0, _l, _v) in bases
-            ],
-            "omega_edges": [omega1_edge, omega2_edge],
-        },
-    )
-    fan._deepen_state = state
-    return fan
+    orderings: list[Ordering] = []
+    for x0, y0, yloc, vertical in bases:
+        if vertical:
+            # the line x = x0, parametrized by y; the z-tail perturbs x
+            base = PuiseuxArc((x0, y0), 1, 1, (), None, swapped=True)
+        elif y0 is not None:
+            base = _branch_arc_at(poly, (x0, y0))
+        else:
+            orderings += [CurvePointOrdering(poly, x0, yloc, eta) for eta in (1, -1)]
+            continue
+        orderings += [ArcOrdering(base.with_slot(0, eta, F(0)), 1) for eta in (1, -1)]
+    return Fan(kind="curve_centered", form_tag="4.1-1", chart=arr.chart, orderings=orderings, factor=factor)
 
 
 def witness_point_fan(
@@ -256,41 +213,23 @@ def witness_point_fan(
     g2 = fam.make_at(eta_prime, omega1_mid)
     _validate_star_property(D, fam, (omega2_mid, omega1_mid))
     form = "4.1-2a" if (fam.N == 1 and not fam.kept and fam.m == 1) else "4.1-2b"
-    return Fan(
-        kind="point_centered",
-        form_tag=form,
-        chart=decomp.scene.chart,
-        orderings=[
-            ArcOrdering(g1, 1),
-            ArcOrdering(g1, -1),
-            ArcOrdering(g2, 1),
-            ArcOrdering(g2, -1),
-        ],
-        center=fam.center,
-        meta={
-            "delta": fam.delta,
-            "N": fam.N,
-            "terms": [[n, str(c)] for n, c in fam.kept],
-            "m": fam.m,
-            "a1": str(g1.slot.a),
-            "a2": str(g2.slot.a),
-            "eta": g1.slot.eta,
-            "eta_prime": g2.slot.eta,
-            "swapped": fam.swapped,
-            "component_level": D.level,
-        },
-    )
+    return _point_fan(form, decomp.scene.chart, fam, g1, g2)
+
+
+def _point_fan(form_tag: str, chart: str, fam: ArcFamily, g1: PuiseuxArc, g2: PuiseuxArc) -> Fan:
+    orderings: list[Ordering] = [ArcOrdering(g, side) for g in (g1, g2) for side in (1, -1)]
+    return Fan(kind="point_centered", form_tag=form_tag, chart=chart, orderings=orderings, family=fam)
 
 
 def _validate_star_property(D: ExceptionalComponent, fam: ArcFamily, mids: tuple[Fraction, ...]) -> None:
     """The lifted instances must cross the component transversally at the
     prescribed, distinct, unmarked positions."""
     if mids[0] == mids[1]:
-        raise BasixError("witness gaps must give distinct crossing points")
+        raise InternalError("witness gaps must give distinct crossing points")
     for v_ in mids:
         for mp in D.marked:
             if mp.v.lo <= v_ <= mp.v.hi:
-                raise BasixError("witness parameter hits a marked point")
+                raise InternalError("witness parameter hits a marked point")
     for v_ in mids:
         inst = fam.make_at(1, v_)
         conc = PuiseuxArc(
@@ -305,9 +244,9 @@ def _validate_star_property(D: ExceptionalComponent, fam: ArcFamily, mids: tuple
         kinds = [k for k, _c in word]
         own = [s.kind for s in D.chart.steps]
         if kinds != own:
-            raise BasixError("witness lift leaves the component's chart word")
+            raise InternalError("witness lift leaves the component's chart word")
         if word[-1][1] != v_:
-            raise BasixError("witness lift crosses at an unexpected point")
+            raise InternalError("witness lift crosses at an unexpected point")
 
 
 # ------------------------------------------------------------------ verification
@@ -348,17 +287,17 @@ def verify_fan(fan: Fan, scene: Scene, extra_polys: list[BiPoly] | None = None) 
         cx, cy = fan.center
         cands.append(BiPoly.x() - BiPoly.const(cx))
         cands.append(BiPoly.y() - BiPoly.const(cy))
-    m = fan.meta
-    if fan.kind == "point_centered" and not m.get("swapped") and fan.center is not None:
-        cx, cy = fan.center
-        mid = (F(m["a1"]) + F(m["a2"])) / 2 if isinstance(m.get("a1"), str) else None
-        if mid is not None and m["N"] == 1:
-            sep = BiPoly.y() - BiPoly.const(cy)
-            xx = BiPoly.x() - BiPoly.const(cx)
-            for n, c in [(int(n), F(c)) for n, c in m.get("terms", [])]:
-                sep = sep - (xx**n).scale(F(c))
-            sep = sep - (xx ** m["m"]).scale(mid)
-            cands.append(sep)
+    fam = fan.family
+    if fam is not None and not fam.swapped and fam.N == 1:
+        # the graph of the instance halfway between the two instances' slots
+        cx, cy = fam.center
+        mid = (fan.orderings[0].arc.slot.a + fan.orderings[2].arc.slot.a) / 2
+        sep = BiPoly.y() - BiPoly.const(cy)
+        xx = BiPoly.x() - BiPoly.const(cx)
+        for n, c in fam.kept:
+            sep = sep - (xx**n).scale(c)
+        sep = sep - (xx**fam.m).scale(mid)
+        cands.append(sep)
     for i in range(4):
         for j in range(i + 1, 4):
             found = None
@@ -405,6 +344,11 @@ def independent_count_check(
 # ------------------------------------------------------------------ serialization
 
 
+def _w_form(eta: int) -> str:
+    """The JSON name of a slot tail (eta*z + a)*t^m."""
+    return "z+a" if eta > 0 else "-z+a"
+
+
 def fan_to_json(fan: Fan) -> str:
     d: dict = {
         "kind": fan.kind,
@@ -413,20 +357,22 @@ def fan_to_json(fan: Fan) -> str:
         "pair_structure": "alpha1,alpha2 -> tau1; alpha3,alpha4 -> tau2",
     }
     if fan.kind == "point_centered":
-        if fan.center is None:
-            raise InternalError("a point-centred fan has a centre")
-        d["center"] = [str(fan.center[0]), str(fan.center[1])]
+        fam = fan.family
+        if fam is None:
+            raise InternalError("a point-centred fan has a family")
+        s1, s2 = fan.orderings[0].arc.slot, fan.orderings[2].arc.slot
         d.update(
             {
-                "delta": fan.meta["delta"],
-                "N": fan.meta["N"],
-                "terms": fan.meta["terms"],
-                "m": fan.meta["m"],
-                "a1": fan.meta["a1"],
-                "a2": fan.meta["a2"],
-                "eta": fan.meta["eta"],
-                "eta_prime": fan.meta["eta_prime"],
-                "swapped": fan.meta.get("swapped", False),
+                "center": [str(fam.center[0]), str(fam.center[1])],
+                "delta": fam.delta,
+                "N": fam.N,
+                "terms": [[n, str(c)] for n, c in fam.kept],
+                "m": fam.m,
+                "a1": str(s1.a),
+                "a2": str(s2.a),
+                "eta": s1.eta,
+                "eta_prime": s2.eta,
+                "swapped": fam.swapped,
             }
         )
     else:
@@ -443,7 +389,7 @@ def fan_to_json(fan: Fan) -> str:
                     "N": a.N,
                     "terms": [[n, str(c)] for n, c in a.terms],
                     "m": a.slot.m if a.slot else None,
-                    "w_form": a.slot.form if a.slot else None,
+                    "w_form": _w_form(a.slot.eta) if a.slot else None,
                     "a": str(a.slot.a) if a.slot else None,
                     "eta": a.slot.eta if a.slot else None,
                     "truncation": a.truncation,
@@ -457,46 +403,31 @@ def fan_to_json(fan: Fan) -> str:
 
 def fan_from_json(text: str, scene: Scene) -> Fan:
     d = json.loads(text)
+    chart = d.get("chart", "affine")
     if d["kind"] == "point_centered":
         center = (F(d["center"][0]), F(d["center"][1]))
         kept = tuple((int(n), F(c)) for n, c in d["terms"])
         fam = ArcFamily(center, int(d["delta"]), int(d["N"]), kept, int(d["m"]), bool(d.get("swapped", False)))
         g1 = fam.make_at(int(d["eta"]), F(d["a1"]))
         g2 = fam.make_at(int(d["eta_prime"]), F(d["a2"]))
-        return Fan(
-            kind="point_centered",
-            form_tag=d["form_tag"],
-            chart=d.get("chart", "affine"),
-            orderings=[
-                ArcOrdering(g1, 1),
-                ArcOrdering(g1, -1),
-                ArcOrdering(g2, 1),
-                ArcOrdering(g2, -1),
-            ],
-            center=center,
-            meta={k: d[k] for k in ("delta", "N", "terms", "m", "a1", "a2", "eta", "eta_prime")},
-        )
+        return _point_fan(d["form_tag"], chart, fam, g1, g2)
     factor = d["factor"]
-    poly = scene.factors.get(factor)
-    if poly is None:
+    if factor not in scene.factors:
         raise BasixError(f"fan references unknown factor {factor!r}")
     orderings: list[Ordering] = []
     for a in d["orderings"]:
+        slot = Slot(int(a["m"]), int(a["eta"]), F(a["a"])) if a["m"] is not None else None
+        w_form = _w_form(slot.eta) if slot is not None else None
+        if a["w_form"] != w_form:
+            raise BasixError(f"ordering w_form {a['w_form']!r} is not {w_form!r}, the form its eta names")
         arc = PuiseuxArc(
             (F(a["center"][0]), F(a["center"][1])),
             int(a["delta"]),
             int(a["N"]),
             tuple((int(n), F(c)) for n, c in a["terms"]),
             a["truncation"],
-            slot=Slot(int(a["m"]), int(a["eta"]), F(a["a"]), a["w_form"]) if a["m"] is not None else None,
+            slot=slot,
             swapped=bool(a.get("swapped", False)),
-            on_factor=factor,
         )
-        orderings.append(ArcOrdering(arc, int(a["side"]), on_poly=poly))
-    return Fan(
-        kind="curve_centered",
-        form_tag=d["form_tag"],
-        chart=d.get("chart", "affine"),
-        orderings=orderings,
-        factor=factor,
-    )
+        orderings.append(ArcOrdering(arc, int(a["side"])))
+    return Fan(kind="curve_centered", form_tag=d["form_tag"], chart=chart, orderings=orderings, factor=factor)

@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 
 from .bipoly import BiPoly
-from .errors import BasixError, InternalError, Unsupported
+from .errors import BasixError, Unsupported
 from .realroots import isolate_real_roots
 from .series import TSeries, ZPoly, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
@@ -26,21 +26,17 @@ F = Fraction
 
 _DEPTH_CAP = 64
 
-W_FORMS = ("z+a", "-z+a", "1/z", "-1/z")
-
 
 @dataclass(frozen=True)
 class Slot:
+    """The symbolic tail (eta*z + a)*t^m of an arc."""
+
     m: int
-    eta: int  # +1 / -1, multiplies z (or 1/z for reciprocal forms)
+    eta: int  # +1 / -1, multiplies z
     a: Fraction
-    form: str  # one of W_FORMS
 
     def zpoly(self) -> ZPoly:
-        if self.form in ("z+a", "-z+a"):
-            return ZPoly.linear(self.a, self.eta)
-        # reciprocal forms carry no rational part
-        return ZPoly([0, F(self.eta)])
+        return ZPoly.linear(self.a, self.eta)
 
 
 class _Composing:
@@ -76,12 +72,7 @@ class PuiseuxArc(_Composing):
     truncation: int | None  # exact modulo t^truncation; None = exact polynomial
     slot: Slot | None = None
     swapped: bool = False
-    on_factor: str | None = None
     _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    @property
-    def reciprocal(self) -> bool:
-        return self.slot is not None and self.slot.form in ("1/z", "-1/z")
 
     def body_series(self) -> TSeries:
         d: dict[int, ZPoly] = {e: ZPoly.const(c) for e, c in self.terms}
@@ -109,8 +100,8 @@ class PuiseuxArc(_Composing):
     def first_exponent(self) -> int | None:
         return self.terms[0][0] if self.terms else None
 
-    def with_slot(self, m: int, eta: int, a: Fraction, form: str = "z+a") -> "PuiseuxArc":
-        return replace(self, slot=Slot(m, eta, F(a), form))
+    def with_slot(self, m: int, eta: int, a: Fraction) -> "PuiseuxArc":
+        return replace(self, slot=Slot(m, eta, F(a)))
 
 
 @dataclass(frozen=True)
@@ -119,8 +110,6 @@ class ParamArc(_Composing):
 
     xs: TSeries
     ys: TSeries
-    reciprocal: bool = False
-    on_factor: str | None = None
     _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def xy_series(self) -> tuple[TSeries, TSeries]:
@@ -361,12 +350,10 @@ def branch_set(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[Pui
     return arcs
 
 
-def newton_puiseux(
-    f: BiPoly, center: tuple[Fraction, Fraction], K: int, factor_name: str | None = None
-) -> list[PuiseuxArc]:
+def newton_puiseux(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
     """Branch set of a single squarefree factor, with the residual guarantee
     that composing f with each branch vanishes exactly modulo t^truncation."""
-    arcs = [replace(a, on_factor=factor_name) for a in branch_set(f, center, K)]
+    arcs = branch_set(f, center, K)
     for a in arcs:
         r = residual_order(f, a)
         if r is not None:
@@ -384,53 +371,15 @@ def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:
 # ------------------------------------------------------------------ signs
 
 
-def _lead_sign(zc: ZPoly, reciprocal: bool) -> int:
-    if reciprocal:
-        for v in reversed(zc.c):
-            if v != 0:
-                return 1 if v > 0 else -1
-        return 0
-    return zc.sign_small_pos()
-
-
-def arc_sign(g: BiPoly, arc: Arc, side: int, on_poly: BiPoly | None = None) -> int | None:
-    """Sign of g along the arc for small |t| on the given side (+1 / -1 / 0),
-    or None when the truncation is too shallow to decide (caller deepens).
-
-    0 is returned only when g vanishes identically on the arc; for truncated
-    branch arcs this is detected by exact division by the branch's factor.
-    """
-    if g.is_zero():
-        return 0
+def arc_sign(g: BiPoly, arc: Arc, side: int) -> int | None:
+    """Sign of g along the arc for small t on the given side, then for small
+    z > 0: the sign of the first certain term of g∘arc.  0 when g vanishes
+    identically on the arc; None when no term is certain at the arc's
+    truncation.  Every arc the engine builds decides every nonzero g: fan
+    and family arcs are exact polynomials, or branch arcs whose z-slot sits
+    at t^0 over an exact x(t)."""
     comp = arc.composed(g)
-    if side < 0:
-        comp = comp.negate_t()
-    s = comp.sign_small_pos_t()
-    if s is not None:
-        if s == 0:
-            return 0
-        lead = comp.leading()
-        if lead is None:
-            raise InternalError("a series with a nonzero sign has a leading term")
-        return _lead_sign(lead[1], getattr(arc, "reciprocal", False))
-    # unresolved: strip the branch's own factor if it divides g
-    if on_poly is not None and not on_poly.is_const():
-        k = 0
-        r = g
-        while not r.is_zero() and on_poly.divides(r):
-            r = r.exact_div(on_poly)
-            k += 1
-        if k > 0:
-            sh = arc_sign(on_poly, arc, side)
-            if sh is None:
-                return None
-            if sh == 0:
-                return 0
-            sr = arc_sign(r, arc, side, on_poly=None)
-            if sr is None:
-                return None
-            return (sh**k if sh > 0 else (-1) ** k) * sr if sr != 0 else 0
-    return None
+    return (comp.negate_t() if side < 0 else comp).sign_small_pos_t()
 
 
 # ------------------------------------------------------------------ blow-up simulation
@@ -465,7 +414,7 @@ class ArcFamily:
             self.N,
             self.kept,
             None,
-            slot=Slot(self.m, eff, F(a), "z+a" if eff > 0 else "-z+a"),
+            slot=Slot(self.m, eff, F(a)),
             swapped=self.swapped,
         )
 
@@ -496,7 +445,8 @@ def simulate_branch_blowups(arc: PuiseuxArc, levels: int) -> list[tuple[str, Fra
             u = series_div_unit(xs, ys, upto)
             c = u.coeff[0][1].c[0] if u.coeff and u.coeff[0][0] == 0 else F(0)
             word.append(("y", c))
-            xs = u - TSeries.const(c, None)
+            # the y-chart's coordinates are (y, x/y), as in `BlowupChart.down`
+            xs, ys = ys, u - TSeries.const(c, None)
         if (xs.trunc is not None and xs.trunc <= 0) or (ys.trunc is not None and ys.trunc <= 0):
             raise Unsupported("TruncationCap", "branch exhausted during blow-up simulation")
     return word
@@ -588,7 +538,7 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     factors, order = decomp.scene.factors, decomp.scene.order
     signs: dict[str, int] = {}
     for n in order:
-        s = arc_sign(factors[n], arc, side, on_poly=_on_poly(arc, factors))
+        s = arc_sign(factors[n], arc, side)
         if s is None:
             raise Unsupported("TruncationCap", f"sign of {n} unresolved along arc")
         if s == 0:
@@ -603,8 +553,3 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
             return decomp.tag_at(*pt)
         z0 = z0 / 2
     raise Unsupported("TruncationCap", "could not certify a concrete arc point")
-
-
-def _on_poly(arc: Arc, factors: dict[str, BiPoly]) -> BiPoly | None:
-    name = getattr(arc, "on_factor", None)
-    return factors.get(name) if name else None

@@ -12,6 +12,11 @@ def load_fixture(name: str) -> Scene:
     return Scene.from_text((FIXTURE_DIR / f"{name}.bsx").read_text(encoding="utf-8"))
 
 
+def swap_scene(scene: Scene) -> Scene:
+    """The scene with x and y exchanged in every factor."""
+    return Scene({n: p.swap_xy() for n, p in scene.factors.items()}, scene.order, scene.formula, scene.chart)
+
+
 @pytest.fixture
 def fixture_scene():
     return load_fixture

@@ -10,7 +10,8 @@ runs print the same text, so a change is compared with its parent by
     diff old.txt new.txt
 
 The scenes are the shipped fixtures, each fixture's inversion read back as
-an affine scene, the scene on which the two paths of exceptional
+an affine scene, each fixture with x and y exchanged (so that chart words
+with y-steps reach the diff), the scene on which the two paths of exceptional
 classification diverge, unions of 3, 5, 7 and 9 clauses whose complement
 would be a large DNF (`test_scene.union_scene_text`), and ``--random``
 scenes drawn by `test_sphere.random_scene_text` from ``--seed``.  The file name has no
@@ -30,6 +31,7 @@ from basix.report import verdict_to_dict
 from basix.scene import Scene, invert_scene
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+from conftest import swap_scene  # noqa: E402
 from test_scene import union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
@@ -48,6 +50,7 @@ def scenes(n_random: int, seed: int):
         yield path.stem, sc
         inv = invert_scene(sc)
         yield f"{path.stem}-inverted", Scene(inv.factors, inv.order, inv.formula, "affine")
+        yield f"{path.stem}-swapped", swap_scene(sc)
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))

@@ -736,6 +736,35 @@ def test_discriminant_form_agrees_with_sympy(f):
     assert discriminant_y(f).c == want
 
 
+def test_divides_reads_the_x_content():
+    Q = parse_polynomial
+    assert not Q("x*y").divides(Q("y"))
+    assert not Q("x + 1").divides(Q("x*y + 1"))
+    assert Q("y").divides(Q("x*y")) and Q("x + 1").divides(Q("x*y + y"))
+    assert Q("2").divides(Q("x")) and Q("x").divides(Q("0"))
+    assert not Q("0").divides(Q("x")) and Q("0").divides(Q("0"))
+
+
+_x_factors = st.lists(_res_coeffs, min_size=1, max_size=3).map(lambda cs: BiPoly({(i, 0): v for i, v in enumerate(cs)}))
+
+
+@given(_res_bipolys(min_dy=0, max_dy=2), _res_bipolys(min_dy=0, max_dy=2), _x_factors, st.booleans())
+@settings(max_examples=120, deadline=None)
+def test_divides_agrees_with_sympy(d0, q, c, with_content):
+    # d = d0 * c(x): a content in x that the quotient q may or may not carry
+    sympy = pytest.importorskip("sympy")
+    if c.is_zero():
+        c = BiPoly.const(1)
+    d = d0 * c
+    a = d0 * q * (c if with_content else BiPoly.const(1))
+    x, y = sympy.symbols("x y")
+    pa, pd = (sympy.Poly(_sympy_expr(sympy, p, x, y), x, y, domain="QQ") for p in (a, d))
+    want = pa.rem(pd).is_zero
+    assert d.divides(a) == want
+    if want:
+        assert a.exact_div(d) * d == a
+
+
 def test_refine_disjoint_rejects_coincident_roots():
     # x - 1 and x^2 - 1 share the root 1; callers pass distinct roots only
     locs = isolate_real_roots(UniPoly([-1, 1])) + isolate_real_roots(UniPoly([-1, 0, 1]))

@@ -4,9 +4,11 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from conftest import swap_scene
 
 from basix import arrangement, checker, cli
 from basix.checker import (
+    PROPERTIES,
     CheckRequest,
     check_basic_closed,
     check_basic_open,
@@ -16,7 +18,7 @@ from basix.checker import (
     run_check,
 )
 from basix.errors import InternalError, Unsupported
-from basix.fans import Fan, fan_count_in_S, fan_to_json, verify_fan
+from basix.fans import Fan, fan_count_in_S, fan_to_json, independent_count_check, verify_fan
 from basix.report import verdict_to_text
 from basix.scene import Scene, invert_scene
 
@@ -61,6 +63,28 @@ def test_cubic_no_condition_b(fixture_scene):
     # condition (a) recorded as passing
     table = v.diagnostics["condition_a_table"]
     assert table and all(verdict != "PositiveTypeChanging" for _f, _i, verdict in table)
+
+
+def test_swapped_cubic_has_a_point_witness(fixture_scene):
+    # the witness lift runs through y-chart blow-ups here
+    sc = swap_scene(fixture_scene("cubic"))
+    v = check_basic_open(sc)
+    assert (v.answer, v.reason) == ("No", "condition-b")
+    fan = v.witness
+    assert fan is not None and v.witness_count == 3
+    assert fan.kind == "point_centered" and fan.family.swapped
+    rep = verify_fan(fan, sc)
+    assert rep.product_law_ok and rep.distinct
+    assert independent_count_check(fan, sc) == 3
+
+
+def test_fixtures_answer_as_their_xy_swaps(fixture_scene):
+    for name in ("cubic", "half", "para", "quad", "saddle"):
+        sc = fixture_scene(name)
+        for prop in PROPERTIES:
+            a = run_check(CheckRequest(sc, prop))
+            b = run_check(CheckRequest(swap_scene(sc), prop))
+            assert (a.answer, a.reason) == (b.answer, b.reason), (name, prop)
 
 
 def test_point_witness_is_counted_once(monkeypatch, fixture_scene):

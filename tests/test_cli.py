@@ -109,6 +109,19 @@ def test_verify_fan_round_trip(tmp_path, capsys, name, prop, count):
     assert lines[1].startswith("product law: pass") and lines[2] == "distinctness: pass"
 
 
+@pytest.mark.parametrize("w_form", ["-z+a", "1/z"])
+def test_verify_fan_rejects_a_w_form_its_eta_does_not_name(tmp_path, capsys, w_form):
+    report = tmp_path / "report.json"
+    _check(capsys, FIXTURES / "para.bsx", "basic-open", "--witness", "--format", "json", "--out", str(report))
+    fan = json.loads(report.read_text(encoding="utf-8"))["witness"]
+    assert fan["orderings"][0]["eta"] == 1
+    fan["orderings"][0]["w_form"] = w_form
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    assert cli.main(["verify-fan", str(path), str(FIXTURES / "para.bsx")]) == cli.EXIT_INPUT
+    assert "w_form" in capsys.readouterr().err
+
+
 # sha256 of `basix plot fixtures/<name>.bsx` with the default window and width
 PLOT_SHA256 = {
     "half": "67cd989d5360c9e6cfd373c600f9590fac2cfce3507f9fb2da087d34df3ba6bc",

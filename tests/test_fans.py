@@ -1,12 +1,17 @@
+import importlib.util
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from conftest import load_fixture, swap_scene
 
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
+from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
-from basix.errors import BasixError
+from basix.errors import BasixError, Unsupported
 from basix.fans import (
     Fan,
     ArcOrdering,
@@ -136,7 +141,7 @@ def test_corrupted_fan_fails():
         chart=fan.chart,
         orderings=[fan.orderings[0], fan.orderings[1], fan.orderings[0], fan.orderings[3]],
         factor=fan.factor,
-        meta=fan.meta,
+        family=fan.family,
     )
     rep = verify_fan(bad, d.scene)
     assert not (rep.product_law_ok and rep.distinct)
@@ -181,3 +186,35 @@ def test_independent_count_check():
     assert independent_count_check(fan, sc) == 3
     dq, fanq = quad_fan()
     assert independent_count_check(fanq, dq.scene) == 1
+
+
+FIXTURE_NAMES = ("cubic", "half", "para", "quad", "saddle")
+
+
+def _blowup_scenes(monkeypatch):
+    """The blowup workload's scenes, read from the benchmark's generator."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return [Scene.from_text(t) for t in workloads.workload("blowup")[0].values()]
+
+
+def test_fan_json_round_trip_of_every_witness(monkeypatch):
+    scenes = [load_fixture(n) for n in FIXTURE_NAMES]
+    scenes += [swap_scene(sc) for sc in scenes] + _blowup_scenes(monkeypatch)
+    texts = []
+    for sc in scenes:
+        for prop in PROPERTIES:
+            v = run_check(CheckRequest(sc, prop))
+            if v.witness is None:
+                continue
+            try:
+                texts.append((fan_to_json(v.witness), sc))
+            except Unsupported:
+                continue  # a curve fan at an irrational ordinate
+    assert len(texts) == 26
+    assert any('"swapped": true' in t for t, _sc in texts)
+    for text, sc in texts:
+        assert fan_to_json(fan_from_json(text, sc)) == text
