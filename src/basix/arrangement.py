@@ -13,6 +13,16 @@ stores its factor sign vector; which cells a formula selects is decided on
 top of it, by `decompose.decompose_set`, so sets with the same curves share
 one arrangement.
 
+Region and curve-edge signs are read off the slab stacks by parity.  At a
+slab sample x_s no wall lies, so the leading coefficient lc_y f does not
+vanish there and, for deg_y f >= 2, neither does discriminant_y f: f(x_s, y)
+keeps its full degree and has only simple real roots, and the stack holds
+every one of them in order.  Each simple root flips the sign of f(x_s, y),
+so at a point of the slab above the first k stack entries f has the sign
+of lc_y f(x_s) times (-1) to the number of f's entries above position k;
+an x-only factor has its sign at x_s.  Only vertices, whose coordinates may
+be irrational, and vertical edges are signed by evaluation.
+
 Everything is exact.  Every located coordinate (a wall abscissa, a branch
 or wall-point ordinate, a vertex) is a `RootLocator`, refinable on demand;
 a rational one is an exact locator with ``lo == hi``.  Any configuration
@@ -30,9 +40,9 @@ from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
     between,
+    clear_of_roots,
     count_roots_below,
     isolate_real_roots,
-    open_count,
     refine_disjoint,
     roots_equal,
     separate,
@@ -205,6 +215,8 @@ class Arrangement:
         self.slab_samples: list[Fraction] = []
         # per slab: bottom-up list of (factor, per-factor branch index, locator)
         self.stacks: list[list[tuple[str, int, RootLocator]]] = []
+        # per slab: the sign of each factor above the top of the stack
+        self.top_signs: list[dict[str, int]] = []
         self.vertices: list[Vertex] = []
         self.edges: list[Edge] = []
         self.regions: list[Region] = []
@@ -215,6 +227,8 @@ class Arrangement:
         self.pole_touched = False
         self._edges_at_vertex: dict[int, list[int]] = {}
         self._elim_cache: dict[tuple, UniPoly] = {}
+        # (factor, level) -> primitive integer form of factor(x, level)
+        self._level_forms: dict[tuple[str, Fraction], list[int]] = {}
         self._build()
 
     # ---------------------------------------------------------------- stage 1
@@ -285,10 +299,15 @@ class Arrangement:
 
         for s in samples:
             per_factor: list[tuple[str, int, RootLocator]] = []
-            for n, f in self.curvy.items():
-                u = f.specialize_x(s)
+            top: dict[str, int] = {}
+            for n in self.order:
+                if n not in self.curvy:
+                    top[n] = self.factors[n].sign_at(s, 0)
+                    continue
+                u = self.curvy[n].specialize_x(s)
                 if u.is_zero():
                     raise Unsupported("VerticalComponent", f"factor {n!r} vanishes on x = {s}")
+                top[n] = 1 if u.lc() > 0 else -1
                 if u.degree < 1:
                     continue
                 for i, loc in enumerate(isolate_real_roots(u)):
@@ -296,6 +315,7 @@ class Arrangement:
             refine_disjoint([t[2] for t in per_factor])
             per_factor.sort(key=lambda t: t[2].lo)
             self.stacks.append(per_factor)
+            self.top_signs.append(top)
 
         # ------------------------------------------------------------ stage 3
 
@@ -460,8 +480,15 @@ class Arrangement:
         raise Unsupported("IrrationalTangency", f"wall x in {(wall.x.lo, wall.x.hi)} unresolved")
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
-        g = self.curvy[factor].specialize_y(lv)
-        return (not g.is_zero()) and g.eval(a) != 0 and g.eval(b) != 0 and open_count(g, a, b) == 0
+        """Whether the line y = lv misses the factor's curve over [a, b].
+        Each (factor, level) is specialised once per arrangement: the walls'
+        matching rounds only shrink the span, and both sides of a wall, and
+        the clusters of an irrational one, test the same levels."""
+        key = (factor, lv)
+        c = self._level_forms.get(key)
+        if c is None:
+            c = self._level_forms[key] = self.curvy[factor].specialize_y(lv).int_primitive()
+        return bool(c) and clear_of_roots(c, a, b)
 
     def _split_cluster(self, cl: list, xl: Fraction, xr: Fraction) -> list[list]:
         if len(cl) <= 1:
@@ -689,7 +716,8 @@ class Arrangement:
             unbounded = any(
                 s == 0 or s == n_slabs - 1 or g == 0 or g == gap_counts[s] - 1 for s, g in members
             )
-            self.regions.append(Region(rid, members, self._gap_sample(*members[0]), unbounded=unbounded))
+            r = Region(rid, members, self._gap_sample(*members[0]), self._stack_signs(*members[0]), unbounded)
+            self.regions.append(r)
             for sg in members:
                 self.region_of_gap[sg] = rid
 
@@ -721,6 +749,7 @@ class Arrangement:
             stack_pos = next(k for k, (nn, ii, _l) in enumerate(self.stacks[s0]) if nn == n0 and ii == i0)
             e.side_below = self.region_of_gap[(s0, stack_pos)]
             e.side_above = self.region_of_gap[(s0, stack_pos + 1)]
+            e.signs = self._stack_signs(s0, stack_pos + 1, factor)
             e.ends = (
                 self._chain_end(chain[0], "L", vid_of),
                 self._chain_end(chain[-1], "R", vid_of),
@@ -742,6 +771,7 @@ class Arrangement:
             hi_end = ("pole",) if b == len(wall.points) else ("vertex", vid_of[(wi, b)])
             e.ends = (lo_end, hi_end)
             e.unbounded = ("pole",) in e.ends
+            e.signs = self._vertical_edge_signs(e)
             self.edges.append(e)
 
         self.pole_touched = any(e.unbounded for e in self.edges)
@@ -752,10 +782,6 @@ class Arrangement:
                 if end and end[0] == "vertex":
                     self._edges_at_vertex[end[1]].append(e.eid)
 
-        for r in self.regions:
-            r.signs = {n: self.factors[n].sign_at(*r.sample) for n in self.order}
-        for e in self.edges:
-            e.signs = self._edge_signs(e)
         for v in self.vertices:
             v.signs = self._vertex_signs(v)
 
@@ -791,23 +817,27 @@ class Arrangement:
 
     # -------------------------------------------------------------- cell queries
 
-    def _edge_signs(self, e: Edge) -> dict[str, int]:
+    def _stack_signs(self, s: int, k: int, on: str | None = None) -> dict[str, int]:
+        """Sign vector at a point of slab s above the first k entries of its
+        stack and below the others (gap k), or, with `on` naming the factor of
+        entry k - 1, on that entry.  Parity rule: see the module docstring."""
+        signs = dict(self.top_signs[s])
+        for n, _i, _l in self.stacks[s][k:]:
+            signs[n] = -signs[n]
+        if on is not None:
+            signs[on] = 0
+        return signs
+
+    def _vertical_edge_signs(self, e: Edge) -> dict[str, int]:
         signs: dict[str, int] = {e.factor: 0}
-        if e.vertical:
-            x, y = self.vertical_edge_sample(e)
-            for n, p in self.factors.items():
-                if n == e.factor:
-                    continue
-                s = p.sign_at(x, y)
-                if s == 0:
-                    raise Unsupported("EdgeSampleOnCurve", f"{n} vanishes on a vertical edge sample")
-                signs[n] = s
-            return signs
-        s0, _i, loc = e.pieces[0]
-        box = Box(RootLocator.at(self.slab_samples[s0]), loc)
+        x, y = self.vertical_edge_sample(e)
         for n, p in self.factors.items():
-            if n != e.factor:
-                signs[n] = bipoly_sign_on_box(p, box)
+            if n == e.factor:
+                continue
+            s = p.sign_at(x, y)
+            if s == 0:
+                raise Unsupported("EdgeSampleOnCurve", f"{n} vanishes on a vertical edge sample")
+            signs[n] = s
         return signs
 
     def vertical_edge_sample(self, e: Edge) -> tuple[Fraction, Fraction]:

@@ -40,7 +40,12 @@ class SetDecomposition:
 
     def tag_at(self, x: Fraction, y: Fraction) -> tuple:
         """('in_S',) | ('in_A', component) | ('unsigned', region) for the
-        region holding a rational point off the curves."""
+        region holding a rational point off the curves.  A point whose sign
+        vector has no zero and satisfies the formula is in S without being
+        located: its region has that sign vector."""
+        signs = self.scene.signs_at(x, y)
+        if 0 not in signs.values() and self.scene.formula.holds(signs):
+            return ("in_S",)
         rid = self.arrangement.region_of_point(x, y)
         if rid in self.s_regions:
             return ("in_S",)

@@ -332,6 +332,19 @@ def open_count(p: UniPoly, a: Fraction, b: Fraction) -> int:
     return len(isolate_real_roots(p, a, b, detect_rational=False))
 
 
+def clear_of_roots(c: list[int], a: Fraction, b: Fraction) -> bool:
+    """Whether the nonzero integer polynomial c has no real root in the closed
+    interval [a, b], a < b.  A sign change, or a zero at an end, is a root;
+    with equal end signs a constant or linear c has none, and otherwise the
+    Descartes bound decides unless it is inconclusive."""
+    sa = _int_sign_at(c, a)
+    if sa == 0 or _int_sign_at(c, b) != sa:
+        return False
+    if len(c) <= 2 or _descartes_bound(_mapped_int(c, a, b)) == 0:
+        return True
+    return not isolate_real_roots(UniPoly(c), a, b, detect_rational=False)
+
+
 def count_roots_below(p: UniPoly, x: Fraction) -> int:
     """Number of distinct real roots of p in (-inf, x)."""
     if p.is_zero():

@@ -181,8 +181,9 @@ class Scene:
 
 def validate_scene(scene: Scene) -> list[str]:
     """Hard checks: squarefree factors, pairwise coprime, atoms well-formed.
-    Soft check: a best-effort reducibility probe (degree <= 2 rational factor
-    search) whose findings are returned as warnings."""
+    Soft check: a best-effort reducibility probe (a content in x or y, or one
+    of a few small rational lines as a factor) whose findings are returned as
+    warnings."""
     warnings: list[str] = []
     used = scene.formula.factors_used()
     for n in used:
@@ -204,11 +205,13 @@ def validate_scene(scene: Scene) -> list[str]:
 
 
 def _reducibility_probe(p: BiPoly) -> str | None:
-    """Search for a rational factor of total degree 1 or 2 by root placement.
+    """Search for an obvious factor: a content in x or in y, or a line
+    y = m*x + c with m in {-3..3}/{1, 2} and an integer c in -3..3, or x = a
+    with an integer a in -3..3.
 
-    Only a screen: finds linear factors a*x + b*y + c exactly (via resultant
-    structure would be heavy, so we probe lines through point pairs of the
-    curve at small rational abscissae), and pure-x / pure-y factors.
+    Only a screen: a line must meet an axis at one of those integers to be
+    tried, so most linear factors and every factor of degree 2 or more go
+    unnoticed.
     """
     if p.total_degree <= 1:
         return None

@@ -1,3 +1,5 @@
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -5,11 +7,22 @@ import pytest
 from basix.scene import Scene
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
 def load_fixture(name: str) -> Scene:
     """The shipped scene ``fixtures/<name>.bsx``."""
     return Scene.from_text((FIXTURE_DIR / f"{name}.bsx").read_text(encoding="utf-8"))
+
+
+def bench_scene_texts(monkeypatch, name: str) -> dict[str, str]:
+    """Scene texts by key of the benchmark workload `name`, read from the
+    benchmark's generator."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
+    spec.loader.exec_module(workloads)
+    return workloads.workload(name)[0]
 
 
 def swap_scene(scene: Scene) -> Scene:

@@ -1,12 +1,19 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import bench_scene_texts, load_fixture
+from hypothesis import given, settings, strategies as st
+from test_sphere import random_scene_text
 
 from basix import arrangement
-from basix.arrangement import build_arrangement
-from basix.errors import InternalError
-from basix.scene import Scene
+from basix.arrangement import Box, bipoly_sign_on_box, build_arrangement
+from basix.bipoly import BiPoly
+from basix.checker import CheckRequest, run_check
+from basix.errors import InternalError, SceneError, Unsupported
+from basix.realroots import RootLocator
+from basix.scene import Scene, invert_scene, validate_scene
 
 F = Fraction
 
@@ -181,3 +188,65 @@ def test_region_of_point_on_a_curve_is_an_internal_error():
     arr = build_arrangement(S("factor f = y; set S = { f > 0 };"))
     with pytest.raises(InternalError, match="lies on a curve cell"):
         arr.region_of_point(F(0), F(0))
+
+
+def _assert_stack_signs_are_evaluated_signs(arr):
+    # regions against exact evaluation at their samples, curve edges against
+    # box refinement around their first piece (on a copy of its locator)
+    for r in arr.regions:
+        assert r.signs == {n: arr.factors[n].sign_at(*r.sample) for n in arr.order}, r.rid
+    for e in arr.edges:
+        if e.vertical:
+            continue
+        s0, _i, loc = e.pieces[0]
+        box = Box(RootLocator.at(arr.slab_samples[s0]), RootLocator(loc.p, loc.lo, loc.hi, loc.exact))
+        want = {n: 0 if n == e.factor else bipoly_sign_on_box(p, box) for n, p in arr.factors.items()}
+        assert e.signs == want, e.eid
+
+
+@pytest.mark.parametrize("name", ["cubic", "half", "para", "quad", "saddle"])
+def test_stack_signs_match_evaluation_on_fixtures(name):
+    sc = load_fixture(name)
+    for scene in (sc, invert_scene(sc)):
+        _assert_stack_signs_are_evaluated_signs(build_arrangement(scene))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_stack_signs_match_evaluation_on_random_scenes(seed):
+    sc = Scene.from_text(random_scene_text(random.Random(seed)))
+    try:
+        validate_scene(sc)
+        arr = build_arrangement(sc)
+    except (SceneError, Unsupported):
+        return
+    _assert_stack_signs_are_evaluated_signs(arr)
+
+
+def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
+    # the matching rounds of a wall only shrink the span, and both sides of a
+    # wall test the same levels, so each (factor, level) is specialised once
+    specialize_y, build = BiPoly.specialize_y, arrangement.Arrangement._build
+    building: list[Counter] = []
+    built: list[Counter] = []
+
+    def counted_specialize_y(self, y0):
+        if building:
+            building[-1][(self, F(y0))] += 1
+        return specialize_y(self, y0)
+
+    def counted_build(self):
+        building.append(Counter())
+        try:
+            build(self)
+        finally:
+            built.append(building.pop())
+
+    monkeypatch.setattr(BiPoly, "specialize_y", counted_specialize_y)
+    monkeypatch.setattr(arrangement.Arrangement, "_build", counted_build)
+    texts = bench_scene_texts(monkeypatch, "lines")
+    for key in ("lines4.s0.dnf", "lines4.s0.poly"):
+        for prop in ("basic_open", "principal_open"):
+            run_check(CheckRequest(Scene.from_text(texts[key]), prop))
+    assert sum(sum(c.values()) for c in built) > 0
+    assert max(max(c.values(), default=0) for c in built) == 1

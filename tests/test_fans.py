@@ -1,11 +1,8 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
-from conftest import load_fixture, swap_scene
+from conftest import bench_scene_texts, load_fixture, swap_scene
 
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
@@ -191,19 +188,10 @@ def test_independent_count_check():
 FIXTURE_NAMES = ("cubic", "half", "para", "quad", "saddle")
 
 
-def _blowup_scenes(monkeypatch):
-    """The blowup workload's scenes, read from the benchmark's generator."""
-    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
-    spec.loader.exec_module(workloads)
-    return [Scene.from_text(t) for t in workloads.workload("blowup")[0].values()]
-
-
 def test_fan_json_round_trip_of_every_witness(monkeypatch):
     scenes = [load_fixture(n) for n in FIXTURE_NAMES]
-    scenes += [swap_scene(sc) for sc in scenes] + _blowup_scenes(monkeypatch)
+    blowup = bench_scene_texts(monkeypatch, "blowup")
+    scenes += [swap_scene(sc) for sc in scenes] + [Scene.from_text(t) for t in blowup.values()]
     texts = []
     for sc in scenes:
         for prop in PROPERTIES:
