@@ -13,9 +13,21 @@ Determinants commute with specialisation, so no leading-coefficient caveats
 apply.
 
 A `BiPoly` is never mutated after construction.  Its coefficient rows in y
-(``y_coeffs``) and its x/y-swapped polynomial (read by ``specialize_y``) are
-therefore computed once, on first use, and cached on the instance;
-``y_coeffs`` hands out a fresh list so that no caller can alias the cache.
+(``y_coeffs``), its integer rows (the coefficients times their least common
+denominator, built straight from the terms) and its x/y-swapped polynomial
+(read by ``specialize_y``) are therefore computed once, on first use, and
+cached on the instance; ``y_coeffs`` and ``int_y_rows`` hand out fresh lists
+so that no caller can alias the cache.  ``eval`` and ``sign_at`` run one
+homogenised integer Horner over the integer rows: ``eval`` builds a single
+`Fraction` and ``sign_at`` none.  ``translate`` is a binomial Taylor shift
+on the integer rows, first in x and then in y, with one `Fraction` per output
+coefficient.
+
+Substitutions that only move terms are term maps, with no arithmetic on the
+coefficients but a sign: ``monomial_subst`` takes x^i y^j to a monomial whose
+exponents are an injective linear map of (i, j), as in the reflection
+x -> -x and the blow-up charts (x, xy) and (xy, x), and ``swap_xy`` exchanges
+the exponents.
 """
 
 from __future__ import annotations
@@ -34,17 +46,26 @@ Term = tuple[int, int]  # (i, j) exponents of x^i y^j
 class BiPoly:
     """Finite map (i, j) -> nonzero rational coefficient of x^i y^j."""
 
-    __slots__ = ("t", "_yc", "_sw")
+    __slots__ = ("t", "_yc", "_ir", "_sw")
 
     def __init__(self, terms: dict[Term, Fraction] | None = None):
         self.t: dict[Term, Fraction] = {}
         self._yc: tuple[UniPoly, ...] | None = None
+        self._ir: tuple[list[list[int]], int, int] | None = None
         self._sw: BiPoly | None = None
         if terms:
             for k, v in terms.items():
                 v = Fraction(v)
                 if v != 0:
                     self.t[k] = v
+
+    @classmethod
+    def _of(cls, t: dict[Term, Fraction]) -> "BiPoly":
+        """The polynomial with the term map t, taken as it is: every value
+        must already be a nonzero `Fraction`."""
+        p = cls()
+        p.t = t
+        return p
 
     # -- constructors --------------------------------------------------------
 
@@ -151,16 +172,41 @@ class BiPoly:
     # -- evaluation / specialisation ------------------------------------------------
 
     def eval(self, x: Fraction | int, y: Fraction | int) -> Fraction:
-        x, y = Fraction(x), Fraction(y)
-        # Horner in y with x-evaluated coefficients
-        acc = Fraction(0)
-        for p in reversed(self._y_rows()):
-            acc = acc * y + p.eval(x)
-        return acc
+        if not self.t:
+            return Fraction(0)
+        num, den = self._hom_eval(x, y)
+        return Fraction(num, den)
 
     def sign_at(self, x: Fraction | int, y: Fraction | int) -> int:
-        v = self.eval(x, y)
-        return (v > 0) - (v < 0)
+        if not self.t:
+            return 0
+        num = self._hom_eval(x, y)[0]
+        return (num > 0) - (num < 0)
+
+    def _hom_eval(self, x: Fraction | int, y: Fraction | int) -> tuple[int, int]:
+        """(num, den) with p(x, y) = num / den and den > 0, for p nonzero.
+
+        With x = a/b, y = c/d and ``l * p`` integral, row j of the integer
+        rows gives ``R_j = sum_i r_ji a^i b^(n-i)`` (n the x-degree) by Horner,
+        and ``num = sum_j R_j c^j d^(m-j)`` by Horner over the rows, so
+        ``den = l * b^n * d^m``."""
+        rows, l, n = self._int_rows()
+        a, b = x.numerator, x.denominator
+        c, d = y.numerator, y.denominator
+        bp = _powers(b, n)
+        acc = 0
+        dk = 1  # d^(m-j) at row j
+        for r in reversed(rows):
+            v = 0
+            if b == 1:
+                for ci in reversed(r):
+                    v = v * a + ci
+            else:
+                for i in range(len(r) - 1, -1, -1):
+                    v = v * a + r[i] * bp[n - i]
+            acc = acc * c + v * dk
+            dk *= d
+        return acc, l * bp[n] * (dk // d)
 
     def y_coeffs(self) -> list[UniPoly]:
         """Coefficients as polynomials in x, indexed by y-power."""
@@ -169,11 +215,26 @@ class BiPoly:
     def int_y_rows(self) -> tuple[list[list[int]], int]:
         """(rows, l): rows[j] holds the integer coefficients in x of y^j in
         l * self, l the least common denominator of all coefficients."""
-        forms = [p._int_form() for p in self._y_rows()]
-        l = 1
-        for _ints, d in forms:
-            l = l * d // _igcd(l, d)
-        return [[v * (l // d) for v in ints] for ints, d in forms], l
+        rows, l, _n = self._int_rows()
+        return [list(r) for r in rows], l
+
+    def _int_rows(self) -> tuple[list[list[int]], int, int]:
+        """The cached (rows, l) of ``int_y_rows`` and the x-degree; row j has
+        no trailing zeros (an empty list for a zero row)."""
+        if self._ir is None:
+            l = 1
+            for v in self.t.values():
+                dv = v.denominator
+                if dv != 1:
+                    l = l * dv // _igcd(l, dv)
+            rows: list[list[int]] = [[] for _ in range(self.deg_y + 1)]
+            for (i, j), v in self.t.items():
+                r = rows[j]
+                if len(r) <= i:
+                    r.extend([0] * (i + 1 - len(r)))
+                r[i] = v.numerator * (l // v.denominator)
+            self._ir = (rows, l, self.deg_x)
+        return self._ir
 
     def _y_rows(self) -> tuple[UniPoly, ...]:
         if self._yc is None:
@@ -208,28 +269,42 @@ class BiPoly:
         return self._sw.specialize_x(y0)
 
     def swap_xy(self) -> "BiPoly":
-        return BiPoly({(j, i): v for (i, j), v in self.t.items()})
+        return BiPoly._of({(j, i): v for (i, j), v in self.t.items()})
 
     def translate(self, a: Fraction | int, b: Fraction | int) -> "BiPoly":
-        """p(x + a, y + b)."""
-        a, b = Fraction(a), Fraction(b)
-        acc = BiPoly.zero()
-        ypoly = BiPoly({(0, 0): b, (0, 1): Fraction(1)})
-        for p in reversed(self.y_coeffs()):
-            px = BiPoly({(i, 0): v for i, v in enumerate(p.compose_linear(a, Fraction(1)).c)})
-            acc = acc * ypoly + px
-        return acc
+        """p(x + a, y + b): a binomial Taylor shift (`_taylor_shift`) of each
+        integer row in x and then of each column in y, with one `Fraction`
+        per output coefficient, over ``l * ad^(n-u) * bd^(m-w)`` for the
+        coefficient of x^u y^w (a = an/ad, b = bn/bd, n and m the x- and
+        y-degrees)."""
+        an, ad = a.numerator, a.denominator
+        bn, bd = b.numerator, b.denominator
+        if not self.t or (an == 0 and bn == 0):
+            return self
+        rows, l, n = self._int_rows()
+        m = len(rows) - 1
+        adp, bdp = _powers(ad, n), _powers(bd, m)
+        if an:
+            rows = [_taylor_shift(r, an, adp) for r in rows]
+        cols = [[r[u] if u < len(r) else 0 for r in rows] for u in range(n + 1)]
+        if bn:
+            cols = [_taylor_shift(c, bn, bdp) for c in cols]
+        return BiPoly._of(
+            {(u, w): Fraction(v, l * adp[n - u] * bdp[m - w]) for u, c in enumerate(cols) for w, v in enumerate(c) if v}
+        )
 
-    def subst(self, xp: "BiPoly", yp: "BiPoly") -> "BiPoly":
-        """p(xp(u, v), yp(u, v))."""
-        acc = BiPoly.zero()
-        for p in reversed(self.y_coeffs()):
-            # evaluate the x-coefficient polynomial at xp by Horner
-            cx = BiPoly.zero()
-            for v in reversed(p.c):
-                cx = cx * xp + BiPoly.const(v)
-            acc = acc * yp + cx
-        return acc
+    def monomial_subst(self, x_to: Term, y_to: Term, x_sign: int = 1) -> "BiPoly":
+        """p(s * x^a y^b, x^c y^d) for x_to = (a, b), y_to = (c, d) and
+        s = x_sign (+1 or -1): x^i y^j goes to s^i x^(a*i + c*j) y^(b*i + d*j).
+        The exponent map must be injective (a*d != b*c), so that no two terms
+        meet and this only moves terms."""
+        (xa, xb), (yc, yd) = x_to, y_to
+        if xa * yd == xb * yc:
+            raise InternalError("monomial_subst: the exponent map is not injective")
+        flip = x_sign < 0
+        return BiPoly._of(
+            {(xa * i + yc * j, xb * i + yd * j): -v if flip and i & 1 else v for (i, j), v in self.t.items()}
+        )
 
     def interval_eval(
         self, xlo: Fraction, xhi: Fraction, ylo: Fraction, yhi: Fraction
@@ -335,6 +410,29 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
+
+
+def _powers(b: int, n: int) -> list[int]:
+    """[1, b, b^2, ..., b^n]."""
+    out = [1] * (n + 1)
+    for k in range(1, n + 1):
+        out[k] = out[k - 1] * b
+    return out
+
+
+def _taylor_shift(c: list[int], s: int, dp: list[int]) -> list[int]:
+    """The integer list g with ``sum_u g_u (d x)^u = d^n c(x + s/d)``, for
+    an integer coefficient list c of length at most n + 1 and
+    dp = [1, d, ..., d^n]: the coefficient of x^u in c(x + s/d) is
+    ``g_u / d^(n-u)``.  With ``e_i = c_i d^(n-i)`` the left side is
+    ``sum_i e_i (d x + s)^i``, and the synthetic shift of e by the integer s
+    gives g."""
+    n = len(dp) - 1
+    g = [v * dp[n - i] for i, v in enumerate(c)]
+    for i in range(len(g) - 1):
+        for k in range(len(g) - 2, i - 1, -1):
+            g[k] += s * g[k + 1]
+    return g
 
 
 def _pow_range(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:

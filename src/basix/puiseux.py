@@ -267,10 +267,10 @@ def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fra
     Fp, ymult = _divide_y_power(Fp)
     if ymult > 0:
         out.append((1, {}, None))  # the horizontal axis branch
-    if Fp.eval(0, 0) != 0 or Fp.deg_y == 0:
+    # Fp(0, 0) and dFp/dy(0, 0) are the coefficients of 1 and y
+    if (0, 0) in Fp.t or Fp.deg_y == 0:
         return out
-    fy0 = Fp.partial_y().eval(0, 0)
-    if fy0 != 0:
+    if (0, 1) in Fp.t:
         out.append((1, _hensel(Fp, K), K))
         return out
 
@@ -294,11 +294,10 @@ def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fra
         mu = F(i1 - i2, j2 - j1)
         p, q = mu.numerator, mu.denominator
         psi = _edge_polynomial(sup, j1, i1, j2, i2, q)
+        # Fp(x^q, x^p (c + y)): x^i y^j -> x^(q*i + p*j) y^j, then y -> c + y
+        Fe = Fp.monomial_subst((q, 0), (p, 1))
         for c in _rational_roots(psi):
-            xp = BiPoly({(q, 0): F(1)})
-            yp = BiPoly({(p, 0): c, (p, 1): F(1)})
-            G = Fp.subst(xp, yp)
-            G, _m = _divide_x_power(G)
+            G, _m = _divide_x_power(Fe.translate(0, c))
             for (N1, terms1, upto1) in _expand(G, K - p, depth + 1):
                 N = q * N1
                 base = p * N1
@@ -343,10 +342,10 @@ def branch_set(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[Pui
     ge1 = lambda mu: mu is None or mu >= 1
     gt1 = lambda mu: mu is None or mu > 1
     emit(_expand(T, K), 1, False, ge1)
-    emit(_expand(T.subst(BiPoly({(1, 0): F(-1)}), BiPoly.y()), K), -1, False, ge1)
+    emit(_expand(T.monomial_subst((1, 0), (0, 1), -1), K), -1, False, ge1)
     Ts = T.swap_xy()
     emit(_expand(Ts, K), 1, True, gt1)
-    emit(_expand(Ts.subst(BiPoly({(1, 0): F(-1)}), BiPoly.y()), K), -1, True, gt1)
+    emit(_expand(Ts.monomial_subst((1, 0), (0, 1), -1), K), -1, True, gt1)
     return arcs
 
 

@@ -180,10 +180,16 @@ def is_normal_crossing(curves: list[tuple[object, BiPoly]], branches: Branches) 
 
 
 def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
+    """The strict transform of p at the origin in the chart ``kind``: the
+    total transform divided by the largest power of the exceptional line
+    x = 0.  The total transform is a term map, p(x, x*y) in the x-chart,
+    taking x^i y^j to x^(i+j) y^j, and p(x*y, x) in the y-chart, taking it
+    to x^(i+j) y^i; these are the chart maps of `BlowupChart.down` at a
+    step centred at the origin."""
     if kind == "x":
-        q = p.subst(BiPoly.x(), BiPoly.x() * BiPoly.y())
+        q = p.monomial_subst((1, 0), (1, 1))
     else:
-        q = p.subst(BiPoly.x() * BiPoly.y(), BiPoly.x())
+        q = p.monomial_subst((1, 1), (1, 0))
     if q.is_zero():
         return q
     m = min(i for i, _j in q.t)

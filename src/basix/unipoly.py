@@ -180,14 +180,6 @@ class UniPoly:
         acc, dn = homogeneous_horner(ints, x.numerator, x.denominator)
         return Fraction(acc, l * dn)
 
-    def compose_linear(self, a: Fraction, b: Fraction) -> "UniPoly":
-        """p(a + b*x)."""
-        acc = UniPoly()
-        lin = UniPoly([a, b])
-        for v in reversed(self.c):
-            acc = acc * lin + UniPoly.const(v)
-        return acc
-
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self

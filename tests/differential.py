@@ -5,9 +5,13 @@ gives it, without its wall-clock `timings`, or the class and message of the
 error the check raised.  Two trees decide the same way exactly when their
 runs print the same text, so a change is compared with its parent by
 
-    PYTHONPATH=src python3 tests/differential.py > new.txt
+    python3 tests/differential.py > new.txt
     # the same command in a checkout of the parent, into old.txt
     diff old.txt new.txt
+
+The script imports `basix` from the ``src/`` of its own checkout and exits
+if it finds it elsewhere, so each run reads the tree it belongs to whatever
+``PYTHONPATH`` says.
 
 The scenes are the shipped fixtures, each fixture's inversion read back as
 an affine scene, each fixture with x and y exchanged (so that chart words
@@ -26,16 +30,23 @@ import random
 import sys
 from pathlib import Path
 
-from basix.checker import PROPERTIES, CheckRequest, run_check
-from basix.report import verdict_to_dict
-from basix.scene import Scene, invert_scene
+TESTS_DIR = Path(__file__).resolve().parent
+SRC_DIR = TESTS_DIR.parent / "src"
+sys.path[:0] = [str(SRC_DIR), str(TESTS_DIR)]
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+import basix  # noqa: E402
+from basix.checker import PROPERTIES, CheckRequest, run_check  # noqa: E402
+from basix.report import verdict_to_dict  # noqa: E402
+from basix.scene import Scene, invert_scene  # noqa: E402
+
+if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
+    raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
+
 from conftest import swap_scene  # noqa: E402
 from test_scene import union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+FIXTURE_DIR = TESTS_DIR.parent / "fixtures"
 
 DIVERGENT = (
     "factor f0 = x^2 + 1/3*y^2 - x - 2; factor f1 = y - x^2 - x + 1; "

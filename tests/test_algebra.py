@@ -20,6 +20,7 @@ from basix.realroots import (
     separate,
     simplest_in,
 )
+from basix.resolution import _strict_transform
 from basix.series import TSeries, ZPoly, compose_bipoly
 from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
 
@@ -559,6 +560,12 @@ def test_y_coeffs_returns_a_fresh_list():
     rows[0] = UniPoly.zero()
     assert f.y_coeffs() == [P(0, 3), P(0, 0, 1), P(-1)]
     assert f.y_coeffs() is not f.y_coeffs()
+    # the cached integer rows are handed out as fresh lists too
+    rows, l = f.int_y_rows()
+    rows[1].append(7)
+    rows.append([1])
+    assert f.int_y_rows() == ([[0, 3], [0, 0, 1], [-1]], 1)
+    assert f.eval(2, 1) == F(9)
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: any(c[1:])))
@@ -787,6 +794,19 @@ def _ref_compose(p, xs, ys):
     return acc
 
 
+def _ref_subst(p, xp, yp):
+    """p(xp(u, v), yp(u, v)) by Fraction Horner over BiPoly products, in y
+    then x: the general substitution that the term maps and the integer
+    Taylor shift of BiPoly replaced."""
+    acc = BiPoly.zero()
+    for row in reversed(p.y_coeffs()):
+        cx = BiPoly.zero()
+        for v in reversed(row.c):
+            cx = cx * xp + BiPoly.const(v)
+        acc = acc * yp + cx
+    return acc
+
+
 def _ref_squarefree_part(p):
     """The Fraction squarefree part that the integer one replaced."""
     g = poly_gcd(p, p.derivative())
@@ -869,6 +889,75 @@ def test_squarefree_part_agrees_with_sympy(coeffs):
     want = sympy.Poly(sympy.sqf_part(sympy.Poly(list(reversed(p.c)), x, domain="QQ").as_expr()), x, domain="QQ")
     want = want.monic()
     assert squarefree_part(p).c == tuple(F(int(v.p), int(v.q)) for v in reversed(want.all_coeffs()))
+
+
+# ------------------------------------ term maps and integer rows against subst
+
+
+def _ref_bieval(p, x, y):
+    """p(x, y) as a Fraction sum over the terms."""
+    x, y = F(x), F(y)
+    return sum((v * x**i * y**j for (i, j), v in p.t.items()), F(0))
+
+
+@st.composite
+def _sparse_bipolys(draw):
+    """The zero polynomial, constants, polynomials whose middle y-rows are
+    zero (terms at y^0, y^2 and y^4 only) and dense ones."""
+    kind = draw(st.sampled_from(["zero", "const", "gappy", "dense"]))
+    if kind == "zero":
+        return BiPoly()
+    if kind == "const":
+        return BiPoly.const(draw(_res_nonzero))
+    if kind == "gappy":
+        keys = st.tuples(st.integers(0, 4), st.sampled_from([0, 2, 4]))
+        return BiPoly(draw(st.dictionaries(keys, _res_nonzero, min_size=1, max_size=5)))
+    return draw(_res_bipolys(min_dy=0))
+
+
+_points = st.one_of(st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=7))
+
+
+@given(_sparse_bipolys(), _points, _points)
+@settings(max_examples=300, deadline=None)
+def test_eval_and_sign_at_match_fraction_reference(p, x, y):
+    want = _ref_bieval(p, x, y)
+    got = p.eval(x, y)
+    assert type(got) is F and got == want
+    assert p.sign_at(x, y) == (want > 0) - (want < 0)
+
+
+@given(_sparse_bipolys(), _points, _points)
+@settings(max_examples=200, deadline=None)
+def test_translate_matches_subst(p, a, b):
+    got = p.translate(a, b)
+    assert got == _ref_subst(p, BiPoly({(1, 0): F(1), (0, 0): F(a)}), BiPoly({(0, 1): F(1), (0, 0): F(b)}))
+    # the shifted polynomial's own integer rows agree with its terms
+    assert got.eval(-a, -b) == p.eval(0, 0)
+
+
+@given(_sparse_bipolys())
+@settings(max_examples=200, deadline=None)
+def test_term_maps_match_subst(p):
+    x, y = BiPoly.x(), BiPoly.y()
+    assert p.monomial_subst((1, 0), (0, 1), -1) == _ref_subst(p, -x, y)
+    for kind, (xp, yp) in (("x", (x, x * y)), ("y", (x * y, x))):
+        total = _ref_subst(p, xp, yp)
+        m = min((i for i, _j in total.t), default=0)
+        assert _strict_transform(p, kind) == BiPoly({(i - m, j): v for (i, j), v in total.t.items()})
+
+
+@given(_sparse_bipolys(), st.integers(1, 3), st.integers(1, 4), _res_coeffs)
+@settings(max_examples=200, deadline=None)
+def test_edge_substitution_matches_subst(f, q, p, c):
+    # _expand's substitution Fp(x^q, x^p (c + y)) along an edge of slope p/q
+    got = f.monomial_subst((q, 0), (p, 1)).translate(0, c)
+    assert got == _ref_subst(f, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
+
+
+def test_monomial_subst_needs_an_injective_exponent_map():
+    with pytest.raises(InternalError, match="not injective"):
+        parse_polynomial("x + y").monomial_subst((1, 1), (2, 2))
 
 
 def test_classification_composes_each_factor_once_per_arc(monkeypatch):

@@ -25,6 +25,7 @@ from basix.puiseux import (
 from basix.resolution import component_family, resolve_point
 from basix.scene import Scene
 from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
+from test_algebra import _ref_subst
 
 F = Fraction
 
@@ -272,7 +273,7 @@ def _expand_reference(Fp, K, depth=0):
         p, q = mu.numerator, mu.denominator
         psi = puiseux._edge_polynomial(sup, j1, i1, j2, i2, q)
         for c in puiseux._rational_roots(psi):
-            G = Fp.subst(BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
+            G = _ref_subst(Fp, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
             G, _m = puiseux._divide_x_power(G)
             for N1, terms1, upto1 in _expand_reference(G, K, depth + 1):
                 terms = {p * N1: c}

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from conftest import bench_scene_texts
 
 from basix import resolution
 from basix.arrangement import build_arrangement
+from basix.bipoly import BiPoly
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
@@ -190,3 +192,21 @@ def test_resolve_point_expands_each_branch_set_once(monkeypatch):
         "D3 at v=inf: normal crossing",
         "D2 at v=inf: normal crossing",
     ]
+
+
+def test_resolution_multiplies_no_polynomials(monkeypatch):
+    # translations are Taylor shifts on integer rows, and strict transforms,
+    # reflections and Newton-edge substitutions are term maps, so resolving
+    # the benchmark's contact of order 2 forms no BiPoly product
+    scene = Scene.from_text(bench_scene_texts(monkeypatch, "blowup")["contact2"])
+    products = []
+    mul = BiPoly.__mul__
+
+    def counted_mul(self, other):
+        products.append((self, other))
+        return mul(self, other)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counted_mul)
+    tree = resolve_point(scene.factors, (F(0), F(0)))
+    assert len(tree.components) == 2
+    assert products == []

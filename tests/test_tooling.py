@@ -1,6 +1,8 @@
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,3 +59,20 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     from basix import arrangement, sphere
 
     assert sphere.build_arrangement is arrangement.build_arrangement
+
+
+def test_differential_imports_basix_from_its_own_checkout(tmp_path):
+    # tests/differential.py puts its checkout's src/ first on sys.path, so a
+    # parent-vs-change diff compares the trees it was run from; with no
+    # PYTHONPATH at all it must still import basix
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    out = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "differential.py"), "--help"],
+        cwd=tmp_path,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("usage: differential.py")
