@@ -19,12 +19,12 @@ and the transversal lines of a component (as series arcs) are all pushed to
 the base chart through it.
 
 The region verdicts on both sides of each arc of an exceptional component
-are found twice: by pushing rational sample points down the chart word (the
-path of record) and independently by transversal-arc families evaluated
-without performing any blow-up; the two must agree.  This happens once per
-component; classifying it against each lifted sign distribution then only
-reads those verdicts, through the same type-changing rule that classifies
-the curves (`signdist.classify_sides`).
+are read from its transversal family: the line crossing the component at a
+sample of the arc, pushed down the chart word as a polynomial arc, whose
+sign against every scene factor is exact (`puiseux.arc_region_membership`).
+This happens once per component; classifying it against each lifted sign
+distribution then only reads those verdicts, through the same type-changing
+rule that classifies the curves (`signdist.classify_sides`).
 """
 
 from __future__ import annotations
@@ -35,9 +35,9 @@ from fractions import Fraction
 from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
-from .errors import BasixError, InternalError, Unsupported
+from .errors import BasixError, Unsupported
 from .puiseux import ArcFamily, ParamArc, PuiseuxArc, arc_region_membership, branch_set, family_normal_form
-from .realroots import RootLocator, between, isolate_real_roots, open_count, roots_equal, separate, simplest_in
+from .realroots import RootLocator, between, isolate_real_roots, roots_equal, separate, simplest_in
 from .series import TSeries, ZPoly
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
@@ -47,8 +47,7 @@ F = Fraction
 
 DEFAULT_DEPTH_CAP = 24
 _NC_K = 10
-# chart-point sampling: halvings of the sample segment, alternate positions
-_Q_CAP = 24
+# alternate sample positions tried on one arc
 _ALT_CAP = 12
 
 
@@ -97,7 +96,6 @@ class BlowupChart:
 class MarkedPoint:
     v: RootLocator
     tags: list  # curve tags crossing here
-    simple: bool  # certified normal crossing without recursion
 
 
 @dataclass
@@ -107,7 +105,6 @@ class ExceptionalComponent:
     curves: list[tuple[object, BiPoly]]  # strict transforms in this chart
     marked: list[MarkedPoint] = field(default_factory=list)
     inf_tags: list = field(default_factory=list)
-    side_map: str = ""
 
     def arcs(self) -> list[tuple[Fraction | None, Fraction | None, Fraction]]:
         """(vlo, vhi, sample v) per open arc; None bounds mean the arc runs to
@@ -271,15 +268,13 @@ def _resolve_site(
                     placed = True
                     break
             if not placed:
-                marks.append(MarkedPoint(v=loc, tags=[tag], simple=False))
+                marks.append(MarkedPoint(v=loc, tags=[tag]))
     marks.sort(key=lambda m: m.v.lo)
     D.marked = marks
 
     # recurse into non-normal-crossing marked points
     for mp in marks:
-        simple = _marked_point_is_nc(stricts, mp)
-        mp.simple = simple
-        if simple:
+        if _marked_point_is_nc(stricts, mp):
             tree.certificate.append(f"D{level} at v={_vstr(mp.v)}: transversal simple crossing")
             continue
         vex = mp.v.try_rational(rounds=48)
@@ -366,7 +361,7 @@ class ArcSides:
 @dataclass
 class ExcArcs:
     """The sigma-independent part of classifying one exceptional component:
-    its arc-side verdicts, sampled and cross-checked once."""
+    its arc-side verdicts, sampled once."""
 
     arcs: list[ArcSides] = field(default_factory=list)
 
@@ -429,75 +424,25 @@ def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fr
 
 
 def classify_exceptional(D: ExceptionalComponent, decomp: SetDecomposition | PoleView) -> ExcArcs:
-    """Region verdicts on both sides of every arc of D, by chart-point sampling
-    cross-checked against the arc path.  They do not depend on the lifted
-    distribution; ``ExcArcs.against`` classifies them for one."""
+    """Region verdicts on both sides of every arc of D, read from the
+    transversal family instance at the first sample of the arc that lies on
+    no scene curve.  They do not depend on the lifted distribution;
+    ``ExcArcs.against`` classifies them for one."""
     out = ExcArcs()
-
     for vlo, vhi, v_default in D.arcs():
-        signs: dict[int, tuple] = {}
-        v_mid: Fraction | None = None
         alternates = _arc_sample_candidates(vlo, vhi, v_default)
         for _alt in range(_ALT_CAP):
-            v_try = next(alternates)
-            got = _sample_arc_sides(D, decomp, v_try)
-            if got is not None:
-                v_mid = v_try
-                signs = got
+            v_mid = next(alternates)
+            fam = family_arc_for(D, v_mid)
+            # g∘arc is one polynomial in t, so a factor vanishes on both
+            # halves of the arc or on neither
+            v_pos = arc_region_membership(fam, 1, decomp)
+            if v_pos[0] != "on_curve":
                 break
-        if v_mid is None:
+        else:
             raise Unsupported("SampleTooCoarse", f"no certified sample near D{D.level}")
-
-        # independent path: transversal arc family, no blow-ups performed
-        fam = family_arc_for(D, v_mid)
-        v_pos = arc_region_membership(fam, 1, decomp)
-        v_neg = arc_region_membership(fam, -1, decomp)
-        if v_pos != signs[1] or v_neg != signs[-1]:
-            raise InternalError(
-                f"dual-path divergence on D{D.level} at v={v_mid}: chart {signs}, arcs {(v_pos, v_neg)}"
-            )
-
-        out.arcs.append(ArcSides(vlo, vhi, v_mid, signs[1], signs[-1]))
+        out.arcs.append(ArcSides(vlo, vhi, v_mid, v_pos, arc_region_membership(fam, -1, decomp)))
     return out
-
-
-def _sample_arc_sides(
-    D: ExceptionalComponent, decomp: SetDecomposition | PoleView, v_mid: Fraction
-) -> dict[int, tuple] | None:
-    """Region verdicts on both sides of the component at the chosen position,
-    via down-pushed samples certified by a crossing-free segment.  None when
-    the down-images persistently land on scene curves (caller perturbs)."""
-    factors = decomp.scene.factors.values()
-    gs = [sc.specialize_y(v_mid) for _tag, sc in D.curves]
-    # reject positions on a marked point outright
-    for g in gs:
-        if g.is_zero():
-            raise Unsupported("DegenerateArcSample", "curve contains the sample line")
-        if g.eval(F(0)) == 0:
-            return None
-
-    q = F(1, 2)
-    hit_curve = 0
-    for _ in range(_Q_CAP):
-        signs: dict[int, tuple] = {}
-        ok = True
-        for side in (1, -1):
-            lo, hi = (F(0), q) if side > 0 else (-q, F(0))
-            if any(open_count(g, lo, hi) != 0 for g in gs):
-                ok = False
-                break
-            x0, y0 = D.chart.down_point(side * q, v_mid)
-            if any(p.eval(x0, y0) == 0 for p in factors):
-                ok = False
-                hit_curve += 1
-                break
-            signs[side] = decomp.tag_at(x0, y0)
-        if ok:
-            return signs
-        q = q / 2
-        if hit_curve >= 6:
-            return None  # a curve outside the resolved set tracks the samples
-    return None
 
 
 # ----------------------------------------------------------------- analysis points

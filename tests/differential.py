@@ -15,8 +15,9 @@ if it finds it elsewhere, so each run reads the tree it belongs to whatever
 
 The scenes are the shipped fixtures, each fixture's inversion read back as
 an affine scene, each fixture with x and y exchanged (so that chart words
-with y-steps reach the diff), the scene on which the two paths of exceptional
-classification diverge, unions of 3, 5, 7 and 9 clauses whose complement
+with y-steps reach the diff), the scene on which chart-point sampling, no
+longer part of exceptional classification, disagreed with the transversal
+family (`test_cli.DIVERGENT`), unions of 3, 5, 7 and 9 clauses whose complement
 would be a large DNF (`test_scene.union_scene_text`), and ``--random``
 scenes drawn by `test_sphere.random_scene_text` from ``--seed``.  The file name has no
 ``test_`` prefix, so pytest does not collect it.
@@ -43,15 +44,11 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
 from conftest import swap_scene  # noqa: E402
+from test_cli import DIVERGENT  # noqa: E402
 from test_scene import union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
 FIXTURE_DIR = TESTS_DIR.parent / "fixtures"
-
-DIVERGENT = (
-    "factor f0 = x^2 + 1/3*y^2 - x - 2; factor f1 = y - x^2 - x + 1; "
-    "factor f2 = y^2 - 2*x^3 + 1/2*x^2; set S = { f1 < 0, f0 < 0 };\n"
-)
 
 
 def scenes(n_random: int, seed: int):

@@ -4,14 +4,15 @@ from pathlib import Path
 
 import pytest
 
-from basix import cli
+from basix import checker, cli
 from basix.arrangement import Wall, build_arrangement
 from basix.errors import BasixError, CountMismatch, InternalError
 from basix.realroots import isolate_real_roots, refine_disjoint
 from basix.unipoly import UniPoly
 
-# classify_exceptional's two paths disagree on D2 at v=0 here (an open defect);
-# the failure must be reported as internal, not as bad input
+# chart-point sampling certified its segment against the boundary factors
+# only, so on D2 at v=0 it crossed f0's oval and disagreed with the
+# transversal family; read from the family alone, the set is basic open
 DIVERGENT = (
     "factor f0 = x^2 + 1/3*y^2 - x - 2; factor f1 = y - x^2 - x + 1; "
     "factor f2 = y^2 - 2*x^3 + 1/2*x^2; set S = { f1 < 0, f0 < 0 };\n"
@@ -21,6 +22,7 @@ UNSERIALIZABLE = (
     "factor f0 = 1*x - 2*y; factor f1 = y - x^2 - 2; "
     "factor f2 = x^2 - 2*y^2 + x*y + x - 2*y + 3; set S = { f0 < 0, f2 < 0 };\n"
 )
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _scene(tmp_path, text):
@@ -34,10 +36,20 @@ def test_internal_errors_stay_basix_errors():
     assert issubclass(CountMismatch, InternalError)
 
 
-def test_internal_error_exits_4(tmp_path, capsys):
-    code = cli.main(["check", _scene(tmp_path, DIVERGENT), "--property", "basic-open"])
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(D, decomp):
+        raise InternalError(f"broken classification on D{D.level}")
+
+    monkeypatch.setattr(checker, "classify_exceptional", broken)
+    code = cli.main(["check", str(FIXTURES / "cubic.bsx"), "--property", "basic-open"])
     assert code == cli.EXIT_INTERNAL == 4
-    assert capsys.readouterr().err.startswith("internal error: dual-path divergence")
+    assert capsys.readouterr().err.startswith("internal error: broken classification on D1")
+
+
+def test_divergent_scene_is_basic_open(tmp_path, capsys):
+    code = cli.main(["check", _scene(tmp_path, DIVERGENT), "--property", "basic-open"])
+    assert code == cli.EXIT_YES == 0
+    assert "answer   : Yes" in capsys.readouterr().out
 
 
 def test_unserializable_witness_keeps_the_no(tmp_path, capsys):
@@ -51,9 +63,6 @@ def test_unserializable_witness_keeps_the_no(tmp_path, capsys):
     assert d["witness_count"] == 1
     assert cli.main(args) == cli.EXIT_NO
     assert "answer   : No" in capsys.readouterr().out
-
-
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def _check(capsys, path, prop, *extra):

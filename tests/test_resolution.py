@@ -1,14 +1,18 @@
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts
+from conftest import bench_scene_texts, load_fixture
+from test_algebra import _ref_subst
+from test_cli import DIVERGENT
 
-from basix import resolution
+from basix import checker, resolution
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
+from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
+from basix.realroots import open_count
 from basix.resolution import (
     classify_exceptional,
     family_arc_for,
@@ -210,3 +214,59 @@ def test_resolution_multiplies_no_polynomials(monkeypatch):
     tree = resolve_point(scene.factors, (F(0), F(0)))
     assert len(tree.components) == 2
     assert products == []
+
+
+# S = {f > 0}: g is no boundary factor, but the transversal line of the
+# cusp's D1 at its default sample v = 1 is the line y = x, on which g vanishes
+ON_CURVE = "factor f = y^2 - x^3; factor g = y - x; set S = { f > 0, g >= 0 } | { f > 0, g <= 0 };"
+
+
+def test_arc_sample_avoids_a_scene_curve():
+    sc = Scene.from_text(ON_CURVE)
+    d = decompose_set(build_arrangement(sc), sc)
+    D1 = resolve_point({"f": sc.factors["f"]}, (F(0), F(0))).components[0]
+    (arc,) = [a for a in classify_exceptional(D1, d).arcs if (a.vlo, a.vhi) == (F(0), None)]
+    assert arc.v_mid != 1
+    assert run_check(CheckRequest(sc, "basic_open")).answer == "Yes"
+
+
+def _chart_point_sides(D, decomp, v_mid):
+    """Region verdicts on both sides of D at v_mid, read at rational points
+    pushed down the chart word: the segment (-q, q) of the chart line
+    v = v_mid is halved until no scene factor, pulled back, has a root on
+    it other than u = 0, so each half lies in one region."""
+    X, Y = D.chart.down_map()
+    gs = [_ref_subst(p, X, Y).specialize_y(v_mid) for p in decomp.scene.factors.values()]
+    assert not any(g.is_zero() for g in gs), "the sample line lies on a scene curve"
+    q = F(1, 2)
+    while not all(
+        open_count(g, F(0), q) == open_count(g, -q, F(0)) == 0 and g.eval(q) != 0 != g.eval(-q) for g in gs
+    ):
+        q /= 2
+    return tuple(decomp.tag_at(*D.chart.down_point(side * q, v_mid)) for side in (1, -1))
+
+
+def test_arc_sides_agree_with_chart_point_sampling(monkeypatch):
+    # every component the checker classifies on the fixtures, the scene on
+    # which chart-point sampling once certified its segment against the
+    # boundary factors only, and the scene whose default sample is on a curve
+    classified = []
+    classify = checker.classify_exceptional
+
+    def recording(D, decomp):
+        arcs = classify(D, decomp)
+        classified.append((D, decomp, arcs))
+        return arcs
+
+    monkeypatch.setattr(checker, "classify_exceptional", recording)
+    scenes = [load_fixture(n) for n in ("half", "quad", "saddle", "para", "cubic")]
+    scenes += [Scene.from_text(DIVERGENT), Scene.from_text(ON_CURVE)]
+    for sc in scenes:
+        for prop in PROPERTIES:
+            run_check(CheckRequest(sc, prop))
+    n_arcs = 0
+    for D, decomp, arcs in classified:
+        for a in arcs.arcs:
+            assert _chart_point_sides(D, decomp, a.v_mid) == (a.verdict_pos, a.verdict_neg), (D.level, a)
+            n_arcs += 1
+    assert len(classified) >= 10 and n_arcs >= 30

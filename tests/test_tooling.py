@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from basix.checker import PROPERTIES, CheckRequest, run_check
+from basix.errors import ParseError, SceneError, Unsupported
 from basix.scene import Scene, validate_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -76,3 +78,25 @@ def test_differential_imports_basix_from_its_own_checkout(tmp_path):
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.startswith("usage: differential.py")
+
+
+def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
+    # the fixtures, their inversions and swaps, the divergent scene and the
+    # unions, under every property: a verdict, Unsupported or an input error,
+    # never an internal error
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/ and tests/
+    spec = importlib.util.spec_from_file_location("differential", ROOT / "tests" / "differential.py")
+    differential = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(differential)
+    checked = 0
+    for label, sc in differential.scenes(0, 0):
+        assert isinstance(sc, Scene), label
+        for prop in PROPERTIES:
+            try:
+                v = run_check(CheckRequest(sc, prop))
+            except (Unsupported, SceneError, ParseError):
+                pass
+            else:
+                assert v.answer in ("Yes", "No", "Unsupported"), (label, prop)
+            checked += 1
+    assert checked == 100
