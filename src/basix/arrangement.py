@@ -254,7 +254,7 @@ class Arrangement:
             if f.deg_y >= 2:
                 d = discriminant_y(f)
                 if d.is_zero():
-                    raise Unsupported("DegenerateDiscriminant", n)
+                    raise InternalError(f"factor {n!r} is not squarefree, ruled out by validate_scene")
                 crit_polys.append(d)
             lc = f.y_coeffs()[-1]
             if lc.degree >= 1:
@@ -263,7 +263,7 @@ class Arrangement:
             for j in range(i + 1, len(names)):
                 r = resultant(self.curvy[names[i]], self.curvy[names[j]], "y")
                 if r.is_zero():
-                    raise Unsupported("SharedComponentAtBuild", f"{names[i]},{names[j]}")
+                    raise InternalError(f"factors {names[i]!r}, {names[j]!r} share a component, ruled out by validate_scene")
                 crit_polys.append(r)
         for v in self.vlines.values():
             crit_polys.append(UniPoly([-v, 1]))

@@ -18,7 +18,7 @@ from math import gcd as _igcd
 
 from .bipoly import BiPoly
 from .errors import BasixError, Unsupported
-from .realroots import isolate_real_roots
+from .realroots import rational_roots
 from .series import TSeries, ZPoly, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
 
@@ -233,19 +233,10 @@ def _edge_polynomial(sup: list[tuple[int, int, Fraction]], j1: int, i1: int, j2:
 
 def _rational_roots(psi: UniPoly) -> list[Fraction]:
     """Nonzero rational roots; a real irrational root raises Unsupported."""
-    q = psi
-    while not q.is_zero() and q.eval(F(0)) == 0:
-        q = q.exact_div(UniPoly([0, 1]))
-    if q.degree < 1:
-        return []
-    out = []
-    for loc in isolate_real_roots(q):
-        r = loc.try_rational(rounds=96)
-        if r is None:
-            raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
-        if r != 0:
-            out.append(r)
-    return out
+    roots, irrational = rational_roots(psi)
+    if irrational:
+        raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
+    return [r for r in roots if r != 0]
 
 
 def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fraction], int | None]]:

@@ -183,7 +183,10 @@ class RootLocator:
     def try_rational(self, rounds: int = 64) -> Fraction | None:
         """Detect a rational root by probing the simplest rational in the
         interval after successive refinements.  Sound but incomplete: a miss
-        only means the root has a large denominator (or is irrational)."""
+        only means the root has a large denominator (or is irrational).
+        `rational_roots` is complete, but the callers of this one refine
+        locators that later stages sample, so their round counts pin those
+        samples."""
         if self.exact is not None:
             return self.exact
         cand = None
@@ -320,6 +323,30 @@ def isolate_real_roots(
             if r.exact is None:
                 r.try_rational(rounds=24)
     return out
+
+
+def rational_roots(p: UniPoly) -> tuple[list[Fraction], bool]:
+    """The rational real roots of p, sorted, and whether p also has an
+    irrational real root.  Complete, with no cap or rounds; never Unsupported.
+
+    A rational root a/b of p in lowest terms has b | lc, the leading
+    coefficient of p's primitive integer form.  Distinct fractions with
+    denominators at most lc differ by at least 1/lc^2, so an isolating
+    interval narrower than that holds at most one of them; its simplest
+    rational has a denominator at most b, so it is the root if the root is
+    rational, and one exact test decides.
+    """
+    ip = p.int_primitive()
+    width = Fraction(1, ip[-1] ** 2)
+    out, irrational = [], False
+    for loc in isolate_real_roots(p, detect_rational=False):
+        loc.refine_below(width)
+        x = loc.exact if loc.exact is not None else simplest_in(loc.lo, loc.hi)
+        if _int_sign_at(ip, x) == 0:
+            out.append(x)
+        else:
+            irrational = True
+    return out, irrational
 
 
 # -- counting and comparison ----------------------------------------------------

@@ -2,8 +2,9 @@
 
 A Scene is a list of named bivariate factors (declared irreducible over the
 reals by the user) and a formula in disjunctive normal form whose atoms
-constrain factor signs.  Validation checks squarefreeness, pairwise
-coprimality and probes low-degree reducibility; the chart-at-infinity
+constrain factor signs.  Validation checks squarefreeness and pairwise
+coprimality, and warns on every factor with a rational linear factor (a
+factor of degree 2 or more is not looked for); the chart-at-infinity
 transform realises the second stereographic chart of the sphere.
 """
 
@@ -11,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable
 
 from .bipoly import BiPoly, are_coprime, is_squarefree, parse_poly
 from .errors import NotSquarefree, SceneError, SharedComponent
+from .realroots import rational_roots
 from .unipoly import UniPoly
 
 RELS = (">", "<", ">=", "<=", "==", "!=")
@@ -181,9 +184,9 @@ class Scene:
 
 def validate_scene(scene: Scene) -> list[str]:
     """Hard checks: squarefree factors, pairwise coprime, atoms well-formed.
-    Soft check: a best-effort reducibility probe (a content in x or y, or one
-    of a few small rational lines as a factor) whose findings are returned as
-    warnings."""
+    Soft check: a factor with a content in x or y, or with any rational
+    linear factor, is returned as a warning.  Every rational linear factor
+    is found; a factor of degree 2 or more is not looked for."""
     warnings: list[str] = []
     used = scene.formula.factors_used()
     for n in used:
@@ -198,24 +201,24 @@ def validate_scene(scene: Scene) -> list[str]:
             if not are_coprime(scene.factors[names[i]], scene.factors[names[j]]):
                 raise SharedComponent(names[i], names[j])
     for n in names:
-        w = _reducibility_probe(scene.factors[n])
+        w = _linear_factor(scene.factors[n])
         if w:
             warnings.append(f"factor {n!r} looks reducible: {w}")
     return warnings
 
 
-def _reducibility_probe(p: BiPoly) -> str | None:
-    """Search for an obvious factor: a content in x or in y, or a line
-    y = m*x + c with m in {-3..3}/{1, 2} and an integer c in -3..3, or x = a
-    with an integer a in -3..3.
+def _linear_factor(p: BiPoly) -> str | None:
+    """A content in x or in y, or a rational line dividing p, as a warning.
 
-    Only a screen: a line must meet an axis at one of those integers to be
-    tried, so most linear factors and every factor of degree 2 or more go
-    unnoticed.
+    Complete for lines.  A content catches every vertical line x = a when p
+    depends on y, and every horizontal line when p depends on x; an x-only p
+    is divisible by x - a exactly at its rational roots a.  Any other line
+    y = m*x + c dividing p has m a root of the top form p_d(1, m) and c a
+    root of p(0, y), which is nonzero once no content in x was found; each
+    (m, c) pair of rational roots is tested by exact division.
     """
     if p.total_degree <= 1:
         return None
-    # pure-x or pure-y content is an obvious factor
     if p.deg_y >= 1:
         cont = p.content_x()
         if cont.degree >= 1:
@@ -224,23 +227,19 @@ def _reducibility_probe(p: BiPoly) -> str | None:
         cont2 = p.swap_xy().content_x()
         if cont2.degree >= 1:
             return "content in y"
-    # probe linear factors y - (m x + c) and x - a; p vanishes on a line that
-    # divides it, so only lines through a zero (0, c) or (a, 0) are tried
-    axis_zeros = [cnum for cnum in range(-3, 4) if p.eval(0, cnum) == 0]
-    for mnum in range(-3, 4):
-        for mden in (1, 2):
-            for cnum in axis_zeros:
-                m = Fraction(mnum, mden)
-                c = Fraction(cnum)
-                line = BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c})
-                if line.divides(p) and p.deg_y >= 1:
-                    return f"divisible by {line.to_text()}"
-    for anum in range(-3, 4):
-        if p.eval(anum, 0) != 0:
-            continue
-        vert = BiPoly({(1, 0): Fraction(1), (0, 0): -Fraction(anum)})
-        if p.deg_x >= 1 and vert.divides(p):
-            return f"divisible by {vert.to_text()}"
+    if p.deg_y == 0:
+        roots, _ = rational_roots(p.y_coeffs()[0])
+        return f"divisible by {BiPoly({(1, 0): 1, (0, 0): -roots[0]}).to_text()}" if roots else None
+    d = p.total_degree
+    slopes, _ = rational_roots(UniPoly([p.t.get((d - j, j), 0) for j in range(d + 1)]))
+    if not slopes:
+        return None
+    intercepts, _ = rational_roots(p.specialize_x(0))
+    for m in slopes:
+        for c in intercepts:
+            line = BiPoly({(0, 1): 1, (1, 0): -m, (0, 0): -c})
+            if line.divides(p):
+                return f"divisible by {line.to_text()}"
     return None
 
 
@@ -269,17 +268,10 @@ def invert_poly(h: BiPoly) -> BiPoly:
 
 
 def _positive_normalize(p: BiPoly) -> BiPoly:
-    from math import gcd as igcd
-
     if p.is_zero():
         return p
-    l = 1
-    for v in p.t.values():
-        l = l * v.denominator // igcd(l, v.denominator)
-    g = 0
-    for v in p.t.values():
-        g = igcd(g, abs(int(v * l)))
-    return p.scale(Fraction(l, g if g else 1))
+    rows, l = p.int_y_rows()
+    return p.scale(Fraction(l, gcd(*(v for r in rows for v in r))))
 
 
 def invert_scene(scene: Scene) -> Scene:

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from basix.bipoly import BiPoly, are_coprime, discriminant_y, is_squarefree, resultant
 from basix.errors import DegreeZero, InternalError
@@ -15,6 +15,7 @@ from basix.realroots import (
     count_roots_below,
     isolate_real_roots,
     open_count,
+    rational_roots,
     refine_disjoint,
     roots_equal,
     separate,
@@ -582,6 +583,48 @@ def test_isolation_agrees_with_sympy(coeffs):
     locs = isolate_real_roots(UniPoly(coeffs))
     assert len(locs) == len(sp.intervals())
     assert {l.exact for l in locs if l.exact is not None} == rational
+
+
+def _sympy_rational_roots(sympy, p):
+    """(sorted rational real roots, has an irrational real root) of p, from
+    sympy's factorisation over Q."""
+    x = sympy.Symbol("x")
+    rational, irrational = set(), False
+    for fac, _mult in sympy.Poly(list(reversed(p.int_primitive())), x).factor_list()[1]:
+        if fac.degree() == 1:
+            a, b = fac.all_coeffs()
+            rational.add(F(int(-b), int(a)))
+        elif fac.count_roots() > 0:
+            irrational = True
+    return sorted(rational), irrational
+
+
+_rational_linear = st.builds(lambda n, d: UniPoly([F(-n, d), 1]), st.integers(-20, 20), st.integers(1, 20))
+
+
+@given(
+    st.lists(_rational_linear, max_size=3),
+    st.lists(st.integers(-9, 9), min_size=1, max_size=5).filter(any),
+)
+@example([P(-7, 13), P(11, 17)], [-2, 0, 1])  # (13x - 7)(17x + 11)(x^2 - 2)
+@example([], [6, 0, -5, 0, 1])  # (x^2 - 2)(x^2 - 3): irrational roots only
+@example([], [1, 0, 1])  # no real root
+@settings(max_examples=80, deadline=None)
+def test_rational_roots_agree_with_sympy(lines, coeffs):
+    sympy = pytest.importorskip("sympy")
+    p = UniPoly(coeffs)
+    for line in lines:
+        p = p * line
+    assert rational_roots(p) == _sympy_rational_roots(sympy, p)
+
+
+def test_rational_roots_pins():
+    assert rational_roots(P(-7, 13) * P(11, 17) * P(-2, 0, 1)) == ([F(-11, 17), F(7, 13)], True)
+    assert rational_roots(P(6, 0, -5, 0, 1)) == ([], True)
+    assert rational_roots(P(1, 0, 1)) == ([], False)
+    # a denominator past any fixed number of refinement rounds
+    big = P(-(10**30 + 1), 10**30 + 7)
+    assert rational_roots(big * P(-2, 0, 1)) == ([F(10**30 + 1, 10**30 + 7)], True)
 
 
 # ---------------------------------------------------------------- resultant kernels

@@ -183,6 +183,19 @@ def test_elim_x_lets_internal_errors_through(monkeypatch):
         build_arrangement(S("factor a = x^2 + y^2 - 3; factor b = x^2 - y^2 + x*y - 1; set S = { a < 0 };"))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("factor a = y^2; set S = { a > 0 };", "not squarefree"),
+        ("factor a = y^2 - x^2; factor b = y - x; set S = { a > 0, b > 0 };", "share a component"),
+    ],
+)
+def test_build_on_an_unvalidated_scene_is_an_internal_error(text, message):
+    # validate_scene rejects both scenes first, so no check reaches the build
+    with pytest.raises(InternalError, match=message):
+        build_arrangement(S(text))
+
+
 def test_region_of_point_on_a_curve_is_an_internal_error():
     # callers certify their points off the curves first
     arr = build_arrangement(S("factor f = y; set S = { f > 0 };"))

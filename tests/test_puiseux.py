@@ -25,6 +25,7 @@ from basix.puiseux import (
 from basix.resolution import component_family, resolve_point
 from basix.scene import Scene
 from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
+from basix.unipoly import UniPoly
 from test_algebra import _ref_subst
 
 F = Fraction
@@ -97,6 +98,21 @@ def test_not_on_curve():
 def test_irrational_characteristic_root_unsupported():
     with pytest.raises(Unsupported):
         newton_puiseux(P("y^2 - 2*x^2 + x^3"), (F(0), F(0)), 8)
+
+
+def test_node_with_irrational_tangents_is_unsupported():
+    # tangent slopes +-sqrt 2: the edge polynomial c^2 - 2 has no rational root
+    with pytest.raises(Unsupported) as exc:
+        branch_set(P("y^2 - x^3 - 2*x^2"), (F(0), F(0)), 10)
+    assert exc.value.reason == "NonRationalCoefficient"
+
+
+def test_rational_roots_of_an_edge_polynomial_drop_zero():
+    # c^2 (13c - 7)(17c + 11): the root 0 is not a branch coefficient
+    psi = UniPoly([0, 0, -77, 24, 221])
+    assert puiseux._rational_roots(psi) == [F(-11, 17), F(7, 13)]
+    with pytest.raises(Unsupported, match="NonRationalCoefficient"):
+        puiseux._rational_roots(psi * UniPoly([-2, 0, 1]))
 
 
 def mkarc(terms, N=1, delta=1, trunc=None, center=(0, 0), slot=None):

@@ -1,14 +1,25 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from conftest import bench_scene_texts
+from hypothesis import assume, given, settings, strategies as st
+from test_algebra import _sympy_expr
 
 from basix.bipoly import BiPoly
 from basix.checker import check_principal_closed
 from basix.errors import NotSquarefree, ParseError, SharedComponent
 from basix.parser import parse_polynomial
-from basix.scene import OpenComplement, Scene, _reducibility_probe, invert_poly, invert_scene, validate_scene
+from basix.scene import (
+    OpenComplement,
+    Scene,
+    _linear_factor,
+    _positive_normalize,
+    invert_poly,
+    invert_scene,
+    validate_scene,
+)
 
 F = Fraction
 
@@ -63,51 +74,102 @@ def test_validate_reducible_warning():
     assert validate_scene(S("factor a = x*y; set S = { a > 0 };")) == ["factor 'a' looks reducible: content in x of degree 1"]
 
 
-def _reducibility_probe_reference(p):
-    """The probe dividing by every candidate line, with no zero screen."""
-    if p.total_degree <= 1:
-        return None
-    if p.deg_y >= 1:
-        cont = p.content_x()
-        if cont.degree >= 1:
-            return f"content in x of degree {cont.degree}"
-    if p.deg_x >= 1:
-        if p.swap_xy().content_x().degree >= 1:
-            return "content in y"
-    for mnum in range(-3, 4):
-        for mden in (1, 2):
-            for cnum in range(-3, 4):
-                m, c = Fraction(mnum, mden), Fraction(cnum)
-                line = BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c})
-                if line.divides(p) and p.deg_y >= 1:
-                    return f"divisible by {line.to_text()}"
-    for anum in range(-3, 4):
-        vert = BiPoly({(1, 0): Fraction(1), (0, 0): -Fraction(anum)})
-        if p.deg_x >= 1 and vert.divides(p):
-            return f"divisible by {vert.to_text()}"
-    return None
-
-
-_coef = st.fractions(min_value=-3, max_value=3, max_denominator=2)
-_conics = st.dictionaries(
-    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]), _coef, min_size=1, max_size=6
-).map(BiPoly)
-# the probed lines y - (m x + c) and x - a, plus lines the probe never tries
-_lines = st.one_of(
-    st.builds(
-        lambda m, c: BiPoly({(0, 1): Fraction(1), (1, 0): -m, (0, 0): -c}),
-        st.sampled_from([Fraction(n, d) for n in range(-3, 4) for d in (1, 2)]),
-        st.integers(-4, 4).map(Fraction),
-    ),
-    st.integers(-4, 4).map(lambda a: BiPoly({(1, 0): Fraction(1), (0, 0): Fraction(-a)})),
-    st.builds(lambda a, b: BiPoly({(1, 0): a, (0, 1): b, (0, 0): Fraction(1, 3)}), _coef, _coef),
+@pytest.mark.parametrize(
+    "text, warning",
+    [
+        ("(y - 2*x - 5)*(y - x^2 - 1)", "divisible by y - 2*x - 5"),
+        ("(y - x/3 - 1/2)*(x^2 + y^2 - 4)", "divisible by y - 1/3*x - 1/2"),
+        ("4*x^2 - 1", "divisible by x + 1/2"),
+        # the first line in increasing (slope, intercept) order is named
+        ("(y + 3*x - 4)*(y + x)", "divisible by y + 3*x - 4"),
+        ("y^2 - 1", "divisible by y + 1"),
+        ("x*y - 3*x + y/3 - 1", "content in x of degree 1"),
+        ("(2*y - 3)*(y^2 + x)", "content in y"),
+        ("x^2 + y^2 - 1", None),
+        ("x^2 - 2", None),
+    ],
 )
+def test_linear_factor_pins(text, warning):
+    assert _linear_factor(parse_polynomial(text)) == warning
 
 
-@given(st.one_of(_conics, st.builds(lambda l, q: l * q, _lines, _conics)))
+def _assert_warning_holds(p, warning):
+    """The warning names a true factor: a dividing line or a real content."""
+    if warning.startswith("divisible by "):
+        assert parse_polynomial(warning.removeprefix("divisible by ")).divides(p)
+    elif warning == "content in y":
+        assert p.swap_xy().content_x().degree >= 1
+    else:
+        degree = p.content_x().degree
+        assert degree >= 1 and warning == f"content in x of degree {degree}"
+
+
+_ratio = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 9))
+_rational_lines = st.one_of(
+    st.builds(lambda m, c: BiPoly({(0, 1): 1, (1, 0): -m, (0, 0): -c}), _ratio, _ratio),
+    st.builds(lambda a: BiPoly({(1, 0): 1, (0, 0): -a}), _ratio),
+    st.builds(lambda c: BiPoly({(0, 1): 1, (0, 0): -c}), _ratio),
+)
+_cubics = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(4) for j in range(4 - i)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    min_size=1,
+    max_size=6,
+).map(BiPoly).filter(lambda q: q.total_degree >= 1)
+
+
+@given(_rational_lines, _cubics)
 @settings(max_examples=80, deadline=None)
-def test_reducibility_probe_screen_keeps_the_warning(p):
-    assert _reducibility_probe(p) == _reducibility_probe_reference(p)
+def test_every_rational_line_factor_is_found(line, q):
+    p = line * q
+    warning = _linear_factor(p)
+    assert warning is not None
+    _assert_warning_holds(p, warning)
+
+
+_small_factors = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    min_size=1,
+    max_size=4,
+).map(BiPoly).filter(lambda f: f.total_degree >= 1)
+
+
+@given(st.lists(_small_factors, min_size=1, max_size=3))
+@settings(max_examples=60, deadline=None)
+def test_linear_factor_agrees_with_sympy(factors):
+    sympy = pytest.importorskip("sympy")
+    p = factors[0]
+    for f in factors[1:]:
+        p = p * f
+    assume(p.total_degree >= 2)
+    x, y = sympy.symbols("x y")
+    found = sympy.factor_list(_sympy_expr(sympy, p, x, y))[1]
+    if p.deg_x >= 1 and p.deg_y >= 1:
+        want = any(sympy.Poly(fac, x, y).total_degree() == 1 or len(fac.free_symbols) == 1 for fac, _m in found)
+    else:
+        want = any(sympy.Poly(fac, x, y).total_degree() == 1 for fac, _m in found)
+    warning = _linear_factor(p)
+    assert (warning is not None) == want
+    if warning is not None:
+        _assert_warning_holds(p, warning)
+
+
+def test_benchmark_scenes_raise_no_warning(monkeypatch):
+    # the pinned benchmark digests assume that no scene warns
+    for workload in ("fixtures", "blowup", "lines"):
+        for key, text in bench_scene_texts(monkeypatch, workload).items():
+            assert validate_scene(Scene.from_text(text)) == [], (workload, key)
+
+
+@given(_cubics)
+@settings(max_examples=40, deadline=None)
+def test_positive_normalize_is_the_primitive_integer_form(p):
+    q = _positive_normalize(p)
+    ratio = q.t[next(iter(p.t))] / p.t[next(iter(p.t))]
+    assert ratio > 0 and q == p.scale(ratio)
+    assert all(v.denominator == 1 for v in q.t.values())
+    assert math.gcd(*(v.numerator for v in q.t.values())) == 1
 
 
 # ----------------------------------------------------------- chart inversion
