@@ -13,6 +13,21 @@ stores its factor sign vector; which cells a formula selects is decided on
 top of it, by `decompose.decompose_set`, so sets with the same curves share
 one arrangement.
 
+Wall points are exact.  Over a rational wall c a factor's fibre is isolated
+from f(c, y).  Over an irrational wall alpha it is counted by Sturm's
+theorem on the signed remainder sequence of f and f_y in y, its coefficients
+in x reduced mod alpha's locator polynomial p.  A coefficient vanishes at
+alpha exactly when its gcd with p changes sign across alpha's interval;
+otherwise a refined copy of the interval signs it.  Leading coefficients
+that vanish at alpha are dropped and each pseudo-remainder is taken times
+-sign(lc^k) at alpha, so each member is a positive multiple of the true one
+for f(alpha, y), and the count of distinct real roots in (a, b), ends not
+roots, is exact.  Bisection gives a window per root; two factors share one
+when their product has one root in a hull holding one of each.  So a level
+between two windows is a root of no factor at alpha, hence clear of every
+curve near the wall, and `_match_side`, which halves its distance to the
+wall and refines the wall each round, ends there as at a rational wall.
+
 Region and curve-edge signs are read off the slab stacks by parity.  At a
 slab sample x_s no wall lies, so the leading coefficient lc_y f does not
 vanish there and, for deg_y f >= 2, neither does discriminant_y f: f(x_s, y)
@@ -24,8 +39,8 @@ an x-only factor has its sign at x_s.  Only vertices, whose coordinates may
 be irrational, and vertical edges are signed by evaluation.
 
 Everything is exact.  Every located coordinate (a wall abscissa, a branch
-or wall-point ordinate, a vertex) is a `RootLocator`, refinable on demand;
-a rational one is an exact locator with ``lo == hi``.  Any configuration
+or vertex ordinate) is a `RootLocator`, refinable on demand; a rational one
+is an exact locator with ``lo == hi``.  Any configuration
 that cannot be certified within the refinement caps raises Unsupported
 instead of guessing.
 """
@@ -34,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .bipoly import BiPoly, discriminant_y, resultant
 from .errors import InternalError, Unsupported
@@ -46,10 +62,10 @@ from .realroots import (
     refine_disjoint,
     roots_equal,
     separate,
-    simplest_in,
+    sign_variations,
 )
 from .scene import Scene
-from .unipoly import UniPoly, squarefree_part
+from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 F = Fraction
 
@@ -180,7 +196,7 @@ class Region:
 
 @dataclass
 class WallPoint:
-    y: RootLocator
+    y: RootLocator | _Window  # a window at a pass point of an irrational wall
     factors: set[str]
     left: list[tuple[str, int]]
     right: list[tuple[str, int]]
@@ -227,6 +243,8 @@ class Arrangement:
         self.pole_touched = False
         self._edges_at_vertex: dict[int, list[int]] = {}
         self._elim_cache: dict[tuple, UniPoly] = {}
+        # squarefree critical polynomials of stage 1, keyed as in `_build`
+        self._critical: list[tuple[tuple[str, ...], UniPoly]] = []
         # (factor, level) -> primitive integer form of factor(x, level)
         self._level_forms: dict[tuple[str, Fraction], list[int]] = {}
         self._build()
@@ -247,7 +265,8 @@ class Arrangement:
                     )
                 self.vlines[name] = -u.c[0] / u.c[1]
 
-        crit_polys: list[UniPoly] = []
+        # each keyed by the factor, or the pair of factors, it belongs to
+        crit_polys: list[tuple[tuple[str, ...], UniPoly]] = []
         names = list(self.curvy)
         for n in names:
             f = self.curvy[n]
@@ -255,24 +274,25 @@ class Arrangement:
                 d = discriminant_y(f)
                 if d.is_zero():
                     raise InternalError(f"factor {n!r} is not squarefree, ruled out by validate_scene")
-                crit_polys.append(d)
+                crit_polys.append(((n,), d))
             lc = f.y_coeffs()[-1]
             if lc.degree >= 1:
-                crit_polys.append(lc)
+                crit_polys.append(((n,), lc))
         for i in range(len(names)):
             for j in range(i + 1, len(names)):
                 r = resultant(self.curvy[names[i]], self.curvy[names[j]], "y")
                 if r.is_zero():
                     raise InternalError(f"factors {names[i]!r}, {names[j]!r} share a component, ruled out by validate_scene")
-                crit_polys.append(r)
-        for v in self.vlines.values():
-            crit_polys.append(UniPoly([-v, 1]))
+                crit_polys.append(((names[i], names[j]), r))
+        for n, v in self.vlines.items():
+            crit_polys.append(((n,), UniPoly([-v, 1])))
 
         prod = UniPoly.one()
-        for p in crit_polys:
+        for key, p in crit_polys:
             sf = squarefree_part(p)
             if sf.degree >= 1:
                 prod = prod * sf
+                self._critical.append((key, sf))
         locs = isolate_real_roots(prod) if prod.degree >= 1 else []
         refine_disjoint(locs)
         separate(locs)
@@ -320,10 +340,7 @@ class Arrangement:
         # ------------------------------------------------------------ stage 3
 
         for wi, wall in enumerate(self.walls):
-            if wall.exact_x() is not None:
-                self._analyse_exact_wall(wi, wall)
-            else:
-                self._analyse_irrational_wall(wi, wall)
+            self._analyse_wall(wi, wall)
 
         # ------------------------------------------------------------ stage 4
 
@@ -345,22 +362,31 @@ class Arrangement:
             raise Unsupported("BranchCountDrift", f"{factor} at x={x_at}")
         return locs
 
-    def _analyse_exact_wall(self, wi: int, wall: Wall, cx: Fraction | None = None) -> None:
-        cx = wall.exact_x() if cx is None else cx
-        if cx is None:
-            raise InternalError("exact wall analysis on a wall with no rational abscissa")
-        roots_by_factor: dict[str, list[RootLocator]] = {}
-        for n, f in self.curvy.items():
-            u = f.specialize_x(cx)
-            if u.is_zero():
-                raise Unsupported("VerticalComponent", f"factor {n!r} contains x = {cx}")
-            roots_by_factor[n] = isolate_real_roots(u) if u.degree >= 1 else []
+    def _analyse_wall(self, wi: int, wall: Wall) -> None:
+        """The wall points of a wall and the fate of every branch end at it;
+        the fibre rule is in the module docstring."""
+        cx = wall.exact_x()
+        fibres: dict[str, list] = {}
+        if cx is not None:
+            for n, f in self.curvy.items():
+                u = f.specialize_x(cx)
+                if u.is_zero():
+                    raise Unsupported("VerticalComponent", f"factor {n!r} contains x = {cx}")
+                fibres[n] = isolate_real_roots(u) if u.degree >= 1 else []
+            same = roots_equal
+        else:
+            if wall.line_factor is not None:
+                raise InternalError("irrational wall analysis on a vertical-line wall")
+            at = _IrrationalAbscissa(wall.x, self._critical)
+            for n, f in self.curvy.items():
+                fibres[n] = _Fibre(at, n, f).windows()
+            same = at.same_root
 
-        clusters: list[tuple[RootLocator, set[str]]] = []
-        for n, locs in roots_by_factor.items():
+        clusters: list[tuple] = []
+        for n, locs in fibres.items():
             for loc in locs:
-                for k, (rep, fs) in enumerate(clusters):
-                    if n not in fs and roots_equal(rep, loc):
+                for rep, fs in clusters:
+                    if n not in fs and same(rep, loc):
                         fs.add(n)
                         break
                 else:
@@ -386,12 +412,9 @@ class Arrangement:
                     wall.fates[(side, n, idx)] = fate
 
         for p in points:
-            p.is_pass = (
-                wall.line_factor is None
-                and len(p.factors) == 1
-                and len(p.left) == 1
-                and len(p.right) == 1
-            )
+            p.is_pass = wall.line_factor is None and len(p.factors) == len(p.left) == len(p.right) == 1
+            if cx is None and not p.is_pass:
+                p.y = self._vertex_y_locator(p.factors, p.y)
         wall.points = points
 
     @staticmethod
@@ -405,269 +428,67 @@ class Arrangement:
         out.append(points[-1].y.hi + 1)
         return out
 
-    def _match_side(
-        self,
-        factor: str,
-        slab: int,
-        side: str,
-        wall: Wall,
-        levels: list[Fraction],
-    ) -> list[tuple]:
-        """Fate of each branch of `factor` in `slab` approaching `wall`:
-        ('point', k) for convergence into the k-th level gap (= wall point k),
-        ('up',) / ('down',) for escapes beyond the outermost levels."""
+    def _match_side(self, factor: str, slab: int, side: str, wall: Wall, levels: list[Fraction]) -> list[tuple]:
+        """Fate of each branch of `factor` in `slab` approaching `wall`, read
+        once every level is clear of the factor between the branch positions
+        and the wall (see `_fate`)."""
         x_at = self.slab_samples[slab]
-        n_br = self._branch_count(slab, factor)
-
         for _round in range(_MATCH_ROUNDS):
             wlo, whi = wall.x.lo, wall.x.hi
             span = (x_at, whi) if side == "L" else (wlo, x_at)
             if all(self._level_clear(factor, lv, *span) for lv in levels):
-                positions = self._branch_positions(slab, factor, x_at)
-                fates: list[tuple | None] = [None] * n_br
-                done = True
-                for i, pos in enumerate(positions):
-                    plo, phi = pos.lo, pos.hi
-                    fate: tuple | None = None
-                    if plo > levels[-1]:
-                        fate = ("up",)
-                    elif phi < levels[0]:
-                        fate = ("down",)
-                    else:
-                        for k in range(len(levels) - 1):
-                            if levels[k] < plo and phi < levels[k + 1]:
-                                fate = ("point", k)
-                                break
-                    if fate is None:
-                        done = False
-                        break
-                    fates[i] = fate
-                if done:
-                    return fates  # type: ignore[return-value]
-            x_at = (x_at + (whi if side == "L" else wlo)) / 2
+                fates = [self._fate(pos, levels) for pos in self._branch_positions(slab, factor, x_at)]
+                if None not in fates:
+                    return fates
+            # the near end of the wall's interval stays on this side of the wall
+            x_at = (x_at + (wlo if side == "L" else whi)) / 2
             wall.x.refine()
         raise Unsupported("WallMatchCap", f"{factor} near wall x in {(wall.x.lo, wall.x.hi)}")
 
-    # .......................................................... irrational walls
-
-    def _analyse_irrational_wall(self, wi: int, wall: Wall) -> None:
-        if wall.line_factor is not None:
-            raise InternalError("irrational wall analysis on a vertical-line wall")
-        xl, xr = self.slab_samples[wi], self.slab_samples[wi + 1]
-
-        for _round in range(_MATCH_ROUNDS):
-            wlo, whi = wall.x.lo, wall.x.hi
-            width = xr - xl
-            items: list[tuple[str, str, int, RootLocator]] = []
-            for n in self.curvy:
-                for i, l in enumerate(self._branch_positions(wi, n, xl)):
-                    items.append(("L", n, i, l))
-                for i, l in enumerate(self._branch_positions(wi + 1, n, xr)):
-                    items.append(("R", n, i, l))
-            for t in items:
-                t[3].refine_below(width / 16)
-            items.sort(key=lambda t: t[3].lo)
-
-            # clusters = maximal groups of branch ends not separable by a level
-            # line that is certifiably clear of their curves over the span
-            clusters = self._split_cluster(items, xl, xr) if items else []
-
-            if self._legalize_clusters(wi, wall, clusters, xl, xr):
-                return
-            xl = (xl + wlo) / 2
-            xr = (xr + whi) / 2
-            wall.x.refine()
-        raise Unsupported("IrrationalTangency", f"wall x in {(wall.x.lo, wall.x.hi)} unresolved")
+    @staticmethod
+    def _fate(pos: RootLocator, levels: list[Fraction]) -> tuple | None:
+        """('point', k) for a branch position strictly between levels k and
+        k + 1 (it converges into wall point k), ('up',) / ('down',) beyond
+        the outermost levels, None while it meets a level."""
+        if pos.lo > levels[-1]:
+            return ("up",)
+        if pos.hi < levels[0]:
+            return ("down",)
+        k = next((k for k in range(len(levels) - 1) if levels[k] < pos.lo and pos.hi < levels[k + 1]), None)
+        return None if k is None else ("point", k)
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
         """Whether the line y = lv misses the factor's curve over [a, b].
         Each (factor, level) is specialised once per arrangement: the walls'
-        matching rounds only shrink the span, and both sides of a wall, and
-        the clusters of an irrational one, test the same levels."""
+        matching rounds only shrink the span, and both sides of a wall test
+        the same levels."""
         key = (factor, lv)
         c = self._level_forms.get(key)
         if c is None:
             c = self._level_forms[key] = self.curvy[factor].specialize_y(lv).int_primitive()
         return bool(c) and clear_of_roots(c, a, b)
 
-    def _split_cluster(self, cl: list, xl: Fraction, xr: Fraction) -> list[list]:
-        if len(cl) <= 1:
-            return [cl]
-        for cut in range(1, len(cl)):
-            lo = max(t[3].hi for t in cl[:cut])
-            hi = min(t[3].lo for t in cl[cut:])
-            if lo >= hi:
-                continue
-            m = simplest_in(lo, hi)
-            if all(self._level_clear(n, m, xl, xr) for n in {t[1] for t in cl}):
-                return self._split_cluster(cl[:cut], xl, xr) + self._split_cluster(cl[cut:], xl, xr)
-        return [cl]
-
-    def _elim_x(self, f: BiPoly, g: BiPoly) -> UniPoly:
-        """Polynomial in y whose roots contain the y-coordinates of common
-        zeros of f and g."""
-        if f.deg_x == 0:
-            return _as_y_poly(f)
-        if g.deg_x == 0:
-            return _as_y_poly(g)
-        return resultant(f, g, "x")
-
-    def _vertex_y_locator(
-        self, factors: set[str], lo: Fraction, hi: Fraction, wall: Wall
-    ) -> RootLocator | None:
-        """A refinable locator for a vertex ordinate inside the trapping window
-        (lo, hi): among the roots of the elimination polynomial there, foreign
-        ones (ordinates of critical or crossing points elsewhere on the curves)
-        are excluded by interval evaluation of the defining system over the
-        wall box; the unique survivor is the vertex.  None if undecided yet."""
-        fs = sorted(factors)
-        key = tuple(fs)
-        if key in self._elim_cache:
-            r = self._elim_cache[key]
-        else:
-            if len(fs) == 1:
-                f = self.curvy[fs[0]]
-                r = self._elim_x(f, f.partial_y())
-            else:
-                r = self._elim_x(self.curvy[fs[0]], self.curvy[fs[1]])
-            self._elim_cache[key] = r
-        if r.is_zero() or r.degree < 1:
-            return None
-        cands = list(isolate_real_roots(r, lo, hi))
-        if not cands:
-            return None
-        if len(fs) == 1:
+    def _vertex_y_locator(self, factors: set[str], window: "_Window") -> RootLocator:
+        """The ordinate of a vertex at an irrational wall: the one root of the
+        elimination polynomial of its first two factors (of f and f_y for one
+        factor f without its content in x) left in its wall point's window
+        once that window is small enough."""
+        fs = tuple(sorted(factors))
+        r = self._elim_cache.get(fs)
+        if r is None:
             f = self.curvy[fs[0]]
-            system = (f, f.partial_y())
-        else:
-            system = (self.curvy[fs[0]], self.curvy[fs[1]])
-        for _ in range(24):
+            if len(fs) == 1:
+                f = f.exact_div(BiPoly.from_y_coeffs([f.content_x()]))
+            g = f.partial_y() if len(fs) == 1 else self.curvy[fs[1]]
+            h = f if f.deg_x == 0 else g if g.deg_x == 0 else None
+            r = self._elim_cache[fs] = h.specialize_x(0) if h else resultant(f, g, "x")
+        while True:
+            cands = isolate_real_roots(r, window.lo, window.hi, detect_rational=False)
             if len(cands) == 1:
                 return cands[0]
-            kept = []
-            for c in cands:
-                excluded = False
-                for g in system:
-                    glo, ghi = g.interval_eval(wall.x.lo, wall.x.hi, c.lo, c.hi)
-                    if glo > 0 or ghi < 0:
-                        excluded = True
-                        break
-                if not excluded:
-                    kept.append(c)
-            if not kept:
-                return None
-            cands = kept
-            for c in cands:
-                c.refine()
-            wall.x.refine()
-        return None
-
-    def _legalize_clusters(self, wi: int, wall: Wall, clusters: list[list], xl: Fraction, xr: Fraction) -> bool:
-        if not clusters:
-            wall.points = []
-            wall.fates = {}
-            return True
-        hulls = [
-            (min(t[3].lo for t in cl), max(t[3].hi for t in cl))
-            for cl in clusters
-        ]
-        # trapping levels must sit in the gaps BETWEEN clusters (distinct limit
-        # points guarantee the gaps persist; hull-hugging levels would be
-        # crossed by the branch bulge near the wall forever)
-        for (a, b), (c, d) in zip(hulls, hulls[1:]):
-            if b >= c:
-                return False
-        levels = [hulls[0][0] - 1]
-        for (_a, b), (c, _d) in zip(hulls, hulls[1:]):
-            levels.append(simplest_in(b, c))
-        levels.append(hulls[-1][1] + 1)
-
-        points: list[WallPoint] = []
-        fates: dict[tuple[str, str, int], tuple] = {}
-        escapes: list[tuple[str, str, int, str]] = []
-
-        for ci, cl in enumerate(clusters):
-            sidesL = [t for t in cl if t[0] == "L"]
-            sidesR = [t for t in cl if t[0] == "R"]
-            factors = {t[1] for t in cl}
-            lo, hi = levels[ci], levels[ci + 1]
-            if not all(self._level_clear(n, lv, xl, xr) for n in factors for lv in (lo, hi)):
-                return False
-            nL, nR = len(sidesL), len(sidesR)
-
-            if nL + nR == 1:
-                # a lone branch end: its partner cannot sit in another cluster
-                # (separated clusters have distinct limits), so it escapes;
-                # it must already be the extreme cluster, else keep refining
-                t = cl[0]
-                if ci == len(clusters) - 1:
-                    escapes.append((t[0], t[1], t[2], "up"))
-                    continue
-                if ci == 0:
-                    escapes.append((t[0], t[1], t[2], "down"))
-                    continue
-                return False
-            if nL == 1 and nR == 1 and len(factors) == 1:
-                n = cl[0][1]
-                points.append(
-                    WallPoint(y=sidesL[0][3], factors={n}, left=[(n, sidesL[0][2])], right=[(n, sidesR[0][2])], is_pass=True)
-                )
-                continue
-            if len(factors) == 1 and nL + nR == 2 and (nL == 2 or nR == 2):
-                n = next(iter(factors))
-                yloc = self._vertex_y_locator({n}, lo, hi, wall)
-                if yloc is None:
-                    return False
-                points.append(
-                    WallPoint(
-                        y=yloc,
-                        factors={n},
-                        left=[(n, t[2]) for t in sidesL],
-                        right=[(n, t[2]) for t in sidesR],
-                        is_pass=False,
-                    )
-                )
-                continue
-            if (
-                len(factors) == 2
-                and nL == 2
-                and nR == 2
-                and all(sum(1 for t in side if t[1] == n) == 1 for side in (sidesL, sidesR) for n in factors)
-            ):
-                orderL = [t[1] for t in sorted(sidesL, key=lambda t: t[3].lo)]
-                orderR = [t[1] for t in sorted(sidesR, key=lambda t: t[3].lo)]
-                if orderL == orderR:
-                    return False
-                yloc = self._vertex_y_locator(factors, lo, hi, wall)
-                if yloc is None:
-                    return False
-                points.append(
-                    WallPoint(
-                        y=yloc,
-                        factors=set(factors),
-                        left=[(t[1], t[2]) for t in sidesL],
-                        right=[(t[1], t[2]) for t in sidesR],
-                        is_pass=False,
-                    )
-                )
-                continue
-            return False
-
-        for k, p in enumerate(points):
-            for n, i in p.left:
-                fates[("L", n, i)] = ("point", k)
-            for n, i in p.right:
-                fates[("R", n, i)] = ("point", k)
-        for side, n, i, direction in escapes:
-            fates[(side, n, i)] = (direction,)
-        for side, slab in (("L", wi), ("R", wi + 1)):
-            for n in self.curvy:
-                for i in range(self._branch_count(slab, n)):
-                    if (side, n, i) not in fates:
-                        return False
-        wall.points = points
-        wall.fates = fates
-        return True
+            if not cands:
+                raise InternalError(f"no root of the elimination polynomial of {fs} at a wall point")
+            window.refine()
 
     # ----------------------------------------------------------------- assembly
 
@@ -993,13 +814,185 @@ class Arrangement:
         return idx
 
 
-def _as_y_poly(p: BiPoly) -> UniPoly:
-    """A bivariate polynomial with deg_x = 0 as a univariate in y."""
-    if p.deg_x != 0:
-        raise InternalError("_as_y_poly on a polynomial that depends on x")
-    return p.swap_xy().y_coeffs()[0] if p.deg_y == 0 else UniPoly(
-        [p.t.get((0, j), F(0)) for j in range(p.deg_y + 1)]
-    )
+# --------------------------------------------------------------- irrational walls
+
+
+class _IrrationalAbscissa:
+    """Exact signs at an irrational wall abscissa alpha, the one root of p
+    in the interval of a private copy of the wall's locator; p is the
+    locator's polynomial cut down by the critical polynomials that vanish at
+    alpha, whose keys (as in `Arrangement._build`) are the `events`."""
+
+    def __init__(self, x: RootLocator, critical: list[tuple[tuple[str, ...], UniPoly]]):
+        p = x.p
+        self.events: set[tuple[str, ...]] = set()
+        for key, c in critical:
+            if not clear_of_roots(c.int_primitive(), x.lo, x.hi):
+                g = poly_gcd(c, p)
+                if g.degree >= 1 and not clear_of_roots(g.int_primitive(), x.lo, x.hi):
+                    p = g
+                    self.events.add(key)
+        self.p, self.ip = p, p.int_primitive()
+        self.x = RootLocator(p, x.lo, x.hi)
+
+    def sign(self, c: list[int]) -> int:
+        """The sign at alpha of an integer polynomial in x."""
+        if not any(c):
+            return 0
+        x = self.x
+        if not clear_of_roots(c, x.lo, x.hi):
+            g = poly_gcd(UniPoly(c), self.p)
+            if g.degree >= 1 and not clear_of_roots(g.int_primitive(), x.lo, x.hi):
+                return 0
+            while not clear_of_roots(c, x.lo, x.hi):
+                x.refine()
+        return 1 if homogeneous_horner(c, x.lo.numerator, x.lo.denominator)[0] > 0 else -1
+
+    def same_root(self, w1: "_Window", w2: "_Window") -> bool:
+        """Whether the windows of two factors hold the same root; only a pair
+        whose resultant vanishes at alpha can share one."""
+        f1, f2 = w1.fibre, w2.fibre
+        if (f1.name, f2.name) not in self.events and (f2.name, f1.name) not in self.events:
+            return False
+        while w1.lo < w2.hi and w2.lo < w1.hi:
+            a, b = min(w1.lo, w2.lo), max(w1.hi, w2.hi)
+            if not any(f.is_root(t) for f in (f1, f2) for t in (a, b)) and f1.count(a, b) == 1 == f2.count(a, b):
+                return _Fibre(self, "", f1.f * f2.f).count(a, b) == 1
+            w1.refine()
+            w2.refine()
+        return False
+
+
+class _Fibre:
+    """f(alpha, y) over an irrational wall alpha, with ``seq`` its Sturm
+    sequence (see the module docstring): per member its integer rows in x,
+    reduced mod p, and the sign at alpha of the top row."""
+
+    def __init__(self, at: _IrrationalAbscissa, name: str, f: BiPoly):
+        self.at, self.name, self.f = at, name, f
+        self._signs: dict[Fraction, list[int]] = {}
+        self.seq: list[tuple[list[list[int]], int]] = []
+        a = self._member(f.int_y_rows()[0])
+        if a is None:
+            raise Unsupported("VerticalComponent", f"factor {name!r} vanishes on the wall x in {(at.x.lo, at.x.hi)}")
+        b = self._member([[j * v for v in c] for j, c in enumerate(a[0])][1:])
+        while b:
+            self.seq.append(a)
+            a, b = b, self._member(_prem_rows(a[0], b[0], at.ip), -(b[1] ** (len(a[0]) - len(b[0]) + 1)))
+        self.seq.append(a)
+
+    def _member(self, rows: list[list[int]], scale: int = 1) -> tuple[list[list[int]], int] | None:
+        """scale times the rows, reduced mod p, without the top rows that
+        vanish at alpha."""
+        rows = _rows_mod([[scale * v for v in r] for r in rows], self.at.ip)
+        s = 0
+        while rows and (s := self.at.sign(rows[-1])) == 0:
+            rows.pop()
+        return (rows, s) if rows else None
+
+    def signs(self, m: Fraction) -> list[int]:
+        """Signs of the sequence at (alpha, m); the first is 0 at a root."""
+        out = self._signs.get(m)
+        if out is None:
+            out = self._signs[m] = [self.at.sign(_rows_at(c, m)) for c, _s in self.seq]
+        return out
+
+    def is_root(self, m: Fraction) -> bool:
+        return self.signs(m)[0] == 0
+
+    def count(self, a: Fraction, b: Fraction) -> int:
+        """The number of distinct real roots in (a, b); a and b are none."""
+        return sign_variations(self.signs(a)) - sign_variations(self.signs(b))
+
+    def split(self, lo: Fraction, hi: Fraction) -> Fraction:
+        """The midpoint of (lo, hi), moved towards lo while it is a root."""
+        m = (lo + hi) / 2
+        while self.is_root(m):
+            m = (lo + m) / 2
+        return m
+
+    def windows(self) -> list["_Window"]:
+        """One window per distinct real root, in order, bisected from (-b, b)
+        with b the first power of two beyond every root."""
+        at_minus_infinity = [s * (-1) ** (len(c) - 1) for c, s in self.seq]
+        n = sign_variations(at_minus_infinity) - sign_variations([s for _c, s in self.seq])
+        b = F(1)
+        while n and (self.is_root(b) or self.is_root(-b) or self.count(-b, b) < n):
+            b *= 2
+        return self._isolate(-b, b, n)
+
+    def _isolate(self, lo: Fraction, hi: Fraction, k: int) -> list["_Window"]:
+        if k <= 1:
+            return [_Window(self, lo, hi)] * k
+        m = self.split(lo, hi)
+        left = self.count(lo, m)
+        return self._isolate(lo, m, left) + self._isolate(m, hi, k - left)
+
+
+class _Window:
+    """An open rational window around one distinct real root of
+    f(alpha, y), refined like a `RootLocator`; its ends are never roots."""
+
+    exact = None
+
+    def __init__(self, fibre: _Fibre, lo: Fraction, hi: Fraction):
+        self.fibre, self.lo, self.hi = fibre, lo, hi
+
+    def refine(self) -> None:
+        m = self.fibre.split(self.lo, self.hi)
+        if self.fibre.count(self.lo, m):
+            self.hi = m
+        else:
+            self.lo = m
+
+
+def _iaxpy(k: int, a: list[int], b: list[int]) -> list[int]:
+    """k a + b for integer coefficient lists."""
+    out = [k * v for v in a] + [0] * (len(b) - len(a))
+    for i, v in enumerate(b):
+        out[i] += v
+    return out
+
+
+def _imul(a: list[int], b: list[int]) -> list[int]:
+    out: list[int] = []
+    for i, v in enumerate(a):
+        out = _iaxpy(v, [0] * i + b, out)
+    return out
+
+
+def _rows_mod(rows: list[list[int]], ip: list[int]) -> list[list[int]]:
+    """A positive multiple of the integer rows reduced mod ip: while a row
+    reaches deg ip, every row is multiplied by the leading coefficient of ip
+    (positive), and the top term of each such row is cancelled."""
+    d, lead = len(ip) - 1, ip[-1]
+    while any(len(r) > d for r in rows):
+        rows = [_iaxpy(lead, r[:-1], [0] * (len(r) - 1 - d) + [-r[-1] * v for v in ip[:-1]])
+                if len(r) > d else [lead * v for v in r] for r in rows]
+    g = gcd(*(v for r in rows for v in r))
+    return [[v // g for v in r] for r in rows] if g > 1 else rows
+
+
+def _prem_rows(a: list[list[int]], b: list[list[int]], ip: list[int]) -> list[list[int]]:
+    """A positive multiple of lc(b)^k a mod b as polynomials in y, k =
+    deg a - deg b + 1, with integer rows in x reduced mod ip."""
+    r, lb = a, b[-1]
+    for s in range(len(a) - len(b), -1, -1):
+        lead = r[-1]
+        r = [_imul(c, lb) for c in r[:-1]]
+        for i, v in enumerate(b[:-1]):
+            r[s + i] = _iaxpy(-1, _imul(lead, v), r[s + i])
+        r = _rows_mod(r, ip)
+    return r
+
+
+def _rows_at(rows: list[list[int]], m: Fraction) -> list[int]:
+    """den^d times the polynomial in x that the rows take at y = num/den."""
+    acc, dn = rows[-1], 1
+    for c in reversed(rows[:-1]):
+        dn *= m.denominator
+        acc = _iaxpy(m.numerator, acc, [dn * v for v in c])
+    return acc
 
 
 def build_arrangement(scene: Scene) -> Arrangement:

@@ -17,7 +17,7 @@ class Unsupported(BasixError):
 
     ``reason`` is a stable machine-readable code, e.g. ``NonRationalCoefficient``,
     ``NonRationalSingularPoint``, ``NonRationalShearNeeded``, ``DepthCap``,
-    ``TruncationCap``, ``IrrationalTangency``.
+    ``TruncationCap``, ``VerticalComponent``.
     """
 
     def __init__(self, reason: str, detail: str = ""):

@@ -43,7 +43,7 @@ _SEPARATION_ROUNDS = 512
 # -- integer polynomial helpers ------------------------------------------------
 
 
-def _descartes_bound(c: list) -> int:
+def sign_variations(c: list) -> int:
     signs = [v for v in c if v != 0]
     var = 0
     for a, b in zip(signs, signs[1:]):
@@ -285,7 +285,7 @@ def isolate_real_roots(
         out.append(RootLocator(sf, x, x, exact=x))
 
     def walk(a: Fraction, b: Fraction, q: UniPoly, ic: list[int]):
-        var = _descartes_bound(_mapped_int(ic, a, b))
+        var = sign_variations(_mapped_int(ic, a, b))
         if var == 0:
             return
         if var == 1 and _int_sign_at(ic, a) != 0 and _int_sign_at(ic, b) != 0:
@@ -367,7 +367,7 @@ def clear_of_roots(c: list[int], a: Fraction, b: Fraction) -> bool:
     sa = _int_sign_at(c, a)
     if sa == 0 or _int_sign_at(c, b) != sa:
         return False
-    if len(c) <= 2 or _descartes_bound(_mapped_int(c, a, b)) == 0:
+    if len(c) <= 2 or sign_variations(_mapped_int(c, a, b)) == 0:
         return True
     return not isolate_real_roots(UniPoly(c), a, b, detect_rational=False)
 
@@ -384,7 +384,7 @@ def definitely_no_roots(p: UniPoly, a: Fraction, b: Fraction) -> bool:
     zero on the mapped polynomial); False is inconclusive."""
     if p.degree <= 0:
         return not p.is_zero()
-    return _descartes_bound(_mapped_int(p.int_primitive(), a, b)) == 0
+    return sign_variations(_mapped_int(p.int_primitive(), a, b)) == 0
 
 
 def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from basix.bipoly import BiPoly
 from basix.scene import Scene
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -28,6 +29,21 @@ def bench_scene_texts(monkeypatch, name: str) -> dict[str, str]:
 def swap_scene(scene: Scene) -> Scene:
     """The scene with x and y exchanged in every factor."""
     return Scene({n: p.swap_xy() for n, p in scene.factors.items()}, scene.order, scene.formula, scene.chart)
+
+
+def sqrt2_twin(scene: Scene) -> Scene:
+    """The scene under (x, y) -> (sqrt2 x, y): each factor P becomes
+    2^(d/2) P(x/sqrt2, y), d its x-degree, which multiplies the coefficient
+    of x^i y^j by 2^((d - i)/2) and has P's sign at the image of each point.
+    It is rational when P's x-exponents all share d's parity; otherwise
+    ValueError."""
+    factors = {}
+    for n, p in scene.factors.items():
+        d = p.deg_x
+        if any((d - i) % 2 for i, _j in p.t):
+            raise ValueError(f"factor {n!r} mixes odd and even powers of x")
+        factors[n] = BiPoly({(i, j): v * 2 ** ((d - i) // 2) for (i, j), v in p.t.items()})
+    return Scene(factors, scene.order, scene.formula, scene.chart)
 
 
 @pytest.fixture

@@ -18,9 +18,16 @@ an affine scene, each fixture with x and y exchanged (so that chart words
 with y-steps reach the diff), the scene on which chart-point sampling, no
 longer part of exceptional classification, disagreed with the transversal
 family (`test_cli.DIVERGENT`), unions of 3, 5, 7 and 9 clauses whose complement
-would be a large DNF (`test_scene.union_scene_text`), and ``--random``
-scenes drawn by `test_sphere.random_scene_text` from ``--seed``.  The file name has no
-``test_`` prefix, so pytest does not collect it.
+would be a large DNF (`test_scene.union_scene_text`), the scenes of
+`IRRATIONAL_WALLS`, six scenes of `test_checker.twin_scene_text` each
+followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
+walls into irrational ones and must keep every answer), and ``--random``
+scenes drawn by `test_sphere.random_scene_text` from ``--seed``.
+`random_scene_text` draws y-leading coefficients that are constants or
+x + c and singular points only at the origin, so it reaches no isolated
+point, vertical asymptote, node or tangency over an irrational abscissa;
+the fixed scenes do.  The file name has no ``test_`` prefix, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -43,12 +50,24 @@ from basix.scene import Scene, invert_scene  # noqa: E402
 if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
-from conftest import swap_scene  # noqa: E402
+from conftest import sqrt2_twin, swap_scene  # noqa: E402
+from test_checker import twin_scene_text  # noqa: E402
 from test_cli import DIVERGENT  # noqa: E402
 from test_scene import union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
 FIXTURE_DIR = TESTS_DIR.parent / "fixtures"
+
+# events over irrational walls: the isolated points (+-sqrt2, 0), the
+# asymptotes x = +-sqrt2, nodes at (+-sqrt2, 0), and a circle and a parabola
+# touching at (+-3 sqrt3/2, -3/2)
+IRRATIONAL_WALLS = {
+    "acnode-sqrt2": "factor f = y^2 + x^4 - 4*x^2 + 4; set S = { f > 0 };",
+    "asymptotes-sqrt2": "factor f = x^2*y - 2*y - 1; set S = { f > 0 };",
+    "node-sqrt2": "factor f = y^2 - x^6 + 3*x^4 - 4; set S = { f > 0 };",
+    "tangency-sqrt3": "factor f = x^2 + y^2 + 2*y - 6; factor g = y - x^2 + 33/4; factor l = y + 5/2*x - 5/4;"
+    "set S = { f < 0, g > 0 } | { l > 0, f > 0 };",
+}
 
 
 def scenes(n_random: int, seed: int):
@@ -62,6 +81,13 @@ def scenes(n_random: int, seed: int):
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))
+    for label, text in IRRATIONAL_WALLS.items():
+        yield label, Scene.from_text(text)
+    twins = random.Random(3)
+    for k in range(6):
+        sc = Scene.from_text(twin_scene_text(twins))
+        yield f"twin{k}", sc
+        yield f"twin{k}-sqrt2", sqrt2_twin(sc)
     rng = random.Random(seed)
     for k in range(n_random):
         text = random_scene_text(rng)

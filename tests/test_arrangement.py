@@ -12,8 +12,9 @@ from basix.arrangement import Box, bipoly_sign_on_box, build_arrangement
 from basix.bipoly import BiPoly
 from basix.checker import CheckRequest, run_check
 from basix.errors import InternalError, SceneError, Unsupported
-from basix.realroots import RootLocator
+from basix.realroots import RootLocator, isolate_real_roots, roots_equal
 from basix.scene import Scene, invert_scene, validate_scene
+from basix.unipoly import UniPoly
 
 F = Fraction
 
@@ -94,6 +95,37 @@ def test_hyperbola_lc_escape():
     assert len(members) == 2  # both hyperbola lobes satisfy xy > 1
 
 
+@pytest.mark.parametrize("c", ["1", "2"])
+def test_hyperbola_lc_escape_at_asymptotes(c):
+    # y = 1/(x^2 - c): the middle branch escapes down both asymptotes x = +-sqrt c,
+    # the outer ones escape up, and no wall point lies on them
+    arr = build_arrangement(S(f"factor f = x^2*y - {c}*y - 1; set S = {{ f > 0 }};"))
+    assert counts(arr) == (0, 3, 4)
+    assert [len(w.points) for w in arr.walls] == [0, 0]
+    assert arr.euler_characteristic_sphere() == 2
+
+
+@pytest.mark.parametrize(
+    "text, cells",
+    [
+        # a node at each of (+-sqrt2, 0): y^2 = (x^2 - 2)^2 (x^2 + 1)
+        ("factor f = y^2 - x^6 + 3*x^4 - 4; set S = { f > 0 };", (2, 6, 5)),
+        # f and g touch at (+-3 sqrt3/2, -3/2), and l crosses both
+        (
+            "factor f = x^2 + y^2 + 2*y - 6; factor g = y - x^2 + 33/4; factor l = y + 5/2*x - 5/4;"
+            "set S = { f < 0, g > 0 } | { l > 0, f > 0 };",
+            (8, 16, 9),
+        ),
+    ],
+)
+def test_irrational_node_and_tangency(text, cells):
+    arr = build_arrangement(S(text))
+    assert counts(arr) == cells
+    assert arr.euler_characteristic_sphere() == 2
+    for prop in ("basic_open", "basic_closed"):
+        assert run_check(CheckRequest(S(text), prop)).answer in ("Yes", "No")
+
+
 def test_two_circles_tangent_rational():
     # externally tangent at the rational point (1, 0)
     sc = S("set S = { x^2 + y^2 - 1 < 0, (x - 2)^2 + y^2 - 1 < 0 };")
@@ -166,6 +198,13 @@ def test_isolated_point_vertex():
     vs = [v for v in arr.vertices if v.point() == (F(0), F(0))]
     assert len(vs) == 1
     assert arr.regions_at_vertex(vs[0].vid)  # sits inside the lower region
+    # (x^2 - 2)^2 + y^2 has its isolated points at the irrational (+-sqrt2, 0)
+    arr = build_arrangement(S("factor f = y^2 + x^4 - 4*x^2 + 4; set S = { f > 0 };"))
+    assert (len(arr.vertices), len(arr.edges), len(arr.regions)) == (2, 0, 1)
+    sqrt2 = isolate_real_roots(UniPoly([-2, 0, 1]))
+    for v, x in zip(arr.vertices, sqrt2):
+        assert roots_equal(v.x, x) and roots_equal(v.y, RootLocator.at(0))
+        assert arr.regions_at_vertex(v.vid) == {0}
 
 
 def test_elim_x_lets_internal_errors_through(monkeypatch):

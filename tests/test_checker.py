@@ -4,7 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import swap_scene
+from conftest import sqrt2_twin, swap_scene
 
 from basix import arrangement, checker, cli
 from basix.checker import (
@@ -17,10 +17,10 @@ from basix.checker import (
     check_principal_open,
     run_check,
 )
-from basix.errors import InternalError, Unsupported
+from basix.errors import InternalError, SceneError, Unsupported
 from basix.fans import Fan, fan_count_in_S, fan_to_json, independent_count_check, verify_fan
 from basix.report import verdict_to_text
-from basix.scene import Scene, invert_scene
+from basix.scene import Scene, invert_scene, validate_scene
 
 F = Fraction
 
@@ -87,6 +87,67 @@ def test_fixtures_answer_as_their_xy_swaps(fixture_scene):
             assert (a.answer, a.reason) == (b.answer, b.reason), (name, prop)
 
 
+def _twin_factor(rng: random.Random) -> str:
+    def q(lo: int, hi: int) -> Fraction:
+        return Fraction(rng.randint(lo, hi), rng.choice((1, 1, 2)))
+
+    kind = rng.randrange(5)
+    if kind == 0:
+        return f"y - ({q(-2, 2) or 1})*x^2 - ({q(-3, 3)})"
+    if kind == 1:
+        return f"({rng.choice((1, 2, 3))})*x^2 + ({rng.choice((1, 2, -1))})*y^2 + ({q(-2, 2)})*y - ({rng.randint(1, 6)})"
+    if kind == 2:
+        return f"y^2 + ({rng.choice((1, -1))})*x^4 + ({q(-4, 4)})*x^2 + ({q(-4, 4)})"
+    if kind == 3:
+        return f"({rng.choice((1, -1, 2))}*x^2 + ({q(-3, 3)}))*y + ({rng.choice((1, -1, 2, -2))})"
+    return f"y - ({q(-3, 3)})"
+
+
+def twin_scene_text(rng: random.Random) -> str:
+    """Parabolas, conics, quartics y^2 + a x^4 + b x^2 + c, curves
+    (a x^2 + b) y + c and horizontal lines under a random DNF: every factor
+    is even in x, so `conftest.sqrt2_twin` is defined on the scene."""
+    n = rng.randint(2, 3)
+    text = "".join(f"factor f{i} = {_twin_factor(rng)};\n" for i in range(n))
+    clauses = []
+    for _ in range(rng.randint(1, 2)):
+        atoms = [f"f{i} {rng.choice(('<', '>', '<=', '>='))} 0" for i in rng.sample(range(n), rng.randint(1, 2))]
+        clauses.append("{ " + ", ".join(atoms) + " }")
+    return text + "set S = " + " | ".join(clauses) + ";\n"
+
+
+def _decided(scene: Scene, prop: str) -> tuple | None:
+    try:
+        v = run_check(CheckRequest(scene, prop))
+    except Unsupported:
+        return None
+    return (v.answer, v.reason, v.witness_count) if v.answer in ("Yes", "No") else None
+
+
+def test_sqrt2_twins_agree():
+    # x -> sqrt2 x moves every wall a to sqrt2 a, so rational walls become
+    # irrational ones, and a real linear map keeps the cells and the answers
+    rng = random.Random(16)
+    pairs = decided = 0
+    for k in range(20):
+        sc = S(twin_scene_text(rng))
+        try:
+            validate_scene(sc)
+        except SceneError:
+            continue
+        twin = sqrt2_twin(sc)
+        arrs = [arrangement.build_arrangement(s) for s in (sc, twin)]
+        a, b = [(len(r.vertices), len(r.edges), len(r.regions), r.euler_characteristic_sphere()) for r in arrs]
+        assert a == b, (k, a, b)
+        prop = PROPERTIES[k % len(PROPERTIES)]
+        a, b = _decided(sc, prop), _decided(twin, prop)
+        if a is not None and b is not None:
+            assert a == b, (k, prop)
+            decided += 1
+        pairs += 1
+    assert pairs >= 18 and decided >= 15
+
+
 def test_point_witness_is_counted_once(monkeypatch, fixture_scene):
     kinds = []
     real_count = Fan.count_in_set
@@ -126,6 +187,10 @@ def test_basic_closed_examples():
     assert check_basic_closed(S("set S = { y >= 0 };")).answer == "Yes"
     v = check_basic_closed(S("factor f = y; set S = { f > 0 };"))
     assert (v.answer, v.reason) == ("No", "NotClosed")
+    # f > 0 misses the acnodes (+-1, 0), and (+-sqrt2, 0) in the second scene
+    for f in ("y^2 + x^4 - 2*x^2 + 1", "y^2 + x^4 - 4*x^2 + 4"):
+        v = check_basic_closed(S(f"factor f = {f}; set S = {{ f > 0 }};"))
+        assert (v.answer, v.reason) == ("No", "NotClosed"), f
     # closure of the para fixture: relax strict atoms
     closed_para = S(
         "factor a = x; factor l = y; factor p = y - x^2;"

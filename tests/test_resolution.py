@@ -12,7 +12,7 @@ from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
-from basix.realroots import open_count
+from basix.realroots import RootLocator, open_count, roots_equal
 from basix.resolution import (
     classify_exceptional,
     family_arc_for,
@@ -164,13 +164,18 @@ def test_transversal_irrational_crossing_supported():
 
 
 def test_irrational_tangency_unsupported():
-    # second-order contact along y = x^2 - 2 at x = +-sqrt2: never separable
-    sc_text = (
+    # second-order contact along y = x^2 - 2 at x = +-sqrt2: the arrangement
+    # finds both tangency points, and resolution refuses their irrational centre
+    sc = Scene.from_text(
         "factor f = y - x^2 + 2; factor g = y - x^4 + 3*x^2 - 2;"
         "set S = { f > 0, g < 0 };"
     )
-    with pytest.raises(Unsupported):
-        build_arrangement(Scene.from_text(sc_text))
+    arr = build_arrangement(sc)
+    assert (len(arr.vertices), len(arr.edges), len(arr.regions)) == (2, 6, 5)
+    assert [(v.factors, v.x.sign()) for v in arr.vertices] == [({"f", "g"}, -1), ({"f", "g"}, 1)]
+    assert all(roots_equal(v.y, RootLocator.at(0)) for v in arr.vertices)
+    v = run_check(CheckRequest(sc, "basic_open"))
+    assert (v.answer, v.reason.split(":")[0]) == ("Unsupported", "NonRationalSingularPoint")
 
 
 def test_resolve_point_expands_each_branch_set_once(monkeypatch):
