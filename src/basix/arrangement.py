@@ -2,9 +2,11 @@
 
 The construction is cylindrical: critical abscissae (discriminants, pairwise
 resultants, leading-coefficient zeros, vertical lines) cut the x-axis into
-slabs; curve branches are isolated over rational sample abscissae; walls at
-critical abscissae are analysed exactly to decide which branch ends meet at
-which points.  Cells are then merged across transparent walls, so regions are
+slabs; the discriminants and resultants are read from the scene's
+`Projection`, which validation computes (a build handed none projects the
+scene itself).  Curve branches are isolated over rational sample abscissae;
+walls at critical abscissae are analysed exactly to decide which branch
+ends meet at which points.  Cells are then merged across transparent walls, so regions are
 true connected components of the complement of the curves and edges are
 maximal smooth curve pieces between vertices.
 
@@ -51,7 +53,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .bipoly import BiPoly, discriminant_y, resultant
+from .bipoly import BiPoly, resultant
 from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
@@ -64,7 +66,7 @@ from .realroots import (
     separate,
     sign_variations,
 )
-from .scene import Scene
+from .scene import Projection, Scene, project_scene
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 F = Fraction
@@ -223,7 +225,7 @@ class Arrangement:
     """Vertices, edges and regions of the curve arrangement, with adjacency
     and sign vectors; only the scene's factors, order and chart are kept."""
 
-    def __init__(self, scene: Scene):
+    def __init__(self, scene: Scene, projection: Projection | None = None):
         self.factors = dict(scene.factors)
         self.order = list(scene.order)
         self.chart = scene.chart
@@ -247,11 +249,13 @@ class Arrangement:
         self._critical: list[tuple[tuple[str, ...], UniPoly]] = []
         # (factor, level) -> primitive integer form of factor(x, level)
         self._level_forms: dict[tuple[str, Fraction], list[int]] = {}
-        self._build()
+        proj = project_scene(scene) if projection is None else projection
+        self._contents = proj.contents
+        self._build(proj.elim)
 
     # ---------------------------------------------------------------- stage 1
 
-    def _build(self) -> None:
+    def _build(self, elim: dict[tuple[str, ...], UniPoly]) -> None:
         for name in self.order:
             p = self.factors[name]
             if p.deg_y >= 1:
@@ -266,26 +270,14 @@ class Arrangement:
                 self.vlines[name] = -u.c[0] / u.c[1]
 
         # each keyed by the factor, or the pair of factors, it belongs to
+        # (a constant leading coefficient has no squarefree part below)
         crit_polys: list[tuple[tuple[str, ...], UniPoly]] = []
-        names = list(self.curvy)
-        for n in names:
-            f = self.curvy[n]
-            if f.deg_y >= 2:
-                d = discriminant_y(f)
-                if d.is_zero():
-                    raise InternalError(f"factor {n!r} is not squarefree, ruled out by validate_scene")
-                crit_polys.append(((n,), d))
-            lc = f.y_coeffs()[-1]
-            if lc.degree >= 1:
-                crit_polys.append(((n,), lc))
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                r = resultant(self.curvy[names[i]], self.curvy[names[j]], "y")
-                if r.is_zero():
-                    raise InternalError(f"factors {names[i]!r}, {names[j]!r} share a component, ruled out by validate_scene")
-                crit_polys.append(((names[i], names[j]), r))
-        for n, v in self.vlines.items():
-            crit_polys.append(((n,), UniPoly([-v, 1])))
+        for n, f in self.curvy.items():
+            if (n,) in elim:
+                crit_polys.append(((n,), elim[(n,)]))
+            crit_polys.append(((n,), f.y_coeffs()[-1]))
+        crit_polys += [(key, r) for key, r in elim.items() if len(key) == 2]
+        crit_polys += [((n,), UniPoly([-v, 1])) for n, v in self.vlines.items()]
 
         prod = UniPoly.one()
         for key, p in crit_polys:
@@ -478,7 +470,7 @@ class Arrangement:
         if r is None:
             f = self.curvy[fs[0]]
             if len(fs) == 1:
-                f = f.exact_div(BiPoly.from_y_coeffs([f.content_x()]))
+                f = f.exact_div(BiPoly.from_y_coeffs([self._contents[fs[0]]]))
             g = f.partial_y() if len(fs) == 1 else self.curvy[fs[1]]
             h = f if f.deg_x == 0 else g if g.deg_x == 0 else None
             r = self._elim_cache[fs] = h.specialize_x(0) if h else resultant(f, g, "x")
@@ -995,5 +987,5 @@ def _rows_at(rows: list[list[int]], m: Fraction) -> list[int]:
     return acc
 
 
-def build_arrangement(scene: Scene) -> Arrangement:
-    return Arrangement(scene)
+def build_arrangement(scene: Scene, projection: Projection | None = None) -> Arrangement:
+    return Arrangement(scene, projection)

@@ -544,41 +544,18 @@ def discriminant_y(f: BiPoly) -> UniPoly:
 
 
 def is_squarefree(f: BiPoly) -> bool:
-    if f.is_zero():
-        return False
-    if f.is_const():
-        return True
-    cont = f.content_x()
-    if cont.degree > 0 and squarefree_part(cont) != cont.monic():
-        return False
-    if f.deg_y == 0:
-        p = f.y_coeffs()[0]
-        return squarefree_part(p) == p.monic()
-    prim = f.exact_div(BiPoly.from_y_coeffs([cont])) if cont.degree > 0 else f
-    if prim.deg_y == 0:
-        return True
-    r = resultant(prim, prim.partial_y(), "y") if prim.partial_y().deg_y >= 1 else None
-    if r is None:
-        # prim linear in y: squarefree iff content already handled
-        return True
-    return not r.is_zero()
+    """Squarefree over Q[x, y]: the content in x (an x-only f's is f) is
+    squarefree and, for y-degree 2 or more, discriminant_y(f) is nonzero."""
+    c = f.content_x()
+    return not f.is_zero() and squarefree_part(c).degree == c.degree and (f.deg_y < 2 or not discriminant_y(f).is_zero())
 
 
 def are_coprime(f: BiPoly, g: BiPoly) -> bool:
-    """No common nonconstant factor over Q[x, y]."""
-    if f.is_zero() or g.is_zero():
+    """No common nonconstant factor over Q[x, y]: the contents in x are
+    coprime and, if both depend on y, the y-resultant is nonzero."""
+    if f.is_zero() or g.is_zero() or poly_gcd(f.content_x(), g.content_x()).degree >= 1:
         return False
-    if f.deg_y >= 1 and g.deg_y >= 1:
-        r = resultant(f, g, "y")
-        if r.is_zero():
-            return False
-        # a common factor purely in x would also show up in the x-contents
-        cf, cg = f.content_x(), g.content_x()
-        return poly_gcd(cf, cg).degree <= 0
-    if f.deg_y == 0 and g.deg_y == 0:
-        return poly_gcd(f.y_coeffs()[0], g.y_coeffs()[0]).degree <= 0
-    a, b = (f, g) if f.deg_y == 0 else (g, f)
-    return poly_gcd(a.y_coeffs()[0], b.content_x()).degree <= 0
+    return f.deg_y < 1 or g.deg_y < 1 or not resultant(f, g, "y").is_zero()
 
 
 # -- parsing ------------------------------------------------------------------------

@@ -1,18 +1,18 @@
 """Decision procedures for basic / generically basic / principal sets.
 
-`run_check` validates the scene and builds one sphere model per check; every
-check reads its one affine arrangement.  The closed checks decompose their
-reduced scene (S minus its Zariski boundary) or complement scene over that
-arrangement, since these scenes have the same factors.  The open pipeline
-runs openness and set-meets-boundary prechecks, the curve-level sign
-criterion, then blow-up analysis of every non-normal-crossing boundary point
-with the lifted distributions.  The pole is analysed in the inverted chart
-through the model's pole view, whose lookups go to the affine
-decomposition; no check builds a second arrangement.  Each exceptional
-component is sampled once and then classified against every lifted
-distribution.  Negative verdicts carry an independently verifiable fan
-witness whenever one exists (set-theoretic prechecks carry none).
-Validation warnings ride on the verdict.
+`run_check` validates the scene and builds one sphere model per check from
+the scene's projection; every check reads its one affine arrangement.  The
+closed checks decompose their reduced scene (S minus its Zariski boundary)
+or complement scene over that arrangement, since these scenes have the same
+factors.  The open pipeline runs openness and set-meets-boundary prechecks,
+the curve-level sign criterion, then blow-up analysis of every
+non-normal-crossing boundary point with the lifted distributions.  The pole
+is analysed in the inverted chart through the model's pole view, whose
+lookups go to the affine decomposition; no check builds a second
+arrangement.  Each exceptional component is sampled once and then
+classified against every lifted distribution.  Negative verdicts carry an
+independently verifiable fan witness whenever one exists (set-theoretic
+prechecks carry none).  Validation warnings ride on the verdict.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ from .resolution import (
     pole_analysis_point,
     resolve_point,
 )
-from .scene import Scene, validate_scene
-from .signdist import ConditionAFailure, condition_a_check, condition_a_table
+from .scene import Scene, validated_projection
+from .signdist import ConditionAFailure, condition_a, condition_a_check
 from .sphere import PoleView, SphereModel, build_sphere_model, infinity_sigma_decomposition
 
 F = Fraction
@@ -74,11 +74,14 @@ class Verdict:
 
 
 def _timer():
-    t0 = time.monotonic()
+    """Per-stage durations: each mark records the ms since the previous one."""
+    last = [time.monotonic()]
     marks = {}
 
     def mark(name: str):
-        marks[name] = round((time.monotonic() - t0) * 1000, 2)
+        now = time.monotonic()
+        marks[name] = round((now - last[0]) * 1000, 2)
+        last[0] = now
 
     return marks, mark
 
@@ -96,13 +99,14 @@ def run_check(req: CheckRequest) -> Verdict:
     marks, mark = _timer()
     warnings: list[str] = []
     try:
-        warnings = validate_scene(req.scene)
-        model = build_sphere_model(req.scene)
+        projection, warnings = validated_projection(req.scene)
+        mark("validate")
+        model = build_sphere_model(req.scene, projection)
         mark("model")
         v = decide(model, req, mark)
-        v.timings = marks
     except Unsupported as exc:
         v = Verdict(req.property, "Unsupported", reason=f"{exc.reason}: {exc.detail}")
+    v.timings = marks
     if warnings:
         v.diagnostics["validation_warnings"] = warnings
     return v
@@ -159,8 +163,7 @@ def _basic_open(model: SphereModel, req: CheckRequest, mark, allow_finite_meet: 
         v.diagnostics["removed_points"] = _meet_points(d)
 
     # curve-level criterion
-    fail = condition_a_check(d)
-    v.diagnostics["condition_a_table"] = condition_a_table(d)
+    v.diagnostics["condition_a_table"], fail = condition_a(d)
     if fail is None:
         # the pole adds no curve arc, and each arc of the inverted chart has
         # the same regions on its two sides as in the affine chart, so the

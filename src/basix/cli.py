@@ -17,7 +17,7 @@ from .checker import CheckRequest, run_check
 from .errors import BasixError, InternalError, ParseError, SceneError, Unsupported
 from .fans import fan_count_in_S, fan_from_json, fan_to_json, verify_fan
 from .report import verdict_to_json, verdict_to_text
-from .scene import Scene, validate_scene
+from .scene import Scene, validate_scene, validated_projection
 
 F = Fraction
 
@@ -114,8 +114,9 @@ def _dispatch(args) -> int:
         from .svgplot import render_svg
 
         scene = _load_scene(args.scene)
-        _warn(validate_scene(scene))
-        svg = render_svg(decompose_set(build_arrangement(scene), scene), width=args.width, window=args.window)
+        projection, warnings = validated_projection(scene)
+        _warn(warnings)
+        svg = render_svg(decompose_set(build_arrangement(scene, projection), scene), width=args.width, window=args.window)
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(svg + "\n")
         print(f"wrote {args.out}")

@@ -2,9 +2,11 @@
 
 A Scene is a list of named bivariate factors (declared irreducible over the
 reals by the user) and a formula in disjunctive normal form whose atoms
-constrain factor signs.  Validation checks squarefreeness and pairwise
-coprimality, and warns on every factor with a rational linear factor (a
-factor of degree 2 or more is not looked for); the chart-at-infinity
+constrain factor signs.  Validation computes the scene's projection once
+per check (`project_scene`: contents in x, discriminants, pair resultants),
+decides squarefreeness and pairwise coprimality from it, and warns on every
+factor with a rational linear factor (a factor of degree 2 or more is not
+looked for); the arrangement reads the projection.  The chart-at-infinity
 transform realises the second stereographic chart of the sphere.
 """
 
@@ -15,10 +17,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable
 
-from .bipoly import BiPoly, are_coprime, is_squarefree, parse_poly
+from .bipoly import BiPoly, discriminant_y, parse_poly, resultant
 from .errors import NotSquarefree, SceneError, SharedComponent
 from .realroots import rational_roots
-from .unipoly import UniPoly
+from .unipoly import UniPoly, poly_gcd, squarefree_part
 
 RELS = (">", "<", ">=", "<=", "==", "!=")
 
@@ -61,8 +63,9 @@ class Formula:
             all(rel_holds(a.rel, signs[a.factor]) for a in c.atoms) for c in self.clauses
         )
 
-    def factors_used(self) -> set[str]:
-        return {a.factor for c in self.clauses for a in c.atoms}
+    def factors_used(self) -> list[str]:
+        """Each factor the formula names, once, in the order it first appears."""
+        return list(dict.fromkeys(a.factor for c in self.clauses for a in c.atoms))
 
     def with_extra_atoms(self, extra: Iterable[Atom]) -> "Formula":
         extra = tuple(extra)
@@ -81,8 +84,8 @@ class OpenComplement:
     def holds(self, signs: dict[str, int]) -> bool:
         return not self.formula.holds(signs) and all(signs[n] != 0 for n in self.zeros)
 
-    def factors_used(self) -> set[str]:
-        return self.formula.factors_used() | self.zeros
+    def factors_used(self) -> list[str]:
+        return list(dict.fromkeys([*self.formula.factors_used(), *sorted(self.zeros)]))
 
 
 def _canonical_sign(p: BiPoly) -> int:
@@ -182,33 +185,63 @@ class Scene:
 # -- validation ---------------------------------------------------------------------
 
 
-def validate_scene(scene: Scene) -> list[str]:
-    """Hard checks: squarefree factors, pairwise coprime, atoms well-formed.
-    Soft check: a factor with a content in x or y, or with any rational
-    linear factor, is returned as a warning.  Every rational linear factor
-    is found; a factor of degree 2 or more is not looked for."""
-    warnings: list[str] = []
-    used = scene.formula.factors_used()
-    for n in used:
+@dataclass(frozen=True)
+class Projection:
+    """Each factor's monic content in x (an x-only factor's is itself);
+    `discriminant_y` of each factor of y-degree >= 2 keyed ``(n,)``, then the
+    y-resultant of each pair of y-degree >= 1 keyed ``(a, b)``, a before b."""
+
+    contents: dict[str, UniPoly]
+    elim: dict[tuple[str, ...], UniPoly]
+
+
+def project_scene(scene: Scene) -> Projection:
+    """The scene's projection.  Raises `NotSquarefree` for the first factor
+    whose content is not squarefree or whose discriminant vanishes (a content
+    c multiplies it by a power of c only), then `SharedComponent` for the
+    first pair whose contents share a factor or whose resultant vanishes."""
+    contents: dict[str, UniPoly] = {}
+    elim: dict[tuple[str, ...], UniPoly] = {}
+    for n in scene.order:
+        f = scene.factors[n]
+        c = contents[n] = f.content_x()
+        if f.is_zero() or squarefree_part(c).degree < c.degree:
+            raise NotSquarefree(n)
+        if f.deg_y >= 2:
+            d = elim[(n,)] = discriminant_y(f)
+            if d.is_zero():
+                raise NotSquarefree(n)
+    for i, a in enumerate(scene.order):
+        for b in scene.order[i + 1 :]:
+            f, g = scene.factors[a], scene.factors[b]
+            if poly_gcd(contents[a], contents[b]).degree >= 1:
+                raise SharedComponent(a, b)
+            if f.deg_y >= 1 and g.deg_y >= 1:
+                r = elim[(a, b)] = resultant(f, g, "y")
+                if r.is_zero():
+                    raise SharedComponent(a, b)
+    return Projection(contents, elim)
+
+
+def validated_projection(scene: Scene) -> tuple[Projection, list[str]]:
+    """The scene's projection and its warnings.  Hard checks: the formula
+    names declared factors only (the first one missing is reported), and
+    `project_scene`.  A factor with a content or a rational line is warned."""
+    for n in scene.formula.factors_used():
         if n not in scene.factors:
             raise SceneError(f"formula references undeclared factor {n!r}")
-    for n in scene.order:
-        if not is_squarefree(scene.factors[n]):
-            raise NotSquarefree(n)
-    names = scene.order
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            if not are_coprime(scene.factors[names[i]], scene.factors[names[j]]):
-                raise SharedComponent(names[i], names[j])
-    for n in names:
-        w = _linear_factor(scene.factors[n])
-        if w:
-            warnings.append(f"factor {n!r} looks reducible: {w}")
-    return warnings
+    proj = project_scene(scene)
+    warnings = [(n, _linear_factor(scene.factors[n], proj.contents[n])) for n in scene.order]
+    return proj, [f"factor {n!r} looks reducible: {w}" for n, w in warnings if w]
 
 
-def _linear_factor(p: BiPoly) -> str | None:
-    """A content in x or in y, or a rational line dividing p, as a warning.
+def validate_scene(scene: Scene) -> list[str]:
+    """The warnings of `validated_projection`; raises its input errors."""
+    return validated_projection(scene)[1]
+
+
+def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
+    """A content in x (``cont``) or in y, or a rational line dividing p.
 
     Complete for lines.  A content catches every vertical line x = a when p
     depends on y, and every horizontal line when p depends on x; an x-only p
@@ -219,14 +252,10 @@ def _linear_factor(p: BiPoly) -> str | None:
     """
     if p.total_degree <= 1:
         return None
-    if p.deg_y >= 1:
-        cont = p.content_x()
-        if cont.degree >= 1:
-            return f"content in x of degree {cont.degree}"
-    if p.deg_x >= 1:
-        cont2 = p.swap_xy().content_x()
-        if cont2.degree >= 1:
-            return "content in y"
+    if p.deg_y >= 1 and cont.degree >= 1:
+        return f"content in x of degree {cont.degree}"
+    if p.deg_x >= 1 and p.swap_xy().content_x().degree >= 1:
+        return "content in y"
     if p.deg_y == 0:
         roots, _ = rational_roots(p.y_coeffs()[0])
         return f"divisible by {BiPoly({(1, 0): 1, (0, 0): -roots[0]}).to_text()}" if roots else None

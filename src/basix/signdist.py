@@ -100,28 +100,26 @@ class ConditionAFailure:
     classification: Classification
 
 
-def condition_a_check(d: SetDecomposition) -> ConditionAFailure | None:
-    """None if no boundary factor is positive type changing w.r.t. any sigma_i;
-    otherwise the first failing (factor, sigma, classification) witness."""
+def condition_a(d: SetDecomposition) -> tuple[list[tuple[str, int, str]], ConditionAFailure | None]:
+    """Classify every boundary factor against every sigma_i once: the
+    (factor, sigma index, verdict) table, and the first positive type
+    changing row with its classification, or None."""
     arr = d.arrangement
-    for i in range(len(d.a_components)):
-        sigma = make_sigma(d, i)
-        for factor in arr.order:
-            if factor not in d.zariski_boundary:
-                continue
-            cc = classify_component(factor, sigma, arr)
-            if cc.verdict == "PositiveTypeChanging":
-                return ConditionAFailure(factor, i, cc)
-    return None
+    rows = [
+        (factor, i, classify_component(factor, sigma, arr))
+        for i, sigma in enumerate(make_sigmas(d))
+        for factor in arr.order
+        if factor in d.zariski_boundary
+    ]
+    fail = next((ConditionAFailure(*row) for row in rows if row[2].verdict == "PositiveTypeChanging"), None)
+    return [(factor, i, cc.verdict) for factor, i, cc in rows], fail
+
+
+def condition_a_check(d: SetDecomposition) -> ConditionAFailure | None:
+    """The first positive type changing row of `condition_a`, or None."""
+    return condition_a(d)[1]
 
 
 def condition_a_table(d: SetDecomposition) -> list[tuple[str, int, str]]:
     """Full (factor, sigma index, verdict) classification table."""
-    arr = d.arrangement
-    out = []
-    for i in range(len(d.a_components)):
-        sigma = make_sigma(d, i)
-        for factor in arr.order:
-            if factor in d.zariski_boundary:
-                out.append((factor, i, classify_component(factor, sigma, arr).verdict))
-    return out
+    return condition_a(d)[0]

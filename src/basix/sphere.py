@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .arrangement import build_arrangement
 from .decompose import SetDecomposition, decompose_set
-from .scene import Scene, invert_scene
+from .scene import Projection, Scene, invert_scene
 
 
 @dataclass
@@ -33,8 +33,8 @@ class SphereModel:
         return SphereModel(decompose_set(self.affine.arrangement, scene))
 
 
-def build_sphere_model(scene: Scene) -> SphereModel:
-    return SphereModel(decompose_set(build_arrangement(scene), scene))
+def build_sphere_model(scene: Scene, projection: Projection | None = None) -> SphereModel:
+    return SphereModel(decompose_set(build_arrangement(scene, projection), scene))
 
 
 @dataclass

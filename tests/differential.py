@@ -21,7 +21,9 @@ family (`test_cli.DIVERGENT`), unions of 3, 5, 7 and 9 clauses whose complement
 would be a large DNF (`test_scene.union_scene_text`), the scenes of
 `IRRATIONAL_WALLS`, six scenes of `test_checker.twin_scene_text` each
 followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
-walls into irrational ones and must keep every answer), and ``--random``
+walls into irrational ones and must keep every answer), the scenes of
+`test_scene.PROJECTION_PINS` (squares and shared factors in the contents in
+x, so that the order of validation errors reaches the diff), and ``--random``
 scenes drawn by `test_sphere.random_scene_text` from ``--seed``.
 `random_scene_text` draws y-leading coefficients that are constants or
 x + c and singular points only at the origin, so it reaches no isolated
@@ -53,7 +55,7 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
 from conftest import sqrt2_twin, swap_scene  # noqa: E402
 from test_checker import twin_scene_text  # noqa: E402
 from test_cli import DIVERGENT  # noqa: E402
-from test_scene import union_scene_text  # noqa: E402
+from test_scene import PROJECTION_PINS, union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
 
 FIXTURE_DIR = TESTS_DIR.parent / "fixtures"
@@ -88,6 +90,8 @@ def scenes(n_random: int, seed: int):
         sc = Scene.from_text(twin_scene_text(twins))
         yield f"twin{k}", sc
         yield f"twin{k}-sqrt2", sqrt2_twin(sc)
+    for label, (text, _error) in PROJECTION_PINS.items():
+        yield label, Scene.from_text(text)
     rng = random.Random(seed)
     for k in range(n_random):
         text = random_scene_text(rng)

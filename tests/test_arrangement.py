@@ -11,7 +11,7 @@ from basix import arrangement
 from basix.arrangement import Box, bipoly_sign_on_box, build_arrangement
 from basix.bipoly import BiPoly
 from basix.checker import CheckRequest, run_check
-from basix.errors import InternalError, SceneError, Unsupported
+from basix.errors import InternalError, NotSquarefree, SceneError, SharedComponent, Unsupported
 from basix.realroots import RootLocator, isolate_real_roots, roots_equal
 from basix.scene import Scene, invert_scene, validate_scene
 from basix.unipoly import UniPoly
@@ -223,15 +223,17 @@ def test_elim_x_lets_internal_errors_through(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, error",
     [
-        ("factor a = y^2; set S = { a > 0 };", "not squarefree"),
-        ("factor a = y^2 - x^2; factor b = y - x; set S = { a > 0, b > 0 };", "share a component"),
+        ("factor a = y^2; set S = { a > 0 };", NotSquarefree),
+        ("factor a = y^2 - x^2; factor b = y - x; set S = { a > 0, b > 0 };", SharedComponent),
     ],
+    ids=["not-squarefree", "shared-component"],
 )
-def test_build_on_an_unvalidated_scene_is_an_internal_error(text, message):
-    # validate_scene rejects both scenes first, so no check reaches the build
-    with pytest.raises(InternalError, match=message):
+def test_build_on_an_unvalidated_scene_raises_the_input_error(text, error):
+    # a build handed no projection projects the scene itself, and projecting
+    # decides the hypotheses that validation decides
+    with pytest.raises(error):
         build_arrangement(S(text))
 
 
@@ -287,10 +289,10 @@ def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
             building[-1][(self, F(y0))] += 1
         return specialize_y(self, y0)
 
-    def counted_build(self):
+    def counted_build(self, elim):
         building.append(Counter())
         try:
-            build(self)
+            build(self, elim)
         finally:
             built.append(building.pop())
 

@@ -1,12 +1,15 @@
 import random
 import re
+import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import sqrt2_twin, swap_scene
+from conftest import bench_scene_texts, sqrt2_twin, swap_scene
 
-from basix import arrangement, checker, cli
+from basix import arrangement, bipoly, checker, cli
+from basix.bipoly import BiPoly
 from basix.checker import (
     PROPERTIES,
     CheckRequest,
@@ -298,14 +301,65 @@ CUBIC_EXCEPTIONAL_TABLE = [
 ]
 
 
+def test_a_check_projects_each_value_once(monkeypatch):
+    # validation computes each factor's content in x, each discriminant and
+    # each pair resultant once, and the arrangement reads them from the
+    # projection it is handed
+    real_resultant, real_content = bipoly.resultant, BiPoly.content_x
+    inputs, contents = [], []
+
+    def counted_resultant(f, g, eliminate="y"):
+        inputs.append((f, g, eliminate))
+        return real_resultant(f, g, eliminate)
+
+    def counted_content(self):
+        contents.append(id(self))
+        return real_content(self)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("basix.") and getattr(mod, "resultant", None) is real_resultant:
+            monkeypatch.setattr(mod, "resultant", counted_resultant)
+    monkeypatch.setattr(BiPoly, "content_x", counted_content)
+    computed = 0
+    for workload in ("fixtures", "blowup", "lines"):
+        for key, text in bench_scene_texts(monkeypatch, workload).items():
+            sc = S(text)
+            inputs.clear()
+            contents.clear()
+            run_check(CheckRequest(sc, "basic_open"))
+            assert len(set(inputs)) == len(inputs), (workload, key)
+            assert all(contents.count(id(sc.factors[n])) <= 1 for n in sc.order), (workload, key)
+            computed += len(inputs)
+    assert computed > 0
+
+
+def test_timings_are_per_stage_durations(monkeypatch, fixture_scene):
+    # the clock advances 1, 2, 3, ... ms between readings, so per-stage marks
+    # read 1, 2, 3, ... where cumulative marks would read 1, 3, 6, ...
+    readings = []
+
+    def clock():
+        n = len(readings)
+        readings.append(n)
+        return n * (n + 1) / 2000
+
+    monkeypatch.setattr(checker, "time", types.SimpleNamespace(monotonic=clock))
+    v = check_basic_open(fixture_scene("cubic"))
+    assert v.timings == {"validate": 1.0, "model": 2.0, "condition_a": 3.0, "condition_b": 4.0, "witness": 5.0}
+    # an Unsupported verdict keeps the stages it finished: this build raises
+    readings.clear()
+    v = check_basic_open(S("factor a = x^2 - 2; factor b = (x^2 - 2)*y + 1; set S = { a > 0, b > 0 };"))
+    assert (v.answer, v.timings) == ("Unsupported", {"validate": 1.0})
+
+
 def _record_charts(monkeypatch) -> list[str]:
     """Monkeypatch the arrangement constructor to log the chart of each build."""
     charts: list[str] = []
     init = arrangement.Arrangement.__init__
 
-    def recording(self, scene):
+    def recording(self, scene, projection=None):
         charts.append(scene.chart)
-        init(self, scene)
+        init(self, scene, projection)
 
     monkeypatch.setattr(arrangement.Arrangement, "__init__", recording)
     return charts

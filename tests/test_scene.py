@@ -1,23 +1,31 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from conftest import bench_scene_texts
 from hypothesis import assume, given, settings, strategies as st
 from test_algebra import _sympy_expr
 
-from basix.bipoly import BiPoly
-from basix.checker import check_principal_closed
-from basix.errors import NotSquarefree, ParseError, SharedComponent
+from basix.bipoly import BiPoly, are_coprime, is_squarefree
+from basix.checker import check_basic_open, check_principal_closed
+from basix.errors import NotSquarefree, ParseError, SceneError, SharedComponent
 from basix.parser import parse_polynomial
 from basix.scene import (
+    Atom,
+    Clause,
+    Formula,
     OpenComplement,
     Scene,
     _linear_factor,
     _positive_normalize,
     invert_poly,
     invert_scene,
+    project_scene,
     validate_scene,
 )
 
@@ -74,6 +82,62 @@ def test_validate_reducible_warning():
     assert validate_scene(S("factor a = x*y; set S = { a > 0 };")) == ["factor 'a' looks reducible: content in x of degree 1"]
 
 
+# scenes whose outcome validation decides from the projection, with the
+# input error each raises (None: it validates); tests/differential.py runs
+# them under every property
+PROJECTION_PINS = {
+    "square-content": ("factor a = (x - 1)^2*(y + 1); set S = { a > 0 };", NotSquarefree),
+    "line-divides-content": (
+        "factor a = x - 1; factor b = (x - 1)*(y + x); set S = { a > 0, b > 0 };",
+        SharedComponent,
+    ),
+    "shared-content": (
+        "factor a = (x - 1)*(y + 1); factor b = (x - 1)*(y - 1); set S = { a > 0, b < 0 };",
+        SharedComponent,
+    ),
+    "square-x-only": ("factor a = (x^2 - 2)^2; set S = { a > 0 };", NotSquarefree),
+    "x-only-quadratic": ("factor a = x^2 - 2; factor b = (x^2 - 2)*y + 1; set S = { a > 0, b > 0 };", None),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PROJECTION_PINS))
+def test_projection_pins(label):
+    text, error = PROJECTION_PINS[label]
+    sc = S(text)
+    if error is not None:
+        with pytest.raises(error):
+            validate_scene(sc)
+        return
+    assert validate_scene(sc) == []
+    v = check_basic_open(sc)
+    assert (v.answer, v.reason) == ("Unsupported", "NonRationalShearNeeded: factor 'a' is an x-only polynomial of degree 2")
+
+
+def test_undeclared_factor_error_names_the_first_in_formula_order():
+    # the formula's factors are walked in formula order, not as a set whose
+    # order follows the string hash seed
+    code = (
+        "from basix.parser import parse_polynomial\n"
+        "from basix.scene import Atom, Clause, Formula, Scene, validate_scene\n"
+        "f = Formula((Clause((Atom('q', '>'), Atom('r', '<'))),))\n"
+        "try:\n"
+        "    validate_scene(Scene({'a': parse_polynomial('y')}, ['a'], f))\n"
+        "except Exception as exc:\n"
+        "    print(exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert out.stdout == "formula references undeclared factor 'q'\n", (seed, out.stderr)
+
+
+def test_undeclared_factor_is_a_scene_error():
+    f = Formula((Clause((Atom("a", ">"), Atom("r", "<"))),))
+    with pytest.raises(SceneError, match="undeclared factor 'r'"):
+        validate_scene(Scene({"a": parse_polynomial("y")}, ["a"], f))
+
+
 @pytest.mark.parametrize(
     "text, warning",
     [
@@ -90,7 +154,8 @@ def test_validate_reducible_warning():
     ],
 )
 def test_linear_factor_pins(text, warning):
-    assert _linear_factor(parse_polynomial(text)) == warning
+    p = parse_polynomial(text)
+    assert _linear_factor(p, p.content_x()) == warning
 
 
 def _assert_warning_holds(p, warning):
@@ -122,7 +187,7 @@ _cubics = st.dictionaries(
 @settings(max_examples=80, deadline=None)
 def test_every_rational_line_factor_is_found(line, q):
     p = line * q
-    warning = _linear_factor(p)
+    warning = _linear_factor(p, p.content_x())
     assert warning is not None
     _assert_warning_holds(p, warning)
 
@@ -149,10 +214,61 @@ def test_linear_factor_agrees_with_sympy(factors):
         want = any(sympy.Poly(fac, x, y).total_degree() == 1 or len(fac.free_symbols) == 1 for fac, _m in found)
     else:
         want = any(sympy.Poly(fac, x, y).total_degree() == 1 for fac, _m in found)
-    warning = _linear_factor(p)
+    warning = _linear_factor(p, p.content_x())
     assert (warning is not None) == want
     if warning is not None:
         _assert_warning_holds(p, warning)
+
+
+_x_only_factors = st.dictionaries(
+    st.sampled_from([(0, 0), (1, 0), (2, 0)]),
+    st.fractions(min_value=-3, max_value=3, max_denominator=2),
+    min_size=1,
+    max_size=3,
+).map(BiPoly).filter(lambda f: f.total_degree >= 1)
+
+
+@given(_x_only_factors, st.lists(_small_factors, min_size=1, max_size=2), st.data())
+@settings(max_examples=60, deadline=None)
+def test_projection_agrees_with_sympy(x_only, others, data):
+    # scene factors are products of pieces drawn with repetition from a small
+    # pool, its x-only piece twice as often as the others, so that squares,
+    # shared factors, contents in x and x-only factors all occur
+    sympy = pytest.importorskip("sympy")
+    x, y = sympy.symbols("x y")
+    pool = [x_only, *others]
+    piece = st.sampled_from([0, *range(len(pool))])
+    picks = data.draw(st.lists(st.lists(piece, min_size=1, max_size=3), min_size=1, max_size=3))
+    polys = []
+    for pick in picks:
+        p = pool[pick[0]]
+        for k in pick[1:]:
+            p = p * pool[k]
+        polys.append(p)
+    names = [f"f{k}" for k in range(len(polys))]
+    exprs = [_sympy_expr(sympy, p, x, y) for p in polys]
+    squarefree = [all(m == 1 for _f, m in sympy.sqf_list(e, x, y)[1]) for e in exprs]
+    coprime = {
+        (i, j): sympy.Poly(sympy.gcd(exprs[i], exprs[j]), x, y).total_degree() == 0
+        for i in range(len(polys))
+        for j in range(i + 1, len(polys))
+    }
+    assert squarefree == [is_squarefree(p) for p in polys]
+    assert coprime == {(i, j): are_coprime(polys[i], polys[j]) for i, j in coprime}
+    if not all(squarefree):
+        want = NotSquarefree(names[squarefree.index(False)])
+    elif not all(coprime.values()):
+        i, j = next(pair for pair, ok in coprime.items() if not ok)
+        want = SharedComponent(names[i], names[j])
+    else:
+        want = None
+    sc = Scene(dict(zip(names, polys)), names, Formula(()))
+    try:
+        project_scene(sc)
+    except (NotSquarefree, SharedComponent) as exc:
+        assert want is not None and (type(exc), str(exc)) == (type(want), str(want))
+    else:
+        assert want is None
 
 
 def test_benchmark_scenes_raise_no_warning(monkeypatch):
