@@ -318,7 +318,10 @@ class Arrangement:
                     continue
                 u = self.curvy[n].specialize_x(s)
                 if u.is_zero():
-                    raise Unsupported("VerticalComponent", f"factor {n!r} vanishes on x = {s}")
+                    raise InternalError(
+                        f"factor {n!r} vanishes on the slab sample x = {s}, but its leading coefficient "
+                        "in y is a nonzero constant or a critical polynomial, whose real roots are walls"
+                    )
                 top[n] = 1 if u.lc() > 0 else -1
                 if u.degree < 1:
                     continue

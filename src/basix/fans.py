@@ -32,7 +32,7 @@ from .puiseux import (
     newton_puiseux,
     simulate_branch_blowups,
 )
-from .realroots import RootLocator, isolate_real_roots, roots_equal
+from .realroots import RootLocator, vanishes_at
 from .resolution import ExceptionalComponent, component_family
 from .scene import Scene
 from .sphere import PoleView
@@ -93,18 +93,13 @@ class CurvePointOrdering:
             s = (self.eta * shy) ** k if (self.eta * shy) > 0 else (-1) ** k
         # residual part: r must not vanish at the point
         u = r.specialize_x(self.x0)
-        if u.is_zero() or self._vanishes(u):
+        if vanishes_at(u, self.yloc):
             raise Unsupported(
                 "NonRationalWitnessBase",
                 "polynomial vanishes at an irrational fan base point",
             )
         sr = bipoly_sign_on_box(r, Box(RootLocator.at(self.x0), self.yloc))
         return s * sr
-
-    def _vanishes(self, u) -> bool:
-        if u.degree < 1:
-            return u.is_zero()
-        return any(roots_equal(self.yloc, loc) for loc in isolate_real_roots(u))
 
 
 Ordering = ArcOrdering | CurvePointOrdering

@@ -19,7 +19,7 @@ from math import gcd as _igcd
 from .bipoly import BiPoly
 from .errors import BasixError, Unsupported
 from .realroots import rational_roots
-from .series import TSeries, ZPoly, compose_bipoly, series_div_unit
+from .series import TSeries, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
 
 F = Fraction
@@ -34,9 +34,6 @@ class Slot:
     m: int
     eta: int  # +1 / -1, multiplies z
     a: Fraction
-
-    def zpoly(self) -> ZPoly:
-        return ZPoly.linear(self.a, self.eta)
 
 
 class _Composing:
@@ -75,10 +72,10 @@ class PuiseuxArc(_Composing):
     _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def body_series(self) -> TSeries:
-        d: dict[int, ZPoly] = {e: ZPoly.const(c) for e, c in self.terms}
+        d: dict[int, UniPoly] = {e: UniPoly.const(c) for e, c in self.terms}
         if self.slot is not None:
-            zc = self.slot.zpoly()
-            d[self.slot.m] = d.get(self.slot.m, ZPoly()) + zc
+            s = self.slot
+            d[s.m] = d.get(s.m, UniPoly()) + UniPoly([s.a, s.eta])
         return TSeries.make(d, self.truncation)
 
     def xy_series(self) -> tuple[TSeries, TSeries]:
@@ -87,7 +84,7 @@ class PuiseuxArc(_Composing):
     @cached_property
     def _xy(self) -> tuple[TSeries, TSeries]:
         cx, cy = self.center
-        param = TSeries.make({0: ZPoly.const(0), self.N: ZPoly.const(self.delta)}, None)
+        param = TSeries.make({self.N: UniPoly.const(self.delta)}, None)
         body = self.body_series()
         if not self.swapped:
             xs = TSeries.const(cx, None) + param

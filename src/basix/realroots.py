@@ -416,6 +416,16 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
     return open_count(g, lo, hi) > 0
 
 
+def vanishes_at(u: UniPoly, r: RootLocator) -> bool:
+    """Decide exactly whether u vanishes at the located number: at an exact
+    one by evaluation; otherwise r.p has exactly one root in (lo, hi) and
+    none at the ends, so u vanishes there iff gcd(u, r.p) has a root in
+    (lo, hi)."""
+    if r.exact is not None:
+        return u.eval(r.exact) == 0
+    return open_count(poly_gcd(u, r.p), r.lo, r.hi) > 0
+
+
 def refine_disjoint(locs: list[RootLocator]) -> None:
     """Refine a list of locators of pairwise-distinct roots until the
     isolating intervals are pairwise disjoint and sorted."""

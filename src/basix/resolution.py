@@ -13,6 +13,9 @@ when the call returns, so nothing is cached between resolutions.
 
 Marked points on an exceptional component are `RootLocator`s, exact ones
 for rational positions, as every located coordinate of the arrangement is.
+Each mark carries the tags of the strict transforms through it, found once
+when their roots on the component are clustered; the normal-crossing test
+of a mark reads those tags and decides one vanishing (`vanishes_at`).
 
 `BlowupChart.down` is the one chart map: points, the polynomial down map
 and the transversal lines of a component (as series arcs) are all pushed to
@@ -36,12 +39,20 @@ from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
 from .errors import BasixError, Unsupported
-from .puiseux import ArcFamily, ParamArc, PuiseuxArc, arc_region_membership, branch_set, family_normal_form
-from .realroots import RootLocator, between, isolate_real_roots, roots_equal, separate, simplest_in
-from .series import TSeries, ZPoly
+from .puiseux import (
+    ArcFamily,
+    ParamArc,
+    PuiseuxArc,
+    _divide_x_power,
+    arc_region_membership,
+    branch_set,
+    family_normal_form,
+)
+from .realroots import RootLocator, between, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
+from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import poly_gcd
+from .unipoly import UniPoly
 
 F = Fraction
 
@@ -86,10 +97,10 @@ class BlowupChart:
         """The composite as a pair of polynomials in the chart coordinates."""
         return self.down(BiPoly.x(), BiPoly.y(), BiPoly.const)
 
-    def down_line(self, slope: ZPoly) -> tuple[TSeries, TSeries]:
+    def down_line(self, slope: UniPoly) -> tuple[TSeries, TSeries]:
         """The transversal line u = t, v = slope, pushed down to the base
         chart: the arc crossing the last component at v = slope."""
-        return self.down(TSeries.make({1: ZPoly.const(1)}), TSeries.make({0: slope}), TSeries.const)
+        return self.down(TSeries.make({1: UniPoly.one()}), TSeries.make({0: slope}), TSeries.const)
 
 
 @dataclass
@@ -183,14 +194,8 @@ def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     taking x^i y^j to x^(i+j) y^j, and p(x*y, x) in the y-chart, taking it
     to x^(i+j) y^i; these are the chart maps of `BlowupChart.down` at a
     step centred at the origin."""
-    if kind == "x":
-        q = p.monomial_subst((1, 0), (1, 1))
-    else:
-        q = p.monomial_subst((1, 1), (1, 0))
-    if q.is_zero():
-        return q
-    m = min(i for i, _j in q.t)
-    return BiPoly({(i - m, j): v for (i, j), v in q.t.items()})
+    q = p.monomial_subst((1, 0), (1, 1)) if kind == "x" else p.monomial_subst((1, 1), (1, 0))
+    return _divide_x_power(q)[0]
 
 
 def _has_vertical_branch(curves: list[tuple[object, BiPoly]], branches: Branches) -> bool:
@@ -252,10 +257,12 @@ def _resolve_site(
         f"blow-up {level}: centre ({trans[0]}, {trans[1]}) at depth {len(word)}, chart x"
     )
 
-    # marked points: real roots of the strict transforms on u = 0
+    # marked points: real roots of the strict transforms on u = 0, each
+    # tagged with every strict transform through it
     marks: list[MarkedPoint] = []
+    restrictions: dict[object, UniPoly] = {}
     for tag, sc in stricts:
-        u0 = sc.specialize_x(F(0))
+        u0 = restrictions[tag] = sc.specialize_x(F(0))
         if u0.is_zero():
             raise Unsupported("DegenerateStrictTransform", str(tag))
         if u0.degree < 1:
@@ -272,9 +279,12 @@ def _resolve_site(
     marks.sort(key=lambda m: m.v.lo)
     D.marked = marks
 
-    # recurse into non-normal-crossing marked points
+    # recurse into non-normal-crossing marked points: a mark is a normal
+    # crossing iff one strict transform passes and its restriction to u = 0
+    # has a simple root there (then the branch is unique, smooth, and
+    # transversal to the exceptional line)
     for mp in marks:
-        if _marked_point_is_nc(stricts, mp):
+        if len(mp.tags) == 1 and not vanishes_at(restrictions[mp.tags[0]].derivative(), mp.v):
             tree.certificate.append(f"D{level} at v={_vstr(mp.v)}: transversal simple crossing")
             continue
         vex = mp.v.try_rational(rounds=48)
@@ -304,44 +314,8 @@ def _resolve_site(
     return
 
 
-def _vanishes_at(p: BiPoly, v: RootLocator) -> bool:
-    ex = v.try_rational(rounds=48)
-    if ex is not None:
-        return p.eval(F(0), ex) == 0
-    u0 = p.specialize_x(F(0))
-    if u0.is_zero():
-        return True
-    if u0.degree < 1:
-        return False
-    return any(roots_equal(v, loc) for loc in isolate_real_roots(u0))
-
-
 def _vstr(v: RootLocator) -> str:
     return str(v.lo) if v.lo == v.hi else f"({v.lo}..{v.hi})"
-
-
-def _marked_point_is_nc(stricts: list[tuple[object, BiPoly]], mp: MarkedPoint) -> bool:
-    """A marked point is normal crossing iff exactly one strict transform
-    passes and its specialisation to u = 0 has a simple root there (then the
-    branch is unique, smooth, and transversal to the exceptional line)."""
-    crossing = [(tag, sc) for tag, sc in stricts if _vanishes_at(sc, mp.v)]
-    if len(crossing) != 1:
-        return False
-    _tag, sc = crossing[0]
-    u0 = sc.specialize_x(F(0))
-    du = u0.derivative()
-    ex = mp.v.try_rational(rounds=48)
-    if ex is not None:
-        if du.eval(ex) == 0:
-            return False
-        # the full gradient must not vanish for the branch to be smooth;
-        # d/dv nonzero already implies it
-        return True
-    # simple root iff v is not a root of gcd(u0, u0')
-    g = poly_gcd(u0, du)
-    if g.degree < 1:
-        return True
-    return not any(roots_equal(mp.v, loc) for loc in isolate_real_roots(g))
 
 
 # ----------------------------------------------------------------- classification
@@ -384,13 +358,13 @@ def _verdict_sign(verdict: tuple, minus_component: int) -> int:
 def family_arc_for(D: ExceptionalComponent, v_mid: Fraction) -> ParamArc:
     """The transversal family instance crossing D at v_mid, pushed down to the
     base chart without performing any blow-up on it."""
-    return ParamArc(*D.chart.down_line(ZPoly.const(v_mid)))
+    return ParamArc(*D.chart.down_line(UniPoly.const(v_mid)))
 
 
 def component_family(D: ExceptionalComponent) -> ArcFamily:
     """The transversal-arc family of D in normal form: the pushed-down line
     whose slope is the family parameter z."""
-    xs, ys = D.chart.down_line(ZPoly([0, 1]))
+    xs, ys = D.chart.down_line(UniPoly.x())
     return family_normal_form(D.chart.down_point(F(0), F(0)), xs, ys)
 
 

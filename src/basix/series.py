@@ -6,7 +6,7 @@ z-term of a coefficient.  t is the running parameter of an arc and dominates
 z in the ordering (z is a small but fixed constant while t tends to 0), so a
 series sign is decided by its lowest nonzero t-coefficient.
 
-`TSeries` and `ZPoly` hold `Fraction` coefficients.  The hot kernel,
+Each coefficient of a `TSeries` is a `UniPoly` in z.  The hot kernel,
 `compose_bipoly`, does not run on them: it takes each series once to integer
 rows (per t-exponent, the integer z-coefficients) over the series' least
 common denominator, runs homogenised Horner on those rows with the
@@ -19,102 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Iterable
+
+from .unipoly import UniPoly
 
 F = Fraction
 
-
-class ZPoly:
-    """Polynomial in z over Q (dense, trimmed)."""
-
-    __slots__ = ("c",)
-
-    def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        cs = [v if type(v) is F else F(v) for v in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.c = tuple(cs)
-
-    @staticmethod
-    def const(v: Fraction | int) -> "ZPoly":
-        return ZPoly([F(v)])
-
-    @staticmethod
-    def linear(a: Fraction | int, eta: int) -> "ZPoly":
-        """a + eta*z."""
-        return ZPoly([F(a), F(eta)])
-
-    def is_zero(self) -> bool:
-        return not self.c
-
-    def __bool__(self) -> bool:
-        return bool(self.c)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ZPoly) and self.c == other.c
-
-    def __hash__(self):
-        return hash(self.c)
-
-    def __add__(self, o: "ZPoly") -> "ZPoly":
-        a, b = self.c, o.c
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] += v
-        return ZPoly(out)
-
-    def __neg__(self) -> "ZPoly":
-        return ZPoly([-v for v in self.c])
-
-    def __sub__(self, o: "ZPoly") -> "ZPoly":
-        return self + (-o)
-
-    def __mul__(self, o: "ZPoly") -> "ZPoly":
-        if not self.c or not o.c:
-            return ZPoly()
-        out = [F(0)] * (len(self.c) + len(o.c) - 1)
-        for i, a in enumerate(self.c):
-            if a:
-                for j, b in enumerate(o.c):
-                    if b:
-                        out[i + j] += a * b
-        return ZPoly(out)
-
-    def scale(self, k: Fraction | int) -> "ZPoly":
-        k = F(k)
-        return ZPoly([v * k for v in self.c])
-
-    def sign_small_pos(self) -> int:
-        """Sign for all sufficiently small z > 0 (lowest nonzero term)."""
-        for v in self.c:
-            if v != 0:
-                return 1 if v > 0 else -1
-        return 0
-
-    def eval(self, z0: Fraction) -> Fraction:
-        acc = F(0)
-        for v in reversed(self.c):
-            acc = acc * z0 + v
-        return acc
-
-    def __repr__(self) -> str:
-        if not self.c:
-            return "0"
-        parts = []
-        for i, v in enumerate(self.c):
-            if v == 0:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            else:
-                zs = "z" if i == 1 else f"z^{i}"
-                parts.append(zs if v == 1 else f"-{zs}" if v == -1 else f"{v}*{zs}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-
-_ZZERO = ZPoly()
+_ZZERO = UniPoly()
 
 
 @dataclass(frozen=True)
@@ -124,11 +34,11 @@ class TSeries:
     trunc is None for exact polynomials (no truncation error at all).
     """
 
-    coeff: tuple[tuple[int, ZPoly], ...]  # sorted by exponent, nonzero
+    coeff: tuple[tuple[int, UniPoly], ...]  # sorted by exponent, nonzero
     trunc: int | None = None
 
     @staticmethod
-    def make(terms: dict[int, ZPoly], trunc: int | None = None) -> "TSeries":
+    def make(terms: dict[int, UniPoly], trunc: int | None = None) -> "TSeries":
         items = []
         for e in sorted(terms):
             v = terms[e]
@@ -142,7 +52,7 @@ class TSeries:
 
     @staticmethod
     def const(v: Fraction | int, trunc: int | None = None) -> "TSeries":
-        return TSeries.make({0: ZPoly.const(v)}, trunc)
+        return TSeries.make({0: UniPoly.const(v)}, trunc)
 
     def is_zero(self) -> bool:
         return not self.coeff
@@ -151,7 +61,7 @@ class TSeries:
         """Order of the lowest certain term (None when no term is known)."""
         return self.coeff[0][0] if self.coeff else None
 
-    def leading(self) -> tuple[int, ZPoly] | None:
+    def leading(self) -> tuple[int, UniPoly] | None:
         return self.coeff[0] if self.coeff else None
 
     def _trunc_of(self, other: "TSeries") -> int | None:
@@ -185,7 +95,7 @@ class TSeries:
             cands.append(o.trunc + (self.ord() or 0))
         if cands:
             t = min(cands)
-        d: dict[int, ZPoly] = {}
+        d: dict[int, UniPoly] = {}
         for e1, v1 in self.coeff:
             for e2, v2 in o.coeff:
                 e = e1 + e2
@@ -194,19 +104,6 @@ class TSeries:
                 d[e] = d.get(e, _ZZERO) + v1 * v2
         return TSeries.make(d, t)
 
-    def scale(self, k: Fraction | int) -> "TSeries":
-        return TSeries(tuple((e, v.scale(k)) for e, v in self.coeff), self.trunc)
-
-    def __pow__(self, n: int) -> "TSeries":
-        r = TSeries.const(1, None)
-        b = self
-        while n:
-            if n & 1:
-                r = r * b
-            b = b * b
-            n >>= 1
-        return r
-
     def negate_t(self) -> "TSeries":
         """Substitute t -> -t."""
         return TSeries(
@@ -214,39 +111,26 @@ class TSeries:
         )
 
     def eval_z(self, z0: Fraction) -> "TSeries":
-        d = {e: ZPoly.const(v.eval(z0)) for e, v in self.coeff}
+        d = {e: UniPoly.const(v.eval(z0)) for e, v in self.coeff}
         return TSeries.make(d, self.trunc)
 
-    def eval_t(self, t0: Fraction) -> ZPoly:
+    def eval_t(self, t0: Fraction) -> UniPoly:
         acc = _ZZERO
         for e, v in self.coeff:
             acc = acc + v.scale(t0**e)
         return acc
 
     def sign_small_pos_t(self) -> int | None:
-        """Sign for small t > 0 (then small z > 0): lowest certain term decides.
-        None when the series has no certain term but is truncated (unresolved);
-        0 when it is exactly the zero polynomial."""
+        """Sign for small t > 0, then small z > 0: the lowest nonzero
+        z-coefficient of the lowest certain term decides.  None when the
+        series has no certain term but is truncated (unresolved); 0 when it
+        is exactly the zero polynomial."""
         if self.coeff:
-            return self.coeff[0][1].sign_small_pos()
+            return next(1 if v > 0 else -1 for v in self.coeff[0][1].c if v)
         return 0 if self.trunc is None else None
 
     def max_exp(self) -> int:
         return self.coeff[-1][0] if self.coeff else 0
-
-    def __repr__(self) -> str:
-        if not self.coeff:
-            body = "0"
-        else:
-            parts = []
-            for e, v in self.coeff:
-                vs = repr(v)
-                if "+" in vs or "-" in vs[1:]:
-                    vs = f"({vs})"
-                parts.append(vs if e == 0 else f"{vs}*t^{e}")
-            body = " + ".join(parts)
-        tail = "" if self.trunc is None else f" + O(t^{self.trunc})"
-        return f"TSeries({body}{tail})"
 
 
 def compose_bipoly(p, xs: TSeries, ys: TSeries) -> TSeries:
@@ -281,7 +165,7 @@ def compose_bipoly(p, xs: TSeries, ys: TSeries) -> TSeries:
         acc, at = _mul_terms(acc, at, Y, ty)
         acc, at = _add_terms(acc, at, cx, ct)
     den = l * dxp[n] * dy**m
-    return TSeries(tuple((e, ZPoly([F(v, den) for v in zr])) for e, zr in acc), at)
+    return TSeries(tuple((e, UniPoly([F(v, den) for v in zr])) for e, zr in acc), at)
 
 
 def _int_terms(s: TSeries) -> tuple[list[tuple[int, list[int]]], int]:
@@ -371,7 +255,7 @@ def series_div_unit(num: TSeries, den: TSeries, upto: int) -> TSeries:
     lead = c0.c[0]
     cur = dict(num.coeff)
     den_terms = dict(den.coeff)
-    out: dict[int, ZPoly] = {}
+    out: dict[int, UniPoly] = {}
     for e in range(0, upto):
         c = cur.get(e + e0, _ZZERO)
         q = c.scale(F(1) / lead)

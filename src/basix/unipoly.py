@@ -23,19 +23,16 @@ from .errors import InternalError, ZeroPolynomial
 Frac = Fraction
 
 
-def _trim(coeffs: list[Fraction]) -> tuple[Fraction, ...]:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
 class UniPoly:
     """p(x) = sum(c[i] * x**i); c has no trailing zeros."""
 
     __slots__ = ("c", "_ic")
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
-        self.c: tuple[Fraction, ...] = _trim([v if type(v) is Fraction else Fraction(v) for v in coeffs])
+        cs = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.c: tuple[Fraction, ...] = tuple(cs)
         self._ic: tuple[list[int], int] | None = None
 
     # -- constructors -------------------------------------------------------

@@ -20,9 +20,10 @@ from basix.realroots import (
     roots_equal,
     separate,
     simplest_in,
+    vanishes_at,
 )
 from basix.resolution import _strict_transform
-from basix.series import TSeries, ZPoly, compose_bipoly
+from basix.series import TSeries, compose_bipoly
 from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
 
 F = Fraction
@@ -221,6 +222,41 @@ def test_roots_equal_and_compare():
     assert roots_equal(a, c)
     d = isolate_real_roots(P(-3, 0, 1))[1]  # sqrt 3
     assert not roots_equal(a, d)
+
+
+def _ref_vanishes_at(u, r):
+    """The rule `vanishes_at` replaced: isolate the roots of u and compare
+    each with the locator."""
+    if u.degree < 1:
+        return u.is_zero()
+    return any(roots_equal(r, loc) for loc in isolate_real_roots(u))
+
+
+_SQ2 = P(-2, 0, 1)
+# each builds a fresh locator: the reference refines the ones it compares
+_LOCATORS = {
+    "sqrt2": lambda: isolate_real_roots(_SQ2)[1],
+    "-sqrt2": lambda: isolate_real_roots(_SQ2)[0],
+    "sqrt2-of-a-product": lambda: isolate_real_roots(_SQ2 * P(-5, 1))[1],
+    "sqrt3": lambda: isolate_real_roots(P(-3, 0, 1))[1],
+    "exact-5-of-a-product": lambda: isolate_real_roots(_SQ2 * P(-5, 1))[2],
+    "exact-3/2": lambda: RootLocator.at(F(3, 2)),
+    "exact-0": lambda: RootLocator.at(0),
+}
+_VANISH_POLYS = [_SQ2, P(-3, 0, 1), _SQ2 * P(-5, 1), P(-5, 1), P(-9, 0, 4), P(0, 1), P(7), P()]
+
+
+@pytest.mark.parametrize("make", list(_LOCATORS.values()), ids=list(_LOCATORS))
+def test_vanishes_at_matches_isolate_and_compare(make):
+    for u in _VANISH_POLYS:
+        assert vanishes_at(u, make()) == _ref_vanishes_at(u, make()), u
+
+
+def test_vanishes_at_irrational_and_exact_marks():
+    sqrt2 = _LOCATORS["sqrt2-of-a-product"]
+    assert sqrt2().exact is None and _LOCATORS["exact-5-of-a-product"]().exact == 5
+    assert [vanishes_at(u, sqrt2()) for u in _VANISH_POLYS] == [True, False, True, False, False, False, False, True]
+    assert vanishes_at(P(-9, 0, 4), RootLocator.at(F(3, 2))) and not vanishes_at(_SQ2, RootLocator.at(F(3, 2)))
 
 
 def test_simplest_in():
@@ -860,7 +896,7 @@ def _ref_squarefree_part(p):
 
 # z-linear coefficients a + b*z, often z-free, sometimes zero
 _zlin = st.tuples(_res_coeffs, st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(3)])).map(
-    lambda ab: ZPoly(list(ab))
+    lambda ab: UniPoly(list(ab))
 )
 
 
@@ -890,14 +926,27 @@ def test_compose_bipoly_matches_fraction_reference(p, xs, ys, tie):
 def test_compose_bipoly_reference_cases():
     # y - x^2 along its own branch, exact and truncated, and along a z-arc
     p = parse_polynomial("y - x^2")
-    t = TSeries.make({1: ZPoly.const(1)})
+    t = TSeries.make({1: UniPoly.const(1)})
     for trunc in (None, 3):
-        xs, ys = t, TSeries.make({2: ZPoly.const(1)}, trunc)
+        xs, ys = t, TSeries.make({2: UniPoly.const(1)}, trunc)
         assert compose_bipoly(p, xs, ys) == _ref_compose(p, xs, ys) == TSeries.zero(trunc)
-    ys = TSeries.make({2: ZPoly.const(1), 3: ZPoly.linear(F(1, 3), -1)}, 7)
+    ys = TSeries.make({2: UniPoly.const(1), 3: UniPoly([F(1, 3), -1])}, 7)
     got = compose_bipoly(p, t, ys)
-    assert got == _ref_compose(p, t, ys) and got.leading() == (3, ZPoly.linear(F(1, 3), -1))
+    assert got == _ref_compose(p, t, ys) and got.leading() == (3, UniPoly([F(1, 3), -1]))
     assert compose_bipoly(BiPoly(), t, ys) == TSeries.zero(None)
+
+
+def test_sign_small_pos_t_reads_the_lowest_z_term_of_the_leading_term():
+    def lead(c, trunc=None):
+        return TSeries.make({3: c, 5: UniPoly.const(-9)}, trunc).sign_small_pos_t()
+
+    assert lead(UniPoly([0, -1])) == -1  # -z t^3: the constant term is zero
+    assert lead(UniPoly([0, 0, 3])) == 1  # 3z^2 t^3
+    assert lead(UniPoly([0, 2, -5]), 4) == 1  # 2z dominates -5z^2 for small z
+    assert lead(UniPoly([-1, 8])) == -1
+    assert TSeries.zero(None).sign_small_pos_t() == 0  # the exact zero series
+    assert TSeries.zero(3).sign_small_pos_t() is None  # no certain term
+    assert TSeries.make({4: UniPoly.const(1)}, 2).sign_small_pos_t() is None
 
 
 _sqf_factors = st.lists(st.integers(-6, 6).map(F) | st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=3)

@@ -222,6 +222,20 @@ def test_elim_x_lets_internal_errors_through(monkeypatch):
         build_arrangement(S("factor a = x^2 + y^2 - 3; factor b = x^2 - y^2 + x*y - 1; set S = { a < 0 };"))
 
 
+def test_factor_vanishing_on_a_slab_sample_is_an_internal_error(monkeypatch):
+    # f(s, y) == 0 at a slab sample needs a leading coefficient in y that
+    # vanishes at s: a constant one never does, and any other is critical,
+    # so its real roots are walls; only an engine fault can reach this
+    real = BiPoly.specialize_x
+
+    def broken(self, x):
+        return UniPoly() if x == 0 else real(self, x)
+
+    monkeypatch.setattr(BiPoly, "specialize_x", broken)
+    with pytest.raises(InternalError, match="vanishes on the slab sample x = 0"):
+        build_arrangement(S("factor a = y - x; set S = { a > 0 };"))
+
+
 @pytest.mark.parametrize(
     "text, error",
     [

@@ -24,7 +24,7 @@ from basix.puiseux import (
 )
 from basix.resolution import component_family, resolve_point
 from basix.scene import Scene
-from basix.series import TSeries, ZPoly, compose_bipoly, series_div_unit
+from basix.series import TSeries, compose_bipoly, series_div_unit
 from basix.unipoly import UniPoly
 from test_algebra import _ref_subst
 
@@ -241,7 +241,7 @@ def test_family_instances_lift_through_y_charts():
 
 def _hensel_reference(Fp, K):
     """The Hensel lift composing with the exact, untruncated y."""
-    xs = TSeries.make({1: ZPoly.const(1)}, None)
+    xs = TSeries.make({1: UniPoly.const(1)}, None)
     y = TSeries.zero(None)
     Fy = Fp.partial_y()
     p = 1

@@ -20,7 +20,7 @@ from basix.resolution import (
     resolve_point,
 )
 from basix.scene import Scene
-from basix.series import ZPoly
+from basix.unipoly import UniPoly
 
 F = Fraction
 
@@ -150,7 +150,7 @@ def test_down_map_consistency_random_points():
             x, y = D.chart.down_point(t0, v)
             assert X.eval(t0, v) == x and Y.eval(t0, v) == y
             xs, ys = family_arc_for(D, v).xy_series()
-            assert xs.eval_t(t0) == ZPoly.const(x) and ys.eval_t(t0) == ZPoly.const(y)
+            assert xs.eval_t(t0) == UniPoly.const(x) and ys.eval_t(t0) == UniPoly.const(y)
 
 
 def test_transversal_irrational_crossing_supported():
