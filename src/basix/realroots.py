@@ -4,8 +4,11 @@ Isolation is bisection driven by Descartes' rule on the interval-mapped
 polynomial (Collins & Akritas 1976), and roots are counted the same way:
 ``open_count`` is the number of isolating intervals in a window.  All
 interval endpoints are rational, and every locator can be refined on demand
-to arbitrary width.  Rational roots are recognised exactly (simplest
-rational in the isolating interval, probed against the polynomial).
+to arbitrary width.  A squarefree part of degree 1 is solved directly: its
+root is an exact locator, with no walk and no search.  Other rational
+roots are recognised exactly (simplest rational in the isolating interval,
+probed against the polynomial) when `try_rational` finds them within its
+rounds.
 
 `RootLocator` is the one type for a located real number: a rational enters
 as the exact locator ``RootLocator.at(x)``.  An exact locator keeps
@@ -186,7 +189,8 @@ class RootLocator:
         only means the root has a large denominator (or is irrational).
         `rational_roots` is complete, but the callers of this one refine
         locators that later stages sample, so their round counts pin those
-        samples."""
+        samples.  Those counts apply to degree 2 and above: the root of a
+        linear squarefree part is exact from `isolate_real_roots`."""
         if self.exact is not None:
             return self.exact
         cand = None
@@ -271,8 +275,13 @@ def isolate_real_roots(
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
-    sf = squarefree_part(p)
+    sf = p.monic() if p.degree == 1 else squarefree_part(p)
     if sf.degree <= 0:
+        return []
+    if sf.degree == 1:
+        x = -sf.c[0]
+        if (lo is None or lo < x) and (hi is None or x < hi):
+            return [RootLocator(sf, x, x, exact=x)]
         return []
     B = root_bound(sf)
     a = lo if lo is not None else -B

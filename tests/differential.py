@@ -19,7 +19,9 @@ with y-steps reach the diff), the scene on which chart-point sampling, no
 longer part of exceptional classification, disagreed with the transversal
 family (`test_cli.DIVERGENT`), unions of 3, 5, 7 and 9 clauses whose complement
 would be a large DNF (`test_scene.union_scene_text`), the scenes of
-`IRRATIONAL_WALLS`, six scenes of `test_checker.twin_scene_text` each
+`IRRATIONAL_WALLS`, the scenes of `LARGE_DENOMINATORS` (a wall at
+x = 1/10007, found exactly only as the root of a linear squarefree part),
+six scenes of `test_checker.twin_scene_text` each
 followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
 walls into irrational ones and must keep every answer), the scenes of
 `test_scene.PROJECTION_PINS` (squares and shared factors in the contents in
@@ -53,7 +55,7 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
 from conftest import sqrt2_twin, swap_scene  # noqa: E402
-from test_checker import twin_scene_text  # noqa: E402
+from test_checker import twin_scene_text, wall_denominator_scene_text  # noqa: E402
 from test_cli import DIVERGENT  # noqa: E402
 from test_scene import PROJECTION_PINS, union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
@@ -71,6 +73,12 @@ IRRATIONAL_WALLS = {
     "set S = { f < 0, g > 0 } | { l > 0, f > 0 };",
 }
 
+# a line, and a line pair with slopes +-10007 sqrt2, through (1/10007, 0)
+LARGE_DENOMINATORS = {
+    "line-10007": wall_denominator_scene_text("y - {k}*x + 1", 10007),
+    "line-pair-10007": wall_denominator_scene_text("y^2 - 2*({k}*x - 1)^2", 10007),
+}
+
 
 def scenes(n_random: int, seed: int):
     """(label, scene or the error raised building it), in a fixed order."""
@@ -83,7 +91,7 @@ def scenes(n_random: int, seed: int):
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))
-    for label, text in IRRATIONAL_WALLS.items():
+    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS}.items():
         yield label, Scene.from_text(text)
     twins = random.Random(3)
     for k in range(6):

@@ -214,6 +214,22 @@ def test_count_roots_below():
     assert count_roots_below(p, F(0)) == 1
     assert count_roots_below(p, F(1, 2)) == 2
     assert count_roots_below(p, F(5)) == 3
+    # an open window: a root at its end is not below it
+    assert count_roots_below(P(-3, 1), F(3)) == 0
+
+
+def test_linear_roots_are_exact():
+    # a denominator no fixed number of refinement rounds reaches
+    (loc,) = isolate_real_roots(P(-1, 10007))
+    assert repr(loc) == "Root(1/10007)" and loc.lo == loc.hi == F(1, 10007)
+    # the window is open: a root at either end, or outside, is left out
+    assert isolate_real_roots(P(-3, 1), F(3), F(5)) == []
+    assert isolate_real_roots(P(-3, 1), F(1), F(3)) == []
+    assert isolate_real_roots(P(-3, 1), F(4), F(5)) == []
+    assert isolate_real_roots(P(-3, 1), None, F(2)) == []
+    # a linear squarefree part of a square
+    (loc,) = isolate_real_roots(P(-3, 1) ** 2)
+    assert loc.exact == loc.lo == loc.hi == 3 and loc.p == P(-3, 1)
 
 
 def test_roots_equal_and_compare():
@@ -518,6 +534,24 @@ def test_exact_locator(x):
     loc.refine()
     assert _state(loc) == (x, x, x)
     assert loc.sign() == (x > 0) - (x < 0)
+
+
+@given(
+    small_fracs.filter(bool),
+    small_fracs,
+    st.one_of(st.none(), small_fracs),
+    st.one_of(st.none(), small_fracs),
+)
+@settings(max_examples=200, deadline=None)
+def test_linear_isolation_matches_the_general_path(a, b, lo, hi):
+    # (a*y + b)*(y^2 + 1) has the same real roots, found by the Descartes walk
+    line = P(b, a)
+    fast = isolate_real_roots(line, lo, hi)
+    slow = isolate_real_roots(line * P(1, 0, 1), lo, hi)
+    assert len(fast) == len(slow)
+    for r, s in zip(fast, slow):
+        assert r.exact == -b / a and r.lo == r.hi == r.exact
+        assert roots_equal(r, s)
 
 
 @given(int_coeffs, st.lists(small_fracs, max_size=3))

@@ -247,6 +247,27 @@ def test_principal_closed_examples():
     assert v.witness_count == 1
 
 
+def wall_denominator_scene_text(a: str, k: int) -> str:
+    """Curves a(x, y; k), y + x^2 and y: `a` is a line, or a pair of lines
+    with irrational slopes, through (1/k, 0), so walls sit at abscissae with
+    denominator k."""
+    return f"factor a = {a.format(k=k)}; factor b = y + x^2; factor c = y; set S = {{ a > 0, b > 0 }} | {{ c < 0 }};"
+
+
+@pytest.mark.parametrize("a", ["y - {k}*x + 1", "y^2 - 2*({k}*x - 1)^2"])
+def test_large_wall_denominators_decide_as_small_ones(a):
+    props = ("basic_open", "principal_open", "basic_closed")
+
+    def answers(k):
+        sc = S(wall_denominator_scene_text(a, k))
+        return [(v.answer, v.reason) for v in (run_check(CheckRequest(sc, p)) for p in props)]
+
+    expected = [("No", "SetMeetsBoundary"), ("No", "SetMeetsBoundary"), ("No", "NotClosed")]
+    assert answers(3) == expected
+    for k in (4099, 10007):
+        assert answers(k) == expected, k
+
+
 def test_neq_scene_basic():
     v = check_basic_open(S("factor f = y; set S = { f != 0 };"))
     assert v.answer == "Yes"

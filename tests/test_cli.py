@@ -22,6 +22,12 @@ UNSERIALIZABLE = (
     "factor f0 = 1*x - 2*y; factor f1 = y - x^2 - 2; "
     "factor f2 = x^2 - 2*y^2 + x*y + x - 2*y + 3; set S = { f0 < 0, f2 < 0 };\n"
 )
+# random34 of the default differential: its principal_open fan has base
+# points on f0 at x = -27705691/8388608, where f0's fibre is linear in y
+LINEAR_FIBRE_WITNESS = (
+    "factor f0 = y - (2/3)*x^3 - (3/2)*x + (-1/2); factor f1 = x^2 + 2*y^2 + (0)*x + (-1)*y - 3; "
+    "factor f2 = x^2 + 1*y^2 + (1)*x + (-2)*y - 2; set S = { f2 < 0, f0 < 0 };\n"
+)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
@@ -63,6 +69,19 @@ def test_unserializable_witness_keeps_the_no(tmp_path, capsys):
     assert d["witness_count"] == 1
     assert cli.main(args) == cli.EXIT_NO
     assert "answer   : No" in capsys.readouterr().out
+
+
+def test_witness_on_a_linear_fibre_is_serialised(tmp_path, capsys):
+    path = _scene(tmp_path, LINEAR_FIBRE_WITNESS)
+    report = tmp_path / "report.json"
+    code, _out = _check(capsys, path, "principal-open", "--witness", "--format", "json", "--out", str(report))
+    assert code == cli.EXIT_NO
+    d = json.loads(report.read_text(encoding="utf-8"))
+    assert "witness_unserializable" not in d
+    assert d["witness"]["orderings"][2]["center"][0] == "-27705691/8388608"
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps(d["witness"]), encoding="utf-8")
+    assert cli.main(["verify-fan", str(fan), path]) == cli.EXIT_YES
 
 
 def _check(capsys, path, prop, *extra):

@@ -82,9 +82,9 @@ def test_differential_imports_basix_from_its_own_checkout(tmp_path):
 
 def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
     # the fixtures, their inversions and swaps, the divergent scene, the
-    # unions, the irrational-wall scenes, the twin pairs and the projection
-    # pins, under every property: a verdict, Unsupported or an input error,
-    # never an internal error
+    # unions, the irrational-wall and large-denominator scenes, the twin
+    # pairs and the projection pins, under every property: a verdict,
+    # Unsupported or an input error, never an internal error
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/ and tests/
     spec = importlib.util.spec_from_file_location("differential", ROOT / "tests" / "differential.py")
     differential = importlib.util.module_from_spec(spec)
@@ -100,4 +100,4 @@ def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
             else:
                 assert v.answer in ("Yes", "No", "Unsupported"), (label, prop)
             checked += 1
-    assert checked == 205
+    assert checked == 215
