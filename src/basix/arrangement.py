@@ -40,6 +40,17 @@ of lc_y f(x_s) times (-1) to the number of f's entries above position k;
 an x-only factor has its sign at x_s.  Only vertices, whose coordinates may
 be irrational, and vertical edges are signed by evaluation.
 
+Gaps of ordered located numbers are read one way: `gap_sample` takes a
+rational below, between or above them.  It gives the slab samples between
+walls, the levels between the points of a wall and the region samples
+between the entries of a stack.  A branch end's fate at a wall is the index
+of the level gap that holds it, less one: wall point k, or -1 and
+len(points) for an end that leaves down or up.  The fates of the entries
+around a stack gap bound the wall segment the gap is exposed to, and one
+lookup finds the gap that covers a segment, for vertical edges, isolated
+vertices and points on a wall.  Point location answers regions only: the
+decision asks only which region holds a rational point off the curves.
+
 Everything is exact.  Every located coordinate (a wall abscissa, a branch
 or vertex ordinate) is a `RootLocator`, refinable on demand; a rational one
 is an exact locator with ``lo == hi``.  Any configuration
@@ -49,6 +60,7 @@ instead of guessing.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -57,9 +69,9 @@ from .bipoly import BiPoly, resultant
 from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
-    between,
     clear_of_roots,
     count_roots_below,
+    gap_sample,
     isolate_real_roots,
     refine_disjoint,
     roots_equal,
@@ -210,7 +222,7 @@ class Wall:
     x: RootLocator
     line_factor: str | None
     points: list[WallPoint] = field(default_factory=list)
-    fates: dict[tuple[str, str, int], tuple] = field(default_factory=dict)
+    fates: dict[tuple[str, str, int], int] = field(default_factory=dict)
     expo_left: list[tuple[int, int]] = field(default_factory=list)
     expo_right: list[tuple[int, int]] = field(default_factory=list)
 
@@ -239,7 +251,6 @@ class Arrangement:
         self.edges: list[Edge] = []
         self.regions: list[Region] = []
         self.region_of_gap: dict[tuple[int, int], int] = {}
-        self.edge_of_piece: dict[tuple[int, str, int], int] = {}
         self.curvy: dict[str, BiPoly] = {}
         self.vlines: dict[str, Fraction] = {}
         self.pole_touched = False
@@ -300,13 +311,7 @@ class Arrangement:
 
         # ------------------------------------------------------------ stage 2
 
-        samples: list[Fraction] = []
-        if not self.walls:
-            samples.append(F(0))
-        else:
-            samples.append(locs[0].lo - 1)
-            samples += [between(a, b) for a, b in zip(locs, locs[1:])]
-            samples.append(locs[-1].hi + 1)
+        samples = [gap_sample(locs, k) for k in range(len(locs) + 1)]
         self.slab_samples = samples
 
         for s in samples:
@@ -392,19 +397,19 @@ class Arrangement:
 
         points = [WallPoint(y=rep, factors=set(fs), left=[], right=[], is_pass=False) for rep, fs in clusters]
 
-        levels = self._levels_between(points)
+        ys = [p.y for p in points]
+        levels = [gap_sample(ys, k) for k in range(len(ys) + 1)]
         for side, slab in (("L", wi), ("R", wi + 1)):
             for n in self.curvy:
                 if self._branch_count(slab, n) == 0:
                     continue
                 fates = self._match_side(n, slab, side, wall, levels)
-                for idx, fate in enumerate(fates):
-                    if fate[0] == "point":
-                        k = fate[1]
+                for idx, k in enumerate(fates):
+                    if 0 <= k < len(points):
                         if n not in points[k].factors:
                             raise InternalError("branch matched to a foreign wall point")
                         (points[k].left if side == "L" else points[k].right).append((n, idx))
-                    wall.fates[(side, n, idx)] = fate
+                    wall.fates[(side, n, idx)] = k
 
         for p in points:
             p.is_pass = wall.line_factor is None and len(p.factors) == len(p.left) == len(p.right) == 1
@@ -412,18 +417,7 @@ class Arrangement:
                 p.y = self._vertex_y_locator(p.factors, p.y)
         wall.points = points
 
-    @staticmethod
-    def _levels_between(points: list[WallPoint]) -> list[Fraction]:
-        """Rational levels strictly separating consecutive wall points, plus
-        sentinels beyond the extremes; levels avoid every curve at the wall."""
-        if not points:
-            return [F(0)]
-        out = [points[0].y.lo - 1]
-        out += [between(a.y, b.y) for a, b in zip(points, points[1:])]
-        out.append(points[-1].y.hi + 1)
-        return out
-
-    def _match_side(self, factor: str, slab: int, side: str, wall: Wall, levels: list[Fraction]) -> list[tuple]:
+    def _match_side(self, factor: str, slab: int, side: str, wall: Wall, levels: list[Fraction]) -> list[int]:
         """Fate of each branch of `factor` in `slab` approaching `wall`, read
         once every level is clear of the factor between the branch positions
         and the wall (see `_fate`)."""
@@ -441,16 +435,12 @@ class Arrangement:
         raise Unsupported("WallMatchCap", f"{factor} near wall x in {(wall.x.lo, wall.x.hi)}")
 
     @staticmethod
-    def _fate(pos: RootLocator, levels: list[Fraction]) -> tuple | None:
-        """('point', k) for a branch position strictly between levels k and
-        k + 1 (it converges into wall point k), ('up',) / ('down',) beyond
-        the outermost levels, None while it meets a level."""
-        if pos.lo > levels[-1]:
-            return ("up",)
-        if pos.hi < levels[0]:
-            return ("down",)
-        k = next((k for k in range(len(levels) - 1) if levels[k] < pos.lo and pos.hi < levels[k + 1]), None)
-        return None if k is None else ("point", k)
+    def _fate(pos: RootLocator, levels: list[Fraction]) -> int | None:
+        """The level gap that holds a branch position, less one: k for wall
+        point k, into which the branch converges, -1 below every point and
+        len(levels) - 1 above; None while a level meets the position."""
+        j = bisect_left(levels, pos.lo)
+        return None if j < len(levels) and levels[j] <= pos.hi else j - 1
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
         """Whether the line y = lv misses the factor's curve over [a, b].
@@ -487,17 +477,20 @@ class Arrangement:
 
     # ----------------------------------------------------------------- assembly
 
-    def _fatepos(self, wall: Wall, side: str, factor: str, idx: int) -> int:
-        fate = wall.fates[(side, factor, idx)]
-        if fate[0] == "point":
-            return fate[1]
-        return len(wall.points) if fate[0] == "up" else -1
-
     def _gap_exposure(self, wall: Wall, side: str, slab: int, gap: int) -> tuple[int, int]:
         st = self.stacks[slab]
-        lo = -1 if gap == 0 else self._fatepos(wall, side, st[gap - 1][0], st[gap - 1][1])
-        hi = len(wall.points) if gap == len(st) else self._fatepos(wall, side, st[gap][0], st[gap][1])
+        lo = -1 if gap == 0 else wall.fates[(side, st[gap - 1][0], st[gap - 1][1])]
+        hi = len(wall.points) if gap == len(st) else wall.fates[(side, st[gap][0], st[gap][1])]
         return lo, hi
+
+    @staticmethod
+    def _exposed_gap(expo: list[tuple[int, int]], a: int, b: int) -> int:
+        """The first gap whose exposure (lo, hi) at a wall covers the wall
+        segment from point a to point b."""
+        for g, (lo, hi) in enumerate(expo):
+            if lo <= a and b <= hi:
+                return g
+        raise InternalError("wall segment not covered by any gap exposure")
 
     def _assemble(self) -> None:
         n_slabs = len(self.slab_samples)
@@ -560,7 +553,6 @@ class Arrangement:
             for s, n, i in chain:
                 loc = next(l for (nn, ii, l) in self.stacks[s] if nn == n and ii == i)
                 e.pieces.append((s, i, loc))
-                self.edge_of_piece[(s, n, i)] = e.eid
             s0, n0, i0 = chain[0]
             stack_pos = next(k for k, (nn, ii, _l) in enumerate(self.stacks[s0]) if nn == n0 and ii == i0)
             e.side_below = self.region_of_gap[(s0, stack_pos)]
@@ -576,8 +568,8 @@ class Arrangement:
         # vertical edges
         for wi, a, b in vertical_edges:
             wall = self.walls[wi]
-            gl = next(g for g, (lo, hi) in enumerate(wall.expo_left) if lo <= a and b <= hi)
-            gr = next(g for g, (lo, hi) in enumerate(wall.expo_right) if lo <= a and b <= hi)
+            gl = self._exposed_gap(wall.expo_left, a, b)
+            gr = self._exposed_gap(wall.expo_right, a, b)
             e = Edge(eid=len(self.edges), factor=wall.line_factor or "?", vertical=True)
             e.wall_index = wi
             e.seg = (a, b)
@@ -606,30 +598,19 @@ class Arrangement:
         if side == "L":
             if s == 0:
                 return ("pole",)
-            wall = self.walls[s - 1]
-            fate = wall.fates[("R", n, i)]
+            wi, k = s - 1, self.walls[s - 1].fates[("R", n, i)]
         else:
             if s == len(self.slab_samples) - 1:
                 return ("pole",)
-            wall = self.walls[s]
-            fate = wall.fates[("L", n, i)]
-        if fate[0] != "point":
+            wi, k = s, self.walls[s].fates[("L", n, i)]
+        if not 0 <= k < len(self.walls[wi].points):
             return ("pole",)
-        wi = s - 1 if side == "L" else s
-        if wall.points[fate[1]].is_pass:
+        if self.walls[wi].points[k].is_pass:
             raise InternalError("chain end at a pass point")
-        return ("vertex", vid_of[(wi, fate[1])])
+        return ("vertex", vid_of[(wi, k)])
 
     def _gap_sample(self, s: int, g: int) -> tuple[Fraction, Fraction]:
-        st = self.stacks[s]
-        x = self.slab_samples[s]
-        if not st:
-            return x, F(0)
-        if g == 0:
-            return x, st[0][2].lo - 1
-        if g == len(st):
-            return x, st[-1][2].hi + 1
-        return x, between(st[g - 1][2], st[g][2])
+        return self.slab_samples[s], gap_sample([l for _n, _i, l in self.stacks[s]], g)
 
     # -------------------------------------------------------------- cell queries
 
@@ -661,14 +642,7 @@ class Arrangement:
         cx = wall.exact_x()
         if cx is None or e.seg is None:
             raise InternalError("vertical edge sample off an exact wall segment")
-        a, b = e.seg
-        if a == -1 and b == len(wall.points):
-            return cx, F(0)
-        if a == -1:
-            return cx, wall.points[b].y.lo - 1
-        if b == len(wall.points):
-            return cx, wall.points[a].y.hi + 1
-        return cx, between(wall.points[a].y, wall.points[b].y)
+        return cx, gap_sample([p.y for p in wall.points], e.seg[1])
 
     def edge_sample(self, e: Edge) -> tuple[Fraction, Fraction | RootLocator]:
         if e.vertical:
@@ -718,12 +692,9 @@ class Arrangement:
         if not eids:
             # isolated point: the enclosing region via its wall exposures
             v = self.vertices[vid]
-            wall = self.walls[v.wall_index]
             k = v.item_index
-            for g, (lo, hi) in enumerate(wall.expo_left):
-                if lo < k < hi or (lo <= k - 1 and k + 1 <= hi):
-                    rids.add(self.region_of_gap[(v.wall_index, g)])
-                    break
+            g = self._exposed_gap(self.walls[v.wall_index].expo_left, k - 1, k + 1)
+            rids.add(self.region_of_gap[(v.wall_index, g)])
         return rids
 
     def euler_characteristic_sphere(self) -> int:
@@ -731,82 +702,31 @@ class Arrangement:
 
     # ------------------------------------------------------------ point location
 
-    def locate(self, x: Fraction, y: Fraction) -> tuple[str, int]:
-        """('region'|'edge'|'vertex', id) of the cell containing a rational point."""
+    def region_of_point(self, x: Fraction, y: Fraction) -> int:
+        """The region holding a rational point off the curves."""
         x, y = F(x), F(y)
+        if any(p.eval(x, y) == 0 for p in self.factors.values()):
+            raise InternalError(f"point ({x}, {y}) lies on a curve cell")
         for wi, wall in enumerate(self.walls):
             cx = wall.exact_x()
-            if cx is not None:
-                if x == cx:
-                    return self._locate_on_wall(wi, wall, y)
-            else:
+            if cx is None:
                 while wall.x.lo < x < wall.x.hi:
                     wall.x.refine()
-        slab = 0
-        for wall in self.walls:
-            if x > wall.x.hi:
-                slab += 1
-            else:
-                break
-        for n, f in self.curvy.items():
-            if f.eval(x, y) == 0:
-                idx = count_roots_below(f.specialize_x(x), y)
-                return ("edge", self.edge_of_piece[(slab, n, idx)])
+            elif x == cx:
+                # off the curves, so no wall point is at y
+                for p in wall.points:
+                    while p.y.lo <= y <= p.y.hi:
+                        p.y.refine()
+                below = sum(1 for p in wall.points if p.y.hi < y)
+                return self.region_of_gap[(wi, self._exposed_gap(wall.expo_left, below - 1, below))]
+        # x is at no wall here, and an irrational wall's hi is no root
+        slab = sum(1 for wall in self.walls if x >= wall.x.hi)
         below = 0
-        for n, f in self.curvy.items():
+        for f in self.curvy.values():
             u = f.specialize_x(x)
             if u.degree >= 1:
                 below += count_roots_below(u, y)
-        return ("region", self.region_of_gap[(slab, below)])
-
-    def _locate_on_wall(self, wi: int, wall: Wall, y: Fraction) -> tuple[str, int]:
-        cx = wall.exact_x()
-        if cx is None:
-            raise InternalError("point location on a wall with no rational abscissa")
-        for k, p in enumerate(wall.points):
-            loc = p.y
-            if loc.exact is not None:
-                if y == loc.exact:
-                    return self._wall_point_cell(wi, k, p)
-                continue
-            if loc.contains(y):
-                if loc.p.eval(y) == 0:
-                    return self._wall_point_cell(wi, k, p)
-                while loc.exact is None and loc.contains(y):
-                    loc.refine()
-                if loc.exact is not None and loc.exact == y:
-                    return self._wall_point_cell(wi, k, p)
-        below = 0
-        for p in wall.points:
-            while p.y.lo <= y <= p.y.hi:
-                p.y.refine()
-            if p.y.hi < y:
-                below += 1
-        if wall.line_factor is not None:
-            seg = (below - 1, below)
-            for e in self.edges:
-                if e.vertical and e.wall_index == wi and e.seg == seg:
-                    return ("edge", e.eid)
-            raise InternalError("vertical edge segment not found")
-        for g, (lo, hi) in enumerate(wall.expo_left):
-            if lo <= below - 1 and below <= hi:
-                return ("region", self.region_of_gap[(wi, g)])
-        raise InternalError("wall segment not covered by any gap exposure")
-
-    def _wall_point_cell(self, wi: int, k: int, p: WallPoint) -> tuple[str, int]:
-        if p.is_pass:
-            n, i = p.left[0]
-            return ("edge", self.edge_of_piece[(wi, n, i)])
-        for v in self.vertices:
-            if v.wall_index == wi and v.item_index == k:
-                return ("vertex", v.vid)
-        raise InternalError("wall point without a vertex")
-
-    def region_of_point(self, x: Fraction, y: Fraction) -> int:
-        kind, idx = self.locate(x, y)
-        if kind != "region":
-            raise InternalError(f"point ({x}, {y}) lies on a curve cell")
-        return idx
+        return self.region_of_gap[(slab, below)]
 
 
 # --------------------------------------------------------------- irrational walls

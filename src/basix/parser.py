@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import InternalError, ParseError
+from .scene import RELS, Atom, Clause, Scene
 
 
 @dataclass
@@ -198,12 +199,8 @@ def parse_polynomial(text: str) -> BiPoly:
 # -- scene files -------------------------------------------------------------------
 
 
-_RELS = (">", "<", ">=", "<=", "==", "!=")
-
-
 def parse_scene_text(src: str):
     """Parse a full scene file; returns a Scene (factors auto-registered)."""
-    from .scene import Scene, Clause, Atom  # deferred: scene imports bipoly
 
     p = _P(_tokenize(src))
     factors: dict[str, BiPoly] = {}
@@ -240,15 +237,15 @@ def parse_scene_text(src: str):
             subject: str | BiPoly
             if t.kind == "IDENT" and t.text in factors:
                 nxt = p.toks[p.i + 1]
-                if nxt.text in _RELS:
+                if nxt.text in RELS:
                     subject = t.text
                     p.next()
                 else:
-                    subject = _parse_poly_expr(p, _RELS)
+                    subject = _parse_poly_expr(p, RELS)
             else:
-                subject = _parse_poly_expr(p, _RELS)
+                subject = _parse_poly_expr(p, RELS)
             rel_tok = p.peek()
-            if rel_tok.text not in _RELS:
+            if rel_tok.text not in RELS:
                 p.fail("relation (one of > < >= <= == !=)")
             p.next()
             zero = p.peek()

@@ -14,7 +14,8 @@ rounds.
 as the exact locator ``RootLocator.at(x)``.  An exact locator keeps
 ``lo == hi == exact``, so bounds are always read from ``lo`` and ``hi``, and
 refining an exact locator does nothing.  `separate`, `between` and
-`RootLocator.sign` are the refinement loops the geometry runs on locators.
+`RootLocator.sign` are the refinement loops the geometry runs on locators,
+and `gap_sample` picks a rational in each gap of ordered located numbers.
 
 The hot kernels run on integers: signs at a rational ``num/den`` come from
 homogenised Horner on the primitive integer coefficients, ``simplest_in``
@@ -474,3 +475,16 @@ def between(a: RootLocator, b: RootLocator) -> Fraction:
         a.refine()
         b.refine()
     return simplest_in(a.hi, b.lo)
+
+
+def gap_sample(locs: list[RootLocator], k: int) -> Fraction:
+    """A rational in gap k of the ordered located numbers: below the first
+    for k = 0, between numbers k - 1 and k, above the last for k =
+    len(locs); 0 when there are none."""
+    if not locs:
+        return Frac(0)
+    if k == 0:
+        return locs[0].lo - 1
+    if k == len(locs):
+        return locs[-1].hi + 1
+    return between(locs[k - 1], locs[k])

@@ -48,7 +48,7 @@ from .puiseux import (
     branch_set,
     family_normal_form,
 )
-from .realroots import RootLocator, between, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
+from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
 from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
@@ -120,15 +120,12 @@ class ExceptionalComponent:
     def arcs(self) -> list[tuple[Fraction | None, Fraction | None, Fraction]]:
         """(vlo, vhi, sample v) per open arc; None bounds mean the arc runs to
         the point at infinity of the component (always marked)."""
-        if not self.marked:
-            return [(None, None, F(0))]
         vs = [m.v for m in self.marked]
         separate(vs)
-        out: list[tuple[Fraction | None, Fraction | None, Fraction]] = [(None, vs[0].lo, vs[0].lo - 1)]
-        for a, b in zip(vs, vs[1:]):
-            mid = between(a, b)
-            out.append((a.hi, b.lo, mid))
-        out.append((vs[-1].hi, None, vs[-1].hi + 1))
+        out = []
+        for k in range(len(vs) + 1):
+            mid = gap_sample(vs, k)  # before the bounds: it may refine them
+            out.append((vs[k - 1].hi if k else None, vs[k].lo if k < len(vs) else None, mid))
         return out
 
 

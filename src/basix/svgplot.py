@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .decompose import SetDecomposition
+from .realroots import isolate_real_roots
 
 F = Fraction
 
@@ -67,7 +68,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
             continue
         poly = arr.factors[e.factor]
         pts2 = []
-        for (s, _i, loc) in e.pieces:
+        for (s, i, loc) in e.pieces:
             xs = arr.slab_samples[s]
             pts2.append((X(xs), Y((loc.lo + loc.hi) / 2)))
             # refine with intermediate samples across the slab
@@ -77,11 +78,9 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
                 u = poly.specialize_x(xq)
                 if u.degree < 1:
                     continue
-                from .realroots import isolate_real_roots
-
                 roots = isolate_real_roots(u)
-                if e.pieces[0][1] < len(roots):
-                    r = roots[e.pieces[0][1]]
+                if i < len(roots):
+                    r = roots[i]
                     pts2.append((X(xq), Y((r.lo + r.hi) / 2)))
         pts2.sort()
         body = " ".join(f"{a},{b}" for a, b in pts2)

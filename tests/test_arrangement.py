@@ -8,11 +8,11 @@ from hypothesis import given, settings, strategies as st
 from test_sphere import random_scene_text
 
 from basix import arrangement
-from basix.arrangement import Box, bipoly_sign_on_box, build_arrangement
-from basix.bipoly import BiPoly
+from basix.arrangement import Box, _Fibre, _IrrationalAbscissa, _Window, bipoly_sign_on_box, build_arrangement
+from basix.bipoly import BiPoly, parse_poly
 from basix.checker import CheckRequest, run_check
 from basix.errors import InternalError, NotSquarefree, SceneError, SharedComponent, Unsupported
-from basix.realroots import RootLocator, isolate_real_roots, roots_equal
+from basix.realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal
 from basix.scene import Scene, invert_scene, validate_scene
 from basix.unipoly import UniPoly
 
@@ -155,31 +155,83 @@ def test_irrational_turning_points():
 
 
 def test_membership_sampling_agreement():
-    # every cell's stored sign vector is the sign vector at any of its points
+    # every region's stored sign vector is the sign vector at any point it
+    # holds, also on the wall x = 0; a point on a curve has no region
     sc = S("factor l = y; factor p = y - x^2; set S = { l > 0, p < 0 };")
     arr = build_arrangement(sc)
-    cells = {"region": arr.regions, "edge": arr.edges, "vertex": arr.vertices}
     rng = random.Random(11)
+    seen = Counter()
     for _ in range(400):
         x = F(rng.randint(-40, 40), rng.randint(1, 9))
         y = F(rng.randint(-40, 40), rng.randint(1, 9))
-        kind, idx = arr.locate(x, y)
-        assert cells[kind][idx].signs == sc.signs_at(x, y)
-    kind, idx = arr.locate(F(0), F(0))
-    assert kind == "vertex" and arr.vertices[idx].signs == {"l": 0, "p": 0}
+        signs = sc.signs_at(x, y)
+        if 0 in signs.values():
+            seen["curve"] += 1
+            with pytest.raises(InternalError, match="lies on a curve cell"):
+                arr.region_of_point(x, y)
+            continue
+        seen["wall" if x == 0 else "slab"] += 1
+        assert arr.regions[arr.region_of_point(x, y)].signs == signs
+    assert min(seen.values()) > 0, seen
+    assert [v.signs for v in arr.vertices if v.point() == (0, 0)] == [{"l": 0, "p": 0}]
 
 
-def test_locate_on_cells():
+def test_region_of_point_on_cells():
+    # the vertex, a point of the vertical edge and one of the curve edge
+    # raise; the four open quadrants are four regions
     sc = S("factor a = x; factor b = y; set S = { a > 0, b > 0 };")
     arr = build_arrangement(sc)
-    kind, idx = arr.locate(F(0), F(0))
-    assert kind == "vertex"
-    kind, idx = arr.locate(F(0), F(5))
-    assert kind == "edge" and arr.edges[idx].vertical
-    kind, idx = arr.locate(F(3), F(0))
-    assert kind == "edge" and not arr.edges[idx].vertical
-    kind, idx = arr.locate(F(3), F(1))
-    assert kind == "region"
+    for x, y in [(0, 0), (0, 5), (3, 0)]:
+        with pytest.raises(InternalError, match=f"point \\({x}, {y}\\) lies on a curve cell"):
+            arr.region_of_point(F(x), F(y))
+    quadrants = [(3, 1), (-3, 1), (-3, -1), (3, -1)]
+    rids = [arr.region_of_point(F(x), F(y)) for x, y in quadrants]
+    assert len(set(rids)) == 4
+    assert [arr.regions[r].signs for r in rids] == [sc.signs_at(F(x), F(y)) for x, y in quadrants]
+
+
+def test_region_of_point_at_a_rational_wall_off_the_curves():
+    # x = 1 is the wall of the circle's right turning point (1, 0); (1, 2)
+    # and (1, -2) lie in the outer region, read from the wall's exposures
+    arr = build_arrangement(S("factor c = x^2 + y^2 - 1; set S = { c < 0 };"))
+    assert [w.exact_x() for w in arr.walls] == [-1, 1]
+    outer, inner = arr.region_of_point(F(5), F(0)), arr.region_of_point(F(0), F(0))
+    assert outer != inner
+    assert arr.region_of_point(F(1), F(2)) == arr.region_of_point(F(1), F(-2)) == outer
+    assert arr.region_of_point(F(-1), F(1, 2)) == outer
+
+
+@pytest.mark.parametrize("x, y", [(1, 0), (2, 7), (0, 1)], ids=["wall-point", "vertical-line", "curve-edge"])
+def test_region_of_point_on_a_curve_cell_is_an_internal_error(x, y):
+    arr = build_arrangement(S("factor c = x^2 + y^2 - 1; factor v = x - 2; set S = { c < 0, v < 0 };"))
+    with pytest.raises(InternalError, match="lies on a curve cell"):
+        arr.region_of_point(F(x), F(y))
+
+
+def test_region_of_point_at_the_ends_of_an_irrational_wall():
+    # a point at either end of a wall's isolating interval around sqrt 2 is
+    # on that side of the wall: its region has its sign vector
+    sc = S("factor f = x^2 + y^2 - 2; factor g = y; set S = { f < 0, g > 0 };")
+    arr = build_arrangement(sc)
+    wall = arr.walls[-1]
+    assert wall.exact_x() is None
+    for x in (wall.x.lo, wall.x.hi):
+        for y in (F(1, 2), F(-1, 2)):
+            assert arr.regions[arr.region_of_point(x, y)].signs == sc.signs_at(x, y), (x, y)
+
+
+def test_gap_sample_below_between_and_above():
+    # on the roots of (y^2 - 2)(y - 3) and on the windows of the fibre
+    # y^2 = sqrt 2 (roots -+2^(1/4)) over an irrational wall
+    assert gap_sample([], 0) == 0
+    locs = isolate_real_roots(UniPoly([-2, 0, 1]) * UniPoly([-3, 1]))
+    samples = [gap_sample(locs, k) for k in range(4)]
+    assert samples[0] < -1.415 and -1.414 < samples[1] < 1.414 and 1.415 < samples[2] < 3 < samples[3]
+    sqrt2 = isolate_real_roots(UniPoly([-2, 0, 1]))[1]
+    windows = _Fibre(_IrrationalAbscissa(sqrt2, []), "f", parse_poly("y^2 - x")).windows()
+    assert len(windows) == 2 and all(isinstance(w, _Window) for w in windows)
+    below, mid, above = (gap_sample(windows, k) for k in range(3))
+    assert below < 0 < above and below**4 > 2 and mid**4 < 2 and above**4 > 2
 
 
 def test_edge_sides_consistent():

@@ -1,13 +1,17 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from basix import checker, cli
 from basix.arrangement import Wall, build_arrangement
+from basix.decompose import decompose_set
 from basix.errors import BasixError, CountMismatch, InternalError
 from basix.realroots import isolate_real_roots, refine_disjoint
+from basix.scene import Scene
+from basix.svgplot import render_svg
 from basix.unipoly import UniPoly
 
 # chart-point sampling certified its segment against the boundary factors
@@ -164,6 +168,24 @@ def test_plot_svg_is_stable(tmp_path, capsys, name):
     svg = out.read_bytes()
     assert svg.startswith(b"<svg") and svg.rstrip().endswith(b"</svg>")
     assert hashlib.sha256(svg).hexdigest() == PLOT_SHA256[name]
+
+
+def test_plot_samples_each_piece_on_its_own_branch():
+    # the edge through the cubic's middle slab on its upper branch (index
+    # 2) and on into the right slab (index 0) gets 8 points per piece
+    sc = Scene.from_text("factor f = y^3 - 3*y - x; set S = { f > 0 };")
+    arr = build_arrangement(sc)
+    svg = render_svg(decompose_set(arr, sc))
+    lines = re.findall(r'stroke="#d62728" stroke-width="1.4" points="([^"]*)"', svg)
+    assert len(lines) == len(arr.edges)
+    polylines = [[tuple(float(v) for v in pt.split(",")) for pt in body.split()] for body in lines]
+    # the default window [-4, 4]^2 at width 480: 60 pixels per unit
+    for pts in polylines:
+        for px, py in pts:
+            x, y = (px - 240) / 60, (240 - py) / 60
+            assert abs(y**3 - 3 * y - x) < 1e-3, (x, y)
+    (e,) = [e for e in arr.edges if [(s, i) for s, i, _l in e.pieces] == [(1, 2), (2, 0)]]
+    assert len(polylines[e.eid]) == 16
 
 
 def _locate_on_a_curve(req):

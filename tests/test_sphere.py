@@ -61,7 +61,8 @@ def _region_point(arr, r) -> tuple[Fraction, Fraction]:
             return pt
     for k in range(1, 40):
         for dy in (F(1, 2**k), -F(1, 2**k)):
-            if arr.locate(F(0), dy) == ("region", r.rid):
+            off_curves = all(p.eval(F(0), dy) for p in arr.factors.values())
+            if off_curves and arr.region_of_point(F(0), dy) == r.rid:
                 return F(0), dy
     raise AssertionError(f"no point of region {r.rid} off the origin")
 

@@ -1,6 +1,8 @@
 import ast
+import hashlib
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.errors import ParseError, SceneError, Unsupported
+from basix.report import verdict_to_dict
 from basix.scene import Scene, validate_scene
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,6 +64,34 @@ def test_benchmark_tracer_targets_resolve(monkeypatch):
     from basix import arrangement, sphere
 
     assert sphere.build_arrangement is arrangement.build_arrangement
+
+
+def test_benchmark_checks_give_their_pinned_outcomes(monkeypatch):
+    # every check of the three benchmark workloads, run once and compared
+    # with bench/expected.json as the benchmark compares it, so that an
+    # output change fails in tier-1 too; nothing under bench/ is written
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks itself up there
+    spec.loader.exec_module(workloads)
+    expected = json.loads((ROOT / "bench" / "expected.json").read_text(encoding="utf-8"))
+    for name in workloads.WORKLOADS:
+        texts, checks = workloads.workload(name)
+        scenes = {k: Scene.from_text(t) for k, t in texts.items()}
+        assert sorted(c.cid for c in checks) == sorted(expected[name]), name
+        for c in checks:
+            v = run_check(CheckRequest(scenes[c.scene], c.prop))
+            report = verdict_to_dict(v)
+            report.pop("timings", None)
+            got = {
+                "scene_sha256": hashlib.sha256(texts[c.scene].encode()).hexdigest(),
+                "answer": v.answer,
+                "reason": v.reason,
+                "witness_count": v.witness_count,
+                "digest": hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest(),
+            }
+            assert got == expected[name][c.cid], c.cid
 
 
 def test_differential_imports_basix_from_its_own_checkout(tmp_path):
