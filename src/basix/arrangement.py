@@ -25,10 +25,25 @@ that vanish at alpha are dropped and each pseudo-remainder is taken times
 -sign(lc^k) at alpha, so each member is a positive multiple of the true one
 for f(alpha, y), and the count of distinct real roots in (a, b), ends not
 roots, is exact.  Bisection gives a window per root; two factors share one
-when their product has one root in a hull holding one of each.  So a level
-between two windows is a root of no factor at alpha, hence clear of every
-curve near the wall, and `_match_side`, which halves its distance to the
-wall and refines the wall each round, ends there as at a rational wall.
+when their product has one root in a hull holding one of each.
+
+Branch ends are matched to wall points by counting.  Take a factor f, a wall
+alpha where lc_y f(alpha) != 0, and one side of it with L branch ends of f.
+Every end converges to a root of f(alpha, y), since the roots of f(x, y)
+stay bounded near alpha; the branches of f are disjoint within the slab, so
+their limits keep the stack order; and a simple root receives exactly one
+end from each side, by the implicit function theorem.  So with at most one
+multiple root, at position j among f's P wall points, the fates are forced:
+the simple roots below it take one end each, in order, it takes the
+L - (P - 1) ends left over (none at an acnode), and the simple roots above
+take the rest.  Where f has no own event at alpha (a root of no critical
+polynomial of f alone) every root is simple and L = P.  Only at a vanishing
+leading coefficient, at an irrational wall with an own event of f, or at two
+multiple roots does `_match_side` approach the wall: it moves towards it
+and refines it until every level between the wall points is clear of f
+between the branch positions and the wall.  A level between two windows is
+a root of no factor at alpha, hence clear of every curve near the wall, so
+there it ends as at a rational wall.
 
 Region and curve-edge signs are read off the slab stacks by parity.  At a
 slab sample x_s no wall lies, so the leading coefficient lc_y f does not
@@ -77,6 +92,7 @@ from .realroots import (
     roots_equal,
     separate,
     sign_variations,
+    vanishes_at,
 )
 from .scene import Projection, Scene, project_scene
 from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
@@ -153,6 +169,23 @@ def bipoly_sign_on_box(g: BiPoly, box: Box, cap: int = _SIGN_ROUNDS) -> int:
             return -1
         box.refine()
     raise Unsupported("SignRefinementCap", f"sign of {g.to_text()} undecided")
+
+
+def _counted_fates(mine: list[int], multiple: list[int], ends: int) -> list[int]:
+    """The fates of a factor's `ends` branch ends on one side of a wall
+    where its leading coefficient does not vanish, from its wall points
+    `mine` (indices into the wall's points) and the positions among them of
+    its multiple roots, at most one: the counting rule of the module
+    docstring."""
+    if not multiple:
+        if ends != len(mine):
+            raise InternalError(f"{ends} branch ends meet {len(mine)} simple wall points")
+        return list(mine)
+    (j,) = multiple
+    extra = ends - (len(mine) - 1)
+    if extra < 0:
+        raise InternalError(f"{ends} branch ends cannot reach {len(mine) - 1} simple wall points")
+    return mine[:j] + [mine[j]] * extra + mine[j + 1 :]
 
 
 # --------------------------------------------------------------------------- cells
@@ -364,15 +397,26 @@ class Arrangement:
 
     def _analyse_wall(self, wi: int, wall: Wall) -> None:
         """The wall points of a wall and the fate of every branch end at it;
-        the fibre rule is in the module docstring."""
+        the fibre and counting rules are in the module docstring."""
         cx = wall.exact_x()
         fibres: dict[str, list] = {}
+        # per factor, the positions in its fibre of its multiple roots, or
+        # None where counting does not force the fates
+        multiple: dict[str, list[int] | None] = {}
         if cx is not None:
             for n, f in self.curvy.items():
                 u = f.specialize_x(cx)
                 if u.is_zero():
                     raise Unsupported("VerticalComponent", f"factor {n!r} contains x = {cx}")
-                fibres[n] = isolate_real_roots(u) if u.degree >= 1 else []
+                fibres[n] = locs = isolate_real_roots(u) if u.degree >= 1 else []
+                if not any(key == (n,) and c.eval(cx) == 0 for key, c in self._critical):
+                    multiple[n] = []
+                elif u.degree < f.deg_y:
+                    multiple[n] = None
+                else:
+                    du = u.derivative()
+                    mult = [j for j, loc in enumerate(locs) if vanishes_at(du, loc)]
+                    multiple[n] = mult if len(mult) <= 1 else None
             same = roots_equal
         else:
             if wall.line_factor is not None:
@@ -380,6 +424,7 @@ class Arrangement:
             at = _IrrationalAbscissa(wall.x, self._critical)
             for n, f in self.curvy.items():
                 fibres[n] = _Fibre(at, n, f).windows()
+                multiple[n] = None if (n,) in at.events else []
             same = at.same_root
 
         clusters: list[tuple] = []
@@ -397,13 +442,20 @@ class Arrangement:
 
         points = [WallPoint(y=rep, factors=set(fs), left=[], right=[], is_pass=False) for rep, fs in clusters]
 
-        ys = [p.y for p in points]
-        levels = [gap_sample(ys, k) for k in range(len(ys) + 1)]
+        levels: list[Fraction] = []
         for side, slab in (("L", wi), ("R", wi + 1)):
             for n in self.curvy:
-                if self._branch_count(slab, n) == 0:
+                ends = self._branch_count(slab, n)
+                if ends == 0:
                     continue
-                fates = self._match_side(n, slab, side, wall, levels)
+                if multiple[n] is not None:
+                    mine = [k for k, p in enumerate(points) if n in p.factors]
+                    fates = _counted_fates(mine, multiple[n], ends)
+                else:
+                    if not levels:
+                        ys = [p.y for p in points]
+                        levels = [gap_sample(ys, k) for k in range(len(ys) + 1)]
+                    fates = self._match_side(n, slab, side, wall, levels)
                 for idx, k in enumerate(fates):
                     if 0 <= k < len(points):
                         if n not in points[k].factors:
@@ -443,10 +495,11 @@ class Arrangement:
         return None if j < len(levels) and levels[j] <= pos.hi else j - 1
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
-        """Whether the line y = lv misses the factor's curve over [a, b].
-        Each (factor, level) is specialised once per arrangement: the walls'
-        matching rounds only shrink the span, and both sides of a wall test
-        the same levels."""
+        """Whether the line y = lv misses the factor's curve over [a, b];
+        read only where `_match_side` approaches a wall whose fates are not
+        counted.  Each (factor, level) is specialised once per arrangement:
+        the walls' matching rounds only shrink the span, and both sides of a
+        wall test the same levels."""
         key = (factor, lv)
         c = self._level_forms.get(key)
         if c is None:

@@ -379,6 +379,10 @@ def _principal_closed(model: SphereModel, req: CheckRequest, mark) -> Verdict:
             if found is not None:
                 v.witness, v.witness_count = found
         return v
+    # points missing from S on no boundary edge (an isolated zero) escape the
+    # test above, and the complement of S is then principal open
+    if not is_closed_cellwise(d):
+        return Verdict("principal_closed", "No", reason="NotClosed")
     inner = _principal_open(model.for_scene(d.scene.complement()), req, mark)
     v = Verdict("principal_closed", inner.answer, reason=inner.reason, witness=inner.witness)
     v.diagnostics = {"complement_check": inner.diagnostics}

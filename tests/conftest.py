@@ -16,14 +16,20 @@ def load_fixture(name: str) -> Scene:
     return Scene.from_text((FIXTURE_DIR / f"{name}.bsx").read_text(encoding="utf-8"))
 
 
-def bench_scene_texts(monkeypatch, name: str) -> dict[str, str]:
-    """Scene texts by key of the benchmark workload `name`, read from the
-    benchmark's generator."""
+def bench_workload(monkeypatch, name: str) -> tuple[dict[str, str], list]:
+    """Scene texts by key and the checks (each naming a scene key and a
+    property) of the benchmark workload `name`, from the benchmark's
+    generator."""
     spec = importlib.util.spec_from_file_location("bench_workloads", BENCH_DIR / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclasses look it up
     spec.loader.exec_module(workloads)
-    return workloads.workload(name)[0]
+    return workloads.workload(name)
+
+
+def bench_scene_texts(monkeypatch, name: str) -> dict[str, str]:
+    """Scene texts by key of the benchmark workload `name`."""
+    return bench_workload(monkeypatch, name)[0]
 
 
 def swap_scene(scene: Scene) -> Scene:

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts, load_fixture
+from conftest import bench_workload, load_fixture, sqrt2_twin
 from hypothesis import given, settings, strategies as st
 from test_sphere import random_scene_text
 
@@ -345,7 +345,8 @@ def test_stack_signs_match_evaluation_on_random_scenes(seed):
 
 def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
     # the matching rounds of a wall only shrink the span, and both sides of a
-    # wall test the same levels, so each (factor, level) is specialised once
+    # wall test the same levels, so each (factor, level) is specialised once;
+    # the asymptotes x = +-1 of f are walls where its fates are not counted
     specialize_y, build = BiPoly.specialize_y, arrangement.Arrangement._build
     building: list[Counter] = []
     built: list[Counter] = []
@@ -364,9 +365,95 @@ def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
 
     monkeypatch.setattr(BiPoly, "specialize_y", counted_specialize_y)
     monkeypatch.setattr(arrangement.Arrangement, "_build", counted_build)
-    texts = bench_scene_texts(monkeypatch, "lines")
-    for key in ("lines4.s0.dnf", "lines4.s0.poly"):
-        for prop in ("basic_open", "principal_open"):
-            run_check(CheckRequest(Scene.from_text(texts[key]), prop))
+    sc = S("factor f = x^2*y - y - 1; factor g = y - x; set S = { f > 0, g > 0 };")
+    for prop in ("basic_open", "principal_open"):
+        run_check(CheckRequest(sc, prop))
     assert sum(sum(c.values()) for c in built) > 0
     assert max(max(c.values(), default=0) for c in built) == 1
+
+
+# folds, a cusp, an acnode, a tangency, a vertical inflection, a node and
+# folds beside a simple root of the same fibre on rational walls; all but the
+# first cusp and inflection have a sqrt2 twin, whose events sit on the walls
+# x = +-sqrt2 (x = +-2 sqrt2 for the last scene)
+COUNTED_WALL_SCENES = [
+    "factor f = x^2 + y^2 - 1;",
+    "factor f = y^2 - x^3;",
+    "factor f = y^2 - (x^2 - 1)^3;",
+    "factor f = y^2 + x^4 - 2*x^2 + 1;",
+    "factor f = x^2 + y^2 - 3*y + 1; factor g = y - x^2;",
+    "factor f = y^3 - x;",
+    "factor f = y^3 - x^2 + 1;",
+    "factor f = y^2 - x^6 + x^4 + x^2 - 1;",
+    "factor f = y^3 - 3*y - x^2 + 2;",
+]
+
+
+def _counted_wall_scenes():
+    for text in COUNTED_WALL_SCENES:
+        sc = S(text + " set S = { f > 0 };")
+        yield sc
+        try:
+            yield sqrt2_twin(sc)
+        except ValueError:
+            pass
+    rng = random.Random(21)
+    for _ in range(20):
+        yield S(random_scene_text(rng))
+
+
+def test_counted_fates_agree_with_approaching_the_wall(monkeypatch):
+    # every (wall, factor, side) whose fates were counted is matched again by
+    # approaching the wall, as at a vanishing leading coefficient
+    match_side = arrangement.Arrangement._match_side
+    approached: set[tuple] = set()
+
+    def recorded(self, factor, slab, side, wall, levels):
+        approached.add((id(wall), side, factor))
+        return match_side(self, factor, slab, side, wall, levels)
+
+    monkeypatch.setattr(arrangement.Arrangement, "_match_side", recorded)
+    compared = multiple = 0
+    for sc in _counted_wall_scenes():
+        try:
+            arr = build_arrangement(sc)
+        except (SceneError, Unsupported):
+            continue
+        for wi, wall in enumerate(arr.walls):
+            ys = [p.y for p in wall.points]
+            levels = [gap_sample(ys, k) for k in range(len(ys) + 1)]
+            for side, slab in (("L", wi), ("R", wi + 1)):
+                for n in arr.curvy:
+                    ends = arr._branch_count(slab, n)
+                    if ends == 0 or (id(wall), side, n) in approached:
+                        continue
+                    counted = [wall.fates[(side, n, i)] for i in range(ends)]
+                    assert match_side(arr, n, slab, side, wall, levels) == counted, (sc.factors, wall.x)
+                    compared += 1
+                    multiple += counted != [k for k, p in enumerate(wall.points) if n in p.factors]
+    assert compared >= 100 and multiple >= 10, (compared, multiple)
+
+
+def test_bench_workload_checks_never_approach_a_wall(monkeypatch):
+    # on the benchmark's scenes every leading coefficient stays nonzero at
+    # the walls and at most one root of a fibre is multiple
+    def refused(*_args):
+        raise AssertionError("branch ends matched by approaching a wall")
+
+    monkeypatch.setattr(arrangement.Arrangement, "_match_side", refused)
+    for name in ("fixtures", "blowup", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        for c in checks:
+            run_check(CheckRequest(S(texts[c.scene]), c.prop))
+
+
+def test_a_forged_branch_count_is_an_internal_error(monkeypatch):
+    # the walls of two crossing lines carry one simple point per line, so
+    # one branch end more than wall points breaks the counting rule
+    branch_count = arrangement.Arrangement._branch_count
+    monkeypatch.setattr(arrangement.Arrangement, "_branch_count", lambda self, s, n: branch_count(self, s, n) + 1)
+    with pytest.raises(InternalError, match="simple wall points"):
+        build_arrangement(S("factor a = y - x; factor b = y + x; set S = { a > 0 };"))
+    # a multiple root can take no end, but the simple ones each need one
+    with pytest.raises(InternalError, match="cannot reach"):
+        arrangement._counted_fates([0, 1, 2], [1], 1)

@@ -1,3 +1,4 @@
+import importlib.util
 import random
 import re
 import sys
@@ -245,6 +246,51 @@ def test_principal_closed_examples():
     assert v.answer == "No"
     assert v.witness is not None
     assert v.witness_count == 1
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        "x^2 + y^2",  # the plane without the origin
+        "y^2 + x^4 - 4*x^2 + 4",  # without the acnodes (+-sqrt2, 0)
+    ],
+)
+def test_principal_closed_is_no_on_a_set_missing_isolated_points(f):
+    # no boundary edge meets the complement, which is a set of isolated
+    # points and so principal open; closedness is tested on S itself
+    sc = S(f"factor f = {f}; set S = {{ f > 0 }};")
+    for check in (check_basic_closed, check_principal_closed):
+        v = check(sc)
+        assert (v.answer, v.reason) == ("No", "NotClosed"), check
+
+
+def test_principal_and_basic_answers_imply_each_other(monkeypatch):
+    # principal open => basic open => generically basic, and principal
+    # closed => basic closed, on the fixtures, their inversions and the
+    # scenes with events over irrational walls
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/ and tests/
+    spec = importlib.util.spec_from_file_location("differential", Path(__file__).resolve().parent / "differential.py")
+    differential = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(differential)
+    scenes = [S(text) for text in differential.IRRATIONAL_WALLS.values()]
+    for path in sorted(differential.FIXTURE_DIR.glob("*.bsx")):
+        sc = S(path.read_text(encoding="utf-8"))
+        inv = invert_scene(sc)
+        scenes += [sc, Scene(inv.factors, inv.order, inv.formula, "affine")]
+    implications = [
+        ("principal_open", "basic_open"),
+        ("basic_open", "generically_basic"),
+        ("principal_closed", "basic_closed"),
+    ]
+    held = 0
+    for sc in scenes:
+        answers = {p: run_check(CheckRequest(sc, p, want_witness=False)).answer for p in PROPERTIES}
+        for strong, weak in implications:
+            # an Unsupported weaker check decides nothing to compare
+            if answers[strong] == "Yes" and answers[weak] != "Unsupported":
+                assert answers[weak] == "Yes", (sc.factors, strong, weak)
+                held += 1
+    assert held >= 10
 
 
 def wall_denominator_scene_text(a: str, k: int) -> str:
