@@ -37,13 +37,20 @@ multiple root, at position j among f's P wall points, the fates are forced:
 the simple roots below it take one end each, in order, it takes the
 L - (P - 1) ends left over (none at an acnode), and the simple roots above
 take the rest.  Where f has no own event at alpha (a root of no critical
-polynomial of f alone) every root is simple and L = P.  Only at a vanishing
-leading coefficient, at an irrational wall with an own event of f, or at two
-multiple roots does `_match_side` approach the wall: it moves towards it
-and refines it until every level between the wall points is clear of f
-between the branch positions and the wall.  A level between two windows is
-a root of no factor at alpha, hence clear of every curve near the wall, so
-there it ends as at a rational wall.
+polynomial of f alone) every root is simple and L = P.
+
+Only at a vanishing leading coefficient, at an irrational wall with an own
+event of f, or at two multiple roots does `_match_side` approach the wall.
+Counting cannot replace it there: two double roots may take two ends each,
+and at an asymptote parity cannot tell no ends escaping up from two.  It
+moves an abscissa x_at towards the wall, refining the wall, until every level
+is clear of f between x_at and the wall, so each branch stays in one level
+gap on its way to alpha.  It then isolates f(x_at, y) once and refines each
+root until no level lies in its interval; a root count other than the
+slab's is an internal error.  Both loops end: a level lies strictly between
+wall points, so f(alpha, level) != 0 and the level is clear once x_at and
+the wall's interval, which both converge to alpha, are close enough; and a
+level is no root at x_at.
 
 Region and curve-edge signs are read off the slab stacks by parity.  At a
 slab sample x_s no wall lies, so the leading coefficient lc_y f does not
@@ -52,8 +59,9 @@ keeps its full degree and has only simple real roots, and the stack holds
 every one of them in order.  Each simple root flips the sign of f(x_s, y),
 so at a point of the slab above the first k stack entries f has the sign
 of lc_y f(x_s) times (-1) to the number of f's entries above position k;
-an x-only factor has its sign at x_s.  Only vertices, whose coordinates may
-be irrational, and vertical edges are signed by evaluation.
+an x-only factor has its sign at x_s.  A vertex or a vertical edge takes the
+signs of an adjacent region, with 0 on the factors through it: a factor
+that is nonzero at a point keeps its sign nearby.
 
 Gaps of ordered located numbers are read one way: `gap_sample` takes a
 rational below, between or above them.  It gives the slab samples between
@@ -68,9 +76,9 @@ decision asks only which region holds a rational point off the curves.
 
 Everything is exact.  Every located coordinate (a wall abscissa, a branch
 or vertex ordinate) is a `RootLocator`, refinable on demand; a rational one
-is an exact locator with ``lo == hi``.  Any configuration
-that cannot be certified within the refinement caps raises Unsupported
-instead of guessing.
+is an exact locator with ``lo == hi``.  The build refines without caps;
+`bipoly_sign_on_box`, which the blow-up and fan layers use, has one and
+raises Unsupported rather than guess.
 """
 
 from __future__ import annotations
@@ -99,7 +107,6 @@ from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
 
 F = Fraction
 
-_MATCH_ROUNDS = 64
 _SIGN_ROUNDS = 160
 
 # --------------------------------------------------------------------------- helpers
@@ -384,17 +391,6 @@ class Arrangement:
     def _branch_count(self, slab: int, factor: str) -> int:
         return sum(1 for (n, _i, _l) in self.stacks[slab] if n == factor)
 
-    def _branch_positions(self, slab: int, factor: str, x_at: Fraction) -> list[RootLocator]:
-        if x_at == self.slab_samples[slab]:
-            # stage 2 isolated these roots already; copies keep the stack's
-            # intervals, which the gap samples read, as they are
-            return [RootLocator(l.p, l.lo, l.hi, l.exact) for (n, _i, l) in self.stacks[slab] if n == factor]
-        u = self.curvy[factor].specialize_x(x_at)
-        locs = isolate_real_roots(u) if u.degree >= 1 else []
-        if len(locs) != self._branch_count(slab, factor):
-            raise Unsupported("BranchCountDrift", f"{factor} at x={x_at}")
-        return locs
-
     def _analyse_wall(self, wi: int, wall: Wall) -> None:
         """The wall points of a wall and the fate of every branch end at it;
         the fibre and counting rules are in the module docstring."""
@@ -470,29 +466,29 @@ class Arrangement:
         wall.points = points
 
     def _match_side(self, factor: str, slab: int, side: str, wall: Wall, levels: list[Fraction]) -> list[int]:
-        """Fate of each branch of `factor` in `slab` approaching `wall`, read
-        once every level is clear of the factor between the branch positions
-        and the wall (see `_fate`)."""
+        """Fate of each branch of `factor` in `slab` approaching `wall`: the
+        approach of the module docstring, then the level gap that holds each
+        branch position, less one."""
         x_at = self.slab_samples[slab]
-        for _round in range(_MATCH_ROUNDS):
+        while True:
             wlo, whi = wall.x.lo, wall.x.hi
             span = (x_at, whi) if side == "L" else (wlo, x_at)
             if all(self._level_clear(factor, lv, *span) for lv in levels):
-                fates = [self._fate(pos, levels) for pos in self._branch_positions(slab, factor, x_at)]
-                if None not in fates:
-                    return fates
+                break
             # the near end of the wall's interval stays on this side of the wall
             x_at = (x_at + (wlo if side == "L" else whi)) / 2
             wall.x.refine()
-        raise Unsupported("WallMatchCap", f"{factor} near wall x in {(wall.x.lo, wall.x.hi)}")
-
-    @staticmethod
-    def _fate(pos: RootLocator, levels: list[Fraction]) -> int | None:
-        """The level gap that holds a branch position, less one: k for wall
-        point k, into which the branch converges, -1 below every point and
-        len(levels) - 1 above; None while a level meets the position."""
-        j = bisect_left(levels, pos.lo)
-        return None if j < len(levels) and levels[j] <= pos.hi else j - 1
+        u = self.curvy[factor].specialize_x(x_at)
+        positions = isolate_real_roots(u) if u.degree >= 1 else []
+        if len(positions) != self._branch_count(slab, factor):
+            raise InternalError(f"{factor} has another branch count at x = {x_at} than in its slab")
+        fates = []
+        for pos in positions:
+            # no level is a root at x_at, so the refinement ends
+            while (j := bisect_left(levels, pos.lo)) < len(levels) and levels[j] <= pos.hi:
+                pos.refine()
+            fates.append(j - 1)
+        return fates
 
     def _level_clear(self, factor: str, lv: Fraction, a: Fraction, b: Fraction) -> bool:
         """Whether the line y = lv misses the factor's curve over [a, b];
@@ -632,7 +628,7 @@ class Arrangement:
             hi_end = ("pole",) if b == len(wall.points) else ("vertex", vid_of[(wi, b)])
             e.ends = (lo_end, hi_end)
             e.unbounded = ("pole",) in e.ends
-            e.signs = self._vertical_edge_signs(e)
+            e.signs = {**self.regions[e.side_above].signs, e.factor: 0}
             self.edges.append(e)
 
         self.pole_touched = any(e.unbounded for e in self.edges)
@@ -644,7 +640,7 @@ class Arrangement:
                     self._edges_at_vertex[end[1]].append(e.eid)
 
         for v in self.vertices:
-            v.signs = self._vertex_signs(v)
+            v.signs = {**self.regions[min(self.regions_at_vertex(v.vid))].signs, **dict.fromkeys(v.factors, 0)}
 
     def _chain_end(self, piece: tuple[int, str, int], side: str, vid_of) -> tuple:
         s, n, i = piece
@@ -678,18 +674,6 @@ class Arrangement:
             signs[on] = 0
         return signs
 
-    def _vertical_edge_signs(self, e: Edge) -> dict[str, int]:
-        signs: dict[str, int] = {e.factor: 0}
-        x, y = self.vertical_edge_sample(e)
-        for n, p in self.factors.items():
-            if n == e.factor:
-                continue
-            s = p.sign_at(x, y)
-            if s == 0:
-                raise Unsupported("EdgeSampleOnCurve", f"{n} vanishes on a vertical edge sample")
-            signs[n] = s
-        return signs
-
     def vertical_edge_sample(self, e: Edge) -> tuple[Fraction, Fraction]:
         wall = self.walls[e.wall_index]  # type: ignore[index]
         cx = wall.exact_x()
@@ -702,18 +686,6 @@ class Arrangement:
             return self.vertical_edge_sample(e)
         s0, _i, loc = e.pieces[0]
         return self.slab_samples[s0], loc
-
-    def _vertex_signs(self, v: Vertex) -> dict[str, int]:
-        signs: dict[str, int] = {}
-        pt = v.point()
-        for n, p in self.factors.items():
-            if n in v.factors:
-                signs[n] = 0
-            elif pt is not None:
-                signs[n] = p.sign_at(*pt)
-            else:
-                signs[n] = bipoly_sign_on_box(p, v.box())
-        return signs
 
     def pole_end_sides(self, e: Edge) -> list[int]:
         """The sign of x along each end of the edge that runs to the pole: -1

@@ -32,6 +32,16 @@ def bench_scene_texts(monkeypatch, name: str) -> dict[str, str]:
     return bench_workload(monkeypatch, name)[0]
 
 
+def differential_module(monkeypatch):
+    """`tests/differential.py` as a module; the script prepends its src/ and
+    tests/ to sys.path, which is restored after the test."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("differential", Path(__file__).resolve().parent / "differential.py")
+    differential = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(differential)
+    return differential
+
+
 def swap_scene(scene: Scene) -> Scene:
     """The scene with x and y exchanged in every factor."""
     return Scene({n: p.swap_xy() for n, p in scene.factors.items()}, scene.order, scene.formula, scene.chart)

@@ -21,6 +21,8 @@ family (`test_cli.DIVERGENT`), unions of 3, 5, 7 and 9 clauses whose complement
 would be a large DNF (`test_scene.union_scene_text`), the scenes of
 `IRRATIONAL_WALLS`, the scenes of `LARGE_DENOMINATORS` (a wall at
 x = 1/10007, found exactly only as the root of a linear squarefree part),
+the scenes of `APPROACHED_WALLS` (walls where branch ends are matched by
+approaching the wall, because counting roots does not decide their fates),
 six scenes of `test_checker.twin_scene_text` each
 followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
 walls into irrational ones and must keep every answer), the scenes of
@@ -79,6 +81,15 @@ LARGE_DENOMINATORS = {
     "line-pair-10007": wall_denominator_scene_text("y^2 - 2*({k}*x - 1)^2", 10007),
 }
 
+# two double roots on each of the walls x = +-1; two branch ends escaping on
+# each side of the asymptote x = 0, down on the left and up on the right;
+# two double roots on the wall x = 1/10007
+APPROACHED_WALLS = {
+    "double-roots-pm1": "factor f = x^2 + (y^2 - 4)^2 - 1; set S = { f > 0 };",
+    "escapes-0": "factor f = x^2*y^2 - 3*x*y + 2 + x; set S = { f > 0 };",
+    "double-roots-10007": "factor f = (y^2 - 1)^2 - 2*(10007*x - 1)^2; factor g = y + x^2; set S = { f > 0, g > 0 };",
+}
+
 
 def scenes(n_random: int, seed: int):
     """(label, scene or the error raised building it), in a fixed order."""
@@ -91,7 +102,7 @@ def scenes(n_random: int, seed: int):
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))
-    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS}.items():
+    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS, **APPROACHED_WALLS}.items():
         yield label, Scene.from_text(text)
     twins = random.Random(3)
     for k in range(6):

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from conftest import bench_workload, load_fixture, sqrt2_twin
+from conftest import bench_workload, differential_module, load_fixture, sqrt2_twin
 from hypothesis import given, settings, strategies as st
 from test_sphere import random_scene_text
 
@@ -310,18 +310,33 @@ def test_region_of_point_on_a_curve_is_an_internal_error():
         arr.region_of_point(F(0), F(0))
 
 
+def _copy(loc):
+    return RootLocator(loc.p, loc.lo, loc.hi, loc.exact)
+
+
 def _assert_stack_signs_are_evaluated_signs(arr):
-    # regions against exact evaluation at their samples, curve edges against
-    # box refinement around their first piece (on a copy of its locator)
+    # regions against exact evaluation at their samples, vertical edges at
+    # theirs and rational vertices at themselves, curve edges and irrational
+    # vertices against box refinement (on copies of their locators)
     for r in arr.regions:
         assert r.signs == {n: arr.factors[n].sign_at(*r.sample) for n in arr.order}, r.rid
     for e in arr.edges:
         if e.vertical:
-            continue
-        s0, _i, loc = e.pieces[0]
-        box = Box(RootLocator.at(arr.slab_samples[s0]), RootLocator(loc.p, loc.lo, loc.hi, loc.exact))
-        want = {n: 0 if n == e.factor else bipoly_sign_on_box(p, box) for n, p in arr.factors.items()}
+            x, y = arr.vertical_edge_sample(e)
+            want = {n: p.sign_at(x, y) for n, p in arr.factors.items()}
+        else:
+            s0, _i, loc = e.pieces[0]
+            box = Box(RootLocator.at(arr.slab_samples[s0]), _copy(loc))
+            want = {n: 0 if n == e.factor else bipoly_sign_on_box(p, box) for n, p in arr.factors.items()}
         assert e.signs == want, e.eid
+    for v in arr.vertices:
+        pt = v.point()
+        if pt is not None:
+            want = {n: p.sign_at(*pt) for n, p in arr.factors.items()}
+        else:
+            box = Box(_copy(v.x), _copy(v.y))
+            want = {n: 0 if n in v.factors else bipoly_sign_on_box(p, box) for n, p in arr.factors.items()}
+        assert v.signs == want, v.vid
 
 
 @pytest.mark.parametrize("name", ["cubic", "half", "para", "quad", "saddle"])
@@ -329,6 +344,12 @@ def test_stack_signs_match_evaluation_on_fixtures(name):
     sc = load_fixture(name)
     for scene in (sc, invert_scene(sc)):
         _assert_stack_signs_are_evaluated_signs(build_arrangement(scene))
+
+
+def test_stack_signs_match_evaluation_on_irrational_and_approached_walls(monkeypatch):
+    differential = differential_module(monkeypatch)
+    for text in {**differential.IRRATIONAL_WALLS, **differential.APPROACHED_WALLS}.values():
+        _assert_stack_signs_are_evaluated_signs(build_arrangement(S(text)))
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -434,6 +455,33 @@ def test_counted_fates_agree_with_approaching_the_wall(monkeypatch):
     assert compared >= 100 and multiple >= 10, (compared, multiple)
 
 
+@pytest.mark.parametrize(
+    "text, fates",
+    [
+        # two double roots, at y = +-2, on each of the walls x = +-1
+        ("factor f = x^2 + (y^2 - 4)^2 - 1;", {(-1, "R"): [0, 0, 1, 1], (1, "L"): [0, 0, 1, 1]}),
+        # an asymptote x = 0 over an empty fibre: two ends escape down on
+        # the left and two up on the right, which parity cannot tell from none
+        ("factor f = x^2*y^2 - 3*x*y + 2 + x;", {(0, "L"): [-1, -1], (0, "R"): [0, 0]}),
+    ],
+    ids=["two-multiple-roots", "two-escapes"],
+)
+def test_walls_counting_cannot_decide_are_approached(monkeypatch, text, fates):
+    match_side = arrangement.Arrangement._match_side
+    approached = {}
+
+    def recorded(self, factor, slab, side, wall, levels):
+        approached[(wall.x.exact, side)] = out = match_side(self, factor, slab, side, wall, levels)
+        return out
+
+    monkeypatch.setattr(arrangement.Arrangement, "_match_side", recorded)
+    arr = build_arrangement(S(text + " set S = { f > 0 };"))
+    assert approached == fates
+    walls = {wall.x.exact: wall for wall in arr.walls}
+    for (x, side), ends in fates.items():
+        assert [walls[x].fates[(side, "f", i)] for i in range(len(ends))] == ends
+
+
 def test_bench_workload_checks_never_approach_a_wall(monkeypatch):
     # on the benchmark's scenes every leading coefficient stays nonzero at
     # the walls and at most one root of a fibre is multiple
@@ -454,6 +502,10 @@ def test_a_forged_branch_count_is_an_internal_error(monkeypatch):
     monkeypatch.setattr(arrangement.Arrangement, "_branch_count", lambda self, s, n: branch_count(self, s, n) + 1)
     with pytest.raises(InternalError, match="simple wall points"):
         build_arrangement(S("factor a = y - x; factor b = y + x; set S = { a > 0 };"))
+    # every wall of f is an asymptote, which is approached: the branch count
+    # at the approach abscissa differs from the forged one
+    with pytest.raises(InternalError, match="another branch count"):
+        build_arrangement(S("factor f = x^2*y - y - 1; set S = { f > 0 };"))
     # a multiple root can take no end, but the simple ones each need one
     with pytest.raises(InternalError, match="cannot reach"):
         arrangement._counted_fates([0, 1, 2], [1], 1)

@@ -1,4 +1,3 @@
-import importlib.util
 import random
 import re
 import sys
@@ -7,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import bench_scene_texts, sqrt2_twin, swap_scene
+from conftest import bench_scene_texts, differential_module, sqrt2_twin, swap_scene
 
 from basix import arrangement, bipoly, checker, cli
 from basix.bipoly import BiPoly
@@ -268,10 +267,7 @@ def test_principal_and_basic_answers_imply_each_other(monkeypatch):
     # principal open => basic open => generically basic, and principal
     # closed => basic closed, on the fixtures, their inversions and the
     # scenes with events over irrational walls
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/ and tests/
-    spec = importlib.util.spec_from_file_location("differential", Path(__file__).resolve().parent / "differential.py")
-    differential = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(differential)
+    differential = differential_module(monkeypatch)
     scenes = [S(text) for text in differential.IRRATIONAL_WALLS.values()]
     for path in sorted(differential.FIXTURE_DIR.glob("*.bsx")):
         sc = S(path.read_text(encoding="utf-8"))
@@ -312,6 +308,21 @@ def test_large_wall_denominators_decide_as_small_ones(a):
     assert answers(3) == expected
     for k in (4099, 10007):
         assert answers(k) == expected, k
+
+
+def test_a_quartic_with_two_double_roots_on_a_wall_of_denominator_10007_decides():
+    # f has double roots at (1/10007, +-1), so the fates at that wall are
+    # read by approaching it, through many refinement rounds
+    sc = S("factor f = (y^2 - 1)^2 - 2*(10007*x - 1)^2; factor g = y + x^2; set S = { f > 0, g > 0 };")
+    assert arrangement.build_arrangement(sc).euler_characteristic_sphere() == 2
+    answers = {p: run_check(CheckRequest(sc, p)) for p in PROPERTIES}
+    assert {p: (v.answer, v.reason.split(":")[0]) for p, v in answers.items()} == {
+        "basic_open": ("Unsupported", "NonRationalCoefficient"),
+        "basic_closed": ("No", "NotClosed"),
+        "generically_basic": ("Unsupported", "NonRationalCoefficient"),
+        "principal_open": ("No", "principal-complement-side"),
+        "principal_closed": ("No", "BoundaryMeetsComplement"),
+    }
 
 
 def test_neq_scene_basic():

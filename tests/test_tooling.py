@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import differential_module
+
 from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.errors import ParseError, SceneError, Unsupported
 from basix.report import verdict_to_dict
@@ -113,13 +115,10 @@ def test_differential_imports_basix_from_its_own_checkout(tmp_path):
 
 def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
     # the fixtures, their inversions and swaps, the divergent scene, the
-    # unions, the irrational-wall and large-denominator scenes, the twin
-    # pairs and the projection pins, under every property: a verdict,
-    # Unsupported or an input error, never an internal error
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends its src/ and tests/
-    spec = importlib.util.spec_from_file_location("differential", ROOT / "tests" / "differential.py")
-    differential = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(differential)
+    # unions, the irrational-wall, large-denominator and approached-wall
+    # scenes, the twin pairs and the projection pins, under every property:
+    # a verdict, Unsupported or an input error, never an internal error
+    differential = differential_module(monkeypatch)
     checked = 0
     for label, sc in differential.scenes(0, 0):
         assert isinstance(sc, Scene), label
@@ -131,4 +130,4 @@ def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
             else:
                 assert v.answer in ("Yes", "No", "Unsupported"), (label, prop)
             checked += 1
-    assert checked == 215
+    assert checked == 230
