@@ -6,10 +6,24 @@ plus all exceptional lines) has only smooth transversal crossings with at
 most two branches per point.  Every chart is rational: an irrational centre
 that would need resolution aborts with Unsupported.
 
-The normal-crossing tests read branch sets of the local curves at each site.
-One ``resolve_point`` call expands each distinct local polynomial once and
-keeps the sets in a dict that it passes down its sites; the dict is dropped
-when the call returns, so nothing is cached between resolutions.
+The normal-crossing tests read three things of each local curve at a site:
+how many real branches it has at the origin, whether each is smooth, and
+their tangent lines.  They are read from the curve's tangent cone, the
+lowest form h of degree d.  Its real lines are y = m*x for the real roots m
+of h(1, m), and x = 0 with multiplicity d - deg h(1, m).  When every real
+line is simple the cone decides exactly.  Blowing up the origin, the strict
+transform meets the exceptional line at the point of each line of the cone,
+with the line's multiplicity.  At a simple real line it is therefore smooth
+and transversal there, so it carries exactly one branch (real, since its
+conjugate passes there too), which is smooth and tangent to the line
+downstairs; a non-real line carries no real branch.  No slope needs to be
+rational.  A multiple real line may carry several
+branches, a singular one or none at all (an isolated real point), and only
+the Puiseux branch set tells which, so a curve with one is expanded
+(`branch_set`).  One ``resolve_point`` call reads each distinct local
+polynomial once and keeps its tangents in a dict that it passes down its
+sites; the dict is dropped when the call returns, so nothing is cached
+between resolutions.
 
 Marked points on an exceptional component are `RootLocator`s, exact ones
 for rational positions, as every located coordinate of the arrangement is.
@@ -42,7 +56,6 @@ from .errors import BasixError, Unsupported
 from .puiseux import (
     ArcFamily,
     ParamArc,
-    PuiseuxArc,
     _divide_x_power,
     arc_region_membership,
     branch_set,
@@ -139,49 +152,67 @@ class ResolutionTree:
 
 # ----------------------------------------------------------------- NC testing
 
-# Branch sets at the origin, keyed by local polynomial, for one resolve_point.
-Branches = dict[BiPoly, list[PuiseuxArc]]
+# A real branch at the origin as (smooth, tangent slope), the slope None for
+# the vertical line x = 0.
+Tangent = tuple[bool, RootLocator | None]
+# The tangents of each local polynomial, computed once per resolve_point.
+Tangents = dict[BiPoly, list[Tangent]]
 
 
-def _branches(p: BiPoly, branches: Branches) -> list[PuiseuxArc]:
-    arcs = branches.get(p)
-    if arcs is None:
-        arcs = branches[p] = branch_set(p, (F(0), F(0)), _NC_K)
-    return arcs
+def _cone_lines(p: BiPoly) -> tuple[list[RootLocator | None], bool]:
+    """The real lines of the lowest form h of p at the origin, as slopes
+    (None for x = 0), and whether one of them is multiple.  The finite lines
+    are the real roots m of h(1, m); x = 0 is a line of multiplicity
+    deg h - deg h(1, m)."""
+    d = min(i + j for i, j in p.t)
+    coeffs = [F(0)] * (d + 1)
+    for (i, j), c in p.t.items():
+        if i + j == d:
+            coeffs[j] = c
+    h = UniPoly(coeffs)
+    vertical = d - h.degree
+    lines: list[RootLocator | None] = [None] if vertical else []
+    multiple = vertical > 1
+    if h.degree > 0:
+        roots = isolate_real_roots(h)
+        lines += roots
+        multiple = multiple or any(vanishes_at(h.derivative(), r) for r in roots)
+    return lines, multiple
 
 
-def _branch_tangents(p: BiPoly, branches: Branches) -> list[tuple[bool, tuple[Fraction, Fraction]]]:
-    """(smooth, tangent direction) per real branch of p at the origin."""
-    out = []
-    for a in _branches(p, branches):
-        smooth = a.N == 1
-        n1 = a.first_exponent()
-        slope = dict(a.terms).get(a.N, F(0)) if n1 is not None else F(0)
-        if not a.swapped:
-            d = (F(1), slope if n1 == a.N else F(0))
+def _tangents(p: BiPoly, tangents: Tangents) -> list[Tangent]:
+    """(smooth, slope) per real branch of p at the origin.  Without a
+    multiple real line each real line of the cone carries one smooth branch;
+    otherwise the branch set is expanded."""
+    out = tangents.get(p)
+    if out is None:
+        lines, multiple = _cone_lines(p)
+        if not multiple:
+            out = [(True, m) for m in lines]
         else:
-            d = (slope if n1 == a.N else F(0), F(1))
-        out.append((smooth, d))
+            out = [
+                (a.N == 1, None if a.swapped else RootLocator.at(dict(a.terms).get(a.N, F(0))))
+                for a in branch_set(p, (F(0), F(0)), _NC_K)
+            ]
+        tangents[p] = out
     return out
 
 
-def _dir_eq(a: tuple[Fraction, Fraction], b: tuple[Fraction, Fraction]) -> bool:
-    return a[0] * b[1] - a[1] * b[0] == 0
+def _same_line(a: RootLocator | None, b: RootLocator | None) -> bool:
+    return a is None and b is None or a is not None and b is not None and roots_equal(a, b)
 
 
-def is_normal_crossing(curves: list[tuple[object, BiPoly]], branches: Branches) -> bool:
+def is_normal_crossing(curves: list[tuple[object, BiPoly]], tangents: Tangents) -> bool:
     """Total-transform normal crossing at the origin of the given local curves:
     at most two real branches, all smooth, pairwise transversal."""
-    tangents: list[tuple[bool, tuple[Fraction, Fraction]]] = []
+    found: list[Tangent] = []
     for _tag, p in curves:
-        tangents.extend(_branch_tangents(p, branches))
-        if len(tangents) > 2:
+        found.extend(_tangents(p, tangents))
+        if len(found) > 2:
             return False
-    if any(not sm for sm, _d in tangents):
+    if any(not sm for sm, _m in found):
         return False
-    if len(tangents) == 2 and _dir_eq(tangents[0][1], tangents[1][1]):
-        return False
-    return True
+    return not (len(found) == 2 and _same_line(found[0][1], found[1][1]))
 
 
 def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
@@ -195,12 +226,8 @@ def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     return _divide_x_power(q)[0]
 
 
-def _has_vertical_branch(curves: list[tuple[object, BiPoly]], branches: Branches) -> bool:
-    for _tag, p in curves:
-        for a in _branches(p, branches):
-            if a.swapped:
-                return True
-    return False
+def _has_vertical_branch(curves: list[tuple[object, BiPoly]], tangents: Tangents) -> bool:
+    return any(m is None for _tag, p in curves for _sm, m in _tangents(p, tangents))
 
 
 # ----------------------------------------------------------------- resolution
@@ -228,17 +255,17 @@ def _resolve_site(
     trans: tuple[Fraction, Fraction],
     curves: list[tuple[object, BiPoly]],
     depth_cap: int,
-    branches: Branches,
+    tangents: Tangents,
 ) -> None:
     """Blow up (translated) local curves at the origin until normal crossing."""
-    if is_normal_crossing(curves, branches):
+    if is_normal_crossing(curves, tangents):
         tree.certificate.append(f"site depth {len(word)}: normal crossing, no blow-up")
         return
     if len(word) >= depth_cap:
         raise Unsupported("DepthCap", f"resolution exceeded depth {depth_cap}")
 
     level = len(tree.components) + 1
-    has_vert = _has_vertical_branch(curves, branches)
+    has_vert = _has_vertical_branch(curves, tangents)
 
     # x-chart: covers every direction except the vertical one
     step = Step("x", trans[0], trans[1])
@@ -292,7 +319,7 @@ def _resolve_site(
             )
         translated = [(tag, sc.translate(F(0), vex)) for tag, sc in stricts if sc.eval(F(0), vex) == 0]
         translated.append((("exc", level), BiPoly.x()))
-        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, branches)
+        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, tangents)
 
     # the point of D at infinity: handled in the y-chart when something meets it
     if has_vert:
@@ -304,8 +331,8 @@ def _resolve_site(
         D.inf_tags = [tag for tag, _sc in ytag_curves]
         ytag_curves.append((("exc", level), BiPoly.x()))
         yword = word + (Step("y", trans[0], trans[1]),)
-        if not is_normal_crossing(ytag_curves, branches):
-            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap, branches)
+        if not is_normal_crossing(ytag_curves, tangents):
+            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap, tangents)
         else:
             tree.certificate.append(f"D{level} at v=inf: normal crossing")
     return

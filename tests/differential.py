@@ -23,7 +23,9 @@ would be a large DNF (`test_scene.union_scene_text`), the scenes of
 x = 1/10007, found exactly only as the root of a linear squarefree part),
 the scenes of `APPROACHED_WALLS` (walls where branch ends are matched by
 approaching the wall, because counting roots does not decide their fates),
-six scenes of `test_checker.twin_scene_text` each
+the scenes of `test_checker.IRRATIONAL_TANGENTS` (a node with tangent slopes
++-sqrt2 crossed by a line at a rational point, which resolution reads from
+its tangent cone), six scenes of `test_checker.twin_scene_text` each
 followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
 walls into irrational ones and must keep every answer), the scenes of
 `test_scene.PROJECTION_PINS` (squares and shared factors in the contents in
@@ -57,7 +59,7 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
 from conftest import sqrt2_twin, swap_scene  # noqa: E402
-from test_checker import twin_scene_text, wall_denominator_scene_text  # noqa: E402
+from test_checker import IRRATIONAL_TANGENTS, twin_scene_text, wall_denominator_scene_text  # noqa: E402
 from test_cli import DIVERGENT  # noqa: E402
 from test_scene import PROJECTION_PINS, union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
@@ -102,7 +104,7 @@ def scenes(n_random: int, seed: int):
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))
-    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS, **APPROACHED_WALLS}.items():
+    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS, **APPROACHED_WALLS, **IRRATIONAL_TANGENTS}.items():
         yield label, Scene.from_text(text)
     twins = random.Random(3)
     for k in range(6):

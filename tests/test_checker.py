@@ -325,6 +325,24 @@ def test_a_quartic_with_two_double_roots_on_a_wall_of_denominator_10007_decides(
     }
 
 
+# the node y^2 = x^3 + 2x^2, tangent to y = +-sqrt2 x at the origin, crossed
+# there by the line f1: a single strict clause, and the set {f0*f1 < 0}
+IRRATIONAL_TANGENTS = {
+    "tangents-sqrt2": "factor f0 = y^2 - x^3 - 2*x^2; factor f1 = 1/2*x + y; set S = { f1 > 0, f0 < 0 };",
+    "tangents-sqrt2-union": "factor f0 = y^2 - x^3 - 2*x^2; factor f1 = 1/2*x + y;"
+    "set S = { f1 > 0, f0 < 0 } | { f0 > 0, f1 < 0 };",
+}
+
+
+@pytest.mark.parametrize("label", sorted(IRRATIONAL_TANGENTS))
+@pytest.mark.parametrize("prop", ["basic_open", "generically_basic"])
+def test_a_node_with_irrational_tangents_is_resolved(label, prop):
+    # the normal-crossing tests read the node's tangent cone, two simple
+    # real lines, so no branch with irrational coefficients is expanded
+    v = run_check(CheckRequest(S(IRRATIONAL_TANGENTS[label]), prop))
+    assert (v.answer, v.reason) == ("Yes", "")
+
+
 def test_neq_scene_basic():
     v = check_basic_open(S("factor f = y; set S = { f != 0 };"))
     assert v.answer == "Yes"

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts, load_fixture
+from conftest import bench_scene_texts, bench_workload, load_fixture
 from test_algebra import _ref_subst
 from test_cli import DIVERGENT
 
@@ -12,6 +12,7 @@ from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
+from basix.puiseux import branch_set
 from basix.realroots import RootLocator, open_count, roots_equal
 from basix.resolution import (
     classify_exceptional,
@@ -178,8 +179,8 @@ def test_irrational_tangency_unsupported():
     assert (v.answer, v.reason.split(":")[0]) == ("Unsupported", "NonRationalSingularPoint")
 
 
-def test_resolve_point_expands_each_branch_set_once(monkeypatch):
-    # contact(3) of the blowup benchmark: y = x^2 against y = x^2 + x^3
+def _count_expansions(monkeypatch) -> list[BiPoly]:
+    """The polynomials `resolution.branch_set` is called on, in order."""
     calls = []
     expand = resolution.branch_set
 
@@ -188,8 +189,15 @@ def test_resolve_point_expands_each_branch_set_once(monkeypatch):
         return expand(p, center, K)
 
     monkeypatch.setattr(resolution, "branch_set", counting)
+    return calls
+
+
+def test_contact_of_order_three_expands_no_branch_set(monkeypatch):
+    # contact(3) of the blowup benchmark: y = x^2 against y = x^2 + x^3; at
+    # every site each local curve's lowest form has simple real lines only
+    calls = _count_expansions(monkeypatch)
     tree = resolve_point({"f": P("y - x^2"), "g": P("y - x^2 - x^3")}, (F(0), F(0)))
-    assert len(calls) == len(set(calls)) == 6
+    assert calls == []
     assert tree.trace == [
         "blow-up 1: centre (0, 0) at depth 0, chart x",
         "blow-up 2: centre (0, 0) at depth 1, chart x",
@@ -201,6 +209,112 @@ def test_resolve_point_expands_each_branch_set_once(monkeypatch):
         "D3 at v=inf: normal crossing",
         "D2 at v=inf: normal crossing",
     ]
+
+
+def test_resolve_point_expands_each_branch_set_once(monkeypatch):
+    # the pole pair of the blowup benchmark: both lowest forms are the double
+    # line x = 0, read at the first site by both normal-crossing tests; their
+    # strict transforms have simple lines only
+    f, g = P("y^3 + x^2*y - x^2"), P("y^3 + x^2*y - 2*x^2")
+    calls = _count_expansions(monkeypatch)
+    tree = resolve_point({"f": f, "g": g}, (F(0), F(0)))
+    assert calls == [f, g]
+    assert tree.trace == [
+        "blow-up 1: centre (0, 0) at depth 0, chart x",
+        "blow-up 2: centre (0, 0) at depth 1, chart x",
+        "blow-up 3: centre (0, 0) at depth 2, chart x",
+    ]
+    assert tree.certificate == [
+        "D3 at v=0: transversal simple crossing",
+        "D3 at v=1: transversal simple crossing",
+        "D3 at v=2: transversal simple crossing",
+        "D3 at v=inf: normal crossing",
+    ]
+
+
+def _reference_tangents(p: BiPoly) -> list[tuple[bool, tuple[F, F]]]:
+    """(smooth, tangent direction) per real branch of p at the origin, read
+    from its Puiseux branch set: the reading the cone rule replaces."""
+    out = []
+    for a in branch_set(p, (F(0), F(0)), resolution._NC_K):
+        slope = dict(a.terms).get(a.N, F(0))
+        out.append((a.N == 1, (F(0), F(1)) if a.swapped else (F(1), slope)))
+    return out
+
+
+def _reference_normal_crossing(curves) -> bool:
+    tangents = [t for _tag, p in curves for t in _reference_tangents(p)]
+    if len(tangents) > 2 or not all(smooth for smooth, _d in tangents):
+        return False
+    if len(tangents) == 2:
+        (a, b), (c, d) = tangents[0][1], tangents[1][1]
+        return a * d - b * c != 0
+    return True
+
+
+def _reference_vertical_branch(curves) -> bool:
+    return any(a.swapped for _tag, p in curves for a in branch_set(p, (F(0), F(0)), resolution._NC_K))
+
+
+# local curves at the origin, each tested alone and beside the exceptional
+# line x; the cusp and the tacnode have a multiple real line
+CONE_CASES = {
+    "transversal lines": ["y - x", "y + 2*x"],
+    "three lines": ["y", "x - y", "y + x"],
+    "tangent parabolas": ["y - x^2", "y + x^2"],
+    "rational node": ["y^2 - x^2*(x + 1)"],
+    "acnode": ["x^2 + y^2 + x^3"],
+    "cusp": ["y^2 - x^3"],
+    "tacnode": ["y^2 - x^4"],
+    "vertical": ["x - y^2"],
+}
+
+
+@pytest.mark.parametrize("label", sorted(CONE_CASES))
+@pytest.mark.parametrize("with_exceptional", [False, True])
+def test_cone_rule_agrees_with_branch_sets(monkeypatch, label, with_exceptional):
+    curves = [(k, P(t)) for k, t in enumerate(CONE_CASES[label])]
+    if with_exceptional:
+        curves.append((("exc", 1), BiPoly.x()))
+    calls = _count_expansions(monkeypatch)
+    assert resolution.is_normal_crossing(curves, {}) == _reference_normal_crossing(curves)
+    assert resolution._has_vertical_branch(curves, {}) == _reference_vertical_branch(curves)
+    assert bool(calls) == (label in ("cusp", "tacnode"))
+
+
+@pytest.mark.parametrize("with_exceptional", [False, True])
+def test_a_node_with_irrational_tangents_needs_no_expansion(monkeypatch, with_exceptional):
+    # y^2 = x^3 + 2x^2 has slopes +-sqrt2: its branch set has irrational
+    # coefficients, its cone two simple real lines
+    curves = [("f", P("y^2 - x^3 - 2*x^2"))] + [(("exc", 1), BiPoly.x())] * with_exceptional
+    with pytest.raises(Unsupported, match="NonRationalCoefficient"):
+        _reference_normal_crossing(curves)
+    calls = _count_expansions(monkeypatch)
+    tangents = {}
+    assert resolution.is_normal_crossing(curves, tangents) is not with_exceptional
+    assert resolution._has_vertical_branch(curves, tangents) is with_exceptional
+    assert calls == []
+
+
+def _has_multiple_real_line(sympy, p: BiPoly) -> bool:
+    """Whether the lowest form h of p at the origin has a multiple real line,
+    read with sympy: x = 0 of multiplicity above 1, or a real root of
+    gcd(h(1, m), h'(1, m))."""
+    d = min(i + j for i, j in p.t)
+    m = sympy.Symbol("m")
+    h = sympy.Poly(sum(sympy.Rational(c.numerator, c.denominator) * m**j for (i, j), c in p.t.items() if i + j == d), m)
+    return d - h.degree() > 1 or sympy.gcd(h, h.diff(m)).count_roots() > 0
+
+
+def test_bench_workload_checks_expand_branch_sets_only_at_a_multiple_real_line(monkeypatch):
+    sympy = pytest.importorskip("sympy")
+    calls = _count_expansions(monkeypatch)
+    for name in ("fixtures", "blowup", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        for c in checks:
+            run_check(CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
+    assert calls, "no check reaches a multiple real line"
+    assert [p for p in calls if not _has_multiple_real_line(sympy, p)] == []
 
 
 def test_resolution_multiplies_no_polynomials(monkeypatch):

@@ -115,9 +115,10 @@ def test_differential_imports_basix_from_its_own_checkout(tmp_path):
 
 def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
     # the fixtures, their inversions and swaps, the divergent scene, the
-    # unions, the irrational-wall, large-denominator and approached-wall
-    # scenes, the twin pairs and the projection pins, under every property:
-    # a verdict, Unsupported or an input error, never an internal error
+    # unions, the irrational-wall, large-denominator, approached-wall and
+    # irrational-tangent scenes, the twin pairs and the projection pins,
+    # under every property: a verdict, Unsupported or an input error, never
+    # an internal error
     differential = differential_module(monkeypatch)
     checked = 0
     for label, sc in differential.scenes(0, 0):
@@ -130,4 +131,4 @@ def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
             else:
                 assert v.answer in ("Yes", "No", "Unsupported"), (label, prop)
             checked += 1
-    assert checked == 230
+    assert checked == 240
