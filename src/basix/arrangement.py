@@ -343,10 +343,8 @@ class Arrangement:
         for loc in locs:
             lf = None
             for n, v in self.vlines.items():
-                if loc.exact == v or (loc.exact is None and loc.contains(v) and loc.p.eval(v) == 0):
+                if loc.exact == v:
                     lf = n
-                    loc.exact = v
-                    loc.lo = loc.hi = v
             self.walls.append(Wall(x=loc, line_factor=lf))
 
         # ------------------------------------------------------------ stage 2

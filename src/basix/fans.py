@@ -176,7 +176,7 @@ def witness_curve_fan(
             bases.append((x0, y0v, None, True))
             continue
         x0, yloc = arr.edge_sample(e)
-        bases.append((x0, yloc.try_rational(rounds=64), yloc, False))
+        bases.append((x0, yloc.exact, yloc, False))
 
     orderings: list[Ordering] = []
     for x0, y0, yloc, vertical in bases:

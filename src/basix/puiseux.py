@@ -94,9 +94,6 @@ class PuiseuxArc(_Composing):
             ys = TSeries.const(cy, None) + param
         return xs, ys
 
-    def first_exponent(self) -> int | None:
-        return self.terms[0][0] if self.terms else None
-
     def with_slot(self, m: int, eta: int, a: Fraction) -> "PuiseuxArc":
         return replace(self, slot=Slot(m, eta, F(a)))
 

@@ -5,10 +5,17 @@ polynomial (Collins & Akritas 1976), and roots are counted the same way:
 ``open_count`` is the number of isolating intervals in a window.  All
 interval endpoints are rational, and every locator can be refined on demand
 to arbitrary width.  A squarefree part of degree 1 is solved directly: its
-root is an exact locator, with no walk and no search.  Other rational
-roots are recognised exactly (simplest rational in the isolating interval,
-probed against the polynomial) when `try_rational` finds them within its
-rounds.
+root is an exact locator, with no walk and no search.
+
+A locator from `isolate_real_roots` (with its default rational detection)
+is exact exactly when its root is rational, and `try_rational` is the one
+rule that makes it so: probe the simplest rational of the interval until the
+interval is narrower than 1/lc^2.  A rational root a/b of p in lowest terms
+has b | lc, the leading coefficient of p's primitive integer form.  Distinct
+fractions with denominators at most lc differ by at least 1/lc^2, so an
+isolating interval narrower than that holds at most one of them; its
+simplest rational has a denominator at most b, so it is the root if the root
+is rational, and one exact test decides.
 
 `RootLocator` is the one type for a located real number: a rational enters
 as the exact locator ``RootLocator.at(x)``.  An exact locator keeps
@@ -184,18 +191,17 @@ class RootLocator:
             return x == self.exact
         return self.lo < x < self.hi
 
-    def try_rational(self, rounds: int = 64) -> Fraction | None:
-        """Detect a rational root by probing the simplest rational in the
-        interval after successive refinements.  Sound but incomplete: a miss
-        only means the root has a large denominator (or is irrational).
-        `rational_roots` is complete, but the callers of this one refine
-        locators that later stages sample, so their round counts pin those
-        samples.  Those counts apply to degree 2 and above: the root of a
-        linear squarefree part is exact from `isolate_real_roots`."""
+    def try_rational(self) -> Fraction | None:
+        """The root if it is rational, else None: probe the simplest rational
+        of the interval, refine, and repeat until the interval is narrower
+        than 1/lc^2, where a miss proves the root irrational (see the module
+        docstring)."""
         if self.exact is not None:
             return self.exact
+        lc = self._ints()[-1]
+        width = Fraction(1, lc * lc)
         cand = None
-        for _ in range(rounds):
+        while True:
             # a candidate still inside (lo, hi) is still the simplest there
             # and already known not to be a root (see the module docstring)
             if cand is None or not _inside(cand, self.lo, self.hi):
@@ -204,10 +210,11 @@ class RootLocator:
                     self.exact = cand
                     self.lo = self.hi = cand
                     return cand
+            if self.hi - self.lo < width:
+                return None
             self.refine()
             if self.exact is not None:
                 return self.exact
-        return None
 
     def __repr__(self) -> str:
         if self.exact is not None:
@@ -272,7 +279,10 @@ def isolate_real_roots(
 ) -> list[RootLocator]:
     """Disjoint isolating intervals for the distinct real roots of p in (lo, hi).
 
-    p is made squarefree internally; results are ordered increasingly.
+    p is made squarefree internally; results are ordered increasingly.  With
+    ``detect_rational`` a locator is exact exactly when its root is rational;
+    without it, only roots met on the way are exact, which is enough for
+    counting.
     """
     if p.is_zero():
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -331,32 +341,16 @@ def isolate_real_roots(
     if detect_rational:
         for r in out:
             if r.exact is None:
-                r.try_rational(rounds=24)
+                r.try_rational()
     return out
 
 
 def rational_roots(p: UniPoly) -> tuple[list[Fraction], bool]:
     """The rational real roots of p, sorted, and whether p also has an
-    irrational real root.  Complete, with no cap or rounds; never Unsupported.
-
-    A rational root a/b of p in lowest terms has b | lc, the leading
-    coefficient of p's primitive integer form.  Distinct fractions with
-    denominators at most lc differ by at least 1/lc^2, so an isolating
-    interval narrower than that holds at most one of them; its simplest
-    rational has a denominator at most b, so it is the root if the root is
-    rational, and one exact test decides.
-    """
-    ip = p.int_primitive()
-    width = Fraction(1, ip[-1] ** 2)
-    out, irrational = [], False
-    for loc in isolate_real_roots(p, detect_rational=False):
-        loc.refine_below(width)
-        x = loc.exact if loc.exact is not None else simplest_in(loc.lo, loc.hi)
-        if _int_sign_at(ip, x) == 0:
-            out.append(x)
-        else:
-            irrational = True
-    return out, irrational
+    irrational real root: the exact and inexact locators of
+    `isolate_real_roots`.  Complete; never Unsupported."""
+    locs = isolate_real_roots(p)
+    return [r.exact for r in locs if r.exact is not None], any(r.exact is None for r in locs)
 
 
 # -- counting and comparison ----------------------------------------------------

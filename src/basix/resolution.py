@@ -311,7 +311,7 @@ def _resolve_site(
         if len(mp.tags) == 1 and not vanishes_at(restrictions[mp.tags[0]].derivative(), mp.v):
             tree.certificate.append(f"D{level} at v={_vstr(mp.v)}: transversal simple crossing")
             continue
-        vex = mp.v.try_rational(rounds=48)
+        vex = mp.v.exact
         if vex is None:
             raise Unsupported(
                 "NonRationalSingularPoint",

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .arrangement import Arrangement
 from .decompose import SetDecomposition
-from .realroots import isolate_real_roots
+from .realroots import RootLocator, isolate_real_roots
 
 F = Fraction
 
@@ -19,6 +19,12 @@ _PREC = 4  # decimal digits in rendered coordinates
 
 def _px(v: Fraction, scale: float, off: float) -> float:
     return round(float(v) * scale + off, _PREC)
+
+
+def _mid(loc: RootLocator) -> Fraction:
+    """The located number, to the drawing's precision."""
+    loc.refine_below(F(1, 10**_PREC))
+    return (loc.lo + loc.hi) / 2
 
 
 def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> str:
@@ -70,7 +76,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
         pts2 = []
         for (s, i, loc) in e.pieces:
             xs = arr.slab_samples[s]
-            pts2.append((X(xs), Y((loc.lo + loc.hi) / 2)))
+            pts2.append((X(xs), Y(_mid(loc))))
             # refine with intermediate samples across the slab
             span = _slab_span(arr, s, window)
             for k in range(1, 8):
@@ -80,8 +86,7 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
                     continue
                 roots = isolate_real_roots(u)
                 if i < len(roots):
-                    r = roots[i]
-                    pts2.append((X(xq), Y((r.lo + r.hi) / 2)))
+                    pts2.append((X(xq), Y(_mid(roots[i]))))
         pts2.sort()
         body = " ".join(f"{a},{b}" for a, b in pts2)
         out.append(f'<polyline fill="none" stroke="#d62728" stroke-width="1.4" points="{body}"/>')

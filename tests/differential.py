@@ -25,7 +25,10 @@ the scenes of `APPROACHED_WALLS` (walls where branch ends are matched by
 approaching the wall, because counting roots does not decide their fates),
 the scenes of `test_checker.IRRATIONAL_TANGENTS` (a node with tangent slopes
 +-sqrt2 crossed by a line at a rational point, which resolution reads from
-its tangent cone), six scenes of `test_checker.twin_scene_text` each
+its tangent cone), the scenes of `test_checker.LARGE_DENOMINATOR_POINTS`
+(singular points at rationals with denominators 3^10 and 3^30, on fibres of
+degree 2 and above, which resolution blows up), six scenes of
+`test_checker.twin_scene_text` each
 followed by its `conftest.sqrt2_twin` (x -> sqrt2 x turns their rational
 walls into irrational ones and must keep every answer), the scenes of
 `test_scene.PROJECTION_PINS` (squares and shared factors in the contents in
@@ -34,8 +37,14 @@ scenes drawn by `test_sphere.random_scene_text` from ``--seed``.
 `random_scene_text` draws y-leading coefficients that are constants or
 x + c and singular points only at the origin, so it reaches no isolated
 point, vertical asymptote, node or tangency over an irrational abscissa;
-the fixed scenes do.  The file name has no ``test_`` prefix, so pytest does
-not collect it.
+the fixed scenes do.
+
+Each witness is verified again before its line is printed: `verify_fan` in
+the scene in which the checker counted it, and its count of points in S
+against the verdict's.  A witness that fails gets ``WITNESS FAILS`` and the
+reasons appended to its line, so two runs that print the same text also
+vouch for the same witnesses.  The file name has no ``test_`` prefix, so
+pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -51,7 +60,8 @@ SRC_DIR = TESTS_DIR.parent / "src"
 sys.path[:0] = [str(SRC_DIR), str(TESTS_DIR)]
 
 import basix  # noqa: E402
-from basix.checker import PROPERTIES, CheckRequest, run_check  # noqa: E402
+from basix.checker import PROPERTIES, CheckRequest, Verdict, run_check  # noqa: E402
+from basix.fans import fan_count_in_S, verify_fan  # noqa: E402
 from basix.report import verdict_to_dict  # noqa: E402
 from basix.scene import Scene, invert_scene  # noqa: E402
 
@@ -59,7 +69,12 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
 from conftest import sqrt2_twin, swap_scene  # noqa: E402
-from test_checker import IRRATIONAL_TANGENTS, twin_scene_text, wall_denominator_scene_text  # noqa: E402
+from test_checker import (  # noqa: E402
+    IRRATIONAL_TANGENTS,
+    LARGE_DENOMINATOR_POINTS,
+    twin_scene_text,
+    wall_denominator_scene_text,
+)
 from test_cli import DIVERGENT  # noqa: E402
 from test_scene import PROJECTION_PINS, union_scene_text  # noqa: E402
 from test_sphere import random_scene_text  # noqa: E402
@@ -104,8 +119,9 @@ def scenes(n_random: int, seed: int):
     yield "divergent", Scene.from_text(DIVERGENT)
     for n in (3, 5, 7, 9):
         yield f"union{n}", Scene.from_text(union_scene_text(n))
-    for label, text in {**IRRATIONAL_WALLS, **LARGE_DENOMINATORS, **APPROACHED_WALLS, **IRRATIONAL_TANGENTS}.items():
-        yield label, Scene.from_text(text)
+    for group in (IRRATIONAL_WALLS, LARGE_DENOMINATORS, APPROACHED_WALLS, IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS):
+        for label, text in group.items():
+            yield label, Scene.from_text(text)
     twins = random.Random(3)
     for k in range(6):
         sc = Scene.from_text(twin_scene_text(twins))
@@ -122,13 +138,35 @@ def scenes(n_random: int, seed: int):
             yield f"random{k}", exc
 
 
+def witness_failures(scene: Scene, prop: str, v: Verdict) -> list[str]:
+    """Why the verdict's witness does not re-verify; empty when it does.  The
+    scene is put in the witness's chart as `bench/run.py`'s `witness_scene`
+    does."""
+    if prop == "basic_closed":
+        scene = scene.minus_factor_zeros(v.diagnostics["zariski_boundary"])
+    if v.witness.chart == "infinity":
+        scene = invert_scene(scene)
+    try:
+        rep = verify_fan(v.witness, scene)
+        count = fan_count_in_S(v.witness, scene)
+    except Exception as exc:  # noqa: BLE001 - a failure like any other
+        return [f"{type(exc).__name__}: {exc}"]
+    failures = [] if rep.product_law_ok and rep.distinct else [f"verify_fan: {rep.failures}"]
+    if count != v.witness_count:
+        failures.append(f"counts {count} points in S, the verdict {v.witness_count}")
+    return failures
+
+
 def outcome(scene: Scene, prop: str) -> str:
     try:
-        d = verdict_to_dict(run_check(CheckRequest(scene, prop)))
+        v = run_check(CheckRequest(scene, prop))
+        d = verdict_to_dict(v)
     except Exception as exc:  # noqa: BLE001 - the error is the outcome
         return f"{type(exc).__name__}: {exc}"
     d.pop("timings", None)
-    return json.dumps(d, sort_keys=True, separators=(",", ":"))
+    line = json.dumps(d, sort_keys=True, separators=(",", ":"))
+    failures = witness_failures(scene, prop, v) if v.witness is not None else []
+    return f"{line}\tWITNESS FAILS: {'; '.join(failures)}" if failures else line
 
 
 def main(argv: list[str] | None = None) -> None:

@@ -420,19 +420,21 @@ class _RefLocator:
         else:
             self.hi = m
 
-    def try_rational(self, rounds):
+    def try_rational(self):
         if self.exact is not None:
             return self.exact
-        for _ in range(rounds):
+        width = F(1, _ref_primitive(self.p.c)[-1] ** 2)
+        while True:
             cand = _ref_simplest_in(self.lo, self.hi)
             if _ref_sign(self.p, cand) == 0:
                 self.exact = cand
                 self.lo = self.hi = cand
                 return cand
+            if self.hi - self.lo < width:
+                return None
             self.refine()
             if self.exact is not None:
                 return self.exact
-        return None
 
 
 def _state(loc):
@@ -498,9 +500,9 @@ def test_pseudo_rem_and_gcd_match_fraction_reference(ca, cb):
     assert poly_gcd(UniPoly(ca), UniPoly(cb)) == UniPoly(ia).monic()
 
 
-@given(int_coeffs, st.integers(1, 7), st.integers(-9, 9), st.integers(0, 30), st.integers(1, 64))
+@given(int_coeffs, st.integers(1, 7), st.integers(-9, 9), st.integers(0, 30))
 @settings(max_examples=120, deadline=None)
-def test_locators_end_like_fraction_reference(coeffs, q, p0, steps, rounds):
+def test_locators_end_like_fraction_reference(coeffs, q, p0, steps):
     # a rational root p0/q next to the roots of a random integer polynomial
     poly = UniPoly(coeffs) * P(-p0, q)
     for loc in isolate_real_roots(poly, detect_rational=False):
@@ -509,8 +511,27 @@ def test_locators_end_like_fraction_reference(coeffs, q, p0, steps, rounds):
             new.refine()
             ref.refine()
         assert _state(new) == _state(ref)
-        assert new.try_rational(rounds) == ref.try_rational(rounds)
+        assert new.try_rational() == ref.try_rational()
         assert _state(new) == _state(ref)
+
+
+@given(int_coeffs, st.integers(1, 3**30), st.integers(-(3**30), 3**30))
+@example([-2, 0, 1], 3**10, 1)  # 1/3^10 next to +-sqrt2
+@example([1, 0, -5, 0, 1], 3**30, -1)  # x^4 - 5x^2 + 1: four irrational roots
+@settings(max_examples=60, deadline=None)
+def test_isolated_roots_are_exact_iff_rational(coeffs, q, p0):
+    # the root p0/q comes out exact whatever its denominator, and no inexact
+    # locator holds a rational root
+    sympy = pytest.importorskip("sympy")
+    poly = UniPoly(coeffs) * P(-p0, q)
+    x = sympy.Symbol("x")
+    rational = {F(int(r.p), int(r.q)) for r in sympy.Poly(list(reversed(poly.int_primitive())), x, domain="QQ").ground_roots()}
+    locs = isolate_real_roots(poly)
+    assert F(p0, q) in {l.exact for l in locs}
+    assert {l.exact for l in locs if l.exact is not None} == rational
+    for l in locs:
+        if l.exact is None:
+            assert not any(l.lo < r < l.hi for r in rational)
 
 
 @given(int_coeffs, small_fracs, small_fracs, st.booleans())
@@ -581,8 +602,9 @@ def test_separate_between_and_sign(coeffs, rationals):
 
 
 def test_try_rational_probes_a_candidate_once(monkeypatch):
-    # sqrt 2 in (1, 2): every round still refines, but simplest_in runs only
-    # when the previous candidate has left the interval
+    # sqrt2/243, the root of 59049x^2 - 2, in (0, 1): the interval halves 32
+    # times to fall below 1/59049^2, but simplest_in runs only when the
+    # previous candidate has left the interval
     candidates, intervals = [], []
     real_simplest, real_refine = realroots.simplest_in, RootLocator.refine
 
@@ -596,15 +618,16 @@ def test_try_rational_probes_a_candidate_once(monkeypatch):
 
     monkeypatch.setattr(realroots, "simplest_in", counting_simplest)
     monkeypatch.setattr(RootLocator, "refine", counting_refine)
-    loc = RootLocator(P(-2, 0, 1), F(1), F(2))
-    assert loc.try_rational(rounds=24) is None
-    assert len(intervals) == 24
+    loc = RootLocator(P(-2, 0, 59049), F(0), F(1))
+    assert loc.try_rational() is None
+    assert len(intervals) == 32
+    assert loc.hi - loc.lo < F(1, 59049**2) <= intervals[-1][1] - intervals[-1][0]
     expected, cand = 0, None
-    for lo, hi in intervals:
+    for lo, hi in intervals + [(loc.lo, loc.hi)]:
         if cand is None or not lo < cand < hi:
             expected += 1
             cand = _ref_simplest_in(lo, hi)
-    assert len(candidates) == expected < 24
+    assert len(candidates) == expected < 32
 
 
 def test_specialize_y_swaps_once(monkeypatch):

@@ -343,6 +343,38 @@ def test_a_node_with_irrational_tangents_is_resolved(label, prop):
     assert (v.answer, v.reason) == ("Yes", "")
 
 
+# rational singular points with large denominators, on fibres of degree 2 and
+# above: a cusp at (0, 1/3^10), and two tangent curves whose blow-up meets
+# the exceptional line at the slope 1/3^30
+LARGE_DENOMINATOR_POINTS = {
+    "cusp-59049": "factor f = (y - 1/59049)^2*(y - 1) - x^3; set S = { f > 0 };",
+    "tangent-slope-3^30": "factor f = (y - 1/205891132094649*x)*(y - x) - x^3;"
+    "factor g = y - 1/205891132094649*x - x^2; set S = { f > 0, g > 0 };",
+}
+
+
+@pytest.mark.parametrize(
+    "label, prop, want",
+    [
+        ("cusp-59049", "basic_open", ("Yes", "", None)),
+        ("cusp-59049", "generically_basic", ("Yes", "", None)),
+        ("cusp-59049", "basic_closed", ("No", "NotClosed", None)),
+        ("cusp-59049", "principal_open", ("Yes", "", None)),
+        ("cusp-59049", "principal_closed", ("No", "BoundaryMeetsComplement", None)),
+        ("tangent-slope-3^30", "basic_open", ("Yes", "", None)),
+        ("tangent-slope-3^30", "generically_basic", ("Yes", "", None)),
+        ("tangent-slope-3^30", "basic_closed", ("No", "NotClosed", None)),
+        ("tangent-slope-3^30", "principal_open", ("No", "principal-complement-side", 1)),
+        ("tangent-slope-3^30", "principal_closed", ("No", "BoundaryMeetsComplement", 1)),
+    ],
+)
+def test_rational_points_with_large_denominators_are_blown_up(label, prop, want):
+    # each set is one clause of strict atoms, so basic open by definition;
+    # its singular point is rational, so resolution can blow it up
+    v = run_check(CheckRequest(S(LARGE_DENOMINATOR_POINTS[label]), prop))
+    assert (v.answer, v.reason, v.witness_count) == want
+
+
 def test_neq_scene_basic():
     v = check_basic_open(S("factor f = y; set S = { f != 0 };"))
     assert v.answer == "Yes"

@@ -8,6 +8,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from conftest import differential_module
 
 from basix.checker import PROPERTIES, CheckRequest, run_check
@@ -115,10 +117,10 @@ def test_differential_imports_basix_from_its_own_checkout(tmp_path):
 
 def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
     # the fixtures, their inversions and swaps, the divergent scene, the
-    # unions, the irrational-wall, large-denominator, approached-wall and
-    # irrational-tangent scenes, the twin pairs and the projection pins,
-    # under every property: a verdict, Unsupported or an input error, never
-    # an internal error
+    # unions, the irrational-wall, large-denominator, approached-wall,
+    # irrational-tangent and large-denominator-point scenes, the twin pairs
+    # and the projection pins, under every property: a verdict, Unsupported
+    # or an input error, never an internal error
     differential = differential_module(monkeypatch)
     checked = 0
     for label, sc in differential.scenes(0, 0):
@@ -131,4 +133,20 @@ def test_differential_fixed_scenes_end_in_a_verdict(monkeypatch):
             else:
                 assert v.answer in ("Yes", "No", "Unsupported"), (label, prop)
             checked += 1
-    assert checked == 240
+    assert checked == 250
+
+
+@pytest.mark.parametrize("prop", ["basic_open", "principal_open", "principal_closed"])
+def test_differential_marks_a_witness_that_does_not_reverify(monkeypatch, fixture_scene, prop):
+    # cubic.bsx's witnesses re-verify, so their lines carry no mark; one
+    # whose count disagrees with the verdict's is reported
+    differential = differential_module(monkeypatch)
+    sc = fixture_scene("cubic")
+    v = run_check(CheckRequest(sc, prop))
+    assert v.witness is not None
+    assert differential.witness_failures(sc, prop, v) == []
+    assert "WITNESS FAILS" not in differential.outcome(sc, prop)
+    v.witness_count += 1
+    assert differential.witness_failures(sc, prop, v) == [
+        f"counts {v.witness_count - 1} points in S, the verdict {v.witness_count}"
+    ]
