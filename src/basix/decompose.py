@@ -35,24 +35,48 @@ class SetDecomposition:
     a_components: list[set[int]] = field(default_factory=list)  # region ids per component
     a_of_region: dict[int, int] = field(default_factory=dict)
     s_meets_boundary: str = "empty"  # 'empty' | 'finite' | 'one_dimensional'
+    # region sign vector -> the tag all regions with it share, or None
+    _sign_tags: dict[tuple[int, ...], tuple | None] | None = field(default=None, repr=False, compare=False)
 
     # ---------------------------------------------------------------- queries
 
-    def tag_at(self, x: Fraction, y: Fraction) -> tuple:
-        """('in_S',) | ('in_A', component) | ('unsigned', region) for the
-        region holding a rational point off the curves.  A point whose sign
-        vector has no zero and satisfies the formula is in S without being
-        located: its region has that sign vector."""
-        signs = self.scene.signs_at(x, y)
-        if 0 not in signs.values() and self.scene.formula.holds(signs):
-            return ("in_S",)
-        rid = self.arrangement.region_of_point(x, y)
+    def _region_tag(self, rid: int) -> tuple:
         if rid in self.s_regions:
             return ("in_S",)
         i = self.a_of_region.get(rid)
         if i is not None:
             return ("in_A", i)
         return ("unsigned", rid)
+
+    def tag_of_signs(self, signs: dict[str, int]) -> tuple | None:
+        """The tag shared by every region with this sign vector, or None when
+        regions with it carry different tags or no region has it.
+
+        Exact wherever a place is known to lie in one region with these
+        signs (a point off the curves, or a half-arc near its centre): that
+        region is one of those the tag was read from.  The table is built
+        from the regions' stored sign vectors on the first lookup."""
+        if self._sign_tags is None:
+            self._sign_tags = {}
+            for r in self.arrangement.regions:
+                key = tuple(r.signs[n] for n in self.scene.order)
+                tag = self._region_tag(r.rid)
+                self._sign_tags[key] = tag if self._sign_tags.get(key, tag) == tag else None
+        return self._sign_tags.get(tuple(signs[n] for n in self.scene.order))
+
+    def tag_at(self, x: Fraction, y: Fraction) -> tuple:
+        """('in_S',) | ('in_A', component) | ('unsigned', region) for the
+        region holding a rational point off the curves.  The point's sign
+        vector decides it when every region with that vector has one tag
+        (`tag_of_signs`); only otherwise is the point located in the
+        arrangement, which also rejects a point on a curve."""
+        tag = self.tag_of_signs(self.scene.signs_at(x, y))
+        return tag if tag is not None else self.located_tag(x, y)
+
+    def located_tag(self, x: Fraction, y: Fraction) -> tuple:
+        """`tag_at`, always by locating the point in the arrangement
+        (`Arrangement.region_of_point`)."""
+        return self._region_tag(self.arrangement.region_of_point(x, y))
 
     def edge_in_closure(self, e: Edge) -> bool:
         return e.eid in self.s_edges or e.side_above in self.s_regions or e.side_below in self.s_regions

@@ -518,7 +518,14 @@ def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | Non
 
 def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
-    for the local region entered by the half-arc."""
+    for the local region entered by the half-arc.
+
+    The tag is read from the half-arc's signs.  For small t the half-arc
+    lies in one 2-cell, on which every factor keeps its sign along it, so
+    that cell's sign vector is the half-arc's; a tag shared by every region
+    with that vector (`decomp.tag_of_signs`) is the cell's.  Only when
+    regions with that vector carry different tags is a certified point of
+    the arc located (`_located_membership`)."""
     factors, order = decomp.scene.factors, decomp.scene.order
     signs: dict[str, int] = {}
     for n in order:
@@ -528,12 +535,22 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
         if s == 0:
             return ("on_curve", n)
         signs[n] = s
+    tag = decomp.tag_of_signs(signs)
+    return tag if tag is not None else _located_membership(arc, side, decomp, signs)
+
+
+def _located_membership(arc: Arc, side: int, decomp, signs: dict[str, int]) -> tuple:
+    """The tag of the region holding a certified rational point of the
+    half-arc, found by locating the point in the arrangement; `signs` are
+    the half-arc's factor signs, every one nonzero, and the point must have
+    them."""
+    factors, order = decomp.scene.factors, decomp.scene.order
     z0 = F(1, 8)
     polys = [factors[n] for n in order]
     has_slot = isinstance(arc, ParamArc) or (isinstance(arc, PuiseuxArc) and arc.slot is not None)
     for _ in range(24):
         pt = certified_point(arc, side, polys, z0 if has_slot else None)
         if all(factors[n].sign_at(*pt) == signs[n] for n in order):
-            return decomp.tag_at(*pt)
+            return decomp.located_tag(*pt)
         z0 = z0 / 2
     raise Unsupported("TruncationCap", "could not certify a concrete arc point")

@@ -39,9 +39,14 @@ The region verdicts on both sides of each arc of an exceptional component
 are read from its transversal family: the line crossing the component at a
 sample of the arc, pushed down the chart word as a polynomial arc, whose
 sign against every scene factor is exact (`puiseux.arc_region_membership`).
-This happens once per component; classifying it against each lifted sign
-distribution then only reads those verdicts, through the same type-changing
-rule that classifies the curves (`signdist.classify_sides`).
+Each half of that arc enters one 2-cell for small t, and its signs are that
+cell's sign vector, so the verdict is the tag shared by every region with
+that vector (`SetDecomposition.tag_of_signs`).  Only when regions with that
+vector carry different tags is a certified point of the half-arc located in
+the arrangement.  This happens once per component; classifying it against
+each lifted sign distribution then only reads those verdicts, through the
+same type-changing rule that classifies the curves
+(`signdist.classify_sides`).
 """
 
 from __future__ import annotations

@@ -495,6 +495,20 @@ def test_bench_workload_checks_never_approach_a_wall(monkeypatch):
             run_check(CheckRequest(S(texts[c.scene]), c.prop))
 
 
+def test_bench_workload_checks_locate_no_point(monkeypatch):
+    # every half-arc that condition (b) classifies on the benchmark's scenes
+    # enters regions whose sign vector is shared by no region with another
+    # tag, so its tag is read from its signs
+    def refused(*_args):
+        raise AssertionError("a point located in the arrangement")
+
+    monkeypatch.setattr(arrangement.Arrangement, "region_of_point", refused)
+    for name in ("fixtures", "blowup", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        for c in checks:
+            run_check(CheckRequest(S(texts[c.scene]), c.prop))
+
+
 def test_a_forged_branch_count_is_an_internal_error(monkeypatch):
     # the walls of two crossing lines carry one simple point per line, so
     # one branch end more than wall points breaks the counting rule

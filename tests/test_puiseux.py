@@ -397,6 +397,14 @@ CUBIC = (
 )
 
 
+def both_paths(arc, side, d):
+    """The half-arc's tag from its sign vector (None when regions with that
+    vector carry different tags) and at a located certified point."""
+    signs = {n: arc_sign(d.scene.factors[n], arc, side) for n in d.scene.order}
+    assert 0 not in signs.values()
+    return d.tag_of_signs(signs), puiseux._located_membership(arc, side, d, signs)
+
+
 def test_arc_region_membership_cubic():
     d = decompose_text(CUBIC)
     arc_half = mkarc([(2, 1), (3, F(1, 2))])  # a = 1/2, z dropped
@@ -411,6 +419,30 @@ def test_arc_region_membership_cubic():
     arc_slot2 = mkarc([(2, 1)], slot=Slot(3, 1, F(5, 2)))
     assert arc_region_membership(arc_slot2, 1, d)[0] == "in_A"
     assert arc_region_membership(arc_slot2, -1, d) == ("in_S",)
+    # every tag above is read from the sign vector, and a located point agrees
+    for arc in (arc_half, arc_5_2, arc_slot, arc_slot2):
+        for side in (1, -1):
+            by_signs, located = both_paths(arc, side, d)
+            assert by_signs == located == arc_region_membership(arc, side, d), (arc, side)
+
+
+def test_a_sign_vector_of_regions_with_different_tags_locates_a_point(monkeypatch):
+    # the two regions f > 0, above and below the hyperbola, are different
+    # complement components with the one sign vector (+)
+    d = decompose_text("factor f = y^2 - x^2 - 1; set S = { f < 0 };")
+    assert d.tag_of_signs({"f": -1}) == ("in_S",)
+    assert d.tag_of_signs({"f": 1}) is None
+    up = mkarc([(1, 1)], center=(0, 1))  # (t, 1 + t)
+    down = mkarc([(1, -1)], center=(0, -1))  # (t, -1 - t)
+    located = []
+    locate = d.located_tag
+    monkeypatch.setattr(d, "located_tag", lambda x, y: located.append((x, y)) or locate(x, y))
+    tags = [arc_region_membership(arc, 1, d) for arc in (up, down)]
+    assert tags == [("in_A", 1), ("in_A", 0)]  # components in order of their lowest region
+    assert len(located) == 2 and located[0][1] > 1 and located[1][1] < -1
+    # the side into S is read from the signs, without a located point
+    assert arc_region_membership(up, -1, d) == ("in_S",) and len(located) == 2
+    assert tags == [d.tag_at(F(0), F(2)), d.tag_at(F(0), F(-2))]
 
 
 def test_arc_on_curve_detected():

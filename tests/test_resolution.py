@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 from conftest import bench_scene_texts, bench_workload, load_fixture
 from test_algebra import _ref_subst
+from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
 from test_cli import DIVERGENT
 
-from basix import checker, resolution
+from basix import checker, puiseux, resolution
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
 from basix.checker import PROPERTIES, CheckRequest, run_check
@@ -20,7 +21,7 @@ from basix.resolution import (
     local_analysis_points,
     resolve_point,
 )
-from basix.scene import Scene
+from basix.scene import Scene, invert_scene
 from basix.unipoly import UniPoly
 
 F = Fraction
@@ -389,3 +390,41 @@ def test_arc_sides_agree_with_chart_point_sampling(monkeypatch):
             assert _chart_point_sides(D, decomp, a.v_mid) == (a.verdict_pos, a.verdict_neg), (D.level, a)
             n_arcs += 1
     assert len(classified) >= 10 and n_arcs >= 30
+
+
+def test_sign_vector_tags_agree_with_located_points(monkeypatch):
+    # every half-arc classified on the benchmark's checks, on the fixtures'
+    # inversions read as affine scenes, and on two scenes whose arcs enter
+    # regions that share a sign vector but not a tag
+    memberships = []
+    membership = resolution.arc_region_membership
+
+    def recording(arc, side, decomp):
+        tag = membership(arc, side, decomp)
+        memberships.append((arc, side, decomp, tag))
+        return tag
+
+    monkeypatch.setattr(resolution, "arc_region_membership", recording)
+    runs = []
+    for name in ("fixtures", "blowup", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        runs += [(Scene.from_text(texts[c.scene]), c.prop) for c in checks]
+    for name in ("half", "quad", "saddle", "para", "cubic"):
+        inv = invert_scene(load_fixture(name))
+        runs += [(Scene(inv.factors, inv.order, inv.formula, "affine"), prop) for prop in PROPERTIES]
+    for text in (IRRATIONAL_TANGENTS["tangents-sqrt2"], LARGE_DENOMINATOR_POINTS["tangent-slope-3^30"]):
+        runs.append((Scene.from_text(text), "basic_open"))
+    for sc, prop in runs:
+        run_check(CheckRequest(sc, prop, want_witness=False))
+    by_signs = located = 0
+    for arc, side, decomp, tag in memberships:
+        if tag[0] == "on_curve":
+            continue
+        signs = {n: puiseux.arc_sign(decomp.scene.factors[n], arc, side) for n in decomp.scene.order}
+        at_point = puiseux._located_membership(arc, side, decomp, signs)
+        assert tag == at_point, (decomp.scene.factors, arc, side)
+        if decomp.tag_of_signs(signs) is None:
+            located += 1
+        else:
+            by_signs += 1
+    assert by_signs >= 200 and located >= 10, (by_signs, located)
