@@ -477,7 +477,8 @@ class Arrangement:
             x_at = (x_at + (wlo if side == "L" else whi)) / 2
             wall.x.refine()
         u = self.curvy[factor].specialize_x(x_at)
-        positions = isolate_real_roots(u) if u.degree >= 1 else []
+        # only the intervals are read, so no root needs to be found exact
+        positions = isolate_real_roots(u, detect_rational=False) if u.degree >= 1 else []
         if len(positions) != self._branch_count(slab, factor):
             raise InternalError(f"{factor} has another branch count at x = {x_at} than in its slab")
         fates = []

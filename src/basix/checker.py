@@ -20,6 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 
 from .decompose import (
     SetDecomposition,
@@ -43,6 +44,9 @@ from .signdist import ConditionAFailure, condition_a, condition_a_check
 from .sphere import PoleView, SphereModel, build_sphere_model, infinity_sigma_decomposition
 
 F = Fraction
+
+# ordered edge pairs per boundary factor that the principal witness search tries
+_PAIRS_PER_FACTOR = 31
 
 PROPERTIES = (
     "basic_open",
@@ -340,26 +344,42 @@ def _principal_open(model: SphereModel, req: CheckRequest, mark) -> Verdict:
 
 def _principal_witness_search(d: SetDecomposition) -> tuple[Fan, int] | None:
     """Best-effort curve-centered fan with membership count 1 or 3, used when a
-    set-theoretic precheck already settles the verdict.  A candidate that
-    fails with an engine error is skipped; an `InternalError` propagates."""
+    set-theoretic precheck already settles the verdict.
+
+    The candidates are the first `_PAIRS_PER_FACTOR` ordered pairs of each
+    boundary factor's edges, and a pair's count is read from side tags
+    before its fan is built.  Each ordering is an edge sample moved by
+    eta*z: in y on a curve edge, in x on a vertical one.  No other factor
+    vanishes at the sample, which is no vertex, and the edge's own factor f
+    takes the sign of eta times its derivative along the move, nonzero (f_y
+    in an open slab, f_x on a vertical line) and the sign of f on side eta.
+    So the orderings have the sign vectors of the four regions beside the
+    two edges, and the count is how many of those lie in S.  Only pairs of
+    odd count are built; a factor with no edge that has exactly one side in
+    S has none.  A candidate that fails with an engine error is skipped; an
+    `InternalError` propagates, as does a count other than the predicted
+    one."""
     arr = d.arrangement
     for factor in sorted(d.zariski_boundary):
-        eids = [e.eid for e in arr.edges_of_factor(factor)]
-        tried = 0
-        for i in range(len(eids)):
-            for j in range(len(eids)):
-                if i == j or tried > 30:
-                    continue
-                tried += 1
-                try:
-                    fan = witness_curve_fan(d, factor, eids[i], eids[j])
-                    count = fan_count_in_S(fan, d.scene)
-                except InternalError:
-                    raise  # a broken invariant, not a failed candidate
-                except BasixError:
-                    continue
-                if count in (1, 3):
-                    return fan, count
+        edges = arr.edges_of_factor(factor)
+        sides = [(e.side_above in d.s_regions) + (e.side_below in d.s_regions) for e in edges]
+        if 1 not in sides:
+            continue
+        pairs = ((i, j) for i in range(len(edges)) for j in range(len(edges)) if i != j)
+        for i, j in islice(pairs, _PAIRS_PER_FACTOR):
+            predicted = sides[i] + sides[j]
+            if predicted % 2 == 0:
+                continue
+            try:
+                fan = witness_curve_fan(d, factor, edges[i].eid, edges[j].eid)
+                count = fan_count_in_S(fan, d.scene)
+            except InternalError:
+                raise  # a broken invariant, not a failed candidate
+            except BasixError:
+                continue
+            if count != predicted:
+                raise InternalError(f"curve fan counts {count} orderings in S, the sides of its edges {predicted}")
+            return fan, count
     return None
 
 

@@ -3,7 +3,9 @@
 A fan is four orderings of the rational function field, each the product of
 the other three.  Curve-centered fans attach +-z tails to two half-branches of
 a factor; point-centered fans take the two half-branches of each of two
-transversal-family arcs.
+transversal-family arcs.  A curve fan's base points are edge samples, smooth
+points of the curve, so each base arc is one Hensel lift (or the line itself
+on a vertical edge), never a branch-set expansion.
 
 Every sign is decided once, at the precision the fan was built with.  A
 curve-fan arc carries its z-slot at t^0 over an exact x(t), so the leading
@@ -29,8 +31,8 @@ from .puiseux import (
     Slot,
     arc_sign,
     certified_point,
-    newton_puiseux,
     simulate_branch_blowups,
+    smooth_branch,
 )
 from .realroots import RootLocator, vanishes_at
 from .resolution import ExceptionalComponent, component_family
@@ -149,13 +151,6 @@ def fan_count_in_S(fan: Fan, scene: Scene) -> int:
 # ------------------------------------------------------------------ construction
 
 
-def _branch_arc_at(poly: BiPoly, point: tuple[Fraction, Fraction]) -> PuiseuxArc:
-    arcs = [a for a in newton_puiseux(poly, point, _K0) if not a.swapped]
-    if len(arcs) != 1:
-        raise BasixError(f"expected one smooth branch at {point}, found {len(arcs)}")
-    return arcs[0]
-
-
 def witness_curve_fan(
     decomp: SetDecomposition,
     factor: str,
@@ -184,7 +179,8 @@ def witness_curve_fan(
             # the line x = x0, parametrized by y; the z-tail perturbs x
             base = PuiseuxArc((x0, y0), 1, 1, (), None, swapped=True)
         elif y0 is not None:
-            base = _branch_arc_at(poly, (x0, y0))
+            # a sample in an open slab, where f_y != 0: one Hensel lift
+            base = smooth_branch(poly, (x0, y0), _K0)
         else:
             orderings += [CurvePointOrdering(poly, x0, yloc, eta) for eta in (1, -1)]
             continue

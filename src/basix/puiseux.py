@@ -1,8 +1,11 @@
 """Fractional-power-series expansion of real curve branches.
 
-Branches are computed by the Newton-polygon recursion with a Hensel lift at
-regular leaves.  Only rational characteristic roots are supported: a real
-irrational root aborts with Unsupported rather than leaving exact arithmetic.
+At a point where f_y != 0 the curve has one branch, the graph of a power
+series y(x), and `smooth_branch` reads it with one Hensel lift.  A whole
+branch set at a singular point (`branch_set`) is computed by the
+Newton-polygon recursion with a Hensel lift at regular leaves.  Only
+rational characteristic roots are supported there: a real irrational root
+aborts with Unsupported rather than leaving exact arithmetic.
 Every arc is a parametrization x = cx + delta*t^N, y = cy + sum(c_i t^n_i)
 (or the same with the roles of x and y swapped for vertical tangents),
 optionally carrying a symbolic tail (eta*z + a)*t^m whose sign semantics are
@@ -211,6 +214,32 @@ def _mul_trunc(a: list[int], b: list[int], p: int) -> list[int]:
     return out
 
 
+def smooth_branch(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> PuiseuxArc:
+    """The one branch of f through a point where f_y != 0, as the graph
+    x = cx + t, y = y(t), exact below t^K; f composed with it is checked to
+    vanish below its truncation.
+
+    It is the one arc of `branch_set` at the point that is not swapped: f
+    translated there has a y term and no constant, so `_expand` divides out
+    no power of x and lifts once.  Where y divides the translated
+    polynomial, f is the line y = cy times a unit at the point, and the arc
+    is the axis branch: no terms and no truncation."""
+    cx, cy = center
+    T = f.translate(cx, cy)
+    if (0, 0) in T.t:
+        raise NotOnCurve(f"({cx}, {cy}) is not on the curve")
+    if (0, 1) not in T.t:
+        raise BasixError(f"f_y vanishes at ({cx}, {cy}), no smooth graph branch")
+    if all(j for _i, j in T.t):
+        arc = PuiseuxArc((cx, cy), 1, 1, (), None)
+    else:
+        arc = PuiseuxArc((cx, cy), 1, 1, tuple(sorted(_hensel(T, K).items())), K)
+    r = residual_order(f, arc)
+    if r is not None:
+        raise BasixError(f"branch residual of order {r} below truncation")
+    return arc
+
+
 def _edge_polynomial(sup: list[tuple[int, int, Fraction]], j1: int, i1: int, j2: int, i2: int, q: int) -> UniPoly:
     coeffs: dict[int, Fraction] = {}
     # points on the segment from (j1, i1) to (j2, i2) in the (j, i) plane
@@ -331,17 +360,6 @@ def branch_set(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[Pui
     Ts = T.swap_xy()
     emit(_expand(Ts, K), 1, True, gt1)
     emit(_expand(Ts.monomial_subst((1, 0), (0, 1), -1), K), -1, True, gt1)
-    return arcs
-
-
-def newton_puiseux(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
-    """Branch set of a single squarefree factor, with the residual guarantee
-    that composing f with each branch vanishes exactly modulo t^truncation."""
-    arcs = branch_set(f, center, K)
-    for a in arcs:
-        r = residual_order(f, a)
-        if r is not None:
-            raise BasixError(f"branch residual of order {r} below truncation")
     return arcs
 
 

@@ -7,7 +7,7 @@ from conftest import bench_workload, differential_module, load_fixture, sqrt2_tw
 from hypothesis import given, settings, strategies as st
 from test_sphere import random_scene_text
 
-from basix import arrangement
+from basix import arrangement, realroots
 from basix.arrangement import Box, _Fibre, _IrrationalAbscissa, _Window, bipoly_sign_on_box, build_arrangement
 from basix.bipoly import BiPoly, parse_poly
 from basix.checker import CheckRequest, run_check
@@ -362,6 +362,38 @@ def test_stack_signs_match_evaluation_on_random_scenes(seed):
     except (SceneError, Unsupported):
         return
     _assert_stack_signs_are_evaluated_signs(arr)
+
+
+def test_wall_approach_probes_no_root_for_rationality(monkeypatch):
+    # `_match_side` reads only the isolating intervals of f(x_at, y); near a
+    # wall x_at has a large denominator, and probing each root for
+    # rationality there cost more than the whole approach
+    differential = differential_module(monkeypatch)
+    simplest_in, match_side = realroots.simplest_in, arrangement.Arrangement._match_side
+    approaching: list[bool] = []
+    probes = []
+    matched = 0
+
+    def counted_simplest_in(lo, hi):
+        if approaching:
+            probes.append((lo, hi))
+        return simplest_in(lo, hi)
+
+    def tracked_match_side(self, *args):
+        nonlocal matched
+        matched += 1
+        approaching.append(True)
+        try:
+            return match_side(self, *args)
+        finally:
+            approaching.pop()
+
+    monkeypatch.setattr(realroots, "simplest_in", counted_simplest_in)
+    monkeypatch.setattr(arrangement.Arrangement, "_match_side", tracked_match_side)
+    for text in differential.APPROACHED_WALLS.values():
+        build_arrangement(S(text))
+    assert matched >= 6
+    assert probes == []
 
 
 def test_each_level_is_specialised_once_per_arrangement(monkeypatch):

@@ -2,13 +2,17 @@ import random
 import re
 import sys
 import types
+from collections import Counter
 from fractions import Fraction
+from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import bench_scene_texts, differential_module, sqrt2_twin, swap_scene
+from conftest import bench_scene_texts, differential_module, load_fixture, sqrt2_twin, swap_scene
+from test_sphere import random_scene_text
 
 from basix import arrangement, bipoly, checker, cli
+from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
 from basix.checker import (
     PROPERTIES,
@@ -21,7 +25,16 @@ from basix.checker import (
     run_check,
 )
 from basix.errors import InternalError, SceneError, Unsupported
-from basix.fans import Fan, fan_count_in_S, fan_to_json, independent_count_check, verify_fan
+from basix.decompose import decompose_set
+from basix.fans import (
+    CurvePointOrdering,
+    Fan,
+    fan_count_in_S,
+    fan_to_json,
+    independent_count_check,
+    verify_fan,
+    witness_curve_fan,
+)
 from basix.report import verdict_to_text
 from basix.scene import Scene, invert_scene, validate_scene
 
@@ -615,6 +628,71 @@ def test_principal_witness_search_skips_failed_candidates(monkeypatch):
     monkeypatch.setattr(checker, "fan_count_in_S", unsupported)
     v = run_check(CheckRequest(S(QUAD_CLOSED), "principal_closed"))
     assert (v.answer, v.reason, v.witness) == ("No", "BoundaryMeetsComplement", None)
+
+
+def _sides_in_S(d, *edges) -> int:
+    """How many of the regions beside the edges lie in S, counted per side."""
+    return sum(r in d.s_regions for e in edges for r in e.sides())
+
+
+def _search_candidates(d):
+    """(factor, edge, edge) for each pair `_principal_witness_search` may try."""
+    for factor in sorted(d.zariski_boundary):
+        edges = d.arrangement.edges_of_factor(factor)
+        pairs = ((a, b) for a in edges for b in edges if a is not b)
+        for a, b in islice(pairs, checker._PAIRS_PER_FACTOR):
+            yield factor, a, b
+
+
+def _fixture_and_inversion_decompositions():
+    """The decompositions of each fixture and its inversion, and of their
+    complements."""
+    for name in ("cubic", "half", "para", "quad", "saddle"):
+        sc = load_fixture(name)
+        for scene in (sc, invert_scene(sc)):
+            arr = build_arrangement(scene)
+            yield decompose_set(arr, scene)
+            yield decompose_set(arr, scene.complement())
+
+
+def test_side_tags_predict_the_count_of_every_candidate_curve_fan():
+    decomps = list(_fixture_and_inversion_decompositions())
+    rng = random.Random(11)
+    for _ in range(20):
+        sc = S(random_scene_text(rng))
+        try:
+            validate_scene(sc)
+            arr = build_arrangement(sc)
+        except (SceneError, Unsupported):
+            continue
+        decomps += [decompose_set(arr, sc), decompose_set(arr, sc.complement())]
+    seen = Counter()
+    for d in decomps:
+        for factor, a, b in _search_candidates(d):
+            try:
+                fan = witness_curve_fan(d, factor, a.eid, b.eid)
+                count = fan_count_in_S(fan, d.scene)
+            except Unsupported:
+                continue
+            assert count == _sides_in_S(d, a, b), (d.scene.formula, factor, a.eid, b.eid)
+            seen["odd" if count % 2 else "even"] += 1
+            seen["vertical"] += a.vertical or b.vertical
+            seen["irrational"] += any(isinstance(o, CurvePointOrdering) for o in fan.orderings)
+    assert min(seen[k] for k in ("odd", "even", "vertical", "irrational")) >= 10, seen
+
+
+def test_principal_witness_search_builds_only_fans_of_odd_count(monkeypatch):
+    built = []
+    build = checker.witness_curve_fan
+
+    def recording(d, factor, e1, e2):
+        built.append(_sides_in_S(d, d.arrangement.edges[e1], d.arrangement.edges[e2]))
+        return build(d, factor, e1, e2)
+
+    monkeypatch.setattr(checker, "witness_curve_fan", recording)
+    found = [checker._principal_witness_search(d) for d in _fixture_and_inversion_decompositions()]
+    assert sum(f is not None for f in found) >= 5
+    assert built and all(n % 2 for n in built), built
 
 
 @pytest.mark.parametrize("check", ["basic_open", "principal_open"])

@@ -4,12 +4,16 @@ from unittest import mock
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from conftest import bench_workload, load_fixture
+
 from basix import puiseux
 from basix.bipoly import BiPoly, is_squarefree
 
 from basix.arrangement import build_arrangement
+from basix.checker import CheckRequest, run_check
 from basix.decompose import decompose_set
-from basix.errors import Unsupported
+from basix.errors import BasixError, Unsupported
+from basix.fans import _K0
 from basix.parser import parse_polynomial
 from basix.puiseux import (
     NotOnCurve,
@@ -18,12 +22,12 @@ from basix.puiseux import (
     arc_region_membership,
     arc_sign,
     branch_set,
-    newton_puiseux,
     residual_order,
     simulate_branch_blowups,
+    smooth_branch,
 )
 from basix.resolution import component_family, resolve_point
-from basix.scene import Scene
+from basix.scene import Scene, invert_scene
 from basix.series import TSeries, compose_bipoly, series_div_unit
 from basix.unipoly import UniPoly
 from test_algebra import _ref_subst
@@ -35,6 +39,18 @@ def decompose_text(text):
     sc = Scene.from_text(text)
     return decompose_set(build_arrangement(sc), sc)
 P = parse_polynomial
+
+
+def newton_puiseux(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
+    """Branch set of a single squarefree factor, with the residual guarantee
+    that composing f with each branch vanishes exactly modulo t^truncation;
+    the oracle `smooth_branch` is checked against."""
+    arcs = branch_set(f, center, K)
+    for a in arcs:
+        r = residual_order(f, a)
+        if r is not None:
+            raise BasixError(f"branch residual of order {r} below truncation")
+    return arcs
 
 
 def arcs_of(text, center=(0, 0), K=16):
@@ -105,6 +121,80 @@ def test_node_with_irrational_tangents_is_unsupported():
     with pytest.raises(Unsupported) as exc:
         branch_set(P("y^2 - x^3 - 2*x^2"), (F(0), F(0)), 10)
     assert exc.value.reason == "NonRationalCoefficient"
+
+
+FIXTURE_NAMES = ("cubic", "half", "para", "quad", "saddle")
+
+
+def _rational_edge_samples():
+    """(factor, point) at each rational sample of a curve edge of the
+    fixtures and their inversions."""
+    for name in FIXTURE_NAMES:
+        sc = load_fixture(name)
+        for scene in (sc, invert_scene(sc)):
+            arr = build_arrangement(scene)
+            for e in arr.edges:
+                if e.vertical:
+                    continue
+                x0, yloc = arr.edge_sample(e)
+                if yloc.exact is not None:
+                    yield arr.factors[e.factor], (x0, yloc.exact)
+
+
+def _graph_arc(f, point, K=_K0):
+    (arc,) = [a for a in newton_puiseux(f, point, K) if not a.swapped]
+    return arc
+
+
+def test_smooth_branch_is_the_graph_arc_of_the_branch_set_at_edge_samples():
+    # equal arcs have equal terms and truncation; the horizontal line y = 0
+    # of quad gives an axis branch, with no truncation
+    truncations = []
+    for f, pt in _rational_edge_samples():
+        arc = smooth_branch(f, pt, _K0)
+        assert arc == _graph_arc(f, pt), (f.to_text(), pt)
+        truncations.append(arc.truncation)
+    assert len(truncations) >= 20 and None in truncations
+
+
+@pytest.mark.parametrize(
+    "text, point, truncation",
+    [
+        ("2*y - 1", (3, F(1, 2)), None),  # a horizontal line: the axis branch
+        ("x^2 + 2*y^2 - 2", (0, 1), _K0),  # the top of an ellipse: a horizontal tangent
+        ("y - x^20", (0, 0), _K0),  # flat below t^K: no terms, still truncated
+        ("y^2 + x*y - 3 + x^3", (1, 1), _K0),
+    ],
+)
+def test_smooth_branch_examples(text, point, truncation):
+    f, pt = P(text), (F(point[0]), F(point[1]))
+    got = smooth_branch(f, pt, _K0)
+    assert got == _graph_arc(f, pt)
+    assert got.truncation == truncation
+
+
+def test_smooth_branch_needs_a_smooth_graph_point():
+    with pytest.raises(NotOnCurve):
+        smooth_branch(P("y - x^2"), (F(1), F(5)), 8)
+    with pytest.raises(BasixError, match="f_y vanishes"):
+        smooth_branch(P("x^2 + y^2 - 1"), (F(1), F(0)), 8)
+
+
+def test_fixtures_and_lines_workload_checks_expand_no_branch(monkeypatch):
+    # curve-fan base arcs are Hensel lifts at edge samples, and resolution
+    # meets no multiple real tangent on these workloads
+    expand, calls = puiseux._expand, []
+
+    def counting(Fp, K, depth=0):
+        calls.append(Fp)
+        return expand(Fp, K, depth)
+
+    monkeypatch.setattr(puiseux, "_expand", counting)
+    for name in ("fixtures", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        for c in checks:
+            run_check(CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
+    assert calls == []
 
 
 def test_rational_roots_of_an_edge_polynomial_drop_zero():
