@@ -15,7 +15,7 @@ class BasixError(Exception):
 class Unsupported(BasixError):
     """Raised when a computation would leave exact rational arithmetic.
 
-    ``reason`` is a stable machine-readable code, e.g. ``NonRationalCoefficient``,
+    ``reason`` is a stable machine-readable code, e.g.
     ``NonRationalSingularPoint``, ``NonRationalShearNeeded``, ``DepthCap``,
     ``TruncationCap``, ``VerticalComponent``.
     """

@@ -1,11 +1,7 @@
-"""Fractional-power-series expansion of real curve branches.
+"""Fractional-power-series arcs through points of real curves.
 
 At a point where f_y != 0 the curve has one branch, the graph of a power
-series y(x), and `smooth_branch` reads it with one Hensel lift.  A whole
-branch set at a singular point (`branch_set`) is computed by the
-Newton-polygon recursion with a Hensel lift at regular leaves.  Only
-rational characteristic roots are supported there: a real irrational root
-aborts with Unsupported rather than leaving exact arithmetic.
+series y(x), and `smooth_branch` reads it with one Hensel lift.
 Every arc is a parametrization x = cx + delta*t^N, y = cy + sum(c_i t^n_i)
 (or the same with the roles of x and y swapped for vertical tangents),
 optionally carrying a symbolic tail (eta*z + a)*t^m whose sign semantics are
@@ -21,13 +17,10 @@ from math import gcd as _igcd
 
 from .bipoly import BiPoly
 from .errors import BasixError, Unsupported
-from .realroots import rational_roots
 from .series import TSeries, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
 
 F = Fraction
-
-_DEPTH_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -120,7 +113,7 @@ class NotOnCurve(BasixError):
     pass
 
 
-# ------------------------------------------------------------------ expansion
+# ------------------------------------------------------------------ smooth branches
 
 
 def _divide_x_power(p: BiPoly) -> tuple[BiPoly, int]:
@@ -130,15 +123,6 @@ def _divide_x_power(p: BiPoly) -> tuple[BiPoly, int]:
     if m == 0:
         return p, 0
     return BiPoly({(i - m, j): v for (i, j), v in p.t.items()}), m
-
-
-def _divide_y_power(p: BiPoly) -> tuple[BiPoly, int]:
-    if p.is_zero():
-        return p, 0
-    m = min(j for _i, j in p.t)
-    if m == 0:
-        return p, 0
-    return BiPoly({(i, j - m): v for (i, j), v in p.t.items()}), m
 
 
 def _hensel(Fp: BiPoly, K: int) -> dict[int, Fraction]:
@@ -219,9 +203,8 @@ def smooth_branch(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> Puise
     x = cx + t, y = y(t), exact below t^K; f composed with it is checked to
     vanish below its truncation.
 
-    It is the one arc of `branch_set` at the point that is not swapped: f
-    translated there has a y term and no constant, so `_expand` divides out
-    no power of x and lifts once.  Where y divides the translated
+    f translated to the point has a y term and no constant, so the branch
+    is the series root of one Hensel lift.  Where y divides the translated
     polynomial, f is the line y = cy times a unit at the point, and the arc
     is the axis branch: no terms and no truncation."""
     cx, cy = center
@@ -238,129 +221,6 @@ def smooth_branch(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> Puise
     if r is not None:
         raise BasixError(f"branch residual of order {r} below truncation")
     return arc
-
-
-def _edge_polynomial(sup: list[tuple[int, int, Fraction]], j1: int, i1: int, j2: int, i2: int, q: int) -> UniPoly:
-    coeffs: dict[int, Fraction] = {}
-    # points on the segment from (j1, i1) to (j2, i2) in the (j, i) plane
-    for i, j, a in sup:
-        if j < j1 or j > j2:
-            continue
-        # on the segment iff (i - i1)*(j2 - j1) == (j - j1)*(i2 - i1)
-        if (i - i1) * (j2 - j1) == (j - j1) * (i2 - i1):
-            k = (j - j1) // q
-            coeffs[k] = coeffs.get(k, F(0)) + a
-    n = max(coeffs)
-    return UniPoly([coeffs.get(k, F(0)) for k in range(n + 1)])
-
-
-def _rational_roots(psi: UniPoly) -> list[Fraction]:
-    """Nonzero rational roots; a real irrational root raises Unsupported."""
-    roots, irrational = rational_roots(psi)
-    if irrational:
-        raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
-    return [r for r in roots if r != 0]
-
-
-def _expand(Fp: BiPoly, K: int, depth: int = 0) -> list[tuple[int, dict[int, Fraction], int | None]]:
-    """Branches (N, {exponent: coefficient}, exact-order) of Fp at the origin,
-    with x = t^N and y = sum of the terms, exact below t^K.
-
-    A sub-branch found through an edge of slope p/q enters the parent's
-    terms shifted by ``base = p*N1 >= p``, so the recursion is asked only
-    for ``K - p``: its terms at ``n >= K - p`` would land at ``base + n >= K``,
-    which ``branch_set`` drops.  The exact-order stays at least ``K``
-    (``base + (K - p) >= K``), the leading term ``{base: c}`` is kept at
-    every level, and the recursion runs as before, so the arcs and every
-    ``Unsupported`` raised are those of expanding with ``K`` throughout.
-    """
-    if depth > _DEPTH_CAP:
-        raise Unsupported("DepthCap", "branch expansion recursion too deep")
-    out: list[tuple[int, dict[int, Fraction], int | None]] = []
-    Fp, _ = _divide_x_power(Fp)
-    Fp, ymult = _divide_y_power(Fp)
-    if ymult > 0:
-        out.append((1, {}, None))  # the horizontal axis branch
-    # Fp(0, 0) and dFp/dy(0, 0) are the coefficients of 1 and y
-    if (0, 0) in Fp.t or Fp.deg_y == 0:
-        return out
-    if (0, 1) in Fp.t:
-        out.append((1, _hensel(Fp, K), K))
-        return out
-
-    sup = [(i, j, a) for (i, j), a in Fp.t.items()]
-    pts: dict[int, int] = {}
-    for i, j, _a in sup:
-        pts[j] = min(pts.get(j, i), i)
-    hull: list[tuple[int, int]] = []  # (j, i) lower hull, increasing j
-    for j in sorted(pts):
-        i = pts[j]
-        while len(hull) >= 2:
-            (j0, i0), (j1, i1) = hull[-2], hull[-1]
-            if (i1 - i0) * (j - j0) >= (i - i0) * (j1 - j0):
-                hull.pop()
-            else:
-                break
-        hull.append((j, i))
-    for (j1, i1), (j2, i2) in zip(hull, hull[1:]):
-        if i2 >= i1:
-            continue  # only descending edges give branches through y = 0
-        mu = F(i1 - i2, j2 - j1)
-        p, q = mu.numerator, mu.denominator
-        psi = _edge_polynomial(sup, j1, i1, j2, i2, q)
-        # Fp(x^q, x^p (c + y)): x^i y^j -> x^(q*i + p*j) y^j, then y -> c + y
-        Fe = Fp.monomial_subst((q, 0), (p, 1))
-        for c in _rational_roots(psi):
-            G, _m = _divide_x_power(Fe.translate(0, c))
-            for (N1, terms1, upto1) in _expand(G, K - p, depth + 1):
-                N = q * N1
-                base = p * N1
-                terms = {base: c}
-                for n, b in terms1.items():
-                    terms[base + n] = b
-                upto = None if upto1 is None else base + upto1
-                out.append((N, terms, upto))
-    return out
-
-
-def _mu_eff(N: int, terms: dict[int, Fraction]) -> Fraction | None:
-    exps = [n for n, c in terms.items() if c != 0]
-    if not exps:
-        return None  # the axis branch
-    return F(min(exps), N)
-
-
-def branch_set(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
-    """All real branches of f through the center, truncated at t^K."""
-    cx, cy = F(center[0]), F(center[1])
-    if f.eval(cx, cy) != 0:
-        raise NotOnCurve(f"({cx}, {cy}) is not on the curve")
-    T = f.translate(cx, cy)
-    arcs: list[PuiseuxArc] = []
-
-    def emit(raw, delta: int, swapped: bool, keep):
-        for N, terms, upto in raw:
-            mu = _mu_eff(N, terms)
-            if not keep(mu):
-                continue
-            if delta == -1 and N % 2 == 1:
-                continue  # odd ramification already covers both sides
-            tt = tuple(sorted((n, c) for n, c in terms.items() if c != 0))
-            trunc = upto if upto is None else min(upto, K)
-            if trunc is not None:
-                tt = tuple((n, c) for n, c in tt if n < trunc)
-            arcs.append(
-                PuiseuxArc((cx, cy), delta, N, tt, trunc, swapped=swapped)
-            )
-
-    ge1 = lambda mu: mu is None or mu >= 1
-    gt1 = lambda mu: mu is None or mu > 1
-    emit(_expand(T, K), 1, False, ge1)
-    emit(_expand(T.monomial_subst((1, 0), (0, 1), -1), K), -1, False, ge1)
-    Ts = T.swap_xy()
-    emit(_expand(Ts, K), 1, True, gt1)
-    emit(_expand(Ts.monomial_subst((1, 0), (0, 1), -1), K), -1, True, gt1)
-    return arcs
 
 
 def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:

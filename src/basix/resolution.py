@@ -6,24 +6,38 @@ plus all exceptional lines) has only smooth transversal crossings with at
 most two branches per point.  Every chart is rational: an irrational centre
 that would need resolution aborts with Unsupported.
 
-The normal-crossing tests read three things of each local curve at a site:
-how many real branches it has at the origin, whether each is smooth, and
-their tangent lines.  They are read from the curve's tangent cone, the
-lowest form h of degree d.  Its real lines are y = m*x for the real roots m
-of h(1, m), and x = 0 with multiplicity d - deg h(1, m).  When every real
-line is simple the cone decides exactly.  Blowing up the origin, the strict
-transform meets the exceptional line at the point of each line of the cone,
-with the line's multiplicity.  At a simple real line it is therefore smooth
-and transversal there, so it carries exactly one branch (real, since its
-conjugate passes there too), which is smooth and tangent to the line
-downstairs; a non-real line carries no real branch.  No slope needs to be
-rational.  A multiple real line may carry several
-branches, a singular one or none at all (an isolated real point), and only
-the Puiseux branch set tells which, so a curve with one is expanded
-(`branch_set`).  One ``resolve_point`` call reads each distinct local
-polynomial once and keeps its tangents in a dict that it passes down its
-sites; the dict is dropped when the call returns, so nothing is cached
-between resolutions.
+The normal-crossing tests read the tangent cone of each local curve at a
+site, its lowest form h of degree d.  Its real lines are y = m*x for the
+real roots m of h(1, m), and x = 0 with multiplicity d - deg h(1, m).
+Blowing up the origin, the strict transform meets the exceptional line at
+the point of each line of the cone, with the line's multiplicity.  At a
+simple real line it is therefore smooth and transversal there, so it
+carries exactly one branch (real, since its conjugate passes there too),
+which is smooth and tangent to the line downstairs; a non-real line carries
+no real branch.  No slope needs to be rational.  A multiple real line may
+carry several branches, a singular one or none at all (an isolated real
+point).  A curve with one is no normal crossing, and its point is blown up
+without asking which.
+
+That leaves the verdict as it is.  Condition (b) may be read on the real
+prime divisors of any resolution by point blow-ups that ends in normal
+crossings (Lemmas 3.5-3.6).  A blow-up the real branches alone would not
+ask for is made where the real branches through the point, exceptional
+lines included, are none, one, or two smooth transversal ones.  The two
+sides of the new exceptional circle at a direction are the two opposite
+rays of that direction.  With no real branch or one, every arc of the
+circle therefore has the same pair of regions on its two sides, so it is
+never type changing.  With two, its two arcs face the two pairs of
+opposite sectors.  If one arc changes sign and the other has the same
+nonzero sign on both sides, each of the two branches is type changing for
+the same distribution.  Such a branch is a curve, which fails condition (a)
+first, or an earlier exceptional component, which is classified first.
+Every later blow-up on the new circle is of the same kind, so only the
+exceptional table gains rows.
+
+One ``resolve_point`` call reads each distinct local polynomial's cone once
+and keeps it in a dict that it passes down its sites; the dict is dropped
+when the call returns, so nothing is cached between resolutions.
 
 Marked points on an exceptional component are `RootLocator`s, exact ones
 for rational positions, as every located coordinate of the arrangement is.
@@ -63,7 +77,6 @@ from .puiseux import (
     ParamArc,
     _divide_x_power,
     arc_region_membership,
-    branch_set,
     family_normal_form,
 )
 from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
@@ -75,7 +88,6 @@ from .unipoly import UniPoly
 F = Fraction
 
 DEFAULT_DEPTH_CAP = 24
-_NC_K = 10
 # alternate sample positions tried on one arc
 _ALT_CAP = 12
 
@@ -157,14 +169,14 @@ class ResolutionTree:
 
 # ----------------------------------------------------------------- NC testing
 
-# A real branch at the origin as (smooth, tangent slope), the slope None for
-# the vertical line x = 0.
-Tangent = tuple[bool, RootLocator | None]
-# The tangents of each local polynomial, computed once per resolve_point.
-Tangents = dict[BiPoly, list[Tangent]]
+# The real lines of the tangent cone at the origin, as slopes (None for the
+# vertical line x = 0), and whether one of them is multiple.
+Cone = tuple[list[RootLocator | None], bool]
+# The cone of each local polynomial, computed once per resolve_point.
+Cones = dict[BiPoly, Cone]
 
 
-def _cone_lines(p: BiPoly) -> tuple[list[RootLocator | None], bool]:
+def _cone_lines(p: BiPoly) -> Cone:
     """The real lines of the lowest form h of p at the origin, as slopes
     (None for x = 0), and whether one of them is multiple.  The finite lines
     are the real roots m of h(1, m); x = 0 is a line of multiplicity
@@ -185,21 +197,10 @@ def _cone_lines(p: BiPoly) -> tuple[list[RootLocator | None], bool]:
     return lines, multiple
 
 
-def _tangents(p: BiPoly, tangents: Tangents) -> list[Tangent]:
-    """(smooth, slope) per real branch of p at the origin.  Without a
-    multiple real line each real line of the cone carries one smooth branch;
-    otherwise the branch set is expanded."""
-    out = tangents.get(p)
+def _cone(p: BiPoly, cones: Cones) -> Cone:
+    out = cones.get(p)
     if out is None:
-        lines, multiple = _cone_lines(p)
-        if not multiple:
-            out = [(True, m) for m in lines]
-        else:
-            out = [
-                (a.N == 1, None if a.swapped else RootLocator.at(dict(a.terms).get(a.N, F(0))))
-                for a in branch_set(p, (F(0), F(0)), _NC_K)
-            ]
-        tangents[p] = out
+        out = cones[p] = _cone_lines(p)
     return out
 
 
@@ -207,17 +208,19 @@ def _same_line(a: RootLocator | None, b: RootLocator | None) -> bool:
     return a is None and b is None or a is not None and b is not None and roots_equal(a, b)
 
 
-def is_normal_crossing(curves: list[tuple[object, BiPoly]], tangents: Tangents) -> bool:
-    """Total-transform normal crossing at the origin of the given local curves:
-    at most two real branches, all smooth, pairwise transversal."""
-    found: list[Tangent] = []
+def is_normal_crossing(curves: list[tuple[object, BiPoly]], cones: Cones) -> bool:
+    """Total-transform normal crossing at the origin of the given local
+    curves: no cone has a multiple real line, so each real line is one
+    smooth branch, and there are at most two lines, distinct."""
+    found: list[RootLocator | None] = []
     for _tag, p in curves:
-        found.extend(_tangents(p, tangents))
+        lines, multiple = _cone(p, cones)
+        if multiple:
+            return False
+        found.extend(lines)
         if len(found) > 2:
             return False
-    if any(not sm for sm, _m in found):
-        return False
-    return not (len(found) == 2 and _same_line(found[0][1], found[1][1]))
+    return not (len(found) == 2 and _same_line(found[0], found[1]))
 
 
 def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
@@ -231,8 +234,10 @@ def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     return _divide_x_power(q)[0]
 
 
-def _has_vertical_branch(curves: list[tuple[object, BiPoly]], tangents: Tangents) -> bool:
-    return any(m is None for _tag, p in curves for _sm, m in _tangents(p, tangents))
+def _has_vertical_branch(curves: list[tuple[object, BiPoly]], cones: Cones) -> bool:
+    """Whether some cone contains the line x = 0, simple or multiple: then
+    something meets the point at infinity of the exceptional line."""
+    return any(m is None for _tag, p in curves for m in _cone(p, cones)[0])
 
 
 # ----------------------------------------------------------------- resolution
@@ -260,17 +265,17 @@ def _resolve_site(
     trans: tuple[Fraction, Fraction],
     curves: list[tuple[object, BiPoly]],
     depth_cap: int,
-    tangents: Tangents,
+    cones: Cones,
 ) -> None:
     """Blow up (translated) local curves at the origin until normal crossing."""
-    if is_normal_crossing(curves, tangents):
+    if is_normal_crossing(curves, cones):
         tree.certificate.append(f"site depth {len(word)}: normal crossing, no blow-up")
         return
     if len(word) >= depth_cap:
         raise Unsupported("DepthCap", f"resolution exceeded depth {depth_cap}")
 
     level = len(tree.components) + 1
-    has_vert = _has_vertical_branch(curves, tangents)
+    has_vert = _has_vertical_branch(curves, cones)
 
     # x-chart: covers every direction except the vertical one
     step = Step("x", trans[0], trans[1])
@@ -324,7 +329,7 @@ def _resolve_site(
             )
         translated = [(tag, sc.translate(F(0), vex)) for tag, sc in stricts if sc.eval(F(0), vex) == 0]
         translated.append((("exc", level), BiPoly.x()))
-        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, tangents)
+        _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, cones)
 
     # the point of D at infinity: handled in the y-chart when something meets it
     if has_vert:
@@ -336,8 +341,8 @@ def _resolve_site(
         D.inf_tags = [tag for tag, _sc in ytag_curves]
         ytag_curves.append((("exc", level), BiPoly.x()))
         yword = word + (Step("y", trans[0], trans[1]),)
-        if not is_normal_crossing(ytag_curves, tangents):
-            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap, tangents)
+        if not is_normal_crossing(ytag_curves, cones):
+            _resolve_site(tree, yword, (F(0), F(0)), ytag_curves, depth_cap, cones)
         else:
             tree.certificate.append(f"D{level} at v=inf: normal crossing")
     return

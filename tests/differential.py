@@ -70,6 +70,8 @@ if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
 
 from conftest import sqrt2_twin, swap_scene  # noqa: E402
 from test_checker import (  # noqa: E402
+    ASYMPTOTES_SQRT2,
+    DOUBLE_ROOTS_10007,
     IRRATIONAL_TANGENTS,
     LARGE_DENOMINATOR_POINTS,
     twin_scene_text,
@@ -86,7 +88,7 @@ FIXTURE_DIR = TESTS_DIR.parent / "fixtures"
 # touching at (+-3 sqrt3/2, -3/2)
 IRRATIONAL_WALLS = {
     "acnode-sqrt2": "factor f = y^2 + x^4 - 4*x^2 + 4; set S = { f > 0 };",
-    "asymptotes-sqrt2": "factor f = x^2*y - 2*y - 1; set S = { f > 0 };",
+    "asymptotes-sqrt2": ASYMPTOTES_SQRT2,
     "node-sqrt2": "factor f = y^2 - x^6 + 3*x^4 - 4; set S = { f > 0 };",
     "tangency-sqrt3": "factor f = x^2 + y^2 + 2*y - 6; factor g = y - x^2 + 33/4; factor l = y + 5/2*x - 5/4;"
     "set S = { f < 0, g > 0 } | { l > 0, f > 0 };",
@@ -104,7 +106,7 @@ LARGE_DENOMINATORS = {
 APPROACHED_WALLS = {
     "double-roots-pm1": "factor f = x^2 + (y^2 - 4)^2 - 1; set S = { f > 0 };",
     "escapes-0": "factor f = x^2*y^2 - 3*x*y + 2 + x; set S = { f > 0 };",
-    "double-roots-10007": "factor f = (y^2 - 1)^2 - 2*(10007*x - 1)^2; factor g = y + x^2; set S = { f > 0, g > 0 };",
+    "double-roots-10007": DOUBLE_ROOTS_10007,
 }
 
 

@@ -1099,7 +1099,8 @@ def test_term_maps_match_subst(p):
 @given(_sparse_bipolys(), st.integers(1, 3), st.integers(1, 4), _res_coeffs)
 @settings(max_examples=200, deadline=None)
 def test_edge_substitution_matches_subst(f, q, p, c):
-    # _expand's substitution Fp(x^q, x^p (c + y)) along an edge of slope p/q
+    # the Newton-edge substitution Fp(x^q, x^p (c + y)) along an edge of slope
+    # p/q: a term map with exponents above 1, then a translation
     got = f.monomial_subst((q, 0), (p, 1)).translate(0, c)
     assert got == _ref_subst(f, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
 

@@ -323,19 +323,32 @@ def test_large_wall_denominators_decide_as_small_ones(a):
         assert answers(k) == expected, k
 
 
+# f has double roots at (1/10007, +-1), so the fates at that wall are read
+# by approaching it, through many refinement rounds
+DOUBLE_ROOTS_10007 = "factor f = (y^2 - 1)^2 - 2*(10007*x - 1)^2; factor g = y + x^2; set S = { f > 0, g > 0 };"
+# f has the asymptotes x = +-sqrt2 and y = 0
+ASYMPTOTES_SQRT2 = "factor f = x^2*y - 2*y - 1; set S = { f > 0 };"
+
+
 def test_a_quartic_with_two_double_roots_on_a_wall_of_denominator_10007_decides():
-    # f has double roots at (1/10007, +-1), so the fates at that wall are
-    # read by approaching it, through many refinement rounds
-    sc = S("factor f = (y^2 - 1)^2 - 2*(10007*x - 1)^2; factor g = y + x^2; set S = { f > 0, g > 0 };")
+    # S is one clause of strict atoms, so it is basic open by definition
+    sc = S(DOUBLE_ROOTS_10007)
     assert arrangement.build_arrangement(sc).euler_characteristic_sphere() == 2
     answers = {p: run_check(CheckRequest(sc, p)) for p in PROPERTIES}
     assert {p: (v.answer, v.reason.split(":")[0]) for p, v in answers.items()} == {
-        "basic_open": ("Unsupported", "NonRationalCoefficient"),
+        "basic_open": ("Yes", ""),
         "basic_closed": ("No", "NotClosed"),
-        "generically_basic": ("Unsupported", "NonRationalCoefficient"),
+        "generically_basic": ("Yes", ""),
         "principal_open": ("No", "principal-complement-side"),
         "principal_closed": ("No", "BoundaryMeetsComplement"),
     }
+
+
+@pytest.mark.parametrize("prop", ["basic_open", "generically_basic"])
+def test_asymptotes_at_irrational_abscissae_are_basic_open(prop):
+    # one strict atom: basic open by definition
+    v = run_check(CheckRequest(S(ASYMPTOTES_SQRT2), prop))
+    assert (v.answer, v.reason) == ("Yes", "")
 
 
 # the node y^2 = x^3 + 2x^2, tangent to y = +-sqrt2 x at the origin, crossed

@@ -1,27 +1,25 @@
 from fractions import Fraction
-from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from conftest import bench_workload, load_fixture
+from conftest import load_fixture
 
 from basix import puiseux
-from basix.bipoly import BiPoly, is_squarefree
+from basix.bipoly import BiPoly
 
 from basix.arrangement import build_arrangement
-from basix.checker import CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import BasixError, Unsupported
 from basix.fans import _K0
 from basix.parser import parse_polynomial
+from basix.realroots import rational_roots
 from basix.puiseux import (
     NotOnCurve,
     PuiseuxArc,
     Slot,
     arc_region_membership,
     arc_sign,
-    branch_set,
     residual_order,
     simulate_branch_blowups,
     smooth_branch,
@@ -41,10 +39,143 @@ def decompose_text(text):
 P = parse_polynomial
 
 
+# ------------------------------------------------------------------ the branch-set oracle
+
+# The Newton-polygon recursion with a Hensel lift at regular leaves, passing
+# the same K to every level: every real branch of a curve at a point, which
+# the engine never expands (resolution blows up at a multiple tangent line
+# instead).  Only rational characteristic roots are supported.
+
+_DEPTH_CAP = 64
+
+
+def _divide_y_power(p: BiPoly) -> tuple[BiPoly, int]:
+    if p.is_zero():
+        return p, 0
+    m = min(j for _i, j in p.t)
+    if m == 0:
+        return p, 0
+    return BiPoly({(i, j - m): v for (i, j), v in p.t.items()}), m
+
+
+def _edge_polynomial(sup, j1, i1, j2, i2, q) -> UniPoly:
+    coeffs = {}
+    # points on the segment from (j1, i1) to (j2, i2) in the (j, i) plane
+    for i, j, a in sup:
+        if j1 <= j <= j2 and (i - i1) * (j2 - j1) == (j - j1) * (i2 - i1):
+            k = (j - j1) // q
+            coeffs[k] = coeffs.get(k, F(0)) + a
+    return UniPoly([coeffs.get(k, F(0)) for k in range(max(coeffs) + 1)])
+
+
+def _rational_roots(psi: UniPoly) -> list[Fraction]:
+    """Nonzero rational roots; a real irrational root raises Unsupported."""
+    roots, irrational = rational_roots(psi)
+    if irrational:
+        raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
+    return [r for r in roots if r != 0]
+
+
+def _hensel_reference(Fp, K):
+    """The Hensel lift composing with the exact, untruncated y."""
+    xs = TSeries.make({1: UniPoly.const(1)}, None)
+    y = TSeries.zero(None)
+    Fy = Fp.partial_y()
+    p = 1
+    while p < K:
+        p = min(2 * p, K)
+        num = compose_bipoly(Fp, xs, y)
+        den = compose_bipoly(Fy, xs, y)
+        q = series_div_unit(num, den, p)
+        y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
+    return {e: v.c[0] for e, v in y.coeff if v.c}
+
+
+def _expand_reference(Fp, K, depth=0):
+    """Branches (N, {exponent: coefficient}, exact-order) of Fp at the
+    origin, with x = t^N and y = sum of the terms, exact below t^K."""
+    if depth > _DEPTH_CAP:
+        raise Unsupported("DepthCap", "branch expansion recursion too deep")
+    out = []
+    Fp, _ = puiseux._divide_x_power(Fp)
+    Fp, ymult = _divide_y_power(Fp)
+    if ymult > 0:
+        out.append((1, {}, None))  # the horizontal axis branch
+    if Fp.eval(0, 0) != 0 or Fp.deg_y == 0:
+        return out
+    if Fp.partial_y().eval(0, 0) != 0:
+        out.append((1, _hensel_reference(Fp, K), K))
+        return out
+    sup = [(i, j, a) for (i, j), a in Fp.t.items()]
+    pts = {}
+    for i, j, _a in sup:
+        pts[j] = min(pts.get(j, i), i)
+    hull = []  # (j, i) lower hull, increasing j
+    for j in sorted(pts):
+        i = pts[j]
+        while len(hull) >= 2:
+            (j0, i0), (j1, i1) = hull[-2], hull[-1]
+            if (i1 - i0) * (j - j0) >= (i - i0) * (j1 - j0):
+                hull.pop()
+            else:
+                break
+        hull.append((j, i))
+    for (j1, i1), (j2, i2) in zip(hull, hull[1:]):
+        if i2 >= i1:
+            continue  # only descending edges give branches through y = 0
+        mu = F(i1 - i2, j2 - j1)
+        p, q = mu.numerator, mu.denominator
+        psi = _edge_polynomial(sup, j1, i1, j2, i2, q)
+        for c in _rational_roots(psi):
+            G = _ref_subst(Fp, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
+            G, _m = puiseux._divide_x_power(G)
+            for N1, terms1, upto1 in _expand_reference(G, K, depth + 1):
+                terms = {p * N1: c}
+                for n, b in terms1.items():
+                    terms[p * N1 + n] = b
+                out.append((q * N1, terms, None if upto1 is None else p * N1 + upto1))
+    return out
+
+
+def _mu_eff(N, terms):
+    exps = [n for n, c in terms.items() if c != 0]
+    return F(min(exps), N) if exps else None  # None: the axis branch
+
+
+def branch_set(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
+    """All real branches of f through the center, truncated at t^K: the
+    graphs over x on both sides, then the graphs over y tangent to x = 0."""
+    cx, cy = F(center[0]), F(center[1])
+    if f.eval(cx, cy) != 0:
+        raise NotOnCurve(f"({cx}, {cy}) is not on the curve")
+    T = f.translate(cx, cy)
+    arcs = []
+
+    def emit(raw, delta, swapped, keep):
+        for N, terms, upto in raw:
+            if not keep(_mu_eff(N, terms)):
+                continue
+            if delta == -1 and N % 2 == 1:
+                continue  # odd ramification already covers both sides
+            tt = tuple(sorted((n, c) for n, c in terms.items() if c != 0))
+            trunc = upto if upto is None else min(upto, K)
+            if trunc is not None:
+                tt = tuple((n, c) for n, c in tt if n < trunc)
+            arcs.append(PuiseuxArc((cx, cy), delta, N, tt, trunc, swapped=swapped))
+
+    ge1 = lambda mu: mu is None or mu >= 1
+    gt1 = lambda mu: mu is None or mu > 1
+    emit(_expand_reference(T, K), 1, False, ge1)
+    emit(_expand_reference(T.monomial_subst((1, 0), (0, 1), -1), K), -1, False, ge1)
+    Ts = T.swap_xy()
+    emit(_expand_reference(Ts, K), 1, True, gt1)
+    emit(_expand_reference(Ts.monomial_subst((1, 0), (0, 1), -1), K), -1, True, gt1)
+    return arcs
+
+
 def newton_puiseux(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> list[PuiseuxArc]:
-    """Branch set of a single squarefree factor, with the residual guarantee
-    that composing f with each branch vanishes exactly modulo t^truncation;
-    the oracle `smooth_branch` is checked against."""
+    """The oracle's branch set, with the residual guarantee that composing
+    f with each branch vanishes exactly modulo t^truncation."""
     arcs = branch_set(f, center, K)
     for a in arcs:
         r = residual_order(f, a)
@@ -180,31 +311,6 @@ def test_smooth_branch_needs_a_smooth_graph_point():
         smooth_branch(P("x^2 + y^2 - 1"), (F(1), F(0)), 8)
 
 
-def test_fixtures_and_lines_workload_checks_expand_no_branch(monkeypatch):
-    # curve-fan base arcs are Hensel lifts at edge samples, and resolution
-    # meets no multiple real tangent on these workloads
-    expand, calls = puiseux._expand, []
-
-    def counting(Fp, K, depth=0):
-        calls.append(Fp)
-        return expand(Fp, K, depth)
-
-    monkeypatch.setattr(puiseux, "_expand", counting)
-    for name in ("fixtures", "lines"):
-        texts, checks = bench_workload(monkeypatch, name)
-        for c in checks:
-            run_check(CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
-    assert calls == []
-
-
-def test_rational_roots_of_an_edge_polynomial_drop_zero():
-    # c^2 (13c - 7)(17c + 11): the root 0 is not a branch coefficient
-    psi = UniPoly([0, 0, -77, 24, 221])
-    assert puiseux._rational_roots(psi) == [F(-11, 17), F(7, 13)]
-    with pytest.raises(Unsupported, match="NonRationalCoefficient"):
-        puiseux._rational_roots(psi * UniPoly([-2, 0, 1]))
-
-
 def mkarc(terms, N=1, delta=1, trunc=None, center=(0, 0), slot=None):
     return PuiseuxArc(
         (F(center[0]), F(center[1])),
@@ -326,121 +432,7 @@ def test_family_instances_lift_through_y_charts():
         assert word[-1][1] == v
 
 
-# ------------------------------------------------------------------ truncated expansion
-
-
-def _hensel_reference(Fp, K):
-    """The Hensel lift composing with the exact, untruncated y."""
-    xs = TSeries.make({1: UniPoly.const(1)}, None)
-    y = TSeries.zero(None)
-    Fy = Fp.partial_y()
-    p = 1
-    while p < K:
-        p = min(2 * p, K)
-        num = compose_bipoly(Fp, xs, y)
-        den = compose_bipoly(Fy, xs, y)
-        q = series_div_unit(num, den, p)
-        y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
-    return {e: v.c[0] for e, v in y.coeff if v.c}
-
-
-def _expand_reference(Fp, K, depth=0):
-    """The Newton recursion passing the same K to every level."""
-    if depth > puiseux._DEPTH_CAP:
-        raise Unsupported("DepthCap", "branch expansion recursion too deep")
-    out = []
-    Fp, _ = puiseux._divide_x_power(Fp)
-    Fp, ymult = puiseux._divide_y_power(Fp)
-    if ymult > 0:
-        out.append((1, {}, None))
-    if Fp.eval(0, 0) != 0 or Fp.deg_y == 0:
-        return out
-    if Fp.partial_y().eval(0, 0) != 0:
-        out.append((1, _hensel_reference(Fp, K), K))
-        return out
-    sup = [(i, j, a) for (i, j), a in Fp.t.items()]
-    pts = {}
-    for i, j, _a in sup:
-        pts[j] = min(pts.get(j, i), i)
-    hull = []
-    for j in sorted(pts):
-        i = pts[j]
-        while len(hull) >= 2:
-            (j0, i0), (j1, i1) = hull[-2], hull[-1]
-            if (i1 - i0) * (j - j0) >= (i - i0) * (j1 - j0):
-                hull.pop()
-            else:
-                break
-        hull.append((j, i))
-    for (j1, i1), (j2, i2) in zip(hull, hull[1:]):
-        if i2 >= i1:
-            continue
-        mu = F(i1 - i2, j2 - j1)
-        p, q = mu.numerator, mu.denominator
-        psi = puiseux._edge_polynomial(sup, j1, i1, j2, i2, q)
-        for c in puiseux._rational_roots(psi):
-            G = _ref_subst(Fp, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
-            G, _m = puiseux._divide_x_power(G)
-            for N1, terms1, upto1 in _expand_reference(G, K, depth + 1):
-                terms = {p * N1: c}
-                for n, b in terms1.items():
-                    terms[p * N1 + n] = b
-                out.append((q * N1, terms, None if upto1 is None else p * N1 + upto1))
-    return out
-
-
-def _branch_outcome(f, K):
-    try:
-        arcs = branch_set(f, (F(0), F(0)), K)
-    except Unsupported as exc:
-        return ("Unsupported", exc.reason, exc.detail)
-    return [(a.N, a.delta, a.terms, a.truncation, a.swapped) for a in arcs]
-
-
-_small = st.fractions(min_value=-3, max_value=3, max_denominator=3)
-_nonzero = _small.filter(lambda v: v != 0)
-
-
-@st.composite
-def _curves_through_origin(draw):
-    kind = draw(st.sampled_from(("cusp", "tacnode", "parabolas", "random")))
-    x, y = BiPoly.x(), BiPoly.y()
-    if kind == "cusp":
-        # y^a - c*x^k, optionally with a higher-order perturbation
-        f = y ** draw(st.integers(2, 3)) - (x ** draw(st.integers(2, 7))).scale(draw(_nonzero))
-        f = f + (x ** draw(st.integers(3, 8)) * y).scale(draw(_small))
-    elif kind == "tacnode":
-        k = draw(st.integers(2, 4))
-        a, b = draw(_nonzero), draw(_nonzero)
-        f = (y - (x**k).scale(a)) * (y - (x**k).scale(b) - (x ** (k + 1)).scale(draw(_small)))
-    elif kind == "parabolas":
-        # osculating parabolas y = a*x + b*x^2 + c*x^3 sharing low-order terms
-        a, b = draw(_small), draw(_small)
-        f = BiPoly.const(1)
-        for _ in range(draw(st.integers(1, 3))):
-            f = f * (y - x.scale(a) - (x**2).scale(b) - (x**3).scale(draw(_small)))
-    else:
-        terms = draw(
-            st.dictionaries(
-                st.tuples(st.integers(0, 4), st.integers(0, 3)).filter(lambda ij: ij != (0, 0)),
-                _nonzero,
-                min_size=1,
-                max_size=5,
-            )
-        )
-        f = BiPoly(terms)
-    return f
-
-
-@given(_curves_through_origin(), st.sampled_from((2, 8, 10, 12)))
-@settings(max_examples=60, deadline=None)
-def test_branch_set_matches_untruncated_expansion(f, K):
-    # the engine expands squarefree curves only; a repeated branch recurses to the depth cap
-    assume(not f.is_const() and is_squarefree(f))
-    got = _branch_outcome(f, K)
-    with mock.patch.object(puiseux, "_expand", _expand_reference):
-        want = _branch_outcome(f, K)
-    assert got == want
+# ------------------------------------------------------------------ truncation
 
 
 @st.composite
@@ -472,10 +464,16 @@ def test_hensel_matches_series_lift(Fp, K):
 )
 @pytest.mark.parametrize("K", [2, 8, 10, 12])
 def test_branch_set_matches_untruncated_expansion_examples(text, K):
+    # the oracle's branch set at K is its expansion to a higher order cut at
+    # t^K: no coefficient below t^K depends on where the expansion stops
     f = P(text)
-    got = _branch_outcome(f, K)
-    with mock.patch.object(puiseux, "_expand", _expand_reference):
-        assert got == _branch_outcome(f, K)
+    got = newton_puiseux(f, (F(0), F(0)), K)
+    deeper = newton_puiseux(f, (F(0), F(0)), 2 * K + 4)
+    assert got and len(got) == len(deeper)
+    for a, b in zip(got, deeper):
+        assert (a.N, a.delta, a.swapped) == (b.N, b.delta, b.swapped)
+        assert a.terms == tuple((n, c) for n, c in b.terms if a.truncation is None or n < a.truncation)
+        assert a.truncation == (None if b.truncation is None else K)
 
 
 # ------------------------------------------------------------------ membership

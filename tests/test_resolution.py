@@ -4,6 +4,7 @@ import pytest
 from conftest import bench_scene_texts, bench_workload, load_fixture
 from test_algebra import _ref_subst
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
+from test_puiseux import branch_set
 from test_cli import DIVERGENT
 
 from basix import checker, puiseux, resolution
@@ -13,7 +14,6 @@ from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
-from basix.puiseux import branch_set
 from basix.realroots import RootLocator, open_count, roots_equal
 from basix.resolution import (
     classify_exceptional,
@@ -180,25 +180,27 @@ def test_irrational_tangency_unsupported():
     assert (v.answer, v.reason.split(":")[0]) == ("Unsupported", "NonRationalSingularPoint")
 
 
-def _count_expansions(monkeypatch) -> list[BiPoly]:
-    """The polynomials `resolution.branch_set` is called on, in order."""
+def _record_cones(monkeypatch) -> list[tuple[BiPoly, bool]]:
+    """(polynomial, has a multiple real line) per cone resolution reads, in
+    order."""
     calls = []
-    expand = resolution.branch_set
+    cone_lines = resolution._cone_lines
 
-    def counting(p, center, K):
-        calls.append(p)
-        return expand(p, center, K)
+    def recording(p):
+        lines, multiple = cone_lines(p)
+        calls.append((p, multiple))
+        return lines, multiple
 
-    monkeypatch.setattr(resolution, "branch_set", counting)
+    monkeypatch.setattr(resolution, "_cone_lines", recording)
     return calls
 
 
 def test_contact_of_order_three_expands_no_branch_set(monkeypatch):
     # contact(3) of the blowup benchmark: y = x^2 against y = x^2 + x^3; at
     # every site each local curve's lowest form has simple real lines only
-    calls = _count_expansions(monkeypatch)
+    calls = _record_cones(monkeypatch)
     tree = resolve_point({"f": P("y - x^2"), "g": P("y - x^2 - x^3")}, (F(0), F(0)))
-    assert calls == []
+    assert calls and not any(multiple for _p, multiple in calls)
     assert tree.trace == [
         "blow-up 1: centre (0, 0) at depth 0, chart x",
         "blow-up 2: centre (0, 0) at depth 1, chart x",
@@ -213,13 +215,18 @@ def test_contact_of_order_three_expands_no_branch_set(monkeypatch):
 
 
 def test_resolve_point_expands_each_branch_set_once(monkeypatch):
-    # the pole pair of the blowup benchmark: both lowest forms are the double
-    # line x = 0, read at the first site by both normal-crossing tests; their
-    # strict transforms have simple lines only
+    # the pole pair of the blowup benchmark: f's lowest form is the double
+    # line x = 0, so the first site is blown up without reading g's cone
+    # there, and the y-chart is visited; every strict transform's cone has
+    # simple lines only, and no cone is read twice
     f, g = P("y^3 + x^2*y - x^2"), P("y^3 + x^2*y - 2*x^2")
-    calls = _count_expansions(monkeypatch)
+    calls = _record_cones(monkeypatch)
     tree = resolve_point({"f": f, "g": g}, (F(0), F(0)))
-    assert calls == [f, g]
+    assert calls[0] == (f, True)
+    assert [p for p, multiple in calls if multiple] == [f]
+    assert g not in [p for p, _m in calls]
+    assert len({p for p, _m in calls}) == len(calls)
+    assert [[s.kind for s in D.chart.steps] for D in tree.components] == [["x"], ["y", "x"], ["y", "y", "x"]]
     assert tree.trace == [
         "blow-up 1: centre (0, 0) at depth 0, chart x",
         "blow-up 2: centre (0, 0) at depth 1, chart x",
@@ -235,9 +242,9 @@ def test_resolve_point_expands_each_branch_set_once(monkeypatch):
 
 def _reference_tangents(p: BiPoly) -> list[tuple[bool, tuple[F, F]]]:
     """(smooth, tangent direction) per real branch of p at the origin, read
-    from its Puiseux branch set: the reading the cone rule replaces."""
+    from the oracle's Puiseux branch set."""
     out = []
-    for a in branch_set(p, (F(0), F(0)), resolution._NC_K):
+    for a in branch_set(p, (F(0), F(0)), 10):
         slope = dict(a.terms).get(a.N, F(0))
         out.append((a.N == 1, (F(0), F(1)) if a.swapped else (F(1), slope)))
     return out
@@ -254,33 +261,82 @@ def _reference_normal_crossing(curves) -> bool:
 
 
 def _reference_vertical_branch(curves) -> bool:
-    return any(a.swapped for _tag, p in curves for a in branch_set(p, (F(0), F(0)), resolution._NC_K))
+    return any(a.swapped for _tag, p in curves for a in branch_set(p, (F(0), F(0)), 10))
+
+
+def _line_multiplicity(p: BiPoly, direction: tuple[F, F]) -> int:
+    """The multiplicity of the line through the origin in the given
+    direction as a factor of the lowest form of p."""
+    d = min(i + j for i, j in p.t)
+    h = UniPoly([p.t.get((d - j, j), F(0)) for j in range(d + 1)])
+    a, b = direction
+    if a == 0:
+        return d - h.degree
+    k, s = 0, b / a
+    while not h.is_zero() and h.eval(s) == 0:
+        h, k = h.derivative(), k + 1
+    return k
+
+
+def _branches_on_multiple_lines(p: BiPoly) -> str:
+    """What the oracle finds on the multiple real lines of p's cone: no
+    branch, one smooth branch, a singular branch or a tangent pair."""
+    on = [smooth for smooth, d in _reference_tangents(p) if _line_multiplicity(p, d) > 1]
+    if not all(on):
+        return "singular"
+    if len(on) > 1:
+        return "tangent pair"
+    return "one smooth" if on else "none"
 
 
 # local curves at the origin, each tested alone and beside the exceptional
-# line x; the cusp and the tacnode have a multiple real line
+# line x; the cases from the cusp on have a multiple real line
 CONE_CASES = {
     "transversal lines": ["y - x", "y + 2*x"],
     "three lines": ["y", "x - y", "y + x"],
     "tangent parabolas": ["y - x^2", "y + x^2"],
     "rational node": ["y^2 - x^2*(x + 1)"],
     "acnode": ["x^2 + y^2 + x^3"],
+    "vertical": ["x - y^2"],
     "cusp": ["y^2 - x^3"],
     "tacnode": ["y^2 - x^4"],
-    "vertical": ["x - y^2"],
+    "boundary acnode": ["y^2 + x^4 - x^5", "y - x"],
+    "vertical acnode": ["x^2 + y^4 - y^5"],
+    "line on a triple line": ["y^3 + x^4*y"],
+}
+MULTIPLE_LINE_BRANCHES = {
+    "cusp": "singular",
+    "tacnode": "tangent pair",
+    "boundary acnode": "none",
+    "vertical acnode": "none",
+    "line on a triple line": "one smooth",
 }
 
 
 @pytest.mark.parametrize("label", sorted(CONE_CASES))
 @pytest.mark.parametrize("with_exceptional", [False, True])
-def test_cone_rule_agrees_with_branch_sets(monkeypatch, label, with_exceptional):
+def test_cone_rule_agrees_with_branch_sets(label, with_exceptional):
     curves = [(k, P(t)) for k, t in enumerate(CONE_CASES[label])]
     if with_exceptional:
         curves.append((("exc", 1), BiPoly.x()))
-    calls = _count_expansions(monkeypatch)
-    assert resolution.is_normal_crossing(curves, {}) == _reference_normal_crossing(curves)
-    assert resolution._has_vertical_branch(curves, {}) == _reference_vertical_branch(curves)
-    assert bool(calls) == (label in ("cusp", "tacnode"))
+    cones = {}
+    normal_crossing = resolution.is_normal_crossing(curves, cones)
+    has_vertical = resolution._has_vertical_branch(curves, cones)
+    multiple = [p for _tag, p in curves if resolution._cone_lines(p)[1]]
+    for _tag, p in curves:
+        # every real branch is tangent to a real line of the cone
+        assert all(_line_multiplicity(p, d) > 0 for _sm, d in _reference_tangents(p))
+    # x = 0 in a cone, multiple or not, sends resolution to the y-chart
+    assert has_vertical == any(None in resolution._cone_lines(p)[0] for _tag, p in curves)
+    if label not in MULTIPLE_LINE_BRANCHES:
+        assert multiple == []
+        assert normal_crossing == _reference_normal_crossing(curves)
+        assert has_vertical == _reference_vertical_branch(curves)
+    else:
+        # a multiple real line is blown up, whatever branches it carries
+        assert len(multiple) == 1 and not normal_crossing
+        assert _branches_on_multiple_lines(multiple[0]) == MULTIPLE_LINE_BRANCHES[label]
+        assert has_vertical or not _reference_vertical_branch(curves)
 
 
 @pytest.mark.parametrize("with_exceptional", [False, True])
@@ -290,11 +346,12 @@ def test_a_node_with_irrational_tangents_needs_no_expansion(monkeypatch, with_ex
     curves = [("f", P("y^2 - x^3 - 2*x^2"))] + [(("exc", 1), BiPoly.x())] * with_exceptional
     with pytest.raises(Unsupported, match="NonRationalCoefficient"):
         _reference_normal_crossing(curves)
-    calls = _count_expansions(monkeypatch)
-    tangents = {}
-    assert resolution.is_normal_crossing(curves, tangents) is not with_exceptional
-    assert resolution._has_vertical_branch(curves, tangents) is with_exceptional
-    assert calls == []
+    calls = _record_cones(monkeypatch)
+    cones = {}
+    assert resolution.is_normal_crossing(curves, cones) is not with_exceptional
+    assert resolution._has_vertical_branch(curves, cones) is with_exceptional
+    assert [p for p, multiple in calls] == [p for _tag, p in curves]
+    assert not any(multiple for _p, multiple in calls)
 
 
 def _has_multiple_real_line(sympy, p: BiPoly) -> bool:
@@ -308,14 +365,77 @@ def _has_multiple_real_line(sympy, p: BiPoly) -> bool:
 
 
 def test_bench_workload_checks_expand_branch_sets_only_at_a_multiple_real_line(monkeypatch):
+    # every cone the benchmark's checks read has a multiple real line exactly
+    # when sympy finds one, and every site with one is blown up
     sympy = pytest.importorskip("sympy")
-    calls = _count_expansions(monkeypatch)
+    calls = _record_cones(monkeypatch)
+    sites = []
+    is_normal_crossing = resolution.is_normal_crossing
+
+    def recording(curves, cones):
+        nc = is_normal_crossing(curves, cones)
+        sites.append((curves, nc))
+        return nc
+
+    monkeypatch.setattr(resolution, "is_normal_crossing", recording)
     for name in ("fixtures", "blowup", "lines"):
         texts, checks = bench_workload(monkeypatch, name)
         for c in checks:
             run_check(CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
-    assert calls, "no check reaches a multiple real line"
-    assert [p for p in calls if not _has_multiple_real_line(sympy, p)] == []
+    assert any(multiple for _p, multiple in calls), "no check reaches a multiple real line"
+    assert [p for p, multiple in calls if multiple != _has_multiple_real_line(sympy, p)] == []
+    at_multiple = [nc for curves, nc in sites if any(_has_multiple_real_line(sympy, p) for _tag, p in curves)]
+    assert at_multiple and not any(at_multiple)
+
+
+# f = 0 is an isolated real point at the origin, where f's tangent cone is
+# the double line y = 0, and the line g passes through it
+BOUNDARY_ACNODE = "factor f = y^2 + x^4 - x^5; factor g = y - x; set S = { f > 0, g > 0 };"
+
+
+def test_a_boundary_acnode_on_a_line_is_blown_up_and_keeps_its_answers():
+    sc = Scene.from_text(BOUNDARY_ACNODE)
+    answers = {p: run_check(CheckRequest(sc, p)) for p in PROPERTIES}
+    assert {p: (v.answer, v.reason) for p, v in answers.items()} == {
+        "basic_open": ("Yes", ""),
+        "basic_closed": ("No", "NotClosed"),
+        "generically_basic": ("Yes", ""),
+        "principal_open": ("No", "principal-complement-side"),
+        "principal_closed": ("No", "BoundaryMeetsComplement"),
+    }
+    # g's is the one real branch at the origin, a normal crossing on its own,
+    # but f's double line blows the origin up once; every arc of that circle
+    # has the two sides of g on its two sides, so it never changes type
+    origin = (F(0), F(0))
+    curves = [(n, sc.factors[n]) for n in ("f", "g")]
+    assert branch_set(sc.factors["f"], origin, 10) == [] and _reference_normal_crossing(curves)
+    assert len(resolve_point(dict(curves), origin).components) == 1
+    for prop in ("basic_open", "generically_basic"):
+        affine = [r for r in answers[prop].diagnostics["exceptional_table"] if r["chart"] == "affine"]
+        # one row per complement component, of which S has three
+        assert [r["level"] for r in affine] == [1, 1, 1]
+        assert {r["verdict"] for r in affine} <= {"Silent", "ChangeOnly"}
+
+
+# the tangent cone of f at the origin is the pair of double lines y = +-sqrt2 x
+SQRT2_DOUBLE_LINES = "factor f = (y^2 - 2*x^2)^2 + x^5; factor g = y; set S = { f > 0, g > 0 };"
+
+
+def test_double_lines_of_irrational_slope_lead_to_an_irrational_singular_point():
+    # blowing up the origin puts f's strict transform through D1 at the
+    # irrational points v = +-sqrt2, which resolution does not centre on; the
+    # branch set would need the irrational characteristic roots +-sqrt2
+    sc = Scene.from_text(SQRT2_DOUBLE_LINES)
+    with pytest.raises(Unsupported, match="NonRationalCoefficient"):
+        branch_set(sc.factors["f"], (F(0), F(0)), 10)
+    answers = {p: run_check(CheckRequest(sc, p)) for p in PROPERTIES}
+    assert {p: (v.answer, v.reason) for p, v in answers.items()} == {
+        "basic_open": ("Unsupported", "NonRationalSingularPoint: D1 carries a non-transversal crossing at an irrational point"),
+        "basic_closed": ("No", "NotClosed"),
+        "generically_basic": ("Unsupported", "NonRationalSingularPoint: D1 carries a non-transversal crossing at an irrational point"),
+        "principal_open": ("No", "principal-complement-side"),
+        "principal_closed": ("No", "BoundaryMeetsComplement"),
+    }
 
 
 def test_resolution_multiplies_no_polynomials(monkeypatch):

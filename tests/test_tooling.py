@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,6 +40,24 @@ def test_no_bare_asserts_in_src():
         if isinstance(node, ast.Assert) or _raises_assertion_error(node)
     ]
     assert found == []
+
+
+def test_unsupported_reason_codes_in_its_docstring_are_raised():
+    # a code the docstring names must still be raised somewhere in src/, as
+    # the first argument of an Unsupported(...) call, so it cannot go stale
+    named = set(re.findall(r"``(\w+)``", Unsupported.__doc__))
+    raised = {
+        node.args[0].value
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Unsupported"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+    named.discard("reason")
+    assert named and named <= raised, sorted(named - raised)
 
 
 def test_shipped_fixtures_parse_and_validate():
