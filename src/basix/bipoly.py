@@ -327,9 +327,13 @@ class BiPoly:
     # -- content / divisibility -------------------------------------------------------
 
     def content_x(self) -> UniPoly:
-        """gcd over j of the UniPoly-in-x coefficients (monic)."""
+        """gcd over j of the UniPoly-in-x coefficients (monic).  A nonzero
+        constant coefficient makes it 1 at once, with no gcd taken."""
+        rows = self._y_rows()
+        if any(p.degree == 0 for p in rows):
+            return UniPoly.one()
         g = UniPoly.zero()
-        for p in self.y_coeffs():
+        for p in rows:
             if not p.is_zero():
                 g = poly_gcd(g, p)
                 if g.degree == 0:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 from typing import Iterable
 
 from .bipoly import BiPoly, discriminant_y, parse_poly, resultant
@@ -276,31 +276,54 @@ def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
 
 
 def invert_poly(h: BiPoly) -> BiPoly:
-    """Numerator of h(x/q, y/q) * q^deg with q = x^2 + y^2, q-powers stripped."""
+    """h in the chart at infinity: the numerator P of h(x/q, y/q) * q^d, with
+    q = x^2 + y^2 and d the total degree of h, with every factor q stripped,
+    in its primitive integer form.
+
+    P is a term map on h's integer rows: with k = d - i - j, the term
+    c x^i y^j goes to c x^i y^j q^k = sum_r c C(k, r) x^(i+2r) y^(j+2(k-r)).
+    Every term with k >= 1 vanishes modulo q, so P = h_d (mod q), h_d the top
+    form of h: q divides P only when it divides h_d, and for most factors the
+    first division leaves a remainder.  Each factor q is stripped by one exact
+    long division on the integer rows, which stays in Z[x][y] because q is
+    monic in y; the loop stops at the first nonzero remainder.  The result is
+    divided by the gcd of its coefficients, a positive constant: the sign is
+    never flipped, so atom relations are preserved, and a definite top form
+    +-c q^k with nothing below it becomes a constant of its sign.
+    """
     if h.is_zero() or h.is_const():
         raise SceneError("cannot invert a constant factor")
+    rows = h.int_y_rows()[0]
     d = h.total_degree
-    q = BiPoly({(2, 0): Fraction(1), (0, 2): Fraction(1)})
-    acc = BiPoly.zero()
-    for (i, j), v in h.t.items():
-        acc = acc + (BiPoly({(i, j): v}) * q ** (d - i - j))
-    # strip q powers
-    while True:
-        divided = acc.divmod_y(q)
-        if divided is not None and divided[1].is_zero():
-            acc = divided[0]
-        else:
-            break
-    # normalise content by a POSITIVE constant only: atom relations must be
-    # preserved, so the sign is never flipped here
-    return _positive_normalize(acc)
+    # p[b][a] is the coefficient of x^a y^b; every term has a + b <= 2d
+    p = [[0] * (2 * d + 1) for _ in range(2 * d + 1)]
+    for j, row in enumerate(rows):
+        for i, c in enumerate(row):
+            if c:
+                k = d - i - j
+                for r in range(k + 1):
+                    p[j + 2 * (k - r)][i + 2 * r] += c * comb(k, r)
+    while (quotient := _divide_by_q(p)) is not None:
+        p = quotient
+    g = gcd(*(v for row in p for v in row))
+    return BiPoly._of({(a, b): Fraction(v // g) for b, row in enumerate(p) for a, v in enumerate(row) if v})
 
 
-def _positive_normalize(p: BiPoly) -> BiPoly:
-    if p.is_zero():
-        return p
-    rows, l = p.int_y_rows()
-    return p.scale(Fraction(l, gcd(*(v for r in rows for v in r))))
+def _divide_by_q(p: list[list[int]]) -> list[list[int]] | None:
+    """p / (x^2 + y^2) on integer rows p[b][a] (the coefficient of x^a y^b),
+    each at least len(p) long, whose terms have a + b < len(p); None if the
+    division leaves a remainder."""
+    if len(p) < 3:
+        return None
+    rem = [row[:] for row in p]
+    for b in range(len(rem) - 1, 1, -1):
+        lower = rem[b - 2]
+        for a, v in enumerate(rem[b]):
+            if v:
+                lower[a + 2] -= v
+    if any(rem[0]) or any(rem[1]):
+        return None
+    return rem[2:]
 
 
 def invert_scene(scene: Scene) -> Scene:

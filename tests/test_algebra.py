@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from basix.bipoly import BiPoly, are_coprime, discriminant_y, is_squarefree, resultant
 from basix.errors import DegreeZero, InternalError
 from basix.parser import parse_polynomial
-from basix import realroots
+from basix import bipoly, realroots
 from basix.realroots import (
     RootLocator,
     between,
@@ -888,7 +888,29 @@ def test_divides_reads_the_x_content():
     assert not Q("0").divides(Q("x")) and Q("0").divides(Q("0"))
 
 
+def test_content_x_stops_at_a_constant_coefficient(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("content_x took a gcd")
+
+    monkeypatch.setattr(bipoly, "poly_gcd", refuse)
+    # the constant coefficient is the last row: every row before it is nonconstant
+    assert parse_polynomial("(x^2 - 1)*y^2 + (x - 1)*y + 3").content_x() == UniPoly.one()
+    assert parse_polynomial("x*y - 2").content_x() == UniPoly.one()
+
+
 _x_factors = st.lists(_res_coeffs, min_size=1, max_size=3).map(lambda cs: BiPoly({(i, 0): v for i, v in enumerate(cs)}))
+
+
+@given(_res_bipolys(min_dy=0, max_dy=3), _x_factors)
+@settings(max_examples=80, deadline=None)
+def test_content_x_is_the_gcd_of_the_rows(p, c):
+    # c(x) a content that the rows may or may not carry
+    if not c.is_zero():
+        p = p * c
+    g = UniPoly.zero()
+    for row in p.y_coeffs():
+        g = poly_gcd(g, row)
+    assert p.content_x() == (g if not g.is_zero() else UniPoly.one())
 
 
 @given(_res_bipolys(min_dy=0, max_dy=2), _res_bipolys(min_dy=0, max_dy=2), _x_factors, st.booleans())

@@ -7,7 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from conftest import bench_scene_texts
+from conftest import FIXTURE_DIR, bench_scene_texts
 from hypothesis import assume, given, settings, strategies as st
 from test_algebra import _sympy_expr
 
@@ -22,7 +22,6 @@ from basix.scene import (
     OpenComplement,
     Scene,
     _linear_factor,
-    _positive_normalize,
     invert_poly,
     invert_scene,
     project_scene,
@@ -278,17 +277,72 @@ def test_benchmark_scenes_raise_no_warning(monkeypatch):
             assert validate_scene(Scene.from_text(text)) == [], (workload, key)
 
 
+# ----------------------------------------------------------- chart inversion
+
+
+_Q = BiPoly({(2, 0): F(1), (0, 2): F(1)})
+
+
+def _ref_inverted_numerator(h):
+    """The Fraction inversion that the integer term map replaced: h(x/q, y/q)
+    * q^d by BiPoly products, every factor q stripped by ``divmod_y``."""
+    d = h.total_degree
+    acc = BiPoly.zero()
+    for (i, j), v in h.t.items():
+        acc = acc + (BiPoly({(i, j): v}) * _Q ** (d - i - j))
+    while True:
+        divided = acc.divmod_y(_Q)
+        if divided is not None and divided[1].is_zero():
+            acc = divided[0]
+        else:
+            break
+    return acc
+
+
+def _ref_invert_poly(h):
+    """``_ref_inverted_numerator`` scaled by a positive Fraction to its
+    primitive integer form."""
+    acc = _ref_inverted_numerator(h)
+    rows, l = acc.int_y_rows()
+    return acc.scale(F(l, math.gcd(*(v for r in rows for v in r))))
+
+
+_quintics = st.dictionaries(
+    st.sampled_from([(i, j) for i in range(6) for j in range(6 - i)]),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6),
+    min_size=1,
+    max_size=8,
+).map(BiPoly).filter(lambda q: q.total_degree >= 1)
+_nonzero = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+
+
+@given(
+    st.one_of(
+        _quintics,
+        st.tuples(_quintics.filter(lambda q: q.total_degree <= 3), st.integers(1, 2)).map(lambda pk: pk[0] * _Q ** pk[1]),
+        st.tuples(_nonzero, st.integers(1, 3)).map(lambda ck: (_Q ** ck[1]).scale(ck[0])),
+    )
+)
+@settings(max_examples=150, deadline=None)
+def test_invert_poly_matches_fraction_reference(h):
+    assert invert_poly(h) == _ref_invert_poly(h)
+
+
+@given(_nonzero, st.integers(1, 3))
+@settings(max_examples=20, deadline=None)
+def test_definite_forms_invert_to_constants_of_their_sign(c, k):
+    assert invert_poly((_Q**k).scale(c)) == BiPoly.const(1 if c > 0 else -1)
+
+
 @given(_cubics)
 @settings(max_examples=40, deadline=None)
-def test_positive_normalize_is_the_primitive_integer_form(p):
-    q = _positive_normalize(p)
-    ratio = q.t[next(iter(p.t))] / p.t[next(iter(p.t))]
-    assert ratio > 0 and q == p.scale(ratio)
+def test_invert_poly_is_the_primitive_integer_form(p):
+    # a positive multiple of the inverted numerator, with coprime integer terms
+    raw, q = _ref_inverted_numerator(p), invert_poly(p)
+    ratio = q.t[next(iter(raw.t))] / raw.t[next(iter(raw.t))]
+    assert ratio > 0 and q == raw.scale(ratio)
     assert all(v.denominator == 1 for v in q.t.values())
     assert math.gcd(*(v.numerator for v in q.t.values())) == 1
-
-
-# ----------------------------------------------------------- chart inversion
 
 
 def test_invert_line():
@@ -322,6 +376,21 @@ def test_invert_involution_up_to_positive_constant():
                 break
         assert c > 0
         assert q == p.scale(c)
+
+
+def test_invert_scene_is_a_term_map_on_integer_rows(monkeypatch):
+    # no BiPoly product, power or division in y on any fixture or bench scene
+    scenes = [Scene.from_text(path.read_text(encoding="utf-8")) for path in sorted(FIXTURE_DIR.glob("*.bsx"))]
+    for workload in ("fixtures", "blowup", "lines"):
+        scenes += [Scene.from_text(text) for text in bench_scene_texts(monkeypatch, workload).values()]
+
+    def refuse(*_args):
+        raise AssertionError("invert_scene ran a Fraction kernel")
+
+    for name in ("__mul__", "__pow__", "divmod_y"):
+        monkeypatch.setattr(BiPoly, name, refuse)
+    for sc in scenes:
+        assert invert_scene(sc).chart == "infinity"
 
 
 def test_invert_scene_membership_transport():
