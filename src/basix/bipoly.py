@@ -328,17 +328,21 @@ class BiPoly:
 
     def content_x(self) -> UniPoly:
         """gcd over j of the UniPoly-in-x coefficients (monic).  A nonzero
-        constant coefficient makes it 1 at once, with no gcd taken."""
+        constant coefficient makes it 1 at once, with no gcd taken; the gcd
+        starts from the first nonzero coefficient made monic, so a single
+        one takes none either."""
         rows = self._y_rows()
         if any(p.degree == 0 for p in rows):
             return UniPoly.one()
-        g = UniPoly.zero()
-        for p in rows:
-            if not p.is_zero():
-                g = poly_gcd(g, p)
-                if g.degree == 0:
-                    return UniPoly.one()
-        return g if not g.is_zero() else UniPoly.one()
+        nonzero = [p for p in rows if p]
+        if not nonzero:
+            return UniPoly.one()
+        g = nonzero[0].monic()
+        for p in nonzero[1:]:
+            g = poly_gcd(g, p)
+            if g.degree == 0:
+                return UniPoly.one()
+        return g
 
     def divmod_y(self, d: "BiPoly") -> tuple["BiPoly", "BiPoly"] | None:
         """Division by d as polynomials in y over Q(x); returns None unless every

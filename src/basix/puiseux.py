@@ -45,6 +45,18 @@ class _Composing:
         return comp
 
     @cached_property
+    def start_point(self) -> tuple[Fraction, Fraction] | None:
+        """The z^0 part of the t^0 terms of x(t) and y(t), or None when a
+        series is known below no power of t."""
+        out = []
+        for s in self.xy_series():
+            if s.trunc is not None and s.trunc <= 0:
+                return None
+            lead = s.leading()
+            out.append(lead[1].c[0] if lead is not None and lead[0] == 0 else F(0))
+        return out[0], out[1]
+
+    @cached_property
     def z_free(self) -> bool:
         """True when no coefficient of x(t), y(t) involves z."""
         return all(len(v.c) <= 1 for s in self.xy_series() for _e, v in s.coeff)
@@ -239,7 +251,19 @@ def arc_sign(g: BiPoly, arc: Arc, side: int) -> int | None:
     identically on the arc; None when no term is certain at the arc's
     truncation.  Every arc the engine builds decides every nonzero g: fan
     and family arcs are exact polynomials, or branch arcs whose z-slot sits
-    at t^0 over an exact x(t)."""
+    at t^0 over an exact x(t).
+
+    A g that is nonzero at the arc's start point (`start_point`) has that
+    sign on both sides, and nothing is composed.  The t^0 term of g∘arc is
+    g at the t^0 terms of x(t) and y(t), a polynomial in z whose z^0 part
+    is g at the start point; it is certain, because an arc's exponents are
+    never negative, so composing keeps every truncation at or above the
+    smallest of x(t) and y(t), which is positive."""
+    start = arc.start_point
+    if start is not None:
+        s = g.sign_at(*start)
+        if s:
+            return s
     comp = arc.composed(g)
     return (comp.negate_t() if side < 0 else comp).sign_small_pos_t()
 
@@ -392,29 +416,6 @@ def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | Non
     xv = xs.eval_t(t0)
     yv = ys.eval_t(t0)
     return (xv.c[0] if xv.c else F(0), yv.c[0] if yv.c else F(0))
-
-
-def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
-    """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
-    for the local region entered by the half-arc.
-
-    The tag is read from the half-arc's signs.  For small t the half-arc
-    lies in one 2-cell, on which every factor keeps its sign along it, so
-    that cell's sign vector is the half-arc's; a tag shared by every region
-    with that vector (`decomp.tag_of_signs`) is the cell's.  Only when
-    regions with that vector carry different tags is a certified point of
-    the arc located (`_located_membership`)."""
-    factors, order = decomp.scene.factors, decomp.scene.order
-    signs: dict[str, int] = {}
-    for n in order:
-        s = arc_sign(factors[n], arc, side)
-        if s is None:
-            raise Unsupported("TruncationCap", f"sign of {n} unresolved along arc")
-        if s == 0:
-            return ("on_curve", n)
-        signs[n] = s
-    tag = decomp.tag_of_signs(signs)
-    return tag if tag is not None else _located_membership(arc, side, decomp, signs)
 
 
 def _located_membership(arc: Arc, side: int, decomp, signs: dict[str, int]) -> tuple:

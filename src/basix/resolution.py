@@ -50,16 +50,32 @@ and the transversal lines of a component (as series arcs) are all pushed to
 the base chart through it.
 
 The region verdicts on both sides of each arc of an exceptional component
-are read from its transversal family: the line crossing the component at a
-sample of the arc, pushed down the chart word as a polynomial arc, whose
-sign against every scene factor is exact (`puiseux.arc_region_membership`).
-Each half of that arc enters one 2-cell for small t, and its signs are that
+are read from its transversal family: the line u = t, v = v_mid crossing
+the component at a sample of the arc in its chart, pushed down the chart
+word.  Along it a scene factor g is its total transform in that chart,
+G(u, v) = g(down(u, v)), restricted to v = v_mid.  G is built once per
+chart word and factor, one step at a time: a translation to the step's
+centre, then the step's term map (`_CHART_TERM_MAPS`, the map of
+`_strict_transform` without its division).  Transforms are kept by
+chart-word prefix in a dict of the resolution tree, which its components
+share, so a deeper component extends its parent's transform and nothing
+outlives the tree.  Taken as integer rows by the power of u, G(t, v_mid)
+has the sign of its first row k nonzero at v_mid on the side t > 0, and
+(-1)^k times that on t < 0; every row zero puts the arc on the factor's
+curve.  This is exact: the pushed-down line is an exact polynomial arc, so
+composing g with it gives exactly G(t, v_mid), whose first nonzero term is
+row k's, and t -> -t multiplies that term by (-1)^k.  Row 0 is g at the
+tree's centre, the image of u = 0 under every chart word, so a factor off
+the centre has that one sign on both sides and no transform is built.
+Each half of the arc enters one 2-cell for small t, and its signs are that
 cell's sign vector, so the verdict is the tag shared by every region with
-that vector (`SetDecomposition.tag_of_signs`).  Only when regions with that
-vector carry different tags is a certified point of the half-arc located in
-the arrangement.  This happens once per component; classifying it against
-each lifted sign distribution then only reads those verdicts, through the
-same type-changing rule that classifies the curves
+that vector (`SetDecomposition.tag_of_signs`; at the pole the `PoleView`
+reads the same table for the inverted scene's factors).  Only when regions
+with that vector carry different tags is the family arc built and a
+certified point of the half-arc located in the arrangement
+(`puiseux._located_membership`).  This happens once per component;
+classifying it against each lifted sign distribution then only reads those
+verdicts, through the same type-changing rule that classifies the curves
 (`signdist.classify_sides`).
 """
 
@@ -76,14 +92,14 @@ from .puiseux import (
     ArcFamily,
     ParamArc,
     _divide_x_power,
-    arc_region_membership,
+    _located_membership,
     family_normal_form,
 )
 from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
 from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import UniPoly
+from .unipoly import UniPoly, homogeneous_horner
 
 F = Fraction
 
@@ -133,6 +149,11 @@ class BlowupChart:
         return self.down(TSeries.make({1: UniPoly.one()}), TSeries.make({0: slope}), TSeries.const)
 
 
+# The total transforms of factors through a tree's centre: per factor, by
+# chart-word prefix (`_total_transform`).
+Transforms = dict[BiPoly, dict[tuple[Step, ...], BiPoly]]
+
+
 @dataclass
 class MarkedPoint:
     v: RootLocator
@@ -146,6 +167,8 @@ class ExceptionalComponent:
     curves: list[tuple[object, BiPoly]]  # strict transforms in this chart
     marked: list[MarkedPoint] = field(default_factory=list)
     inf_tags: list = field(default_factory=list)
+    # the tree's transforms, shared by all its components
+    transforms: Transforms = field(default_factory=dict, repr=False, compare=False)
 
     def arcs(self) -> list[tuple[Fraction | None, Fraction | None, Fraction]]:
         """(vlo, vhi, sample v) per open arc; None bounds mean the arc runs to
@@ -165,6 +188,7 @@ class ResolutionTree:
     components: list[ExceptionalComponent] = field(default_factory=list)
     trace: list[str] = field(default_factory=list)
     certificate: list[str] = field(default_factory=list)
+    transforms: Transforms = field(default_factory=dict, repr=False)
 
 
 # ----------------------------------------------------------------- NC testing
@@ -223,15 +247,18 @@ def is_normal_crossing(curves: list[tuple[object, BiPoly]], cones: Cones) -> boo
     return not (len(found) == 2 and _same_line(found[0], found[1]))
 
 
+# The total transform at the origin of each chart, as a term map: p(x, x*y)
+# in the x-chart takes x^i y^j to x^(i+j) y^j, and p(x*y, x) in the y-chart
+# takes it to x^(i+j) y^i; these are the chart maps of `BlowupChart.down`
+# at a step centred at the origin.
+_CHART_TERM_MAPS = {"x": ((1, 0), (1, 1)), "y": ((1, 1), (1, 0))}
+
+
 def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     """The strict transform of p at the origin in the chart ``kind``: the
     total transform divided by the largest power of the exceptional line
-    x = 0.  The total transform is a term map, p(x, x*y) in the x-chart,
-    taking x^i y^j to x^(i+j) y^j, and p(x*y, x) in the y-chart, taking it
-    to x^(i+j) y^i; these are the chart maps of `BlowupChart.down` at a
-    step centred at the origin."""
-    q = p.monomial_subst((1, 0), (1, 1)) if kind == "x" else p.monomial_subst((1, 1), (1, 0))
-    return _divide_x_power(q)[0]
+    x = 0."""
+    return _divide_x_power(p.monomial_subst(*_CHART_TERM_MAPS[kind]))[0]
 
 
 def _has_vertical_branch(curves: list[tuple[object, BiPoly]], cones: Cones) -> bool:
@@ -285,7 +312,7 @@ def _resolve_site(
         sc = _strict_transform(c, "x")
         if not sc.is_const():
             stricts.append((tag, sc))
-    D = ExceptionalComponent(level=level, chart=BlowupChart(xword), curves=stricts)
+    D = ExceptionalComponent(level=level, chart=BlowupChart(xword), curves=stricts, transforms=tree.transforms)
     tree.components.append(D)
     tree.trace.append(
         f"blow-up {level}: centre ({trans[0]}, {trans[1]}) at depth {len(word)}, chart x"
@@ -431,25 +458,96 @@ def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fr
             hi = m
 
 
+def _total_transform(g: BiPoly, word: tuple[Step, ...], memo: dict[tuple[Step, ...], BiPoly]) -> BiPoly:
+    """g(down(u, v)) for the chart word ``word``: the transform at the word
+    without its last step, translated to that step's centre and taken
+    through its term map.  ``memo`` holds g's transforms by word prefix."""
+    if not word:
+        return g
+    G = memo.get(word)
+    if G is None:
+        s = word[-1]
+        G = _total_transform(g, word[:-1], memo).translate(s.tx, s.ty)
+        G = memo[word] = G.monomial_subst(*_CHART_TERM_MAPS[s.kind])
+    return G
+
+
+# Per scene factor of one component: its name, its sign at the tree's
+# centre, and for a factor through the centre (sign 0) the integer rows of
+# its total transform in the component's chart by the power of u, each row
+# the coefficients in v.
+FactorRows = list[tuple[str, int, list[list[int]]]]
+
+
+def _factor_rows(D: ExceptionalComponent, decomp: SetDecomposition | PoleView) -> FactorRows:
+    factors = decomp.scene.factors
+    centre = D.chart.down_point(F(0), F(0))
+    out: FactorRows = []
+    for n in decomp.scene.order:
+        g = factors[n]
+        s = g.sign_at(*centre)
+        rows: list[list[int]] = []
+        if not s:
+            G = _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {}))
+            rows = G.swap_xy().int_y_rows()[0]
+        out.append((n, s, rows))
+    return out
+
+
+def _line_signs(table: FactorRows, v: Fraction) -> tuple[dict[str, int], dict[str, int]]:
+    """Every factor's sign along the line u = t, v = v of the component's
+    chart, for small t > 0 and for small t < 0: the sign of the first row
+    nonzero at v, times (-1)^k on t < 0 for row k; 0 when every row is."""
+    a, b = v.numerator, v.denominator
+    pos: dict[str, int] = {}
+    neg: dict[str, int] = {}
+    for n, s, rows in table:
+        k = 0
+        if not s:
+            for k, r in enumerate(rows):
+                val = homogeneous_horner(r, a, b)[0] if r else 0
+                if val:
+                    s = 1 if val > 0 else -1
+                    break
+        pos[n] = s
+        neg[n] = -s if k & 1 else s
+    return pos, neg
+
+
 def classify_exceptional(D: ExceptionalComponent, decomp: SetDecomposition | PoleView) -> ExcArcs:
-    """Region verdicts on both sides of every arc of D, read from the
-    transversal family instance at the first sample of the arc that lies on
-    no scene curve.  They do not depend on the lifted distribution;
+    """Region verdicts on both sides of every arc of D, read at the first
+    sample v of the arc whose line u = t, v = v in D's chart lies on no
+    scene curve.  Each factor's sign on either half of that line is read
+    from its total transform in D's chart (`_line_signs`): this is the sign
+    of the factor along the family arc crossing D at v, and exact, because
+    that arc is an exact polynomial along which the factor is G(t, v).  A
+    half-line's verdict is the tag of its sign vector; the family arc is
+    built and a point of it located only when that vector has no single
+    tag.  The verdicts do not depend on the lifted distribution;
     ``ExcArcs.against`` classifies them for one."""
+    table = _factor_rows(D, decomp)
     out = ExcArcs()
     for vlo, vhi, v_default in D.arcs():
         alternates = _arc_sample_candidates(vlo, vhi, v_default)
         for _alt in range(_ALT_CAP):
             v_mid = next(alternates)
-            fam = family_arc_for(D, v_mid)
-            # g∘arc is one polynomial in t, so a factor vanishes on both
-            # halves of the arc or on neither
-            v_pos = arc_region_membership(fam, 1, decomp)
-            if v_pos[0] != "on_curve":
+            # G(t, v_mid) is one polynomial in t, so a factor vanishes on
+            # both halves of the line or on neither
+            pos, neg = _line_signs(table, v_mid)
+            if all(pos.values()):
                 break
         else:
             raise Unsupported("SampleTooCoarse", f"no certified sample near D{D.level}")
-        out.arcs.append(ArcSides(vlo, vhi, v_mid, v_pos, arc_region_membership(fam, -1, decomp)))
+        fam: ParamArc | None = None
+        verdicts = []
+        for side, signs in ((1, pos), (-1, neg)):
+            tag = decomp.tag_of_signs(signs)
+            if tag is None:
+                if fam is None:
+                    fam = family_arc_for(D, v_mid)
+                tag = _located_membership(fam, side, decomp, signs)
+            verdicts.append(tag)
+        out.arcs.append(ArcSides(vlo, vhi, v_mid, *verdicts))
     return out
 
 

@@ -898,6 +898,17 @@ def test_content_x_stops_at_a_constant_coefficient(monkeypatch):
     assert parse_polynomial("x*y - 2").content_x() == UniPoly.one()
 
 
+def test_content_x_of_one_coefficient_takes_no_gcd(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("content_x took a gcd")
+
+    monkeypatch.setattr(bipoly, "poly_gcd", refuse)
+    # the one nonzero y-coefficient, made monic, is the content
+    assert parse_polynomial("x").content_x() == UniPoly([0, 1])
+    assert parse_polynomial("x^2 + 1").content_x() == UniPoly([1, 0, 1])
+    assert parse_polynomial("-2*x^2*y^3 - 4*y^3").content_x() == UniPoly([2, 0, 1])
+
+
 _x_factors = st.lists(_res_coeffs, min_size=1, max_size=3).map(lambda cs: BiPoly({(i, 0): v for i, v in enumerate(cs)}))
 
 
@@ -1132,24 +1143,29 @@ def test_monomial_subst_needs_an_injective_exponent_map():
         parse_polynomial("x + y").monomial_subst((1, 1), (2, 2))
 
 
-def test_classification_composes_each_factor_once_per_arc(monkeypatch):
-    # contact of order 2 at the origin needs blow-ups; classify_exceptional
-    # reads every factor on both sides of each family arc and certifies a
-    # point on each side, all from one composition per (factor, arc)
+def test_classification_composes_nothing(monkeypatch):
+    # classify_exceptional reads every factor's sign on both sides of each
+    # arc from its total transform in the component's chart, so it composes
+    # no factor with an arc: not on a contact of order 2, nor on any check
+    # of the benchmark's blowup workload
+    from conftest import bench_workload
+
     from basix import checker, puiseux
     from basix.scene import Scene
 
-    calls = Counter()
+    composed = []
+    classified = [0]
     inside = [False]
     compose, classify = puiseux.compose_bipoly, checker.classify_exceptional
 
     def counted_compose(g, xs, ys):
         if inside[0]:
-            calls[(g, xs, ys)] += 1
+            composed.append((g, xs, ys))
         return compose(g, xs, ys)
 
     def counted_classify(*args, **kwargs):
         inside[0] = True
+        classified[0] += 1
         try:
             return classify(*args, **kwargs)
         finally:
@@ -1160,4 +1176,8 @@ def test_classification_composes_each_factor_once_per_arc(monkeypatch):
     text = "factor f = y - x^2;\nfactor g = y - x^2 - x^2;\nset S = { f > 0, g < 0 } | { f < 0, g > 0 };\n"
     v = checker.run_check(checker.CheckRequest(Scene.from_text(text), "basic_open"))
     assert v.answer == "Yes"
-    assert calls and max(calls.values()) == 1
+    texts, checks = bench_workload(monkeypatch, "blowup")
+    assert "contact2" in texts
+    for c in checks:
+        checker.run_check(checker.CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
+    assert classified[0] >= 10 and composed == []

@@ -21,9 +21,10 @@ from basix.fans import (
     witness_point_fan,
 )
 from basix.parser import parse_polynomial
-from basix.puiseux import PuiseuxArc, Slot
+from basix.puiseux import PuiseuxArc, Slot, arc_sign
 from basix.resolution import resolve_point
-from basix.scene import Scene
+from basix.scene import Scene, invert_scene
+from basix.series import compose_bipoly
 from basix.signdist import condition_a_check
 
 F = Fraction
@@ -206,3 +207,37 @@ def test_fan_json_round_trip_of_every_witness(monkeypatch):
     assert any('"swapped": true' in t for t, _sc in texts)
     for text, sc in texts:
         assert fan_to_json(fan_from_json(text, sc)) == text
+
+
+def test_start_point_signs_match_the_full_composition(monkeypatch):
+    # arc_sign reads a polynomial nonzero at an arc's start point from that
+    # point, on both sides; on every fan ordering signed on the fixtures,
+    # their inversions and their swaps it agrees with the sign of the full
+    # composition, and so does every signed polynomial moved to vanish at
+    # the start point, which arc_sign composes
+    signed = []
+    sign = ArcOrdering.sign
+
+    def recording(self, g):
+        signed.append((self.arc, self.side, g))
+        return sign(self, g)
+
+    monkeypatch.setattr(ArcOrdering, "sign", recording)
+    scenes = []
+    for name in FIXTURE_NAMES:
+        fx = load_fixture(name)
+        inv = invert_scene(fx)
+        scenes += [fx, Scene(inv.factors, inv.order, inv.formula, "affine"), swap_scene(fx)]
+    for sc in scenes:
+        for prop in PROPERTIES:
+            run_check(CheckRequest(sc, prop))
+    from_start = 0
+    for arc, side, g in signed:
+        start = arc.start_point
+        assert start is not None
+        from_start += g.sign_at(*start) != 0
+        for h in (g, g - BiPoly.const(g.eval(*start))):
+            comp = compose_bipoly(h, *arc.xy_series())
+            assert arc_sign(h, arc, side) == (comp.negate_t() if side < 0 else comp).sign_small_pos_t(), (arc, side, h)
+    assert 0 < from_start < len(signed), (from_start, len(signed))
+

@@ -15,10 +15,11 @@ from basix.fans import _K0
 from basix.parser import parse_polynomial
 from basix.realroots import rational_roots
 from basix.puiseux import (
+    Arc,
     NotOnCurve,
     PuiseuxArc,
     Slot,
-    arc_region_membership,
+    _located_membership,
     arc_sign,
     residual_order,
     simulate_branch_blowups,
@@ -477,6 +478,34 @@ def test_branch_set_matches_untruncated_expansion_examples(text, K):
 
 
 # ------------------------------------------------------------------ membership
+
+# The membership oracle: a half-arc's region tag from its factor signs,
+# composing each factor with the arc.  Condition (b) reads the same signs
+# from total transforms (`resolution.classify_exceptional`).
+
+
+def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
+    """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
+    for the local region entered by the half-arc.
+
+    The tag is read from the half-arc's signs.  For small t the half-arc
+    lies in one 2-cell, on which every factor keeps its sign along it, so
+    that cell's sign vector is the half-arc's; a tag shared by every region
+    with that vector (`decomp.tag_of_signs`) is the cell's.  Only when
+    regions with that vector carry different tags is a certified point of
+    the arc located (`_located_membership`)."""
+    factors, order = decomp.scene.factors, decomp.scene.order
+    signs: dict[str, int] = {}
+    for n in order:
+        s = arc_sign(factors[n], arc, side)
+        if s is None:
+            raise Unsupported("TruncationCap", f"sign of {n} unresolved along arc")
+        if s == 0:
+            return ("on_curve", n)
+        signs[n] = s
+    tag = decomp.tag_of_signs(signs)
+    return tag if tag is not None else _located_membership(arc, side, decomp, signs)
+
 
 CUBIC = (
     "factor a = x; factor f0 = y - x^2; factor f1 = y - x^2 - x^3;"

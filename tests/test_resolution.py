@@ -1,10 +1,10 @@
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts, bench_workload, load_fixture
+from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
 from test_algebra import _ref_subst
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
-from test_puiseux import branch_set
+from test_puiseux import arc_region_membership, branch_set
 from test_cli import DIVERGENT
 
 from basix import checker, puiseux, resolution
@@ -22,6 +22,7 @@ from basix.resolution import (
     resolve_point,
 )
 from basix.scene import Scene, invert_scene
+from basix.series import compose_bipoly
 from basix.unipoly import UniPoly
 
 F = Fraction
@@ -512,39 +513,77 @@ def test_arc_sides_agree_with_chart_point_sampling(monkeypatch):
     assert len(classified) >= 10 and n_arcs >= 30
 
 
-def test_sign_vector_tags_agree_with_located_points(monkeypatch):
-    # every half-arc classified on the benchmark's checks, on the fixtures'
-    # inversions read as affine scenes, and on two scenes whose arcs enter
-    # regions that share a sign vector but not a tag
-    memberships = []
-    membership = resolution.arc_region_membership
+@pytest.fixture(scope="module")
+def classified_widely():
+    """(D, decomp, its arcs) for every component classified on the
+    benchmark's checks, on the fixtures' inversions read as affine scenes
+    and their x/y swaps, and on the scenes with irrational tangents and with
+    large denominators; some of their arcs enter regions that share a sign
+    vector but not a tag, and some components have y-steps in their chart
+    words."""
+    classified = []
+    classify = checker.classify_exceptional
 
-    def recording(arc, side, decomp):
-        tag = membership(arc, side, decomp)
-        memberships.append((arc, side, decomp, tag))
-        return tag
+    def recording(D, decomp):
+        arcs = classify(D, decomp)
+        classified.append((D, decomp, arcs))
+        return arcs
 
-    monkeypatch.setattr(resolution, "arc_region_membership", recording)
-    runs = []
-    for name in ("fixtures", "blowup", "lines"):
-        texts, checks = bench_workload(monkeypatch, name)
-        runs += [(Scene.from_text(texts[c.scene]), c.prop) for c in checks]
-    for name in ("half", "quad", "saddle", "para", "cubic"):
-        inv = invert_scene(load_fixture(name))
-        runs += [(Scene(inv.factors, inv.order, inv.formula, "affine"), prop) for prop in PROPERTIES]
-    for text in (IRRATIONAL_TANGENTS["tangents-sqrt2"], LARGE_DENOMINATOR_POINTS["tangent-slope-3^30"]):
-        runs.append((Scene.from_text(text), "basic_open"))
-    for sc, prop in runs:
-        run_check(CheckRequest(sc, prop, want_witness=False))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checker, "classify_exceptional", recording)
+        runs = []
+        for name in ("fixtures", "blowup", "lines"):
+            texts, checks = bench_workload(mp, name)
+            runs += [(Scene.from_text(texts[c.scene]), c.prop) for c in checks]
+        for name in ("half", "quad", "saddle", "para", "cubic"):
+            fx = load_fixture(name)
+            inv = invert_scene(fx)
+            for sc in (Scene(inv.factors, inv.order, inv.formula, "affine"), swap_scene(fx)):
+                runs += [(sc, prop) for prop in PROPERTIES]
+        for text in (*IRRATIONAL_TANGENTS.values(), *LARGE_DENOMINATOR_POINTS.values()):
+            runs.append((Scene.from_text(text), "basic_open"))
+        for sc, prop in runs:
+            run_check(CheckRequest(sc, prop, want_witness=False))
+    return classified
+
+
+def test_sign_vector_tags_agree_with_located_points(classified_widely):
+    # each half-line's tag is the membership oracle's, which composes every
+    # factor with the family arc, and the tag of a located certified point
+    # of that arc
     by_signs = located = 0
-    for arc, side, decomp, tag in memberships:
-        if tag[0] == "on_curve":
-            continue
-        signs = {n: puiseux.arc_sign(decomp.scene.factors[n], arc, side) for n in decomp.scene.order}
-        at_point = puiseux._located_membership(arc, side, decomp, signs)
-        assert tag == at_point, (decomp.scene.factors, arc, side)
-        if decomp.tag_of_signs(signs) is None:
-            located += 1
-        else:
-            by_signs += 1
+    for D, decomp, arcs in classified_widely:
+        for a in arcs.arcs:
+            fam = family_arc_for(D, a.v_mid)
+            for side, tag in ((1, a.verdict_pos), (-1, a.verdict_neg)):
+                assert tag == arc_region_membership(fam, side, decomp), (D.level, a.v_mid, side)
+                signs = {n: puiseux.arc_sign(decomp.scene.factors[n], fam, side) for n in decomp.scene.order}
+                at_point = puiseux._located_membership(fam, side, decomp, signs)
+                assert tag == at_point, (decomp.scene.factors, a.v_mid, side)
+                if decomp.tag_of_signs(signs) is None:
+                    located += 1
+                else:
+                    by_signs += 1
     assert by_signs >= 200 and located >= 10, (by_signs, located)
+
+
+def test_total_transform_signs_match_family_arc_composition(classified_widely):
+    # every factor's sign on each half of the line u = t, v = v of a
+    # component's chart, read from its total transform, is its sign along
+    # the family arc crossing the component at v: at each arc's sample and
+    # at each rational mark, where a factor may vanish on the whole line
+    zeros = y_words = n = 0
+    for D, decomp, arcs in classified_widely:
+        table = resolution._factor_rows(D, decomp)
+        y_words += any(s.kind == "y" for s in D.chart.steps)
+        samples = [a.v_mid for a in arcs.arcs] + [m.v.exact for m in D.marked if m.v.exact is not None]
+        for v in samples:
+            fam = family_arc_for(D, v)
+            for side, signs in zip((1, -1), resolution._line_signs(table, v)):
+                for name, g in decomp.scene.factors.items():
+                    comp = compose_bipoly(g, *fam.xy_series())
+                    full = (comp.negate_t() if side < 0 else comp).sign_small_pos_t()
+                    assert signs[name] == puiseux.arc_sign(g, fam, side) == full, (D.chart, v, side, name)
+                    zeros += signs[name] == 0
+                    n += 1
+    assert zeros and y_words and n >= 1000, (zeros, y_words, n)
