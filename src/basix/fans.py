@@ -393,7 +393,20 @@ def fan_to_json(fan: Fan) -> str:
 
 
 def fan_from_json(text: str, scene: Scene) -> Fan:
-    d = json.loads(text)
+    """The fan that `fan_to_json` wrote.  Text that is no such fan, with a
+    key missing, a value of the wrong type, a coordinate that is no fraction
+    or a kind other than the two, is an input error (`BasixError`)."""
+    try:
+        d = json.loads(text)
+        kind = d["kind"]
+        if kind not in ("point_centered", "curve_centered"):
+            raise BasixError(f"unknown fan kind {kind!r}")
+        return _fan_from_dict(d, scene)
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise BasixError(f"malformed fan: {type(exc).__name__}: {exc}") from exc
+
+
+def _fan_from_dict(d: dict, scene: Scene) -> Fan:
     chart = d.get("chart", "affine")
     if d["kind"] == "point_centered":
         center = (F(d["center"][0]), F(d["center"][1]))

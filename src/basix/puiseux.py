@@ -5,7 +5,9 @@ series y(x), and `smooth_branch` reads it with one Hensel lift.
 Every arc is a parametrization x = cx + delta*t^N, y = cy + sum(c_i t^n_i)
 (or the same with the roles of x and y swapped for vertical tangents),
 optionally carrying a symbolic tail (eta*z + a)*t^m whose sign semantics are
-"for all sufficiently small z > 0".
+"for all sufficiently small z > 0".  These arcs are the orderings of fan
+witnesses; condition (b) reads its half-lines from total transforms in a
+component's chart (`resolution.classify_exceptional`) and builds none.
 """
 
 from __future__ import annotations
@@ -32,42 +34,13 @@ class Slot:
     a: Fraction
 
 
-class _Composing:
-    """The composition memo shared by both arc kinds: ``g∘arc`` is computed
-    once per polynomial and kept on the arc instance (side +1; side -1 is
-    its ``negate_t``)."""
-
-    def composed(self, g: BiPoly) -> TSeries:
-        comp = self._comp.get(g)
-        if comp is None:
-            xs, ys = self.xy_series()
-            comp = self._comp[g] = compose_bipoly(g, xs, ys)
-        return comp
-
-    @cached_property
-    def start_point(self) -> tuple[Fraction, Fraction] | None:
-        """The z^0 part of the t^0 terms of x(t) and y(t), or None when a
-        series is known below no power of t."""
-        out = []
-        for s in self.xy_series():
-            if s.trunc is not None and s.trunc <= 0:
-                return None
-            lead = s.leading()
-            out.append(lead[1].c[0] if lead is not None and lead[0] == 0 else F(0))
-        return out[0], out[1]
-
-    @cached_property
-    def z_free(self) -> bool:
-        """True when no coefficient of x(t), y(t) involves z."""
-        return all(len(v.c) <= 1 for s in self.xy_series() for _e, v in s.coeff)
-
-
 @dataclass(frozen=True)
-class PuiseuxArc(_Composing):
+class PuiseuxArc:
     """Truncated parametrization of an analytic half-branch pair.
 
     For swapped arcs the series describe x as a function of y; xy_series()
-    always returns (x(t), y(t)).
+    always returns (x(t), y(t)).  ``g∘arc`` is computed once per polynomial
+    and kept on the arc instance (side +1; side -1 is its ``negate_t``).
     """
 
     center: tuple[Fraction, Fraction]
@@ -102,23 +75,27 @@ class PuiseuxArc(_Composing):
             ys = TSeries.const(cy, None) + param
         return xs, ys
 
+    def composed(self, g: BiPoly) -> TSeries:
+        comp = self._comp.get(g)
+        if comp is None:
+            xs, ys = self.xy_series()
+            comp = self._comp[g] = compose_bipoly(g, xs, ys)
+        return comp
+
+    @cached_property
+    def start_point(self) -> tuple[Fraction, Fraction] | None:
+        """The z^0 part of the t^0 terms of x(t) and y(t), or None when a
+        series is known below no power of t."""
+        out = []
+        for s in self.xy_series():
+            if s.trunc is not None and s.trunc <= 0:
+                return None
+            lead = s.leading()
+            out.append(lead[1].c[0] if lead is not None and lead[0] == 0 else F(0))
+        return out[0], out[1]
+
     def with_slot(self, m: int, eta: int, a: Fraction) -> "PuiseuxArc":
         return replace(self, slot=Slot(m, eta, F(a)))
-
-
-@dataclass(frozen=True)
-class ParamArc(_Composing):
-    """A raw parametric arc (x(t), y(t)) with polynomial-in-z coefficients."""
-
-    xs: TSeries
-    ys: TSeries
-    _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def xy_series(self) -> tuple[TSeries, TSeries]:
-        return self.xs, self.ys
-
-
-Arc = PuiseuxArc | ParamArc
 
 
 class NotOnCurve(BasixError):
@@ -245,13 +222,13 @@ def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:
 # ------------------------------------------------------------------ signs
 
 
-def arc_sign(g: BiPoly, arc: Arc, side: int) -> int | None:
+def arc_sign(g: BiPoly, arc: PuiseuxArc, side: int) -> int | None:
     """Sign of g along the arc for small t on the given side, then for small
     z > 0: the sign of the first certain term of g∘arc.  0 when g vanishes
     identically on the arc; None when no term is certain at the arc's
-    truncation.  Every arc the engine builds decides every nonzero g: fan
-    and family arcs are exact polynomials, or branch arcs whose z-slot sits
-    at t^0 over an exact x(t).
+    truncation.  Every arc the engine builds decides every nonzero g: a
+    point fan's arcs are exact polynomials, and a curve fan's are branch
+    arcs whose z-slot sits at t^0 over an exact x(t).
 
     A g that is nonzero at the arc's start point (`start_point`) has that
     sign on both sides, and nothing is composed.  The t^0 term of g∘arc is
@@ -388,16 +365,21 @@ def _is_clean_param(s: TSeries) -> bool:
 # ------------------------------------------------------------------ membership
 
 
-def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | None) -> tuple[Fraction, Fraction]:
+def certified_point(arc: PuiseuxArc, side: int, polys: list[BiPoly], z0: Fraction | None) -> tuple[Fraction, Fraction]:
     """A rational point on the (z-instantiated) arc close enough to the centre
     that every polynomial keeps its small-t sign on the whole sub-arc.
 
-    Without z0, or on a z-free arc (where instantiating z changes nothing),
-    the compositions are the arc's memo.  Otherwise z is instantiated before
-    composing: a coefficient vanishing at z0 can lower a truncation order,
-    so composing first and instantiating after would give another point."""
+    Each g∘arc, its first term b*t^e and the sum T of the absolute values of
+    its later known coefficients give r = min(1, |b| / (1 + T)); for
+    0 < |t| < r the later known terms together are smaller than b*t^e, as
+    |t|^(e+1) * T < |b| * |t|^e, so on an exact arc no polynomial changes
+    sign between the centre and the point at t0 = side*r/2.  Without
+    z0 (an arc with no slot) the compositions are the arc's memo.  With z0
+    (every slotted arc carries z) z is instantiated before composing: a
+    coefficient vanishing at z0 can lower a truncation order, so composing
+    first and instantiating after would give another point."""
     xs, ys = arc.xy_series()
-    use_memo = z0 is None or arc.z_free
+    use_memo = z0 is None
     if not use_memo:
         xs, ys = xs.eval_z(z0), ys.eval_z(z0)
     r = F(1)
@@ -417,19 +399,3 @@ def certified_point(arc: Arc, side: int, polys: list[BiPoly], z0: Fraction | Non
     yv = ys.eval_t(t0)
     return (xv.c[0] if xv.c else F(0), yv.c[0] if yv.c else F(0))
 
-
-def _located_membership(arc: Arc, side: int, decomp, signs: dict[str, int]) -> tuple:
-    """The tag of the region holding a certified rational point of the
-    half-arc, found by locating the point in the arrangement; `signs` are
-    the half-arc's factor signs, every one nonzero, and the point must have
-    them."""
-    factors, order = decomp.scene.factors, decomp.scene.order
-    z0 = F(1, 8)
-    polys = [factors[n] for n in order]
-    has_slot = isinstance(arc, ParamArc) or (isinstance(arc, PuiseuxArc) and arc.slot is not None)
-    for _ in range(24):
-        pt = certified_point(arc, side, polys, z0 if has_slot else None)
-        if all(factors[n].sign_at(*pt) == signs[n] for n in order):
-            return decomp.located_tag(*pt)
-        z0 = z0 / 2
-    raise Unsupported("TruncationCap", "could not certify a concrete arc point")

@@ -71,9 +71,12 @@ Each half of the arc enters one 2-cell for small t, and its signs are that
 cell's sign vector, so the verdict is the tag shared by every region with
 that vector (`SetDecomposition.tag_of_signs`; at the pole the `PoleView`
 reads the same table for the inverted scene's factors).  Only when regions
-with that vector carry different tags is the family arc built and a
-certified point of the half-arc located in the arrangement
-(`puiseux._located_membership`).  This happens once per component;
+with that vector carry different tags is a point of the half-line located
+in the arrangement (`_located_tag`): with c_k the first nonzero coefficient
+of a factor's G(t, v_mid) and r the least |c_k| / (|c_k| + sum_{j>k} |c_j|)
+over all factors, no factor changes sign on the half-line for |t| < r, so
+the point at t = r/2 on that side lies in the region it enters.  No arc is
+built and nothing is composed.  This happens once per component;
 classifying it against each lifted sign distribution then only reads those
 verdicts, through the same type-changing rule that classifies the curves
 (`signdist.classify_sides`).
@@ -87,14 +90,8 @@ from fractions import Fraction
 from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
-from .errors import BasixError, Unsupported
-from .puiseux import (
-    ArcFamily,
-    ParamArc,
-    _divide_x_power,
-    _located_membership,
-    family_normal_form,
-)
+from .errors import BasixError, InternalError, Unsupported
+from .puiseux import ArcFamily, _divide_x_power, family_normal_form
 from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
 from .series import TSeries
 from .signdist import Classification, classify_sides
@@ -416,12 +413,6 @@ def _verdict_sign(verdict: tuple, minus_component: int) -> int:
     return 0
 
 
-def family_arc_for(D: ExceptionalComponent, v_mid: Fraction) -> ParamArc:
-    """The transversal family instance crossing D at v_mid, pushed down to the
-    base chart without performing any blow-up on it."""
-    return ParamArc(*D.chart.down_line(UniPoly.const(v_mid)))
-
-
 def component_family(D: ExceptionalComponent) -> ArcFamily:
     """The transversal-arc family of D in normal form: the pushed-down line
     whose slope is the family parameter z."""
@@ -519,11 +510,13 @@ def classify_exceptional(D: ExceptionalComponent, decomp: SetDecomposition | Pol
     sample v of the arc whose line u = t, v = v in D's chart lies on no
     scene curve.  Each factor's sign on either half of that line is read
     from its total transform in D's chart (`_line_signs`): this is the sign
-    of the factor along the family arc crossing D at v, and exact, because
-    that arc is an exact polynomial along which the factor is G(t, v).  A
-    half-line's verdict is the tag of its sign vector; the family arc is
-    built and a point of it located only when that vector has no single
-    tag.  The verdicts do not depend on the lifted distribution;
+    of the factor along the line pushed down to the base chart, and exact,
+    because along it the factor is the polynomial G(t, v).  A half-line's
+    verdict is the tag of its sign vector.  Only when that vector has no
+    single tag is a point of the half-line located (`_located_tag`), at
+    t = side*r/2 with r <= |c_k| / (|c_k| + sum_{j>k} |c_j|) for each
+    factor's coefficients c_j of G(t, v), below which no factor changes
+    sign.  The verdicts do not depend on the lifted distribution;
     ``ExcArcs.against`` classifies them for one."""
     table = _factor_rows(D, decomp)
     out = ExcArcs()
@@ -538,17 +531,40 @@ def classify_exceptional(D: ExceptionalComponent, decomp: SetDecomposition | Pol
                 break
         else:
             raise Unsupported("SampleTooCoarse", f"no certified sample near D{D.level}")
-        fam: ParamArc | None = None
         verdicts = []
         for side, signs in ((1, pos), (-1, neg)):
             tag = decomp.tag_of_signs(signs)
-            if tag is None:
-                if fam is None:
-                    fam = family_arc_for(D, v_mid)
-                tag = _located_membership(fam, side, decomp, signs)
-            verdicts.append(tag)
+            verdicts.append(tag if tag is not None else _located_tag(D, decomp, v_mid, side, signs))
         out.arcs.append(ArcSides(vlo, vhi, v_mid, *verdicts))
     return out
+
+
+def _located_tag(
+    D: ExceptionalComponent, decomp: SetDecomposition | PoleView, v: Fraction, side: int, signs: dict[str, int]
+) -> tuple:
+    """The tag of the region that the half-line u = side*t, v = v of D's
+    chart enters, found by locating one of its points in the arrangement;
+    ``signs`` are the half-line's factor signs, every one nonzero.
+
+    Along the line every scene factor g is G(t, v) = sum c_j t^j, G its
+    total transform in D's chart.  With c_k its first nonzero coefficient,
+    r = min(1, |c_k| / (|c_k| + sum_{j>k} |c_j|)) over all factors, and
+    0 < |t| < r <= 1, the tail has |sum_{j>k} c_j t^j| <=
+    |t|^(k+1) * sum_{j>k} |c_j| < |c_k| * |t|^k, so no factor changes sign
+    between D and the point at t = side*r/2, and the segment lies in the
+    region the half-line enters.  The bound does not change when G is
+    scaled."""
+    factors = decomp.scene.factors
+    r = F(1)
+    for n in decomp.scene.order:
+        g = factors[n]
+        cs = [abs(c) for c in _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {})).specialize_y(v).c]
+        k = next(j for j, c in enumerate(cs) if c)
+        r = min(r, cs[k] / sum(cs[k:]))
+    pt = D.chart.down_point(side * r / 2, v)
+    if any(factors[n].sign_at(*pt) != signs[n] for n in decomp.scene.order):
+        raise InternalError(f"the located point of D{D.level} at v={v} leaves the half-line's sign vector")
+    return decomp.located_tag(*pt)
 
 
 # ----------------------------------------------------------------- analysis points

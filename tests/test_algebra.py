@@ -1147,16 +1147,22 @@ def test_classification_composes_nothing(monkeypatch):
     # classify_exceptional reads every factor's sign on both sides of each
     # arc from its total transform in the component's chart, so it composes
     # no factor with an arc: not on a contact of order 2, nor on any check
-    # of the benchmark's blowup workload
+    # of the benchmark's blowup workload, nor where a half-line's sign
+    # vector has no single tag and a point of it is located, which the node
+    # with tangent slopes +-sqrt2 and the tangent of slope 1/3^30 reach in
+    # the affine chart and at the pole
     from conftest import bench_workload
+    from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
 
-    from basix import checker, puiseux
+    from basix import checker, puiseux, resolution
     from basix.scene import Scene
+    from basix.sphere import PoleView
 
     composed = []
     classified = [0]
     inside = [False]
-    compose, classify = puiseux.compose_bipoly, checker.classify_exceptional
+    located = {"affine": 0, "pole": 0}
+    compose, classify, locate = puiseux.compose_bipoly, checker.classify_exceptional, resolution._located_tag
 
     def counted_compose(g, xs, ys):
         if inside[0]:
@@ -1171,8 +1177,13 @@ def test_classification_composes_nothing(monkeypatch):
         finally:
             inside[0] = False
 
+    def counted_locate(D, decomp, *args):
+        located["pole" if isinstance(decomp, PoleView) else "affine"] += 1
+        return locate(D, decomp, *args)
+
     monkeypatch.setattr(puiseux, "compose_bipoly", counted_compose)
     monkeypatch.setattr(checker, "classify_exceptional", counted_classify)
+    monkeypatch.setattr(resolution, "_located_tag", counted_locate)
     text = "factor f = y - x^2;\nfactor g = y - x^2 - x^2;\nset S = { f > 0, g < 0 } | { f < 0, g > 0 };\n"
     v = checker.run_check(checker.CheckRequest(Scene.from_text(text), "basic_open"))
     assert v.answer == "Yes"
@@ -1180,4 +1191,10 @@ def test_classification_composes_nothing(monkeypatch):
     assert "contact2" in texts
     for c in checks:
         checker.run_check(checker.CheckRequest(Scene.from_text(texts[c.scene]), c.prop))
+    assert located == {"affine": 0, "pole": 0}
+    for text in (IRRATIONAL_TANGENTS["tangents-sqrt2"], LARGE_DENOMINATOR_POINTS["tangent-slope-3^30"]):
+        before = dict(located)
+        v = checker.run_check(checker.CheckRequest(Scene.from_text(text), "basic_open"))
+        assert v.answer == "Yes"
+        assert all(located[chart] > before[chart] for chart in located), (before, located)
     assert classified[0] >= 10 and composed == []

@@ -154,6 +154,38 @@ def test_verify_fan_rejects_a_w_form_its_eta_does_not_name(tmp_path, capsys, w_f
     assert "w_form" in capsys.readouterr().err
 
 
+POINT_FAN = {
+    "kind": "point_centered", "form_tag": "4.1-2", "center": ["0", "0"], "delta": 1, "N": 1,
+    "terms": [], "m": 1, "a1": "1/2", "a2": "3/2", "eta": 1, "eta_prime": -1,
+}
+
+
+@pytest.mark.parametrize("case", ["missing kind", "a list", "a zero denominator", "an unknown kind"])
+def test_verify_fan_reports_a_malformed_fan_as_an_input_error(tmp_path, capsys, case):
+    # a fan file that is no fan is an input error, not a failed fan (exit 1)
+    # and not a traceback
+    if case == "an unknown kind":
+        report = tmp_path / "report.json"
+        _check(capsys, FIXTURES / "para.bsx", "basic-open", "--witness", "--format", "json", "--out", str(report))
+        fan = json.loads(report.read_text(encoding="utf-8"))["witness"]
+        assert fan["kind"] == "curve_centered"
+        fan["kind"] = "ray_centered"
+    elif case == "a zero denominator":
+        fan = {**POINT_FAN, "a1": "1/0"}
+    else:
+        fan = {"missing kind": {"chart": "affine"}, "a list": [1, 2]}[case]
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    assert cli.main(["verify-fan", str(path), str(FIXTURES / "para.bsx")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    # the well-formed point fan (the lines y = x/2 + z*x and y = 3x/2 - z*x
+    # through the origin, both half-lines of each) is read and verified
+    path.write_text(json.dumps(POINT_FAN), encoding="utf-8")
+    assert cli.main(["verify-fan", str(path), str(FIXTURES / "para.bsx")]) == cli.EXIT_YES
+    assert capsys.readouterr().out.splitlines()[0] == "membership count: 0"
+
+
 # sha256 of `basix plot fixtures/<name>.bsx` with the default window and width
 PLOT_SHA256 = {
     "half": "67cd989d5360c9e6cfd373c600f9590fac2cfce3507f9fb2da087d34df3ba6bc",

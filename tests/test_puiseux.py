@@ -1,3 +1,4 @@
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import pytest
@@ -15,12 +16,11 @@ from basix.fans import _K0
 from basix.parser import parse_polynomial
 from basix.realroots import rational_roots
 from basix.puiseux import (
-    Arc,
     NotOnCurve,
     PuiseuxArc,
     Slot,
-    _located_membership,
     arc_sign,
+    certified_point,
     residual_order,
     simulate_branch_blowups,
     smooth_branch,
@@ -479,12 +479,54 @@ def test_branch_set_matches_untruncated_expansion_examples(text, K):
 
 # ------------------------------------------------------------------ membership
 
-# The membership oracle: a half-arc's region tag from its factor signs,
-# composing each factor with the arc.  Condition (b) reads the same signs
-# from total transforms (`resolution.classify_exceptional`).
+# The membership oracles: a half-arc's region tag from its factor signs,
+# composing each factor with the arc, and from a located certified point of
+# the arc.  Condition (b) reads the same signs from total transforms and
+# locates a point of the half-line from them
+# (`resolution.classify_exceptional`, `resolution._located_tag`).
 
 
-def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
+@dataclass(frozen=True)
+class FamilyArc:
+    """A raw parametric arc (x(t), y(t)): here the transversal line of a
+    component's chart pushed down to the base chart (`family_arc`).  `arc_sign` and `certified_point` read it as
+    they read a `PuiseuxArc`, with its composition memo and start point."""
+
+    xs: TSeries
+    ys: TSeries
+    _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def xy_series(self) -> tuple[TSeries, TSeries]:
+        return self.xs, self.ys
+
+    composed = PuiseuxArc.composed
+    start_point = property(PuiseuxArc.start_point.func)
+
+
+def family_arc(D, v: Fraction) -> FamilyArc:
+    """The transversal family instance crossing the component D at v, pushed
+    down to the base chart without performing any blow-up on it."""
+    return FamilyArc(*D.chart.down_line(UniPoly.const(v)))
+
+
+def located_membership(arc, side: int, decomp, signs: dict[str, int]) -> tuple:
+    """The tag of the region holding a certified rational point of the
+    half-arc, found by locating the point in the arrangement; `signs` are
+    the half-arc's factor signs, every one nonzero, and the point must have
+    them."""
+    factors, order = decomp.scene.factors, decomp.scene.order
+    z0 = F(1, 8)
+    polys = [factors[n] for n in order]
+    has_slot = isinstance(arc, FamilyArc) or arc.slot is not None
+    for _ in range(24):
+        pt = certified_point(arc, side, polys, z0 if has_slot else None)
+        if all(factors[n].sign_at(*pt) == signs[n] for n in order):
+            return decomp.located_tag(*pt)
+        z0 = z0 / 2
+    raise Unsupported("TruncationCap", "could not certify a concrete arc point")
+
+
+def arc_region_membership(arc, side: int, decomp) -> tuple:
     """('in_S',) | ('in_A', i) | ('unsigned', region) | ('on_curve', factor)
     for the local region entered by the half-arc.
 
@@ -493,7 +535,7 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
     that cell's sign vector is the half-arc's; a tag shared by every region
     with that vector (`decomp.tag_of_signs`) is the cell's.  Only when
     regions with that vector carry different tags is a certified point of
-    the arc located (`_located_membership`)."""
+    the arc located (`located_membership`)."""
     factors, order = decomp.scene.factors, decomp.scene.order
     signs: dict[str, int] = {}
     for n in order:
@@ -504,7 +546,7 @@ def arc_region_membership(arc: Arc, side: int, decomp) -> tuple:
             return ("on_curve", n)
         signs[n] = s
     tag = decomp.tag_of_signs(signs)
-    return tag if tag is not None else _located_membership(arc, side, decomp, signs)
+    return tag if tag is not None else located_membership(arc, side, decomp, signs)
 
 
 CUBIC = (
@@ -519,7 +561,7 @@ def both_paths(arc, side, d):
     vector carry different tags) and at a located certified point."""
     signs = {n: arc_sign(d.scene.factors[n], arc, side) for n in d.scene.order}
     assert 0 not in signs.values()
-    return d.tag_of_signs(signs), puiseux._located_membership(arc, side, d, signs)
+    return d.tag_of_signs(signs), located_membership(arc, side, d, signs)
 
 
 def test_arc_region_membership_cubic():

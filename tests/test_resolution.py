@@ -4,7 +4,7 @@ import pytest
 from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
 from test_algebra import _ref_subst
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
-from test_puiseux import arc_region_membership, branch_set
+from test_puiseux import arc_region_membership, branch_set, family_arc, located_membership
 from test_cli import DIVERGENT
 
 from basix import checker, puiseux, resolution
@@ -17,7 +17,6 @@ from basix.parser import parse_polynomial
 from basix.realroots import RootLocator, open_count, roots_equal
 from basix.resolution import (
     classify_exceptional,
-    family_arc_for,
     local_analysis_points,
     resolve_point,
 )
@@ -152,7 +151,7 @@ def test_down_map_consistency_random_points():
             v = F(rng.randint(-50, 50), 16)
             x, y = D.chart.down_point(t0, v)
             assert X.eval(t0, v) == x and Y.eval(t0, v) == y
-            xs, ys = family_arc_for(D, v).xy_series()
+            xs, ys = D.chart.down_line(UniPoly.const(v))
             assert xs.eval_t(t0) == UniPoly.const(x) and ys.eval_t(t0) == UniPoly.const(y)
 
 
@@ -550,17 +549,19 @@ def classified_widely():
 def test_sign_vector_tags_agree_with_located_points(classified_widely):
     # each half-line's tag is the membership oracle's, which composes every
     # factor with the family arc, and the tag of a located certified point
-    # of that arc
+    # of that arc; where the sign vector has no single tag, the point that
+    # `_located_tag` locates from the total transforms has that tag too
     by_signs = located = 0
     for D, decomp, arcs in classified_widely:
         for a in arcs.arcs:
-            fam = family_arc_for(D, a.v_mid)
+            fam = family_arc(D, a.v_mid)
             for side, tag in ((1, a.verdict_pos), (-1, a.verdict_neg)):
                 assert tag == arc_region_membership(fam, side, decomp), (D.level, a.v_mid, side)
                 signs = {n: puiseux.arc_sign(decomp.scene.factors[n], fam, side) for n in decomp.scene.order}
-                at_point = puiseux._located_membership(fam, side, decomp, signs)
+                at_point = located_membership(fam, side, decomp, signs)
                 assert tag == at_point, (decomp.scene.factors, a.v_mid, side)
                 if decomp.tag_of_signs(signs) is None:
+                    assert resolution._located_tag(D, decomp, a.v_mid, side, signs) == at_point
                     located += 1
                 else:
                     by_signs += 1
@@ -578,7 +579,7 @@ def test_total_transform_signs_match_family_arc_composition(classified_widely):
         y_words += any(s.kind == "y" for s in D.chart.steps)
         samples = [a.v_mid for a in arcs.arcs] + [m.v.exact for m in D.marked if m.v.exact is not None]
         for v in samples:
-            fam = family_arc_for(D, v)
+            fam = family_arc(D, v)
             for side, signs in zip((1, -1), resolution._line_signs(table, v)):
                 for name, g in decomp.scene.factors.items():
                     comp = compose_bipoly(g, *fam.xy_series())
