@@ -15,6 +15,13 @@ stores its factor sign vector; which cells a formula selects is decided on
 top of it, by `decompose.decompose_set`, so sets with the same curves share
 one arrangement.
 
+Fibres over rational abscissae are integer lists: `BiPoly.int_fibre` gives
+l b^n f(a/b, y), a positive multiple of f(a/b, y), at the slab samples, the
+rational walls, the abscissae where `_match_side` isolates and the points
+`region_of_point` locates, and `realroots` isolates and counts on that list
+as it is.  The critical polynomials, their squarefree parts and their
+product, whose roots are the walls, are integer lists too.
+
 Wall points are exact.  Over a rational wall c a factor's fibre is isolated
 from f(c, y).  Over an irrational wall alpha it is counted by Sturm's
 theorem on the signed remainder sequence of f and f_y in y, its coefficients
@@ -92,6 +99,7 @@ from .bipoly import BiPoly, resultant
 from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
+    _int_sign_at,
     clear_of_roots,
     count_roots_below,
     gap_sample,
@@ -103,7 +111,7 @@ from .realroots import (
     vanishes_at,
 )
 from .scene import Projection, Scene, project_scene
-from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
+from .unipoly import UniPoly, _ilist_derivative, _ilist_gcd, _ilist_primitive, _ilist_squarefree, homogeneous_horner
 
 F = Fraction
 
@@ -295,9 +303,10 @@ class Arrangement:
         self.vlines: dict[str, Fraction] = {}
         self.pole_touched = False
         self._edges_at_vertex: dict[int, list[int]] = {}
-        self._elim_cache: dict[tuple, UniPoly] = {}
-        # squarefree critical polynomials of stage 1, keyed as in `_build`
-        self._critical: list[tuple[tuple[str, ...], UniPoly]] = []
+        self._elim_cache: dict[tuple, list[int]] = {}
+        # primitive squarefree critical polynomials of stage 1, as integer
+        # lists, keyed as in `_build`
+        self._critical: list[tuple[tuple[str, ...], list[int]]] = []
         # (factor, level) -> primitive integer form of factor(x, level)
         self._level_forms: dict[tuple[str, Fraction], list[int]] = {}
         proj = project_scene(scene) if projection is None else projection
@@ -320,23 +329,24 @@ class Arrangement:
                     )
                 self.vlines[name] = -u.c[0] / u.c[1]
 
-        # each keyed by the factor, or the pair of factors, it belongs to
-        # (a constant leading coefficient has no squarefree part below)
-        crit_polys: list[tuple[tuple[str, ...], UniPoly]] = []
+        # primitive integer lists, each keyed by the factor, or the pair of
+        # factors, it belongs to (a constant leading coefficient has no
+        # squarefree part below)
+        crit_polys: list[tuple[tuple[str, ...], list[int]]] = []
         for n, f in self.curvy.items():
             if (n,) in elim:
-                crit_polys.append(((n,), elim[(n,)]))
-            crit_polys.append(((n,), f.y_coeffs()[-1]))
-        crit_polys += [(key, r) for key, r in elim.items() if len(key) == 2]
-        crit_polys += [((n,), UniPoly([-v, 1])) for n, v in self.vlines.items()]
+                crit_polys.append(((n,), elim[(n,)].int_primitive()))
+            crit_polys.append(((n,), _ilist_primitive(f.int_y_rows()[0][-1])))
+        crit_polys += [(key, r.int_primitive()) for key, r in elim.items() if len(key) == 2]
+        crit_polys += [((n,), [-v.numerator, v.denominator]) for n, v in self.vlines.items()]
 
-        prod = UniPoly.one()
+        prod = [1]
         for key, p in crit_polys:
-            sf = squarefree_part(p)
-            if sf.degree >= 1:
-                prod = prod * sf
+            sf = _ilist_squarefree(p)
+            if len(sf) >= 2:
+                prod = _imul(prod, sf)
                 self._critical.append((key, sf))
-        locs = isolate_real_roots(prod) if prod.degree >= 1 else []
+        locs = isolate_real_roots(prod) if len(prod) >= 2 else []
         refine_disjoint(locs)
         separate(locs)
 
@@ -359,14 +369,14 @@ class Arrangement:
                 if n not in self.curvy:
                     top[n] = self.factors[n].sign_at(s, 0)
                     continue
-                u = self.curvy[n].specialize_x(s)
-                if u.is_zero():
+                u = self.curvy[n].int_fibre(s)
+                if not u:
                     raise InternalError(
                         f"factor {n!r} vanishes on the slab sample x = {s}, but its leading coefficient "
                         "in y is a nonzero constant or a critical polynomial, whose real roots are walls"
                     )
-                top[n] = 1 if u.lc() > 0 else -1
-                if u.degree < 1:
+                top[n] = 1 if u[-1] > 0 else -1
+                if len(u) < 2:
                     continue
                 for i, loc in enumerate(isolate_real_roots(u)):
                     per_factor.append((n, i, loc))
@@ -399,16 +409,16 @@ class Arrangement:
         multiple: dict[str, list[int] | None] = {}
         if cx is not None:
             for n, f in self.curvy.items():
-                u = f.specialize_x(cx)
-                if u.is_zero():
+                u = f.int_fibre(cx)
+                if not u:
                     raise Unsupported("VerticalComponent", f"factor {n!r} contains x = {cx}")
-                fibres[n] = locs = isolate_real_roots(u) if u.degree >= 1 else []
-                if not any(key == (n,) and c.eval(cx) == 0 for key, c in self._critical):
+                fibres[n] = locs = isolate_real_roots(u) if len(u) >= 2 else []
+                if not any(key == (n,) and _int_sign_at(c, cx) == 0 for key, c in self._critical):
                     multiple[n] = []
-                elif u.degree < f.deg_y:
+                elif len(u) - 1 < f.deg_y:
                     multiple[n] = None
                 else:
-                    du = u.derivative()
+                    du = _ilist_derivative(u)
                     mult = [j for j, loc in enumerate(locs) if vanishes_at(du, loc)]
                     multiple[n] = mult if len(mult) <= 1 else None
             same = roots_equal
@@ -476,9 +486,9 @@ class Arrangement:
             # the near end of the wall's interval stays on this side of the wall
             x_at = (x_at + (wlo if side == "L" else whi)) / 2
             wall.x.refine()
-        u = self.curvy[factor].specialize_x(x_at)
+        u = self.curvy[factor].int_fibre(x_at)
         # only the intervals are read, so no root needs to be found exact
-        positions = isolate_real_roots(u, detect_rational=False) if u.degree >= 1 else []
+        positions = isolate_real_roots(u, detect_rational=False) if len(u) >= 2 else []
         if len(positions) != self._branch_count(slab, factor):
             raise InternalError(f"{factor} has another branch count at x = {x_at} than in its slab")
         fates = []
@@ -514,7 +524,7 @@ class Arrangement:
                 f = f.exact_div(BiPoly.from_y_coeffs([self._contents[fs[0]]]))
             g = f.partial_y() if len(fs) == 1 else self.curvy[fs[1]]
             h = f if f.deg_x == 0 else g if g.deg_x == 0 else None
-            r = self._elim_cache[fs] = h.specialize_x(0) if h else resultant(f, g, "x")
+            r = self._elim_cache[fs] = h.int_fibre(0) if h else resultant(f, g, "x").int_primitive()
         while True:
             cands = isolate_real_roots(r, window.lo, window.hi, detect_rational=False)
             if len(cands) == 1:
@@ -747,8 +757,8 @@ class Arrangement:
         slab = sum(1 for wall in self.walls if x >= wall.x.hi)
         below = 0
         for f in self.curvy.values():
-            u = f.specialize_x(x)
-            if u.degree >= 1:
+            u = f.int_fibre(x)
+            if len(u) >= 2:
                 below += count_roots_below(u, y)
         return self.region_of_gap[(slab, below)]
 
@@ -762,16 +772,16 @@ class _IrrationalAbscissa:
     locator's polynomial cut down by the critical polynomials that vanish at
     alpha, whose keys (as in `Arrangement._build`) are the `events`."""
 
-    def __init__(self, x: RootLocator, critical: list[tuple[tuple[str, ...], UniPoly]]):
-        p = x.p
+    def __init__(self, x: RootLocator, critical: list[tuple[tuple[str, ...], list[int]]]):
+        p = x.ints()
         self.events: set[tuple[str, ...]] = set()
         for key, c in critical:
-            if not clear_of_roots(c.int_primitive(), x.lo, x.hi):
-                g = poly_gcd(c, p)
-                if g.degree >= 1 and not clear_of_roots(g.int_primitive(), x.lo, x.hi):
+            if not clear_of_roots(c, x.lo, x.hi):
+                g = _ilist_gcd(c, p)
+                if len(g) >= 2 and not clear_of_roots(g, x.lo, x.hi):
                     p = g
                     self.events.add(key)
-        self.p, self.ip = p, p.int_primitive()
+        self.ip = p
         self.x = RootLocator(p, x.lo, x.hi)
 
     def sign(self, c: list[int]) -> int:
@@ -780,8 +790,8 @@ class _IrrationalAbscissa:
             return 0
         x = self.x
         if not clear_of_roots(c, x.lo, x.hi):
-            g = poly_gcd(UniPoly(c), self.p)
-            if g.degree >= 1 and not clear_of_roots(g.int_primitive(), x.lo, x.hi):
+            g = _ilist_gcd(_ilist_primitive(c), self.ip)
+            if len(g) >= 2 and not clear_of_roots(g, x.lo, x.hi):
                 return 0
             while not clear_of_roots(c, x.lo, x.hi):
                 x.refine()
@@ -861,11 +871,20 @@ class _Fibre:
         return self._isolate(-b, b, n)
 
     def _isolate(self, lo: Fraction, hi: Fraction, k: int) -> list["_Window"]:
-        if k <= 1:
-            return [_Window(self, lo, hi)] * k
-        m = self.split(lo, hi)
-        left = self.count(lo, m)
-        return self._isolate(lo, m, left) + self._isolate(m, hi, k - left)
+        """Windows for the k roots in (lo, hi), bisected on an explicit
+        stack, left half on top, so they come out in order at any depth."""
+        out: list[_Window] = []
+        todo = [(lo, hi, k)]
+        while todo:
+            lo, hi, k = todo.pop()
+            if k == 1:
+                out.append(_Window(self, lo, hi))
+            elif k > 1:
+                m = self.split(lo, hi)
+                left = self.count(lo, m)
+                todo.append((m, hi, k - left))
+                todo.append((lo, m, left))
+        return out
 
 
 class _Window:
@@ -894,9 +913,14 @@ def _iaxpy(k: int, a: list[int], b: list[int]) -> list[int]:
 
 
 def _imul(a: list[int], b: list[int]) -> list[int]:
-    out: list[int] = []
+    """a b for integer coefficient lists."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
     for i, v in enumerate(a):
-        out = _iaxpy(v, [0] * i + b, out)
+        if v:
+            for j, w in enumerate(b):
+                out[i + j] += v * w
     return out
 
 

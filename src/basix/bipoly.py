@@ -19,7 +19,9 @@ denominator, built straight from the terms) and its x/y-swapped polynomial
 cached on the instance; ``y_coeffs`` and ``int_y_rows`` hand out fresh lists
 so that no caller can alias the cache.  ``eval`` and ``sign_at`` run one
 homogenised integer Horner over the integer rows: ``eval`` builds a single
-`Fraction` and ``sign_at`` none.  ``translate`` is a binomial Taylor shift
+`Fraction` and ``sign_at`` none.  ``int_fibre`` specialises x the same way,
+one Horner per row, to an integer list in y; ``specialize_x`` is that list
+over its positive denominator.  ``translate`` is a binomial Taylor shift
 on the integer rows, first in x and then in y, with one `Fraction` per output
 coefficient.
 
@@ -257,10 +259,39 @@ class BiPoly:
                 out.append(UniPoly.zero())
         return tuple(out)
 
+    def int_fibre(self, x0: Fraction | int) -> list[int]:
+        """l * b^n * p(a/b, y) for x0 = a/b, as a trimmed integer coefficient
+        list in y (l and n as in ``_int_rows``): one homogenised Horner per
+        integer row.  l * b^n is positive, so every coefficient, the leading
+        one included, has the sign of the coefficient of p(x0, y)."""
+        rows, _l, n = self._int_rows()
+        a, b = x0.numerator, x0.denominator
+        out = []
+        if b == 1:
+            for r in rows:
+                v = 0
+                for c in reversed(r):
+                    v = v * a + c
+                out.append(v)
+        else:
+            bp = _powers(b, n)
+            for r in rows:
+                v = 0
+                for i in range(len(r) - 1, -1, -1):
+                    v = v * a + r[i] * bp[n - i]
+                out.append(v)
+        while out and out[-1] == 0:
+            out.pop()
+        return out
+
     def specialize_x(self, x0: Fraction | int) -> UniPoly:
-        """p(x0, y) as a univariate polynomial in y."""
-        x0 = Fraction(x0)
-        return UniPoly([p.eval(x0) for p in self._y_rows()])
+        """p(x0, y) as a univariate polynomial in y: `int_fibre` over l * b^n."""
+        c = self.int_fibre(x0)
+        if not c:
+            return UniPoly()
+        _rows, l, n = self._int_rows()
+        den = l * x0.denominator**n
+        return UniPoly([Fraction(v, den) for v in c])
 
     def specialize_y(self, y0: Fraction | int) -> UniPoly:
         """p(x, y0) as a univariate polynomial in x."""

@@ -2,7 +2,8 @@
 
 Commands: check, plot, resolve, verify-fan.  Exit codes for `check`:
 0 = Yes, 1 = No, 2 = Unsupported, 3 = input error, 4 = internal error (an
-engine invariant failed; the input is not at fault).
+engine invariant failed, or any exception other than a `BasixError` was
+raised; the input is not at fault).
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (ParseError, SceneError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ParseError, SceneError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        # a file that cannot be read, or is no text, is the input's fault
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InternalError as exc:
@@ -84,6 +86,10 @@ def main(argv: list[str] | None = None) -> int:
     except BasixError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # an engine fault, never a verdict: exit 1 would read as "No"
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _dispatch(args) -> int:

@@ -94,8 +94,7 @@ class CurvePointOrdering:
             shy = bipoly_sign_on_box(hy, Box(RootLocator.at(self.x0), self.yloc))
             s = (self.eta * shy) ** k if (self.eta * shy) > 0 else (-1) ** k
         # residual part: r must not vanish at the point
-        u = r.specialize_x(self.x0)
-        if vanishes_at(u, self.yloc):
+        if vanishes_at(r.int_fibre(self.x0), self.yloc):
             raise Unsupported(
                 "NonRationalWitnessBase",
                 "polynomial vanishes at an irrational fan base point",
@@ -394,8 +393,11 @@ def fan_to_json(fan: Fan) -> str:
 
 def fan_from_json(text: str, scene: Scene) -> Fan:
     """The fan that `fan_to_json` wrote.  Text that is no such fan, with a
-    key missing, a value of the wrong type, a coordinate that is no fraction
-    or a kind other than the two, is an input error (`BasixError`)."""
+    key missing, a value of the wrong type, a coordinate that is no fraction,
+    a kind other than the two or an integer out of range, is an input error
+    (`BasixError`).  The ranges: N >= 1, m >= 1 for a point fan's family and
+    m >= 0 for a curve ordering's slot, and delta, eta, eta_prime and side
+    each +1 or -1."""
     try:
         d = json.loads(text)
         kind = d["kind"]
@@ -406,32 +408,43 @@ def fan_from_json(text: str, scene: Scene) -> Fan:
         raise BasixError(f"malformed fan: {type(exc).__name__}: {exc}") from exc
 
 
+def _int_field(d: dict, key: str, least: int | None = None) -> int:
+    """d[key] as an int: at least `least`, or with no `least` a sign, +1 or
+    -1; any other value is refused as input."""
+    v = int(d[key])
+    if (v < least) if least is not None else (v not in (1, -1)):
+        want = f"at least {least}" if least is not None else "1 or -1"
+        raise BasixError(f"malformed fan: {key} is {v}, not {want}")
+    return v
+
+
 def _fan_from_dict(d: dict, scene: Scene) -> Fan:
     chart = d.get("chart", "affine")
     if d["kind"] == "point_centered":
         center = (F(d["center"][0]), F(d["center"][1]))
         kept = tuple((int(n), F(c)) for n, c in d["terms"])
-        fam = ArcFamily(center, int(d["delta"]), int(d["N"]), kept, int(d["m"]), bool(d.get("swapped", False)))
-        g1 = fam.make_at(int(d["eta"]), F(d["a1"]))
-        g2 = fam.make_at(int(d["eta_prime"]), F(d["a2"]))
+        delta, N, m = _int_field(d, "delta"), _int_field(d, "N", 1), _int_field(d, "m", 1)
+        fam = ArcFamily(center, delta, N, kept, m, bool(d.get("swapped", False)))
+        g1 = fam.make_at(_int_field(d, "eta"), F(d["a1"]))
+        g2 = fam.make_at(_int_field(d, "eta_prime"), F(d["a2"]))
         return _point_fan(d["form_tag"], chart, fam, g1, g2)
     factor = d["factor"]
     if factor not in scene.factors:
         raise BasixError(f"fan references unknown factor {factor!r}")
     orderings: list[Ordering] = []
     for a in d["orderings"]:
-        slot = Slot(int(a["m"]), int(a["eta"]), F(a["a"])) if a["m"] is not None else None
+        slot = Slot(_int_field(a, "m", 0), _int_field(a, "eta"), F(a["a"])) if a["m"] is not None else None
         w_form = _w_form(slot.eta) if slot is not None else None
         if a["w_form"] != w_form:
             raise BasixError(f"ordering w_form {a['w_form']!r} is not {w_form!r}, the form its eta names")
         arc = PuiseuxArc(
             (F(a["center"][0]), F(a["center"][1])),
-            int(a["delta"]),
-            int(a["N"]),
+            _int_field(a, "delta"),
+            _int_field(a, "N", 1),
             tuple((int(n), F(c)) for n, c in a["terms"]),
             a["truncation"],
             slot=slot,
             swapped=bool(a.get("swapped", False)),
         )
-        orderings.append(ArcOrdering(arc, int(a["side"])))
+        orderings.append(ArcOrdering(arc, _int_field(a, "side")))
     return Fan(kind="curve_centered", form_tag=d["form_tag"], chart=chart, orderings=orderings, factor=factor)

@@ -1,11 +1,20 @@
 """Real root isolation and refinable root locators.
 
+Input is integer: a polynomial enters as its integer coefficient list, and
+the squarefree part, the root bound, the stripping of roots at a window's
+ends and every exact division by a found root run on integer lists.  (A
+`UniPoly` is accepted too, and taken by its primitive integer form.)
+
 Isolation is bisection driven by Descartes' rule on the interval-mapped
-polynomial (Collins & Akritas 1976), and roots are counted the same way:
-``open_count`` is the number of isolating intervals in a window.  All
-interval endpoints are rational, and every locator can be refined on demand
-to arbitrary width.  A squarefree part of degree 1 is solved directly: its
-root is an exact locator, with no walk and no search.
+polynomial (Collins & Akritas 1976; Rouillier & Zimmermann 2004), walked on
+an explicit stack so that no depth reaches the interpreter's recursion
+limit, and roots in a window are counted the same way: ``open_count`` is
+the number of isolating intervals in it.  All interval endpoints are
+rational, and every locator can be refined on demand to arbitrary width.  A
+squarefree part of degree 1 is solved directly: its root is an exact
+locator, with no walk and no search.  ``count_roots_below`` is a Sturm count
+instead, with no bisection at all, since a point far out or close to a root
+would need an unbounded walk.
 
 A locator from `isolate_real_roots` (with its default rational detection)
 is exact exactly when its root is rational, and `try_rational` is the one
@@ -18,7 +27,9 @@ simplest rational has a denominator at most b, so it is the root if the root
 is rational, and one exact test decides.
 
 `RootLocator` is the one type for a located real number: a rational enters
-as the exact locator ``RootLocator.at(x)``.  An exact locator keeps
+as the exact locator ``RootLocator.at(x)``.  A locator keeps the primitive
+integer form of its polynomial and builds the `UniPoly` ``.p`` lazily, only
+for a caller that reads it.  An exact locator keeps
 ``lo == hi == exact``, so bounds are always read from ``lo`` and ``hi``, and
 refining an exact locator does nothing.  `separate`, `between` and
 `RootLocator.sign` are the refinement loops the geometry runs on locators,
@@ -39,11 +50,20 @@ not to be a root; it is recomputed and probed only once it has left.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .errors import InternalError, Unsupported, ZeroPolynomial
-from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
+from .unipoly import (
+    UniPoly,
+    _ilist_derivative,
+    _ilist_exact_div,
+    _ilist_gcd,
+    _ilist_primitive,
+    _ilist_rem,
+    _ilist_squarefree,
+    homogeneous_horner,
+)
 
 Frac = Fraction
 
@@ -72,15 +92,20 @@ def _int_sign_at(c: list[int], x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
+def _primitive(p: list[int] | UniPoly) -> list[int]:
+    """The primitive integer form (positive leading coefficient) of an
+    integer coefficient list, trailing zeros allowed, or of a `UniPoly`."""
+    return p.int_primitive() if isinstance(p, UniPoly) else _ilist_primitive(p)
+
+
 def _mapped_int(c: list[int], a: Fraction, b: Fraction) -> list[int]:
     """Integer coefficients proportional to (1+x)^n * p((a + b x)/(1+x));
     the sign variation bounds the number of roots of p in (a, b)."""
-    from math import gcd as _g
-
     n = len(c) - 1
-    d = a.denominator * b.denominator // _g(a.denominator, b.denominator)
-    A = int(a * d)
-    B = int(b * d)
+    ad, bd = a.denominator, b.denominator
+    d = ad * bd // gcd(ad, bd)
+    A = a.numerator * (d // ad)
+    B = b.numerator * (d // bd)
     acc = [c[n]]
     pw = [1]  # (d(1+x))^(n-i), grown one step per iteration
     for i in range(n - 1, -1, -1):
@@ -102,38 +127,39 @@ def _mapped_int(c: list[int], a: Fraction, b: Fraction) -> list[int]:
     return acc
 
 
-def root_bound(p: UniPoly) -> Fraction:
-    """Cauchy bound: all real roots lie in (-B, B)."""
-    if p.degree <= 0:
+def root_bound(c: list[int]) -> Fraction:
+    """Cauchy bound of a trimmed nonzero integer list, rounded up to a power
+    of two for dyadic-friendly endpoints: all real roots lie in (-B, B)."""
+    if len(c) <= 1:
         return Fraction(1)
-    lc = abs(p.lc())
-    m = max(abs(v) for v in p.c[:-1]) if p.degree > 0 else Fraction(0)
-    b = 1 + m / lc
-    # round up to a power of two for dyadic-friendly endpoints
-    bb = Fraction(1)
-    while bb < b:
+    lc = abs(c[-1])
+    m = max(abs(v) for v in c[:-1])
+    # the least power of two bb with bb >= 1 + m / lc
+    bb = 1
+    while bb * lc < lc + m:
         bb *= 2
-    return bb
+    return Fraction(bb)
 
 
-@dataclass
 class RootLocator:
     """One real root of a squarefree polynomial, isolated in (lo, hi).
 
     ``exact`` is set when the root is a known rational, and then
     ``lo == hi == exact``; otherwise p changes sign across (lo, hi) and the
-    interval can be halved indefinitely.
+    interval can be halved indefinitely.  p is given as its primitive
+    integer coefficient list (positive leading coefficient) or as a
+    `UniPoly`; whichever form is missing is built on first use, so ``.p``
+    costs nothing until a caller reads it.
     """
 
-    p: UniPoly
-    lo: Fraction
-    hi: Fraction
-    exact: Fraction | None = None
-
-    def __post_init__(self):
-        if self.exact is None and not (self.lo < self.hi):
+    def __init__(self, p: list[int] | UniPoly, lo: Fraction, hi: Fraction, exact: Fraction | None = None):
+        if exact is None and not (lo < hi):
             raise ValueError("empty isolating interval")
-        self._ip: list[int] | None = None
+        if isinstance(p, UniPoly):
+            self._p, self._ip = p, None
+        else:
+            self._p, self._ip = None, p
+        self.lo, self.hi, self.exact = lo, hi, exact
         # sign of p at lo, valid while lo is the object _slo_at: refine moves
         # lo only to a point of the same sign
         self._slo_at: Fraction | None = None
@@ -143,15 +169,22 @@ class RootLocator:
     def at(cls, x: Fraction | int) -> "RootLocator":
         """The exact locator of a rational number."""
         x = Fraction(x)
-        return cls(UniPoly([-x, 1]), x, x, x)
+        return cls([-x.numerator, x.denominator], x, x, x)
 
-    def _ints(self) -> list[int]:
+    @property
+    def p(self) -> UniPoly:
+        if self._p is None:
+            self._p = UniPoly(self._ip)
+        return self._p
+
+    def ints(self) -> list[int]:
+        """The primitive integer form of p; shared, so not to be mutated."""
         if self._ip is None:
-            self._ip = self.p.int_primitive()
+            self._ip = self._p.int_primitive()
         return self._ip
 
     def _sign(self, x: Fraction) -> int:
-        return _int_sign_at(self._ints(), x)
+        return _int_sign_at(self.ints(), x)
 
     def refine(self) -> None:
         if self.exact is not None:
@@ -198,7 +231,7 @@ class RootLocator:
         docstring)."""
         if self.exact is not None:
             return self.exact
-        lc = self._ints()[-1]
+        lc = self.ints()[-1]
         width = Fraction(1, lc * lc)
         cand = None
         while True:
@@ -272,25 +305,27 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def isolate_real_roots(
-    p: UniPoly,
+    p: list[int] | UniPoly,
     lo: Fraction | None = None,
     hi: Fraction | None = None,
     detect_rational: bool = True,
 ) -> list[RootLocator]:
     """Disjoint isolating intervals for the distinct real roots of p in (lo, hi).
 
-    p is made squarefree internally; results are ordered increasingly.  With
-    ``detect_rational`` a locator is exact exactly when its root is rational;
-    without it, only roots met on the way are exact, which is enough for
-    counting.
+    p is an integer coefficient list (a `UniPoly` is taken by its primitive
+    integer form) and is made squarefree internally; results are ordered
+    increasingly.  With ``detect_rational`` a locator is exact exactly when
+    its root is rational; without it, only roots met on the way are exact,
+    which is enough for counting.
     """
-    if p.is_zero():
+    c = _primitive(p)
+    if not c:
         raise ValueError("cannot isolate roots of the zero polynomial")
-    sf = p.monic() if p.degree == 1 else squarefree_part(p)
-    if sf.degree <= 0:
+    if len(c) <= 1:
         return []
-    if sf.degree == 1:
-        x = -sf.c[0]
+    sf = _ilist_squarefree(c) if len(c) > 2 else c
+    if len(sf) == 2:
+        x = Fraction(-sf[0], sf[1])
         if (lo is None or lo < x) and (hi is None or x < hi):
             return [RootLocator(sf, x, x, exact=x)]
         return []
@@ -300,37 +335,31 @@ def isolate_real_roots(
     if a >= b:
         return []
     out: list[RootLocator] = []
-
-    def emit_exact(x: Fraction):
-        out.append(RootLocator(sf, x, x, exact=x))
-
-    def walk(a: Fraction, b: Fraction, q: UniPoly, ic: list[int]):
-        var = sign_variations(_mapped_int(ic, a, b))
-        if var == 0:
-            return
-        if var == 1 and _int_sign_at(ic, a) != 0 and _int_sign_at(ic, b) != 0:
-            # carry the root-stripped polynomial: its endpoint signs are the
-            # refinement certificate (sf itself may vanish at an endpoint)
-            out.append(RootLocator(q, a, b))
-            return
-        m = _midpoint(a, b)
-        if _int_sign_at(ic, m) == 0:
-            q2 = q.exact_div(UniPoly([-m, 1]))
-            ic2 = q2.int_primitive()
-            emit_exact(m)
-            walk(a, m, q2, ic2)
-            walk(m, b, q2, ic2)
-            return
-        walk(a, m, q, ic)
-        walk(m, b, q, ic)
-
     q = sf
     # strip roots at the window endpoints so Descartes sees open intervals
     for e in (a, b):
-        while not q.is_zero() and q.eval(e) == 0:
-            q = q.exact_div(UniPoly([-e, 1]))
-    if q.degree > 0:
-        walk(a, b, q, q.int_primitive())
+        while len(q) > 1 and _int_sign_at(q, e) == 0:
+            q = _ilist_exact_div(q, [-e.numerator, e.denominator])
+    # Descartes bisection on an explicit stack, left half on top, so roots
+    # come out in the order of a left-first recursive walk whatever the depth;
+    # each entry carries the polynomial with the roots found so far removed
+    todo = [(a, b, q)] if len(q) > 1 else []
+    while todo:
+        a, b, q = todo.pop()
+        var = sign_variations(_mapped_int(q, a, b))
+        if var == 0:
+            continue
+        if var == 1 and _int_sign_at(q, a) != 0 and _int_sign_at(q, b) != 0:
+            # carry the root-stripped polynomial: its endpoint signs are the
+            # refinement certificate (sf itself may vanish at an endpoint)
+            out.append(RootLocator(q, a, b))
+            continue
+        m = _midpoint(a, b)
+        if _int_sign_at(q, m) == 0:
+            q = _ilist_exact_div(q, [-m.numerator, m.denominator])
+            out.append(RootLocator(sf, m, m, exact=m))
+        todo.append((m, b, q))
+        todo.append((a, m, q))
     out.sort(key=lambda r: r.lo)
     # ensure pairwise disjoint (Descartes bisection already guarantees it,
     # but exact roots found mid-walk may touch interval endpoints)
@@ -345,7 +374,7 @@ def isolate_real_roots(
     return out
 
 
-def rational_roots(p: UniPoly) -> tuple[list[Fraction], bool]:
+def rational_roots(p: list[int] | UniPoly) -> tuple[list[Fraction], bool]:
     """The rational real roots of p, sorted, and whether p also has an
     irrational real root: the exact and inexact locators of
     `isolate_real_roots`.  Complete; never Unsupported."""
@@ -356,11 +385,14 @@ def rational_roots(p: UniPoly) -> tuple[list[Fraction], bool]:
 # -- counting and comparison ----------------------------------------------------
 
 
-def open_count(p: UniPoly, a: Fraction, b: Fraction) -> int:
+def open_count(p: list[int] | UniPoly, a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b)."""
-    if definitely_no_roots(p, a, b):
+    c = _primitive(p)
+    # a nonzero constant has no roots, and neither has a polynomial whose
+    # Descartes bound on (a, b) is zero
+    if len(c) == 1 or (c and sign_variations(_mapped_int(c, a, b)) == 0):
         return 0
-    return len(isolate_real_roots(p, a, b, detect_rational=False))
+    return len(isolate_real_roots(c, a, b, detect_rational=False))
 
 
 def clear_of_roots(c: list[int], a: Fraction, b: Fraction) -> bool:
@@ -373,22 +405,33 @@ def clear_of_roots(c: list[int], a: Fraction, b: Fraction) -> bool:
         return False
     if len(c) <= 2 or sign_variations(_mapped_int(c, a, b)) == 0:
         return True
-    return not isolate_real_roots(UniPoly(c), a, b, detect_rational=False)
+    return not isolate_real_roots(c, a, b, detect_rational=False)
 
 
-def count_roots_below(p: UniPoly, x: Fraction) -> int:
-    """Number of distinct real roots of p in (-inf, x)."""
-    if p.is_zero():
+def count_roots_below(p: list[int] | UniPoly, y: Fraction) -> int:
+    """Number of distinct real roots of p in (-inf, y): Sturm's theorem on
+    the primitive squarefree part s of p.  With s_0 = s, s_1 = s' and
+    s_(k+1) a negative multiple of the remainder of s_(k-1) by s_k, V(-inf) -
+    V(y) counts the roots in (-inf, y], V the sign variations along the
+    sequence; less 1 when y is a root.  No bisection, so no depth: the cost
+    does not grow with y's height or its distance to a root."""
+    c = _primitive(p)
+    if not c:
         raise ZeroPolynomial("squarefree_part(0)")
-    return len(isolate_real_roots(p, None, x, detect_rational=False))
-
-
-def definitely_no_roots(p: UniPoly, a: Fraction, b: Fraction) -> bool:
-    """Fast certificate that p has no real roots in (a, b) (Descartes bound
-    zero on the mapped polynomial); False is inconclusive."""
-    if p.degree <= 0:
-        return not p.is_zero()
-    return sign_variations(_mapped_int(p.int_primitive(), a, b)) == 0
+    if len(c) <= 1:
+        return 0
+    seq = [_ilist_squarefree(c)]
+    r = _ilist_primitive(_ilist_derivative(seq[0]))
+    while r:
+        seq.append(r)
+        r = _ilist_rem(seq[-2], r)
+        if r:
+            g = gcd(*r)
+            r = [-v // g for v in r]
+    at_y = [_int_sign_at(s, y) for s in seq]
+    # at -inf each member has the sign of its leading term at -inf
+    at_minus_inf = [s[-1] if len(s) % 2 else -s[-1] for s in seq]
+    return sign_variations(at_minus_inf) - sign_variations(at_y) - (at_y[0] == 0)
 
 
 def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
@@ -397,11 +440,11 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
     if r1.exact is not None and r2.exact is not None:
         return r1.exact == r2.exact
     if r1.exact is not None:
-        return r2.contains(r1.exact) and r2.p.eval(r1.exact) == 0
+        return r2.contains(r1.exact) and r2._sign(r1.exact) == 0
     if r2.exact is not None:
-        return r1.contains(r2.exact) and r1.p.eval(r2.exact) == 0
-    g = poly_gcd(r1.p, r2.p)
-    if g.degree <= 0:
+        return r1.contains(r2.exact) and r1._sign(r2.exact) == 0
+    g = _ilist_gcd(r1.ints(), r2.ints())
+    if len(g) <= 1:
         return False
     lo = max(r1.lo, r2.lo)
     hi = min(r1.hi, r2.hi)
@@ -410,7 +453,7 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
         # separate locators of the same number always keep overlapping.
         return False
     # avoid g-roots at the window endpoints
-    while g.eval(lo) == 0 or g.eval(hi) == 0:
+    while _int_sign_at(g, lo) == 0 or _int_sign_at(g, hi) == 0:
         r1.refine()
         r2.refine()
         lo = max(r1.lo, r2.lo)
@@ -420,14 +463,15 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
     return open_count(g, lo, hi) > 0
 
 
-def vanishes_at(u: UniPoly, r: RootLocator) -> bool:
+def vanishes_at(u: list[int] | UniPoly, r: RootLocator) -> bool:
     """Decide exactly whether u vanishes at the located number: at an exact
     one by evaluation; otherwise r.p has exactly one root in (lo, hi) and
     none at the ends, so u vanishes there iff gcd(u, r.p) has a root in
     (lo, hi)."""
+    c = _primitive(u)
     if r.exact is not None:
-        return u.eval(r.exact) == 0
-    return open_count(poly_gcd(u, r.p), r.lo, r.hi) > 0
+        return _int_sign_at(c, r.exact) == 0
+    return open_count(_ilist_gcd(c, r.ints()), r.lo, r.hi) > 0
 
 
 def refine_disjoint(locs: list[RootLocator]) -> None:

@@ -96,7 +96,7 @@ from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal,
 from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import UniPoly, homogeneous_horner
+from .unipoly import UniPoly, _ilist_derivative, homogeneous_horner
 
 F = Fraction
 
@@ -212,9 +212,10 @@ def _cone_lines(p: BiPoly) -> Cone:
     lines: list[RootLocator | None] = [None] if vertical else []
     multiple = vertical > 1
     if h.degree > 0:
-        roots = isolate_real_roots(h)
+        hi = h.int_primitive()
+        roots = isolate_real_roots(hi)
         lines += roots
-        multiple = multiple or any(vanishes_at(h.derivative(), r) for r in roots)
+        multiple = multiple or any(vanishes_at(_ilist_derivative(hi), r) for r in roots)
     return lines, multiple
 
 
@@ -318,12 +319,12 @@ def _resolve_site(
     # marked points: real roots of the strict transforms on u = 0, each
     # tagged with every strict transform through it
     marks: list[MarkedPoint] = []
-    restrictions: dict[object, UniPoly] = {}
+    restrictions: dict[object, list[int]] = {}
     for tag, sc in stricts:
-        u0 = restrictions[tag] = sc.specialize_x(F(0))
-        if u0.is_zero():
+        u0 = restrictions[tag] = sc.int_fibre(0)
+        if not u0:
             raise Unsupported("DegenerateStrictTransform", str(tag))
-        if u0.degree < 1:
+        if len(u0) < 2:
             continue
         for loc in isolate_real_roots(u0):
             placed = False
@@ -342,7 +343,7 @@ def _resolve_site(
     # has a simple root there (then the branch is unique, smooth, and
     # transversal to the exceptional line)
     for mp in marks:
-        if len(mp.tags) == 1 and not vanishes_at(restrictions[mp.tags[0]].derivative(), mp.v):
+        if len(mp.tags) == 1 and not vanishes_at(_ilist_derivative(restrictions[mp.tags[0]]), mp.v):
             tree.certificate.append(f"D{level} at v={_vstr(mp.v)}: transversal simple crossing")
             continue
         vex = mp.v.exact

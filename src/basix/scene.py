@@ -257,13 +257,13 @@ def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
     if p.deg_x >= 1 and p.swap_xy().content_x().degree >= 1:
         return "content in y"
     if p.deg_y == 0:
-        roots, _ = rational_roots(p.y_coeffs()[0])
+        roots, _ = rational_roots(p.y_coeffs()[0].int_primitive())
         return f"divisible by {BiPoly({(1, 0): 1, (0, 0): -roots[0]}).to_text()}" if roots else None
     d = p.total_degree
-    slopes, _ = rational_roots(UniPoly([p.t.get((d - j, j), 0) for j in range(d + 1)]))
+    slopes, _ = rational_roots(UniPoly([p.t.get((d - j, j), 0) for j in range(d + 1)]).int_primitive())
     if not slopes:
         return None
-    intercepts, _ = rational_roots(p.specialize_x(0))
+    intercepts, _ = rational_roots(p.int_fibre(0))
     for m in slopes:
         for c in intercepts:
             line = BiPoly({(0, 1): 1, (1, 0): -m, (0, 0): -c})

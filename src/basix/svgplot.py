@@ -81,8 +81,8 @@ def render_svg(d: SetDecomposition, width: int = 480, window: float = 4.0) -> st
             span = _slab_span(arr, s, window)
             for k in range(1, 8):
                 xq = span[0] + (span[1] - span[0]) * F(k, 8)
-                u = poly.specialize_x(xq)
-                if u.degree < 1:
+                u = poly.int_fibre(xq)
+                if len(u) < 2:
                     continue
                 roots = isolate_real_roots(u)
                 if i < len(roots):

@@ -223,17 +223,18 @@ def homogeneous_horner(c: list[int], num: int, den: int) -> tuple[int, int]:
     return acc, dn
 
 
-def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
-    """Primitive remainder of a by b, integer coefficient lists.
+def _ilist_rem(a: list[int], b: list[int]) -> list[int]:
+    """A positive integer multiple of the remainder of a by b over Q, for
+    trimmed integer coefficient lists (trimmed, not made primitive).
 
     Each step cancels the leading term of r with a multiple of b, scaling r
-    by ``blc / gcd(blc, lead)`` instead of blc; the result is a nonzero
-    integer multiple of the remainder over Q, normalised like
-    ``UniPoly.int_primitive`` (content 1, positive leading coefficient).
+    by ``blc / gcd(blc, lead)`` instead of blc; a negative scale flips the
+    sign, which is undone at the end, so Sturm sequences can be built on it.
     """
     r = list(a)
     d = len(b) - 1
     blc = b[-1]
+    neg = False
     while len(r) - 1 >= d:
         while r and r[-1] == 0:
             r.pop()
@@ -244,16 +245,30 @@ def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
         s, f = blc // g, r[-1] // g
         if s != 1:
             r = [v * s for v in r]
+            neg ^= s < 0
         for i, v in enumerate(b):
             r[k + i] -= f * v
         r.pop()
     while r and r[-1] == 0:
         r.pop()
-    return _ilist_primitive(r)
+    return [-v for v in r] if neg else r
+
+
+def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
+    """Primitive remainder of a by b, integer coefficient lists: `_ilist_rem`
+    normalised like ``UniPoly.int_primitive`` (content 1, positive leading
+    coefficient)."""
+    return _ilist_primitive(_ilist_rem(a, b))
 
 
 def _ilist_primitive(r: list[int]) -> list[int]:
-    """r over its content, with a positive leading coefficient (r trimmed)."""
+    """r without its trailing zeros, over its content, with a positive
+    leading coefficient."""
+    if r and not r[-1]:
+        n = len(r) - 1
+        while n and not r[n - 1]:
+            n -= 1
+        r = r[:n]
     if not r:
         return []
     g = 0
@@ -264,33 +279,40 @@ def _ilist_primitive(r: list[int]) -> list[int]:
     return [v // g for v in r]
 
 
+def _ilist_gcd(a: list[int], b: list[int]) -> list[int]:
+    """Primitive gcd of two primitive integer lists; [] when both are 0."""
+    while b:
+        a, b = b, _ilist_pseudo_rem(a, b)
+    return a
+
+
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor; poly_gcd(a, 0) = monic(a)."""
-    ia, ib = a.int_primitive(), b.int_primitive()
-    while ib:
-        ia, ib = ib, _ilist_pseudo_rem(ia, ib)
-    if not ia:
-        return UniPoly.zero()
-    return UniPoly(ia).monic()
+    g = _ilist_gcd(a.int_primitive(), b.int_primitive())
+    return UniPoly(g).monic() if g else UniPoly.zero()
+
+
+def _ilist_derivative(a: list[int]) -> list[int]:
+    return [i * v for i, v in enumerate(a)][1:]
+
+
+def _ilist_squarefree(a: list[int]) -> list[int]:
+    """The squarefree part of a nonempty primitive integer list a, as a
+    primitive list with a's leading sign: ``a / gcd(a, a')``, an integer
+    list by Gauss's lemma (the gcd is primitive)."""
+    g = _ilist_gcd(a, _ilist_primitive(_ilist_derivative(a)))
+    return _ilist_exact_div(a, g) if len(g) > 1 else a
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p.
-
-    With ``a = int_primitive(p)`` and ``g`` the primitive gcd of ``a`` and
-    ``a'``, the quotient ``a / g`` is an integer list (Gauss's lemma: ``g``
-    is primitive), primitive with a positive leading coefficient ``lc``; the
-    monic result is that list over ``lc``, and that list is its integer form.
-    """
+    """Monic product of the distinct irreducible factors of p: the primitive
+    `_ilist_squarefree` of p's integer form, with a positive leading
+    coefficient ``lc``, over ``lc``; that list is its integer form."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree_part(0)")
     if p.degree == 0:
         return UniPoly.one()
-    a = p.int_primitive()
-    g, r = a, _ilist_primitive([i * v for i, v in enumerate(a)][1:])
-    while r:
-        g, r = r, _ilist_pseudo_rem(g, r)
-    q = _ilist_exact_div(a, g) if len(g) > 1 else a
+    q = _ilist_squarefree(p.int_primitive())
     lc = q[-1]
     out = UniPoly([Fraction(v, lc) for v in q])
     out._ic = (q, lc)

@@ -1198,3 +1198,151 @@ def test_classification_composes_nothing(monkeypatch):
         assert v.answer == "Yes"
         assert all(located[chart] > before[chart] for chart in located), (before, located)
     assert classified[0] >= 10 and composed == []
+
+
+# ---------------------------------------------------------------- integer fibres
+
+
+def _fraction_mapped_variations(q, a, b):
+    """Sign variations of (1 + x)^n q((a + b x)/(1 + x)), built on `Fraction`s."""
+    n = q.degree
+    mapped = UniPoly()
+    for i, c in enumerate(q.c):
+        mapped = mapped + (P(a, b) ** i * P(1, 1) ** (n - i)).scale(c)
+    signs = [v for v in mapped.c if v]
+    return sum(1 for u, v in zip(signs, signs[1:]) if (u > 0) != (v > 0))
+
+
+def _fraction_isolate(p, lo=None, hi=None, detect_rational=True):
+    """Root isolation on `Fraction` polynomials, as it ran before it moved to
+    integer lists: the monic squarefree part, a `Fraction` root bound, roots
+    at the window's ends and at midpoints divided out by `UniPoly.exact_div`,
+    a recursive Descartes walk; an oracle for `isolate_real_roots`."""
+    sf = p.monic() if p.degree == 1 else squarefree_part(p)
+    if sf.degree <= 0:
+        return []
+    if sf.degree == 1:
+        x = -sf.c[0]
+        inside = (lo is None or lo < x) and (hi is None or x < hi)
+        return [RootLocator(sf, x, x, exact=x)] if inside else []
+    bound, B = 1 + max(abs(v) for v in sf.c[:-1]) / abs(sf.lc()), F(1)
+    while B < bound:
+        B *= 2
+    a, b = (lo if lo is not None else -B), (hi if hi is not None else B)
+    if a >= b:
+        return []
+    out = []
+
+    def walk(a, b, q):
+        var = _fraction_mapped_variations(q, a, b)
+        if var == 0:
+            return
+        if var == 1 and q.eval(a) != 0 and q.eval(b) != 0:
+            out.append(RootLocator(q, a, b))
+            return
+        m = (a + b) / 2
+        if q.eval(m) == 0:
+            q = q.exact_div(P(-m, 1))
+            out.append(RootLocator(sf, m, m, exact=m))
+        walk(a, m, q)
+        walk(m, b, q)
+
+    q = sf
+    for e in (a, b):
+        while q.eval(e) == 0:
+            q = q.exact_div(P(-e, 1))
+    if q.degree > 0:
+        walk(a, b, q)
+    out.sort(key=lambda r: r.lo)
+    for r1, r2 in zip(out, out[1:]):
+        while r1.hi > r2.lo:
+            r1.refine()
+            r2.refine()
+    if detect_rational:
+        for r in out:
+            if r.exact is None:
+                r.try_rational()
+    return out
+
+
+@given(
+    int_coeffs,
+    st.integers(1, 7),
+    st.integers(-9, 9),
+    st.integers(1, 3),
+    st.one_of(st.none(), small_fracs),
+    st.one_of(st.none(), small_fracs),
+    st.booleans(),
+)
+@example([-2, 0, 1], 3, 1, 2, F(1, 3), None, True)  # a double root at the window's end
+@example([0, -1, 0, 1], 1, 0, 1, None, None, False)  # a root at the first midpoint
+@settings(max_examples=200, deadline=None)
+def test_integer_isolation_matches_the_fraction_oracle(coeffs, q, p0, k, lo, hi, detect_rational):
+    # the same intervals, the same exact roots, the same polynomial behind
+    # every locator (up to a positive factor), in the same order
+    p = UniPoly(coeffs) * P(-p0, q) ** k
+    new = isolate_real_roots(p.int_primitive(), lo, hi, detect_rational)
+    old = _fraction_isolate(p, lo, hi, detect_rational)
+    assert [(r.lo, r.hi, r.exact, r.ints()) for r in new] == [(r.lo, r.hi, r.exact, r.p.int_primitive()) for r in old]
+    # a UniPoly is taken by its primitive integer form
+    assert [_state(r) for r in isolate_real_roots(p, lo, hi, detect_rational)] == [_state(r) for r in new]
+
+
+@given(
+    st.dictionaries(
+        st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        st.fractions(min_value=-9, max_value=9, max_denominator=12),
+        max_size=8,
+    ),
+    st.one_of(st.integers(-9, 9), st.fractions(min_value=-5, max_value=5, max_denominator=40)),
+)
+@example({(0, 2): F(-1, 3), (1, 0): F(1, 2)}, F(-2, 7))  # a negative leading coefficient in y
+@settings(max_examples=200, deadline=None)
+def test_int_fibre_is_the_fraction_fibre_times_a_positive_denominator(terms, x0):
+    f, x0 = BiPoly(terms), F(x0)
+    ref = [sum((v * x0**i for (i, j), v in f.t.items() if j == k), F(0)) for k in range(f.deg_y + 1)]
+    while ref and ref[-1] == 0:
+        ref.pop()
+    c = f.int_fibre(x0)
+    den = f.int_y_rows()[1] * x0.denominator ** max(f.deg_x, 0)
+    assert all(type(v) is int for v in c)
+    assert c == [v * den for v in ref]
+    assert not ref or (c[-1] > 0) == (ref[-1] > 0)
+    assert f.specialize_x(x0) == UniPoly(ref)
+
+
+_SQRT2_1000 = F(math.isqrt(2 * 4**1000), 2**1000)  # sqrt2 to 1,000 bits, just below it
+
+
+@given(
+    int_coeffs,
+    st.one_of(
+        small_fracs,
+        st.builds(F, st.integers(-(2**1000), 2**1000), st.integers(1, 2**1000)),
+        st.builds(lambda k: _SQRT2_1000 + F(k, 2**1001), st.integers(-3, 3)),
+    ),
+    st.booleans(),
+)
+@example([-2, 0, 1], _SQRT2_1000, False)
+@example([-2, 0, 1], _SQRT2_1000, True)
+@example([0, -1, 0, 1], F(0), False)
+@settings(max_examples=150, deadline=None)
+def test_sturm_count_below_matches_the_isolation_count(coeffs, y, root_at_y):
+    # at roots and off them, at points of up to 1,000 bits and next to sqrt2
+    p = UniPoly(coeffs)
+    if root_at_y:
+        p = p * P(-y.numerator, y.denominator)
+    want = len(isolate_real_roots(p, None, y, detect_rational=False))
+    assert count_roots_below(p, y) == want
+    assert count_roots_below([-3 * v for v in p.int_primitive()], y) == want
+
+
+def test_isolation_parts_roots_2_to_the_minus_1100_apart():
+    # the walk bisects about 1,100 times to part 1/3 from 1/3 + 2^-1100, deeper
+    # than the interpreter's recursion limit
+    r = F(1, 3) + F(1, 2**1100)
+    p = P(-1, 3) * P(-r.numerator, r.denominator)
+    assert [loc.exact for loc in isolate_real_roots(p)] == [F(1, 3), r]
+    counted = isolate_real_roots(p.int_primitive(), detect_rational=False)
+    assert len(counted) == 2 and counted[0].hi <= counted[1].lo
+    assert [count_roots_below(p, y) for y in (F(1, 3), (F(1, 3) + r) / 2, r, r + 1)] == [0, 1, 1, 2]

@@ -278,12 +278,12 @@ def test_factor_vanishing_on_a_slab_sample_is_an_internal_error(monkeypatch):
     # f(s, y) == 0 at a slab sample needs a leading coefficient in y that
     # vanishes at s: a constant one never does, and any other is critical,
     # so its real roots are walls; only an engine fault can reach this
-    real = BiPoly.specialize_x
+    real = BiPoly.int_fibre
 
     def broken(self, x):
-        return UniPoly() if x == 0 else real(self, x)
+        return [] if x == 0 else real(self, x)
 
-    monkeypatch.setattr(BiPoly, "specialize_x", broken)
+    monkeypatch.setattr(BiPoly, "int_fibre", broken)
     with pytest.raises(InternalError, match="vanishes on the slab sample x = 0"):
         build_arrangement(S("factor a = y - x; set S = { a > 0 };"))
 
@@ -555,3 +555,55 @@ def test_a_forged_branch_count_is_an_internal_error(monkeypatch):
     # a multiple root can take no end, but the simple ones each need one
     with pytest.raises(InternalError, match="cannot reach"):
         arrangement._counted_fates([0, 1, 2], [1], 1)
+
+
+def test_irrational_wall_fibre_parts_roots_2_to_the_minus_1100_apart():
+    # y = x and y = x + 2^-1100 over the wall x = sqrt2: the windows are
+    # bisected about 1,100 times, deeper than the interpreter's recursion limit
+    eps = Fraction(1, 2**1100)
+    alpha = isolate_real_roots(UniPoly([-2, 0, 1]))[1]
+    at = _IrrationalAbscissa(alpha, [])
+    f = parse_poly("y - x") * (parse_poly("y - x") - BiPoly.const(eps))
+    low, high = _Fibre(at, "f", f).windows()
+    assert low.hi <= high.lo
+    assert low.lo**2 < 2 < low.hi**2
+    assert (high.lo - eps) ** 2 < 2 < (high.hi - eps) ** 2
+
+
+def test_arrangement_fibres_stay_on_integer_rows(monkeypatch):
+    # every fibre x = c the arrangement isolates or counts is an integer list
+    # from `BiPoly.int_fibre`: no `Fraction` fibre from `specialize_x`, and no
+    # monic polynomial, is made while an arrangement is built or locates
+    # points.  Only a level line y = c of `_level_clear` is specialised in y,
+    # which swaps x and y and then calls `specialize_x`
+    import sys
+
+    from conftest import FIXTURE_DIR, bench_scene_texts
+
+    from basix.scene import project_scene
+
+    called = []
+
+    def watched(real):
+        def wrapper(self, *args):
+            f = sys._getframe(1)
+            while f and f.f_code.co_filename != arrangement.__file__:
+                f = f.f_back
+            if f:
+                called.append((real.__name__, sys._getframe(1).f_code.co_name, f.f_code.co_name))
+            return real(self, *args)
+
+        return wrapper
+
+    texts = list(bench_scene_texts(monkeypatch, "lines").values())
+    texts += [p.read_text(encoding="utf-8") for p in sorted(FIXTURE_DIR.glob("*.bsx"))]
+    scenes = [Scene.from_text(t) for t in texts]
+    scenes += [invert_scene(sc) for sc in scenes]
+    projections = [project_scene(sc) for sc in scenes]
+    monkeypatch.setattr(BiPoly, "specialize_x", watched(BiPoly.specialize_x))
+    monkeypatch.setattr(UniPoly, "monic", watched(UniPoly.monic))
+    for sc, proj in zip(scenes, projections):
+        arr = build_arrangement(sc, proj)
+        for r in arr.regions:
+            assert arr.region_of_point(*r.sample) == r.rid
+    assert set(called) <= {("specialize_x", "specialize_y", "_level_clear")}, called

@@ -369,6 +369,29 @@ def test_a_node_with_irrational_tangents_is_resolved(label, prop):
     assert (v.answer, v.reason) == ("Yes", "")
 
 
+# node-sqrt2 of the differential, y^2 - x^6 + 3x^4 - 4, under the shear
+# (x, y) -> (x + y/2, y): the answer must not change under a plane
+# automorphism.  Condition (b) locates points of the pole's D4, which back in
+# the affine chart have coordinates near 3*10^105, next to a fibre root;
+# counting the roots below them by bisection overflowed the recursion limit
+NODE_SQRT2_SHEARED = (
+    "factor f = -1/64*y^6 - 3/16*x*y^5 - 15/16*x^2*y^4 + 3/16*y^4 - 5/2*x^3*y^3 + 3/2*x*y^3"
+    " - 15/4*x^4*y^2 + 9/2*x^2*y^2 + y^2 - 3*x^5*y + 6*x^3*y - x^6 + 3*x^4 - 4; set S = { f > 0 };"
+)
+
+
+@pytest.mark.parametrize("prop", ["basic_open", "generically_basic"])
+def test_sheared_node_sqrt2_answers_as_node_sqrt2(prop):
+    x, y = BiPoly.x(), BiPoly.y()
+    sheared = y**2 - (x + y.scale(F(1, 2))) ** 6 + (x + y.scale(F(1, 2))) ** 4 * BiPoly.const(3) - BiPoly.const(4)
+    scene = S(NODE_SQRT2_SHEARED)
+    assert scene.factors["f"] == sheared
+    original = S("factor f = y^2 - x^6 + 3*x^4 - 4; set S = { f > 0 };")
+    assert run_check(CheckRequest(original, prop)).answer == "Yes"
+    v = run_check(CheckRequest(scene, prop))
+    assert (v.answer, v.reason) == ("Yes", "")
+
+
 # rational singular points with large denominators, on fibres of degree 2 and
 # above: a cusp at (0, 1/3^10), and two tangent curves whose blow-up meets
 # the exceptional line at the slope 1/3^30

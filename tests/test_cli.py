@@ -186,6 +186,54 @@ def test_verify_fan_reports_a_malformed_fan_as_an_input_error(tmp_path, capsys, 
     assert capsys.readouterr().out.splitlines()[0] == "membership count: 0"
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("N", 0), ("m", 0), ("delta", 0), ("eta", 5), ("eta_prime", 2), ("side", 0)],
+)
+def test_verify_fan_refuses_out_of_range_values_as_input_errors(tmp_path, capsys, field, value):
+    # a degenerate arc (N or delta 0), a family through no centre (m 0) or a
+    # sign that is no sign is no fan: refused, not judged as one
+    if field == "side":
+        report = tmp_path / "report.json"
+        _check(capsys, FIXTURES / "para.bsx", "basic-open", "--witness", "--format", "json", "--out", str(report))
+        fan = json.loads(report.read_text(encoding="utf-8"))["witness"]
+        fan["orderings"][0]["side"] = value
+    else:
+        fan = {**POINT_FAN, field: value}
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    assert cli.main(["verify-fan", str(path), str(FIXTURES / "para.bsx")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed fan: {field} is {value}"), err
+
+
+@pytest.mark.parametrize("kind", ["a directory", "binary data"])
+def test_an_unreadable_scene_file_is_an_input_error(tmp_path, capsys, kind):
+    # file errors are the input's fault, not the engine's: exit 3, not 4
+    if kind == "a directory":
+        path = tmp_path
+    else:
+        path = tmp_path / "scene.bsx"
+        path.write_bytes(b"\xff\xfe\x00factor")
+    code, out = _check(capsys, path, "basic-open")
+    assert code == cli.EXIT_INPUT
+    assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), ZeroDivisionError("division by zero")])
+def test_an_engine_exception_exits_4_not_no(monkeypatch, capsys, exc):
+    # any exception that is no BasixError is an engine fault: exit 4, never
+    # the exit 1 of a "No" that an uncaught exception would give
+    def broken(req):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_check", broken)
+    code, out = _check(capsys, FIXTURES / "half.bsx", "basic-open")
+    assert code == cli.EXIT_INTERNAL
+    assert out.err.startswith(f"internal error: {type(exc).__name__}: {exc}")
+    assert "Traceback" not in out.err
+
+
 # sha256 of `basix plot fixtures/<name>.bsx` with the default window and width
 PLOT_SHA256 = {
     "half": "67cd989d5360c9e6cfd373c600f9590fac2cfce3507f9fb2da087d34df3ba6bc",
