@@ -1,16 +1,16 @@
 """Sparse bivariate polynomials over the rationals.
 
 The canonical text form uses variables x and y, ``^`` for powers and ``*`` for
-products, e.g. ``y^2 - x^3``.  Resultants are Sylvester determinants, computed
-entirely on integers: both polynomials are scaled once to integer
-y-coefficient rows, the rows are specialised by integer Horner at the
-consecutive integer abscissae ``lo .. lo + N - 1`` (N one more than the
-x-degree bound), each specialised determinant is taken by fraction-free
-Bareiss elimination, and the polynomial is recovered from the values by
-forward differences in the binomial basis, accumulated over the common
-factor ``(N - 1)!``.  Rationals are built only for the final coefficients.
-Determinants commute with specialisation, so no leading-coefficient caveats
-apply.
+products, e.g. ``y^2 - x^3``.  Resultants are Sylvester determinants over
+Z[x], taken by one fraction-free Bareiss elimination: both polynomials are
+scaled once to integer y-coefficient rows, and each entry, an integer
+polynomial in x, is held as its value at x = 2^B, with 2^(B-1) above the
+product of the rows' coefficient sums.  That product bounds the coefficient
+sum of every minor, so the packing is injective on every entry the
+elimination meets and commutes with its products and exact divisions; the
+determinant's balanced base-2^B digits are the resultant's coefficients
+over the scaling.  No value is interpolated, and no leading coefficient
+needs to stay nonzero.
 
 A `BiPoly` is never mutated after construction.  Its coefficient rows in y
 (``y_coeffs``), its integer rows (the coefficients times their least common
@@ -39,7 +39,7 @@ from math import gcd as _igcd
 from typing import Iterable, Iterator
 
 from .errors import DegreeZero, InternalError, ZeroPolynomial
-from .unipoly import UniPoly, homogeneous_horner, poly_gcd, squarefree_part
+from .unipoly import UniPoly, poly_gcd, squarefree_part
 
 Frac = Fraction
 Term = tuple[int, int]  # (i, j) exponents of x^i y^j
@@ -503,68 +503,68 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str = "y") -> UniPoly:
     gr, lg = g.int_y_rows()
     fr.reverse()
     gr.reverse()
-    # N = bound + 1 values determine Res_y in x; the first N nodes of
-    # 0, 1, -1, 2, -2, ... are the consecutive integers lo .. lo + N - 1
-    N = f.deg_x * n + g.deg_x * m + 1
-    lo = -((N - 1) // 2)
-    d = [_sylvester_det_fixed(_int_values(fr, x0), m, _int_values(gr, x0), n) for x0 in range(lo, lo + N)]
-    # forward differences: d[j] becomes the j-th difference at lo
-    for j in range(1, N):
-        for i in range(N - 1, j - 1, -1):
-            d[i] -= d[i - 1]
-    # (N-1)! * P(x) = sum_j d[j] * (N-1)!/j! * prod_{i<j} (x - lo - i),
-    # expanded by Horner from the top term; w runs through (N-1)!/j!
-    acc = [d[N - 1]]
-    w = 1
-    for j in range(N - 2, -1, -1):
-        w *= j + 1
-        a = lo + j
-        nxt = [0] * (len(acc) + 1)
-        for k, c in enumerate(acc):
-            nxt[k + 1] += c
-            nxt[k] -= a * c
-        nxt[0] += d[j] * w
-        acc = nxt
-    denom = w * lf**n * lg**m
-    return UniPoly([Fraction(c, denom) for c in acc])
-
-
-def _int_values(rows: list[list[int]], x0: int) -> list[int]:
-    """Each integer row evaluated at the integer x0."""
-    return [homogeneous_horner(r, x0, 1)[0] if r else 0 for r in rows]
-
-
-def _sylvester_det_fixed(ra: list[int], m: int, rb: list[int], n: int) -> int:
-    """Determinant of the Sylvester matrix of shapes (m, n) with the integer
-    coefficients ra (m + 1 of them) and rb (n + 1), leading first; vanished
-    leading coefficients keep their zero entries.  Eliminated with the
-    fraction-free Bareiss scheme."""
+    # p -> p(2^B) is injective on the polynomials with absolute coefficient
+    # sums under 2^(B-1); every minor of the Sylvester matrix, each Bareiss
+    # entry and the determinant included, has at most |F|_1^n * |G|_1^m
+    nf, ng = (sum(abs(v) for r in rows for v in r) for rows in (fr, gr))
+    B = (nf**n * ng**m).bit_length() + 1
+    pf, pg = [_pack(r, B) for r in fr], [_pack(r, B) for r in gr]
     size = m + n
-    rows: list[list[int]] = []
-    for i in range(n):
-        rows.append([0] * i + ra + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + rb + [0] * (size - n - 1 - i))
-    sign = 1
-    prev = 1
-    for kk in range(size - 1):
-        if rows[kk][kk] == 0:
-            for j in range(kk + 1, size):
-                if rows[j][kk] != 0:
-                    rows[kk], rows[j] = rows[j], rows[kk]
-                    sign = -sign
-                    break
-            else:
+    rows = [[0] * i + pf + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + pg + [0] * (size - n - 1 - i) for i in range(m)]
+    denom = lf**n * lg**m
+    return UniPoly([Fraction(c, denom) for c in _unpack(_bareiss_det(rows), B)])
+
+
+def _pack(c: list[int], B: int) -> int:
+    """The integer list c as the value of its polynomial at x = 2^B."""
+    acc = 0
+    for v in reversed(c):
+        acc = (acc << B) + v
+    return acc
+
+
+def _unpack(v: int, B: int) -> list[int]:
+    """The trimmed integer list whose value at 2^B is v, each coefficient
+    taken as the balanced base-2^B digit, in [-2^(B-1), 2^(B-1))."""
+    out = []
+    half, mask = 1 << (B - 1), (1 << B) - 1
+    while v:
+        r = v & mask
+        if r >= half:
+            r -= 1 << B
+        out.append(r)
+        v = (v - r) >> B
+    return out
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """The determinant of a square integer matrix by fraction-free Bareiss
+    elimination: after step k an entry below and right of the pivot is a
+    minor of order k + 2 (Sylvester's identity), so ``a_ij a_kk - a_ik
+    a_kj`` divides exactly by the previous pivot.  A zero pivot swaps in a
+    lower row with a nonzero entry and flips the sign."""
+    size = len(rows)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not rows[k][k]:
+            j = next((j for j in range(k + 1, size) if rows[j][k]), None)
+            if j is None:
                 return 0
-        pk = rows[kk][kk]
-        for i2 in range(kk + 1, size):
-            ri, rk = rows[i2], rows[kk]
-            lik = ri[kk]
-            for j2 in range(kk + 1, size):
-                ri[j2] = (ri[j2] * pk - lik * rk[j2]) // prev
-            ri[kk] = 0
+            rows[k], rows[j] = rows[j], rows[k]
+            sign = -sign
+        rk = rows[k]
+        pk = rk[k]
+        for i in range(k + 1, size):
+            ri = rows[i]
+            lik = ri[k]
+            for j in range(k + 1, size):
+                q, r = divmod(ri[j] * pk - lik * rk[j], prev)
+                if r:
+                    raise InternalError("inexact Bareiss division")
+                ri[j] = q
         prev = pk
-    return sign * rows[size - 1][size - 1]
+    return sign * rows[-1][-1]
 
 
 def discriminant_y(f: BiPoly) -> UniPoly:

@@ -7,12 +7,15 @@ transversal-family arcs.  A curve fan's base points are edge samples, smooth
 points of the curve, so each base arc is one Hensel lift (or the line itself
 on a vertical edge), never a branch-set expansion.
 
-Every sign is decided once, at the precision the fan was built with.  A
-curve-fan arc carries its z-slot at t^0 over an exact x(t), so the leading
-term of any nonzero g along it is certain; point-fan arcs and vertical lines
-are exact polynomials.  A sign that is still undecided (only a hand-written
-fan can have one) raises ``Unsupported("TruncationCap")``.  `Fan.sign_vector`
-checks the product law on every polynomial it signs.
+Every sign is decided once, at the precision the fan was built with:
+point-fan arcs and vertical lines are exact polynomials, and a curve-fan
+arc carries its z-slot at t^0, so every scene factor along it is decided by
+its t^0 term g(x0, y0 + eta*z) (`puiseux.arc_sign`).  The fan's own factor
+has derivative eta*f_y != 0 there, and no other factor vanishes on the line
+x = x0 through an edge sample; so counting a curve fan composes nothing.
+A sign still undecided (only a hand-written fan can have one) raises
+``Unsupported("TruncationCap")``.
+`Fan.sign_vector` checks the product law on every polynomial it signs.
 """
 
 from __future__ import annotations
@@ -393,11 +396,12 @@ def fan_to_json(fan: Fan) -> str:
 
 def fan_from_json(text: str, scene: Scene) -> Fan:
     """The fan that `fan_to_json` wrote.  Text that is no such fan, with a
-    key missing, a value of the wrong type, a coordinate that is no fraction,
-    a kind other than the two or an integer out of range, is an input error
-    (`BasixError`).  The ranges: N >= 1, m >= 1 for a point fan's family and
-    m >= 0 for a curve ordering's slot, and delta, eta, eta_prime and side
-    each +1 or -1."""
+    key missing, a value of the wrong type (a float or a boolean for an
+    integer too), a coordinate that is no fraction, a kind other than the
+    two or an integer out of range, is an input error (`BasixError`).  The
+    ranges: N >= 1, m >= 1 for a point fan's family and m >= 0 for a curve
+    ordering's slot, delta, eta, eta_prime and side each +1 or -1, a
+    truncation null or at least 1, and term exponents as `_terms` reads."""
     try:
         d = json.loads(text)
         kind = d["kind"]
@@ -408,43 +412,58 @@ def fan_from_json(text: str, scene: Scene) -> Fan:
         raise BasixError(f"malformed fan: {type(exc).__name__}: {exc}") from exc
 
 
-def _int_field(d: dict, key: str, least: int | None = None) -> int:
-    """d[key] as an int: at least `least`, or with no `least` a sign, +1 or
-    -1; any other value is refused as input."""
-    v = int(d[key])
+def _as_int(v: object, key: str, least: int | None = None) -> int:
+    """v, named key, as an int: at least `least`, or with no `least` a sign,
+    +1 or -1; any other value, a float or a boolean among them, is refused."""
+    if type(v) is not int:
+        raise BasixError(f"malformed fan: {key} is {json.dumps(v)}, not an integer")
     if (v < least) if least is not None else (v not in (1, -1)):
         want = f"at least {least}" if least is not None else "1 or -1"
         raise BasixError(f"malformed fan: {key} is {v}, not {want}")
     return v
 
 
+def _terms(d: dict, trunc: int | None = None, m: int | None = None) -> tuple[tuple[int, Fraction], ...]:
+    """d["terms"] as (exponent, coefficient) pairs, each exponent at least 1
+    as `PuiseuxArc.t0_line` assumes: a curve ordering's (no m) strictly
+    increasing and below its truncation, a point family's distinct and
+    other than its m."""
+    terms = tuple((_as_int(n, "a term exponent", 1), F(c)) for n, c in d["terms"])
+    exps = [e for e, _c in terms]
+    if m is None and (exps != sorted(set(exps)) or trunc is not None and exps and exps[-1] >= trunc):
+        raise BasixError(f"malformed fan: term exponents {exps} are not strictly increasing and below the truncation")
+    if m is not None and (len(set(exps)) < len(exps) or m in exps):
+        raise BasixError(f"malformed fan: term exponents {exps} are not distinct and other than m = {m}")
+    return terms
+
+
 def _fan_from_dict(d: dict, scene: Scene) -> Fan:
     chart = d.get("chart", "affine")
     if d["kind"] == "point_centered":
         center = (F(d["center"][0]), F(d["center"][1]))
-        kept = tuple((int(n), F(c)) for n, c in d["terms"])
-        delta, N, m = _int_field(d, "delta"), _int_field(d, "N", 1), _int_field(d, "m", 1)
-        fam = ArcFamily(center, delta, N, kept, m, bool(d.get("swapped", False)))
-        g1 = fam.make_at(_int_field(d, "eta"), F(d["a1"]))
-        g2 = fam.make_at(_int_field(d, "eta_prime"), F(d["a2"]))
+        delta, N, m = _as_int(d["delta"], "delta"), _as_int(d["N"], "N", 1), _as_int(d["m"], "m", 1)
+        fam = ArcFamily(center, delta, N, _terms(d, m=m), m, bool(d.get("swapped", False)))
+        g1 = fam.make_at(_as_int(d["eta"], "eta"), F(d["a1"]))
+        g2 = fam.make_at(_as_int(d["eta_prime"], "eta_prime"), F(d["a2"]))
         return _point_fan(d["form_tag"], chart, fam, g1, g2)
     factor = d["factor"]
     if factor not in scene.factors:
         raise BasixError(f"fan references unknown factor {factor!r}")
     orderings: list[Ordering] = []
     for a in d["orderings"]:
-        slot = Slot(_int_field(a, "m", 0), _int_field(a, "eta"), F(a["a"])) if a["m"] is not None else None
+        slot = Slot(_as_int(a["m"], "m", 0), _as_int(a["eta"], "eta"), F(a["a"])) if a["m"] is not None else None
         w_form = _w_form(slot.eta) if slot is not None else None
         if a["w_form"] != w_form:
             raise BasixError(f"ordering w_form {a['w_form']!r} is not {w_form!r}, the form its eta names")
+        trunc = _as_int(a["truncation"], "truncation", 1) if a["truncation"] is not None else None
         arc = PuiseuxArc(
             (F(a["center"][0]), F(a["center"][1])),
-            _int_field(a, "delta"),
-            _int_field(a, "N", 1),
-            tuple((int(n), F(c)) for n, c in a["terms"]),
-            a["truncation"],
+            _as_int(a["delta"], "delta"),
+            _as_int(a["N"], "N", 1),
+            _terms(a, trunc),
+            trunc,
             slot=slot,
             swapped=bool(a.get("swapped", False)),
         )
-        orderings.append(ArcOrdering(arc, _int_field(a, "side")))
+        orderings.append(ArcOrdering(arc, _as_int(a["side"], "side")))
     return Fan(kind="curve_centered", form_tag=d["form_tag"], chart=chart, orderings=orderings, factor=factor)

@@ -140,8 +140,8 @@ def _product(p: _P, stop: tuple[str, ...]) -> BiPoly:
         elif t.text == "/":
             p.next()
             d = p.peek()
-            if d.kind != "NUM":
-                p.fail("integer denominator")
+            if d.kind != "NUM" or int(d.text) == 0:
+                p.fail("nonzero integer denominator")
             p.next()
             acc = acc.scale(Fraction(1, int(d.text)))
         elif t.kind in ("NUM", "IDENT") or t.text == "(":

@@ -17,7 +17,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd as _igcd
 
-from .bipoly import BiPoly
+from .bipoly import BiPoly, _powers, _taylor_shift
 from .errors import BasixError, Unsupported
 from .series import TSeries, compose_bipoly, series_div_unit
 from .unipoly import UniPoly
@@ -83,16 +83,17 @@ class PuiseuxArc:
         return comp
 
     @cached_property
-    def start_point(self) -> tuple[Fraction, Fraction] | None:
-        """The z^0 part of the t^0 terms of x(t) and y(t), or None when a
-        series is known below no power of t."""
-        out = []
-        for s in self.xy_series():
-            if s.trunc is not None and s.trunc <= 0:
-                return None
-            lead = s.leading()
-            out.append(lead[1].c[0] if lead is not None and lead[0] == 0 else F(0))
-        return out[0], out[1]
+    def t0_line(self) -> tuple[Fraction, Fraction, int, bool]:
+        """(u, v, eta, swapped): the t^0 terms of x(t) and y(t) are x = u and
+        y = v + eta*z (x and y exchanged on a swapped arc), the centre moved
+        by a slot at t^0 (eta 0 without one), as every exponent of `terms`
+        is at least 1; they are certain, as the truncation is at least 1."""
+        cx, cy = self.center
+        u, v = (cy, cx) if self.swapped else (cx, cy)
+        s = self.slot
+        if s is None or s.m:
+            return u, v, 0, self.swapped
+        return u, v + s.a, s.eta, self.swapped
 
     def with_slot(self, m: int, eta: int, a: Fraction) -> "PuiseuxArc":
         return replace(self, slot=Slot(m, eta, F(a)))
@@ -226,21 +227,26 @@ def arc_sign(g: BiPoly, arc: PuiseuxArc, side: int) -> int | None:
     """Sign of g along the arc for small t on the given side, then for small
     z > 0: the sign of the first certain term of g∘arc.  0 when g vanishes
     identically on the arc; None when no term is certain at the arc's
-    truncation.  Every arc the engine builds decides every nonzero g: a
-    point fan's arcs are exact polynomials, and a curve fan's are branch
-    arcs whose z-slot sits at t^0 over an exact x(t).
+    truncation (only a hand-written arc can leave a nonzero g so).
 
-    A g that is nonzero at the arc's start point (`start_point`) has that
-    sign on both sides, and nothing is composed.  The t^0 term of g∘arc is
-    g at the t^0 terms of x(t) and y(t), a polynomial in z whose z^0 part
-    is g at the start point; it is certain, because an arc's exponents are
-    never negative, so composing keeps every truncation at or above the
-    smallest of x(t) and y(t), which is positive."""
-    start = arc.start_point
-    if start is not None:
-        s = g.sign_at(*start)
-        if s:
-            return s
+    The t^0 term of g∘arc, the same on both sides, is h(z) = g at the
+    arc's `t0_line`, and certain, as composing keeps every truncation at or
+    above the arc's, at least 1.  A nonzero h decides with nothing
+    composed: on a slot at t^0, h(z) = g(u, v + eta*z) is the integer fibre
+    of g at x = u (y = u on a swapped arc) Taylor-shifted to v, and its
+    first nonzero coefficient c_k gives sign(c_k) * eta^k.  Only a g that
+    vanishes at the centre of an arc with no slot at t^0, or on the whole
+    t^0 line, is composed with the arc; a point fan's arcs are exact."""
+    u, v, eta, swapped = arc.t0_line
+    if not eta:
+        s = g.sign_at(v, u) if swapped else g.sign_at(u, v)
+    else:
+        h = (g.swap_xy() if swapped else g).int_fibre(u)
+        c = _taylor_shift(h, v.numerator, _powers(v.denominator, len(h) - 1)) if h else [0]
+        k = next((k for k, ck in enumerate(c) if ck), 0)
+        s = ((c[k] > 0) - (c[k] < 0)) * eta**k
+    if s:
+        return s
     comp = arc.composed(g)
     return (comp.negate_t() if side < 0 else comp).sign_small_pos_t()
 

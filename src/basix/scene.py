@@ -199,7 +199,8 @@ def project_scene(scene: Scene) -> Projection:
     """The scene's projection.  Raises `NotSquarefree` for the first factor
     whose content is not squarefree or whose discriminant vanishes (a content
     c multiplies it by a power of c only), then `SharedComponent` for the
-    first pair whose contents share a factor or whose resultant vanishes."""
+    first pair whose contents share a factor (a gcd is taken only when both
+    are nonconstant) or whose resultant vanishes."""
     contents: dict[str, UniPoly] = {}
     elim: dict[tuple[str, ...], UniPoly] = {}
     for n in scene.order:
@@ -214,7 +215,8 @@ def project_scene(scene: Scene) -> Projection:
     for i, a in enumerate(scene.order):
         for b in scene.order[i + 1 :]:
             f, g = scene.factors[a], scene.factors[b]
-            if poly_gcd(contents[a], contents[b]).degree >= 1:
+            ca, cb = contents[a], contents[b]  # a constant content shares no factor
+            if ca.degree >= 1 and cb.degree >= 1 and poly_gcd(ca, cb).degree >= 1:
                 raise SharedComponent(a, b)
             if f.deg_y >= 1 and g.deg_y >= 1:
                 r = elim[(a, b)] = resultant(f, g, "y")

@@ -24,7 +24,7 @@ from basix.realroots import (
 )
 from basix.resolution import _strict_transform
 from basix.series import TSeries, compose_bipoly
-from basix.unipoly import UniPoly, _ilist_pseudo_rem, poly_gcd, squarefree_part
+from basix.unipoly import UniPoly, _ilist_pseudo_rem, homogeneous_horner, poly_gcd, squarefree_part
 
 F = Fraction
 
@@ -839,6 +839,109 @@ def test_resultant_reference_cases():
     assert resultant(f, g, "x").c == _ref_resultant(f, g, "x").c
     h = parse_polynomial("y - x - 1")
     assert resultant(f * h, g * h, "y").is_zero()
+
+# The interpolation resultant that `bipoly.resultant` replaced, kept as an
+# oracle: Sylvester determinants at N consecutive integer nodes (N one more
+# than the x-degree bound), each by integer Bareiss, then forward
+# differences and the Newton expansion over (N - 1)!.
+
+
+def _interpolation_resultant(f, g, eliminate="y"):
+    if eliminate == "x":
+        return _interpolation_resultant(f.swap_xy(), g.swap_xy(), "y")
+    m, n = f.deg_y, g.deg_y
+    if m <= 0 or n <= 0:
+        raise DegreeZero(f"resultant: y-degrees {m}, {n}")
+    fr, lf = f.int_y_rows()
+    gr, lg = g.int_y_rows()
+    fr.reverse()
+    gr.reverse()
+    N = f.deg_x * n + g.deg_x * m + 1
+    lo = -((N - 1) // 2)
+    d = [_int_sylvester_det(_int_values(fr, x0), m, _int_values(gr, x0), n) for x0 in range(lo, lo + N)]
+    for j in range(1, N):
+        for i in range(N - 1, j - 1, -1):
+            d[i] -= d[i - 1]
+    acc = [d[N - 1]]
+    w = 1
+    for j in range(N - 2, -1, -1):
+        w *= j + 1
+        a = lo + j
+        nxt = [0] * (len(acc) + 1)
+        for k, c in enumerate(acc):
+            nxt[k + 1] += c
+            nxt[k] -= a * c
+        nxt[0] += d[j] * w
+        acc = nxt
+    denom = w * lf**n * lg**m
+    return UniPoly([F(c, denom) for c in acc])
+
+
+def _int_values(rows, x0):
+    return [homogeneous_horner(r, x0, 1)[0] if r else 0 for r in rows]
+
+
+def _int_sylvester_det(ra, m, rb, n):
+    size = m + n
+    rows = [[0] * i + ra + [0] * (size - m - 1 - i) for i in range(n)]
+    rows += [[0] * i + rb + [0] * (size - n - 1 - i) for i in range(m)]
+    sign, prev = 1, 1
+    for kk in range(size - 1):
+        if rows[kk][kk] == 0:
+            for j in range(kk + 1, size):
+                if rows[j][kk] != 0:
+                    rows[kk], rows[j] = rows[j], rows[kk]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pk = rows[kk][kk]
+        for i2 in range(kk + 1, size):
+            ri, rk = rows[i2], rows[kk]
+            lik = ri[kk]
+            for j2 in range(kk + 1, size):
+                ri[j2] = (ri[j2] * pk - lik * rk[j2]) // prev
+            ri[kk] = 0
+        prev = pk
+    return sign * rows[size - 1][size - 1]
+
+
+_wide_coeffs = st.one_of(st.integers(-99, 99).map(F), st.fractions(min_value=-9, max_value=9, max_denominator=12))
+
+
+@st.composite
+def _wide_bipolys(draw):
+    """y-degree 1..4 and x-degree 0..4; the leading y-coefficient is at
+    times c*(x - k)^e, which vanishes at x = k, or a bare power of x."""
+    dy = draw(st.integers(1, 4))
+    rows = [draw(st.lists(_wide_coeffs, min_size=1, max_size=5)) for _ in range(dy + 1)]
+    lead = draw(st.sampled_from(("any", "vanishing", "power of x")))
+    c = draw(_wide_coeffs.filter(bool))
+    if lead == "vanishing":
+        k, e = draw(st.integers(-3, 3)), draw(st.integers(1, 2))
+        rows[dy] = (UniPoly([-k, 1]) ** e).scale(c).c
+    elif lead == "power of x":
+        rows[dy] = [F(0)] * draw(st.integers(1, 4)) + [c]
+    else:
+        rows[dy][-1] = c
+    return BiPoly({(i, j): v for j, row in enumerate(rows) for i, v in enumerate(row)})
+
+
+@given(_wide_bipolys(), _wide_bipolys(), st.booleans(), st.sampled_from(["y", "x"]))
+@settings(max_examples=200, deadline=None)
+def test_bareiss_resultant_matches_the_interpolation_oracle(f, g, common, eliminate):
+    # the Bareiss elimination over Z[x] gives the interpolated polynomial
+    # exactly, through vanishing leading coefficients, a shared factor (a
+    # zero resultant), elimination of x and the discriminant
+    if common:
+        h = BiPoly({(0, 1): F(1), (1, 0): f.t.get((0, 0), F(1)), (0, 0): g.t.get((0, 0), F(2))})
+        f, g = f * h, g * h
+    got = _res_outcome(resultant, f, g, eliminate)
+    assert got == _res_outcome(_interpolation_resultant, f, g, eliminate)
+    if common:
+        assert got in ((), "DegreeZero")
+    if f.deg_y >= 2:
+        assert discriminant_y(f).c == _interpolation_resultant(f, f.partial_y()).c
 
 
 def _sympy_expr(sympy, p, x, y):

@@ -207,6 +207,53 @@ def test_verify_fan_refuses_out_of_range_values_as_input_errors(tmp_path, capsys
     assert err.startswith(f"error: malformed fan: {field} is {value}"), err
 
 
+def _set_in(fan, path, value):
+    """fan with the value at the key path (a tuple of keys and indices) set."""
+    *head, last = path
+    for k in head:
+        fan = fan[k]
+    fan[last] = value
+
+
+# (fixture, key path in its basic-open witness, value, start of the error);
+# para's witness is a curve fan, cubic's a point fan of family term x^2
+# with its slot at m = 3
+MALFORMED_FIELDS = [
+    ("para", ("orderings", 0, "truncation"), "x", 'truncation is "x", not an integer'),
+    ("para", ("orderings", 0, "truncation"), 0, "truncation is 0, not at least 1"),
+    ("para", ("orderings", 0, "terms"), [[0, "2"], [2, "1"]], "a term exponent is 0, not at least 1"),
+    ("para", ("orderings", 0, "terms"), [[-1, "2"], [2, "1"]], "a term exponent is -1, not at least 1"),
+    ("para", ("orderings", 0, "terms"), [[2, "1"], [1, "2"], [1, "2"]], "term exponents [2, 1, 1] are not strictly increasing"),
+    ("para", ("orderings", 0, "terms"), [[1, "2"], [12, "1"]], "term exponents [1, 12] are not strictly increasing and below"),
+    ("para", ("orderings", 0, "terms"), [[1.0, "2"], [2, "1"]], "a term exponent is 1.0, not an integer"),
+    ("para", ("orderings", 0, "N"), 1.9, "N is 1.9, not an integer"),
+    ("para", ("orderings", 0, "side"), True, "side is true, not an integer"),
+    ("cubic", ("terms",), [[0, "1"]], "a term exponent is 0, not at least 1"),
+    ("cubic", ("terms",), [[2, "1"], [2, "1"]], "term exponents [2, 2] are not distinct and other than m = 3"),
+    ("cubic", ("terms",), [[3, "1"]], "term exponents [3] are not distinct and other than m = 3"),
+    ("cubic", ("m",), 3.0, "m is 3.0, not an integer"),
+    ("cubic", ("eta_prime",), True, "eta_prime is true, not an integer"),
+]
+
+
+@pytest.mark.parametrize("name, path, value, error", MALFORMED_FIELDS)
+def test_verify_fan_refuses_what_the_t0_line_rule_does_not_assume(tmp_path, capsys, name, path, value, error):
+    # arcs are signed from their t^0 terms, which are the centre and a slot
+    # at t^0 only when every term exponent is at least 1; exponents out of
+    # order, repeated or at the slot, truncations that are no positive
+    # integers and floats or booleans in integer fields are refused as input
+    # (exit 3), not judged as a fan, and not an internal error
+    report = tmp_path / "report.json"
+    _check(capsys, FIXTURES / f"{name}.bsx", "basic-open", "--witness", "--format", "json", "--out", str(report))
+    fan = json.loads(report.read_text(encoding="utf-8"))["witness"]
+    _set_in(fan, path, value)
+    path = tmp_path / "fan.json"
+    path.write_text(json.dumps(fan), encoding="utf-8")
+    assert cli.main(["verify-fan", str(path), str(FIXTURES / f"{name}.bsx")]) == cli.EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed fan: {error}"), err
+
+
 @pytest.mark.parametrize("kind", ["a directory", "binary data"])
 def test_an_unreadable_scene_file_is_an_input_error(tmp_path, capsys, kind):
     # file errors are the input's fault, not the engine's: exit 3, not 4
@@ -218,6 +265,15 @@ def test_an_unreadable_scene_file_is_an_input_error(tmp_path, capsys, kind):
     code, out = _check(capsys, path, "basic-open")
     assert code == cli.EXIT_INPUT
     assert out.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("expr, column", [("y - 1/0", 18), ("x/0", 14), ("(1/0)*y", 15)])
+def test_a_zero_denominator_is_an_input_error(tmp_path, capsys, expr, column):
+    # a coefficient over 0 is the input's fault: exit 3 at the token, not
+    # the internal error (exit 4) of a Fraction over 0
+    code, out = _check(capsys, _scene(tmp_path, f"factor f = {expr};\nset S = {{ f > 0 }};\n"), "basic-open")
+    assert code == cli.EXIT_INPUT
+    assert out.err == f"error: line 1, column {column}: expected nonzero integer denominator\n"
 
 
 @pytest.mark.parametrize("exc", [RecursionError("maximum recursion depth exceeded"), ZeroDivisionError("division by zero")])

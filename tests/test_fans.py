@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts, load_fixture, swap_scene
+from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
+from hypothesis import given, settings, strategies as st
 
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
@@ -209,12 +210,19 @@ def test_fan_json_round_trip_of_every_witness(monkeypatch):
         assert fan_to_json(fan_from_json(text, sc)) == text
 
 
-def test_start_point_signs_match_the_full_composition(monkeypatch):
-    # arc_sign reads a polynomial nonzero at an arc's start point from that
-    # point, on both sides; on every fan ordering signed on the fixtures,
-    # their inversions and their swaps it agrees with the sign of the full
-    # composition, and so does every signed polynomial moved to vanish at
-    # the start point, which arc_sign composes
+def _composed_sign(g, arc, side):
+    """The sign of g along the half-arc from the full composition."""
+    comp = compose_bipoly(g, *arc.xy_series())
+    return (comp.negate_t() if side < 0 else comp).sign_small_pos_t()
+
+
+def test_t0_line_signs_match_the_full_composition(monkeypatch):
+    # arc_sign reads a polynomial from its t^0 term h(z) along the arc's t^0
+    # line when h is not identically zero; on every fan ordering signed on
+    # the fixtures, their inversions and their swaps it agrees with the sign
+    # of the full composition, and so does every signed polynomial moved to
+    # vanish at the line's start (z = 0), which the t^0 line still decides on
+    # a curve fan's slot at t^0 and arc_sign composes on a point fan's arc
     signed = []
     sign = ArcOrdering.sign
 
@@ -231,13 +239,91 @@ def test_start_point_signs_match_the_full_composition(monkeypatch):
     for sc in scenes:
         for prop in PROPERTIES:
             run_check(CheckRequest(sc, prop))
-    from_start = 0
+    on_line = at_start = 0
     for arc, side, g in signed:
-        start = arc.start_point
-        assert start is not None
-        from_start += g.sign_at(*start) != 0
+        u, v, eta, swapped = arc.t0_line
+        start = (v, u) if swapped else (u, v)
+        on_line += eta != 0
+        at_start += g.sign_at(*start) != 0
         for h in (g, g - BiPoly.const(g.eval(*start))):
-            comp = compose_bipoly(h, *arc.xy_series())
-            assert arc_sign(h, arc, side) == (comp.negate_t() if side < 0 else comp).sign_small_pos_t(), (arc, side, h)
-    assert 0 < from_start < len(signed), (from_start, len(signed))
+            assert arc_sign(h, arc, side) == _composed_sign(h, arc, side), (arc, side, h)
+    assert 0 < at_start < len(signed) and 0 < on_line < len(signed), (at_start, on_line, len(signed))
 
+
+_t0_values = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def _t0_cases(draw):
+    """An arc whose exponents are at least 1, with its slot at t^0 or above,
+    and a polynomial g(X, Y) in the arc's own coordinates (X the
+    parameter's, Y the body's; the arc's x and y are exchanged when it is
+    swapped): a multiple of (X - u), alone (divisible by X - u), plus
+    c (Y - v)^k and a multiple of (X - u)(Y - v)^k (c != 0, vanishing to
+    order k = 1, 2 or 3 along the t^0 line) or plus a random part."""
+    u, v = draw(_t0_values), draw(_t0_values)
+    exps = sorted(draw(st.sets(st.integers(1, 4), max_size=3)))
+    terms = tuple((e, draw(_t0_values.filter(bool))) for e in exps)
+    trunc = draw(st.one_of(st.none(), st.integers(max(exps, default=0) + 1, 6)))
+    m = draw(st.one_of(st.just(0), st.integers(1, 3)))
+    slot = Slot(m, draw(st.sampled_from((1, -1))), v if m == 0 else draw(_t0_values))
+    delta, N, swapped = draw(st.sampled_from((1, -1))), draw(st.integers(1, 3)), draw(st.booleans())
+    arc = PuiseuxArc((u, F(0)) if m == 0 else (u, v), delta, N, terms, trunc, slot, swapped)
+    X, Y = BiPoly.x() - BiPoly.const(u), BiPoly.y() - BiPoly.const(v)
+
+    def poly():
+        return BiPoly({(i, j): draw(st.integers(-3, 3)) for i in range(3) for j in range(3)})
+
+    g = X * poly()
+    kind = draw(st.sampled_from(("order k", "random", "divisible")))
+    if kind == "order k":
+        g = g + Y ** draw(st.integers(1, 3)) * (BiPoly.const(draw(st.sampled_from((1, -2)))) + X * poly())
+    elif kind == "random":
+        g = g + poly()
+    return arc, (g.swap_xy() if swapped else g), draw(st.sampled_from((1, -1)))
+
+
+@given(_t0_cases())
+@settings(max_examples=300, deadline=None)
+def test_random_arcs_t0_line_sign_matches_the_full_composition(case):
+    # the t^0 line decides exactly when the composition's t^0 term is not
+    # identically zero, and then gives the composition's sign: on vanishing
+    # to order k >= 2 along the line, on g divisible by x - u (where the
+    # composition decides), on swapped arcs and on both sides
+    arc, g, side = case
+    assert arc_sign(g, arc, side) == _composed_sign(g, arc, side), (arc, g, side)
+
+
+def test_counting_a_curve_fan_composes_nothing(monkeypatch):
+    # every scene factor along a curve-fan ordering is decided on its t^0
+    # line: the fan's own factor has h'(0) = eta * f_y != 0 at the smooth
+    # edge sample, and no other factor vanishes on the line through it; so
+    # counting the curve fans of the fixtures and of the lines workload
+    # composes no polynomial with an arc
+    from basix import checker, puiseux
+
+    curve_fans, composed = [0], []
+    inside = [False]
+    compose, count = puiseux.compose_bipoly, checker.fan_count_in_S
+
+    def counted_compose(g, xs, ys):
+        if inside[0]:
+            composed.append(g)
+        return compose(g, xs, ys)
+
+    def counted_count(fan, scene):
+        inside[0] = fan.kind == "curve_centered"
+        curve_fans[0] += inside[0]
+        try:
+            return count(fan, scene)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(puiseux, "compose_bipoly", counted_compose)
+    monkeypatch.setattr(checker, "fan_count_in_S", counted_count)
+    texts, checks = bench_workload(monkeypatch, "lines")
+    scenes = [(load_fixture(n), prop) for n in FIXTURE_NAMES for prop in PROPERTIES]
+    scenes += [(Scene.from_text(texts[c.scene]), c.prop) for c in checks]
+    for sc, prop in scenes:
+        run_check(CheckRequest(sc, prop))
+    assert curve_fans[0] >= 10 and composed == [], (curve_fans[0], len(composed))

@@ -490,7 +490,7 @@ def test_branch_set_matches_untruncated_expansion_examples(text, K):
 class FamilyArc:
     """A raw parametric arc (x(t), y(t)): here the transversal line of a
     component's chart pushed down to the base chart (`family_arc`).  `arc_sign` and `certified_point` read it as
-    they read a `PuiseuxArc`, with its composition memo and start point."""
+    they read a `PuiseuxArc`, with its composition memo and t^0 line."""
 
     xs: TSeries
     ys: TSeries
@@ -500,7 +500,18 @@ class FamilyArc:
         return self.xs, self.ys
 
     composed = PuiseuxArc.composed
-    start_point = property(PuiseuxArc.start_point.func)
+
+    @property
+    def t0_line(self):
+        """`PuiseuxArc.t0_line` read off the series: the t^0 terms of a
+        transversal line pushed down are its centre, with no z."""
+        start = []
+        for s in (self.xs, self.ys):
+            lead = s.leading()
+            c = lead[1].c if lead is not None and lead[0] == 0 else (F(0),)
+            assert len(c) == 1 and (s.trunc is None or s.trunc >= 1), s
+            start.append(c[0])
+        return start[0], start[1], 0, False
 
 
 def family_arc(D, v: Fraction) -> FamilyArc:

@@ -4,6 +4,7 @@ import importlib
 import importlib.util
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -14,9 +15,9 @@ import pytest
 from conftest import differential_module
 
 from basix.checker import PROPERTIES, CheckRequest, run_check
-from basix.errors import ParseError, SceneError, Unsupported
+from basix.errors import BasixError, ParseError, SceneError, Unsupported
 from basix.report import verdict_to_dict
-from basix.scene import Scene, validate_scene
+from basix.scene import Scene, validate_scene, validated_projection
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "basix"
@@ -66,6 +67,49 @@ def test_shipped_fixtures_parse_and_validate():
         validate_scene(Scene.from_text(path.read_text(encoding="utf-8")))
     # the fixtures that tests load by name through conftest.load_fixture
     assert {"half", "quad", "saddle", "para", "cubic"} <= {p.stem for p in paths}
+
+
+_TOKEN = re.compile(r"\d+|[A-Za-z_]\w*|>=|<=|==|!=|\S|\s+")
+# what an edit inserts or puts in place of a token: the language's tokens
+# and a few short fragments of it
+_FRAGMENTS = (
+    "0", "1", "2", "x", "y", "+", "-", "*", "/", "^", "(", ")", "/0", "^0", "^2", "*x", "*y", "1/2",
+    ";", ",", "{", "}", "|", ">", "<", "=", ">=", "!=", "==", "factor", "set",
+)
+
+
+def _mutated(text: str, rng: random.Random) -> str:
+    """text after one or two token edits: a deletion, an insertion of a
+    fragment or a token replaced by one."""
+    toks = _TOKEN.findall(text)
+    for _ in range(rng.choice((1, 2))):
+        i = rng.randrange(len(toks) + 1)
+        op = rng.choice(("delete", "insert", "replace")) if i < len(toks) else "insert"
+        if op == "delete":
+            del toks[i]
+        elif op == "insert":
+            toks.insert(i, rng.choice(_FRAGMENTS))
+        else:
+            toks[i] = rng.choice(_FRAGMENTS)
+    return "".join(toks)
+
+
+def test_mutated_fixtures_end_in_a_scene_or_an_input_error():
+    # the input layer, parser and validation, turns every near-miss of a
+    # fixture into a scene or a BasixError (an input error, exit 3), never
+    # another exception; this seed's 300 mutations include y/0 and x/0,
+    # which once raised ZeroDivisionError
+    rng = random.Random(2)
+    texts = [(ROOT / "fixtures" / f"{n}.bsx").read_text(encoding="utf-8") for n in ("cubic", "half", "para", "quad", "saddle")]
+    outcomes = {"scene": 0, "input error": 0}
+    for k in range(300):
+        text = _mutated(texts[k % 5], rng)
+        try:
+            validated_projection(Scene.from_text(text))
+            outcomes["scene"] += 1
+        except BasixError:
+            outcomes["input error"] += 1
+    assert outcomes["scene"] >= 10 and outcomes["input error"] >= 10, outcomes
 
 
 def test_benchmark_tracer_targets_resolve(monkeypatch):
