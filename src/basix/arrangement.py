@@ -19,8 +19,10 @@ Fibres over rational abscissae are integer lists: `BiPoly.int_fibre` gives
 l b^n f(a/b, y), a positive multiple of f(a/b, y), at the slab samples, the
 rational walls, the abscissae where `_match_side` isolates and the points
 `region_of_point` locates, and `realroots` isolates and counts on that list
-as it is.  The critical polynomials, their squarefree parts and their
-product, whose roots are the walls, are integer lists too.
+as it is.  The critical polynomials and their squarefree parts are integer
+lists too.  The walls are the real roots of those parts, each part
+isolated on its own (a linear one is solved exactly) and locators of one
+number merged; each wall keeps the parts that vanish there.
 
 Wall points are exact.  Over a rational wall c a factor's fibre is isolated
 from f(c, y).  Over an irrational wall alpha it is counted by Sturm's
@@ -99,7 +101,6 @@ from .bipoly import BiPoly, resultant
 from .errors import InternalError, Unsupported
 from .realroots import (
     RootLocator,
-    _int_sign_at,
     clear_of_roots,
     count_roots_below,
     gap_sample,
@@ -269,6 +270,9 @@ class WallPoint:
 class Wall:
     x: RootLocator
     line_factor: str | None
+    # the squarefree critical polynomials of stage 1 that vanish at the
+    # wall, keyed as in `_build`, in stage-1 order
+    critical: list[tuple[tuple[str, ...], list[int]]] = field(default_factory=list)
     points: list[WallPoint] = field(default_factory=list)
     fates: dict[tuple[str, str, int], int] = field(default_factory=dict)
     expo_left: list[tuple[int, int]] = field(default_factory=list)
@@ -304,9 +308,6 @@ class Arrangement:
         self.pole_touched = False
         self._edges_at_vertex: dict[int, list[int]] = {}
         self._elim_cache: dict[tuple, list[int]] = {}
-        # primitive squarefree critical polynomials of stage 1, as integer
-        # lists, keyed as in `_build`
-        self._critical: list[tuple[tuple[str, ...], list[int]]] = []
         # (factor, level) -> primitive integer form of factor(x, level)
         self._level_forms: dict[tuple[str, Fraction], list[int]] = {}
         proj = project_scene(scene) if projection is None else projection
@@ -340,22 +341,14 @@ class Arrangement:
         crit_polys += [(key, r.int_primitive()) for key, r in elim.items() if len(key) == 2]
         crit_polys += [((n,), [-v.numerator, v.denominator]) for n, v in self.vlines.items()]
 
-        prod = [1]
-        for key, p in crit_polys:
-            sf = _ilist_squarefree(p)
-            if len(sf) >= 2:
-                prod = _imul(prod, sf)
-                self._critical.append((key, sf))
-        locs = isolate_real_roots(prod) if len(prod) >= 2 else []
-        refine_disjoint(locs)
-        separate(locs)
-
-        for loc in locs:
+        critical = [(key, sf) for key, p in crit_polys if len(sf := _ilist_squarefree(p)) >= 2]
+        for loc, found in critical_walls([c for _key, c in critical]):
             lf = None
             for n, v in self.vlines.items():
                 if loc.exact == v:
                     lf = n
-            self.walls.append(Wall(x=loc, line_factor=lf))
+            self.walls.append(Wall(loc, lf, critical=[critical[i] for i in found]))
+        locs = [w.x for w in self.walls]
 
         # ------------------------------------------------------------ stage 2
 
@@ -403,6 +396,7 @@ class Arrangement:
         """The wall points of a wall and the fate of every branch end at it;
         the fibre and counting rules are in the module docstring."""
         cx = wall.exact_x()
+        events = {key for key, _c in wall.critical}
         fibres: dict[str, list] = {}
         # per factor, the positions in its fibre of its multiple roots, or
         # None where counting does not force the fates
@@ -413,7 +407,7 @@ class Arrangement:
                 if not u:
                     raise Unsupported("VerticalComponent", f"factor {n!r} contains x = {cx}")
                 fibres[n] = locs = isolate_real_roots(u) if len(u) >= 2 else []
-                if not any(key == (n,) and _int_sign_at(c, cx) == 0 for key, c in self._critical):
+                if (n,) not in events:
                     multiple[n] = []
                 elif len(u) - 1 < f.deg_y:
                     multiple[n] = None
@@ -425,10 +419,10 @@ class Arrangement:
         else:
             if wall.line_factor is not None:
                 raise InternalError("irrational wall analysis on a vertical-line wall")
-            at = _IrrationalAbscissa(wall.x, self._critical)
+            at = _IrrationalAbscissa(wall.x, wall.critical)
             for n, f in self.curvy.items():
                 fibres[n] = _Fibre(at, n, f).windows()
-                multiple[n] = None if (n,) in at.events else []
+                multiple[n] = None if (n,) in events else []
             same = at.same_root
 
         clusters: list[tuple] = []
@@ -768,19 +762,16 @@ class Arrangement:
 
 class _IrrationalAbscissa:
     """Exact signs at an irrational wall abscissa alpha, the one root of p
-    in the interval of a private copy of the wall's locator; p is the
-    locator's polynomial cut down by the critical polynomials that vanish at
-    alpha, whose keys (as in `Arrangement._build`) are the `events`."""
+    in the interval of a private copy of the wall's locator.  `critical` are
+    the critical polynomials that vanish at alpha, the wall's provenance
+    from stage 1; p is the gcd of the locator's polynomial and all of them,
+    and their keys (as in `Arrangement._build`) are the `events`."""
 
     def __init__(self, x: RootLocator, critical: list[tuple[tuple[str, ...], list[int]]]):
         p = x.ints()
-        self.events: set[tuple[str, ...]] = set()
-        for key, c in critical:
-            if not clear_of_roots(c, x.lo, x.hi):
-                g = _ilist_gcd(c, p)
-                if len(g) >= 2 and not clear_of_roots(g, x.lo, x.hi):
-                    p = g
-                    self.events.add(key)
+        for _key, c in critical:
+            p = _ilist_gcd(c, p)
+        self.events: set[tuple[str, ...]] = {key for key, _c in critical}
         self.ip = p
         self.x = RootLocator(p, x.lo, x.hi)
 
@@ -910,6 +901,39 @@ def _iaxpy(k: int, a: list[int], b: list[int]) -> list[int]:
     for i, v in enumerate(b):
         out[i] += v
     return out
+
+
+def critical_walls(pieces: list[list[int]]) -> list[tuple[RootLocator, list[int]]]:
+    """The distinct real roots of the squarefree integer polynomials
+    `pieces`, in increasing order with strictly separated intervals, each
+    with the indices of the pieces that vanish there.  Each piece is
+    isolated on its own, so a linear one is exact with no walk.  Two
+    locators of one number always overlap, so only overlapping neighbours in
+    the order of their lower ends are compared: equal ones are merged,
+    keeping the lower-degree polynomial, and distinct ones are refined until
+    they part."""
+    found = [(loc, [i]) for i, c in enumerate(pieces) for loc in isolate_real_roots(c)]
+    distinct: set[tuple[int, int]] = set()
+    clash = True
+    while clash:
+        clash = False
+        found.sort(key=lambda t: t[0].lo)
+        merged: list[tuple[RootLocator, list[int]]] = []
+        for loc, src in found:
+            if merged and not merged[-1][0].hi < loc.lo:
+                last, lsrc = merged[-1]
+                pair = (id(last), id(loc))
+                if pair not in distinct and roots_equal(last, loc):
+                    keep = loc if len(loc.ints()) < len(last.ints()) else last
+                    merged[-1] = (keep, sorted(lsrc + src))
+                    continue
+                distinct.add(pair)
+                last.refine()
+                loc.refine()
+                clash = True
+            merged.append((loc, src))
+        found = merged
+    return found
 
 
 def _imul(a: list[int], b: list[int]) -> list[int]:

@@ -668,12 +668,14 @@ def _smooth_at(p: BiPoly, box: Box) -> bool:
 
 def _transversal_pair(factors: dict[str, BiPoly], bfs: list[str], box: Box) -> bool:
     f, g = factors[bfs[0]], factors[bfs[1]]
+    pt = box.exact_point()
+    if pt is not None:
+        # a nonzero Jacobian needs both gradients nonzero
+        fx, fy, gx, gy = (h.eval(*pt) for h in (f.partial_x(), f.partial_y(), g.partial_x(), g.partial_y()))
+        return fx * gy != fy * gx
     if not (_smooth_at(f, box) and _smooth_at(g, box)):
         return False
     jac = f.partial_x() * g.partial_y() - f.partial_y() * g.partial_x()
-    pt = box.exact_point()
-    if pt is not None:
-        return jac.eval(*pt) != 0
     try:
         return bipoly_sign_on_box(jac, box, cap=48) != 0
     except Unsupported:

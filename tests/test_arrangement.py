@@ -607,3 +607,130 @@ def test_arrangement_fibres_stay_on_integer_rows(monkeypatch):
         for r in arr.regions:
             assert arr.region_of_point(*r.sample) == r.rid
     assert set(called) <= {("specialize_x", "specialize_y", "_level_clear")}, called
+
+
+# pairwise coprime irreducible integer polynomials, low degree first: rational
+# roots (lc up to 10007), irrational ones (lc up to 10007^2), and rationals
+# close to sqrt2 (99/70, 14151/10007), so that equal and near roots meet
+WALL_PIECE_POOL = [
+    [0, 1],
+    [-1, 1],
+    [1, 2],
+    [3, 2],
+    [-99, 70],
+    [-1, 10007],
+    [-14151, 10007],
+    [5000, 10007],
+    [-2, 0, 1],
+    [-3, 0, 1],
+    [-2, 0, 9],
+    [-2, 0, 10007**2],
+    [-2, 0, 0, 1],
+    [1, -3, 0, 1],
+]
+
+
+def _product_walls(pieces):
+    """The walls as stage 1 once found them: one isolation of the product of
+    all pieces, refined disjoint and separated."""
+    prod = [1]
+    for c in pieces:
+        prod = arrangement._imul(prod, c)
+    locs = isolate_real_roots(prod) if len(prod) >= 2 else []
+    realroots.refine_disjoint(locs)
+    realroots.separate(locs)
+    return locs
+
+
+def _wall_piece(picks):
+    c = [1]
+    for k in sorted(set(picks)):
+        c = arrangement._imul(c, WALL_PIECE_POOL[k])
+    return c
+
+
+@given(
+    st.lists(
+        st.lists(st.integers(0, len(WALL_PIECE_POOL) - 1), min_size=1, max_size=3).map(_wall_piece),
+        min_size=1,
+        max_size=5,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_walls_from_each_critical_polynomial_match_the_product_isolation(pieces):
+    walls = arrangement.critical_walls(pieces)
+    oracle = _product_walls(pieces)
+    assert len(walls) == len(oracle)
+    for (loc, found), want in zip(walls, oracle):
+        assert (loc.exact is None) == (want.exact is None)
+        assert roots_equal(loc, want)
+        assert found == [i for i, c in enumerate(pieces) if realroots.vanishes_at(c, loc)]
+    assert all(a.hi < b.lo for (a, _), (b, _) in zip(walls, walls[1:]))
+
+
+def test_irrational_abscissa_from_the_wall_provenance_matches_every_critical_polynomial(monkeypatch):
+    # `_IrrationalAbscissa` takes the gcd over the critical polynomials that
+    # merged into its wall; cutting the wall's polynomial down by every
+    # critical polynomial that vanishes in its interval gives the same
+    # polynomial and the same events
+    from basix.realroots import clear_of_roots
+    from basix.unipoly import _ilist_gcd
+
+    differential = differential_module(monkeypatch)
+    critical_walls, abscissa = arrangement.critical_walls, arrangement._IrrationalAbscissa
+    pieces, seen = [], []
+
+    def recorded_walls(ps):
+        pieces.append(ps)
+        return critical_walls(ps)
+
+    class Recorded(abscissa):
+        def __init__(self, x, critical):
+            seen.append((x.ints(), x.lo, x.hi))
+            super().__init__(x, critical)
+            seen[-1] += (self.ip, self.events)
+
+    monkeypatch.setattr(arrangement, "critical_walls", recorded_walls)
+    monkeypatch.setattr(arrangement, "_IrrationalAbscissa", Recorded)
+    checked = 0
+    for text in {**differential.IRRATIONAL_WALLS, **differential.APPROACHED_WALLS}.values():
+        pieces.clear()
+        seen.clear()
+        arr = build_arrangement(S(text))
+        keys = {id(c): key for w in arr.walls for key, c in w.critical}
+        # a piece with no real root vanishes at no wall and gets no key
+        every = [(keys.get(id(c), ()), c) for c in pieces[0]]
+        for p, lo, hi, ip, events in seen:
+            old_events = set()
+            for key, c in every:
+                if not clear_of_roots(c, lo, hi):
+                    g = _ilist_gcd(c, p)
+                    if len(g) >= 2 and not clear_of_roots(g, lo, hi):
+                        p = g
+                        old_events.add(key)
+            assert (ip, events) == (p, old_events)
+            checked += 1
+    assert checked >= 20
+
+
+def test_lines_workload_walls_need_no_descartes_walk(monkeypatch):
+    # every critical polynomial of a lines scene is linear, so each wall is
+    # the exact root of its own piece, with no bisection and no rational probe
+    calls = Counter()
+    mapped_int, try_rational = realroots._mapped_int, RootLocator.try_rational
+
+    def counted_mapped_int(*args):
+        calls["_mapped_int"] += 1
+        return mapped_int(*args)
+
+    def counted_try_rational(self):
+        calls["try_rational"] += 1
+        return try_rational(self)
+
+    texts, _checks = bench_workload(monkeypatch, "lines")
+    scenes = [S(text) for text in texts.values()]
+    monkeypatch.setattr(realroots, "_mapped_int", counted_mapped_int)
+    monkeypatch.setattr(RootLocator, "try_rational", counted_try_rational)
+    arrs = [build_arrangement(sc) for sc in scenes]
+    assert len(arrs) == 6 and all(arr.walls for arr in arrs)
+    assert calls == Counter()

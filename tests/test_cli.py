@@ -27,7 +27,7 @@ UNSERIALIZABLE = (
     "factor f2 = x^2 - 2*y^2 + x*y + x - 2*y + 3; set S = { f0 < 0, f2 < 0 };\n"
 )
 # random34 of the default differential: its principal_open fan has base
-# points on f0 at x = -27705691/8388608, where f0's fibre is linear in y
+# points on f0 at x = -7/2, where f0's fibre is linear in y
 LINEAR_FIBRE_WITNESS = (
     "factor f0 = y - (2/3)*x^3 - (3/2)*x + (-1/2); factor f1 = x^2 + 2*y^2 + (0)*x + (-1)*y - 3; "
     "factor f2 = x^2 + 1*y^2 + (1)*x + (-2)*y - 2; set S = { f2 < 0, f0 < 0 };\n"
@@ -82,7 +82,7 @@ def test_witness_on_a_linear_fibre_is_serialised(tmp_path, capsys):
     assert code == cli.EXIT_NO
     d = json.loads(report.read_text(encoding="utf-8"))
     assert "witness_unserializable" not in d
-    assert d["witness"]["orderings"][2]["center"][0] == "-27705691/8388608"
+    assert d["witness"]["orderings"][2]["center"][0] == "-7/2"
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps(d["witness"]), encoding="utf-8")
     assert cli.main(["verify-fan", str(fan), path]) == cli.EXIT_YES
