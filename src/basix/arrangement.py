@@ -112,7 +112,15 @@ from .realroots import (
     vanishes_at,
 )
 from .scene import Projection, Scene, project_scene
-from .unipoly import UniPoly, _ilist_derivative, _ilist_gcd, _ilist_primitive, _ilist_squarefree, homogeneous_horner
+from .unipoly import (
+    UniPoly,
+    _ilist_derivative,
+    _ilist_exact_div,
+    _ilist_gcd,
+    _ilist_primitive,
+    _ilist_squarefree,
+    homogeneous_horner,
+)
 
 F = Fraction
 
@@ -322,13 +330,13 @@ class Arrangement:
             if p.deg_y >= 1:
                 self.curvy[name] = p
             else:
-                u = p.y_coeffs()[0]
-                if u.degree != 1:
+                u = p.int_y_rows()[0][0]
+                if len(u) != 2:
                     raise Unsupported(
                         "NonRationalShearNeeded",
-                        f"factor {name!r} is an x-only polynomial of degree {u.degree}",
+                        f"factor {name!r} is an x-only polynomial of degree {len(u) - 1}",
                     )
-                self.vlines[name] = -u.c[0] / u.c[1]
+                self.vlines[name] = F(-u[0], u[1])
 
         # primitive integer lists, each keyed by the factor, or the pair of
         # factors, it belongs to (a constant leading coefficient has no
@@ -502,7 +510,7 @@ class Arrangement:
         key = (factor, lv)
         c = self._level_forms.get(key)
         if c is None:
-            c = self._level_forms[key] = self.curvy[factor].specialize_y(lv).int_primitive()
+            c = self._level_forms[key] = _ilist_primitive(self.curvy[factor].swap_xy().int_fibre(lv))
         return bool(c) and clear_of_roots(c, a, b)
 
     def _vertex_y_locator(self, factors: set[str], window: "_Window") -> RootLocator:
@@ -514,8 +522,10 @@ class Arrangement:
         r = self._elim_cache.get(fs)
         if r is None:
             f = self.curvy[fs[0]]
-            if len(fs) == 1:
-                f = f.exact_div(BiPoly.from_y_coeffs([self._contents[fs[0]]]))
+            if len(fs) == 1 and self._contents[fs[0]].degree >= 1:
+                c = self._contents[fs[0]].int_primitive()
+                rows = [_ilist_exact_div(r, c) for r in f.int_y_rows()[0]]
+                f = BiPoly({(i, j): v for j, r in enumerate(rows) for i, v in enumerate(r) if v})
             g = f.partial_y() if len(fs) == 1 else self.curvy[fs[1]]
             h = f if f.deg_x == 0 else g if g.deg_x == 0 else None
             r = self._elim_cache[fs] = h.int_fibre(0) if h else resultant(f, g, "x").int_primitive()

@@ -12,18 +12,18 @@ determinant's balanced base-2^B digits are the resultant's coefficients
 over the scaling.  No value is interpolated, and no leading coefficient
 needs to stay nonzero.
 
-A `BiPoly` is never mutated after construction.  Its coefficient rows in y
-(``y_coeffs``), its integer rows (the coefficients times their least common
-denominator, built straight from the terms) and its x/y-swapped polynomial
-(read by ``specialize_y``) are therefore computed once, on first use, and
-cached on the instance; ``y_coeffs`` and ``int_y_rows`` hand out fresh lists
-so that no caller can alias the cache.  ``eval`` and ``sign_at`` run one
-homogenised integer Horner over the integer rows: ``eval`` builds a single
-`Fraction` and ``sign_at`` none.  ``int_fibre`` specialises x the same way,
-one Horner per row, to an integer list in y; ``specialize_x`` is that list
-over its positive denominator.  ``translate`` is a binomial Taylor shift
-on the integer rows, first in x and then in y, with one `Fraction` per output
-coefficient.
+A `BiPoly` is never mutated after construction.  Its integer rows (the
+coefficients times their least common denominator, built straight from the
+terms) are the one coefficient format the algebra reads, so they are
+computed once, on first use, and cached on the instance; ``int_y_rows``
+hands out fresh lists so that no caller can alias the cache.  ``eval`` and
+``sign_at`` run one homogenised integer Horner over the integer rows:
+``eval`` builds a single `Fraction` and ``sign_at`` none.  ``int_fibre``
+specialises x the same way, one Horner per row, to an integer list in y.
+``content_x`` is the gcd of the primitive rows, and ``quotient`` is long
+division in y over Z[x] by the divisor's primitive rows.  ``translate`` is
+a binomial Taylor shift on the integer rows, first in x and then in y, with
+one `Fraction` per output coefficient.
 
 Substitutions that only move terms are term maps, with no arithmetic on the
 coefficients but a sign: ``monomial_subst`` takes x^i y^j to a monomial whose
@@ -39,7 +39,7 @@ from math import gcd as _igcd
 from typing import Iterable, Iterator
 
 from .errors import DegreeZero, InternalError, ZeroPolynomial
-from .unipoly import UniPoly, poly_gcd, squarefree_part
+from .unipoly import UniPoly, _ilist_gcd, _ilist_monic, _ilist_primitive, _ilist_quotient, poly_gcd, squarefree_part
 
 Frac = Fraction
 Term = tuple[int, int]  # (i, j) exponents of x^i y^j
@@ -48,13 +48,11 @@ Term = tuple[int, int]  # (i, j) exponents of x^i y^j
 class BiPoly:
     """Finite map (i, j) -> nonzero rational coefficient of x^i y^j."""
 
-    __slots__ = ("t", "_yc", "_ir", "_sw")
+    __slots__ = ("t", "_ir")
 
     def __init__(self, terms: dict[Term, Fraction] | None = None):
         self.t: dict[Term, Fraction] = {}
-        self._yc: tuple[UniPoly, ...] | None = None
         self._ir: tuple[list[list[int]], int, int] | None = None
-        self._sw: BiPoly | None = None
         if terms:
             for k, v in terms.items():
                 v = Fraction(v)
@@ -86,16 +84,6 @@ class BiPoly:
     @staticmethod
     def y() -> "BiPoly":
         return BiPoly({(0, 1): Fraction(1)})
-
-    @staticmethod
-    def from_y_coeffs(coeffs: list[UniPoly]) -> "BiPoly":
-        """coeffs[j] is the UniPoly-in-x coefficient of y^j."""
-        t: dict[Term, Fraction] = {}
-        for j, p in enumerate(coeffs):
-            for i, v in enumerate(p.c):
-                if v:
-                    t[(i, j)] = v
-        return BiPoly(t)
 
     # -- queries ---------------------------------------------------------------
 
@@ -210,10 +198,6 @@ class BiPoly:
             dk *= d
         return acc, l * bp[n] * (dk // d)
 
-    def y_coeffs(self) -> list[UniPoly]:
-        """Coefficients as polynomials in x, indexed by y-power."""
-        return list(self._y_rows())
-
     def int_y_rows(self) -> tuple[list[list[int]], int]:
         """(rows, l): rows[j] holds the integer coefficients in x of y^j in
         l * self, l the least common denominator of all coefficients."""
@@ -237,27 +221,6 @@ class BiPoly:
                 r[i] = v.numerator * (l // v.denominator)
             self._ir = (rows, l, self.deg_x)
         return self._ir
-
-    def _y_rows(self) -> tuple[UniPoly, ...]:
-        if self._yc is None:
-            self._yc = self._build_y_rows()
-        return self._yc
-
-    def _build_y_rows(self) -> tuple[UniPoly, ...]:
-        if not self.t:
-            return ()
-        dy = self.deg_y
-        rows: list[dict[int, Fraction]] = [dict() for _ in range(dy + 1)]
-        for (i, j), v in self.t.items():
-            rows[j][i] = v
-        out = []
-        for row in rows:
-            if row:
-                n = max(row)
-                out.append(UniPoly([row.get(i, Fraction(0)) for i in range(n + 1)]))
-            else:
-                out.append(UniPoly.zero())
-        return tuple(out)
 
     def int_fibre(self, x0: Fraction | int) -> list[int]:
         """l * b^n * p(a/b, y) for x0 = a/b, as a trimmed integer coefficient
@@ -283,21 +246,6 @@ class BiPoly:
         while out and out[-1] == 0:
             out.pop()
         return out
-
-    def specialize_x(self, x0: Fraction | int) -> UniPoly:
-        """p(x0, y) as a univariate polynomial in y: `int_fibre` over l * b^n."""
-        c = self.int_fibre(x0)
-        if not c:
-            return UniPoly()
-        _rows, l, n = self._int_rows()
-        den = l * x0.denominator**n
-        return UniPoly([Fraction(v, den) for v in c])
-
-    def specialize_y(self, y0: Fraction | int) -> UniPoly:
-        """p(x, y0) as a univariate polynomial in x."""
-        if self._sw is None:
-            self._sw = self.swap_xy()
-        return self._sw.specialize_x(y0)
 
     def swap_xy(self) -> "BiPoly":
         return BiPoly._of({(j, i): v for (i, j), v in self.t.items()})
@@ -358,63 +306,58 @@ class BiPoly:
     # -- content / divisibility -------------------------------------------------------
 
     def content_x(self) -> UniPoly:
-        """gcd over j of the UniPoly-in-x coefficients (monic).  A nonzero
-        constant coefficient makes it 1 at once, with no gcd taken; the gcd
-        starts from the first nonzero coefficient made monic, so a single
-        one takes none either."""
-        rows = self._y_rows()
-        if any(p.degree == 0 for p in rows):
+        """The monic gcd in Q[x] of the coefficients of the powers of y: the
+        gcd of the primitive integer rows.  A nonzero constant row makes it
+        1 at once, with no gcd taken, and a single nonzero row takes none
+        either."""
+        rows = self._int_rows()[0]
+        if any(len(r) == 1 for r in rows):
             return UniPoly.one()
-        nonzero = [p for p in rows if p]
-        if not nonzero:
-            return UniPoly.one()
-        g = nonzero[0].monic()
-        for p in nonzero[1:]:
-            g = poly_gcd(g, p)
-            if g.degree == 0:
-                return UniPoly.one()
-        return g
+        g: list[int] = []
+        for r in rows:
+            if r:
+                g = _ilist_gcd(g, _ilist_primitive(r)) if g else _ilist_primitive(r)
+                if len(g) == 1:
+                    return UniPoly.one()
+        return _ilist_monic(g) if g else UniPoly.one()
 
-    def divmod_y(self, d: "BiPoly") -> tuple["BiPoly", "BiPoly"] | None:
-        """Division by d as polynomials in y over Q(x); returns None unless every
-        coefficient division is exact in Q[x] (sufficient for our callers)."""
-        dc = d.y_coeffs()
-        if not dc:
-            raise ZeroDivisionError
-        rem = self
-        quo = BiPoly.zero()
-        dlc = dc[-1]
-        ddeg = d.deg_y
-        while not rem.is_zero() and rem.deg_y >= ddeg:
-            rc = rem.y_coeffs()
-            lead = rc[-1]
-            q, r = lead.divmod(dlc)
-            if not r.is_zero():
+    def quotient(self, d: "BiPoly") -> "BiPoly | None":
+        """self / d when d divides self in Q[x, y], else None.
+
+        Long division in y over Z[x] of the integer rows P of self by the
+        primitive integer rows D of d (their coefficients over their gcd).
+        By Gauss's lemma a quotient P / D in Q[x, y] lies in Z[x, y], so d
+        divides self exactly when every step divides a leading row by D's
+        in Z[x] and the remainder is zero."""
+        if not d.t:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if not self.t:
+            return BiPoly()
+        rows, l, _n = self._int_rows()
+        drows, ld, _dn = d._int_rows()
+        c = 0
+        for r in drows:
+            for v in r:
+                c = _igcd(c, v)
+        drows = [[v // c for v in r] for r in drows]
+        m = len(drows) - 1
+        rem = [list(r) for r in rows]
+        quo: list[list[int]] = [[] for _ in range(len(rows) - m)]
+        for k in range(len(quo) - 1, -1, -1):
+            lead = rem[k + m]
+            if not lead:
+                continue
+            q = _ilist_quotient(lead, drows[m])
+            if q is None:
                 return None
-            shift = rem.deg_y - ddeg
-            qterm = BiPoly({(i, shift): v for i, v in enumerate(q.c) if v})
-            quo = quo + qterm
-            rem = rem - qterm * d
-            if not (rem.is_zero() or rem.deg_y < ddeg + shift):
-                raise InternalError("divmod_y failed to reduce the y-degree")
-        return quo, rem
-
-    def divides(self, other: "BiPoly") -> bool:
-        """Exact divisibility self | other over Q[x, y]: the division in y
-        over Q(x) stays in Q[x][y] and leaves no remainder."""
-        if self.is_zero():
-            return other.is_zero()
-        out = other.divmod_y(self)
-        return out is not None and out[1].is_zero()
-
-    def exact_div(self, d: "BiPoly") -> "BiPoly":
-        if d.deg_y == 0:
-            p = d.y_coeffs()[0]
-            return BiPoly.from_y_coeffs([c.exact_div(p) for c in self.y_coeffs()])
-        out = self.divmod_y(d)
-        if out is None or not out[1].is_zero():
-            raise ValueError("exact_div: not divisible")
-        return out[0]
+            quo[k] = q
+            for j, dr in enumerate(drows):
+                rem[k + j] = _sub_product(rem[k + j], q, dr)
+        if any(rem[:m]):
+            return None
+        return BiPoly._of(
+            {(i, j): Fraction(v * ld, l * c) for j, r in enumerate(quo) for i, v in enumerate(r) if v}
+        )
 
     # -- display ---------------------------------------------------------------------
 
@@ -449,6 +392,18 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self.to_text()})"
+
+
+def _sub_product(a: list[int], q: list[int], b: list[int]) -> list[int]:
+    """a - q * b for integer lists, trimmed."""
+    out = a + [0] * (len(q) + len(b) - 1 - len(a))
+    for i, u in enumerate(q):
+        if u:
+            for j, v in enumerate(b):
+                out[i + j] -= u * v
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def _powers(b: int, n: int) -> list[int]:

@@ -85,8 +85,8 @@ class CurvePointOrdering:
         h = self.factor_poly
         k = 0
         r = g
-        while not r.is_zero() and h.divides(r):
-            r = r.exact_div(h)
+        while r and (q := r.quotient(h)) is not None:
+            r = q
             k += 1
         if r.is_zero():
             return 0
@@ -95,7 +95,7 @@ class CurvePointOrdering:
         if k:
             hy = h.partial_y()
             shy = bipoly_sign_on_box(hy, Box(RootLocator.at(self.x0), self.yloc))
-            s = (self.eta * shy) ** k if (self.eta * shy) > 0 else (-1) ** k
+            s = (self.eta * shy) ** k
         # residual part: r must not vanish at the point
         if vanishes_at(r.int_fibre(self.x0), self.yloc):
             raise Unsupported(

@@ -2,8 +2,7 @@
 
 Input is integer: a polynomial enters as its integer coefficient list, and
 the squarefree part, the root bound, the stripping of roots at a window's
-ends and every exact division by a found root run on integer lists.  (A
-`UniPoly` is accepted too, and taken by its primitive integer form.)
+ends and every exact division by a found root run on integer lists.
 
 Isolation is bisection driven by Descartes' rule on the interval-mapped
 polynomial (Collins & Akritas 1976; Rouillier & Zimmermann 2004), walked on
@@ -28,8 +27,7 @@ is rational, and one exact test decides.
 
 `RootLocator` is the one type for a located real number: a rational enters
 as the exact locator ``RootLocator.at(x)``.  A locator keeps the primitive
-integer form of its polynomial and builds the `UniPoly` ``.p`` lazily, only
-for a caller that reads it.  An exact locator keeps
+integer form of its polynomial, ``ints()``.  An exact locator keeps
 ``lo == hi == exact``, so bounds are always read from ``lo`` and ``hi``, and
 refining an exact locator does nothing.  `separate`, `between` and
 `RootLocator.sign` are the refinement loops the geometry runs on locators,
@@ -55,7 +53,6 @@ from math import gcd
 
 from .errors import InternalError, Unsupported, ZeroPolynomial
 from .unipoly import (
-    UniPoly,
     _ilist_derivative,
     _ilist_exact_div,
     _ilist_gcd,
@@ -90,12 +87,6 @@ def _int_sign_at(c: list[int], x: Fraction) -> int:
         return 0
     acc = homogeneous_horner(c, x.numerator, x.denominator)[0]
     return (acc > 0) - (acc < 0)
-
-
-def _primitive(p: list[int] | UniPoly) -> list[int]:
-    """The primitive integer form (positive leading coefficient) of an
-    integer coefficient list, trailing zeros allowed, or of a `UniPoly`."""
-    return p.int_primitive() if isinstance(p, UniPoly) else _ilist_primitive(p)
 
 
 def _mapped_int(c: list[int], a: Fraction, b: Fraction) -> list[int]:
@@ -147,18 +138,13 @@ class RootLocator:
     ``exact`` is set when the root is a known rational, and then
     ``lo == hi == exact``; otherwise p changes sign across (lo, hi) and the
     interval can be halved indefinitely.  p is given as its primitive
-    integer coefficient list (positive leading coefficient) or as a
-    `UniPoly`; whichever form is missing is built on first use, so ``.p``
-    costs nothing until a caller reads it.
+    integer coefficient list (positive leading coefficient).
     """
 
-    def __init__(self, p: list[int] | UniPoly, lo: Fraction, hi: Fraction, exact: Fraction | None = None):
+    def __init__(self, p: list[int], lo: Fraction, hi: Fraction, exact: Fraction | None = None):
         if exact is None and not (lo < hi):
             raise ValueError("empty isolating interval")
-        if isinstance(p, UniPoly):
-            self._p, self._ip = p, None
-        else:
-            self._p, self._ip = None, p
+        self._ip = p
         self.lo, self.hi, self.exact = lo, hi, exact
         # sign of p at lo, valid while lo is the object _slo_at: refine moves
         # lo only to a point of the same sign
@@ -171,16 +157,8 @@ class RootLocator:
         x = Fraction(x)
         return cls([-x.numerator, x.denominator], x, x, x)
 
-    @property
-    def p(self) -> UniPoly:
-        if self._p is None:
-            self._p = UniPoly(self._ip)
-        return self._p
-
     def ints(self) -> list[int]:
         """The primitive integer form of p; shared, so not to be mutated."""
-        if self._ip is None:
-            self._ip = self._p.int_primitive()
         return self._ip
 
     def _sign(self, x: Fraction) -> int:
@@ -305,20 +283,20 @@ def simplest_in(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def isolate_real_roots(
-    p: list[int] | UniPoly,
+    p: list[int],
     lo: Fraction | None = None,
     hi: Fraction | None = None,
     detect_rational: bool = True,
 ) -> list[RootLocator]:
     """Disjoint isolating intervals for the distinct real roots of p in (lo, hi).
 
-    p is an integer coefficient list (a `UniPoly` is taken by its primitive
-    integer form) and is made squarefree internally; results are ordered
-    increasingly.  With ``detect_rational`` a locator is exact exactly when
-    its root is rational; without it, only roots met on the way are exact,
-    which is enough for counting.
+    p is an integer coefficient list, trailing zeros allowed, and is made
+    primitive and squarefree internally; results are ordered increasingly.
+    With ``detect_rational`` a locator is exact exactly when its root is
+    rational; without it, only roots met on the way are exact, which is
+    enough for counting.
     """
-    c = _primitive(p)
+    c = _ilist_primitive(p)
     if not c:
         raise ValueError("cannot isolate roots of the zero polynomial")
     if len(c) <= 1:
@@ -374,7 +352,7 @@ def isolate_real_roots(
     return out
 
 
-def rational_roots(p: list[int] | UniPoly) -> tuple[list[Fraction], bool]:
+def rational_roots(p: list[int]) -> tuple[list[Fraction], bool]:
     """The rational real roots of p, sorted, and whether p also has an
     irrational real root: the exact and inexact locators of
     `isolate_real_roots`.  Complete; never Unsupported."""
@@ -385,9 +363,9 @@ def rational_roots(p: list[int] | UniPoly) -> tuple[list[Fraction], bool]:
 # -- counting and comparison ----------------------------------------------------
 
 
-def open_count(p: list[int] | UniPoly, a: Fraction, b: Fraction) -> int:
+def open_count(p: list[int], a: Fraction, b: Fraction) -> int:
     """Number of distinct real roots of p in the open interval (a, b)."""
-    c = _primitive(p)
+    c = _ilist_primitive(p)
     # a nonzero constant has no roots, and neither has a polynomial whose
     # Descartes bound on (a, b) is zero
     if len(c) == 1 or (c and sign_variations(_mapped_int(c, a, b)) == 0):
@@ -408,14 +386,14 @@ def clear_of_roots(c: list[int], a: Fraction, b: Fraction) -> bool:
     return not isolate_real_roots(c, a, b, detect_rational=False)
 
 
-def count_roots_below(p: list[int] | UniPoly, y: Fraction) -> int:
+def count_roots_below(p: list[int], y: Fraction) -> int:
     """Number of distinct real roots of p in (-inf, y): Sturm's theorem on
     the primitive squarefree part s of p.  With s_0 = s, s_1 = s' and
     s_(k+1) a negative multiple of the remainder of s_(k-1) by s_k, V(-inf) -
     V(y) counts the roots in (-inf, y], V the sign variations along the
     sequence; less 1 when y is a root.  No bisection, so no depth: the cost
     does not grow with y's height or its distance to a root."""
-    c = _primitive(p)
+    c = _ilist_primitive(p)
     if not c:
         raise ZeroPolynomial("squarefree_part(0)")
     if len(c) <= 1:
@@ -463,12 +441,12 @@ def roots_equal(r1: RootLocator, r2: RootLocator) -> bool:
     return open_count(g, lo, hi) > 0
 
 
-def vanishes_at(u: list[int] | UniPoly, r: RootLocator) -> bool:
-    """Decide exactly whether u vanishes at the located number: at an exact
-    one by evaluation; otherwise r.p has exactly one root in (lo, hi) and
-    none at the ends, so u vanishes there iff gcd(u, r.p) has a root in
-    (lo, hi)."""
-    c = _primitive(u)
+def vanishes_at(u: list[int], r: RootLocator) -> bool:
+    """Decide exactly whether the integer polynomial u vanishes at the
+    located number: at an exact one by evaluation; otherwise r's polynomial
+    p has exactly one root in (lo, hi) and none at the ends, so u vanishes
+    there iff gcd(u, p) has a root in (lo, hi)."""
+    c = _ilist_primitive(u)
     if r.exact is not None:
         return _int_sign_at(c, r.exact) == 0
     return open_count(_ilist_gcd(c, r.ints()), r.lo, r.hi) > 0

@@ -96,7 +96,7 @@ from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal,
 from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import UniPoly, _ilist_derivative, homogeneous_horner
+from .unipoly import UniPoly, _ilist_derivative, _ilist_primitive, homogeneous_horner
 
 F = Fraction
 
@@ -203,16 +203,11 @@ def _cone_lines(p: BiPoly) -> Cone:
     are the real roots m of h(1, m); x = 0 is a line of multiplicity
     deg h - deg h(1, m)."""
     d = min(i + j for i, j in p.t)
-    coeffs = [F(0)] * (d + 1)
-    for (i, j), c in p.t.items():
-        if i + j == d:
-            coeffs[j] = c
-    h = UniPoly(coeffs)
-    vertical = d - h.degree
+    hi = _ilist_primitive([r[d - j] if d - j < len(r) else 0 for j, r in enumerate(p.int_y_rows()[0][: d + 1])])
+    vertical = d - (len(hi) - 1)
     lines: list[RootLocator | None] = [None] if vertical else []
     multiple = vertical > 1
-    if h.degree > 0:
-        hi = h.int_primitive()
+    if len(hi) > 1:
         roots = isolate_real_roots(hi)
         lines += roots
         multiple = multiple or any(vanishes_at(_ilist_derivative(hi), r) for r in roots)
@@ -559,9 +554,10 @@ def _located_tag(
     r = F(1)
     for n in decomp.scene.order:
         g = factors[n]
-        cs = [abs(c) for c in _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {})).specialize_y(v).c]
+        G = _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {}))
+        cs = [abs(c) for c in G.swap_xy().int_fibre(v)]
         k = next(j for j, c in enumerate(cs) if c)
-        r = min(r, cs[k] / sum(cs[k:]))
+        r = min(r, F(cs[k], sum(cs[k:])))
     pt = D.chart.down_point(side * r / 2, v)
     if any(factors[n].sign_at(*pt) != signs[n] for n in decomp.scene.order):
         raise InternalError(f"the located point of D{D.level} at v={v} leaves the half-line's sign vector")

@@ -259,17 +259,17 @@ def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
     if p.deg_x >= 1 and p.swap_xy().content_x().degree >= 1:
         return "content in y"
     if p.deg_y == 0:
-        roots, _ = rational_roots(p.y_coeffs()[0].int_primitive())
+        roots, _ = rational_roots(p.int_y_rows()[0][0])
         return f"divisible by {BiPoly({(1, 0): 1, (0, 0): -roots[0]}).to_text()}" if roots else None
     d = p.total_degree
-    slopes, _ = rational_roots(UniPoly([p.t.get((d - j, j), 0) for j in range(d + 1)]).int_primitive())
+    slopes, _ = rational_roots([r[d - j] if d - j < len(r) else 0 for j, r in enumerate(p.int_y_rows()[0])])
     if not slopes:
         return None
     intercepts, _ = rational_roots(p.int_fibre(0))
     for m in slopes:
         for c in intercepts:
             line = BiPoly({(0, 1): 1, (1, 0): -m, (0, 0): -c})
-            if line.divides(p):
+            if p.quotient(line) is not None:
                 return f"divisible by {line.to_text()}"
     return None
 

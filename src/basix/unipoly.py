@@ -4,7 +4,9 @@ Coefficients are `fractions.Fraction`; arithmetic is exact everywhere.  The
 gcd / squarefree machinery runs on primitive integer coefficient lists: the
 pseudo-remainder, the gcd and the exact quotient of `squarefree_part` are
 pure integer, which keeps intermediate growth under control, and the monic
-rational result is built once at the end.
+rational result is built once at the end.  Division exists only on integer
+lists: `_ilist_quotient` gives the exact quotient in Z[x] or None, and a
+`UniPoly` has no long division.
 
 A `UniPoly` is never mutated after construction, so its integer form, the
 coefficients times their common denominator, is computed once on first use
@@ -124,38 +126,6 @@ class UniPoly:
             b = b * b
             n >>= 1
         return r
-
-    def divmod(self, d: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
-        if d.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        q = [Fraction(0)] * max(0, len(self.c) - len(d.c) + 1)
-        r = list(self.c)
-        dlc = d.lc()
-        dd = d.degree
-        while len(r) - 1 >= dd and any(r):
-            while r and r[-1] == 0:
-                r.pop()
-            if len(r) - 1 < dd:
-                break
-            k = len(r) - 1 - dd
-            f = r[-1] / dlc
-            q[k] = f
-            for i, v in enumerate(d.c):
-                r[k + i] -= f * v
-            r.pop()
-        return UniPoly(q), UniPoly(r)
-
-    def __floordiv__(self, d: "UniPoly") -> "UniPoly":
-        return self.divmod(d)[0]
-
-    def __mod__(self, d: "UniPoly") -> "UniPoly":
-        return self.divmod(d)[1]
-
-    def exact_div(self, d: "UniPoly") -> "UniPoly":
-        q, r = self.divmod(d)
-        if not r.is_zero():
-            raise ValueError("exact_div: division not exact")
-        return q
 
     def derivative(self) -> "UniPoly":
         return UniPoly([self.c[i] * i for i in range(1, len(self.c))])
@@ -289,7 +259,7 @@ def _ilist_gcd(a: list[int], b: list[int]) -> list[int]:
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic greatest common divisor; poly_gcd(a, 0) = monic(a)."""
     g = _ilist_gcd(a.int_primitive(), b.int_primitive())
-    return UniPoly(g).monic() if g else UniPoly.zero()
+    return _ilist_monic(g) if g else UniPoly.zero()
 
 
 def _ilist_derivative(a: list[int]) -> list[int]:
@@ -305,22 +275,26 @@ def _ilist_squarefree(a: list[int]) -> list[int]:
 
 
 def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p: the primitive
-    `_ilist_squarefree` of p's integer form, with a positive leading
-    coefficient ``lc``, over ``lc``; that list is its integer form."""
+    """Monic product of the distinct irreducible factors of p: the monic
+    form of the primitive `_ilist_squarefree` of p's integer form."""
     if p.is_zero():
         raise ZeroPolynomial("squarefree_part(0)")
     if p.degree == 0:
         return UniPoly.one()
-    q = _ilist_squarefree(p.int_primitive())
-    lc = q[-1]
-    out = UniPoly([Fraction(v, lc) for v in q])
-    out._ic = (q, lc)
+    return _ilist_monic(_ilist_squarefree(p.int_primitive()))
+
+
+def _ilist_monic(g: list[int]) -> UniPoly:
+    """The monic polynomial of a nonempty primitive integer list g with a
+    positive leading coefficient; g is its integer form."""
+    out = UniPoly([Fraction(v, g[-1]) for v in g])
+    out._ic = (g, g[-1])
     return out
 
 
-def _ilist_exact_div(a: list[int], b: list[int]) -> list[int]:
-    """a / b for integer lists where b divides a in Z[x]."""
+def _ilist_quotient(a: list[int], b: list[int]) -> list[int] | None:
+    """a / b for integer lists, b trimmed and nonzero, when b divides a in
+    Z[x]; else None."""
     r = list(a)
     blc = b[-1]
     d = len(b) - 1
@@ -328,12 +302,18 @@ def _ilist_exact_div(a: list[int], b: list[int]) -> list[int]:
     for k in range(len(q) - 1, -1, -1):
         c, rem = divmod(r[k + d], blc)
         if rem:
-            raise InternalError("inexact integer polynomial division")
+            return None
         q[k] = c
         if c:
             for i, v in enumerate(b):
                 r[k + i] -= c * v
-    if any(r[:d]):
+    return None if any(r[:d]) else q
+
+
+def _ilist_exact_div(a: list[int], b: list[int]) -> list[int]:
+    """a / b for integer lists where b divides a in Z[x]."""
+    q = _ilist_quotient(a, b)
+    if q is None:
         raise InternalError("inexact integer polynomial division")
     return q
 

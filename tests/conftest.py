@@ -1,5 +1,6 @@
 import importlib.util
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -42,9 +43,31 @@ def differential_module(monkeypatch):
     return differential
 
 
+def _shear(p: BiPoly) -> BiPoly:
+    """p(x + y/2, y) by BiPoly products."""
+    x, y = BiPoly.x() + BiPoly.y().scale(Fraction(1, 2)), BiPoly.y()
+    return sum(((x**i * y**j).scale(v) for (i, j), v in p.t.items()), BiPoly())
+
+
+# exact affine automorphisms of the plane, as maps P -> P o phi of the
+# factors: the scene with the mapped factors describes phi^-1(S), which has
+# every property S has
+METAMORPHIC_MAPS = {
+    "translate": lambda p: p.translate(Fraction(1, 3), Fraction(-2, 5)),
+    "reflect": lambda p: p.monomial_subst((1, 0), (0, 1), -1),
+    "scale": lambda p: BiPoly({(i, j): v * Fraction(3**i, 2**j) for (i, j), v in p.t.items()}),
+    "shear": _shear,
+}
+
+
+def map_scene(scene: Scene, phi) -> Scene:
+    """The scene with the map phi applied to every factor."""
+    return Scene({n: phi(p) for n, p in scene.factors.items()}, scene.order, scene.formula, scene.chart)
+
+
 def swap_scene(scene: Scene) -> Scene:
     """The scene with x and y exchanged in every factor."""
-    return Scene({n: p.swap_xy() for n, p in scene.factors.items()}, scene.order, scene.formula, scene.chart)
+    return map_scene(scene, BiPoly.swap_xy)
 
 
 def sqrt2_twin(scene: Scene) -> Scene:

@@ -45,6 +45,15 @@ against the verdict's.  A witness that fails gets ``WITNESS FAILS`` and the
 reasons appended to its line, so two runs that print the same text also
 vouch for the same witnesses.  The file name has no ``test_`` prefix, so
 pytest does not collect it.
+
+With ``--metamorphic N`` the script compares instead of printing: it runs
+every property on the fixed scenes and N random scenes and on their images
+under each exact affine map of `conftest.METAMORPHIC_MAPS` (a translation,
+a reflection, a scaling and a shear), and prints one failing line per
+(scene, map, property) whose answers flip between Yes and No or where a
+check raises.  An Unsupported answer on either side passes, and so does the
+same input error on both sides (the maps keep factors squarefree and
+coprime).  It exits 1 if any line failed.
 """
 
 from __future__ import annotations
@@ -61,6 +70,7 @@ sys.path[:0] = [str(SRC_DIR), str(TESTS_DIR)]
 
 import basix  # noqa: E402
 from basix.checker import PROPERTIES, CheckRequest, Verdict, run_check  # noqa: E402
+from basix.errors import SceneError  # noqa: E402
 from basix.fans import fan_count_in_S, verify_fan  # noqa: E402
 from basix.report import verdict_to_dict  # noqa: E402
 from basix.scene import Scene, invert_scene  # noqa: E402
@@ -68,7 +78,7 @@ from basix.scene import Scene, invert_scene  # noqa: E402
 if Path(basix.__file__).resolve().parent != SRC_DIR / "basix":
     raise SystemExit(f"imported basix from {basix.__file__}, not from this checkout's src/")
 
-from conftest import sqrt2_twin, swap_scene  # noqa: E402
+from conftest import METAMORPHIC_MAPS, map_scene, sqrt2_twin, swap_scene  # noqa: E402
 from test_checker import (  # noqa: E402
     ASYMPTOTES_SQRT2,
     DOUBLE_ROOTS_10007,
@@ -171,11 +181,47 @@ def outcome(scene: Scene, prop: str) -> str:
     return f"{line}\tWITNESS FAILS: {'; '.join(failures)}" if failures else line
 
 
+def answer(scene: Scene, prop: str) -> str | Exception:
+    try:
+        return run_check(CheckRequest(scene, prop)).answer
+    except Exception as exc:  # noqa: BLE001 - the error is the outcome
+        return exc
+
+
+def metamorphic_failure(want: str | Exception, got: str | Exception) -> bool:
+    """Whether the answers on a scene and on its image disagree: a Yes/No
+    flip, or an exception other than one input error class on both sides."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return not (isinstance(want, SceneError) and type(want) is type(got))
+    return want != got and "Unsupported" not in (want, got)
+
+
+def metamorphic(n_random: int, seed: int) -> int:
+    """Print the failing lines of the metamorphic comparison; their number."""
+    failed = 0
+    for label, sc in scenes(n_random, seed):
+        if isinstance(sc, Exception):
+            continue
+        for prop in PROPERTIES:
+            want = answer(sc, prop)
+            for name, phi in METAMORPHIC_MAPS.items():
+                got = answer(map_scene(sc, phi), prop)
+                if metamorphic_failure(want, got):
+                    failed += 1
+                    print(f"{label}\t{name}\t{prop}\tFAILS: {want!r} -> {got!r}", flush=True)
+    return failed
+
+
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--random", type=int, default=120, help="number of random scenes")
     ap.add_argument("--seed", type=int, default=20261018)
+    ap.add_argument(
+        "--metamorphic", type=int, metavar="N", help="compare answers under exact affine maps on N random scenes"
+    )
     args = ap.parse_args(argv)
+    if args.metamorphic is not None:
+        raise SystemExit(1 if metamorphic(args.metamorphic, args.seed) else 0)
     for label, sc in scenes(args.random, args.seed):
         for prop in PROPERTIES:
             line = f"{type(sc).__name__}: {sc}" if isinstance(sc, Exception) else outcome(sc, prop)

@@ -1,4 +1,5 @@
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -224,10 +225,10 @@ def test_gap_sample_below_between_and_above():
     # on the roots of (y^2 - 2)(y - 3) and on the windows of the fibre
     # y^2 = sqrt 2 (roots -+2^(1/4)) over an irrational wall
     assert gap_sample([], 0) == 0
-    locs = isolate_real_roots(UniPoly([-2, 0, 1]) * UniPoly([-3, 1]))
+    locs = isolate_real_roots([6, -2, -3, 1])
     samples = [gap_sample(locs, k) for k in range(4)]
     assert samples[0] < -1.415 and -1.414 < samples[1] < 1.414 and 1.415 < samples[2] < 3 < samples[3]
-    sqrt2 = isolate_real_roots(UniPoly([-2, 0, 1]))[1]
+    sqrt2 = isolate_real_roots([-2, 0, 1])[1]
     windows = _Fibre(_IrrationalAbscissa(sqrt2, []), "f", parse_poly("y^2 - x")).windows()
     assert len(windows) == 2 and all(isinstance(w, _Window) for w in windows)
     below, mid, above = (gap_sample(windows, k) for k in range(3))
@@ -253,7 +254,7 @@ def test_isolated_point_vertex():
     # (x^2 - 2)^2 + y^2 has its isolated points at the irrational (+-sqrt2, 0)
     arr = build_arrangement(S("factor f = y^2 + x^4 - 4*x^2 + 4; set S = { f > 0 };"))
     assert (len(arr.vertices), len(arr.edges), len(arr.regions)) == (2, 0, 1)
-    sqrt2 = isolate_real_roots(UniPoly([-2, 0, 1]))
+    sqrt2 = isolate_real_roots([-2, 0, 1])
     for v, x in zip(arr.vertices, sqrt2):
         assert roots_equal(v.x, x) and roots_equal(v.y, RootLocator.at(0))
         assert arr.regions_at_vertex(v.vid) == {0}
@@ -311,7 +312,7 @@ def test_region_of_point_on_a_curve_is_an_internal_error():
 
 
 def _copy(loc):
-    return RootLocator(loc.p, loc.lo, loc.hi, loc.exact)
+    return RootLocator(loc.ints(), loc.lo, loc.hi, loc.exact)
 
 
 def _assert_stack_signs_are_evaluated_signs(arr):
@@ -400,14 +401,15 @@ def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
     # the matching rounds of a wall only shrink the span, and both sides of a
     # wall test the same levels, so each (factor, level) is specialised once;
     # the asymptotes x = +-1 of f are walls where its fates are not counted
-    specialize_y, build = BiPoly.specialize_y, arrangement.Arrangement._build
+    # (`_level_clear` specialises f(x, c) as the x/y-swapped f at y = c)
+    int_fibre, build = BiPoly.int_fibre, arrangement.Arrangement._build
     building: list[Counter] = []
     built: list[Counter] = []
 
-    def counted_specialize_y(self, y0):
-        if building:
-            building[-1][(self, F(y0))] += 1
-        return specialize_y(self, y0)
+    def counted_int_fibre(self, x0):
+        if building and sys._getframe(1).f_code.co_name == "_level_clear":
+            building[-1][(self, F(x0))] += 1
+        return int_fibre(self, x0)
 
     def counted_build(self, elim):
         building.append(Counter())
@@ -416,7 +418,7 @@ def test_each_level_is_specialised_once_per_arrangement(monkeypatch):
         finally:
             built.append(building.pop())
 
-    monkeypatch.setattr(BiPoly, "specialize_y", counted_specialize_y)
+    monkeypatch.setattr(BiPoly, "int_fibre", counted_int_fibre)
     monkeypatch.setattr(arrangement.Arrangement, "_build", counted_build)
     sc = S("factor f = x^2*y - y - 1; factor g = y - x; set S = { f > 0, g > 0 };")
     for prop in ("basic_open", "principal_open"):
@@ -561,7 +563,7 @@ def test_irrational_wall_fibre_parts_roots_2_to_the_minus_1100_apart():
     # y = x and y = x + 2^-1100 over the wall x = sqrt2: the windows are
     # bisected about 1,100 times, deeper than the interpreter's recursion limit
     eps = Fraction(1, 2**1100)
-    alpha = isolate_real_roots(UniPoly([-2, 0, 1]))[1]
+    alpha = isolate_real_roots([-2, 0, 1])[1]
     at = _IrrationalAbscissa(alpha, [])
     f = parse_poly("y - x") * (parse_poly("y - x") - BiPoly.const(eps))
     low, high = _Fibre(at, "f", f).windows()
@@ -571,13 +573,10 @@ def test_irrational_wall_fibre_parts_roots_2_to_the_minus_1100_apart():
 
 
 def test_arrangement_fibres_stay_on_integer_rows(monkeypatch):
-    # every fibre x = c the arrangement isolates or counts is an integer list
-    # from `BiPoly.int_fibre`: no `Fraction` fibre from `specialize_x`, and no
-    # monic polynomial, is made while an arrangement is built or locates
-    # points.  Only a level line y = c of `_level_clear` is specialised in y,
-    # which swaps x and y and then calls `specialize_x`
-    import sys
-
+    # every fibre x = c the arrangement isolates or counts, and every level
+    # line y = c, is an integer list from `BiPoly.int_fibre`: no `Fraction`
+    # polynomial but a resultant in x, and no monic polynomial, is made while
+    # an arrangement is built or locates points
     from conftest import FIXTURE_DIR, bench_scene_texts
 
     from basix.scene import project_scene
@@ -600,13 +599,13 @@ def test_arrangement_fibres_stay_on_integer_rows(monkeypatch):
     scenes = [Scene.from_text(t) for t in texts]
     scenes += [invert_scene(sc) for sc in scenes]
     projections = [project_scene(sc) for sc in scenes]
-    monkeypatch.setattr(BiPoly, "specialize_x", watched(BiPoly.specialize_x))
+    monkeypatch.setattr(UniPoly, "__init__", watched(UniPoly.__init__))
     monkeypatch.setattr(UniPoly, "monic", watched(UniPoly.monic))
     for sc, proj in zip(scenes, projections):
         arr = build_arrangement(sc, proj)
         for r in arr.regions:
             assert arr.region_of_point(*r.sample) == r.rid
-    assert set(called) <= {("specialize_x", "specialize_y", "_level_clear")}, called
+    assert set(called) <= {("__init__", "resultant", "_vertex_y_locator")}, called
 
 
 # pairwise coprime irreducible integer polynomials, low degree first: rational

@@ -8,7 +8,15 @@ from itertools import islice
 from pathlib import Path
 
 import pytest
-from conftest import bench_scene_texts, differential_module, load_fixture, sqrt2_twin, swap_scene
+from conftest import (
+    METAMORPHIC_MAPS,
+    bench_scene_texts,
+    differential_module,
+    load_fixture,
+    map_scene,
+    sqrt2_twin,
+    swap_scene,
+)
 from test_sphere import random_scene_text
 
 from basix import arrangement, bipoly, checker, cli
@@ -95,12 +103,17 @@ def test_swapped_cubic_has_a_point_witness(fixture_scene):
 
 
 def test_fixtures_answer_as_their_xy_swaps(fixture_scene):
+    # and as their images under the exact affine maps of METAMORPHIC_MAPS,
+    # whose answers must agree unless either side is Unsupported
     for name in ("cubic", "half", "para", "quad", "saddle"):
         sc = fixture_scene(name)
         for prop in PROPERTIES:
             a = run_check(CheckRequest(sc, prop))
             b = run_check(CheckRequest(swap_scene(sc), prop))
             assert (a.answer, a.reason) == (b.answer, b.reason), (name, prop)
+            for label, phi in METAMORPHIC_MAPS.items():
+                b = run_check(CheckRequest(map_scene(sc, phi), prop))
+                assert a.answer == b.answer or "Unsupported" in (a.answer, b.answer), (name, prop, label)
 
 
 def _twin_factor(rng: random.Random) -> str:

@@ -12,7 +12,6 @@ from basix.errors import BasixError, CountMismatch, InternalError
 from basix.realroots import isolate_real_roots, refine_disjoint
 from basix.scene import Scene
 from basix.svgplot import render_svg
-from basix.unipoly import UniPoly
 
 # chart-point sampling certified its segment against the boundary factors
 # only, so on D2 at v=0 it crossed f0's oval and disagreed with the
@@ -329,7 +328,7 @@ def _locate_on_a_curve(req):
 
 
 def _coincident_roots(req):
-    refine_disjoint(isolate_real_roots(UniPoly([-1, 1])) + isolate_real_roots(UniPoly([-1, 1])))
+    refine_disjoint(isolate_real_roots([-1, 1]) + isolate_real_roots([-1, 1]))
 
 
 @pytest.mark.parametrize("broken", [_locate_on_a_curve, _coincident_roots])

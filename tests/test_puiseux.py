@@ -71,7 +71,7 @@ def _edge_polynomial(sup, j1, i1, j2, i2, q) -> UniPoly:
 
 def _rational_roots(psi: UniPoly) -> list[Fraction]:
     """Nonzero rational roots; a real irrational root raises Unsupported."""
-    roots, irrational = rational_roots(psi)
+    roots, irrational = rational_roots(psi.int_primitive())
     if irrational:
         raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
     return [r for r in roots if r != 0]

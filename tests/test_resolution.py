@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
-from test_algebra import _ref_subst
+from test_algebra import _ref_subst, _ref_y_coeffs
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
 from test_puiseux import arc_region_membership, branch_set, family_arc, located_membership
 from test_cli import DIVERGENT
@@ -476,11 +476,14 @@ def _chart_point_sides(D, decomp, v_mid):
     v = v_mid is halved until no scene factor, pulled back, has a root on
     it other than u = 0, so each half lies in one region."""
     X, Y = D.chart.down_map()
-    gs = [_ref_subst(p, X, Y).specialize_y(v_mid) for p in decomp.scene.factors.values()]
+    gs = [_ref_subst(p, X, Y).swap_xy() for p in decomp.scene.factors.values()]
+    gs = [UniPoly([c.eval(v_mid) for c in _ref_y_coeffs(g)]) for g in gs]
     assert not any(g.is_zero() for g in gs), "the sample line lies on a scene curve"
     q = F(1, 2)
     while not all(
-        open_count(g, F(0), q) == open_count(g, -q, F(0)) == 0 and g.eval(q) != 0 != g.eval(-q) for g in gs
+        open_count(g.int_primitive(), F(0), q) == open_count(g.int_primitive(), -q, F(0)) == 0
+        and g.eval(q) != 0 != g.eval(-q)
+        for g in gs
     ):
         q /= 2
     return tuple(decomp.tag_at(*D.chart.down_point(side * q, v_mid)) for side in (1, -1))

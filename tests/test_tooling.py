@@ -15,7 +15,7 @@ import pytest
 from conftest import differential_module
 
 from basix.checker import PROPERTIES, CheckRequest, run_check
-from basix.errors import BasixError, ParseError, SceneError, Unsupported
+from basix.errors import BasixError, InternalError, NotSquarefree, ParseError, SceneError, SharedComponent, Unsupported
 from basix.report import verdict_to_dict
 from basix.scene import Scene, validate_scene, validated_projection
 
@@ -213,3 +213,20 @@ def test_differential_marks_a_witness_that_does_not_reverify(monkeypatch, fixtur
     assert differential.witness_failures(sc, prop, v) == [
         f"counts {v.witness_count - 1} points in S, the verdict {v.witness_count}"
     ]
+
+
+def test_differential_metamorphic_prints_flips_and_errors(monkeypatch, capsys, fixture_scene):
+    # the affine maps keep every answer on half.bsx; a map that squares the
+    # factors makes the image an input error on one side only, which fails
+    differential = differential_module(monkeypatch)
+    monkeypatch.setattr(differential, "scenes", lambda _n, _seed: iter([("half", fixture_scene("half"))]))
+    assert differential.metamorphic(0, 0) == 0 and capsys.readouterr().out == ""
+    monkeypatch.setitem(differential.METAMORPHIC_MAPS, "square", lambda p: p * p)
+    assert differential.metamorphic(0, 0) == len(PROPERTIES)
+    lines = capsys.readouterr().out.splitlines()
+    assert all(line.startswith("half\tsquare\t") and "NotSquarefree" in line for line in lines), lines
+    fails = differential.metamorphic_failure
+    assert fails("Yes", "No") and fails("No", "Yes") and not fails("Yes", "Yes")
+    assert not fails("Yes", "Unsupported") and not fails("Unsupported", "No")
+    assert not fails(NotSquarefree("f"), NotSquarefree("g")) and fails(NotSquarefree("f"), SharedComponent("f", "g"))
+    assert fails(InternalError("x"), InternalError("x")) and fails("Yes", ValueError("x"))
