@@ -113,7 +113,6 @@ from .realroots import (
 )
 from .scene import Projection, Scene, project_scene
 from .unipoly import (
-    UniPoly,
     _ilist_derivative,
     _ilist_exact_div,
     _ilist_gcd,
@@ -324,7 +323,7 @@ class Arrangement:
 
     # ---------------------------------------------------------------- stage 1
 
-    def _build(self, elim: dict[tuple[str, ...], UniPoly]) -> None:
+    def _build(self, elim: dict[tuple[str, ...], list[int]]) -> None:
         for name in self.order:
             p = self.factors[name]
             if p.deg_y >= 1:
@@ -344,9 +343,9 @@ class Arrangement:
         crit_polys: list[tuple[tuple[str, ...], list[int]]] = []
         for n, f in self.curvy.items():
             if (n,) in elim:
-                crit_polys.append(((n,), elim[(n,)].int_primitive()))
+                crit_polys.append(((n,), elim[(n,)]))
             crit_polys.append(((n,), _ilist_primitive(f.int_y_rows()[0][-1])))
-        crit_polys += [(key, r.int_primitive()) for key, r in elim.items() if len(key) == 2]
+        crit_polys += [(key, r) for key, r in elim.items() if len(key) == 2]
         crit_polys += [((n,), [-v.numerator, v.denominator]) for n, v in self.vlines.items()]
 
         critical = [(key, sf) for key, p in crit_polys if len(sf := _ilist_squarefree(p)) >= 2]
@@ -522,13 +521,13 @@ class Arrangement:
         r = self._elim_cache.get(fs)
         if r is None:
             f = self.curvy[fs[0]]
-            if len(fs) == 1 and self._contents[fs[0]].degree >= 1:
-                c = self._contents[fs[0]].int_primitive()
+            c = self._contents[fs[0]]
+            if len(fs) == 1 and len(c) > 1:
                 rows = [_ilist_exact_div(r, c) for r in f.int_y_rows()[0]]
                 f = BiPoly({(i, j): v for j, r in enumerate(rows) for i, v in enumerate(r) if v})
             g = f.partial_y() if len(fs) == 1 else self.curvy[fs[1]]
             h = f if f.deg_x == 0 else g if g.deg_x == 0 else None
-            r = self._elim_cache[fs] = h.int_fibre(0) if h else resultant(f, g, "x").int_primitive()
+            r = self._elim_cache[fs] = h.int_fibre(0) if h else _ilist_primitive(resultant(f, g, "x"))
         while True:
             cands = isolate_real_roots(r, window.lo, window.hi, detect_rational=False)
             if len(cands) == 1:

@@ -8,9 +8,12 @@ polynomial in x, is held as its value at x = 2^B, with 2^(B-1) above the
 product of the rows' coefficient sums.  That product bounds the coefficient
 sum of every minor, so the packing is injective on every entry the
 elimination meets and commutes with its products and exact divisions; the
-determinant's balanced base-2^B digits are the resultant's coefficients
-over the scaling.  No value is interpolated, and no leading coefficient
-needs to stay nonzero.
+determinant's balanced base-2^B digits are the coefficients of the
+resultant of the scaled polynomials.  No value is interpolated, and no
+leading coefficient needs to stay nonzero.  `resultant` and
+`discriminant_y` return those integer lists as they are: a positive
+multiple of the resultant over Q, so its sign convention holds, and the
+projection takes their primitive forms.
 
 A `BiPoly` is never mutated after construction.  Its integer rows (the
 coefficients times their least common denominator, built straight from the
@@ -20,7 +23,7 @@ hands out fresh lists so that no caller can alias the cache.  ``eval`` and
 ``sign_at`` run one homogenised integer Horner over the integer rows:
 ``eval`` builds a single `Fraction` and ``sign_at`` none.  ``int_fibre``
 specialises x the same way, one Horner per row, to an integer list in y.
-``content_x`` is the gcd of the primitive rows, and ``quotient`` is long
+``content_x`` is the primitive gcd of the rows, and ``quotient`` is long
 division in y over Z[x] by the divisor's primitive rows.  ``translate`` is
 a binomial Taylor shift on the integer rows, first in x and then in y, with
 one `Fraction` per output coefficient.
@@ -36,12 +39,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _igcd
-from typing import Iterable, Iterator
 
-from .errors import DegreeZero, InternalError, ZeroPolynomial
-from .unipoly import UniPoly, _ilist_gcd, _ilist_monic, _ilist_primitive, _ilist_quotient, poly_gcd, squarefree_part
+from .errors import DegreeZero, InternalError
+from .unipoly import _ilist_gcd, _ilist_primitive, _ilist_quotient, _ilist_squarefree
 
-Frac = Fraction
 Term = tuple[int, int]  # (i, j) exponents of x^i y^j
 
 
@@ -305,21 +306,22 @@ class BiPoly:
 
     # -- content / divisibility -------------------------------------------------------
 
-    def content_x(self) -> UniPoly:
-        """The monic gcd in Q[x] of the coefficients of the powers of y: the
-        gcd of the primitive integer rows.  A nonzero constant row makes it
-        1 at once, with no gcd taken, and a single nonzero row takes none
+    def content_x(self) -> list[int]:
+        """The gcd in Q[x] of the coefficients of the powers of y, as the
+        primitive gcd of the integer rows (positive leading coefficient);
+        [1] when it is constant.  A nonzero constant row makes it [1] at
+        once, with no gcd taken, and a single nonzero row takes none
         either."""
         rows = self._int_rows()[0]
         if any(len(r) == 1 for r in rows):
-            return UniPoly.one()
+            return [1]
         g: list[int] = []
         for r in rows:
             if r:
                 g = _ilist_gcd(g, _ilist_primitive(r)) if g else _ilist_primitive(r)
                 if len(g) == 1:
-                    return UniPoly.one()
-        return _ilist_monic(g) if g else UniPoly.one()
+                    return [1]
+        return g or [1]
 
     def quotient(self, d: "BiPoly") -> "BiPoly | None":
         """self / d when d divides self in Q[x, y], else None.
@@ -441,21 +443,23 @@ def _pow_range(lo: Fraction, hi: Fraction, n: int) -> tuple[Fraction, Fraction]:
 # -- resultants -------------------------------------------------------------------
 
 
-def resultant(f: BiPoly, g: BiPoly, eliminate: str = "y") -> UniPoly:
-    """Sylvester resultant eliminating the given variable.
-
-    Raises DegreeZero if either argument is constant in that variable.  The
-    sign convention is the Sylvester determinant with f-rows first.
+def resultant(f: BiPoly, g: BiPoly, eliminate: str = "y") -> list[int]:
+    """Sylvester resultant eliminating the given variable, as the integer
+    list of Res(F, G) = lf^n * lg^m * Res(f, g): F = lf * f and G = lg * g
+    have integer rows, lf and lg the positive least common denominators,
+    and n, m the degrees of g and f in that variable.  The sign convention
+    is the Sylvester determinant with f-rows first; [] when f and g share
+    a factor that is not constant in that variable.  Raises DegreeZero if
+    either argument is constant in that variable.
     """
     if eliminate == "x":
         return resultant(f.swap_xy(), g.swap_xy(), "y")
     m, n = f.deg_y, g.deg_y
     if m <= 0 or n <= 0:
         raise DegreeZero(f"resultant: y-degrees {m}, {n}")
-    # F = lf*f and G = lg*g have integer rows; their Sylvester matrix has n
-    # rows of F and m rows of G, so Res(f, g) = Res(F, G) / (lf^n * lg^m)
-    fr, lf = f.int_y_rows()
-    gr, lg = g.int_y_rows()
+    # the Sylvester matrix of F and G has n rows of F and m rows of G
+    fr = f.int_y_rows()[0]
+    gr = g.int_y_rows()[0]
     fr.reverse()
     gr.reverse()
     # p -> p(2^B) is injective on the polynomials with absolute coefficient
@@ -467,8 +471,7 @@ def resultant(f: BiPoly, g: BiPoly, eliminate: str = "y") -> UniPoly:
     size = m + n
     rows = [[0] * i + pf + [0] * (size - m - 1 - i) for i in range(n)]
     rows += [[0] * i + pg + [0] * (size - n - 1 - i) for i in range(m)]
-    denom = lf**n * lg**m
-    return UniPoly([Fraction(c, denom) for c in _unpack(_bareiss_det(rows), B)])
+    return _unpack(_bareiss_det(rows), B)
 
 
 def _pack(c: list[int], B: int) -> int:
@@ -522,15 +525,17 @@ def _bareiss_det(rows: list[list[int]]) -> int:
     return sign * rows[-1][-1]
 
 
-def discriminant_y(f: BiPoly) -> UniPoly:
-    """Res_y(f, df/dy); vanishes at abscissae of vertical tangents, singular
-    points and multiple y-roots (leading-coefficient zeros may appear too)."""
+def discriminant_y(f: BiPoly) -> list[int]:
+    """Res_y(f, df/dy) as `resultant` gives it, a positive multiple, or [1]
+    when f is linear in y; vanishes at abscissae of vertical tangents,
+    singular points and multiple y-roots (leading-coefficient zeros may
+    appear too)."""
     fy = f.partial_y()
     if f.deg_y <= 0 or fy.deg_y < 0:
         raise DegreeZero("discriminant_y needs positive y-degree")
     if fy.deg_y == 0:
         # f linear in y: no y-critical structure
-        return UniPoly.one()
+        return [1]
     return resultant(f, fy, "y")
 
 
@@ -541,15 +546,15 @@ def is_squarefree(f: BiPoly) -> bool:
     """Squarefree over Q[x, y]: the content in x (an x-only f's is f) is
     squarefree and, for y-degree 2 or more, discriminant_y(f) is nonzero."""
     c = f.content_x()
-    return not f.is_zero() and squarefree_part(c).degree == c.degree and (f.deg_y < 2 or not discriminant_y(f).is_zero())
+    return not f.is_zero() and len(_ilist_squarefree(c)) == len(c) and (f.deg_y < 2 or bool(discriminant_y(f)))
 
 
 def are_coprime(f: BiPoly, g: BiPoly) -> bool:
     """No common nonconstant factor over Q[x, y]: the contents in x are
     coprime and, if both depend on y, the y-resultant is nonzero."""
-    if f.is_zero() or g.is_zero() or poly_gcd(f.content_x(), g.content_x()).degree >= 1:
+    if f.is_zero() or g.is_zero() or len(_ilist_gcd(f.content_x(), g.content_x())) > 1:
         return False
-    return f.deg_y < 1 or g.deg_y < 1 or not resultant(f, g, "y").is_zero()
+    return f.deg_y < 1 or g.deg_y < 1 or bool(resultant(f, g, "y"))
 
 
 # -- parsing ------------------------------------------------------------------------

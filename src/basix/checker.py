@@ -116,26 +116,6 @@ def run_check(req: CheckRequest) -> Verdict:
     return v
 
 
-def check_basic_open(scene: Scene, want_witness: bool = True) -> Verdict:
-    return run_check(CheckRequest(scene, "basic_open", want_witness))
-
-
-def check_basic_closed(scene: Scene, want_witness: bool = True) -> Verdict:
-    return run_check(CheckRequest(scene, "basic_closed", want_witness))
-
-
-def check_generically_basic(scene: Scene, want_witness: bool = True) -> Verdict:
-    return run_check(CheckRequest(scene, "generically_basic", want_witness))
-
-
-def check_principal_open(scene: Scene, want_witness: bool = True) -> Verdict:
-    return run_check(CheckRequest(scene, "principal_open", want_witness))
-
-
-def check_principal_closed(scene: Scene, want_witness: bool = True) -> Verdict:
-    return run_check(CheckRequest(scene, "principal_closed", want_witness))
-
-
 # ----------------------------------------------------------------- basic open
 
 

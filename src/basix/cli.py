@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .checker import CheckRequest, run_check
 from .errors import BasixError, InternalError, ParseError, SceneError, Unsupported
-from .fans import fan_count_in_S, fan_from_json, fan_to_json, verify_fan
+from .fans import fan_count_in_S, fan_from_json, verify_fan
 from .report import verdict_to_json, verdict_to_text
 from .scene import Scene, validate_scene, validated_projection
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from .bipoly import BiPoly
 from .errors import InternalError, ParseError
-from .scene import RELS, Atom, Clause, Scene
+from .scene import RELS, Scene
 
 
 @dataclass

@@ -395,7 +395,7 @@ def count_roots_below(p: list[int], y: Fraction) -> int:
     does not grow with y's height or its distance to a root."""
     c = _ilist_primitive(p)
     if not c:
-        raise ZeroPolynomial("squarefree_part(0)")
+        raise ZeroPolynomial("count_roots_below(0)")
     if len(c) <= 1:
         return 0
     seq = [_ilist_squarefree(c)]

@@ -10,7 +10,7 @@ import json
 
 from .checker import Verdict
 from .errors import Unsupported
-from .fans import Fan, fan_to_json
+from .fans import fan_to_json
 
 
 def verdict_to_dict(v: Verdict) -> dict:

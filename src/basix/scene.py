@@ -3,11 +3,12 @@
 A Scene is a list of named bivariate factors (declared irreducible over the
 reals by the user) and a formula in disjunctive normal form whose atoms
 constrain factor signs.  Validation computes the scene's projection once
-per check (`project_scene`: contents in x, discriminants, pair resultants),
-decides squarefreeness and pairwise coprimality from it, and warns on every
-factor with a rational linear factor (a factor of degree 2 or more is not
-looked for); the arrangement reads the projection.  The chart-at-infinity
-transform realises the second stereographic chart of the sphere.
+per check (`project_scene`: contents in x, discriminants and pair
+resultants, as primitive integer lists), decides squarefreeness and
+pairwise coprimality from it, and warns on every factor with a rational
+linear factor (a factor of degree 2 or more is not looked for); the
+arrangement reads the projection.  The chart-at-infinity transform
+realises the second stereographic chart of the sphere.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from fractions import Fraction
 from math import comb, gcd
 from typing import Iterable
 
-from .bipoly import BiPoly, discriminant_y, parse_poly, resultant
+from .bipoly import BiPoly, discriminant_y, resultant
 from .errors import NotSquarefree, SceneError, SharedComponent
 from .realroots import rational_roots
-from .unipoly import UniPoly, poly_gcd, squarefree_part
+from .unipoly import _ilist_gcd, _ilist_primitive, _ilist_squarefree
 
 RELS = (">", "<", ">=", "<=", "==", "!=")
 
@@ -187,12 +188,14 @@ class Scene:
 
 @dataclass(frozen=True)
 class Projection:
-    """Each factor's monic content in x (an x-only factor's is itself);
-    `discriminant_y` of each factor of y-degree >= 2 keyed ``(n,)``, then the
-    y-resultant of each pair of y-degree >= 1 keyed ``(a, b)``, a before b."""
+    """Primitive integer lists in x (content 1, positive leading
+    coefficient): each factor's content in x (an x-only factor's is itself,
+    a constant one [1]); `discriminant_y` of each factor of y-degree >= 2
+    keyed ``(n,)``, then the y-resultant of each pair of y-degree >= 1
+    keyed ``(a, b)``, a before b."""
 
-    contents: dict[str, UniPoly]
-    elim: dict[tuple[str, ...], UniPoly]
+    contents: dict[str, list[int]]
+    elim: dict[tuple[str, ...], list[int]]
 
 
 def project_scene(scene: Scene) -> Projection:
@@ -201,26 +204,26 @@ def project_scene(scene: Scene) -> Projection:
     c multiplies it by a power of c only), then `SharedComponent` for the
     first pair whose contents share a factor (a gcd is taken only when both
     are nonconstant) or whose resultant vanishes."""
-    contents: dict[str, UniPoly] = {}
-    elim: dict[tuple[str, ...], UniPoly] = {}
+    contents: dict[str, list[int]] = {}
+    elim: dict[tuple[str, ...], list[int]] = {}
     for n in scene.order:
         f = scene.factors[n]
         c = contents[n] = f.content_x()
-        if f.is_zero() or squarefree_part(c).degree < c.degree:
+        if f.is_zero() or len(_ilist_squarefree(c)) < len(c):
             raise NotSquarefree(n)
         if f.deg_y >= 2:
-            d = elim[(n,)] = discriminant_y(f)
-            if d.is_zero():
+            d = elim[(n,)] = _ilist_primitive(discriminant_y(f))
+            if not d:
                 raise NotSquarefree(n)
     for i, a in enumerate(scene.order):
         for b in scene.order[i + 1 :]:
             f, g = scene.factors[a], scene.factors[b]
             ca, cb = contents[a], contents[b]  # a constant content shares no factor
-            if ca.degree >= 1 and cb.degree >= 1 and poly_gcd(ca, cb).degree >= 1:
+            if len(ca) > 1 and len(cb) > 1 and len(_ilist_gcd(ca, cb)) > 1:
                 raise SharedComponent(a, b)
             if f.deg_y >= 1 and g.deg_y >= 1:
-                r = elim[(a, b)] = resultant(f, g, "y")
-                if r.is_zero():
+                r = elim[(a, b)] = _ilist_primitive(resultant(f, g, "y"))
+                if not r:
                     raise SharedComponent(a, b)
     return Projection(contents, elim)
 
@@ -242,8 +245,9 @@ def validate_scene(scene: Scene) -> list[str]:
     return validated_projection(scene)[1]
 
 
-def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
-    """A content in x (``cont``) or in y, or a rational line dividing p.
+def _linear_factor(p: BiPoly, cont: list[int]) -> str | None:
+    """A content in x (``cont``, a primitive integer list) or in y, or a
+    rational line dividing p.
 
     Complete for lines.  A content catches every vertical line x = a when p
     depends on y, and every horizontal line when p depends on x; an x-only p
@@ -254,9 +258,9 @@ def _linear_factor(p: BiPoly, cont: UniPoly) -> str | None:
     """
     if p.total_degree <= 1:
         return None
-    if p.deg_y >= 1 and cont.degree >= 1:
-        return f"content in x of degree {cont.degree}"
-    if p.deg_x >= 1 and p.swap_xy().content_x().degree >= 1:
+    if p.deg_y >= 1 and len(cont) > 1:
+        return f"content in x of degree {len(cont) - 1}"
+    if p.deg_x >= 1 and len(p.swap_xy().content_x()) > 1:
         return "content in y"
     if p.deg_y == 0:
         roots, _ = rational_roots(p.int_y_rows()[0][0])

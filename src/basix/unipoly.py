@@ -1,17 +1,20 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and integer lists.
 
-Coefficients are `fractions.Fraction`; arithmetic is exact everywhere.  The
-gcd / squarefree machinery runs on primitive integer coefficient lists: the
-pseudo-remainder, the gcd and the exact quotient of `squarefree_part` are
-pure integer, which keeps intermediate growth under control, and the monic
-rational result is built once at the end.  Division exists only on integer
-lists: `_ilist_quotient` gives the exact quotient in Z[x] or None, and a
-`UniPoly` has no long division.
+A `UniPoly` has `fractions.Fraction` coefficients and exact arithmetic; it
+is the coefficient ring of `series.TSeries`, polynomials in z, and nothing
+else holds one.  The projection, root isolation and every gcd and
+squarefree part run on integer coefficient lists instead (low degree
+first, no trailing zeros): `_ilist_primitive` divides out the content and
+makes the leading coefficient positive, and the pseudo-remainder, the gcd,
+the squarefree part and the exact quotient stay in Z[x], which keeps
+intermediate growth under control.  Division exists only on integer lists:
+`_ilist_quotient` gives the exact quotient in Z[x] or None.
 
 A `UniPoly` is never mutated after construction, so its integer form, the
 coefficients times their common denominator, is computed once on first use
 and cached.  Evaluation at a rational ``num/den`` runs homogenised integer
-Horner on that form and builds a single `Fraction`.
+Horner on that form and builds a single `Fraction`.  `from_roots` and
+`sylvester_resultant` are Fraction references for the tests.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from fractions import Fraction
 from math import gcd as _igcd
 from typing import Iterable, Sequence
 
-from .errors import InternalError, ZeroPolynomial
-
-Frac = Fraction
+from .errors import InternalError
 
 
 class UniPoly:
@@ -38,10 +39,6 @@ class UniPoly:
         self._ic: tuple[list[int], int] | None = None
 
     # -- constructors -------------------------------------------------------
-
-    @staticmethod
-    def zero() -> "UniPoly":
-        return UniPoly()
 
     @staticmethod
     def one() -> "UniPoly":
@@ -70,11 +67,6 @@ class UniPoly:
 
     def is_zero(self) -> bool:
         return not self.c
-
-    def lc(self) -> Fraction:
-        if not self.c:
-            raise ZeroPolynomial("leading coefficient of 0")
-        return self.c[-1]
 
     def __bool__(self) -> bool:
         return bool(self.c)
@@ -127,9 +119,6 @@ class UniPoly:
             n >>= 1
         return r
 
-    def derivative(self) -> "UniPoly":
-        return UniPoly([self.c[i] * i for i in range(1, len(self.c))])
-
     def _int_form(self) -> tuple[list[int], int]:
         """(ints, l) with p = sum(ints[i] x**i) / l, l the least common
         denominator of the coefficients; cached."""
@@ -146,18 +135,6 @@ class UniPoly:
         ints, l = self._int_form()
         acc, dn = homogeneous_horner(ints, x.numerator, x.denominator)
         return Fraction(acc, l * dn)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        return self.scale(1 / self.lc())
-
-    # -- integer normal form --------------------------------------------------
-
-    def int_primitive(self) -> list[int]:
-        """Primitive integer coefficient list (positive leading coefficient)."""
-        # a new list even when the content is 1: the cached form must not be aliased
-        return _ilist_primitive(self._int_form()[0])
 
     # -- display --------------------------------------------------------------
 
@@ -226,7 +203,7 @@ def _ilist_rem(a: list[int], b: list[int]) -> list[int]:
 
 def _ilist_pseudo_rem(a: list[int], b: list[int]) -> list[int]:
     """Primitive remainder of a by b, integer coefficient lists: `_ilist_rem`
-    normalised like ``UniPoly.int_primitive`` (content 1, positive leading
+    normalised by `_ilist_primitive` (content 1, positive leading
     coefficient)."""
     return _ilist_primitive(_ilist_rem(a, b))
 
@@ -256,12 +233,6 @@ def _ilist_gcd(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    """Monic greatest common divisor; poly_gcd(a, 0) = monic(a)."""
-    g = _ilist_gcd(a.int_primitive(), b.int_primitive())
-    return _ilist_monic(g) if g else UniPoly.zero()
-
-
 def _ilist_derivative(a: list[int]) -> list[int]:
     return [i * v for i, v in enumerate(a)][1:]
 
@@ -272,24 +243,6 @@ def _ilist_squarefree(a: list[int]) -> list[int]:
     list by Gauss's lemma (the gcd is primitive)."""
     g = _ilist_gcd(a, _ilist_primitive(_ilist_derivative(a)))
     return _ilist_exact_div(a, g) if len(g) > 1 else a
-
-
-def squarefree_part(p: UniPoly) -> UniPoly:
-    """Monic product of the distinct irreducible factors of p: the monic
-    form of the primitive `_ilist_squarefree` of p's integer form."""
-    if p.is_zero():
-        raise ZeroPolynomial("squarefree_part(0)")
-    if p.degree == 0:
-        return UniPoly.one()
-    return _ilist_monic(_ilist_squarefree(p.int_primitive()))
-
-
-def _ilist_monic(g: list[int]) -> UniPoly:
-    """The monic polynomial of a nonempty primitive integer list g with a
-    positive leading coefficient; g is its integer form."""
-    out = UniPoly([Fraction(v, g[-1]) for v in g])
-    out._ic = (g, g[-1])
-    return out
 
 
 def _ilist_quotient(a: list[int], b: list[int]) -> list[int] | None:

@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -6,7 +7,9 @@ from pathlib import Path
 import pytest
 
 from basix.bipoly import BiPoly
+from basix.checker import CheckRequest, Verdict, run_check
 from basix.scene import Scene
+from basix.unipoly import UniPoly
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
@@ -15,6 +18,22 @@ BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 def load_fixture(name: str) -> Scene:
     """The shipped scene ``fixtures/<name>.bsx``."""
     return Scene.from_text((FIXTURE_DIR / f"{name}.bsx").read_text(encoding="utf-8"))
+
+
+def check(scene: Scene, prop: str, want_witness: bool = True) -> Verdict:
+    """The verdict of `run_check` on one property of the scene."""
+    return run_check(CheckRequest(scene, prop, want_witness))
+
+
+def int_primitive(p: UniPoly) -> list[int]:
+    """The coefficients of p as a primitive integer list, low degree first:
+    content 1, a positive leading coefficient, [] for 0."""
+    if not p.c:
+        return []
+    l = math.lcm(*(v.denominator for v in p.c))
+    ints = [v.numerator * (l // v.denominator) for v in p.c]
+    g = math.gcd(*ints) if ints[-1] > 0 else -math.gcd(*ints)
+    return [v // g for v in ints]
 
 
 def bench_workload(monkeypatch, name: str) -> tuple[dict[str, str], list]:

@@ -1,9 +1,9 @@
 import math
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
+from conftest import int_primitive
 from hypothesis import example, given, settings, strategies as st
 
 from basix.bipoly import BiPoly, are_coprime, discriminant_y, is_squarefree, resultant
@@ -25,7 +25,14 @@ from basix.realroots import (
 )
 from basix.resolution import _strict_transform
 from basix.series import TSeries, compose_bipoly
-from basix.unipoly import UniPoly, _ilist_pseudo_rem, homogeneous_horner, poly_gcd, squarefree_part
+from basix.unipoly import (
+    UniPoly,
+    _ilist_gcd,
+    _ilist_primitive,
+    _ilist_pseudo_rem,
+    _ilist_squarefree,
+    homogeneous_horner,
+)
 
 F = Fraction
 
@@ -56,33 +63,52 @@ def _ref_y_coeffs(p):
     return [UniPoly([p.t.get((i, j), 0) for i in range(p.deg_x + 1)]) for j in range(p.deg_y + 1)]
 
 
-# ---------------------------------------------------------------- poly_gcd
+def _ref_derivative(p):
+    return UniPoly([v * i for i, v in enumerate(p.c)][1:])
+
+
+def _ref_gcd(a, b):
+    """A gcd of two UniPolys by the Fraction Euclidean algorithm, up to a
+    constant factor; 0 when both are 0."""
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return a
+
+
+def _ref_squarefree_part(p):
+    """The monic Fraction squarefree part p / gcd(p, p') that the integer
+    one replaced."""
+    q = _ref_divmod(p, _ref_gcd(p, _ref_derivative(p)))[0]
+    return q.scale(1 / q.c[-1]) if q else q
+
+
+# ---------------------------------------------------------------- gcd
 
 
 def test_gcd_common_linear_factor():
     # gcd(x^2 - 1, (x - 1)(x + 2)) = x - 1
     a = P(-1, 0, 1)
     b = UniPoly.from_roots([1, -2])
-    assert poly_gcd(a, b) == P(-1, 1)
+    assert _ilist_gcd(int_primitive(a), int_primitive(b)) == [-1, 1]
 
 
 def test_gcd_coprime():
-    assert poly_gcd(P(1, 0, 1), P(0, 1)) == UniPoly.one()
+    assert _ilist_gcd([1, 0, 1], [0, 1]) == [1]
 
 
 def test_gcd_with_zero():
     a = P(0, -2, 0, 2)  # 2x^3 - 2x
-    assert poly_gcd(a, UniPoly.zero()) == a.monic()
+    assert _ilist_gcd(int_primitive(a), []) == _ilist_gcd([], int_primitive(a)) == [0, -1, 0, 1]
 
 
 def test_gcd_cubic_vs_quadratic():
     # gcd(x^3 - x, x^2 - 1) = x^2 - 1, verified by division oracle
-    g = poly_gcd(P(0, -1, 0, 1), P(-1, 0, 1))
-    assert g == P(-1, 0, 1)
+    g = _ilist_gcd([0, -1, 0, 1], [-1, 0, 1])
+    assert g == [-1, 0, 1]
     for p in (P(0, -1, 0, 1), P(-1, 0, 1)):
-        q, r = _ref_divmod(p, g)
+        q, r = _ref_divmod(p, UniPoly(g))
         assert r.is_zero()
-        assert q * g == p
+        assert q * UniPoly(g) == p
 
 
 @given(
@@ -94,24 +120,25 @@ def test_gcd_divides_both(ca, cb):
     a, b = UniPoly(ca), UniPoly(cb)
     if a.is_zero() and b.is_zero():
         return
-    g = poly_gcd(a, b)
-    if g.is_zero():
+    g = _ilist_gcd(int_primitive(a), int_primitive(b))
+    if not g:
         assert a.is_zero() and b.is_zero()
         return
+    assert g[-1] > 0 and math.gcd(*g) == 1
     for p in (a, b):
         if not p.is_zero():
-            assert _ref_divmod(p, g)[1].is_zero()
+            assert _ref_divmod(p, UniPoly(g))[1].is_zero()
 
 
 # ---------------------------------------------------------------- squarefree
 
 
 def test_squarefree_part_examples():
-    assert squarefree_part(P(0, 0, 1)) == P(0, 1)  # x^2 -> x
+    assert _ilist_squarefree([0, 0, 1]) == [0, 1]  # x^2 -> x
     p = UniPoly.from_roots([1, 1, -1])
-    assert squarefree_part(p) == UniPoly.from_roots([1, -1]).monic()
-    q = P(0, -1, 0, 1)  # x^3 - x, already squarefree
-    assert squarefree_part(q) == q.monic()
+    assert _ilist_squarefree(int_primitive(p)) == int_primitive(UniPoly.from_roots([1, -1]))
+    q = [0, -1, 0, 1]  # x^3 - x, already squarefree
+    assert _ilist_squarefree(q) == q
 
 
 # ---------------------------------------------------------------- resultant
@@ -125,12 +152,21 @@ def Y(j=1):
     return BiPoly({(0, j): F(1)})
 
 
+def _res_scale(f, g, eliminate="y"):
+    """lf^n * lg^m: `resultant` gives Res(lf*f, lg*g), lf and lg the least
+    common denominators of the coefficients of f and g, and n and m the
+    degrees of g and f in the eliminated variable."""
+    n, m = (g.deg_y, f.deg_y) if eliminate == "y" else (g.deg_x, f.deg_x)
+    lf, lg = (math.lcm(*(v.denominator for v in h.t.values())) for h in (f, g))
+    return lf**n * lg**m
+
+
 def test_resultant_parabolas():
     # res_y(y - x^2, y - 2x^2) = -x^2 by the 2x2 Sylvester determinant
     f = Y() - X(2)
     g = Y() - X(2).scale(2)
     r = resultant(f, g, "y")
-    assert r == UniPoly([0, 0, -1])
+    assert r == [0, 0, -1]
 
 
 def test_resultant_degree_zero_error():
@@ -141,25 +177,26 @@ def test_resultant_degree_zero_error():
 def test_resultant_lines():
     # res_y(y - x, y + x) = 2x
     r = resultant(Y() - X(), Y() + X(), "y")
-    assert r == UniPoly([0, 2])
+    assert r == [0, 2]
 
 
 def test_resultant_specialization_property():
-    f = parse_polynomial("y^2 - x^3 + x*y - 1")
-    g = parse_polynomial("y^3 + 2*x*y - x^2 + 3")
-    r = resultant(f, g, "y")
+    f = parse_polynomial("y^2 - x^3 + x*y/2 - 1")
+    g = parse_polynomial("y^3 + 2*x*y - x^2/3 + 3")
+    r = UniPoly(resultant(f, g, "y"))
     from basix.unipoly import sylvester_resultant
 
+    assert _res_scale(f, g) == 2**3 * 3**2
     for x0 in (F(0), F(1), F(-2), F(3, 2)):
         fa, ga = (UniPoly([c.eval(x0) for c in _ref_y_coeffs(h)]) for h in (f, g))
         # leading coefficients are constants here, so specialisation commutes
-        assert r.eval(x0) == sylvester_resultant(fa, ga)
+        assert r.eval(x0) == _res_scale(f, g) * sylvester_resultant(fa, ga)
 
 
 def test_resultant_common_root_projection():
     # (y - x)(y + x) meets y - 1 at (1, 1) and (-1, 1)
     r = resultant((Y() - X()) * (Y() + X()), Y() - BiPoly.const(1), "y")
-    roots = isolate_real_roots(r.int_primitive())
+    roots = isolate_real_roots(_ilist_primitive(r))
     vals = sorted(l.try_rational() for l in roots)
     assert vals == [F(-1), F(1)]
 
@@ -193,10 +230,10 @@ def test_isolate_in_range():
 def _sturm_count(p, lo=None, hi=None):
     """Reference: distinct real roots of p in (lo, hi] by a Sturm chain
     (the whole line by default)."""
-    sf = squarefree_part(p)
+    sf = _ref_squarefree_part(p)
     if sf.degree <= 0:
         return 0
-    chain = [sf, sf.derivative()]
+    chain = [sf, _ref_derivative(sf)]
     while not chain[-1].is_zero() and chain[-1].degree > 0:
         chain.append(-_ref_divmod(chain[-2], chain[-1])[1])
     if chain[-1].is_zero():
@@ -210,7 +247,7 @@ def _sturm_count(p, lo=None, hi=None):
         return variations([(v > 0) - (v < 0) for v in (q.eval(x) for q in chain)])
 
     def at_inf(positive):
-        return variations([(1 if q.lc() > 0 else -1) * (1 if positive or q.degree % 2 == 0 else -1) for q in chain])
+        return variations([(1 if q.c[-1] > 0 else -1) * (1 if positive or q.degree % 2 == 0 else -1) for q in chain])
 
     va = at(lo) if lo is not None else at_inf(False)
     vb = at(hi) if hi is not None else at_inf(True)
@@ -227,7 +264,7 @@ def test_isolation_counts_match_sturm():
         P(2, -5, 1, 7, -3),
     ]
     for p in polys:
-        locs = isolate_real_roots(p.int_primitive())
+        locs = isolate_real_roots(int_primitive(p))
         assert len(locs) == _sturm_count(p)
 
 
@@ -257,7 +294,7 @@ def test_linear_roots_are_exact():
 
 def test_roots_equal_and_compare():
     a = isolate_real_roots([-2, 0, 1])[1]  # sqrt 2
-    c = isolate_real_roots((P(-2, 0, 1) * P(-3, 1)).int_primitive())[1]  # same number, bigger poly
+    c = isolate_real_roots(int_primitive(P(-2, 0, 1) * P(-3, 1)))[1]  # same number, bigger poly
     assert roots_equal(a, c)
     d = isolate_real_roots([-3, 0, 1])[1]  # sqrt 3
     assert not roots_equal(a, d)
@@ -268,7 +305,7 @@ def _ref_vanishes_at(u, r):
     each with the locator."""
     if u.degree < 1:
         return u.is_zero()
-    return any(roots_equal(r, loc) for loc in isolate_real_roots(u.int_primitive()))
+    return any(roots_equal(r, loc) for loc in isolate_real_roots(int_primitive(u)))
 
 
 _SQ2 = P(-2, 0, 1)
@@ -288,13 +325,13 @@ _VANISH_POLYS = [_SQ2, P(-3, 0, 1), _SQ2 * P(-5, 1), P(-5, 1), P(-9, 0, 4), P(0,
 @pytest.mark.parametrize("make", list(_LOCATORS.values()), ids=list(_LOCATORS))
 def test_vanishes_at_matches_isolate_and_compare(make):
     for u in _VANISH_POLYS:
-        assert vanishes_at(u.int_primitive(), make()) == _ref_vanishes_at(u, make()), u
+        assert vanishes_at(int_primitive(u), make()) == _ref_vanishes_at(u, make()), u
 
 
 def test_vanishes_at_irrational_and_exact_marks():
     sqrt2 = _LOCATORS["sqrt2-of-a-product"]
     assert sqrt2().exact is None and _LOCATORS["exact-5-of-a-product"]().exact == 5
-    vanishing = [vanishes_at(u.int_primitive(), sqrt2()) for u in _VANISH_POLYS]
+    vanishing = [vanishes_at(int_primitive(u), sqrt2()) for u in _VANISH_POLYS]
     assert vanishing == [True, False, True, False, False, False, False, True]
     assert vanishes_at([-9, 0, 4], RootLocator.at(F(3, 2))) and not vanishes_at([-2, 0, 1], RootLocator.at(F(3, 2)))
 
@@ -345,7 +382,7 @@ def test_translate_and_eval():
 
 def test_discriminant_circle():
     d = discriminant_y(parse_polynomial("x^2 + y^2 - 1"))
-    roots = sorted(l.try_rational() for l in isolate_real_roots(d.int_primitive()))
+    roots = sorted(l.try_rational() for l in isolate_real_roots(_ilist_primitive(d)))
     assert roots == [F(-1), F(1)]
 
 
@@ -397,18 +434,6 @@ def _brute_simplest(lo, hi):
         q += 1
 
 
-def _ref_primitive(fracs):
-    r = list(fracs)
-    while r and r[-1] == 0:
-        r.pop()
-    if not r:
-        return []
-    l = math.lcm(*(v.denominator for v in r))
-    ints = [int(v * l) for v in r]
-    g = math.gcd(*ints)
-    return [v // g if ints[-1] > 0 else -v // g for v in ints]
-
-
 def _ref_pseudo_rem(a, b):
     r = [F(v) for v in a]
     d = len(b) - 1
@@ -422,7 +447,7 @@ def _ref_pseudo_rem(a, b):
         for i, v in enumerate(b):
             r[k + i] -= f * v
         r.pop()
-    return _ref_primitive(r)
+    return int_primitive(UniPoly(r))
 
 
 class _RefLocator:
@@ -447,7 +472,7 @@ class _RefLocator:
     def try_rational(self):
         if self.exact is not None:
             return self.exact
-        width = F(1, _ref_primitive(self.p.c)[-1] ** 2)
+        width = F(1, int_primitive(self.p)[-1] ** 2)
         while True:
             cand = _ref_simplest_in(self.lo, self.hi)
             if _ref_sign(self.p, cand) == 0:
@@ -518,10 +543,11 @@ def test_unipoly_eval_matches_fraction_horner(coeffs, x):
 @settings(max_examples=200, deadline=None)
 def test_pseudo_rem_and_gcd_match_fraction_reference(ca, cb):
     assert _ilist_pseudo_rem(ca, cb) == _ref_pseudo_rem(ca, cb)
-    ia, ib = _ref_primitive([F(v) for v in ca]), _ref_primitive([F(v) for v in cb])
+    ia, ib = int_primitive(UniPoly(ca)), int_primitive(UniPoly(cb))
+    got = _ilist_gcd(ia, ib)
     while ib:
         ia, ib = ib, _ref_pseudo_rem(ia, ib)
-    assert poly_gcd(UniPoly(ca), UniPoly(cb)) == UniPoly(ia).monic()
+    assert got == ia
 
 
 @given(int_coeffs, st.integers(1, 7), st.integers(-9, 9), st.integers(0, 30))
@@ -529,7 +555,7 @@ def test_pseudo_rem_and_gcd_match_fraction_reference(ca, cb):
 def test_locators_end_like_fraction_reference(coeffs, q, p0, steps):
     # a rational root p0/q next to the roots of a random integer polynomial
     poly = UniPoly(coeffs) * P(-p0, q)
-    for loc in isolate_real_roots(poly.int_primitive(), detect_rational=False):
+    for loc in isolate_real_roots(int_primitive(poly), detect_rational=False):
         new, ref = RootLocator(loc.ints(), loc.lo, loc.hi, loc.exact), _RefLocator(loc)
         for _ in range(steps):
             new.refine()
@@ -549,8 +575,8 @@ def test_isolated_roots_are_exact_iff_rational(coeffs, q, p0):
     sympy = pytest.importorskip("sympy")
     poly = UniPoly(coeffs) * P(-p0, q)
     x = sympy.Symbol("x")
-    rational = {F(int(r.p), int(r.q)) for r in sympy.Poly(list(reversed(poly.int_primitive())), x, domain="QQ").ground_roots()}
-    locs = isolate_real_roots(poly.int_primitive())
+    rational = {F(int(r.p), int(r.q)) for r in sympy.Poly(list(reversed(int_primitive(poly))), x, domain="QQ").ground_roots()}
+    locs = isolate_real_roots(int_primitive(poly))
     assert F(p0, q) in {l.exact for l in locs}
     assert {l.exact for l in locs if l.exact is not None} == rational
     for l in locs:
@@ -568,7 +594,7 @@ def test_open_count_matches_sturm_reference(coeffs, a, b, roots_at_ends):
     if roots_at_ends:
         p = p * P(-lo, 1) * P(-hi, 1)
     # the reference counts (lo, hi]
-    assert open_count(p.int_primitive(), lo, hi) == _sturm_count(p, lo, hi) - (p.eval(hi) == 0)
+    assert open_count(int_primitive(p), lo, hi) == _sturm_count(p, lo, hi) - (p.eval(hi) == 0)
 
 
 @given(small_fracs)
@@ -591,8 +617,8 @@ def test_exact_locator(x):
 def test_linear_isolation_matches_the_general_path(a, b, lo, hi):
     # (a*y + b)*(y^2 + 1) has the same real roots, found by the Descartes walk
     line = P(b, a)
-    fast = isolate_real_roots(line.int_primitive(), lo, hi)
-    slow = isolate_real_roots((line * P(1, 0, 1)).int_primitive(), lo, hi)
+    fast = isolate_real_roots(int_primitive(line), lo, hi)
+    slow = isolate_real_roots(int_primitive(line * P(1, 0, 1)), lo, hi)
     assert len(fast) == len(slow)
     for r, s in zip(fast, slow):
         assert r.exact == -b / a and r.lo == r.hi == r.exact
@@ -684,7 +710,7 @@ def _sympy_rational_roots(sympy, p):
     sympy's factorisation over Q."""
     x = sympy.Symbol("x")
     rational, irrational = set(), False
-    for fac, _mult in sympy.Poly(list(reversed(p.int_primitive())), x).factor_list()[1]:
+    for fac, _mult in sympy.Poly(list(reversed(int_primitive(p))), x).factor_list()[1]:
         if fac.degree() == 1:
             a, b = fac.all_coeffs()
             rational.add(F(int(-b), int(a)))
@@ -709,16 +735,16 @@ def test_rational_roots_agree_with_sympy(lines, coeffs):
     p = UniPoly(coeffs)
     for line in lines:
         p = p * line
-    assert rational_roots(p.int_primitive()) == _sympy_rational_roots(sympy, p)
+    assert rational_roots(int_primitive(p)) == _sympy_rational_roots(sympy, p)
 
 
 def test_rational_roots_pins():
-    assert rational_roots((P(-7, 13) * P(11, 17) * P(-2, 0, 1)).int_primitive()) == ([F(-11, 17), F(7, 13)], True)
+    assert rational_roots(int_primitive(P(-7, 13) * P(11, 17) * P(-2, 0, 1))) == ([F(-11, 17), F(7, 13)], True)
     assert rational_roots([6, 0, -5, 0, 1]) == ([], True)
     assert rational_roots([1, 0, 1]) == ([], False)
     # a denominator past any fixed number of refinement rounds
     big = P(-(10**30 + 1), 10**30 + 7)
-    assert rational_roots((big * P(-2, 0, 1)).int_primitive()) == ([F(10**30 + 1, 10**30 + 7)], True)
+    assert rational_roots(int_primitive(big * P(-2, 0, 1))) == ([F(10**30 + 1, 10**30 + 7)], True)
 
 
 # ---------------------------------------------------------------- resultant kernels
@@ -788,7 +814,7 @@ def _ref_lagrange(xs, vals):
     for j in range(1, n):
         for i in range(n - 1, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) / (xs[i] - xs[i - j])
-    p = UniPoly.zero()
+    p = UniPoly()
     for i in range(n - 1, -1, -1):
         p = p * UniPoly([-xs[i], 1]) + UniPoly.const(coeffs[i])
     return p
@@ -813,10 +839,13 @@ def _res_bipolys(draw, min_dy=1, max_dy=3):
 
 
 def _res_outcome(fn, f, g, eliminate):
+    """The coefficients of `resultant`, or those of a Fraction reference
+    times `_res_scale`; "DegreeZero" if fn raises it."""
     try:
-        return fn(f, g, eliminate).c
+        r = fn(f, g, eliminate)
     except DegreeZero:
         return "DegreeZero"
+    return r if fn is resultant else [v * _res_scale(f, g, eliminate) for v in r.c]
 
 
 @given(_res_bipolys(), _res_bipolys(), st.booleans(), st.sampled_from(["y", "x"]))
@@ -829,17 +858,18 @@ def test_resultant_matches_fraction_reference(f, g, common, eliminate):
     got = _res_outcome(resultant, f, g, eliminate)
     assert got == _res_outcome(_ref_resultant, f, g, eliminate)
     if common:
-        assert got in ((), "DegreeZero")
+        assert got in ([], "DegreeZero")
 
 
 def test_resultant_reference_cases():
     # leading y-coefficient x vanishes at the first node; a common factor
     f = parse_polynomial("x*y^2 - y + 3")
     g = parse_polynomial("y^3 - 2*x^2*y + 1/2")
-    assert resultant(f, g, "y").c == _ref_resultant(f, g, "y").c != ()
-    assert resultant(f, g, "x").c == _ref_resultant(f, g, "x").c
+    for eliminate in ("y", "x"):
+        want = [v * _res_scale(f, g, eliminate) for v in _ref_resultant(f, g, eliminate).c]
+        assert resultant(f, g, eliminate) == want != []
     h = parse_polynomial("y - x - 1")
-    assert resultant(f * h, g * h, "y").is_zero()
+    assert resultant(f * h, g * h, "y") == []
 
 # The interpolation resultant that `bipoly.resultant` replaced, kept as an
 # oracle: Sylvester determinants at N consecutive integer nodes (N one more
@@ -940,20 +970,23 @@ def test_bareiss_resultant_matches_the_interpolation_oracle(f, g, common, elimin
     got = _res_outcome(resultant, f, g, eliminate)
     assert got == _res_outcome(_interpolation_resultant, f, g, eliminate)
     if common:
-        assert got in ((), "DegreeZero")
+        assert got in ([], "DegreeZero")
     if f.deg_y >= 2:
-        assert discriminant_y(f).c == _interpolation_resultant(f, f.partial_y()).c
+        fy = f.partial_y()
+        assert discriminant_y(f) == [v * _res_scale(f, fy) for v in _interpolation_resultant(f, fy).c]
 
 
 def _sympy_expr(sympy, p, x, y):
     return sum(sympy.Rational(v.numerator, v.denominator) * x**i * y**j for (i, j), v in p.t.items())
 
 
-def _sympy_coeffs(sympy, expr, x):
+def _sympy_coeffs(sympy, expr, x, scale=1):
+    """The coefficients in x of a sympy expression, low degree first, each
+    times scale."""
     expr = sympy.expand(expr)
     if expr == 0:
-        return ()
-    return tuple(F(int(c.p), int(c.q)) for c in reversed(sympy.Poly(expr, x).all_coeffs()))
+        return []
+    return [F(int(c.p), int(c.q)) * scale for c in reversed(sympy.Poly(expr, x).all_coeffs())]
 
 
 @given(_res_bipolys(), _res_bipolys())
@@ -968,7 +1001,7 @@ def test_resultant_agrees_with_sympy(f, g):
         want = sympy.resultant(fe, ge, y)
     else:
         want = (-1) ** (f.deg_y * g.deg_y) * sympy.resultant(ge, fe, y)
-    assert resultant(f, g, "y").c == _sympy_coeffs(sympy, want, x)
+    assert resultant(f, g, "y") == _sympy_coeffs(sympy, want, x, _res_scale(f, g))
 
 
 @given(_res_bipolys(min_dy=2))
@@ -978,9 +1011,9 @@ def test_discriminant_form_agrees_with_sympy(f):
     sympy = pytest.importorskip("sympy")
     x, y = sympy.symbols("x y")
     fe = _sympy_expr(sympy, f, x, y)
-    want = _sympy_coeffs(sympy, sympy.resultant(fe, sympy.diff(fe, y), y), x)
-    assert resultant(f, f.partial_y(), "y").c == want
-    assert discriminant_y(f).c == want
+    want = _sympy_coeffs(sympy, sympy.resultant(fe, sympy.diff(fe, y), y), x, _res_scale(f, f.partial_y()))
+    assert resultant(f, f.partial_y(), "y") == want
+    assert discriminant_y(f) == want
 
 
 def test_divides_reads_the_x_content():
@@ -1002,8 +1035,8 @@ def test_content_x_stops_at_a_constant_coefficient(monkeypatch):
 
     monkeypatch.setattr(bipoly, "_ilist_gcd", refuse)
     # the constant coefficient is the last row: every row before it is nonconstant
-    assert parse_polynomial("(x^2 - 1)*y^2 + (x - 1)*y + 3").content_x() == UniPoly.one()
-    assert parse_polynomial("x*y - 2").content_x() == UniPoly.one()
+    assert parse_polynomial("(x^2 - 1)*y^2 + (x - 1)*y + 3").content_x() == [1]
+    assert parse_polynomial("x*y - 2").content_x() == [1]
 
 
 def test_content_x_of_one_coefficient_takes_no_gcd(monkeypatch):
@@ -1011,10 +1044,11 @@ def test_content_x_of_one_coefficient_takes_no_gcd(monkeypatch):
         raise AssertionError("content_x took a gcd")
 
     monkeypatch.setattr(bipoly, "_ilist_gcd", refuse)
-    # the one nonzero y-coefficient, made monic, is the content
-    assert parse_polynomial("x").content_x() == UniPoly([0, 1])
-    assert parse_polynomial("x^2 + 1").content_x() == UniPoly([1, 0, 1])
-    assert parse_polynomial("-2*x^2*y^3 - 4*y^3").content_x() == UniPoly([2, 0, 1])
+    # the one nonzero y-coefficient, made primitive, is the content
+    assert parse_polynomial("x").content_x() == [0, 1]
+    assert parse_polynomial("x^2 + 1").content_x() == [1, 0, 1]
+    assert parse_polynomial("-2*x^2*y^3 - 4*y^3").content_x() == [2, 0, 1]
+    assert parse_polynomial("(1 - x/2)*y").content_x() == [-2, 1]
 
 
 _x_factors = st.lists(_res_coeffs, min_size=1, max_size=3).map(lambda cs: BiPoly({(i, 0): v for i, v in enumerate(cs)}))
@@ -1026,10 +1060,10 @@ def test_content_x_is_the_gcd_of_the_rows(p, c):
     # c(x) a content that the rows may or may not carry
     if not c.is_zero():
         p = p * c
-    g = UniPoly.zero()
+    g = []
     for row in _ref_y_coeffs(p):
-        g = poly_gcd(g, row)
-    assert p.content_x() == (g if not g.is_zero() else UniPoly.one())
+        g = _ilist_gcd(g, int_primitive(row))
+    assert p.content_x() == (g or [1])
 
 
 @given(_res_bipolys(min_dy=0, max_dy=2), _res_bipolys(min_dy=0, max_dy=2), _x_factors, st.booleans())
@@ -1051,13 +1085,12 @@ def test_divides_agrees_with_sympy(d0, q, c, with_content):
 
 
 def _ref_content_x(p):
-    """The monic gcd of the y-coefficients of p by the Fraction Euclidean
-    algorithm; 1 for p = 0."""
+    """The primitive gcd of the y-coefficients of p by the Fraction
+    Euclidean algorithm; [1] for p = 0."""
     g = UniPoly()
     for row in _ref_y_coeffs(p):
-        while row:
-            g, row = row, _ref_divmod(g, row)[1]
-    return g.monic() if g else UniPoly.one()
+        g = _ref_gcd(g, row)
+    return int_primitive(g) or [1]
 
 
 def _ref_quotient(p, d):
@@ -1141,14 +1174,6 @@ def _ref_subst(p, xp, yp):
     return acc
 
 
-def _ref_squarefree_part(p):
-    """The Fraction squarefree part that the integer one replaced."""
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return p.monic()
-    return _ref_divmod(p, g)[0].monic()
-
-
 # z-linear coefficients a + b*z, often z-free, sometimes zero
 _zlin = st.tuples(_res_coeffs, st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(3)])).map(
     lambda ab: UniPoly(list(ab))
@@ -1218,13 +1243,11 @@ def test_squarefree_part_matches_fraction_reference(parts, c):
         if UniPoly(coeffs).is_zero():
             continue
         p = p * UniPoly(coeffs) ** k
-    got = squarefree_part(p)
+    got = _ilist_squarefree(int_primitive(p))
     if p.degree == 0:
-        assert got == UniPoly.one()
+        assert got == [1]
         return
-    assert got == _ref_squarefree_part(p)
-    # the cached integer form is the one a fresh polynomial computes
-    assert got._int_form() == UniPoly(got.c)._int_form()
+    assert got == int_primitive(_ref_squarefree_part(p))
 
 
 @given(st.lists(st.integers(-9, 9), min_size=2, max_size=7).filter(lambda c: any(c[1:])))
@@ -1234,8 +1257,8 @@ def test_squarefree_part_agrees_with_sympy(coeffs):
     x = sympy.Symbol("x")
     p = UniPoly(coeffs) ** 2 * UniPoly([coeffs[0], 1])  # a square and a linear factor
     want = sympy.Poly(sympy.sqf_part(sympy.Poly(list(reversed(p.c)), x, domain="QQ").as_expr()), x, domain="QQ")
-    want = want.monic()
-    assert squarefree_part(p).c == tuple(F(int(v.p), int(v.q)) for v in reversed(want.all_coeffs()))
+    want = UniPoly([F(int(v.p), int(v.q)) for v in reversed(want.all_coeffs())])
+    assert _ilist_squarefree(int_primitive(p)) == int_primitive(want)
 
 
 # ------------------------------------ term maps and integer rows against subst
@@ -1384,14 +1407,14 @@ def _fraction_isolate(p, lo=None, hi=None, detect_rational=True):
     at the window's ends and at midpoints divided out by Fraction long
     division, a recursive Descartes walk; an oracle for `isolate_real_roots`.
     Its locators refine on the primitive integer form of their polynomial."""
-    sf = p.monic() if p.degree == 1 else squarefree_part(p)
+    sf = _ref_squarefree_part(p)
     if sf.degree <= 0:
         return []
     if sf.degree == 1:
         x = -sf.c[0]
         inside = (lo is None or lo < x) and (hi is None or x < hi)
-        return [RootLocator(sf.int_primitive(), x, x, exact=x)] if inside else []
-    bound, B = 1 + max(abs(v) for v in sf.c[:-1]) / abs(sf.lc()), F(1)
+        return [RootLocator(int_primitive(sf), x, x, exact=x)] if inside else []
+    bound, B = 1 + max(abs(v) for v in sf.c[:-1]) / abs(sf.c[-1]), F(1)
     while B < bound:
         B *= 2
     a, b = (lo if lo is not None else -B), (hi if hi is not None else B)
@@ -1404,12 +1427,12 @@ def _fraction_isolate(p, lo=None, hi=None, detect_rational=True):
         if var == 0:
             return
         if var == 1 and q.eval(a) != 0 and q.eval(b) != 0:
-            out.append(RootLocator(q.int_primitive(), a, b))
+            out.append(RootLocator(int_primitive(q), a, b))
             return
         m = (a + b) / 2
         if q.eval(m) == 0:
             q = _ref_divmod(q, P(-m, 1))[0]
-            out.append(RootLocator(sf.int_primitive(), m, m, exact=m))
+            out.append(RootLocator(int_primitive(sf), m, m, exact=m))
         walk(a, m, q)
         walk(m, b, q)
 
@@ -1447,11 +1470,11 @@ def test_integer_isolation_matches_the_fraction_oracle(coeffs, q, p0, k, lo, hi,
     # the same intervals, the same exact roots, the same polynomial behind
     # every locator (up to a positive factor), in the same order
     p = UniPoly(coeffs) * P(-p0, q) ** k
-    new = isolate_real_roots(p.int_primitive(), lo, hi, detect_rational)
+    new = isolate_real_roots(int_primitive(p), lo, hi, detect_rational)
     old = _fraction_isolate(p, lo, hi, detect_rational)
     assert [(r.lo, r.hi, r.exact, r.ints()) for r in new] == [(r.lo, r.hi, r.exact, r.ints()) for r in old]
     # a list that is not primitive is taken by its primitive form
-    scaled = [-3 * v for v in p.int_primitive()]
+    scaled = [-3 * v for v in int_primitive(p)]
     assert [_state(r) for r in isolate_real_roots(scaled, lo, hi, detect_rational)] == [_state(r) for r in new]
 
 
@@ -1498,9 +1521,9 @@ def test_sturm_count_below_matches_the_isolation_count(coeffs, y, root_at_y):
     p = UniPoly(coeffs)
     if root_at_y:
         p = p * P(-y.numerator, y.denominator)
-    want = len(isolate_real_roots(p.int_primitive(), None, y, detect_rational=False))
-    assert count_roots_below(p.int_primitive(), y) == want
-    assert count_roots_below([-3 * v for v in p.int_primitive()], y) == want
+    want = len(isolate_real_roots(int_primitive(p), None, y, detect_rational=False))
+    assert count_roots_below(int_primitive(p), y) == want
+    assert count_roots_below([-3 * v for v in int_primitive(p)], y) == want
 
 
 def test_isolation_parts_roots_2_to_the_minus_1100_apart():
@@ -1508,7 +1531,7 @@ def test_isolation_parts_roots_2_to_the_minus_1100_apart():
     # than the interpreter's recursion limit
     r = F(1, 3) + F(1, 2**1100)
     p = P(-1, 3) * P(-r.numerator, r.denominator)
-    assert [loc.exact for loc in isolate_real_roots(p.int_primitive())] == [F(1, 3), r]
-    counted = isolate_real_roots(p.int_primitive(), detect_rational=False)
+    assert [loc.exact for loc in isolate_real_roots(int_primitive(p))] == [F(1, 3), r]
+    counted = isolate_real_roots(int_primitive(p), detect_rational=False)
     assert len(counted) == 2 and counted[0].hi <= counted[1].lo
-    assert [count_roots_below(p.int_primitive(), y) for y in (F(1, 3), (F(1, 3) + r) / 2, r, r + 1)] == [0, 1, 1, 2]
+    assert [count_roots_below(int_primitive(p), y) for y in (F(1, 3), (F(1, 3) + r) / 2, r, r + 1)] == [0, 1, 1, 2]

@@ -574,38 +574,31 @@ def test_irrational_wall_fibre_parts_roots_2_to_the_minus_1100_apart():
 
 def test_arrangement_fibres_stay_on_integer_rows(monkeypatch):
     # every fibre x = c the arrangement isolates or counts, and every level
-    # line y = c, is an integer list from `BiPoly.int_fibre`: no `Fraction`
-    # polynomial but a resultant in x, and no monic polynomial, is made while
-    # an arrangement is built or locates points
+    # line y = c, is an integer list from `BiPoly.int_fibre`, and the
+    # projection's contents, discriminants and resultants are integer lists:
+    # no `UniPoly` is made while the projections are computed, an
+    # arrangement is built or it locates points
     from conftest import FIXTURE_DIR, bench_scene_texts
 
     from basix.scene import project_scene
 
     called = []
+    real_init = UniPoly.__init__
 
-    def watched(real):
-        def wrapper(self, *args):
-            f = sys._getframe(1)
-            while f and f.f_code.co_filename != arrangement.__file__:
-                f = f.f_back
-            if f:
-                called.append((real.__name__, sys._getframe(1).f_code.co_name, f.f_code.co_name))
-            return real(self, *args)
-
-        return wrapper
+    def watched(self, *args):
+        called.append(sys._getframe(1).f_code.co_name)
+        real_init(self, *args)
 
     texts = list(bench_scene_texts(monkeypatch, "lines").values())
     texts += [p.read_text(encoding="utf-8") for p in sorted(FIXTURE_DIR.glob("*.bsx"))]
     scenes = [Scene.from_text(t) for t in texts]
     scenes += [invert_scene(sc) for sc in scenes]
-    projections = [project_scene(sc) for sc in scenes]
-    monkeypatch.setattr(UniPoly, "__init__", watched(UniPoly.__init__))
-    monkeypatch.setattr(UniPoly, "monic", watched(UniPoly.monic))
-    for sc, proj in zip(scenes, projections):
-        arr = build_arrangement(sc, proj)
+    monkeypatch.setattr(UniPoly, "__init__", watched)
+    for sc in scenes:
+        arr = build_arrangement(sc, project_scene(sc))
         for r in arr.regions:
             assert arr.region_of_point(*r.sample) == r.rid
-    assert set(called) <= {("__init__", "resultant", "_vertex_y_locator")}, called
+    assert called == []
 
 
 # pairwise coprime irreducible integer polynomials, low degree first: rational

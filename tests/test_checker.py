@@ -11,6 +11,7 @@ import pytest
 from conftest import (
     METAMORPHIC_MAPS,
     bench_scene_texts,
+    check,
     differential_module,
     load_fixture,
     map_scene,
@@ -22,16 +23,7 @@ from test_sphere import random_scene_text
 from basix import arrangement, bipoly, checker, cli
 from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
-from basix.checker import (
-    PROPERTIES,
-    CheckRequest,
-    check_basic_closed,
-    check_basic_open,
-    check_generically_basic,
-    check_principal_closed,
-    check_principal_open,
-    run_check,
-)
+from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.errors import InternalError, SceneError, Unsupported
 from basix.decompose import decompose_set
 from basix.fans import (
@@ -54,14 +46,14 @@ def S(text):
 
 
 def test_half_yes_and_principal(fixture_scene):
-    assert check_basic_open(fixture_scene("half")).answer == "Yes"
-    assert check_principal_open(fixture_scene("half")).answer == "Yes"
+    assert check(fixture_scene("half"), "basic_open").answer == "Yes"
+    assert check(fixture_scene("half"), "principal_open").answer == "Yes"
 
 
 def test_quad_basic_yes_principal_no(fixture_scene):
-    v = check_basic_open(fixture_scene("quad"))
+    v = check(fixture_scene("quad"), "basic_open")
     assert v.answer == "Yes"
-    p = check_principal_open(fixture_scene("quad"))
+    p = check(fixture_scene("quad"), "principal_open")
     assert p.answer == "No"
     assert p.witness is not None and p.witness_count == 1
     rep = verify_fan(p.witness, fixture_scene("quad"))
@@ -69,18 +61,18 @@ def test_quad_basic_yes_principal_no(fixture_scene):
 
 
 def test_saddle_principal_yes(fixture_scene):
-    assert check_principal_open(fixture_scene("saddle")).answer == "Yes"
+    assert check(fixture_scene("saddle"), "principal_open").answer == "Yes"
 
 
 def test_para_no_condition_a(fixture_scene):
-    v = check_basic_open(fixture_scene("para"))
+    v = check(fixture_scene("para"), "basic_open")
     assert (v.answer, v.reason) == ("No", "condition-a")
     assert v.witness is not None and v.witness_count == 3
     assert v.witness.kind == "curve_centered"
 
 
 def test_cubic_no_condition_b(fixture_scene):
-    v = check_basic_open(fixture_scene("cubic"))
+    v = check(fixture_scene("cubic"), "basic_open")
     assert (v.answer, v.reason) == ("No", "condition-b")
     assert v.witness is not None and v.witness_count == 3
     assert v.witness.kind == "point_centered"
@@ -92,7 +84,7 @@ def test_cubic_no_condition_b(fixture_scene):
 def test_swapped_cubic_has_a_point_witness(fixture_scene):
     # the witness lift runs through y-chart blow-ups here
     sc = swap_scene(fixture_scene("cubic"))
-    v = check_basic_open(sc)
+    v = check(sc, "basic_open")
     assert (v.answer, v.reason) == ("No", "condition-b")
     fan = v.witness
     assert fan is not None and v.witness_count == 3
@@ -186,7 +178,7 @@ def test_point_witness_is_counted_once(monkeypatch, fixture_scene):
         return real_count(fan, scene)
 
     monkeypatch.setattr(Fan, "count_in_set", counting)
-    v = check_basic_open(fixture_scene("cubic"))
+    v = check(fixture_scene("cubic"), "basic_open")
     assert v.witness.kind == "point_centered" and v.witness_count == 3
     assert kinds == ["point_centered"]
 
@@ -213,32 +205,32 @@ def test_unsupported_witness_keeps_the_decided_no(fixture_scene, prop):
 
 
 def test_basic_closed_examples():
-    assert check_basic_closed(S("set S = { y >= 0 };")).answer == "Yes"
-    v = check_basic_closed(S("factor f = y; set S = { f > 0 };"))
+    assert check(S("set S = { y >= 0 };"), "basic_closed").answer == "Yes"
+    v = check(S("factor f = y; set S = { f > 0 };"), "basic_closed")
     assert (v.answer, v.reason) == ("No", "NotClosed")
     # f > 0 misses the acnodes (+-1, 0), and (+-sqrt2, 0) in the second scene
     for f in ("y^2 + x^4 - 2*x^2 + 1", "y^2 + x^4 - 4*x^2 + 4"):
-        v = check_basic_closed(S(f"factor f = {f}; set S = {{ f > 0 }};"))
+        v = check(S(f"factor f = {f}; set S = {{ f > 0 }};"), "basic_closed")
         assert (v.answer, v.reason) == ("No", "NotClosed"), f
     # closure of the para fixture: relax strict atoms
     closed_para = S(
         "factor a = x; factor l = y; factor p = y - x^2;"
         "set S = { a <= 0, l >= 0 } | { a >= 0, l >= 0, p <= 0 };"
     )
-    v = check_basic_closed(closed_para)
+    v = check(closed_para, "basic_closed")
     assert v.answer == "No"
     assert v.witness is not None and v.witness_count == 3
 
 
 def test_basic_closed_with_line_component():
-    v = check_basic_closed(S("factor f = y; factor g = x; set S = { f >= 0 } | { g == 0 };"))
+    v = check(S("factor f = y; factor g = x; set S = { f >= 0 } | { g == 0 };"), "basic_closed")
     assert v.answer == "Yes"
 
 
 def test_generically_basic_examples(fixture_scene):
-    assert check_generically_basic(fixture_scene("half")).answer == "Yes"
-    assert check_generically_basic(S("factor f = y; factor c = x^2 + y^2; set S = { f > 0, c != 0 };")).answer == "Yes"
-    assert check_generically_basic(fixture_scene("para")).answer == "No"
+    assert check(fixture_scene("half"), "generically_basic").answer == "Yes"
+    assert check(S("factor f = y; factor c = x^2 + y^2; set S = { f > 0, c != 0 };"), "generically_basic").answer == "Yes"
+    assert check(fixture_scene("para"), "generically_basic").answer == "No"
 
 
 def test_acnode_in_s_makes_plain_disk_basic():
@@ -247,7 +239,7 @@ def test_acnode_in_s_makes_plain_disk_basic():
         "factor c = y^2 - x^2*(x - 1);"
         "set S = { x^2 + y^2 - 1/4 < 0, c != 0 } | { c == 0, 2*x - 1 < 0, x^2 + y^2 - 1/4 < 0 };"
     )
-    assert check_basic_open(sc).answer == "Yes"
+    assert check(sc, "basic_open").answer == "Yes"
 
 
 def test_generically_basic_tolerates_acnode_contact():
@@ -257,17 +249,17 @@ def test_generically_basic_tolerates_acnode_contact():
         "factor c = y^2 - x^2*(x - 1);"
         "set S = { c < 0 } | { 16*x^2 + 16*y^2 - 1 < 0 };"
     )
-    bo = check_basic_open(sc)
+    bo = check(sc, "basic_open")
     assert (bo.answer, bo.reason) == ("No", "SetMeetsBoundary")
-    gb = check_generically_basic(sc)
+    gb = check(sc, "generically_basic")
     assert gb.answer == "Yes"
     assert gb.diagnostics.get("removed_points") == [["0", "0"]]
 
 
 def test_principal_closed_examples():
-    assert check_principal_closed(S("set S = { y >= 0 };")).answer == "Yes"
+    assert check(S("set S = { y >= 0 };"), "principal_closed").answer == "Yes"
     closed_quad = S("factor a = x; factor b = y; set S = { a >= 0, b >= 0 };")
-    v = check_principal_closed(closed_quad)
+    v = check(closed_quad, "principal_closed")
     assert v.answer == "No"
     assert v.witness is not None
     assert v.witness_count == 1
@@ -284,9 +276,9 @@ def test_principal_closed_is_no_on_a_set_missing_isolated_points(f):
     # no boundary edge meets the complement, which is a set of isolated
     # points and so principal open; closedness is tested on S itself
     sc = S(f"factor f = {f}; set S = {{ f > 0 }};")
-    for check in (check_basic_closed, check_principal_closed):
-        v = check(sc)
-        assert (v.answer, v.reason) == ("No", "NotClosed"), check
+    for prop in ("basic_closed", "principal_closed"):
+        v = check(sc, prop)
+        assert (v.answer, v.reason) == ("No", "NotClosed"), prop
 
 
 def test_principal_and_basic_answers_imply_each_other(monkeypatch):
@@ -438,13 +430,13 @@ def test_rational_points_with_large_denominators_are_blown_up(label, prop, want)
 
 
 def test_neq_scene_basic():
-    v = check_basic_open(S("factor f = y; set S = { f != 0 };"))
+    v = check(S("factor f = y; set S = { f != 0 };"), "basic_open")
     assert v.answer == "Yes"
 
 
 def test_whole_plane_principal():
     # with a declared factor but a formula that accepts everything off it too
-    v = check_principal_open(S("factor f = y; set S = { f > 0 } | { f < 0 } | { f == 0 };"))
+    v = check(S("factor f = y; set S = { f > 0 } | { f < 0 } | { f == 0 };"), "principal_open")
     assert v.answer == "Yes"
 
 
@@ -458,9 +450,9 @@ def test_run_check_dispatch(fixture_scene):
 def test_monotone_consistency_on_fixtures(fixture_scene):
     for name in ("half", "quad", "saddle", "para", "cubic"):
         sc = fixture_scene(name)
-        p = check_principal_open(sc, want_witness=False)
+        p = check(sc, "principal_open", want_witness=False)
         if p.answer == "Yes":
-            assert check_basic_open(sc, want_witness=False).answer == "Yes"
+            assert check(sc, "basic_open", want_witness=False).answer == "Yes"
 
 
 def test_chart_swap_invariance_bounded():
@@ -476,10 +468,10 @@ def test_chart_swap_invariance_bounded():
         sc = S(t)
         inv = invert_scene(sc)
         inv2 = Scene(inv.factors, inv.order, inv.formula, chart="affine")
-        for fn in (check_basic_open, check_principal_open):
-            a = fn(sc, want_witness=False).answer
-            b = fn(inv2, want_witness=False).answer
-            assert a == b, (t, fn.__name__, a, b)
+        for prop in ("basic_open", "principal_open"):
+            a = check(sc, prop, want_witness=False).answer
+            b = check(inv2, prop, want_witness=False).answer
+            assert a == b, (t, prop, a, b)
 
 
 # cubic basic_open's exceptional table: 3 exceptional components x 5 complement
@@ -534,11 +526,11 @@ def test_timings_are_per_stage_durations(monkeypatch, fixture_scene):
         return n * (n + 1) / 2000
 
     monkeypatch.setattr(checker, "time", types.SimpleNamespace(monotonic=clock))
-    v = check_basic_open(fixture_scene("cubic"))
+    v = check(fixture_scene("cubic"), "basic_open")
     assert v.timings == {"validate": 1.0, "model": 2.0, "condition_a": 3.0, "condition_b": 4.0, "witness": 5.0}
     # an Unsupported verdict keeps the stages it finished: this build raises
     readings.clear()
-    v = check_basic_open(S("factor a = x^2 - 2; factor b = (x^2 - 2)*y + 1; set S = { a > 0, b > 0 };"))
+    v = check(S("factor a = x^2 - 2; factor b = (x^2 - 2)*y + 1; set S = { a > 0, b > 0 };"), "basic_open")
     assert (v.answer, v.timings) == ("Unsupported", {"validate": 1.0})
 
 
@@ -555,29 +547,36 @@ def _record_charts(monkeypatch) -> list[str]:
     return charts
 
 
+def _check_id(value):
+    """``check_<property>`` for a property, pytest's own id otherwise."""
+    return f"check_{value}" if value in PROPERTIES else None
+
+
 @pytest.mark.parametrize(
-    "check",
-    [check_basic_open, check_generically_basic, check_principal_open, check_basic_closed, check_principal_closed],
+    "prop",
+    ["basic_open", "generically_basic", "principal_open", "basic_closed", "principal_closed"],
+    ids=_check_id,
 )
-def test_affine_only_checks_build_no_infinity_chart(monkeypatch, check, fixture_scene):
+def test_affine_only_checks_build_no_infinity_chart(monkeypatch, prop, fixture_scene):
     # the cubic's open checks reach the blow-up criterion, which examines the
     # pole too; it reads the affine arrangement, the only one any check builds
     charts = _record_charts(monkeypatch)
-    check(fixture_scene("cubic"))
+    check(fixture_scene("cubic"), prop)
     assert charts == ["affine"]
 
 
 @pytest.mark.parametrize(
-    "check, text, reason",
+    "prop, text, reason",
     [
         # both closed scenes pass their precheck, so the inner open check runs
-        (check_basic_closed, "factor a = x; factor b = y; set S = { a >= 0, b >= 0 };", ""),
-        (check_principal_closed, "factor f = y; set S = { f >= 0 };", ""),
+        ("basic_closed", "factor a = x; factor b = y; set S = { a >= 0, b >= 0 };", ""),
+        ("principal_closed", "factor f = y; set S = { f >= 0 };", ""),
     ],
+    ids=_check_id,
 )
-def test_closed_checks_build_one_affine_arrangement(monkeypatch, check, text, reason):
+def test_closed_checks_build_one_affine_arrangement(monkeypatch, prop, text, reason):
     built = _record_charts(monkeypatch)
-    v = check(S(text))
+    v = check(S(text), prop)
     assert (v.answer, v.reason) == ("Yes", reason)
     assert built == ["affine"]
 
@@ -597,16 +596,16 @@ def test_closed_checks_agree_with_the_open_check_on_their_derived_scene():
     reached, witnesses = 0, 0
     for text in texts:
         sc = S(text)
-        closed = check_basic_closed(sc)
+        closed = check(sc, "basic_closed")
         if closed.reason != "NotClosed":
             reached += 1
-            inner = check_basic_open(sc.minus_factor_zeros(closed.diagnostics["zariski_boundary"]))
+            inner = check(sc.minus_factor_zeros(closed.diagnostics["zariski_boundary"]), "basic_open")
             assert _outcome(closed) == _outcome(inner), text
             witnesses += inner.witness is not None
-        closed = check_principal_closed(sc)
+        closed = check(sc, "principal_closed")
         if closed.reason != "BoundaryMeetsComplement":
             reached += 1
-            inner = check_principal_open(sc.complement())
+            inner = check(sc.complement(), "principal_open")
             assert _outcome(closed)[:3] == _outcome(inner)[:3], text
             if inner.witness is not None:
                 witnesses += 1
@@ -629,7 +628,7 @@ def test_cubic_basic_open_builds_each_part_once(monkeypatch, fixture_scene):
         return classify(D, decomp)
 
     monkeypatch.setattr(checker, "classify_exceptional", counting)
-    v = check_basic_open(fixture_scene("cubic"))
+    v = check(fixture_scene("cubic"), "basic_open")
     assert charts == ["affine"]
     assert len(classified) == 3 == len({id(D) for D in classified})
     assert v.diagnostics["exceptional_table"] == CUBIC_EXCEPTIONAL_TABLE

@@ -1,5 +1,4 @@
 import functools
-import random
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st

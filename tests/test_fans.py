@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
 from hypothesis import given, settings, strategies as st
 
@@ -9,7 +8,7 @@ from basix.arrangement import build_arrangement
 from basix.bipoly import BiPoly
 from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
-from basix.errors import BasixError, Unsupported
+from basix.errors import Unsupported
 from basix.fans import (
     Fan,
     ArcOrdering,

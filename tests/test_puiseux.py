@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import load_fixture
+from conftest import int_primitive, load_fixture
 
 from basix import puiseux
 from basix.bipoly import BiPoly
@@ -71,7 +71,7 @@ def _edge_polynomial(sup, j1, i1, j2, i2, q) -> UniPoly:
 
 def _rational_roots(psi: UniPoly) -> list[Fraction]:
     """Nonzero rational roots; a real irrational root raises Unsupported."""
-    roots, irrational = rational_roots(psi.int_primitive())
+    roots, irrational = rational_roots(int_primitive(psi))
     if irrational:
         raise Unsupported("NonRationalCoefficient", "irrational characteristic root in a branch expansion")
     return [r for r in roots if r != 0]

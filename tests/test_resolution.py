@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from conftest import bench_scene_texts, bench_workload, load_fixture, swap_scene
+from conftest import bench_scene_texts, bench_workload, int_primitive, load_fixture, swap_scene
 from test_algebra import _ref_subst, _ref_y_coeffs
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
 from test_puiseux import arc_region_membership, branch_set, family_arc, located_membership
@@ -274,7 +274,7 @@ def _line_multiplicity(p: BiPoly, direction: tuple[F, F]) -> int:
         return d - h.degree
     k, s = 0, b / a
     while not h.is_zero() and h.eval(s) == 0:
-        h, k = h.derivative(), k + 1
+        h, k = UniPoly([v * i for i, v in enumerate(h.c)][1:]), k + 1
     return k
 
 
@@ -481,7 +481,7 @@ def _chart_point_sides(D, decomp, v_mid):
     assert not any(g.is_zero() for g in gs), "the sample line lies on a scene curve"
     q = F(1, 2)
     while not all(
-        open_count(g.int_primitive(), F(0), q) == open_count(g.int_primitive(), -q, F(0)) == 0
+        open_count(int_primitive(g), F(0), q) == open_count(int_primitive(g), -q, F(0)) == 0
         and g.eval(q) != 0 != g.eval(-q)
         for g in gs
     ):

@@ -43,6 +43,36 @@ def test_no_bare_asserts_in_src():
     assert found == []
 
 
+def _src_trees() -> list[tuple[str, ast.Module]]:
+    return [(path.name, ast.parse(path.read_text(encoding="utf-8"))) for path in sorted(SRC.glob("*.py"))]
+
+
+def test_no_unused_imports_in_src():
+    # a name that a module-level import binds and the module never reads;
+    # nothing in src/ re-exports an import, so each one is read where it is
+    found = []
+    for name, tree in _src_trees():
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
+                found += [f"{name}:{node.lineno} {b}" for b in bound if b not in read]
+    assert found == []
+
+
+def test_only_the_series_modules_import_unipoly():
+    # the projection and the arrangement run on integer lists; UniPoly is
+    # the coefficient ring of TSeries and of the modules that build or read
+    # its terms
+    importers = [
+        name
+        for name, tree in _src_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and any(alias.name == "UniPoly" for alias in node.names)
+    ]
+    assert importers == ["puiseux.py", "resolution.py", "series.py"]
+
+
 def test_unsupported_reason_codes_in_its_docstring_are_raised():
     # a code the docstring names must still be raised somewhere in src/, as
     # the first argument of an Unsupported(...) call, so it cannot go stale
