@@ -19,7 +19,9 @@ A `BiPoly` is never mutated after construction.  Its integer rows (the
 coefficients times their least common denominator, built straight from the
 terms) are the one coefficient format the algebra reads, so they are
 computed once, on first use, and cached on the instance; ``int_y_rows``
-hands out fresh lists so that no caller can alias the cache.  ``eval`` and
+hands out fresh lists so that no caller can alias the cache.  The hash is
+cached next to them: it is taken once, from the rows and their common
+denominator, which equal polynomials share.  ``eval`` and
 ``sign_at`` run one homogenised integer Horner over the integer rows:
 ``eval`` builds a single `Fraction` and ``sign_at`` none.  ``int_fibre``
 specialises x the same way, one Horner per row, to an integer list in y.
@@ -49,11 +51,12 @@ Term = tuple[int, int]  # (i, j) exponents of x^i y^j
 class BiPoly:
     """Finite map (i, j) -> nonzero rational coefficient of x^i y^j."""
 
-    __slots__ = ("t", "_ir")
+    __slots__ = ("t", "_ir", "_h")
 
     def __init__(self, terms: dict[Term, Fraction] | None = None):
         self.t: dict[Term, Fraction] = {}
         self._ir: tuple[list[list[int]], int, int] | None = None
+        self._h: int | None = None
         if terms:
             for k, v in terms.items():
                 v = Fraction(v)
@@ -98,7 +101,10 @@ class BiPoly:
         return isinstance(other, BiPoly) and self.t == other.t
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.t.items()))
+        if self._h is None:
+            rows, l, _n = self._int_rows()
+            self._h = hash((l, *map(tuple, rows)))
+        return self._h
 
     @property
     def total_degree(self) -> int:
@@ -155,10 +161,10 @@ class BiPoly:
         return r
 
     def partial_x(self) -> "BiPoly":
-        return BiPoly({(i - 1, j): v * i for (i, j), v in self.t.items() if i > 0})
+        return BiPoly._of({(i - 1, j): v * i for (i, j), v in self.t.items() if i > 0})
 
     def partial_y(self) -> "BiPoly":
-        return BiPoly({(i, j - 1): v * j for (i, j), v in self.t.items() if j > 0})
+        return BiPoly._of({(i, j - 1): v * j for (i, j), v in self.t.items() if j > 0})
 
     # -- evaluation / specialisation ------------------------------------------------
 
@@ -209,18 +215,22 @@ class BiPoly:
         """The cached (rows, l) of ``int_y_rows`` and the x-degree; row j has
         no trailing zeros (an empty list for a zero row)."""
         if self._ir is None:
-            l = 1
-            for v in self.t.values():
+            l, n, m = 1, -1, -1
+            for (i, j), v in self.t.items():
                 dv = v.denominator
                 if dv != 1:
                     l = l * dv // _igcd(l, dv)
-            rows: list[list[int]] = [[] for _ in range(self.deg_y + 1)]
+                if i > n:
+                    n = i
+                if j > m:
+                    m = j
+            rows: list[list[int]] = [[] for _ in range(m + 1)]
             for (i, j), v in self.t.items():
                 r = rows[j]
                 if len(r) <= i:
                     r.extend([0] * (i + 1 - len(r)))
                 r[i] = v.numerator * (l // v.denominator)
-            self._ir = (rows, l, self.deg_x)
+            self._ir = (rows, l, n)
         return self._ir
 
     def int_fibre(self, x0: Fraction | int) -> list[int]:
@@ -555,13 +565,3 @@ def are_coprime(f: BiPoly, g: BiPoly) -> bool:
     if f.is_zero() or g.is_zero() or len(_ilist_gcd(f.content_x(), g.content_x())) > 1:
         return False
     return f.deg_y < 1 or g.deg_y < 1 or bool(resultant(f, g, "y"))
-
-
-# -- parsing ------------------------------------------------------------------------
-
-
-def parse_poly(text: str) -> BiPoly:
-    """Parse the canonical text form (integer/rational coefficients, x, y, ^, *)."""
-    from .parser import parse_polynomial  # local import to avoid a cycle
-
-    return parse_polynomial(text)

@@ -245,7 +245,7 @@ def _condition_b(model: SphereModel, v: Verdict, depth_cap: int):
         boundary_polys = {
             n: factors[n]
             for n in dec.scene.order
-            if n in model.affine.zariski_boundary and factors[n].eval(*ap.point) == 0
+            if n in model.affine.zariski_boundary and factors[n].sign_at(*ap.point) == 0
         }
         if not boundary_polys:
             continue

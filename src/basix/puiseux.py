@@ -106,15 +106,6 @@ class NotOnCurve(BasixError):
 # ------------------------------------------------------------------ smooth branches
 
 
-def _divide_x_power(p: BiPoly) -> tuple[BiPoly, int]:
-    if p.is_zero():
-        return p, 0
-    m = min(i for i, _j in p.t)
-    if m == 0:
-        return p, 0
-    return BiPoly({(i - m, j): v for (i, j), v in p.t.items()}), m
-
-
 def _hensel(Fp: BiPoly, K: int) -> dict[int, Fraction]:
     """The unique series root y(x) with y(0) = 0 of a y-regular polynomial,
     exact below t^K.

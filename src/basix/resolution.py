@@ -59,14 +59,16 @@ centre, then the step's term map (`_CHART_TERM_MAPS`, the map of
 `_strict_transform` without its division).  Transforms are kept by
 chart-word prefix in a dict of the resolution tree, which its components
 share, so a deeper component extends its parent's transform and nothing
-outlives the tree.  Taken as integer rows by the power of u, G(t, v_mid)
-has the sign of its first row k nonzero at v_mid on the side t > 0, and
+outlives the tree.  Taken as integer rows by the power of u (the columns of
+G's cached integer rows, which run by the power of v), G(t, v_mid) has the
+sign of its first row k nonzero at v_mid on the side t > 0, and
 (-1)^k times that on t < 0; every row zero puts the arc on the factor's
 curve.  This is exact: the pushed-down line is an exact polynomial arc, so
 composing g with it gives exactly G(t, v_mid), whose first nonzero term is
 row k's, and t -> -t multiplies that term by (-1)^k.  Row 0 is g at the
-tree's centre, the image of u = 0 under every chart word, so a factor off
-the centre has that one sign on both sides and no transform is built.
+tree's centre, the image of u = 0 under every chart word, which each
+component keeps, so a factor off the centre has that one sign on both sides
+and no transform is built.
 Each half of the arc enters one 2-cell for small t, and its signs are that
 cell's sign vector, so the verdict is the tag shared by every region with
 that vector (`SetDecomposition.tag_of_signs`; at the pole the `PoleView`
@@ -91,7 +93,7 @@ from .arrangement import Box, bipoly_sign_on_box
 from .bipoly import BiPoly
 from .decompose import SetDecomposition
 from .errors import BasixError, InternalError, Unsupported
-from .puiseux import ArcFamily, _divide_x_power, family_normal_form
+from .puiseux import ArcFamily, family_normal_form
 from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
 from .series import TSeries
 from .signdist import Classification, classify_sides
@@ -162,6 +164,7 @@ class ExceptionalComponent:
     level: int
     chart: BlowupChart
     curves: list[tuple[object, BiPoly]]  # strict transforms in this chart
+    center: tuple[Fraction, Fraction]  # the tree's, where u = 0 maps
     marked: list[MarkedPoint] = field(default_factory=list)
     inf_tags: list = field(default_factory=list)
     # the tree's transforms, shared by all its components
@@ -203,7 +206,7 @@ def _cone_lines(p: BiPoly) -> Cone:
     are the real roots m of h(1, m); x = 0 is a line of multiplicity
     deg h - deg h(1, m)."""
     d = min(i + j for i, j in p.t)
-    hi = _ilist_primitive([r[d - j] if d - j < len(r) else 0 for j, r in enumerate(p.int_y_rows()[0][: d + 1])])
+    hi = _ilist_primitive([r[d - j] if d - j < len(r) else 0 for j, r in enumerate(p._int_rows()[0][: d + 1])])
     vertical = d - (len(hi) - 1)
     lines: list[RootLocator | None] = [None] if vertical else []
     multiple = vertical > 1
@@ -250,8 +253,13 @@ _CHART_TERM_MAPS = {"x": ((1, 0), (1, 1)), "y": ((1, 1), (1, 0))}
 def _strict_transform(p: BiPoly, kind: str) -> BiPoly:
     """The strict transform of p at the origin in the chart ``kind``: the
     total transform divided by the largest power of the exceptional line
-    x = 0."""
-    return _divide_x_power(p.monomial_subst(*_CHART_TERM_MAPS[kind]))[0]
+    x = 0, which is x^d for d the order of p at the origin.  One term map:
+    x^i y^j goes to x^(i+j-d) y^j in the x-chart and to x^(i+j-d) y^i in
+    the y-chart."""
+    d = min((i + j for i, j in p.t), default=0)
+    if kind == "x":
+        return BiPoly._of({(i + j - d, j): v for (i, j), v in p.t.items()})
+    return BiPoly._of({(i + j - d, i): v for (i, j), v in p.t.items()})
 
 
 def _has_vertical_branch(curves: list[tuple[object, BiPoly]], cones: Cones) -> bool:
@@ -271,7 +279,7 @@ def resolve_point(
     """Standard resolution of the given curve set at a rational point, with
     at most ``depth_cap`` blow-ups along any chart word."""
     px, py = F(p[0]), F(p[1])
-    through = [(n, poly.translate(px, py)) for n, poly in curves.items() if poly.eval(px, py) == 0]
+    through = [(n, poly.translate(px, py)) for n, poly in curves.items() if poly.sign_at(px, py) == 0]
     if not through:
         raise BasixError(f"({px}, {py}) lies on none of the given curves")
     tree = ResolutionTree((px, py))
@@ -305,7 +313,9 @@ def _resolve_site(
         sc = _strict_transform(c, "x")
         if not sc.is_const():
             stricts.append((tag, sc))
-    D = ExceptionalComponent(level=level, chart=BlowupChart(xword), curves=stricts, transforms=tree.transforms)
+    D = ExceptionalComponent(
+        level=level, chart=BlowupChart(xword), curves=stricts, center=tree.center, transforms=tree.transforms
+    )
     tree.components.append(D)
     tree.trace.append(
         f"blow-up {level}: centre ({trans[0]}, {trans[1]}) at depth {len(word)}, chart x"
@@ -347,7 +357,7 @@ def _resolve_site(
                 "NonRationalSingularPoint",
                 f"D{level} carries a non-transversal crossing at an irrational point",
             )
-        translated = [(tag, sc.translate(F(0), vex)) for tag, sc in stricts if sc.eval(F(0), vex) == 0]
+        translated = [(tag, sc.translate(F(0), vex)) for tag, sc in stricts if sc.sign_at(0, vex) == 0]
         translated.append((("exc", level), BiPoly.x()))
         _resolve_site(tree, xword, (F(0), vex), translated, depth_cap, cones)
 
@@ -356,7 +366,7 @@ def _resolve_site(
         ytag_curves: list[tuple[object, BiPoly]] = []
         for tag, c in curves:
             sc = _strict_transform(c, "y")
-            if not sc.is_const() and sc.eval(F(0), F(0)) == 0:
+            if not sc.is_const() and sc.sign_at(0, 0) == 0:
                 ytag_curves.append((tag, sc))
         D.inf_tags = [tag for tag, _sc in ytag_curves]
         ytag_curves.append((("exc", level), BiPoly.x()))
@@ -413,7 +423,7 @@ def component_family(D: ExceptionalComponent) -> ArcFamily:
     """The transversal-arc family of D in normal form: the pushed-down line
     whose slope is the family parameter z."""
     xs, ys = D.chart.down_line(UniPoly.x())
-    return family_normal_form(D.chart.down_point(F(0), F(0)), xs, ys)
+    return family_normal_form(D.center, xs, ys)
 
 
 def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fraction):
@@ -468,15 +478,19 @@ FactorRows = list[tuple[str, int, list[list[int]]]]
 
 def _factor_rows(D: ExceptionalComponent, decomp: SetDecomposition | PoleView) -> FactorRows:
     factors = decomp.scene.factors
-    centre = D.chart.down_point(F(0), F(0))
     out: FactorRows = []
     for n in decomp.scene.order:
         g = factors[n]
-        s = g.sign_at(*centre)
+        s = g.sign_at(*D.center)
         rows: list[list[int]] = []
         if not s:
-            G = _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {}))
-            rows = G.swap_xy().int_y_rows()[0]
+            # the rows by the power of u are the columns of G's rows by v
+            vrows, _l, deg_u = _total_transform(g, D.chart.steps, D.transforms.setdefault(g, {}))._int_rows()
+            for k in range(deg_u + 1):
+                r = [vr[k] if k < len(vr) else 0 for vr in vrows]
+                while r and not r[-1]:
+                    r.pop()
+                rows.append(r)
         out.append((n, s, rows))
     return out
 
@@ -612,7 +626,7 @@ def pole_analysis_point(view: PoleView) -> AnalysisPoint | None:
     crosses x = 0 at the origin makes no vertex there (as in the affine
     chart), so it is no analysis point either."""
     factors = view.scene.factors
-    through = [n for n in view.scene.order if factors[n].eval(F(0), F(0)) == 0]
+    through = [n for n in view.scene.order if factors[n].sign_at(0, 0) == 0]
     bfs = sorted(n for n in through if n in view.affine.zariski_boundary)
     if not bfs:
         return None
@@ -652,7 +666,7 @@ def _classify_point(
 def _smooth_at(p: BiPoly, box: Box) -> bool:
     pt = box.exact_point()
     if pt is not None:
-        return p.partial_x().eval(*pt) != 0 or p.partial_y().eval(*pt) != 0
+        return p.partial_x().sign_at(*pt) != 0 or p.partial_y().sign_at(*pt) != 0
     for g in (p.partial_x(), p.partial_y()):
         try:
             if bipoly_sign_on_box(g, box, cap=48) != 0:
@@ -686,7 +700,7 @@ def _certified_node(p: BiPoly, box: Box) -> bool:
     det = hxx * hyy - hxy * hxy
     pt = box.exact_point()
     if pt is not None:
-        return det.eval(*pt) < 0
+        return det.sign_at(*pt) < 0
     try:
         return bipoly_sign_on_box(det, box, cap=48) < 0
     except Unsupported:

@@ -76,12 +76,6 @@ def make_sigmas(d: SetDecomposition) -> list[SignDistribution]:
     return [make_sigma(d, i) for i in range(len(d.a_components))]
 
 
-def make_delta(d: SetDecomposition) -> SignDistribution:
-    """plus = regions of S, minus = every complement region."""
-    minus = frozenset(r.rid for r in d.arrangement.regions if r.rid not in d.s_regions)
-    return SignDistribution(frozenset(d.s_regions), minus, "delta")
-
-
 def classify_component(factor: str, sigma: SignDistribution, arr: Arrangement) -> Classification:
     """Classify the factor by the signs above and below each of its edges;
     the arcs are edge ids."""

@@ -1317,6 +1317,37 @@ def test_term_maps_match_subst(p):
         assert _strict_transform(p, kind) == BiPoly({(i - m, j): v for (i, j), v in total.t.items()})
 
 
+@given(_sparse_bipolys(), st.integers(2, 9), _points)
+@settings(max_examples=200, deadline=None)
+def test_equal_polynomials_hash_equal(p, k, x0):
+    # the hash is taken once from the cached integer rows, so every route
+    # to the same polynomial hashes alike, and reading the rows does not
+    # move it
+    routes = [
+        BiPoly({key: F(v.numerator * k, v.denominator * k) for key, v in p.t.items()}),
+        BiPoly({key: int(v) if v.denominator == 1 else str(v) for key, v in p.t.items()}),
+        BiPoly._of(dict(p.t)),
+        BiPoly._of(dict(reversed(p.t.items()))),
+        p.swap_xy().swap_xy(),
+        p.translate(0, 0),
+        p.monomial_subst((1, 0), (0, 1)),
+        p.quotient(BiPoly.const(1)),
+        p.quotient(BiPoly.const(F(1, k))).scale(F(1, k)),
+    ]
+    h = hash(p)
+    for q in routes:
+        assert q == p and hash(q) == h
+    fresh = BiPoly._of(dict(p.t))
+    rows, _l = fresh.int_y_rows()
+    if rows:
+        rows[-1].append(k)
+    fresh.int_fibre(x0)
+    assert hash(fresh) == h
+    fresh.int_y_rows()
+    fresh.int_fibre(x0)
+    assert hash(fresh) == h and {fresh: 1}[p] == 1
+
+
 @given(_sparse_bipolys(), st.integers(1, 3), st.integers(1, 4), _res_coeffs)
 @settings(max_examples=200, deadline=None)
 def test_edge_substitution_matches_subst(f, q, p, c):
@@ -1386,6 +1417,59 @@ def test_classification_composes_nothing(monkeypatch):
         assert v.answer == "Yes"
         assert all(located[chart] > before[chart] for chart in located), (before, located)
     assert classified[0] >= 10 and composed == []
+
+
+def test_condition_b_reads_the_cached_integer_rows(monkeypatch):
+    # resolve_point tests which curves pass through a site by their signs,
+    # so it evaluates no polynomial, and _factor_rows reads the rows of
+    # each total transform by the power of u off its cached integer rows at
+    # the centre every component keeps, so it swaps no polynomial and pushes
+    # no point down a chart word: on every basic_open check of the
+    # benchmark's blowup workload and on the scenes with irrational tangents
+    # and with large denominators
+    from conftest import bench_workload
+    from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
+
+    from basix import checker, resolution
+    from basix.scene import Scene
+
+    calls = {"resolve_point": 0, "_factor_rows": 0}
+    inside: list[str] = []
+    seen = []
+
+    def entered(name, fn):
+        def run(*args, **kwargs):
+            inside.append(name)
+            calls[name] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        return run
+
+    def watch(cls, attr, within):
+        fn = getattr(cls, attr)
+
+        def counted(*args, **kwargs):
+            if within in inside:
+                seen.append((within, attr))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, attr, counted)
+
+    monkeypatch.setattr(checker, "resolve_point", entered("resolve_point", checker.resolve_point))
+    monkeypatch.setattr(resolution, "_factor_rows", entered("_factor_rows", resolution._factor_rows))
+    watch(BiPoly, "eval", "resolve_point")
+    watch(BiPoly, "swap_xy", "_factor_rows")
+    watch(resolution.BlowupChart, "down_point", "_factor_rows")
+    texts, checks = bench_workload(monkeypatch, "blowup")
+    runs = [texts[c.scene] for c in checks if c.prop == "basic_open"]
+    runs += [*IRRATIONAL_TANGENTS.values(), *LARGE_DENOMINATOR_POINTS.values()]
+    for text in runs:
+        checker.run_check(checker.CheckRequest(Scene.from_text(text), "basic_open"))
+    assert calls["resolve_point"] >= 10 and calls["_factor_rows"] >= 10, calls
+    assert sorted(set(seen)) == []
 
 
 # ---------------------------------------------------------------- integer fibres

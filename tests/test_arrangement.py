@@ -10,9 +10,10 @@ from test_sphere import random_scene_text
 
 from basix import arrangement, realroots
 from basix.arrangement import Box, _Fibre, _IrrationalAbscissa, _Window, bipoly_sign_on_box, build_arrangement
-from basix.bipoly import BiPoly, parse_poly
+from basix.bipoly import BiPoly
 from basix.checker import CheckRequest, run_check
 from basix.errors import InternalError, NotSquarefree, SceneError, SharedComponent, Unsupported
+from basix.parser import parse_polynomial
 from basix.realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal
 from basix.scene import Scene, invert_scene, validate_scene
 from basix.unipoly import UniPoly
@@ -229,7 +230,7 @@ def test_gap_sample_below_between_and_above():
     samples = [gap_sample(locs, k) for k in range(4)]
     assert samples[0] < -1.415 and -1.414 < samples[1] < 1.414 and 1.415 < samples[2] < 3 < samples[3]
     sqrt2 = isolate_real_roots([-2, 0, 1])[1]
-    windows = _Fibre(_IrrationalAbscissa(sqrt2, []), "f", parse_poly("y^2 - x")).windows()
+    windows = _Fibre(_IrrationalAbscissa(sqrt2, []), "f", parse_polynomial("y^2 - x")).windows()
     assert len(windows) == 2 and all(isinstance(w, _Window) for w in windows)
     below, mid, above = (gap_sample(windows, k) for k in range(3))
     assert below < 0 < above and below**4 > 2 and mid**4 < 2 and above**4 > 2
@@ -565,7 +566,7 @@ def test_irrational_wall_fibre_parts_roots_2_to_the_minus_1100_apart():
     eps = Fraction(1, 2**1100)
     alpha = isolate_real_roots([-2, 0, 1])[1]
     at = _IrrationalAbscissa(alpha, [])
-    f = parse_poly("y - x") * (parse_poly("y - x") - BiPoly.const(eps))
+    f = parse_polynomial("y - x") * (parse_polynomial("y - x") - BiPoly.const(eps))
     low, high = _Fibre(at, "f", f).windows()
     assert low.hi <= high.lo
     assert low.lo**2 < 2 < low.hi**2

@@ -12,15 +12,23 @@ from basix.decompose import (
 )
 from basix.scene import RELS, Scene
 from basix.signdist import (
+    SignDistribution,
     classify_component,
     classify_sides,
     condition_a_check,
-    make_delta,
     make_sigma,
     make_sigmas,
 )
 
 F = Fraction
+
+
+def make_delta(d):
+    """The distribution with plus on the regions of S and minus on every
+    complement region."""
+    minus = frozenset(r.rid for r in d.arrangement.regions if r.rid not in d.s_regions)
+    return SignDistribution(frozenset(d.s_regions), minus, "delta")
+
 
 HALF = "factor f = y; set S = { f > 0 };"
 QUAD = "factor a = x; factor b = y; set S = { a > 0, b > 0 };"

@@ -50,6 +50,15 @@ P = parse_polynomial
 _DEPTH_CAP = 64
 
 
+def _divide_x_power(p: BiPoly) -> tuple[BiPoly, int]:
+    if p.is_zero():
+        return p, 0
+    m = min(i for i, _j in p.t)
+    if m == 0:
+        return p, 0
+    return BiPoly({(i - m, j): v for (i, j), v in p.t.items()}), m
+
+
 def _divide_y_power(p: BiPoly) -> tuple[BiPoly, int]:
     if p.is_zero():
         return p, 0
@@ -98,7 +107,7 @@ def _expand_reference(Fp, K, depth=0):
     if depth > _DEPTH_CAP:
         raise Unsupported("DepthCap", "branch expansion recursion too deep")
     out = []
-    Fp, _ = puiseux._divide_x_power(Fp)
+    Fp, _ = _divide_x_power(Fp)
     Fp, ymult = _divide_y_power(Fp)
     if ymult > 0:
         out.append((1, {}, None))  # the horizontal axis branch
@@ -129,7 +138,7 @@ def _expand_reference(Fp, K, depth=0):
         psi = _edge_polynomial(sup, j1, i1, j2, i2, q)
         for c in _rational_roots(psi):
             G = _ref_subst(Fp, BiPoly({(q, 0): F(1)}), BiPoly({(p, 0): c, (p, 1): F(1)}))
-            G, _m = puiseux._divide_x_power(G)
+            G, _m = _divide_x_power(G)
             for N1, terms1, upto1 in _expand_reference(G, K, depth + 1):
                 terms = {p * N1: c}
                 for n, b in terms1.items():

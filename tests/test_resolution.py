@@ -591,3 +591,23 @@ def test_total_transform_signs_match_family_arc_composition(classified_widely):
                     zeros += signs[name] == 0
                     n += 1
     assert zeros and y_words and n >= 1000, (zeros, y_words, n)
+
+
+def test_factor_rows_are_the_swapped_rows_of_the_total_transform(classified_widely):
+    # the rows of `_factor_rows` by the power of u, read off the columns of
+    # the total transform's cached rows, are the integer y-rows of that
+    # transform with x and y swapped; the sign of a factor off the centre
+    # is its sign at the image of u = 0, which each component keeps
+    through = 0
+    for D, decomp, _arcs in classified_widely:
+        assert D.center == D.chart.down_point(F(0), F(0))
+        for name, s, rows in resolution._factor_rows(D, decomp):
+            g = decomp.scene.factors[name]
+            assert s == g.sign_at(*D.chart.down_point(F(0), F(0)))
+            if s:
+                assert rows == []
+                continue
+            G = resolution._total_transform(g, D.chart.steps, {})
+            assert rows == G.swap_xy().int_y_rows()[0], (D.chart, name)
+            through += 1
+    assert through >= 100, through

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -58,6 +59,30 @@ def test_no_unused_imports_in_src():
                 bound = ((alias.asname or alias.name).split(".")[0] for alias in node.names)
                 found += [f"{name}:{node.lineno} {b}" for b in bound if b not in read]
     assert found == []
+
+
+def _read_names(tree: ast.AST) -> Counter:
+    """How often each name is read in tree, as a bare name or an attribute."""
+    return Counter(
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_private_function_in_src_is_called():
+    # a module-level function whose name starts with "_" is internal to
+    # src/, so one that src/ never names outside its own body is dead code
+    # that only tests would keep alive
+    trees = _src_trees()
+    read = sum((_read_names(tree) for _name, tree in trees), Counter())
+    unused = [
+        f"{name}:{fn.lineno} {fn.name}"
+        for name, tree in trees
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_") and read[fn.name] == _read_names(fn)[fn.name]
+    ]
+    assert unused == []
 
 
 def test_only_the_series_modules_import_unipoly():
