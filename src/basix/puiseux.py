@@ -8,6 +8,12 @@ optionally carrying a symbolic tail (eta*z + a)*t^m whose sign semantics are
 "for all sufficiently small z > 0".  These arcs are the orderings of fan
 witnesses; condition (b) reads its half-lines from total transforms in a
 component's chart (`resolution.classify_exceptional`) and builds none.
+
+An arc keeps its coefficients as `Fraction`s (`terms`, the fan JSON) and
+builds its series x(t), y(t) once, as integer z-rows (`series.TSeries`);
+compositions, signs, blow-up words and certified points are read from those
+rows.  A component's family arrives as the two polynomials X(t, z), Y(t, z)
+of its chart's down map, and `family_normal_form` reads them term by term.
 """
 
 from __future__ import annotations
@@ -20,7 +26,6 @@ from math import gcd as _igcd
 from .bipoly import BiPoly, _powers, _taylor_shift
 from .errors import BasixError, Unsupported
 from .series import TSeries, compose_bipoly, series_div_unit
-from .unipoly import UniPoly
 
 F = Fraction
 
@@ -52,28 +57,22 @@ class PuiseuxArc:
     swapped: bool = False
     _comp: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def body_series(self) -> TSeries:
-        d: dict[int, UniPoly] = {e: UniPoly.const(c) for e, c in self.terms}
-        if self.slot is not None:
-            s = self.slot
-            d[s.m] = d.get(s.m, UniPoly()) + UniPoly([s.a, s.eta])
-        return TSeries.make(d, self.truncation)
-
     def xy_series(self) -> tuple[TSeries, TSeries]:
         return self._xy
 
     @cached_property
     def _xy(self) -> tuple[TSeries, TSeries]:
-        cx, cy = self.center
-        param = TSeries.make({self.N: UniPoly.const(self.delta)}, None)
-        body = self.body_series()
-        if not self.swapped:
-            xs = TSeries.const(cx, None) + param
-            ys = TSeries.const(cy, None) + body
-        else:
-            xs = TSeries.const(cx, None) + body
-            ys = TSeries.const(cy, None) + param
-        return xs, ys
+        """The parameter u + delta*t^N and the body v + terms + slot, for
+        the centre's coordinates (u, v) (exchanged on a swapped arc), as
+        (x(t), y(t))."""
+        u, v = self.center[::-1] if self.swapped else self.center
+        rows: dict[int, list[Fraction | int]] = {e: [c] for e, c in self.terms}
+        if self.slot is not None:
+            s = self.slot
+            rows[s.m] = [rows.get(s.m, [0])[0] + s.a, s.eta]
+        param = TSeries.const(u) + TSeries.make({self.N: [self.delta]})
+        body = TSeries.const(v) + TSeries.make(rows, self.truncation)
+        return (body, param) if self.swapped else (param, body)
 
     def composed(self, g: BiPoly) -> TSeries:
         comp = self._comp.get(g)
@@ -207,8 +206,7 @@ def smooth_branch(f: BiPoly, center: tuple[Fraction, Fraction], K: int) -> Puise
 def residual_order(f: BiPoly, arc: PuiseuxArc) -> int | None:
     """Order of the first certain nonzero term of f composed with the arc,
     None if all certain terms vanish (the residual invariant holds)."""
-    lead = arc.composed(f).leading()
-    return None if lead is None else lead[0]
+    return arc.composed(f).ord()
 
 
 # ------------------------------------------------------------------ signs
@@ -296,28 +294,23 @@ def simulate_branch_blowups(arc: PuiseuxArc, levels: int) -> list[tuple[str, Fra
         if ox is None and oy is None:
             raise Unsupported("TruncationCap", "branch exhausted during blow-up simulation")
         if oy is None or (ox is not None and oy >= ox):
-            # x-chart: v = y / x
-            v = series_div_unit(ys, xs, upto)
-            c = v.coeff[0][1].c[0] if v.coeff and v.coeff[0][0] == 0 else F(0)
-            word.append(("x", c))
-            ys = v - TSeries.const(c, None)
+            kind, q = "x", series_div_unit(ys, xs, upto)  # the x-chart's (x, y/x)
         else:
-            u = series_div_unit(xs, ys, upto)
-            c = u.coeff[0][1].c[0] if u.coeff and u.coeff[0][0] == 0 else F(0)
-            word.append(("y", c))
             # the y-chart's coordinates are (y, x/y), as in `BlowupChart.down`
-            xs, ys = ys, u - TSeries.const(c, None)
+            kind, q, xs = "y", series_div_unit(xs, ys, upto), ys
+        c = F(q.terms[0][1][0], q.den) if q.terms and q.terms[0][0] == 0 else F(0)
+        word.append((kind, c))
+        ys = q - TSeries.const(c)
         if (xs.trunc is not None and xs.trunc <= 0) or (ys.trunc is not None and ys.trunc <= 0):
             raise Unsupported("TruncationCap", "branch exhausted during blow-up simulation")
     return word
 
 
-def family_normal_form(center: tuple[Fraction, Fraction], xs: TSeries, ys: TSeries) -> ArcFamily:
-    """The family x = xs(t), y = ys(t) through the centre, whose coefficients
-    are linear in the family parameter z, in the normal form of `ArcFamily`."""
-    cx, cy = center
-    xs = xs - TSeries.const(cx, None)
-    ys = ys - TSeries.const(cy, None)
+def family_normal_form(center: tuple[Fraction, Fraction], X: BiPoly, Y: BiPoly) -> ArcFamily:
+    """The family x = X(t, z), y = Y(t, z) through the centre, two
+    polynomials in (t, z) whose coefficients are linear in the family
+    parameter z, in the normal form of `ArcFamily`."""
+    xs, ys = _z_rows(X, center[0]), _z_rows(Y, center[1])
     swapped = False
     if not _is_clean_param(xs):
         if _is_clean_param(ys):
@@ -328,15 +321,16 @@ def family_normal_form(center: tuple[Fraction, Fraction], xs: TSeries, ys: TSeri
                 "A1FormUnsupported",
                 "transversal family is not rationally parametrizable in normal form",
             )
-    (nx, cxz) = xs.coeff[0]
-    delta = 1 if cxz.c[0] > 0 else -1
+    ((nx, cxz),) = xs.items()
+    delta = 1 if cxz[0] > 0 else -1
     kept: list[tuple[int, Fraction]] = []
     mslot: int | None = None
     zscale = F(1)
-    for e, zc in ys.coeff:
-        const = zc.c[0] if zc.c else F(0)
-        zlin = zc.c[1] if len(zc.c) > 1 else F(0)
-        if len(zc.c) > 2:
+    for e in sorted(ys):
+        zc = ys[e]
+        const = zc.get(0, F(0))
+        zlin = zc.get(1, F(0))
+        if max(zc) > 1:
             raise Unsupported("A1FormUnsupported", "family parameter appears nonlinearly")
         if zlin != 0:
             if mslot is not None:
@@ -349,14 +343,24 @@ def family_normal_form(center: tuple[Fraction, Fraction], xs: TSeries, ys: TSeri
             kept.append((e, const))
     if mslot is None:
         raise Unsupported("A1FormUnsupported", "family parameter vanished in the push-down")
-    return ArcFamily((cx, cy), delta, nx, tuple(kept), mslot, swapped, zscale)
+    return ArcFamily(center, delta, nx, tuple(kept), mslot, swapped, zscale)
 
 
-def _is_clean_param(s: TSeries) -> bool:
-    if len(s.coeff) != 1:
+def _z_rows(P: BiPoly, c: Fraction) -> dict[int, dict[int, Fraction]]:
+    """P - c as a polynomial in t = x over Q[z], z = y: the nonzero
+    coefficient of t^i z^j at ``[i][j]``."""
+    out: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in (P - BiPoly.const(c)).t.items():
+        out.setdefault(i, {})[j] = v
+    return out
+
+
+def _is_clean_param(s: dict[int, dict[int, Fraction]]) -> bool:
+    """Whether s is +-t^N."""
+    if len(s) != 1:
         return False
-    e, zc = s.coeff[0]
-    return len(zc.c) == 1 and abs(zc.c[0]) == 1
+    ((_e, zc),) = s.items()
+    return list(zc) == [0] and abs(zc[0]) == 1
 
 
 # ------------------------------------------------------------------ membership
@@ -382,17 +386,10 @@ def certified_point(arc: PuiseuxArc, side: int, polys: list[BiPoly], z0: Fractio
     r = F(1)
     for g in polys:
         comp = arc.composed(g) if use_memo else compose_bipoly(g, xs, ys)
-        if side < 0:
-            comp = comp.negate_t()
-        lead = comp.leading()
-        if lead is None:
-            continue  # identically zero along the arc
-        _e, zc = lead
-        b = abs(zc.c[0])
-        tail = sum(abs(v.c[0]) for _ee, v in comp.coeff[1:])
-        r = min(r, b / (1 + tail))
+        if comp.terms:  # else identically zero along the arc
+            # |b| / (1 + T) on the rows over den, the same on either side
+            b, *tail = (abs(row[0]) for _e, row in comp.terms)
+            r = min(r, F(b, comp.den + sum(tail)))
     t0 = r / 2 if side > 0 else -r / 2
-    xv = xs.eval_t(t0)
-    yv = ys.eval_t(t0)
-    return (xv.c[0] if xv.c else F(0), yv.c[0] if yv.c else F(0))
+    return xs.eval_t(t0), ys.eval_t(t0)
 

@@ -45,9 +45,11 @@ Each mark carries the tags of the strict transforms through it, found once
 when their roots on the component are clustered; the normal-crossing test
 of a mark reads those tags and decides one vanishing (`vanishes_at`).
 
-`BlowupChart.down` is the one chart map: points, the polynomial down map
-and the transversal lines of a component (as series arcs) are all pushed to
-the base chart through it.
+`BlowupChart.down` is the one chart map, and it serves two rings:
+`Fraction` for points (`down_point`) and `BiPoly` for the map itself
+(`down_map`).  A component's transversal family is read off the map: the
+line u = t, v = z of its chart goes down to x = X(t, z), y = Y(t, z)
+(`component_family`).
 
 The region verdicts on both sides of each arc of an exceptional component
 are read from its transversal family: the line u = t, v = v_mid crossing
@@ -95,10 +97,9 @@ from .decompose import SetDecomposition
 from .errors import BasixError, InternalError, Unsupported
 from .puiseux import ArcFamily, family_normal_form
 from .realroots import RootLocator, gap_sample, isolate_real_roots, roots_equal, separate, simplest_in, vanishes_at
-from .series import TSeries
 from .signdist import Classification, classify_sides
 from .sphere import PoleView
-from .unipoly import UniPoly, _ilist_derivative, _ilist_primitive, homogeneous_horner
+from .unipoly import _ilist_derivative, _ilist_primitive, homogeneous_horner
 
 F = Fraction
 
@@ -109,9 +110,19 @@ _ALT_CAP = 12
 
 @dataclass(frozen=True)
 class Step:
+    """One blow-up of a chart word.  The hash is taken once, so the
+    transform memo, keyed by words, hashes no `Fraction` on a lookup."""
+
     kind: str  # 'x' | 'y'
     tx: Fraction
     ty: Fraction
+    _h: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_h", hash((self.kind, self.tx, self.ty)))
+
+    def __hash__(self) -> int:
+        return self._h
 
 
 @dataclass
@@ -126,8 +137,8 @@ class BlowupChart:
         This is the one place the chart convention is written: the x-chart
         of a step centred at (tx, ty) maps (u, v) to (tx + u, ty + u*v), the
         y-chart to (tx + u*v, ty + u).  ``u`` and ``v`` may lie in any ring
-        (``Fraction``, ``BiPoly``, ``TSeries``); ``const`` lifts a centre
-        coordinate into it."""
+        with ``+`` and ``*`` (``Fraction`` for points, ``BiPoly`` for the
+        map itself); ``const`` lifts a centre coordinate into it."""
         for s in reversed(self.steps):
             if s.kind == "x":
                 u, v = const(s.tx) + u, const(s.ty) + u * v
@@ -141,11 +152,6 @@ class BlowupChart:
     def down_map(self) -> tuple[BiPoly, BiPoly]:
         """The composite as a pair of polynomials in the chart coordinates."""
         return self.down(BiPoly.x(), BiPoly.y(), BiPoly.const)
-
-    def down_line(self, slope: UniPoly) -> tuple[TSeries, TSeries]:
-        """The transversal line u = t, v = slope, pushed down to the base
-        chart: the arc crossing the last component at v = slope."""
-        return self.down(TSeries.make({1: UniPoly.one()}), TSeries.make({0: slope}), TSeries.const)
 
 
 # The total transforms of factors through a tree's centre: per factor, by
@@ -420,10 +426,10 @@ def _verdict_sign(verdict: tuple, minus_component: int) -> int:
 
 
 def component_family(D: ExceptionalComponent) -> ArcFamily:
-    """The transversal-arc family of D in normal form: the pushed-down line
-    whose slope is the family parameter z."""
-    xs, ys = D.chart.down_line(UniPoly.x())
-    return family_normal_form(D.center, xs, ys)
+    """The transversal-arc family of D in normal form: the line u = t,
+    v = z of D's chart pushed down, x = X(t, z) and y = Y(t, z) for the
+    polynomial down map (X, Y), with the family parameter z."""
+    return family_normal_form(D.center, *D.chart.down_map())
 
 
 def _arc_sample_candidates(vlo: Fraction | None, vhi: Fraction | None, first: Fraction):

@@ -1,20 +1,19 @@
-"""Dense univariate polynomials over the rationals, and integer lists.
+"""Integer coefficient lists, and the tests' Fraction polynomials.
 
-A `UniPoly` has `fractions.Fraction` coefficients and exact arithmetic; it
-is the coefficient ring of `series.TSeries`, polynomials in z, and nothing
-else holds one.  The projection, root isolation and every gcd and
-squarefree part run on integer coefficient lists instead (low degree
-first, no trailing zeros): `_ilist_primitive` divides out the content and
-makes the leading coefficient positive, and the pseudo-remainder, the gcd,
-the squarefree part and the exact quotient stay in Z[x], which keeps
+The projection, root isolation, the series of `series.TSeries` and every
+gcd and squarefree part run on integer coefficient lists (low degree first,
+no trailing zeros): `_ilist_primitive` divides out the content and makes
+the leading coefficient positive, and the pseudo-remainder, the gcd, the
+squarefree part and the exact quotient stay in Z[x], which keeps
 intermediate growth under control.  Division exists only on integer lists:
 `_ilist_quotient` gives the exact quotient in Z[x] or None.
+`homogeneous_horner` evaluates a list at a rational ``num/den`` without a
+`Fraction`.
 
-A `UniPoly` is never mutated after construction, so its integer form, the
-coefficients times their common denominator, is computed once on first use
-and cached.  Evaluation at a rational ``num/den`` runs homogenised integer
-Horner on that form and builds a single `Fraction`.  `from_roots` and
-`sylvester_resultant` are Fraction references for the tests.
+`UniPoly`, a dense polynomial with `fractions.Fraction` coefficients and
+plain Fraction arithmetic, is used by no engine module: it is the tests'
+Fraction oracle for the integer lists, with the references `from_roots`
+and `sylvester_resultant`.
 """
 
 from __future__ import annotations
@@ -29,24 +28,19 @@ from .errors import InternalError
 class UniPoly:
     """p(x) = sum(c[i] * x**i); c has no trailing zeros."""
 
-    __slots__ = ("c", "_ic")
+    __slots__ = ("c",)
 
     def __init__(self, coeffs: Iterable[Fraction | int] = ()):
         cs = [v if type(v) is Fraction else Fraction(v) for v in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.c: tuple[Fraction, ...] = tuple(cs)
-        self._ic: tuple[list[int], int] | None = None
 
     # -- constructors -------------------------------------------------------
 
     @staticmethod
     def one() -> "UniPoly":
         return UniPoly([1])
-
-    @staticmethod
-    def x() -> "UniPoly":
-        return UniPoly([0, 1])
 
     @staticmethod
     def const(v: Fraction | int) -> "UniPoly":
@@ -119,41 +113,14 @@ class UniPoly:
             n >>= 1
         return r
 
-    def _int_form(self) -> tuple[list[int], int]:
-        """(ints, l) with p = sum(ints[i] x**i) / l, l the least common
-        denominator of the coefficients; cached."""
-        if self._ic is None:
-            l = 1
-            for v in self.c:
-                l = l * v.denominator // _igcd(l, v.denominator)
-            self._ic = ([v.numerator * (l // v.denominator) for v in self.c], l)
-        return self._ic
-
     def eval(self, x: Fraction | int) -> Fraction:
-        if not self.c:
-            return Fraction(0)
-        ints, l = self._int_form()
-        acc, dn = homogeneous_horner(ints, x.numerator, x.denominator)
-        return Fraction(acc, l * dn)
-
-    # -- display --------------------------------------------------------------
+        acc = Fraction(0)
+        for v in reversed(self.c):
+            acc = acc * x + v
+        return acc
 
     def __repr__(self) -> str:
-        if not self.c:
-            return "UniPoly(0)"
-        parts = []
-        for i in range(len(self.c) - 1, -1, -1):
-            v = self.c[i]
-            if v == 0:
-                continue
-            if i == 0:
-                parts.append(str(v))
-            elif i == 1:
-                parts.append(f"{v}*x" if abs(v) != 1 else ("x" if v > 0 else "-x"))
-            else:
-                parts.append(f"{v}*x^{i}" if abs(v) != 1 else (f"x^{i}" if v > 0 else f"-x^{i}"))
-        s = " + ".join(parts).replace("+ -", "- ")
-        return f"UniPoly({s})"
+        return f"UniPoly({', '.join(map(str, self.c))})"
 
 
 # -- integer-list helpers (fast paths) ----------------------------------------

@@ -24,7 +24,7 @@ from basix.realroots import (
     vanishes_at,
 )
 from basix.resolution import _strict_transform
-from basix.series import TSeries, compose_bipoly
+from basix.series import TSeries, compose_bipoly, series_div_unit
 from basix.unipoly import (
     UniPoly,
     _ilist_gcd,
@@ -532,11 +532,16 @@ def test_simplest_in_rejects_empty():
 )
 @settings(max_examples=150, deadline=None)
 def test_unipoly_eval_matches_fraction_horner(coeffs, x):
-    p = UniPoly(coeffs)
+    # the oracle's eval, and the engine's homogenised integer Horner on the
+    # coefficients over their least common denominator
+    p, x = UniPoly(coeffs), F(x)
     v = p.eval(x)
     assert type(v) is Fraction
-    assert v == _ref_eval(p.c, F(x))
-    assert p.eval(x) == v  # second call reads the cached integer form
+    assert v == _ref_eval(p.c, x)
+    if p.c:
+        l = math.lcm(*(c.denominator for c in p.c))
+        acc, dn = homogeneous_horner([c.numerator * (l // c.denominator) for c in p.c], x.numerator, x.denominator)
+        assert F(acc, l * dn) == v
 
 
 @given(int_coeffs, int_coeffs)
@@ -1149,14 +1154,111 @@ def test_refine_disjoint_rejects_coincident_roots():
 # ------------------------------------ composition and squarefree on integer rows
 
 
+class _RefSeries:
+    """The Fraction-coefficient series that the integer rows of `TSeries`
+    replaced: a UniPoly in z per exponent of t, with the same truncation
+    rules, as the oracle for those rows."""
+
+    def __init__(self, coeff=None, trunc=None):
+        coeff = coeff or {}
+        self.coeff = tuple((e, coeff[e]) for e in sorted(coeff) if coeff[e] and (trunc is None or e < trunc))
+        self.trunc = trunc
+
+    @staticmethod
+    def const(v):
+        return _RefSeries({0: UniPoly.const(v)})
+
+    def rows(self):
+        """The terms as (exponent, Fraction z-coefficients), and the truncation."""
+        return [(e, list(v.c)) for e, v in self.coeff], self.trunc
+
+    def ord(self):
+        return self.coeff[0][0] if self.coeff else None
+
+    def __add__(self, o):
+        t = o.trunc if self.trunc is None else self.trunc if o.trunc is None else min(self.trunc, o.trunc)
+        d = dict(self.coeff)
+        for e, v in o.coeff:
+            d[e] = d.get(e, UniPoly()) + v
+        return _RefSeries(d, t)
+
+    def __neg__(self):
+        return _RefSeries({e: -v for e, v in self.coeff}, self.trunc)
+
+    def __sub__(self, o):
+        return self + (-o)
+
+    def __mul__(self, o):
+        # error terms of a product start at min(trunc_a + ord_b, trunc_b + ord_a)
+        cands = []
+        if self.trunc is not None:
+            cands.append(self.trunc + (o.ord() or 0))
+        if o.trunc is not None:
+            cands.append(o.trunc + (self.ord() or 0))
+        t = min(cands) if cands else None
+        d = {}
+        for e1, v1 in self.coeff:
+            for e2, v2 in o.coeff:
+                if t is None or e1 + e2 < t:
+                    d[e1 + e2] = d.get(e1 + e2, UniPoly()) + v1 * v2
+        return _RefSeries(d, t)
+
+    def negate_t(self):
+        return _RefSeries({e: -v if e % 2 else v for e, v in self.coeff}, self.trunc)
+
+    def eval_z(self, z0):
+        return _RefSeries({e: UniPoly.const(v.eval(z0)) for e, v in self.coeff}, self.trunc)
+
+    def eval_t(self, t0):
+        acc = UniPoly()
+        for e, v in self.coeff:
+            acc = acc + v.scale(t0**e)
+        return acc
+
+    def sign_small_pos_t(self):
+        if self.coeff:
+            return next(1 if v > 0 else -1 for v in self.coeff[0][1].c if v)
+        return 0 if self.trunc is None else None
+
+
+def _ref_div_unit(num, den, upto):
+    """num / den up to t^upto by Fraction long division."""
+    e0, c0 = den.coeff[0]
+    lead = c0.c[0]
+    cur = dict(num.coeff)
+    out = {}
+    for e in range(0, upto):
+        q = cur.get(e + e0, UniPoly()).scale(F(1) / lead)
+        if q:
+            out[e] = q
+            for de, dv in den.coeff:
+                cur[e + de] = cur.get(e + de, UniPoly()) - q * dv
+    t = upto
+    if num.trunc is not None:
+        t = min(t, num.trunc - e0)
+    if den.trunc is not None:
+        t = min(t, den.trunc - e0)
+    return _RefSeries(out, t)
+
+
+def _rows(s):
+    """The terms of a `TSeries` as the oracle's Fraction rows, and its
+    truncation; the rows must be canonical: trimmed, nonzero, over a
+    positive denominator that has gcd 1 with every entry."""
+    assert s.den > 0 and math.gcd(s.den, *(v for _e, r in s.terms for v in r)) == 1, s
+    assert all(r and r[-1] for _e, r in s.terms) and [e for e, _r in s.terms] == sorted({e for e, _r in s.terms})
+    assert isinstance(s.terms, tuple) and (s.terms or s.den == 1), s
+    return [(e, [F(v, s.den) for v in r]) for e, r in s.terms], s.trunc
+
+
 def _ref_compose(p, xs, ys):
-    """The Fraction Horner that compose_bipoly replaced: TSeries operators
-    throughout, in y then x."""
-    acc = TSeries.zero(None)
+    """The Fraction Horner that compose_bipoly replaced: series operators of
+    the oracle throughout, in y then x."""
+    acc = _RefSeries()
     for ypoly in reversed(_ref_y_coeffs(p)):
-        cx = TSeries.zero(None)
+        cx = _RefSeries()
         for v in reversed(ypoly.c):
-            cx = cx * xs + TSeries.const(v)
+            cx = cx * xs + _RefSeries.const(v)
         acc = acc * ys + cx
     return acc
 
@@ -1174,17 +1276,74 @@ def _ref_subst(p, xp, yp):
     return acc
 
 
-# z-linear coefficients a + b*z, often z-free, sometimes zero
-_zlin = st.tuples(_res_coeffs, st.sampled_from([F(0), F(0), F(1), F(-1), F(1, 2), F(3)])).map(
-    lambda ab: UniPoly(list(ab))
-)
+# z-coefficients of degree up to 3, often z-free, sometimes zero or with
+# trailing zeros
+_zpoly = st.lists(st.one_of(_res_coeffs, st.just(F(0))), min_size=0, max_size=4)
 
 
 @st.composite
 def _tseries(draw):
-    terms = draw(st.dictionaries(st.integers(0, 6), _zlin, max_size=4))
+    """A `TSeries` and its oracle twin from the same rational rows."""
+    rows = draw(st.dictionaries(st.integers(0, 6), _zpoly, max_size=4))
     trunc = draw(st.one_of(st.none(), st.integers(0, 9)))
-    return TSeries.make(terms, trunc)
+    return TSeries.make(rows, trunc), _RefSeries({e: UniPoly(r) for e, r in rows.items()}, trunc)
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+
+
+@given(_tseries(), _tseries(), st.sampled_from(["free", "same", "neg"]), _small, _small)
+@settings(max_examples=300, deadline=None)
+def test_integer_series_arithmetic_matches_the_fraction_oracle(a, b, tie, z0, t0):
+    (sa, ra), (sb, rb) = a, b
+    if tie == "same":
+        sb, rb = sa, ra  # products of equal series
+    elif tie == "neg":
+        sb, rb = -sa, -ra  # sums that cancel term by term
+    for got, want in (
+        (sa, ra),
+        (sa + sb, ra + rb),
+        (sa - sb, ra - rb),
+        (sa * sb, ra * rb),
+        (-sa, -ra),
+        (sa.negate_t(), ra.negate_t()),
+        (sa.eval_z(z0), ra.eval_z(z0)),
+        (sb.eval_z(z0), rb.eval_z(z0)),
+    ):
+        assert _rows(got) == want.rows()
+        assert got.sign_small_pos_t() == want.sign_small_pos_t()
+    want_t = ra.eval_z(z0).eval_t(t0)
+    assert sa.eval_z(z0).eval_t(t0) == (want_t.c[0] if want_t.c else 0)
+    # canonical rows make == value equality
+    assert (sa + sa) * TSeries.const(F(1, 2)) == sa * TSeries.const(1) == sa
+    assert (sa == sb) == (ra.rows() == rb.rows())
+
+
+@given(_tseries(), _res_coeffs.filter(bool), _tseries(), st.integers(0, 3), st.integers(-2, 10))
+@settings(max_examples=300, deadline=None)
+def test_series_div_unit_matches_the_fraction_oracle(num, lead, tail, e0, upto):
+    # den = lead*t^e0 + t^(e0+1)*tail and num = t^e0*num: a z-free unit
+    # times t^e0 over a series of order at least e0, the quotient's domain
+    (sn, rn), (st_, rt) = num, tail
+    shift = TSeries.make({e0: [1]})
+    sd = TSeries.make({e0: [lead]}) + shift * TSeries.make({1: [1]}) * st_
+    rd = _RefSeries({e0: UniPoly.const(lead)}) + _RefSeries({e0 + 1: UniPoly.const(1)}) * rt
+    sn, rn = shift * sn, _RefSeries({e0: UniPoly.const(1)}) * rn
+    assert _rows(sd) == rd.rows() and _rows(sn) == rn.rows()
+    assert _rows(series_div_unit(sn, sd, upto)) == _ref_div_unit(rn, rd, upto).rows()
+
+
+def test_series_div_unit_rejects_what_is_no_power_series():
+    t = TSeries.make({1: [1]})
+    with pytest.raises(ZeroDivisionError):
+        series_div_unit(t, TSeries.zero(None), 3)
+    with pytest.raises(ValueError, match="z-free"):
+        series_div_unit(t, TSeries.make({1: [1, 1]}), 3)
+    with pytest.raises(ValueError, match="pole"):
+        series_div_unit(t, TSeries.make({2: [1]}), 3)
+    # (1/2) / (3 + 6t) = 1/6 - t/3 + 2t^2/3 - ...: the rows stay reduced
+    q = series_div_unit(TSeries.const(F(1, 2)), TSeries.make({0: [3], 1: [6]}), 3)
+    assert (q.terms, q.den, q.trunc) == (((0, [1]), (1, [-2]), (2, [4])), 6, 3)
 
 
 @given(
@@ -1195,38 +1354,40 @@ def _tseries(draw):
 )
 @settings(max_examples=300, deadline=None)
 def test_compose_bipoly_matches_fraction_reference(p, xs, ys, tie):
+    (sx, rx), (sy, ry) = xs, ys
     if tie == "same":
-        ys = xs  # products of equal series: cancelling cross terms
+        sy, ry = sx, rx  # products of equal series: cancelling cross terms
     elif tie == "neg":
         p = p * BiPoly({(1, 0): F(1), (0, 1): F(1)})  # a factor x + y
-        ys = -xs  # ... that vanishes along the arc: every term cancels
-    assert compose_bipoly(p, xs, ys) == _ref_compose(p, xs, ys)  # terms and trunc
+        sy, ry = -sx, -rx  # ... that vanishes along the arc: every term cancels
+    assert _rows(compose_bipoly(p, sx, sy)) == _ref_compose(p, rx, ry).rows()  # terms and trunc
 
 
 def test_compose_bipoly_reference_cases():
     # y - x^2 along its own branch, exact and truncated, and along a z-arc
     p = parse_polynomial("y - x^2")
-    t = TSeries.make({1: UniPoly.const(1)})
+    t, rt = TSeries.make({1: [1]}), _RefSeries({1: UniPoly.const(1)})
     for trunc in (None, 3):
-        xs, ys = t, TSeries.make({2: UniPoly.const(1)}, trunc)
-        assert compose_bipoly(p, xs, ys) == _ref_compose(p, xs, ys) == TSeries.zero(trunc)
-    ys = TSeries.make({2: UniPoly.const(1), 3: UniPoly([F(1, 3), -1])}, 7)
+        ys, ry = TSeries.make({2: [1]}, trunc), _RefSeries({2: UniPoly.const(1)}, trunc)
+        assert compose_bipoly(p, t, ys) == TSeries.zero(trunc)
+        assert _ref_compose(p, rt, ry).rows() == ([], trunc)
+    ys = TSeries.make({2: [1], 3: [F(1, 3), -1]}, 7)
     got = compose_bipoly(p, t, ys)
-    assert got == _ref_compose(p, t, ys) and got.leading() == (3, UniPoly([F(1, 3), -1]))
+    assert (got.terms, got.den, got.trunc) == (((3, [1, -3]),), 3, 7)  # (1/3 - z) t^3
     assert compose_bipoly(BiPoly(), t, ys) == TSeries.zero(None)
 
 
 def test_sign_small_pos_t_reads_the_lowest_z_term_of_the_leading_term():
     def lead(c, trunc=None):
-        return TSeries.make({3: c, 5: UniPoly.const(-9)}, trunc).sign_small_pos_t()
+        return TSeries.make({3: c, 5: [-9]}, trunc).sign_small_pos_t()
 
-    assert lead(UniPoly([0, -1])) == -1  # -z t^3: the constant term is zero
-    assert lead(UniPoly([0, 0, 3])) == 1  # 3z^2 t^3
-    assert lead(UniPoly([0, 2, -5]), 4) == 1  # 2z dominates -5z^2 for small z
-    assert lead(UniPoly([-1, 8])) == -1
+    assert lead([0, -1]) == -1  # -z t^3: the constant term is zero
+    assert lead([0, 0, 3]) == 1  # 3z^2 t^3
+    assert lead([0, 2, -5], 4) == 1  # 2z dominates -5z^2 for small z
+    assert lead([-1, 8]) == -1
     assert TSeries.zero(None).sign_small_pos_t() == 0  # the exact zero series
     assert TSeries.zero(3).sign_small_pos_t() is None  # no certain term
-    assert TSeries.make({4: UniPoly.const(1)}, 2).sign_small_pos_t() is None
+    assert TSeries.make({4: [1]}, 2).sign_small_pos_t() is None
 
 
 _sqf_factors = st.lists(st.integers(-6, 6).map(F) | st.fractions(-3, 3, max_denominator=5), min_size=1, max_size=3)

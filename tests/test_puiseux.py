@@ -88,7 +88,7 @@ def _rational_roots(psi: UniPoly) -> list[Fraction]:
 
 def _hensel_reference(Fp, K):
     """The Hensel lift composing with the exact, untruncated y."""
-    xs = TSeries.make({1: UniPoly.const(1)}, None)
+    xs = TSeries.make({1: [1]}, None)
     y = TSeries.zero(None)
     Fy = Fp.partial_y()
     p = 1
@@ -97,8 +97,9 @@ def _hensel_reference(Fp, K):
         num = compose_bipoly(Fp, xs, y)
         den = compose_bipoly(Fy, xs, y)
         q = series_div_unit(num, den, p)
-        y = TSeries.make({e: v for e, v in (y - q).coeff if e < p}, None)
-    return {e: v.c[0] for e, v in y.coeff if v.c}
+        d = y - q
+        y = TSeries.make({e: [F(v, d.den) for v in r] for e, r in d.terms if e < p}, None)
+    return {e: F(r[0], y.den) for e, r in y.terms}
 
 
 def _expand_reference(Fp, K, depth=0):
@@ -516,17 +517,16 @@ class FamilyArc:
         transversal line pushed down are its centre, with no z."""
         start = []
         for s in (self.xs, self.ys):
-            lead = s.leading()
-            c = lead[1].c if lead is not None and lead[0] == 0 else (F(0),)
+            c = s.terms[0][1] if s.terms and s.terms[0][0] == 0 else [0]
             assert len(c) == 1 and (s.trunc is None or s.trunc >= 1), s
-            start.append(c[0])
+            start.append(F(c[0], s.den))
         return start[0], start[1], 0, False
 
 
 def family_arc(D, v: Fraction) -> FamilyArc:
     """The transversal family instance crossing the component D at v, pushed
     down to the base chart without performing any blow-up on it."""
-    return FamilyArc(*D.chart.down_line(UniPoly.const(v)))
+    return FamilyArc(*D.chart.down(TSeries.make({1: [1]}), TSeries.const(v), TSeries.const))
 
 
 def located_membership(arc, side: int, decomp, signs: dict[str, int]) -> tuple:

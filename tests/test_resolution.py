@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 from conftest import bench_scene_texts, bench_workload, int_primitive, load_fixture, swap_scene
-from test_algebra import _ref_subst, _ref_y_coeffs
+from test_algebra import _RefSeries, _ref_subst, _ref_y_coeffs
 from test_checker import IRRATIONAL_TANGENTS, LARGE_DENOMINATOR_POINTS
-from test_puiseux import arc_region_membership, branch_set, family_arc, located_membership
+from test_puiseux import CUBIC_TREE, arc_region_membership, branch_set, components_of, family_arc, located_membership
 from test_cli import DIVERGENT
 
 from basix import checker, puiseux, resolution
@@ -14,6 +14,7 @@ from basix.checker import PROPERTIES, CheckRequest, run_check
 from basix.decompose import decompose_set
 from basix.errors import Unsupported
 from basix.parser import parse_polynomial
+from basix.puiseux import ArcFamily
 from basix.realroots import RootLocator, open_count, roots_equal
 from basix.resolution import (
     classify_exceptional,
@@ -151,8 +152,8 @@ def test_down_map_consistency_random_points():
             v = F(rng.randint(-50, 50), 16)
             x, y = D.chart.down_point(t0, v)
             assert X.eval(t0, v) == x and Y.eval(t0, v) == y
-            xs, ys = D.chart.down_line(UniPoly.const(v))
-            assert xs.eval_t(t0) == UniPoly.const(x) and ys.eval_t(t0) == UniPoly.const(y)
+            line = family_arc(D, v)
+            assert line.xs.eval_t(t0) == x and line.ys.eval_t(t0) == y
 
 
 def test_transversal_irrational_crossing_supported():
@@ -611,3 +612,92 @@ def test_factor_rows_are_the_swapped_rows_of_the_total_transform(classified_wide
             assert rows == G.swap_xy().int_y_rows()[0], (D.chart, name)
             through += 1
     assert through >= 100, through
+
+
+def _down_line_family(D):
+    """The family that `component_family` read before it read `down_map`:
+    the line u = t, v = z pushed down through D's chart on the Fraction
+    series oracle, and put in normal form term by term on those series."""
+    one, z = _RefSeries({1: UniPoly.const(1)}), _RefSeries({0: UniPoly([0, 1])})
+    xs, ys = D.chart.down(one, z, _RefSeries.const)
+    cx, cy = D.center
+    xs, ys = xs - _RefSeries.const(cx), ys - _RefSeries.const(cy)
+
+    def clean(s):
+        return len(s.coeff) == 1 and len(s.coeff[0][1].c) == 1 and abs(s.coeff[0][1].c[0]) == 1
+
+    swapped = False
+    if not clean(xs):
+        if not clean(ys):
+            raise Unsupported("A1FormUnsupported", "transversal family is not rationally parametrizable in normal form")
+        xs, ys, swapped = ys, xs, True
+    nx, cxz = xs.coeff[0]
+    kept, mslot, zscale = [], None, F(1)
+    for e, zc in ys.coeff:
+        const = zc.c[0] if zc.c else F(0)
+        zlin = zc.c[1] if len(zc.c) > 1 else F(0)
+        if len(zc.c) > 2:
+            raise Unsupported("A1FormUnsupported", "family parameter appears nonlinearly")
+        if zlin != 0:
+            if mslot is not None:
+                raise Unsupported("A1FormUnsupported", "family parameter spread over terms")
+            mslot, zscale = e, zlin
+            if const != 0:
+                raise Unsupported("A1FormUnsupported", "slot term carries a fixed part")
+        elif const != 0:
+            kept.append((e, const))
+    if mslot is None:
+        raise Unsupported("A1FormUnsupported", "family parameter vanished in the push-down")
+    return ArcFamily((cx, cy), 1 if cxz.c[0] > 0 else -1, nx, tuple(kept), mslot, swapped, zscale)
+
+
+def test_component_family_from_the_down_map_matches_the_down_line_path(classified_widely):
+    # the family read off the polynomial down map is the one the pushed-down
+    # series line gave, and where that line has no normal form the map has
+    # none either, for the same reason and detail
+    comps = components_of(CUBIC_TREE) + components_of({"c": "y^2 - x^3"})
+    comps += [D for D, _decomp, _arcs in classified_widely]
+    families = unsupported = 0
+    for D in comps:
+        try:
+            want = _down_line_family(D)
+        except Unsupported as e:
+            with pytest.raises(Unsupported) as got:
+                resolution.component_family(D)
+            assert (got.value.reason, got.value.detail) == (e.reason, e.detail), D.chart
+            unsupported += 1
+        else:
+            assert resolution.component_family(D) == want, D.chart
+            families += 1
+    assert families >= 50 and unsupported >= 10, (families, unsupported)
+
+
+def test_total_transform_memo_hashes_no_fraction(monkeypatch):
+    # the transforms of a tree are kept by chart word, and a Step hashes its
+    # centre once, when it is made, so no lookup in `_total_transform`
+    # hashes a Fraction: on every check of the three benchmark workloads
+    depth = [0]
+    counts = {"calls": 0, "hashes": 0}
+    real_hash, real_transform = Fraction.__hash__, resolution._total_transform
+
+    def counted_hash(self):
+        counts["hashes"] += depth[0] > 0
+        return real_hash(self)
+
+    def transform(*args):
+        depth[0] += 1
+        counts["calls"] += 1
+        try:
+            return real_transform(*args)
+        finally:
+            depth[0] -= 1
+
+    runs = []
+    for name in ("fixtures", "blowup", "lines"):
+        texts, checks = bench_workload(monkeypatch, name)
+        runs += [(Scene.from_text(texts[c.scene]), c.prop) for c in checks]
+    monkeypatch.setattr(Fraction, "__hash__", counted_hash)
+    monkeypatch.setattr(resolution, "_total_transform", transform)
+    for sc, prop in runs:
+        run_check(CheckRequest(sc, prop))
+    assert counts["calls"] >= 100 and counts["hashes"] == 0, counts

@@ -85,17 +85,12 @@ def test_every_private_function_in_src_is_called():
     assert unused == []
 
 
-def test_only_the_series_modules_import_unipoly():
-    # the projection and the arrangement run on integer lists; UniPoly is
-    # the coefficient ring of TSeries and of the modules that build or read
-    # its terms
-    importers = [
-        name
-        for name, tree in _src_trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and any(alias.name == "UniPoly" for alias in node.names)
-    ]
-    assert importers == ["puiseux.py", "resolution.py", "series.py"]
+def test_no_engine_module_names_unipoly():
+    # the engine runs on integer lists and integer series rows; UniPoly, the
+    # Fraction polynomial, is the tests' oracle, so no module but its own
+    # names it, not even in a docstring or a comment
+    naming = [path.name for path in sorted(SRC.glob("*.py")) if re.search(r"\bUniPoly\b", path.read_text(encoding="utf-8"))]
+    assert naming == ["unipoly.py"]
 
 
 def test_unsupported_reason_codes_in_its_docstring_are_raised():
